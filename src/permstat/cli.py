@@ -52,10 +52,14 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_perm_arg(text: str, cap: int = DEGREE_CAP) -> Perm:
+def _check_degree(n: int) -> None:
+    if n > DEGREE_CAP:
+        raise ValueError(f"degree {n} exceeds the cap of {DEGREE_CAP}")
+
+
+def _parse_perm_arg(text: str) -> Perm:
     p = parse_one_line(text)
-    if len(p) > cap:
-        raise ValueError(f"degree {len(p)} exceeds the cap of {cap}")
+    _check_degree(len(p))
     return p
 
 
@@ -85,16 +89,18 @@ def _run_stat(args) -> int:
 
 def _run_canon(args) -> int:
     if args.from_word is not None:
+        # Check the degree before evaluating: it sizes the permutation built,
+        # and the evaluation rejects letters beyond it.
         if args.group == "S":
             letters = parse_s_letters(args.from_word)
             n = args.n or max(letters, default=0) + 1
+            _check_degree(n)
             p = eval_s_letters(max(n, 1), letters)
         else:
             letters = parse_a_letters(args.from_word)
             n = args.n or (max((k for k, _ in letters), default=0) + 2)
+            _check_degree(n)
             p = eval_a_letters(max(n, 2), letters)
-        if len(p) > DEGREE_CAP:
-            raise ValueError(f"degree {len(p)} exceeds the cap of {DEGREE_CAP}")
     else:
         if args.perm is None:
             raise ValueError("canon needs a permutation or --from-word")
@@ -224,6 +230,17 @@ def _run_genfun(args) -> int:
     return 0
 
 
+def _pool_size(jobs: int, tasks: int, cpus: int | None) -> int:
+    """Worker processes for `tasks` checks: `jobs`, or every CPU when it is 0.
+
+    Never more than there are tasks or CPUs; 1 means run serially.
+    """
+    if jobs < 0:
+        raise ValueError(f"--jobs must be non-negative (got {jobs})")
+    cpus = cpus or 1
+    return max(1, min(jobs or cpus, tasks, cpus))
+
+
 def _verify_task(task) -> IdentityReport:
     name, n, force, extra = task
     return verify(name, n, force=force, **extra)
@@ -265,11 +282,11 @@ def _run_verify(args) -> int:
             ns = [entry.default_cap]
         for n in ns:
             tasks.append((name, n, args.force, extra))
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
-    if jobs > 1 and len(tasks) > 1:
+    workers = _pool_size(args.jobs, len(tasks), os.cpu_count())
+    if workers > 1:
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_verify_task, tasks))
     else:
         reports = [_verify_task(t) for t in tasks]
@@ -390,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="run at exactly this n")
     p.add_argument("--n-max", type=int, help="run every n up to this bound (and each cap)")
     p.add_argument("--jobs", type=int, default=0,
-                   help="parallel worker processes; default: available parallelism")
+                   help="parallel worker processes, at most one per CPU and per check; "
+                        "default: one per CPU")
     p.add_argument("--force", action="store_true", help="ignore per-entry caps")
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock times in the payload (not byte-reproducible)")

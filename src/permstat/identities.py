@@ -98,7 +98,8 @@ class IdentityReport:
 # -- scan helpers -------------------------------------------------------------
 
 def _poly(acc: dict, arity: int = 0) -> MultiPoly:
-    return MultiPoly(arity, acc)
+    """Wrap a scan histogram: keys of width 2 + arity, positive counts."""
+    return MultiPoly._trusted(arity, acc)
 
 
 def _bump(acc: dict, key: tuple) -> None:
@@ -471,16 +472,19 @@ def _check_lemma63(n: int) -> Iterator[Checkpoint]:
     # Descents of a sequence depend only on its weak-order pattern, so words
     # over 1..n with an inserted strictly-larger letter exhaust all cases.
     y = n + 1
+    spread_all = geometric(n + 1)
+    spread_proper = spread_all - 1
+    spread_tail = geometric(n)
     for u in itertools.product(range(1, n + 1), repeat=n):
         inserts = [u[:i] + (y,) + u[i:] for i in range(n + 1)]
         majs = [seq_maj(v) for v in inserts]
         rmajs = [seq_rmaj(v) for v in inserts]
         base_maj = MultiPoly.monomial(1, q=seq_maj(u))
         base_rmaj = MultiPoly.monomial(1, q=seq_rmaj(u))
-        yield {"word": u, "eq": "maj-all"}, _poly(_hist(majs)), base_maj * geometric(n + 1), 1
-        yield {"word": u, "eq": "maj-proper"}, _poly(_hist(majs[:-1])), base_maj * (geometric(n + 1) - 1), 0
-        yield {"word": u, "eq": "rmaj-all"}, _poly(_hist(rmajs)), base_rmaj * geometric(n + 1), 0
-        yield {"word": u, "eq": "rmaj-tail"}, _poly(_hist(rmajs[1:])), base_rmaj * geometric(n), 0
+        yield {"word": u, "eq": "maj-all"}, _poly(_hist(majs)), base_maj * spread_all, 1
+        yield {"word": u, "eq": "maj-proper"}, _poly(_hist(majs[:-1])), base_maj * spread_proper, 0
+        yield {"word": u, "eq": "rmaj-all"}, _poly(_hist(rmajs)), base_rmaj * spread_all, 0
+        yield {"word": u, "eq": "rmaj-tail"}, _poly(_hist(rmajs[1:])), base_rmaj * spread_tail, 0
 
 
 def _iter_right_coset_products(w: Perm, n: int):
@@ -495,34 +499,35 @@ def _iter_right_coset_products(w: Perm, n: int):
 
 
 def _check_lemma64(n: int) -> Iterator[Checkpoint]:
+    spread = geometric(n + 1)
     for w in iter_symmetric(n):
         products = list(_iter_right_coset_products(w, n))
         lhs_maj = _poly(_hist(maj_s(p) for p in products))
-        rhs_maj = MultiPoly.monomial(1, q=maj_s(w)) * geometric(n + 1)
+        rhs_maj = MultiPoly.monomial(1, q=maj_s(w)) * spread
         yield {"w": w, "stat": "maj"}, lhs_maj, rhs_maj, len(products)
         lhs_rmaj = _poly(_hist(rmaj_s(p, n + 1) for p in products))
-        rhs_rmaj = MultiPoly.monomial(1, q=rmaj_s(w, n)) * geometric(n + 1)
+        rhs_rmaj = MultiPoly.monomial(1, q=rmaj_s(w, n)) * spread
         yield {"w": w, "stat": "rmaj"}, lhs_rmaj, rhs_rmaj, 0
 
 
 def _check_lemma65(n: int) -> Iterator[Checkpoint]:
+    spread = geometric(n) + MultiPoly.monomial(1, q=n, t=1)
     for w in iter_symmetric(n):
         acc: dict = {}
         cnt = 0
         for p in _iter_right_coset_products(w, n):
             cnt += 1
             _bump(acc, (rmaj_s(p, n + 1), del_s(p)))
-        rhs = MultiPoly.monomial(1, q=rmaj_s(w, n), t=del_s(w)) * (
-            geometric(n) + MultiPoly.monomial(1, q=n, t=1)
-        )
+        rhs = MultiPoly.monomial(1, q=rmaj_s(w, n), t=del_s(w)) * spread
         yield {"w": w}, _poly(acc), rhs, cnt
 
 
 def _check_remark66(n: int) -> Iterator[Checkpoint]:
+    spread = geometric(n)
     for w in iter_symmetric(n):
         products = list(_iter_right_coset_products(w, n))[:-1]
         lhs = _poly(_hist(rmaj_s(p, n + 1) for p in products))
-        rhs = MultiPoly.monomial(1, q=rmaj_s(w, n)) * geometric(n)
+        rhs = MultiPoly.monomial(1, q=rmaj_s(w, n)) * spread
         yield {"w": w}, lhs, rhs, len(products)
 
 
@@ -963,8 +968,10 @@ def verify(name: str, n: int | None = None, force: bool = False, **extra) -> Ide
         )
     start = time.perf_counter()
     scanned = 0
-    lhs_total: MultiPoly | None = None
-    rhs_total: MultiPoly | None = None
+    # Running sums of each side as plain dicts, built into polynomials once.
+    lhs_acc: dict = {}
+    rhs_acc: dict = {}
+    lhs_arity = rhs_arity = 0
     for subparams, lhs, rhs, cnt in entry.check(n, **extra):
         scanned += cnt
         if lhs != rhs:
@@ -973,12 +980,27 @@ def verify(name: str, n: int | None = None, force: bool = False, **extra) -> Ide
             if subparams:
                 params["failed_at"] = _json_safe(subparams)
             return IdentityReport(name, params, lhs, rhs, False, scanned, elapsed)
-        lhs_total = lhs if lhs_total is None else lhs_total + lhs
-        rhs_total = rhs if rhs_total is None else rhs_total + rhs
+        lhs_arity = max(lhs_arity, lhs.arity)
+        rhs_arity = max(rhs_arity, rhs.arity)
+        for e, c in lhs.terms.items():
+            lhs_acc[e] = lhs_acc.get(e, 0) + c
+        for e, c in rhs.terms.items():
+            rhs_acc[e] = rhs_acc.get(e, 0) + c
     elapsed = time.perf_counter() - start
-    if lhs_total is None:
-        lhs_total = rhs_total = MultiPoly.zero()
-    return IdentityReport(name, {"n": n, **extra}, lhs_total, rhs_total, True, scanned, elapsed)
+    return IdentityReport(
+        name, {"n": n, **extra}, _padded_sum(lhs_acc, lhs_arity),
+        _padded_sum(rhs_acc, rhs_arity), True, scanned, elapsed,
+    )
+
+
+def _padded_sum(acc: dict, arity: int) -> MultiPoly:
+    """Zero-pad summed terms of mixed arity to `arity`; cancelled terms drop out."""
+    width = 2 + arity
+    out: dict = {}
+    for e, c in acc.items():
+        key = e + (0,) * (width - len(e))
+        out[key] = out.get(key, 0) + c
+    return MultiPoly(arity, out)
 
 
 def _json_safe(d: dict) -> dict:

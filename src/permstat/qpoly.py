@@ -9,18 +9,31 @@ arithmetic is exact and cannot wrap or overflow.
 The canonical term order, used by printing and JSON serialisation, sorts by
 total degree and then lexicographically by exponent tuple.
 
+Validation happens once, at the public constructor ``MultiPoly(arity,
+terms)``: it checks every exponent tuple's width and sign and drops zero
+coefficients.  Ring results (lifts, sums, negations, products) and the
+polynomials built here from known-good terms go through the private trusted
+constructor ``MultiPoly._trusted``, which skips those checks; their terms are
+valid by construction.
+
 Gaussian binomials are computed by exact polynomial division with a
 divisibility assertion; nothing here ever touches floating point.
 """
 from __future__ import annotations
 
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 
 
 class MultiPoly:
-    """Immutable sparse polynomial; do not mutate `terms` after construction."""
+    """Immutable sparse polynomial; do not mutate `terms` after construction.
+
+    `MultiPoly(arity, terms)` validates its input: every key must be a tuple
+    of 2 + arity non-negative exponents, and zero coefficients are dropped.
+    Ring operations build their results with `_trusted`, which does not.
+    """
 
     __slots__ = ("arity", "terms")
 
@@ -38,6 +51,19 @@ class MultiPoly:
                 clean[tuple(exps)] = coeff
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, arity: int, terms: dict[Exponents, int]) -> "MultiPoly":
+        """Wrap terms that are valid by construction, without copying them.
+
+        The caller guarantees that every key is a tuple of 2 + arity
+        non-negative exponents and that no coefficient is zero, and hands
+        over ownership of the dict.
+        """
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "arity", arity)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -71,7 +97,7 @@ class MultiPoly:
         if arity == self.arity:
             return self
         pad = (0,) * (arity - self.arity)
-        return MultiPoly(arity, {exps + pad: c for exps, c in self.terms.items()})
+        return MultiPoly._trusted(arity, {exps + pad: c for exps, c in self.terms.items()})
 
     # -- ring operations -----------------------------------------------------
 
@@ -89,12 +115,12 @@ class MultiPoly:
                 out[exps] = s
             else:
                 out.pop(exps, None)
-        return MultiPoly(arity, out)
+        return MultiPoly._trusted(arity, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.arity, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.arity, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "MultiPoly | int") -> "MultiPoly":
         if isinstance(other, int):
@@ -103,7 +129,9 @@ class MultiPoly:
 
     def __mul__(self, other: "MultiPoly | int") -> "MultiPoly":
         if isinstance(other, int):
-            return MultiPoly(self.arity, {e: c * other for e, c in self.terms.items()})
+            if not other:
+                return MultiPoly._trusted(self.arity, {})
+            return MultiPoly._trusted(self.arity, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         arity = max(self.arity, other.arity)
@@ -111,13 +139,13 @@ class MultiPoly:
         out: dict[Exponents, int] = {}
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
+                key = tuple(map(add, e1, e2))
                 s = out.get(key, 0) + c1 * c2
                 if s:
                     out[key] = s
                 else:
                     out.pop(key, None)
-        return MultiPoly(arity, out)
+        return MultiPoly._trusted(arity, out)
 
     __rmul__ = __mul__
 
@@ -208,12 +236,10 @@ class MultiPoly:
 
 def geometric(j: int, arity: int = 0) -> MultiPoly:
     """1 + q + ... + q^(j-1); the empty sum for j = 0."""
-    return MultiPoly(arity, {(e, 0) + (0,) * arity: 1 for e in range(j)})
-
-
-def poly_from_counts(counts: Mapping[Exponents, int], arity: int = 0) -> MultiPoly:
-    """Wrap an exponent-histogram accumulated by a scan."""
-    return MultiPoly(arity, counts)
+    if arity < 0:
+        raise ValueError("arity must be non-negative")
+    pad = (0,) * arity
+    return MultiPoly._trusted(arity, {(e, 0) + pad: 1 for e in range(j)})
 
 
 # -- Gaussian binomials ------------------------------------------------------
@@ -265,7 +291,8 @@ def _dense_q_factorial(n: int) -> list[int]:
 
 
 def _from_dense(coeffs: list[int], arity: int = 0) -> MultiPoly:
-    return MultiPoly(arity, {(e, 0) + (0,) * arity: c for e, c in enumerate(coeffs) if c})
+    pad = (0,) * arity
+    return MultiPoly._trusted(arity, {(e, 0) + pad: c for e, c in enumerate(coeffs) if c})
 
 
 def q_factorial(n: int) -> MultiPoly:

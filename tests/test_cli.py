@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from permstat.cli import main
+from permstat.cli import _pool_size, main
 from permstat.identities import REGISTRY, IdentityEntry
 from permstat.qpoly import MultiPoly
 
@@ -76,6 +76,28 @@ def test_canon_from_word(capsys):
     )
     code, _, err = run_cli(capsys, "canon", "--group", "S")
     assert code == 2 and "needs a permutation" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--group", "S", "--from-word", "s9999999999"],
+    ["--group", "A", "--from-word", "a9999999999"],
+    ["--group", "S", "--from-word", "s1", "--n", "9999999999"],
+    ["--group", "A", "--from-word", "a1", "--n", "9999999999"],
+    ["--group", "S", "--from-word", "s9999999999", "--n", "5"],
+])
+def test_canon_from_word_bounded_before_building(capsys, argv):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "canon", *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+    assert peak < 1_000_000
 
 
 def test_fiber_output(capsys):
@@ -170,6 +192,31 @@ def test_verify_failure_exit_code(capsys):
         assert code == 1 and out.startswith("FAIL test-cli-bogus")
     finally:
         del REGISTRY["test-cli-bogus"]
+
+
+def test_pool_size_clamps():
+    assert _pool_size(0, 144, 2) == 2
+    assert _pool_size(0, 144, None) == 1
+    assert _pool_size(1, 144, 8) == 1
+    assert _pool_size(10**9, 144, 8) == 8
+    assert _pool_size(10**9, 3, 8) == 3
+    assert _pool_size(4, 1, 8) == 1
+    with pytest.raises(ValueError, match="non-negative"):
+        _pool_size(-3, 144, 8)
+
+
+def test_verify_negative_jobs_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "macmahon", "--n", "3", "--jobs", "-3")
+    assert code == 2 and out == ""
+    assert err == "error: --jobs must be non-negative (got -3)\n"
+
+
+def test_verify_jobs_matches_serial(capsys):
+    argv = ["verify", "--all", "--n-max", "4"]
+    serial = run_cli(capsys, *argv, "--jobs", "1")
+    pooled = run_cli(capsys, *argv, "--jobs", "2")
+    assert serial[0] == pooled[0] == 0
+    assert pooled[1] == serial[1]
 
 
 def test_verify_csv_and_timings(capsys):

@@ -100,6 +100,37 @@ def test_whole_registry_small():
         assert report.params["n"] == n
 
 
+def test_checkpoint_sides_are_well_formed():
+    # Scan sides are wrapped without validation; check what validation would.
+    for entry in list_identities():
+        for n in range(entry.min_n, min(entry.min_n + 2, 4) + 1):
+            for _sub, lhs, rhs, _cnt in entry.check(n):
+                for side in (lhs, rhs):
+                    assert side.terms == MultiPoly(side.arity, side.terms).terms, entry.name
+                    assert all(
+                        len(e) == 2 + side.arity and min(e) >= 0 for e in side.terms
+                    ), entry.name
+                    assert all(c != 0 for c in side.terms.values()), entry.name
+
+
+def test_totals_pad_mixed_arity():
+    def mixed_check(n):
+        marked = MultiPoly.monomial(1, q=1, ts=(1,))
+        yield None, MultiPoly.const(1), MultiPoly.const(1), 1
+        yield None, marked, marked, 1
+        yield None, -MultiPoly.const(1), -MultiPoly.const(1), 0
+
+    REGISTRY["test-mixed"] = IdentityEntry("test-mixed", "", {"n": "int"}, 1, 3, mixed_check)
+    try:
+        report = verify("test-mixed", 1)
+        assert report.passed and report.elements_scanned == 2
+        assert report.lhs.arity == report.rhs.arity == 1
+        assert report.lhs.terms == {(1, 0, 1): 1}
+        assert report.rhs == MultiPoly.monomial(1, q=1, ts=(1,))
+    finally:
+        del REGISTRY["test-mixed"]
+
+
 def test_optional_parameters():
     assert verify("prop712-sk-occurrences", 5, k=2).passed
     assert verify("appendix-hat", 5, i=3).passed

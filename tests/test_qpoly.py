@@ -27,6 +27,38 @@ small_polys = st.builds(
 )
 
 
+def _mixed_poly(arity, terms):
+    return MultiPoly(arity, {tuple(e[: 2 + arity]): c for e, c in terms})
+
+
+mixed_polys = st.builds(
+    _mixed_poly,
+    st.integers(0, 3),
+    st.lists(
+        st.tuples(st.tuples(*[st.integers(0, 3)] * 5), st.integers(-3, 3)),
+        max_size=5,
+    ),
+)
+
+
+def assert_well_formed(p):
+    """What the public constructor would check, for a trusted-path result."""
+    assert p.terms == MultiPoly(p.arity, p.terms).terms
+    assert all(len(e) == 2 + p.arity and min(e) >= 0 for e in p.terms)
+    assert all(c != 0 for c in p.terms.values())
+
+
+@given(mixed_polys, mixed_polys, st.integers(0, 2), st.integers(-3, 3))
+@settings(max_examples=120)
+def test_trusted_results_are_well_formed(a, b, extra, k):
+    results = [a + b, a - b, a * b, -a, a.lift(a.arity + extra), a * 0, a * k, k * a, a + k]
+    for r in results:
+        assert_well_formed(r)
+    assert (a + b).arity == (a * b).arity == max(a.arity, b.arity)
+    assert (a * 0).is_zero() and a * 0 == MultiPoly.zero()
+    assert (a - a).is_zero()
+
+
 def test_add_mul_eval_examples():
     one_plus_q = mono(1) + mono(1, q=1)
     assert one_plus_q + mono(1, q=1) == mono(1) + mono(2, q=1)
@@ -136,6 +168,9 @@ def test_json_form():
 
 def test_geometric_and_power():
     assert geometric(0).is_zero()
+    assert geometric(2, arity=1) == mono(1) + mono(1, q=1)
+    with pytest.raises(ValueError, match="non-negative"):
+        geometric(2, arity=-1)
     assert geometric(3) == mono(1) + mono(1, q=1) + mono(1, q=2)
     assert geometric(2) ** 2 == mono(1) + mono(2, q=1) + mono(1, q=2)
     assert q_factorial(4) == geometric(1) * geometric(2) * geometric(3) * geometric(4)
