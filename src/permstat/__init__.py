@@ -44,6 +44,7 @@ from .stats import (
     des_s,
     des_set_a,
     des_set_s,
+    genfun,
     hat_ell,
     hat_maj,
     h_map,

@@ -5,7 +5,8 @@ written to disk unless --out is given.  Output is deterministic: identical
 invocations produce byte-identical payloads.  Timing is therefore emitted on
 stderr only, unless --timings explicitly opts it into the payload.
 
-Exit codes: 0 success, 1 at least one verification failed, 2 usage error.
+Exit codes: 0 success, 1 at least one verification failed, 2 usage error
+(or a verify worker process that died).
 """
 from __future__ import annotations
 
@@ -16,9 +17,8 @@ import sys
 
 from .identities import CapExceeded, IdentityReport, REGISTRY, list_identities, verify
 from .perm import Perm, format_one_line, parse_one_line
-from .qpoly import MultiPoly
 from .shuffles import enumerate_b_shuffles, shuffle_count
-from .stats import profile_to_json, stat_profile
+from .stats import genfun, profile_to_json, stat_profile
 from .words import (
     a_canonical,
     a_word_pretty,
@@ -160,55 +160,13 @@ def _run_shuffles(args) -> int:
 
 
 def _run_genfun(args) -> int:
-    from .perm import iter_alternating, iter_symmetric
-    from .stats import des_set_s, maj_s
-    from .words import s_image, s_word_to_perm
-
     n = args.n
     cap = GENFUN_CAP_S if args.group == "S" else GENFUN_CAP_A
     if n > cap and not args.force:
         raise CapExceeded(
             f"genfun over group {args.group} is capped at n = {cap}; use --force to override"
         )
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if args.multivar and args.t_stat == "none":
-        raise ValueError("--multivar refines the delent marking; it needs --t-stat del")
-    arity = n - 1 if args.multivar else 0
-    acc: dict = {}
-    if args.group == "S":
-        for p in iter_symmetric(n):
-            word = s_canonical(p)
-            if args.q_stat == "length":
-                qexp = word.length
-            elif args.q_stat == "maj":
-                qexp = maj_s(p)
-            else:
-                qexp = sum(n - i for i in des_set_s(p))
-            if args.multivar:
-                key = (qexp, 0) + tuple(1 if r == 1 else 0 for r in word.factors)
-            elif args.t_stat == "del":
-                key = (qexp, sum(1 for r in word.factors if r == 1))
-            else:
-                key = (qexp, 0)
-            acc[key] = acc.get(key, 0) + 1
-    else:
-        for v in iter_alternating(n + 1):
-            word = a_canonical(v)
-            if args.q_stat == "length":
-                qexp = word.length
-            else:
-                des = des_set_s(s_word_to_perm(s_image(word)))
-                qexp = sum(des) if args.q_stat == "maj" else sum(n - i for i in des)
-            eps = tuple(1 if f is not None and f[0] == 1 else 0 for f in word.factors)
-            if args.multivar:
-                key = (qexp, 0) + eps
-            elif args.t_stat == "del":
-                key = (qexp, sum(eps))
-            else:
-                key = (qexp, 0)
-            acc[key] = acc.get(key, 0) + 1
-    poly = MultiPoly(arity, acc)
+    poly = genfun(args.group, n, args.q_stat, args.t_stat, args.multivar)
     if args.format == "json":
         text = _dumps({
             "group": args.group,
@@ -284,10 +242,15 @@ def _run_verify(args) -> int:
             tasks.append((name, n, args.force, extra))
     workers = _pool_size(args.jobs, len(tasks), os.cpu_count())
     if workers > 1:
-        import concurrent.futures
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_verify_task, tasks))
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                reports = list(pool.map(_verify_task, tasks))
+        except BrokenProcessPool as exc:
+            print(f"error: a verify worker process died: {exc}", file=sys.stderr)
+            return 2
     else:
         reports = [_verify_task(t) for t in tasks]
     reports.sort(key=lambda r: (r.identity, r.params.get("n", 0)))

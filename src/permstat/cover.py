@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .perm import Perm, iter_alternating
+from .perm import Perm, check_even, iter_alternating
 from .stats import (
     del_a,
     del_s,
@@ -24,7 +24,7 @@ from .stats import (
     rmaj_a,
     rmaj_s,
 )
-from .words import a_canonical, a_lifts, a_word_to_perm, s_canonical, s_image, s_word_to_perm
+from .words import a_lifts, a_pull, a_word_to_perm, s_canonical
 
 # Statistics addressable by name in pair checks.  The reverse major index is
 # bound to its canonical ambient: the degree on the symmetric side, one less
@@ -53,7 +53,7 @@ def f_map(v: Perm) -> Perm:
     """
     if len(v) < 2:
         raise ValueError("projection needs degree at least 2")
-    return s_word_to_perm(s_image(a_canonical(v)))
+    return a_pull(check_even(v))[3]
 
 
 def iter_fiber(w: Perm):

@@ -17,6 +17,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator
 
 from .perm import (
@@ -32,9 +33,9 @@ from .perm import (
 from .qpoly import MultiPoly, geometric, q_binomial, q_factorial
 from .stats import (
     EXCLUDE_FIRST_POSITIONS,
-    del_a,
     del_s,
     des_set_s,
+    histograms,
     length_s,
     ltr_minima,
     maj_s,
@@ -42,14 +43,7 @@ from .stats import (
     seq_maj,
     seq_rmaj,
 )
-from .words import (
-    a_canonical,
-    eval_a_letters,
-    occurrences_s,
-    s_canonical,
-    s_image,
-    s_word_to_perm,
-)
+from .words import a_pull, epsilon_s, eval_a_letters, indicators, occurrences
 from . import shuffles as shuf
 
 # A checkpoint is one verified equation: (point parameters or None,
@@ -131,29 +125,17 @@ def _mask(positions) -> int:
     return m
 
 
-def _staircase_s(n: int) -> MultiPoly:
-    """Product over j < n of (1 + q + ... + q^(j-1) + q^j t)."""
+# Each factor reaching the first generator has this many lifts: s_1 lifts
+# only to itself, a_1 and a_1^{-1} both project onto s_1.
+_LIFTS = {"S": 1, "A": 2}
+
+
+def _staircase(n: int, lifts: int) -> MultiPoly:
+    """Product over j < n of (1 + q + ... + q^(j-1) + lifts q^j t)."""
     out = MultiPoly.const(1)
     for j in range(1, n):
-        out = out * (geometric(j) + MultiPoly.monomial(1, q=j, t=1))
+        out = out * (geometric(j) + MultiPoly.monomial(lifts, q=j, t=1))
     return out
-
-
-def _staircase_a(n: int) -> MultiPoly:
-    """Product over j < n of (1 + q + ... + q^(j-1) + 2 q^j t)."""
-    out = MultiPoly.const(1)
-    for j in range(1, n):
-        out = out * (geometric(j) + MultiPoly.monomial(2, q=j, t=1))
-    return out
-
-
-def _a_element_data(v: Perm, n: int) -> tuple[int, int, int]:
-    """(length, delent, reverse major) of an even permutation of degree n+1."""
-    word = a_canonical(v)
-    ell = word.length
-    dl = sum(1 for f in word.factors if f is not None and f[0] == 1)
-    des = des_set_s(s_word_to_perm(s_image(word)))
-    return ell, dl, sum(n - i for i in des)
 
 
 def _unit_marker(j: int, n: int) -> tuple[int, ...]:
@@ -227,61 +209,32 @@ def _check_fs_rmaj(n: int) -> Iterator[Checkpoint]:
         first = False
 
 
-def _scan_s_length_rmaj_del(n: int):
-    ell_acc: dict = {}
-    rmaj_acc: dict = {}
-    count = 0
-    for p in iter_symmetric(n):
-        count += 1
-        word = s_canonical(p)
-        dl = sum(1 for r in word.factors if r == 1)
-        des = des_set_s(p)
-        _bump(ell_acc, (length_s(p), dl))
-        _bump(rmaj_acc, (sum(n - i for i in des), dl))
-    return ell_acc, rmaj_acc, count
+def _length_rmaj_del(group: str, n: int):
+    """(length, delent) and (reverse maj, delent) histograms, and the group order.
+
+    Symmetric lengths are inversion counts and symmetric descents are read off
+    the one-line word; alternating ones come from the word and its projection.
+    """
+    if group == "S":
+        row = lambda p, rec: ((length_s(p), rec[1]), (rmaj_s(p, n), rec[1]))
+    else:
+        row = lambda v, rec: ((rec[0], rec[1]), (rmaj_s(rec[3], n), rec[1]))
+    return histograms(group, n, row)
 
 
-def _check_thm61_s(n: int) -> Iterator[Checkpoint]:
-    ell_acc, rmaj_acc, count = _scan_s_length_rmaj_del(n)
-    rhs = _staircase_s(n)
+def _check_thm61(group: str, n: int) -> Iterator[Checkpoint]:
+    (ell_acc, rmaj_acc), count = _length_rmaj_del(group, n)
+    rhs = _staircase(n, _LIFTS[group])
     yield {"side": "length"}, _poly(ell_acc), rhs, count
     yield {"side": "rmaj"}, _poly(rmaj_acc), rhs, 0
 
 
-def _scan_a_length_rmaj_del(n: int):
-    ell_acc: dict = {}
-    rmaj_acc: dict = {}
-    count = 0
-    for v in iter_alternating(n + 1):
-        count += 1
-        ell, dl, rm = _a_element_data(v, n)
-        _bump(ell_acc, (ell, dl))
-        _bump(rmaj_acc, (rm, dl))
-    return ell_acc, rmaj_acc, count
-
-
-def _check_thm61_a(n: int) -> Iterator[Checkpoint]:
-    ell_acc, rmaj_acc, count = _scan_a_length_rmaj_del(n)
-    rhs = _staircase_a(n)
-    yield {"side": "length"}, _poly(ell_acc), rhs, count
-    yield {"side": "rmaj"}, _poly(rmaj_acc), rhs, 0
-
-
-def _per_delent_checkpoints(ell_acc: dict, rmaj_acc: dict, n: int, count: int):
+def _check_thm62(group: str, n: int) -> Iterator[Checkpoint]:
+    (ell_acc, rmaj_acc), count = _length_rmaj_del(group, n)
     for k in range(n):
         lhs = _poly({(e, 0): c for (e, d), c in ell_acc.items() if d == k})
         rhs = _poly({(e, 0): c for (e, d), c in rmaj_acc.items() if d == k})
         yield {"delent": k}, lhs, rhs, count if k == 0 else 0
-
-
-def _check_thm62_s(n: int) -> Iterator[Checkpoint]:
-    ell_acc, rmaj_acc, count = _scan_s_length_rmaj_del(n)
-    yield from _per_delent_checkpoints(ell_acc, rmaj_acc, n, count)
-
-
-def _check_thm62_a(n: int) -> Iterator[Checkpoint]:
-    ell_acc, rmaj_acc, count = _scan_a_length_rmaj_del(n)
-    yield from _per_delent_checkpoints(ell_acc, rmaj_acc, n, count)
 
 
 def _check_prop56(n: int) -> Iterator[Checkpoint]:
@@ -302,7 +255,7 @@ def _check_prop56(n: int) -> Iterator[Checkpoint]:
             dl = len(ltr_minima(elem, 0, EXCLUDE_FIRST_POSITIONS))
             factor_sum = factor_sum + MultiPoly.monomial(1, q=ell, t=dl)
         lhs_s = lhs_s * factor_sum
-    yield {"group": "S"}, lhs_s, _staircase_s(n), count
+    yield {"group": "S"}, lhs_s, _staircase(n, 1), count
 
     count = 0
     lhs_a = MultiPoly.const(1)
@@ -319,7 +272,7 @@ def _check_prop56(n: int) -> Iterator[Checkpoint]:
             dl_a = len(ltr_minima(elem, 1, EXCLUDE_FIRST_POSITIONS))
             factor_sum = factor_sum + MultiPoly.monomial(1, q=ell_a, t=dl_a)
         lhs_a = lhs_a * factor_sum
-    yield {"group": "A"}, lhs_a, _staircase_a(n), count
+    yield {"group": "A"}, lhs_a, _staircase(n, 2), count
 
 
 def _cycle_class_counts(n: int) -> list[int]:
@@ -330,114 +283,51 @@ def _cycle_class_counts(n: int) -> list[int]:
     return counts
 
 
-def _check_prop57_s(n: int) -> Iterator[Checkpoint]:
-    hist = [0] * n
-    count = 0
-    for p in iter_symmetric(n):
-        count += 1
-        hist[del_s(p)] += 1
-    lhs = MultiPoly(0, {(0, d): c for d, c in enumerate(hist) if c})
+def _check_prop57(group: str, n: int) -> Iterator[Checkpoint]:
+    (hist,), count = histograms(group, n, lambda p, rec: ((0, rec[1]),))
+    lifts = _LIFTS[group]
     rhs = MultiPoly.const(1)
     for c in range(1, n):
-        rhs = rhs * (MultiPoly.monomial(1, t=1) + MultiPoly.const(c))
-    yield {"form": "generating"}, lhs, rhs, count
-    cycles = _cycle_class_counts(n)
-    for d in range(n):
-        yield (
-            {"delent": d},
-            MultiPoly.const(hist[d]),
-            MultiPoly.const(cycles[d]),
-            count if d == 0 else 0,
-        )
-
-
-def _check_prop57_a(n: int) -> Iterator[Checkpoint]:
-    hist = [0] * n
-    count = 0
-    for v in iter_alternating(n + 1):
-        count += 1
-        hist[del_a(v)] += 1
-    lhs = MultiPoly(0, {(0, d): c for d, c in enumerate(hist) if c})
-    rhs = MultiPoly.const(1)
-    for c in range(1, n):
-        rhs = rhs * (MultiPoly.monomial(2, t=1) + MultiPoly.const(c))
-    yield {"form": "generating"}, lhs, rhs, count
+        rhs = rhs * (MultiPoly.monomial(lifts, t=1) + MultiPoly.const(c))
+    yield {"form": "generating"}, _poly(hist), rhs, count
     cycles = _cycle_class_counts(n)
     scan = math.factorial(n)
     for d in range(n):
         yield (
             {"delent": d},
-            MultiPoly.const(hist[d]),
-            MultiPoly.const((2 ** d) * cycles[d]),
+            MultiPoly.const(hist.get((0, d), 0)),
+            MultiPoly.const(lifts ** d * cycles[d]),
             scan if d == 0 else 0,
         )
 
 
-def _check_prop510_s(n: int) -> Iterator[Checkpoint]:
+def _check_prop510(group: str, n: int) -> Iterator[Checkpoint]:
     arity = n - 1
-    acc: dict = {}
-    count = 0
-    for p in iter_symmetric(n):
-        count += 1
-        word = s_canonical(p)
-        eps = tuple(1 if r == 1 else 0 for r in word.factors)
-        _bump(acc, (length_s(p), 0) + eps)
+    if group == "S":
+        row = lambda p, rec: ((length_s(p), 0) + indicators(rec[2]),)
+    else:
+        row = lambda v, rec: ((rec[0], 0) + indicators(rec[2]),)
+    (acc,), count = histograms(group, n, row)
     rhs = MultiPoly.const(1, arity)
     for j in range(1, n):
         rhs = rhs * (
             geometric(j, arity)
-            + MultiPoly.monomial(1, q=j, ts=_unit_marker(j, n), arity=arity)
-        )
-    yield None, _poly(acc, arity), rhs, count
-
-
-def _check_prop510_a(n: int) -> Iterator[Checkpoint]:
-    arity = n - 1
-    acc: dict = {}
-    count = 0
-    for v in iter_alternating(n + 1):
-        count += 1
-        word = a_canonical(v)
-        eps = tuple(1 if f is not None and f[0] == 1 else 0 for f in word.factors)
-        _bump(acc, (word.length, 0) + eps)
-    rhs = MultiPoly.const(1, arity)
-    for j in range(1, n):
-        rhs = rhs * (
-            geometric(j, arity)
-            + MultiPoly.monomial(2, q=j, ts=_unit_marker(j, n), arity=arity)
+            + MultiPoly.monomial(_LIFTS[group], q=j, ts=_unit_marker(j, n), arity=arity)
         )
     yield None, _poly(acc, arity), rhs, count
 
 
 def _check_prop511(n: int) -> Iterator[Checkpoint]:
     arity = n - 1
-    acc_s: dict = {}
-    count = 0
-    for p in iter_symmetric(n):
-        count += 1
-        eps = tuple(1 if r == 1 else 0 for r in s_canonical(p).factors)
-        _bump(acc_s, (0, 0) + eps)
-    rhs_s = MultiPoly.const(1, arity)
-    for j in range(1, n):
-        rhs_s = rhs_s * (
-            MultiPoly.monomial(1, ts=_unit_marker(j, n), arity=arity)
-            + MultiPoly.const(j, arity)
-        )
-    yield {"group": "S"}, _poly(acc_s, arity), rhs_s, count
-
-    acc_a: dict = {}
-    count_a = 0
-    for v in iter_alternating(n + 1):
-        count_a += 1
-        eps = tuple(1 if f is not None and f[0] == 1 else 0 for f in a_canonical(v).factors)
-        _bump(acc_a, (0, 0) + eps)
-    rhs_a = MultiPoly.const(1, arity)
-    for j in range(1, n):
-        rhs_a = rhs_a * (
-            MultiPoly.monomial(2, ts=_unit_marker(j, n), arity=arity)
-            + MultiPoly.const(j, arity)
-        )
-    yield {"group": "A"}, _poly(acc_a, arity), rhs_a, count_a
+    for group, lifts in _LIFTS.items():
+        (acc,), count = histograms(group, n, lambda p, rec: ((0, 0) + indicators(rec[2]),))
+        rhs = MultiPoly.const(1, arity)
+        for j in range(1, n):
+            rhs = rhs * (
+                MultiPoly.monomial(lifts, ts=_unit_marker(j, n), arity=arity)
+                + MultiPoly.const(j, arity)
+            )
+        yield {"group": group}, _poly(acc, arity), rhs, count
 
 
 def _check_prop712(n: int, k: int | None = None) -> Iterator[Checkpoint]:
@@ -445,16 +335,11 @@ def _check_prop712(n: int, k: int | None = None) -> Iterator[Checkpoint]:
     for kk in ks:
         if not 1 <= kk <= n - 1:
             raise ValueError(f"generator index {kk} outside 1..{n - 1}")
-        hist = [0] * (n - kk + 1)
-        count = 0
-        for p in iter_symmetric(n):
-            count += 1
-            hist[occurrences_s(s_canonical(p), kk)] += 1
-        lhs = MultiPoly(0, {(0, d): c for d, c in enumerate(hist) if c})
+        (hist,), count = histograms("S", n, lambda p, rec: ((0, occurrences(rec[2], kk)),))
         rhs = MultiPoly.const(math.factorial(kk))
         for c in range(1, n - kk + 1):
             rhs = rhs * (MultiPoly.monomial(kk, t=1) + MultiPoly.const(c))
-        yield {"k": kk, "form": "generating"}, lhs, rhs, count
+        yield {"k": kk, "form": "generating"}, _poly(hist), rhs, count
         # counts[d] = c(n-k+1, d+1) by an independent cycle scan
         cycles = _cycle_class_counts(n - kk + 1)
         scan = math.factorial(n - kk + 1)
@@ -462,7 +347,7 @@ def _check_prop712(n: int, k: int | None = None) -> Iterator[Checkpoint]:
             expect = math.factorial(kk) * kk ** d * cycles[d]
             yield (
                 {"k": kk, "occurrences": d},
-                MultiPoly.const(hist[d]),
+                MultiPoly.const(hist.get((0, d), 0)),
                 MultiPoly.const(expect),
                 scan if d == 0 else 0,
             )
@@ -532,12 +417,8 @@ def _check_remark66(n: int) -> Iterator[Checkpoint]:
 
 
 def _check_prop67(n: int) -> Iterator[Checkpoint]:
-    acc: dict = {}
-    count = 0
-    for p in iter_symmetric(n):
-        count += 1
-        _bump(acc, (rmaj_s(p, n), del_s(p)))
-    yield None, _poly(acc), _staircase_s(n), count
+    (acc,), count = histograms("S", n, lambda p, rec: ((rmaj_s(p, n), rec[1]),))
+    yield None, _poly(acc), _staircase(n, 1), count
 
 
 def _iter_low_support(n: int, i: int):
@@ -613,12 +494,12 @@ def _check_lemma93(n: int) -> Iterator[Checkpoint]:
         )
         rs = shuf.enumerate_b_shuffles(n, {i})
         for pi in _iter_low_support(n, i):
-            eps_pi = tuple(1 if r == 1 else 0 for r in s_canonical(pi).factors)
+            eps_pi = epsilon_s(pi)
             acc_ell: dict = {}
             acc_rmaj: dict = {}
             for r in rs:
                 prod = tuple(pi[x - 1] for x in r)
-                eps = tuple(1 if rr == 1 else 0 for rr in s_canonical(prod).factors)
+                eps = epsilon_s(prod)
                 _bump(acc_ell, (length_s(prod), 0) + eps)
                 _bump(acc_rmaj, (rmaj_s(prod, n), 0) + eps)
             rhs_ell = MultiPoly.monomial(1, q=length_s(pi), ts=eps_pi, arity=arity) * bracket
@@ -685,11 +566,11 @@ def _check_main_a(n: int) -> Iterator[Checkpoint]:
     for v in iter_alternating(n + 1):
         count += 1
         vinv = inverse(v)
-        dm = _mask(des_set_s(s_word_to_perm(s_image(a_canonical(vinv)))))
+        dm = _mask(des_set_s(a_pull(vinv)[3]))
         lm = _mask(ltr_minima(vinv, 1, EXCLUDE_FIRST_POSITIONS))
-        ell, _dl, rm = _a_element_data(v, n)
+        ell, _, _, proj, _ = a_pull(v)
         rmaj_acc, ell_acc = fibers.setdefault((dm, lm), ({}, {}))
-        _bump(rmaj_acc, (rm, 0))
+        _bump(rmaj_acc, (rmaj_s(proj, n), 0))
         _bump(ell_acc, (ell, 0))
     first = True
     for d1_bits in range(1 << max(0, n - 1)):
@@ -701,33 +582,26 @@ def _check_main_a(n: int) -> Iterator[Checkpoint]:
             first = False
 
 
+# Corollary 9.2 scans over q = p^{-1}, which runs over the whole group as p
+# does: the inverse's statistics come from q's own record.
+
 def _check_cor92_s(n: int) -> Iterator[Checkpoint]:
-    lhs_acc: dict = {}
-    rhs_acc: dict = {}
-    count = 0
-    for p in iter_symmetric(n):
-        count += 1
-        pinv = inverse(p)
-        d = len(des_set_s(pinv))
-        dl = del_s(pinv)
-        _bump(lhs_acc, (rmaj_s(p, n), d, dl))
-        _bump(rhs_acc, (length_s(p), d, dl))
+    def row(q, rec):
+        p = inverse(q)
+        d, dl = len(des_set_s(q)), rec[1]
+        return (rmaj_s(p, n), d, dl), (length_s(p), d, dl)
+
+    (lhs_acc, rhs_acc), count = histograms("S", n, row)
     yield None, _poly(lhs_acc, 1), _poly(rhs_acc, 1), count
 
 
 def _check_cor92_a(n: int) -> Iterator[Checkpoint]:
-    lhs_acc: dict = {}
-    rhs_acc: dict = {}
-    count = 0
-    for v in iter_alternating(n + 1):
-        count += 1
-        vinv = inverse(v)
-        word_inv = a_canonical(vinv)
-        d = len(des_set_s(s_word_to_perm(s_image(word_inv))))
-        dl = sum(1 for f in word_inv.factors if f is not None and f[0] == 1)
-        ell, _dl, rm = _a_element_data(v, n)
-        _bump(lhs_acc, (rm, d, dl))
-        _bump(rhs_acc, (ell, d, dl))
+    def row(w, rec):
+        ell, _, _, proj, _ = a_pull(inverse(w))
+        d, dl = len(des_set_s(rec[3])), rec[1]
+        return (rmaj_s(proj, n), d, dl), (ell, d, dl)
+
+    (lhs_acc, rhs_acc), count = histograms("A", n, row)
     yield None, _poly(lhs_acc, 1), _poly(rhs_acc, 1), count
 
 
@@ -799,23 +673,23 @@ _register(
     "thm61-s",
     "joint (length, delent) and (reverse maj, delent) distributions over the "
     "symmetric group equal the staircase product",
-    _check_thm61_s, cap=8,
+    partial(_check_thm61, "S"), cap=8,
 )
 _register(
     "thm61-a",
     "joint (length, delent) and (reverse maj, delent) distributions over the "
     "alternating group equal the doubled staircase product",
-    _check_thm61_a, cap=8,
+    partial(_check_thm61, "A"), cap=8,
 )
 _register(
     "thm62-s",
     "length and reverse maj agree on every fixed-delent slice of the symmetric group",
-    _check_thm62_s, cap=8,
+    partial(_check_thm62, "S"), cap=8,
 )
 _register(
     "thm62-a",
     "length and reverse maj agree on every fixed-delent slice of the alternating group",
-    _check_thm62_a, cap=8,
+    partial(_check_thm62, "A"), cap=8,
 )
 _register(
     "prop56",
@@ -827,22 +701,22 @@ _register(
     "prop57-stirling-s",
     "delent distribution over the symmetric group matches rising-factorial "
     "coefficients, i.e. cycle-counting Stirling numbers",
-    _check_prop57_s, cap=8,
+    partial(_check_prop57, "S"), cap=8,
 )
 _register(
     "prop57-stirling-a",
     "delent distribution over the alternating group is the doubled Stirling count",
-    _check_prop57_a, cap=8,
+    partial(_check_prop57, "A"), cap=8,
 )
 _register(
     "prop510-multivar-s",
     "per-factor indicator refinement of the symmetric staircase product",
-    _check_prop510_s, cap=7,
+    partial(_check_prop510, "S"), cap=7,
 )
 _register(
     "prop510-multivar-a",
     "per-factor indicator refinement of the alternating staircase product",
-    _check_prop510_a, cap=7,
+    partial(_check_prop510, "A"), cap=7,
 )
 _register(
     "prop511-multivar",

@@ -72,10 +72,6 @@ def identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
 
 
-def is_identity(p: Perm) -> bool:
-    return all(x == i for i, x in enumerate(p, start=1))
-
-
 def adjacent_transposition(n: int, i: int) -> Perm:
     """The generator s_i = (i, i+1) of degree n, for 1 <= i <= n-1."""
     if not 1 <= i <= n - 1:
@@ -120,31 +116,20 @@ def inverse(p: Perm) -> Perm:
     return tuple(inv)
 
 
-def apply_right(p: Perm, i: int) -> Perm:
-    """Right-multiply by s_i: swap positions i, i+1 of the one-line word."""
-    w = list(p)
-    w[i - 1], w[i] = w[i], w[i - 1]
-    return tuple(w)
-
-
 def sign(p: Perm) -> int:
     """+1 for even permutations, -1 for odd; computed from the cycle count."""
-    n = len(p)
-    seen = [False] * n
-    cycles = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        cycles += 1
-        pos = start
-        while not seen[pos]:
-            seen[pos] = True
-            pos = p[pos] - 1
-    return 1 if (n - cycles) % 2 == 0 else -1
+    return 1 if (len(p) - cycle_count(p)) % 2 == 0 else -1
 
 
 def is_even(p: Perm) -> bool:
     return sign(p) == 1
+
+
+def check_even(p: Perm) -> Perm:
+    """Return p if it is even; raise ValueError if it is odd."""
+    if sign(p) != 1:
+        raise ValueError(f"{list(p)} is odd; only even permutations have a word")
+    return p
 
 
 def cycle_count(p: Perm) -> int:
@@ -210,5 +195,15 @@ def iter_symmetric(n: int) -> Iterator[Perm]:
 
 
 def iter_alternating(n: int) -> Iterator[Perm]:
-    """All even permutations of degree n, in lexicographic one-line order."""
-    return (p for p in itertools.permutations(range(1, n + 1)) if sign(p) == 1)
+    """All even permutations of degree n, in lexicographic one-line order.
+
+    Lexicographic neighbours 2k and 2k+1 differ by a swap of the last two
+    entries, so exactly one of each pair is even: one sign call per pair.
+    """
+    perms = itertools.permutations(range(1, n + 1))
+    if n < 2:
+        yield from perms
+        return
+    for p in perms:
+        q = next(perms)
+        yield p if sign(p) == 1 else q

@@ -99,6 +99,13 @@ class MultiPoly:
         pad = (0,) * (arity - self.arity)
         return MultiPoly._trusted(arity, {exps + pad: c for exps, c in self.terms.items()})
 
+    def _aligned(self, other: "MultiPoly") -> tuple[int, "MultiPoly", "MultiPoly"]:
+        """The common arity and both operands at it; equal arities lift nothing."""
+        if self.arity == other.arity:
+            return self.arity, self, other
+        arity = max(self.arity, other.arity)
+        return arity, self.lift(arity), other.lift(arity)
+
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other: "MultiPoly | int") -> "MultiPoly":
@@ -106,8 +113,7 @@ class MultiPoly:
             other = MultiPoly.const(other, self.arity)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        arity = max(self.arity, other.arity)
-        a, b = self.lift(arity), other.lift(arity)
+        arity, a, b = self._aligned(other)
         out = dict(a.terms)
         for exps, c in b.terms.items():
             s = out.get(exps, 0) + c
@@ -134,8 +140,7 @@ class MultiPoly:
             return MultiPoly._trusted(self.arity, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        arity = max(self.arity, other.arity)
-        a, b = self.lift(arity), other.lift(arity)
+        arity, a, b = self._aligned(other)
         out: dict[Exponents, int] = {}
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
@@ -162,8 +167,8 @@ class MultiPoly:
             other = MultiPoly.const(other, self.arity)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        arity = max(self.arity, other.arity)
-        return self.lift(arity).terms == other.lift(arity).terms
+        _, a, b = self._aligned(other)
+        return a.terms == b.terms
 
     def __hash__(self):
         return hash((self.arity, frozenset(self.terms.items())))

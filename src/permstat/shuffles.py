@@ -12,6 +12,7 @@ peeling one single-cut shuffle per block boundary.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .perm import Perm, support
@@ -88,6 +89,12 @@ def enumerate_b_shuffles(n: int, cuts: set[int]) -> list[Perm]:
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _single_cut_shuffles(n: int, i: int) -> tuple[Perm, ...]:
+    """The {i}-shuffles of degree n, enumerated once per (n, i) while cached."""
+    return tuple(enumerate_b_shuffles(n, {i}))
+
+
 def decompose(p: Perm, cuts: set[int]) -> tuple[Perm, ...]:
     """Split a B-shuffle into one single-cut shuffle per cut point.
 
@@ -151,7 +158,7 @@ def shuffle_sum(pi: Perm, i: int, stat: str = "length", first: str = FIRST_ANY) 
     if first not in (FIRST_ANY, FIRST_NEW_BLOCK, FIRST_UNCHANGED):
         raise ValueError(f"unknown first-letter filter {first!r}")
     acc: dict[tuple[int, int], int] = {}
-    for r in enumerate_b_shuffles(n, {i}):
+    for r in _single_cut_shuffles(n, i):
         head = pi[r[0] - 1]
         if first == FIRST_NEW_BLOCK and head != i + 1:
             continue

@@ -21,17 +21,11 @@ under both exclusion conventions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .perm import Perm, is_even
-from .words import (
-    a_canonical,
-    occurrences_a,
-    occurrences_s,
-    s_canonical,
-    s_image,
-    s_word_to_perm,
-)
+from .perm import Perm, check_even, iter_alternating, iter_symmetric
+from .qpoly import MultiPoly
+from .words import a_pull, indicators, s_pull
 
 EXCLUDE_FIRST_POSITIONS = "exclude-first-positions"
 EXCLUDE_SMALLEST_VALUES = "exclude-smallest-values"
@@ -50,7 +44,7 @@ def length_s(p: Perm) -> int:
     return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
 
 
-def des_set_s(p: Perm) -> set[int]:
+def des_set_s(p: Sequence[int]) -> set[int]:
     """Positions i with p(i) > p(i+1)."""
     return {i for i in range(1, len(p)) if p[i - 1] > p[i]}
 
@@ -59,29 +53,25 @@ def des_s(p: Perm) -> int:
     return len(des_set_s(p))
 
 
-def maj_s(p: Perm) -> int:
+def maj_s(p: Sequence[int]) -> int:
     return sum(des_set_s(p))
 
 
 def rmaj_s(p: Perm, n: int) -> int:
     """Sum of n - i over descents i; n is the ambient degree, given explicitly."""
-    return sum(n - i for i in des_set_s(p))
+    des = des_set_s(p)
+    return n * len(des) - sum(des)
 
 
 # Descents, and hence both major indices, make sense for any integer
 # sequence; the insertion identities are quantified over such sequences.
 
-def seq_des_set(seq: Sequence[int]) -> set[int]:
-    return {i for i in range(1, len(seq)) if seq[i - 1] > seq[i]}
-
-
-def seq_maj(seq: Sequence[int]) -> int:
-    return sum(seq_des_set(seq))
+seq_des_set = des_set_s
+seq_maj = maj_s
 
 
 def seq_rmaj(seq: Sequence[int]) -> int:
-    n = len(seq)
-    return sum(n - i for i in seq_des_set(seq))
+    return rmaj_s(seq, len(seq))
 
 
 # -- left-to-right minima ----------------------------------------------------
@@ -120,7 +110,7 @@ def del_s(p: Perm) -> int:
     >>> del_s((3, 5, 4, 2, 1))
     2
     """
-    return occurrences_s(s_canonical(p), 1) if len(p) > 1 else 0
+    return s_pull(p)[1]
 
 
 def del_set_s(p: Perm) -> set[int]:
@@ -136,16 +126,14 @@ def length_a(v: Perm) -> int:
     >>> length_a((3, 5, 4, 2, 1))
     6
     """
-    return a_canonical(v).length
+    return a_pull(check_even(v))[0]
 
 
 def des_set_a(v: Perm) -> set[int]:
     """Descent set of the projection one degree down."""
-    if len(v) == 1:
-        if v != (1,):
-            raise ValueError(f"{list(v)} is not a permutation of degree 1")
-        return set()
-    return des_set_s(s_word_to_perm(s_image(a_canonical(v))))
+    if len(v) == 1 and v != (1,):
+        raise ValueError(f"{list(v)} is not a permutation of degree 1")
+    return des_set_s(a_pull(check_even(v))[3])
 
 
 def des_a(v: Perm) -> int:
@@ -163,14 +151,12 @@ def rmaj_a(v: Perm, n: int) -> int:
 
 def del_a(v: Perm) -> int:
     """Number of a_1 and a_1^{-1} letters in the canonical word."""
-    return occurrences_a(a_canonical(v), 1) if len(v) > 2 else 0
+    return a_pull(check_even(v))[1]
 
 
 def del_set_a(v: Perm) -> set[int]:
     """Positions beaten by at most one earlier value, first two positions excluded."""
-    if not is_even(v):
-        raise ValueError(f"{list(v)} is odd")
-    return ltr_minima(v, level=1, kind=EXCLUDE_FIRST_POSITIONS)
+    return ltr_minima(check_even(v), level=1, kind=EXCLUDE_FIRST_POSITIONS)
 
 
 # -- doubled statistics over a two-to-one fold --------------------------------
@@ -218,37 +204,28 @@ def stat_profile(p: Perm, group: str) -> StatProfile:
     """Compute the full profile; factorises the permutation exactly once."""
     if group == "S":
         n = len(p)
-        word = s_canonical(p)
+        length, delent, bottoms = s_pull(p)
         des = des_set_s(p)
-        return StatProfile(
-            group="S",
-            n=n,
-            length=length_s(p),
-            des_set=tuple(sorted(des)),
-            des=len(des),
-            maj=sum(des),
-            rmaj=sum(n - i for i in des),
-            delent=occurrences_s(word, 1) if n > 1 else 0,
-            del_set=tuple(sorted(del_set_s(p))),
-            epsilon=tuple(1 if r == 1 else 0 for r in word.factors),
-        )
-    if group == "A":
-        word = a_canonical(p)
+        del_set = del_set_s(p)
+    elif group == "A":
         n = len(p) - 1
-        des = des_set_a(p)
-        return StatProfile(
-            group="A",
-            n=n,
-            length=word.length,
-            des_set=tuple(sorted(des)),
-            des=len(des),
-            maj=sum(des),
-            rmaj=sum(n - i for i in des),
-            delent=occurrences_a(word, 1) if len(p) > 2 else 0,
-            del_set=tuple(sorted(del_set_a(p))),
-            epsilon=tuple(1 if f is not None and f[0] == 1 else 0 for f in word.factors),
-        )
-    raise ValueError(f"unknown group {group!r}; expected 'S' or 'A'")
+        length, delent, bottoms, proj, _ = a_pull(check_even(p))
+        des = des_set_s(proj)
+        del_set = ltr_minima(p, level=1, kind=EXCLUDE_FIRST_POSITIONS)
+    else:
+        raise ValueError(f"unknown group {group!r}; expected 'S' or 'A'")
+    return StatProfile(
+        group=group,
+        n=n,
+        length=length,
+        des_set=tuple(sorted(des)),
+        des=len(des),
+        maj=sum(des),
+        rmaj=sum(n - i for i in des),
+        delent=delent,
+        del_set=tuple(sorted(del_set)),
+        epsilon=indicators(bottoms),
+    )
 
 
 def profile_to_json(profile: StatProfile) -> dict:
@@ -265,3 +242,67 @@ def profile_to_json(profile: StatProfile) -> dict:
         "del_set": list(profile.del_set),
         "epsilon": list(profile.epsilon),
     }
+
+
+# -- whole-group scans -----------------------------------------------------------
+
+def histograms(group: str, n: int,
+               row: Callable[[Perm, tuple], tuple]) -> tuple[tuple[dict, ...], int]:
+    """Tally a row of keys per element over a whole group, in one pass.
+
+    Group "S" is the symmetric group of degree n and "A" the alternating
+    group of degree n + 1, which projects onto it.  Each element is pulled
+    once, by ``s_pull`` or ``a_pull``, and ``row(element, record)`` returns
+    one key per histogram.  Both records start with the length, the delent
+    number and the factor starts or projected ends; an A record's fourth
+    field is the projection.  Returns the histograms and the group order.
+    """
+    if group == "S":
+        elements, pull = iter_symmetric(n), s_pull
+    elif group == "A":
+        elements, pull = iter_alternating(n + 1), a_pull
+    else:
+        raise ValueError(f"unknown group {group!r}; expected 'S' or 'A'")
+    joint: dict[tuple, int] = {}
+    for p in elements:
+        keys = row(p, pull(p))
+        joint[keys] = joint.get(keys, 0) + 1
+    # Rows repeat, so splitting the joint tally afterwards is the cheap way.
+    tallies = tuple({} for _ in next(iter(joint)))
+    for keys, c in joint.items():
+        for tally, key in zip(tallies, keys):
+            tally[key] = tally.get(key, 0) + c
+    return tallies, sum(joint.values())
+
+
+def genfun(group: str, n: int, q_stat: str = "length", t_stat: str = "del",
+           multivar: bool = False) -> MultiPoly:
+    """Generating polynomial of (q_stat, t_stat) over S_n, or A_{n+1} for group "A".
+
+    q_stat is "length", "maj" or "rmaj" (ambient degree n); t_stat is "del"
+    or "none".  With multivar, t_j marks each factor whose run reaches the
+    first generator, in place of t for the total delent.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if multivar and t_stat == "none":
+        raise ValueError("--multivar refines the delent marking; it needs --t-stat del")
+    if q_stat not in ("length", "maj", "rmaj") or t_stat not in ("del", "none"):
+        raise ValueError(f"unknown statistic pair ({q_stat!r}, {t_stat!r})")
+    # The descents of an S element are its own; those of an A element are
+    # its projection's, the fourth field of its record.
+    word = (lambda p, rec: p) if group == "S" else (lambda v, rec: rec[3])
+    if q_stat == "length":
+        q = lambda p, rec: rec[0]
+    elif q_stat == "maj":
+        q = lambda p, rec: maj_s(word(p, rec))
+    else:
+        q = lambda p, rec: rmaj_s(word(p, rec), n)
+    if multivar:
+        row = lambda p, rec: ((q(p, rec), 0) + indicators(rec[2]),)
+    elif t_stat == "del":
+        row = lambda p, rec: ((q(p, rec), rec[1]),)
+    else:
+        row = lambda p, rec: ((q(p, rec), 0),)
+    (acc,), _ = histograms(group, n, row)
+    return MultiPoly(n - 1 if multivar else 0, acc)

@@ -13,6 +13,25 @@ or such a run ending in the inverted letter ``a_1^{-1}``.  The factor again
 comes from pulling the value j+2 rightwards, with a parity fix-up (one extra
 swap of the first two entries) whenever the pull uses an odd number of swaps.
 
+The pull is written once per group, in the kernels ``s_pull`` and ``a_pull``.
+One pass returns the whole record of an element as a plain tuple: its
+length, its delent number, the factor starts (S) or the factor ends e_j of
+the projected word (A), and for A also the projection one degree down as a
+one-line word, in which each value j+1 sits at position e_j among the values
+up to j+1, and the factors that end in a_1^{-1}.  The kernels do not
+validate their input.  ``s_canonical`` and ``a_canonical`` (which checks
+evenness) wrap them for single elements; whole-group scans call them
+directly on the elements that ``iter_symmetric`` and ``iter_alternating``
+yield.
+
+Two-path rule: every registry scan enumerates group elements and factors
+each one; none enumerates factor tuples, Lehmer codes or inversion tables,
+which are the closed forms' own structure.  A scan reads from a record only
+what the paper defines through the word: delent, indicator vectors,
+occurrence counts, and the alternating length and descents.  Symmetric
+statistics that are defined on the one-line word stay there: length is an
+inversion count and descents compare neighbouring entries.
+
 Words are stored structurally, one entry per factor, never as flat letter
 lists; occurrence counts and length are O(1) per factor.  Flat letter views
 exist for printing and parsing only.
@@ -24,7 +43,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
-from .perm import Perm, is_even
+from .perm import Perm, check_even
 
 # Factor encodings.
 #   S: factors[j-1] = r        for the run s_j s_{j-1} ... s_r  (1 <= r <= j)
@@ -103,23 +122,37 @@ class AWord:
         return out
 
 
+def s_pull(w: Perm) -> tuple[int, int, tuple[SFactor | None, ...]]:
+    """(length, delent, factor starts) of w, from one pull pass.
+
+    The starts are the factors of ``s_canonical(w)``.  w is not validated.
+
+    >>> s_pull((2, 5, 4, 1, 3))
+    (6, 1, (1, None, 2, 2))
+    """
+    work = list(w)
+    starts: list[SFactor | None] = [None] * (len(w) - 1)
+    length = delent = 0
+    for top in range(len(w), 1, -1):
+        # Pulling top to the end of the work list and dropping it there
+        # leaves the values 1..top-1 in the order the next pull sees.
+        r = work.index(top)
+        del work[r]
+        if r < top - 1:
+            starts[top - 2] = r + 1
+            length += top - 1 - r
+            if r == 0:
+                delent += 1
+    return length, delent, tuple(starts)
+
+
 def s_canonical(w: Perm) -> SWord:
     """Factor w into its unique staircase word.
 
     >>> s_word_pretty(s_canonical((2, 5, 4, 1, 3)))
     's1 | 1 | s3 s2 | s4 s3 s2'
     """
-    n = len(w)
-    work = list(w)
-    factors: list[SFactor | None] = [None] * (n - 1)
-    for top in range(n, 1, -1):
-        r = work.index(top) + 1
-        if r == top:
-            continue
-        for pos in range(r - 1, top - 1):
-            work[pos], work[pos + 1] = work[pos + 1], work[pos]
-        factors[top - 2] = r
-    return SWord(n, tuple(factors))
+    return SWord(len(w), s_pull(w)[2])
 
 
 def s_word_to_perm(word: SWord) -> Perm:
@@ -133,29 +166,59 @@ def s_word_to_perm(word: SWord) -> Perm:
     return tuple(work)
 
 
+def a_pull(v: Perm) -> tuple[int, int, tuple[SFactor | None, ...], Perm, int]:
+    """(length, delent, projected ends, projection, inverted) of an even v.
+
+    One pull pass.  The ends are the factors of the projected word
+    ``s_image(a_canonical(v))``, the projection is that word as a one-line
+    permutation of degree m-1, and bit j of `inverted` is set when factor j
+    ends in a_1^{-1}.  v is not validated: an odd v gives a meaningless
+    record.
+
+    >>> a_pull((3, 5, 4, 2, 1))
+    (6, 3, (1, 1, 1), (4, 3, 2, 1), 4)
+    """
+    m = len(v)
+    work = list(v)
+    ends: list[SFactor | None] = [None] * max(0, m - 2)
+    # The projection restricted to the values 1..j+1 holds j+1 at position
+    # e_j, so each value takes the e_j-th slot still free, largest first.
+    proj = [1] * max(0, m - 1)
+    free = list(range(m - 1))
+    length = delent = inverted = 0
+    for top in range(m, 2, -1):
+        r = work.index(top)
+        del work[r]
+        if r == top - 1:
+            proj[free.pop()] = top - 1
+            continue
+        if (top - 1 - r) % 2:
+            work[0], work[1] = work[1], work[0]
+        # Pull position r + 1 fixes factor j: position 1 is the inverted
+        # tail, position r + 1 >= 2 the plain run down to a_r.
+        j = top - 2
+        if r == 0:
+            inverted |= 1 << j
+            r = 1
+        ends[j - 1] = r
+        proj[free.pop(r - 1)] = top - 1
+        length += j + 1 - r
+        if r == 1:
+            delent += 1
+    return length, delent, tuple(ends), tuple(proj), inverted
+
+
 def a_canonical(v: Perm) -> AWord:
     """Factor an even permutation into its unique staircase word.
 
     >>> a_word_pretty(a_canonical((3, 5, 4, 2, 1)))
     'a1 | a2 a1^-1 | a3 a2 a1'
     """
-    m = len(v)
-    if not is_even(v):
-        raise ValueError(f"{list(v)} is odd; only even permutations have a word")
-    work = list(v)
-    factors: list[AFactor | None] = [None] * max(0, m - 2)
-    for top in range(m, 2, -1):
-        r = work.index(top) + 1
-        if r == top:
-            continue
-        for pos in range(r - 1, top - 1):
-            work[pos], work[pos + 1] = work[pos + 1], work[pos]
-        if (top - r) % 2 == 1:
-            work[0], work[1] = work[1], work[0]
-        # Pull position r fixes the factor: position 1 is the inverted tail,
-        # position r >= 2 the plain run down to a_{r-1}.
-        factors[top - 3] = (1, True) if r == 1 else (r - 1, False)
-    return AWord(m, tuple(factors))
+    _, _, ends, _, inverted = a_pull(check_even(v))
+    return AWord(len(v), tuple(
+        None if e is None else (e, bool(inverted >> j & 1))
+        for j, e in enumerate(ends, start=1)
+    ))
 
 
 def a_word_to_perm(word: AWord) -> Perm:
@@ -181,7 +244,7 @@ def occurrences_s(word: SWord, k: int) -> int:
     """How many times the generator s_k appears across the factors."""
     if not 1 <= k <= word.n - 1:
         raise ValueError(f"generator index {k} outside 1..{word.n - 1}")
-    return sum(1 for j, r in enumerate(word.factors, start=1) if r is not None and r <= k <= j)
+    return occurrences(word.factors, k)
 
 
 def occurrences_a(word: AWord, k: int) -> int:
@@ -197,12 +260,25 @@ def epsilon_s(w: Perm) -> tuple[int, ...]:
     >>> epsilon_s((2, 5, 4, 1, 3))
     (1, 0, 0, 0)
     """
-    return tuple(1 if r == 1 else 0 for r in s_canonical(w).factors)
+    return indicators(s_pull(w)[2])
 
 
 def epsilon_a(v: Perm) -> tuple[int, ...]:
     """Indicator per factor of a run ending in a_1 or a_1^{-1}."""
-    return tuple(1 if f is not None and f[0] == 1 else 0 for f in a_canonical(v).factors)
+    return indicators(a_pull(check_even(v))[2])
+
+
+# The two helpers below read the starts of an S record or the projected ends
+# of an A record: factor j is the run s_j ... s_r, or empty for None.
+
+def indicators(bottoms: tuple[SFactor | None, ...]) -> tuple[int, ...]:
+    """1 for each factor whose run reaches the first generator, else 0."""
+    return tuple(1 if r == 1 else 0 for r in bottoms)
+
+
+def occurrences(bottoms: tuple[SFactor | None, ...], k: int) -> int:
+    """How many of the runs pass through the k-th generator."""
+    return sum(1 for r in bottoms[k - 1:] if r is not None and r <= k)
 
 
 def t_vector(w: Perm) -> tuple[int, ...]:

@@ -7,7 +7,7 @@ substitution.  Oracles never call the production function they are checking.
 from __future__ import annotations
 
 from permstat.perm import Perm, compose, sign
-from permstat.stats import length_a, length_s
+from permstat.stats import EXCLUDE_FIRST_POSITIONS, length_s, ltr_minima
 from permstat.words import eval_a_letters, s_canonical
 
 
@@ -16,17 +16,22 @@ def a_generator(m: int, i: int) -> Perm:
     return eval_a_letters(m, [(i, False)])
 
 
+def length_a_by_minima(v: Perm) -> int:
+    """Alternating length as inversions minus left-to-right minima after the first."""
+    return length_s(v) - len(ltr_minima(v, 0, EXCLUDE_FIRST_POSITIONS))
+
+
 def des_set_a_by_comparison(v: Perm) -> set[int]:
     """Alternating descents by the defining length comparison.
 
     i is a descent when right-multiplying by the i-th generator does not
-    increase the canonical word length.
+    increase the alternating length, which is read off the one-line word.
     """
     m = len(v)
     out = set()
-    base = length_a(v)
+    base = length_a_by_minima(v)
     for i in range(1, m - 1):
-        if base >= length_a(compose(v, a_generator(m, i))):
+        if base >= length_a_by_minima(compose(v, a_generator(m, i))):
             out.add(i)
     return out
 

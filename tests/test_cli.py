@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 
@@ -219,6 +221,26 @@ def test_verify_jobs_matches_serial(capsys):
     assert pooled[1] == serial[1]
 
 
+def _die_in_worker(task):
+    """Stands in for the verify task: a pool worker ends without a result."""
+    if multiprocessing.parent_process() is None:
+        raise RuntimeError("meant to run in a pool worker only")
+    os._exit(1)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched task reaches the workers only through fork")
+def test_verify_crashed_worker_exits_2(capsys, monkeypatch):
+    from permstat import cli
+
+    monkeypatch.setattr(cli, "_verify_task", _die_in_worker)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    code, out, err = run_cli(capsys, "verify", "macmahon", "--n-max", "2", "--jobs", "2")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_verify_csv_and_timings(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "macmahon", "--n", "4", "--jobs", "1", "--format", "csv"
@@ -239,6 +261,15 @@ def test_verify_range(capsys):
     assert code == 0
     rows = out.strip().splitlines()[1:]
     assert [r.split(",")[1] for r in rows] == ["n=1", "n=2", "n=3", "n=4"]
+
+
+def test_verify_n_max_below_min_n_runs_min_n(capsys):
+    # prop81 starts at n = 2; a range that ends below it runs that one degree
+    code, out, _ = run_cli(
+        capsys, "verify", "prop81", "--n-max", "1", "--jobs", "1", "--format", "csv"
+    )
+    assert code == 0
+    assert [r.split(",")[1] for r in out.strip().splitlines()[1:]] == ["n=2"]
 
 
 def test_list_catalog(capsys):

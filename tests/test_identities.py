@@ -230,11 +230,10 @@ def test_double_restriction_monotone_and_equal():
 
 def test_delent_slices_reassemble():
     # summing the per-delent slices against t powers rebuilds the bivariate sum
-    from permstat.identities import _scan_s_length_rmaj_del
+    from permstat.stats import genfun
 
     n = 5
-    ell_acc, _, _ = _scan_s_length_rmaj_del(n)
-    bivariate = MultiPoly(0, ell_acc)
+    bivariate = genfun("S", n, "length", "del")
     rebuilt = MultiPoly.zero()
     for k in range(n):
         rebuilt = rebuilt + bivariate.coefficient_of_t(k) * MultiPoly.monomial(1, t=k)

@@ -181,3 +181,17 @@ def test_coefficient_extraction():
     assert p.coefficient_of_t(1) == mono(5, q=2)
     assert p.coefficient_of_t(0) == mono(3)
     assert p.coefficient_of_t(3).is_zero()
+
+
+def test_equal_arities_lift_nothing(monkeypatch):
+    a = MultiPoly(1, {(1, 0, 1): 2, (0, 0, 0): 1})
+    b = MultiPoly(1, {(0, 1, 0): 3})
+    expected = (a + b, a * b)
+    lifts = []
+    original = MultiPoly.lift
+    monkeypatch.setattr(MultiPoly, "lift", lambda self, arity: lifts.append(arity) or
+                        original(self, arity))
+    assert (a + b, a * b) == expected and a != b
+    assert lifts == []
+    assert a * MultiPoly.const(2) == a + a
+    assert lifts and set(lifts) == {1}

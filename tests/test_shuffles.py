@@ -238,3 +238,11 @@ def test_relabelled_maj_shuffle_growth():
 def test_shuffle_count_cap_math():
     assert shuffle_count(6, {3}) == math.comb(6, 3)
     assert shuffle_count(6, {2, 4}) == math.factorial(6) // (2 * 2 * 2)
+
+
+def test_shuffle_sum_unaffected_by_a_caller_changing_enumerated_lists():
+    before = shuffle_sum((2, 1, 3, 4), 2, "length", FIRST_ANY)
+    listed = enumerate_b_shuffles(4, {2})
+    listed.clear()
+    assert enumerate_b_shuffles(4, {2}) != listed
+    assert shuffle_sum((2, 1, 3, 4), 2, "length", FIRST_ANY) == before == q_binomial(4, 2)
