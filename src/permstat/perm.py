@@ -121,10 +121,6 @@ def sign(p: Perm) -> int:
     return 1 if (len(p) - cycle_count(p)) % 2 == 0 else -1
 
 
-def is_even(p: Perm) -> bool:
-    return sign(p) == 1
-
-
 def check_even(p: Perm) -> Perm:
     """Return p if it is even; raise ValueError if it is odd."""
     if sign(p) != 1:
