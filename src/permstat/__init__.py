@@ -57,7 +57,7 @@ from .stats import (
     rmaj_s,
     stat_profile,
 )
-from .cover import FPairSpec, KNOWN_F_PAIRS, f_map, fiber, verify_f_pair
+from .cover import f_map, fiber
 from .qpoly import MultiPoly, q_binomial, q_factorial, q_multinomial
 from .shuffles import decompose, enumerate_b_shuffles, g_map, is_b_shuffle, shuffle_sum
 from .identities import IdentityReport, list_identities, verify

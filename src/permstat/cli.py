@@ -139,6 +139,13 @@ def _run_fiber(args) -> int:
 
 
 def _run_shuffles(args) -> int:
+    # The count itself costs a factorial of --n, so bound --n first.
+    if args.n < 1:
+        raise ValueError(f"shuffles needs --n of at least 1 (got {args.n})")
+    if args.n > DEGREE_CAP and not args.force:
+        raise CapExceeded(
+            f"degree {args.n} exceeds the cap of {DEGREE_CAP}; use --force to override"
+        )
     cuts = set()
     if args.b.strip():
         for part in args.b.split(","):

@@ -35,6 +35,7 @@ from .stats import (
     EXCLUDE_FIRST_POSITIONS,
     del_s,
     des_set_s,
+    h_map,
     histograms,
     length_s,
     ltr_minima,
@@ -158,55 +159,51 @@ def _check_macmahon(n: int) -> Iterator[Checkpoint]:
     yield {"side": "maj"}, _poly(maj_acc), rhs, 0
 
 
+def _fibres(tallies) -> dict[int, list[dict]]:
+    """Regroup (mask, stat) tallies into {mask: [histogram per tally]}."""
+    fibres: dict[int, list[dict]] = {}
+    for i, tally in enumerate(tallies):
+        for (m, e), c in tally.items():
+            fibres.setdefault(m, [{} for _ in tallies])[i][(e, 0)] = c
+    return fibres
+
+
+def _restricted(fibres: dict[int, list[dict]], allowed: int) -> list[MultiPoly]:
+    """Per tally, the sum of the fibres whose mask lies inside `allowed`."""
+    inside = [hists for m, hists in fibres.items() if not m & ~allowed]
+    sums = []
+    for t in range(len(next(iter(fibres.values())))):
+        acc: dict = {}
+        for hists in inside:
+            for k, c in hists[t].items():
+                acc[k] = acc.get(k, 0) + c
+        sums.append(_poly(acc))
+    return sums
+
+
 def _check_fs_fixed_descent(n: int) -> Iterator[Checkpoint]:
-    inv_by: dict[int, dict] = {}
-    maj_by: dict[int, dict] = {}
-    count = 0
-    for p in iter_symmetric(n):
-        count += 1
+    def row(p, rec):
         m = _mask(des_set_s(inverse(p)))
-        _bump(inv_by.setdefault(m, {}), (length_s(p), 0))
-        _bump(maj_by.setdefault(m, {}), (maj_s(p), 0))
-    first = True
-    for m in sorted(inv_by):
-        yield (
-            {"descent-class": m},
-            _poly(inv_by[m]),
-            _poly(maj_by.get(m, {})),
-            count if first else 0,
-        )
-        first = False
+        return (m, length_s(p)), (m, maj_s(p))
+
+    tallies, count = histograms("S", n, row)
+    fibres = _fibres(tallies)
+    for i, m in enumerate(sorted(fibres)):
+        ell, maj = fibres[m]
+        yield {"descent-class": m}, _poly(ell), _poly(maj), count if i == 0 else 0
 
 
 def _check_fs_rmaj(n: int) -> Iterator[Checkpoint]:
-    fibers: dict[int, list[dict]] = {}
-    count = 0
-    for p in iter_symmetric(n):
-        count += 1
+    def row(p, rec):
         m = _mask(des_set_s(inverse(p)))
-        maj_acc, rmaj_acc, ell_acc = fibers.setdefault(m, [{}, {}, {}])
-        _bump(maj_acc, (maj_s(p), 0))
-        _bump(rmaj_acc, (rmaj_s(p, n), 0))
-        _bump(ell_acc, (length_s(p), 0))
-    first = True
+        return (m, maj_s(p)), (m, rmaj_s(p, n)), (m, length_s(p))
+
+    tallies, count = histograms("S", n, row)
+    fibres = _fibres(tallies)
     for d1_bits in range(1 << max(0, n - 1)):
-        allowed = d1_bits << 1
-        maj_sum: dict = {}
-        rmaj_sum: dict = {}
-        ell_sum: dict = {}
-        for m, (maj_acc, rmaj_acc, ell_acc) in fibers.items():
-            if m & ~allowed:
-                continue
-            for k, c in maj_acc.items():
-                maj_sum[k] = maj_sum.get(k, 0) + c
-            for k, c in rmaj_acc.items():
-                rmaj_sum[k] = rmaj_sum.get(k, 0) + c
-            for k, c in ell_acc.items():
-                ell_sum[k] = ell_sum.get(k, 0) + c
-        ell_poly = _poly(ell_sum)
-        yield {"D1": d1_bits, "side": "maj"}, _poly(maj_sum), ell_poly, count if first else 0
-        yield {"D1": d1_bits, "side": "rmaj"}, _poly(rmaj_sum), ell_poly, 0
-        first = False
+        maj, rmaj, ell = _restricted(fibres, d1_bits << 1)
+        yield {"D1": d1_bits, "side": "maj"}, maj, ell, count if d1_bits == 0 else 0
+        yield {"D1": d1_bits, "side": "rmaj"}, rmaj, ell, 0
 
 
 def _length_rmaj_del(group: str, n: int):
@@ -445,7 +442,7 @@ def _check_prop81(n: int) -> Iterator[Checkpoint]:
             )
 
 
-def _check_lemma86(n: int) -> Iterator[Checkpoint]:
+def _check_first_letter(stat: str, n: int) -> Iterator[Checkpoint]:
     for i in range(1, n):
         top = MultiPoly.monomial(1, q=i) * q_binomial(n - 1, i)
         kept = q_binomial(n - 1, i - 1)
@@ -453,33 +450,13 @@ def _check_lemma86(n: int) -> Iterator[Checkpoint]:
         for pi in _iter_low_support(n, i):
             yield (
                 {"i": i, "pi": pi, "first": "new-block"},
-                shuf.shuffle_sum(pi, i, "rmaj", shuf.FIRST_NEW_BLOCK),
+                shuf.shuffle_sum(pi, i, stat, shuf.FIRST_NEW_BLOCK),
                 top,
                 cnt,
             )
             yield (
                 {"i": i, "pi": pi, "first": "unchanged"},
-                shuf.shuffle_sum(pi, i, "rmaj", shuf.FIRST_UNCHANGED),
-                kept,
-                0,
-            )
-
-
-def _check_lemma87(n: int) -> Iterator[Checkpoint]:
-    for i in range(1, n):
-        top = MultiPoly.monomial(1, q=i) * q_binomial(n - 1, i)
-        kept = q_binomial(n - 1, i - 1)
-        cnt = shuf.shuffle_count(n, {i})
-        for pi in _iter_low_support(n, i):
-            yield (
-                {"i": i, "pi": pi, "first": "new-block"},
-                shuf.shuffle_sum(pi, i, "length", shuf.FIRST_NEW_BLOCK),
-                top,
-                cnt,
-            )
-            yield (
-                {"i": i, "pi": pi, "first": "unchanged"},
-                shuf.shuffle_sum(pi, i, "length", shuf.FIRST_UNCHANGED),
+                shuf.shuffle_sum(pi, i, stat, shuf.FIRST_UNCHANGED),
                 kept,
                 0,
             )
@@ -526,60 +503,30 @@ def _check_garsia_gessel(n: int) -> Iterator[Checkpoint]:
                 yield {"k": k, "pi1": p1, "pi2": p2}, _poly(acc), binom, len(rs)
 
 
-def _restricted_sum(fibers: dict, d1_allowed: int, d2_allowed: int):
-    lhs: dict = {}
-    rhs: dict = {}
-    for (dm, lm), (rmaj_acc, ell_acc) in fibers.items():
-        if dm & ~d1_allowed or lm & ~d2_allowed:
-            continue
-        for k, c in rmaj_acc.items():
-            lhs[k] = lhs.get(k, 0) + c
-        for k, c in ell_acc.items():
-            rhs[k] = rhs.get(k, 0) + c
-    return _poly(lhs), _poly(rhs)
-
-
-def _check_main_s(n: int) -> Iterator[Checkpoint]:
-    fibers: dict[tuple[int, int], tuple[dict, dict]] = {}
-    count = 0
-    for p in iter_symmetric(n):
-        count += 1
-        pinv = inverse(p)
-        dm = _mask(des_set_s(pinv))
-        lm = _mask(ltr_minima(pinv, 0, EXCLUDE_FIRST_POSITIONS))
-        rmaj_acc, ell_acc = fibers.setdefault((dm, lm), ({}, {}))
-        _bump(rmaj_acc, (rmaj_s(p, n), 0))
-        _bump(ell_acc, (length_s(p), 0))
-    first = True
+def _check_main(group: str, n: int) -> Iterator[Checkpoint]:
+    # One mask per element: the inverse's descents in the low n bits, its
+    # minima (level 0 in S, level 1 in A) shifted above them.
+    if group == "S":
+        def row(p, rec):
+            pinv = inverse(p)
+            m = (_mask(des_set_s(pinv))
+                 | _mask(ltr_minima(pinv, 0, EXCLUDE_FIRST_POSITIONS)) << n)
+            return (m, rmaj_s(p, n)), (m, length_s(p))
+        d2_range = 1 << max(0, n - 1)
+    else:
+        def row(v, rec):
+            vinv = inverse(v)
+            m = (_mask(des_set_s(a_pull(vinv)[3]))
+                 | _mask(ltr_minima(vinv, 1, EXCLUDE_FIRST_POSITIONS)) << n)
+            return (m, rmaj_s(rec[3], n)), (m, rec[0])
+        d2_range = 1 << n
+    tallies, count = histograms(group, n, row)
+    fibres = _fibres(tallies)
     for d1_bits in range(1 << max(0, n - 1)):
-        d1 = d1_bits << 1
-        for d2_bits in range(1 << max(0, n - 1)):
-            d2 = d2_bits << 2
-            lhs, rhs = _restricted_sum(fibers, d1, d2)
+        for d2_bits in range(d2_range):
+            lhs, rhs = _restricted(fibres, d1_bits << 1 | d2_bits << (n + 2))
+            first = d1_bits == d2_bits == 0
             yield {"D1": d1_bits, "D2": d2_bits}, lhs, rhs, count if first else 0
-            first = False
-
-
-def _check_main_a(n: int) -> Iterator[Checkpoint]:
-    fibers: dict[tuple[int, int], tuple[dict, dict]] = {}
-    count = 0
-    for v in iter_alternating(n + 1):
-        count += 1
-        vinv = inverse(v)
-        dm = _mask(des_set_s(a_pull(vinv)[3]))
-        lm = _mask(ltr_minima(vinv, 1, EXCLUDE_FIRST_POSITIONS))
-        ell, _, _, proj, _ = a_pull(v)
-        rmaj_acc, ell_acc = fibers.setdefault((dm, lm), ({}, {}))
-        _bump(rmaj_acc, (rmaj_s(proj, n), 0))
-        _bump(ell_acc, (ell, 0))
-    first = True
-    for d1_bits in range(1 << max(0, n - 1)):
-        d1 = d1_bits << 1
-        for d2_bits in range(1 << n):
-            d2 = d2_bits << 2
-            lhs, rhs = _restricted_sum(fibers, d1, d2)
-            yield {"D1": d1_bits, "D2": d2_bits}, lhs, rhs, count if first else 0
-            first = False
 
 
 # Corollary 9.2 scans over q = p^{-1}, which runs over the whole group as p
@@ -623,8 +570,6 @@ def _check_fiber_size(n: int) -> Iterator[Checkpoint]:
 
 
 def _check_appendix_hat(n: int, i: int | None = None) -> Iterator[Checkpoint]:
-    from .stats import hat_ell, hat_maj
-
     closed = MultiPoly.const(1)
     for m in range(3, n + 1):
         closed = closed * geometric(m)
@@ -632,13 +577,16 @@ def _check_appendix_hat(n: int, i: int | None = None) -> Iterator[Checkpoint]:
     for j in js:
         if not 1 <= j <= n - 1:
             raise ValueError(f"position {j} outside 1..{n - 1}")
-        ell_acc: dict = {}
-        maj_acc: dict = {}
-        count = 0
-        for v in iter_alternating(n):
-            count += 1
-            _bump(ell_acc, (hat_ell(v, j), 0))
-            _bump(maj_acc, (hat_maj(v, j), 0))
+    # One pass over the group, folding each element once per position.
+    accs = {j: ({}, {}) for j in js}
+    count = 0
+    for v in iter_alternating(n):
+        count += 1
+        for j, (ell_acc, maj_acc) in accs.items():
+            w = h_map(v, j)
+            _bump(ell_acc, (length_s(w), 0))
+            _bump(maj_acc, (maj_s(w), 0))
+    for j, (ell_acc, maj_acc) in accs.items():
         yield {"i": j, "side": "length"}, _poly(ell_acc), closed, count
         yield {"i": j, "side": "maj"}, _poly(maj_acc), closed, 0
 
@@ -761,12 +709,12 @@ _register(
 _register(
     "lemma86",
     "reverse-maj shuffle sums split by first letter into the two Gaussian parts",
-    _check_lemma86, min_n=2, cap=6,
+    partial(_check_first_letter, "rmaj"), min_n=2, cap=6,
 )
 _register(
     "lemma87",
     "length shuffle sums split by first letter into the two Gaussian parts",
-    _check_lemma87, min_n=2, cap=6,
+    partial(_check_first_letter, "length"), min_n=2, cap=6,
 )
 _register(
     "lemma93",
@@ -783,12 +731,12 @@ _register(
     "main-s",
     "reverse maj and length agree under every double restriction of inverse "
     "descents and inverse minima",
-    _check_main_s, cap=6,
+    partial(_check_main, "S"), cap=6,
 )
 _register(
     "main-a",
     "the alternating analogue of the double-restriction equality",
-    _check_main_a, cap=5,
+    partial(_check_main, "A"), cap=5,
 )
 _register(
     "cor92-s",

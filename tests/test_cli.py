@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permstat.cli import _pool_size, main
 from permstat.identities import REGISTRY, IdentityEntry
@@ -124,6 +129,22 @@ def test_shuffles_json_lines(capsys):
     code, _, err = run_cli(capsys, "shuffles", "--n", "12", "--b", "1,2,3,4,5,6,7,8,9,10,11")
     assert code == 2 and "cap" in err
 
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "300000", "--b", "1,2"],
+    ["--n", "21"],
+    ["--n", "0"],
+    ["--n", "-4", "--force"],
+])
+def test_shuffles_degree_bounded_before_counting(capsys, monkeypatch, argv):
+    def no_count(n, cuts):
+        raise AssertionError(f"counted shuffles of degree {n}")
+
+    monkeypatch.setattr("permstat.cli.shuffle_count", no_count)
+    code, out, err = run_cli(capsys, "shuffles", *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 def test_genfun(capsys):
     code, out, _ = run_cli(
@@ -320,3 +341,94 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "s1 | 1 | s3 s2 | s4 s3 s2\n"
+
+
+# -- fuzzing the argument grammar ----------------------------------------------
+
+# Degrees stay small where an argument would be enumerated; the large values
+# only reach cap checks, which refuse them without --force.
+_small = st.integers(-2, 4)
+_degree = st.one_of(st.integers(-2, 6), st.sampled_from([9, 21, 300000]))
+_perm_text = st.one_of(
+    st.permutations(range(1, 6)).map(lambda p: "[" + ",".join(map(str, p)) + "]"),
+    st.lists(st.integers(-2, 7), max_size=6).map(lambda xs: ",".join(map(str, xs))),
+    st.text("[],-0123456789 x", max_size=12),
+)
+_word_text = st.one_of(
+    st.lists(st.sampled_from(["s1", "s2", "s3", "a1", "a2", "a1^-1", "s0", "a9"]),
+             max_size=5).map(" ".join),
+    st.text("sa^-1230 ,x", max_size=12),
+)
+_FLAGS = {"--all", "--b", "--force", "--format", "--from-word", "--group", "--jobs",
+          "--multivar", "--n", "--n-max", "--q-stat", "--t-stat", "--timings", "-i", "-k"}
+
+
+def _opt(flag, values):
+    """An optional flag: absent, or present with a drawn value (None: bare)."""
+    return st.one_of(st.just([]), values.map(lambda v: [flag] if v is None else [flag, str(v)]))
+
+
+def _forced(n):
+    return st.just([]) if n > 6 else st.sampled_from([[], ["--force"]])
+
+
+@st.composite
+def _argv(draw):
+    cmd = draw(st.sampled_from(["stat", "canon", "fiber", "shuffles", "genfun", "verify",
+                                "list"]))
+    group = ["--group", draw(st.sampled_from(["S", "A"]))]
+    if cmd == "stat":
+        args = group + [draw(_perm_text)]
+    elif cmd == "canon":
+        args = group + draw(st.one_of(
+            _perm_text.map(lambda t: [t]),
+            st.tuples(_word_text, _opt("--n", st.integers(-2, 25))).map(
+                lambda wn: ["--from-word", wn[0], *wn[1]]),
+            st.just([]),
+        ))
+    elif cmd == "fiber":
+        args = [draw(_perm_text)]
+    elif cmd == "shuffles":
+        n = draw(_degree)
+        cuts = draw(st.one_of(
+            st.lists(st.integers(-1, 7), max_size=4).map(lambda c: ",".join(map(str, c))),
+            st.text("0123,x", max_size=6),
+        ))
+        args = ["--n", str(n), "--b", cuts] + draw(_forced(n))
+    elif cmd == "genfun":
+        n = draw(_degree)
+        args = group + ["--n", str(n)] + draw(_forced(n))
+        args += draw(_opt("--q-stat", st.sampled_from(["length", "maj", "rmaj"])))
+        args += draw(_opt("--t-stat", st.sampled_from(["del", "none"])))
+        args += draw(_opt("--multivar", st.none()))
+    elif cmd == "verify":
+        # Always bound n and never fork: workers are covered by other tests.
+        target = draw(st.sampled_from(["--all", "bogus", *sorted(REGISTRY)]))
+        args = [target] + draw(st.sampled_from([["--n"], ["--n-max"]]))
+        args += [str(draw(_small)), "--jobs", draw(st.sampled_from(["1", "-1"]))]
+        args += draw(_opt("-k", _small)) + draw(_opt("-i", _small))
+        args += draw(_opt("--force", st.none())) + draw(_opt("--timings", st.none()))
+    else:
+        args = []
+    return [cmd, *args, *draw(_opt("--format", st.sampled_from(["json", "csv", "pretty"])))]
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=5))
+@given(_argv())
+def test_cli_fuzz_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        # argparse takes a value that starts with "-" for a flag and exits 2
+        # with its usage message, as test_usage_errors_exit_2 pins.
+        assert exc.code == 2 and out.getvalue() == "", argv
+        assert any(a.startswith("-") and a not in _FLAGS for a in argv), argv
+        assert ": error: " in err.getvalue().splitlines()[-1], argv
+        return
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)

@@ -3,16 +3,20 @@ import math
 import pytest
 
 from oracles import brute_fiber
-from permstat.cover import (
-    FPairSpec,
-    KNOWN_F_PAIRS,
-    f_map,
-    fiber,
-    iter_fiber,
-    verify_f_pair,
-)
+from permstat.cover import f_map, fiber, iter_fiber
 from permstat.perm import identity, iter_alternating, iter_symmetric
-from permstat.stats import del_s, length_a, length_s
+from permstat.stats import (
+    del_a,
+    del_s,
+    des_a,
+    des_s,
+    length_a,
+    length_s,
+    maj_a,
+    maj_s,
+    rmaj_a,
+    rmaj_s,
+)
 from permstat.words import a_canonical, s_canonical, s_image
 
 
@@ -76,32 +80,23 @@ def test_iter_fiber_is_lazy_and_complete():
 
 
 def test_known_pairs_hold():
-    for spec in KNOWN_F_PAIRS:
-        for n in range(1, 7):
-            report = verify_f_pair(spec, n)
-            assert report.passed, (spec, n)
-            assert report.counterexample is None
-            assert report.checked == max(1, math.factorial(n + 1) // 2)
+    # (alternating statistic, symmetric statistic); reverse maj takes the
+    # degree of the image as its ambient on both sides.
+    pairs = {
+        "length": (length_a, length_s),
+        "des": (des_a, des_s),
+        "maj": (maj_a, maj_s),
+        "rmaj": (lambda v: rmaj_a(v, len(v) - 1), lambda p: rmaj_s(p, len(p))),
+        "del": (del_a, del_s),
+    }
+    for n in range(1, 7):
+        for v in iter_alternating(n + 1):
+            w = f_map(v)
+            for name, (a_stat, s_stat) in pairs.items():
+                assert a_stat(v) == s_stat(w), (name, v)
 
 
 def test_fiber_size_sum_matches_group_order():
     for n in range(1, 9):
         total = sum(2 ** del_s(w) for w in iter_symmetric(n))
         assert total == math.factorial(n + 1) // 2
-
-
-def test_mismatched_pair_fails_with_counterexample():
-    from permstat.stats import del_a
-
-    report = verify_f_pair(FPairSpec("bogus", "length", "del"), 3)
-    assert not report.passed
-    v = report.counterexample
-    assert v is not None
-    assert del_a(v) != length_s(f_map(v))
-
-
-def test_unknown_statistic_name():
-    with pytest.raises(ValueError, match="unknown symmetric statistic"):
-        verify_f_pair(FPairSpec("x", "nope", "length"), 3)
-    with pytest.raises(ValueError, match="unknown alternating statistic"):
-        verify_f_pair(FPairSpec("x", "length", "nope"), 3)

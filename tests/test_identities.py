@@ -7,13 +7,18 @@ from permstat.identities import (
     list_identities,
     verify,
 )
-from permstat.perm import inverse, iter_symmetric
+from permstat.perm import inverse, iter_alternating, iter_symmetric
 from permstat.qpoly import MultiPoly
 from permstat.stats import (
     EXCLUDE_FIRST_POSITIONS,
+    des_set_a,
     des_set_s,
+    length_a,
     length_s,
     ltr_minima,
+    maj_a,
+    maj_s,
+    rmaj_a,
     rmaj_s,
 )
 
@@ -190,20 +195,58 @@ def test_report_json_shape():
     assert all(set(t) == {"coeff", "exps"} for t in payload["lhs"])
 
 
-def _restricted(n, d1, d2):
-    out_rmaj: dict = {}
-    out_ell: dict = {}
-    for p in iter_symmetric(n):
-        pinv = inverse(p)
-        if not des_set_s(pinv) <= d1:
-            continue
-        if not ltr_minima(pinv, 0, EXCLUDE_FIRST_POSITIONS) <= d2:
-            continue
-        k = (rmaj_s(p, n), 0)
-        out_rmaj[k] = out_rmaj.get(k, 0) + 1
-        k = (length_s(p), 0)
-        out_ell[k] = out_ell.get(k, 0) + 1
-    return MultiPoly(0, out_rmaj), MultiPoly(0, out_ell)
+def _restricted(group, n, keep):
+    """Histograms of rmaj, length and maj over the elements whose inverse passes keep.
+
+    keep(des, mins) receives the inverse's descent set and its minima (level
+    0 in S, level 1 in A) as sets of positions.
+    """
+    if group == "S":
+        elements = iter_symmetric(n)
+        sets = lambda q: (des_set_s(q), ltr_minima(q, 0, EXCLUDE_FIRST_POSITIONS))
+        stats = {"rmaj": lambda p: rmaj_s(p, n), "length": length_s, "maj": maj_s}
+    else:
+        elements = iter_alternating(n + 1)
+        sets = lambda q: (des_set_a(q), ltr_minima(q, 1, EXCLUDE_FIRST_POSITIONS))
+        stats = {"rmaj": lambda v: rmaj_a(v, n), "length": length_a, "maj": maj_a}
+    hists = {name: {} for name in stats}
+    for p in elements:
+        if keep(*sets(inverse(p))):
+            for name, stat in stats.items():
+                k = (stat(p), 0)
+                hists[name][k] = hists[name].get(k, 0) + 1
+    return {name: MultiPoly(0, h) for name, h in hists.items()}
+
+
+def _positions(bits, shift):
+    """The positions set in bits << shift."""
+    return {i + shift for i in range(bits.bit_length()) if bits >> i & 1}
+
+
+@pytest.mark.parametrize("name, n", [
+    ("main-s", 4), ("main-a", 3), ("fs-rmaj", 4), ("fs-fixed-descent", 4),
+])
+def test_restriction_masks_restrict(name, n):
+    # Both sides of each checkpoint pass the same mask filter, so a wrong
+    # mask keeps them equal; recount every side from position sets instead.
+    classes = set()
+    for sub, lhs, rhs, _ in REGISTRY[name].check(n):
+        if name == "fs-fixed-descent":
+            d = _positions(sub["descent-class"], 0)
+            classes.add(frozenset(d))
+            want = _restricted("S", n, lambda des, mins: des == d)
+            assert (lhs, rhs) == (want["length"], want["maj"]), sub
+        elif name == "fs-rmaj":
+            d1 = _positions(sub["D1"], 1)
+            want = _restricted("S", n, lambda des, mins: des <= d1)
+            assert (lhs, rhs) == (want[sub["side"]], want["length"]), sub
+        else:
+            d1, d2 = _positions(sub["D1"], 1), _positions(sub["D2"], 2)
+            want = _restricted(name[-1].upper(), n,
+                               lambda des, mins: des <= d1 and mins <= d2)
+            assert (lhs, rhs) == (want["rmaj"], want["length"]), sub
+    if name == "fs-fixed-descent":
+        assert len(classes) == 1 << (n - 1)
 
 
 def test_double_restriction_monotone_and_equal():
@@ -218,9 +261,10 @@ def test_double_restriction_monotone_and_equal():
         for d1 in itertools.combinations(d1_all, r1):
             for r2 in range(len(d2_all) + 1):
                 for d2 in itertools.combinations(d2_all, r2):
-                    lhs, rhs = _restricted(n, set(d1), set(d2))
-                    assert lhs == rhs
-                    sums[(frozenset(d1), frozenset(d2))] = lhs
+                    want = _restricted("S", n, lambda des, mins: (
+                        des <= set(d1) and mins <= set(d2)))
+                    assert want["rmaj"] == want["length"]
+                    sums[(frozenset(d1), frozenset(d2))] = want["rmaj"]
     for (d1, d2), poly in sums.items():
         for (e1, e2), bigger in sums.items():
             if d1 <= e1 and d2 <= e2:
