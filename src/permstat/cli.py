@@ -326,8 +326,15 @@ def _add_common(sub) -> None:
     sub.add_argument("--out", metavar="FILE", help="write the payload to FILE instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, so main reports them on one line."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="permstat",
         description="Exact permutation statistics on symmetric and alternating groups.",
     )
@@ -395,9 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.run(args)
     except BrokenPipeError:
         return 0

@@ -3,14 +3,17 @@
 An even permutation of degree n+1 projects to a permutation of degree n by
 mapping each canonical letter a_k to s_k; the two letters a_1 and a_1^{-1}
 collapse together, so a permutation whose word uses d such letters has a
-fibre of exactly 2^d preimages.  The length, descent set, maj, reverse maj
-(ambient degree n) and delent of an even permutation each equal the same
-statistic of its image.
+fibre of exactly 2^d preimages.  ``f_map`` runs the A pull of ``words``; the
+fibre runs it backwards from the factor starts of w, the projected ends of
+every preimage.  Length, descent set, maj, reverse maj (ambient degree n)
+and delent of an even permutation equal those of its image.
 """
 from __future__ import annotations
 
-from .perm import Perm, check_even
-from .words import a_lifts, a_pull, a_word_to_perm, s_canonical
+from typing import Iterator
+
+from .perm import Perm, check_even, check_perm
+from .words import a_lifts, a_pull, s_pull
 
 
 def f_map(v: Perm) -> Perm:
@@ -24,10 +27,9 @@ def f_map(v: Perm) -> Perm:
     return a_pull(check_even(v))[3]
 
 
-def iter_fiber(w: Perm):
-    """Yield the preimages of w, branching each letter s_1 both ways."""
-    for lift in a_lifts(s_canonical(w)):
-        yield a_word_to_perm(lift)
+def iter_fiber(w: Perm) -> Iterator[Perm]:
+    """An iterator over the preimages of w, from a list built in one go."""
+    return iter(a_lifts(s_pull(check_perm(w))[2]))
 
 
 def fiber(w: Perm) -> list[Perm]:
@@ -37,4 +39,3 @@ def fiber(w: Perm) -> list[Perm]:
     [(2, 3, 1), (3, 1, 2)]
     """
     return sorted(iter_fiber(w))
-

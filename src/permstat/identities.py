@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator
 
+from .cover import iter_fiber
 from .perm import (
     Perm,
     compose,
@@ -41,8 +42,6 @@ from .stats import (
     ltr_minima,
     maj_s,
     rmaj_s,
-    seq_maj,
-    seq_rmaj,
 )
 from .words import a_pull, epsilon_s, eval_a_letters, indicators, occurrences
 from . import shuffles as shuf
@@ -359,10 +358,10 @@ def _check_lemma63(n: int) -> Iterator[Checkpoint]:
     spread_tail = geometric(n)
     for u in itertools.product(range(1, n + 1), repeat=n):
         inserts = [u[:i] + (y,) + u[i:] for i in range(n + 1)]
-        majs = [seq_maj(v) for v in inserts]
-        rmajs = [seq_rmaj(v) for v in inserts]
-        base_maj = MultiPoly.monomial(1, q=seq_maj(u))
-        base_rmaj = MultiPoly.monomial(1, q=seq_rmaj(u))
+        majs = [maj_s(v) for v in inserts]
+        rmajs = [rmaj_s(v, len(v)) for v in inserts]
+        base_maj = MultiPoly.monomial(1, q=maj_s(u))
+        base_rmaj = MultiPoly.monomial(1, q=rmaj_s(u, len(u)))
         yield {"word": u, "eq": "maj-all"}, _poly(_hist(majs)), base_maj * spread_all, 1
         yield {"word": u, "eq": "maj-proper"}, _poly(_hist(majs[:-1])), base_maj * spread_proper, 0
         yield {"word": u, "eq": "rmaj-all"}, _poly(_hist(rmajs)), base_rmaj * spread_all, 0
@@ -553,8 +552,6 @@ def _check_cor92_a(n: int) -> Iterator[Checkpoint]:
 
 
 def _check_fiber_size(n: int) -> Iterator[Checkpoint]:
-    from .cover import iter_fiber
-
     seen: set[Perm] = set()
     total = 0
     for w in iter_symmetric(n):
@@ -563,7 +560,8 @@ def _check_fiber_size(n: int) -> Iterator[Checkpoint]:
             size += 1
             seen.add(v)
         total += size
-        yield {"w": w}, MultiPoly.const(size), MultiPoly.const(2 ** del_s(w)), size
+        delent = len(ltr_minima(w, 0, EXCLUDE_FIRST_POSITIONS))
+        yield {"w": w}, MultiPoly.const(size), MultiPoly.const(2 ** delent), size
     order = math.factorial(n + 1) // 2
     yield {"check": "partition-total"}, MultiPoly.const(total), MultiPoly.const(order), 0
     yield {"check": "partition-distinct"}, MultiPoly.const(len(seen)), MultiPoly.const(order), 0

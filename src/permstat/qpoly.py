@@ -170,9 +170,6 @@ class MultiPoly:
         _, a, b = self._aligned(other)
         return a.terms == b.terms
 
-    def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -45,7 +45,7 @@ def length_s(p: Perm) -> int:
 
 
 def des_set_s(p: Sequence[int]) -> set[int]:
-    """Positions i with p(i) > p(i+1)."""
+    """Positions i with p(i) > p(i+1); they make sense for any integer sequence."""
     return {i for i in range(1, len(p)) if p[i - 1] > p[i]}
 
 
@@ -61,17 +61,6 @@ def rmaj_s(p: Perm, n: int) -> int:
     """Sum of n - i over descents i; n is the ambient degree, given explicitly."""
     des = des_set_s(p)
     return n * len(des) - sum(des)
-
-
-# Descents, and hence both major indices, make sense for any integer
-# sequence; the insertion identities are quantified over such sequences.
-
-seq_des_set = des_set_s
-seq_maj = maj_s
-
-
-def seq_rmaj(seq: Sequence[int]) -> int:
-    return rmaj_s(seq, len(seq))
 
 
 # -- left-to-right minima ----------------------------------------------------

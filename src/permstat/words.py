@@ -22,7 +22,9 @@ up to j+1, and the factors that end in a_1^{-1}.  The kernels do not
 validate their input.  ``s_canonical`` and ``a_canonical`` (which checks
 evenness) wrap them for single elements; whole-group scans call them
 directly on the elements that ``iter_symmetric`` and ``iter_alternating``
-yield.
+yield.  ``a_lifts`` runs the A pull backwards: from the projected ends it
+rebuilds every even permutation with those ends, which is the fibre of the
+projection, so the pull's parity rule lives in this module alone.
 
 Two-path rule: every registry scan enumerates group elements and factors
 each one; none enumerates factor tuples, Lehmer codes or inversion tables,
@@ -34,14 +36,15 @@ inversion count and descents compare neighbouring entries.
 
 Words are stored structurally, one entry per factor, never as flat letter
 lists; occurrence counts and length are O(1) per factor.  Flat letter views
-exist for printing and parsing only.
+serve printing, parsing and the literal generator product, which
+``eval_s_letters`` and ``eval_a_letters`` (and ``s_word_to_perm`` and
+``a_word_to_perm`` through them) compute one letter at a time.  It is the
+one reference the kernels are checked against, so it never runs a pull.
 """
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterator
 
 from .perm import Perm, check_even
 
@@ -156,14 +159,8 @@ def s_canonical(w: Perm) -> SWord:
 
 
 def s_word_to_perm(word: SWord) -> Perm:
-    """Multiply the factors back out, leftmost factor first."""
-    work = list(range(1, word.n + 1))
-    for j, r in enumerate(word.factors, start=1):
-        if r is None:
-            continue
-        for i in range(j, r - 1, -1):
-            work[i - 1], work[i] = work[i], work[i - 1]
-    return tuple(work)
+    """Multiply the letters back out, leftmost first."""
+    return eval_s_letters(word.n, word.letters())
 
 
 def a_pull(v: Perm) -> tuple[int, int, tuple[SFactor | None, ...], Perm, int]:
@@ -222,22 +219,8 @@ def a_canonical(v: Perm) -> AWord:
 
 
 def a_word_to_perm(word: AWord) -> Perm:
-    """Multiply the factors back out, leftmost factor first."""
-    work = list(range(1, word.m + 1))
-    for j, f in enumerate(word.factors, start=1):
-        if f is None:
-            continue
-        e, inv = f
-        for k in range(j, e, -1):
-            work[0], work[1] = work[1], work[0]
-            work[k], work[k + 1] = work[k + 1], work[k]
-        if inv:
-            work[1], work[2] = work[2], work[1]
-            work[0], work[1] = work[1], work[0]
-        else:
-            work[0], work[1] = work[1], work[0]
-            work[e], work[e + 1] = work[e + 1], work[e]
-    return tuple(work)
+    """Multiply the letters back out, leftmost first."""
+    return eval_a_letters(word.m, word.letters())
 
 
 def occurrences_s(word: SWord, k: int) -> int:
@@ -306,22 +289,34 @@ def s_image(word: AWord) -> SWord:
     return SWord(word.m - 1, tuple(None if f is None else f[0] for f in word.factors))
 
 
-def a_lifts(word: SWord) -> Iterator[AWord]:
-    """All alternating words projecting onto the given word, one degree up.
+def _unpull(work: list[int], top: int, r: int) -> list[int]:
+    """Undo one step of the A pull: redo its parity swap, then put top back at r."""
+    if (top - 1 - r) % 2:
+        work[0], work[1] = work[1], work[0]
+    work.insert(r, top)
+    return work
 
-    Factors not reaching s_1 lift uniquely; each factor ending in s_1 lifts
-    two ways, so the number of lifts is 2 to the number of such factors.
+
+def a_lifts(ends: tuple[SFactor | None, ...]) -> list[Perm]:
+    """Every even permutation whose A pull gives these projected ends.
+
+    The pull runs backwards from the values 1, 2, putting each top back at
+    the slot it was pulled from: the end for an empty factor, else slot e.
+    A factor ending at 1 came from slot 0 (the inverted tail) or slot 1, so
+    the lifts double there: there are 2 to the number of ends equal to 1.
+
+    >>> sorted(a_lifts((1,)))
+    [(2, 3, 1), (3, 1, 2)]
     """
-    choices: list[list[AFactor | None]] = []
-    for r in word.factors:
-        if r is None:
-            choices.append([None])
-        elif r == 1:
-            choices.append([(1, False), (1, True)])
-        else:
-            choices.append([(r, False)])
-    for combo in itertools.product(*choices):
-        yield AWord(word.n + 1, tuple(combo))
+    lifts = [[1, 2]]
+    for top, e in enumerate(ends, start=3):
+        twins = [_unpull(work[:], top, 0) for work in lifts] if e == 1 else []
+        for work in lifts:
+            _unpull(work, top, top - 1 if e is None else e)
+        lifts += twins
+    for i, work in enumerate(lifts):
+        lifts[i] = tuple(work)  # one at a time, so the lists go as the tuples come
+    return lifts
 
 
 # -- flat letter views ------------------------------------------------------

@@ -1,10 +1,11 @@
 import math
+import random
 
 import pytest
 
 from oracles import brute_fiber
 from permstat.cover import f_map, fiber, iter_fiber
-from permstat.perm import identity, iter_alternating, iter_symmetric
+from permstat.perm import identity, iter_alternating, iter_symmetric, sign
 from permstat.stats import (
     del_a,
     del_s,
@@ -17,7 +18,7 @@ from permstat.stats import (
     rmaj_a,
     rmaj_s,
 )
-from permstat.words import a_canonical, s_canonical, s_image
+from permstat.words import SWord, a_canonical, s_canonical, s_image, s_word_to_perm
 
 
 def test_f_map_examples():
@@ -53,7 +54,7 @@ def test_fiber_examples():
 
 
 def test_fiber_matches_brute_force():
-    for n in range(1, 5):
+    for n in range(1, 6):
         for w in iter_symmetric(n):
             assert set(fiber(w)) == brute_fiber(w)
 
@@ -72,6 +73,32 @@ def test_fiber_sizes_and_partition():
             total += len(lifts)
         order = math.factorial(n + 1) // 2
         assert total == order and len(seen) == order
+
+
+def test_fibers_at_query_degrees():
+    # Degrees 8..20 with delent up to 10: words built factor by factor with
+    # d runs reaching s_1, multiplied out by the literal generator product.
+    rng = random.Random(8020)
+    for n in range(8, 21):
+        most = min(10, n - 1)
+        for d in (0, rng.randint(1, most - 1), most):
+            full = set(rng.sample(range(1, n), d))
+            starts = tuple(
+                1 if j in full else rng.choice([None, *range(2, j + 1)])
+                for j in range(1, n)
+            )
+            w = s_word_to_perm(SWord(n, starts))
+            assert del_s(w) == d
+            lifts = fiber(w)
+            assert len(set(lifts)) == len(lifts) == 2 ** d
+            for v in lifts:
+                assert sign(v) == 1 and f_map(v) == w, (w, v)
+
+
+def test_fiber_rejects_non_permutations():
+    for bad in ((), (1, 1), (2, 2), (2, 3, 3)):
+        with pytest.raises(ValueError):
+            fiber(bad)
 
 
 def test_iter_fiber_is_lazy_and_complete():

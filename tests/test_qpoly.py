@@ -140,6 +140,17 @@ def test_arity_lifting():
         marked.lift(1)
 
 
+def test_equal_polys_hash_equal_or_not_at_all():
+    p = mono(2, q=1, t=3)
+    lifted = p.lift(2)
+    assert p == lifted
+    try:
+        hashes = hash(p), hash(lifted)
+    except TypeError:
+        return
+    assert hashes[0] == hashes[1]
+
+
 def test_negative_exponent_rejected():
     with pytest.raises(ValueError, match="negative"):
         MultiPoly(0, {(-1, 0): 1})
