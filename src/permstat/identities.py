@@ -10,6 +10,10 @@ An entry may quantify over internal parameters (cut sets, generator indices,
 base permutations); each parameter point is checked separately.  A passing
 report carries the two aggregate polynomials (equal sums over all points); a
 failing report carries the first failing point and its two differing sides.
+
+Each side of a checkpoint is a plain histogram, an arity plus an
+``{exponents: count}`` dict.  ``verify`` compares and sums these pairs
+directly and builds a ``MultiPoly`` only for its report.
 """
 from __future__ import annotations
 
@@ -46,9 +50,11 @@ from .stats import (
 from .words import a_pull, epsilon_s, eval_a_letters, indicators, occurrences
 from . import shuffles as shuf
 
-# A checkpoint is one verified equation: (point parameters or None,
+# A side is (arity, {exponents: count}): keys of width 2 + arity, no zero
+# counts.  A checkpoint is one verified equation: (point parameters or None,
 # left side, right side, number of objects enumerated for this point).
-Checkpoint = tuple[dict | None, MultiPoly, MultiPoly, int]
+Side = tuple[int, dict]
+Checkpoint = tuple[dict | None, Side, Side, int]
 
 
 class CapExceeded(ValueError):
@@ -89,23 +95,24 @@ class IdentityReport:
         return out
 
 
-# -- scan helpers -------------------------------------------------------------
+# -- side helpers -------------------------------------------------------------
 
-def _poly(acc: dict, arity: int = 0) -> MultiPoly:
-    """Wrap a scan histogram: keys of width 2 + arity, positive counts."""
-    return MultiPoly._trusted(arity, acc)
-
-
-def _bump(acc: dict, key: tuple) -> None:
-    acc[key] = acc.get(key, 0) + 1
-
-
-def _hist(values) -> dict:
+def _tally(keys) -> dict:
+    """Histogram of a scan: {key: number of times it occurs}."""
     acc: dict = {}
-    for v in values:
-        key = (v, 0)
+    for key in keys:
         acc[key] = acc.get(key, 0) + 1
     return acc
+
+
+def _run(start: int, length: int, t: int = 0) -> dict:
+    """q^start t^t (1 + q + ... + q^(length-1)): one key per power of q."""
+    return {(e, t): 1 for e in range(start, start + length)}
+
+
+def _const(c: int) -> Side:
+    """The constant c as a side; zero is the empty histogram."""
+    return 0, ({(0, 0): c} if c else {})
 
 
 def _embed_low(p: Perm, n: int) -> Perm:
@@ -151,11 +158,11 @@ def _check_macmahon(n: int) -> Iterator[Checkpoint]:
     count = 0
     for p in iter_symmetric(n):
         count += 1
-        _bump(inv_acc, (length_s(p), 0))
-        _bump(maj_acc, (maj_s(p), 0))
-    rhs = q_factorial(n)
-    yield {"side": "length"}, _poly(inv_acc), rhs, count
-    yield {"side": "maj"}, _poly(maj_acc), rhs, 0
+        for acc, key in ((inv_acc, (length_s(p), 0)), (maj_acc, (maj_s(p), 0))):
+            acc[key] = acc.get(key, 0) + 1
+    rhs = 0, q_factorial(n).terms
+    yield {"side": "length"}, (0, inv_acc), rhs, count
+    yield {"side": "maj"}, (0, maj_acc), rhs, 0
 
 
 def _fibres(tallies) -> dict[int, list[dict]]:
@@ -167,16 +174,29 @@ def _fibres(tallies) -> dict[int, list[dict]]:
     return fibres
 
 
-def _restricted(fibres: dict[int, list[dict]], allowed: int) -> list[MultiPoly]:
-    """Per tally, the sum of the fibres whose mask lies inside `allowed`."""
-    inside = [hists for m, hists in fibres.items() if not m & ~allowed]
-    sums = []
-    for t in range(len(next(iter(fibres.values())))):
-        acc: dict = {}
-        for hists in inside:
-            for k, c in hists[t].items():
-                acc[k] = acc.get(k, 0) + c
-        sums.append(_poly(acc))
+def _subset_sums(fibres: dict[int, list[dict]], bits: list[int]) -> list[list[dict]]:
+    """Subset sums of the fibres, in one sum-over-subsets (Yates) pass.
+
+    Entry s holds, per tally, the sum of the fibres whose mask lies inside
+    subset s of `bits`; bit j of s stands for the mask bit bits[j].
+    """
+    tallies = len(next(iter(fibres.values())))
+    sums = [[{} for _ in range(tallies)] for _ in range(1 << len(bits))]
+    for m, hists in fibres.items():
+        s = 0
+        for j, b in enumerate(bits):
+            if m >> b & 1:
+                s |= 1 << j
+                m ^= 1 << b
+        if not m:
+            sums[s] = [dict(h) for h in hists]
+    for j in range(len(bits)):
+        bit = 1 << j
+        for s in range(1 << len(bits)):
+            if s & bit:
+                for into, part in zip(sums[s], sums[s ^ bit]):
+                    for k, c in part.items():
+                        into[k] = into.get(k, 0) + c
     return sums
 
 
@@ -189,7 +209,7 @@ def _check_fs_fixed_descent(n: int) -> Iterator[Checkpoint]:
     fibres = _fibres(tallies)
     for i, m in enumerate(sorted(fibres)):
         ell, maj = fibres[m]
-        yield {"descent-class": m}, _poly(ell), _poly(maj), count if i == 0 else 0
+        yield {"descent-class": m}, (0, ell), (0, maj), count if i == 0 else 0
 
 
 def _check_fs_rmaj(n: int) -> Iterator[Checkpoint]:
@@ -198,11 +218,10 @@ def _check_fs_rmaj(n: int) -> Iterator[Checkpoint]:
         return (m, maj_s(p)), (m, rmaj_s(p, n)), (m, length_s(p))
 
     tallies, count = histograms("S", n, row)
-    fibres = _fibres(tallies)
-    for d1_bits in range(1 << max(0, n - 1)):
-        maj, rmaj, ell = _restricted(fibres, d1_bits << 1)
-        yield {"D1": d1_bits, "side": "maj"}, maj, ell, count if d1_bits == 0 else 0
-        yield {"D1": d1_bits, "side": "rmaj"}, rmaj, ell, 0
+    sums = _subset_sums(_fibres(tallies), list(range(1, n)))
+    for d1_bits, (maj, rmaj, ell) in enumerate(sums):
+        yield {"D1": d1_bits, "side": "maj"}, (0, maj), (0, ell), count if d1_bits == 0 else 0
+        yield {"D1": d1_bits, "side": "rmaj"}, (0, rmaj), (0, ell), 0
 
 
 def _length_rmaj_del(group: str, n: int):
@@ -220,16 +239,16 @@ def _length_rmaj_del(group: str, n: int):
 
 def _check_thm61(group: str, n: int) -> Iterator[Checkpoint]:
     (ell_acc, rmaj_acc), count = _length_rmaj_del(group, n)
-    rhs = _staircase(n, _LIFTS[group])
-    yield {"side": "length"}, _poly(ell_acc), rhs, count
-    yield {"side": "rmaj"}, _poly(rmaj_acc), rhs, 0
+    rhs = 0, _staircase(n, _LIFTS[group]).terms
+    yield {"side": "length"}, (0, ell_acc), rhs, count
+    yield {"side": "rmaj"}, (0, rmaj_acc), rhs, 0
 
 
 def _check_thm62(group: str, n: int) -> Iterator[Checkpoint]:
     (ell_acc, rmaj_acc), count = _length_rmaj_del(group, n)
     for k in range(n):
-        lhs = _poly({(e, 0): c for (e, d), c in ell_acc.items() if d == k})
-        rhs = _poly({(e, 0): c for (e, d), c in rmaj_acc.items() if d == k})
+        lhs = 0, {(e, 0): c for (e, d), c in ell_acc.items() if d == k}
+        rhs = 0, {(e, 0): c for (e, d), c in rmaj_acc.items() if d == k}
         yield {"delent": k}, lhs, rhs, count if k == 0 else 0
 
 
@@ -251,7 +270,7 @@ def _check_prop56(n: int) -> Iterator[Checkpoint]:
             dl = len(ltr_minima(elem, 0, EXCLUDE_FIRST_POSITIONS))
             factor_sum = factor_sum + MultiPoly.monomial(1, q=ell, t=dl)
         lhs_s = lhs_s * factor_sum
-    yield {"group": "S"}, lhs_s, _staircase(n, 1), count
+    yield {"group": "S"}, (0, lhs_s.terms), (0, _staircase(n, 1).terms), count
 
     count = 0
     lhs_a = MultiPoly.const(1)
@@ -268,7 +287,7 @@ def _check_prop56(n: int) -> Iterator[Checkpoint]:
             dl_a = len(ltr_minima(elem, 1, EXCLUDE_FIRST_POSITIONS))
             factor_sum = factor_sum + MultiPoly.monomial(1, q=ell_a, t=dl_a)
         lhs_a = lhs_a * factor_sum
-    yield {"group": "A"}, lhs_a, _staircase(n, 2), count
+    yield {"group": "A"}, (0, lhs_a.terms), (0, _staircase(n, 2).terms), count
 
 
 def _cycle_class_counts(n: int) -> list[int]:
@@ -285,14 +304,14 @@ def _check_prop57(group: str, n: int) -> Iterator[Checkpoint]:
     rhs = MultiPoly.const(1)
     for c in range(1, n):
         rhs = rhs * (MultiPoly.monomial(lifts, t=1) + MultiPoly.const(c))
-    yield {"form": "generating"}, _poly(hist), rhs, count
+    yield {"form": "generating"}, (0, hist), (0, rhs.terms), count
     cycles = _cycle_class_counts(n)
     scan = math.factorial(n)
     for d in range(n):
         yield (
             {"delent": d},
-            MultiPoly.const(hist.get((0, d), 0)),
-            MultiPoly.const(lifts ** d * cycles[d]),
+            _const(hist.get((0, d), 0)),
+            _const(lifts ** d * cycles[d]),
             scan if d == 0 else 0,
         )
 
@@ -310,7 +329,7 @@ def _check_prop510(group: str, n: int) -> Iterator[Checkpoint]:
             geometric(j, arity)
             + MultiPoly.monomial(_LIFTS[group], q=j, ts=_unit_marker(j, n), arity=arity)
         )
-    yield None, _poly(acc, arity), rhs, count
+    yield None, (arity, acc), (arity, rhs.terms), count
 
 
 def _check_prop511(n: int) -> Iterator[Checkpoint]:
@@ -323,7 +342,7 @@ def _check_prop511(n: int) -> Iterator[Checkpoint]:
                 MultiPoly.monomial(lifts, ts=_unit_marker(j, n), arity=arity)
                 + MultiPoly.const(j, arity)
             )
-        yield {"group": group}, _poly(acc, arity), rhs, count
+        yield {"group": group}, (arity, acc), (arity, rhs.terms), count
 
 
 def _check_prop712(n: int, k: int | None = None) -> Iterator[Checkpoint]:
@@ -335,7 +354,7 @@ def _check_prop712(n: int, k: int | None = None) -> Iterator[Checkpoint]:
         rhs = MultiPoly.const(math.factorial(kk))
         for c in range(1, n - kk + 1):
             rhs = rhs * (MultiPoly.monomial(kk, t=1) + MultiPoly.const(c))
-        yield {"k": kk, "form": "generating"}, _poly(hist), rhs, count
+        yield {"k": kk, "form": "generating"}, (0, hist), (0, rhs.terms), count
         # counts[d] = c(n-k+1, d+1) by an independent cycle scan
         cycles = _cycle_class_counts(n - kk + 1)
         scan = math.factorial(n - kk + 1)
@@ -343,8 +362,8 @@ def _check_prop712(n: int, k: int | None = None) -> Iterator[Checkpoint]:
             expect = math.factorial(kk) * kk ** d * cycles[d]
             yield (
                 {"k": kk, "occurrences": d},
-                MultiPoly.const(hist.get((0, d), 0)),
-                MultiPoly.const(expect),
+                _const(hist.get((0, d), 0)),
+                _const(expect),
                 scan if d == 0 else 0,
             )
 
@@ -352,20 +371,18 @@ def _check_prop712(n: int, k: int | None = None) -> Iterator[Checkpoint]:
 def _check_lemma63(n: int) -> Iterator[Checkpoint]:
     # Descents of a sequence depend only on its weak-order pattern, so words
     # over 1..n with an inserted strictly-larger letter exhaust all cases.
+    # The closed forms are q^maj(u) [n+1]_q, q^(maj(u)+1) [n]_q,
+    # q^rmaj(u) [n+1]_q and q^rmaj(u) [n]_q.
     y = n + 1
-    spread_all = geometric(n + 1)
-    spread_proper = spread_all - 1
-    spread_tail = geometric(n)
     for u in itertools.product(range(1, n + 1), repeat=n):
         inserts = [u[:i] + (y,) + u[i:] for i in range(n + 1)]
-        majs = [maj_s(v) for v in inserts]
-        rmajs = [rmaj_s(v, len(v)) for v in inserts]
-        base_maj = MultiPoly.monomial(1, q=maj_s(u))
-        base_rmaj = MultiPoly.monomial(1, q=rmaj_s(u, len(u)))
-        yield {"word": u, "eq": "maj-all"}, _poly(_hist(majs)), base_maj * spread_all, 1
-        yield {"word": u, "eq": "maj-proper"}, _poly(_hist(majs[:-1])), base_maj * spread_proper, 0
-        yield {"word": u, "eq": "rmaj-all"}, _poly(_hist(rmajs)), base_rmaj * spread_all, 0
-        yield {"word": u, "eq": "rmaj-tail"}, _poly(_hist(rmajs[1:])), base_rmaj * spread_tail, 0
+        majs = [(maj_s(v), 0) for v in inserts]
+        rmajs = [(rmaj_s(v, y), 0) for v in inserts]
+        m, r = maj_s(u), rmaj_s(u, n)
+        yield {"word": u, "eq": "maj-all"}, (0, _tally(majs)), (0, _run(m, n + 1)), 1
+        yield {"word": u, "eq": "maj-proper"}, (0, _tally(majs[:-1])), (0, _run(m + 1, n)), 0
+        yield {"word": u, "eq": "rmaj-all"}, (0, _tally(rmajs)), (0, _run(r, n + 1)), 0
+        yield {"word": u, "eq": "rmaj-tail"}, (0, _tally(rmajs[1:])), (0, _run(r, n)), 0
 
 
 def _iter_right_coset_products(w: Perm, n: int):
@@ -380,41 +397,35 @@ def _iter_right_coset_products(w: Perm, n: int):
 
 
 def _check_lemma64(n: int) -> Iterator[Checkpoint]:
-    spread = geometric(n + 1)
     for w in iter_symmetric(n):
         products = list(_iter_right_coset_products(w, n))
-        lhs_maj = _poly(_hist(maj_s(p) for p in products))
-        rhs_maj = MultiPoly.monomial(1, q=maj_s(w)) * spread
-        yield {"w": w, "stat": "maj"}, lhs_maj, rhs_maj, len(products)
-        lhs_rmaj = _poly(_hist(rmaj_s(p, n + 1) for p in products))
-        rhs_rmaj = MultiPoly.monomial(1, q=rmaj_s(w, n)) * spread
-        yield {"w": w, "stat": "rmaj"}, lhs_rmaj, rhs_rmaj, 0
+        lhs_maj = _tally((maj_s(p), 0) for p in products)
+        yield {"w": w, "stat": "maj"}, (0, lhs_maj), (0, _run(maj_s(w), n + 1)), len(products)
+        lhs_rmaj = _tally((rmaj_s(p, n + 1), 0) for p in products)
+        yield {"w": w, "stat": "rmaj"}, (0, lhs_rmaj), (0, _run(rmaj_s(w, n), n + 1)), 0
 
 
 def _check_lemma65(n: int) -> Iterator[Checkpoint]:
-    spread = geometric(n) + MultiPoly.monomial(1, q=n, t=1)
+    # The closed form is q^rmaj(w) t^del(w) ([n]_q + q^n t).
     for w in iter_symmetric(n):
-        acc: dict = {}
-        cnt = 0
-        for p in _iter_right_coset_products(w, n):
-            cnt += 1
-            _bump(acc, (rmaj_s(p, n + 1), del_s(p)))
-        rhs = MultiPoly.monomial(1, q=rmaj_s(w, n), t=del_s(w)) * spread
-        yield {"w": w}, _poly(acc), rhs, cnt
+        products = list(_iter_right_coset_products(w, n))
+        lhs = _tally((rmaj_s(p, n + 1), del_s(p)) for p in products)
+        r, d = rmaj_s(w, n), del_s(w)
+        rhs = _run(r, n, d)
+        rhs[(r + n, d + 1)] = 1
+        yield {"w": w}, (0, lhs), (0, rhs), len(products)
 
 
 def _check_remark66(n: int) -> Iterator[Checkpoint]:
-    spread = geometric(n)
     for w in iter_symmetric(n):
         products = list(_iter_right_coset_products(w, n))[:-1]
-        lhs = _poly(_hist(rmaj_s(p, n + 1) for p in products))
-        rhs = MultiPoly.monomial(1, q=rmaj_s(w, n)) * spread
-        yield {"w": w}, lhs, rhs, len(products)
+        lhs = _tally((rmaj_s(p, n + 1), 0) for p in products)
+        yield {"w": w}, (0, lhs), (0, _run(rmaj_s(w, n), n)), len(products)
 
 
 def _check_prop67(n: int) -> Iterator[Checkpoint]:
     (acc,), count = histograms("S", n, lambda p, rec: ((rmaj_s(p, n), rec[1]),))
-    yield None, _poly(acc), _staircase(n, 1), count
+    yield None, (0, acc), (0, _staircase(n, 1).terms), count
 
 
 def _iter_low_support(n: int, i: int):
@@ -424,41 +435,24 @@ def _iter_low_support(n: int, i: int):
 
 def _check_prop81(n: int) -> Iterator[Checkpoint]:
     for i in range(1, n):
-        binom = q_binomial(n, i)
+        binom = 0, q_binomial(n, i).terms
         cnt = shuf.shuffle_count(n, {i})
         for pi in _iter_low_support(n, i):
-            yield (
-                {"i": i, "pi": pi, "stat": "rmaj"},
-                shuf.shuffle_sum(pi, i, "rmaj", shuf.FIRST_ANY),
-                binom,
-                cnt,
-            )
-            yield (
-                {"i": i, "pi": pi, "stat": "length"},
-                shuf.shuffle_sum(pi, i, "length", shuf.FIRST_ANY),
-                binom,
-                cnt,
-            )
+            for stat in ("rmaj", "length"):
+                lhs = shuf._shuffle_hist(pi, i, stat, shuf.FIRST_ANY)
+                yield {"i": i, "pi": pi, "stat": stat}, (0, lhs), binom, cnt
 
 
 def _check_first_letter(stat: str, n: int) -> Iterator[Checkpoint]:
     for i in range(1, n):
-        top = MultiPoly.monomial(1, q=i) * q_binomial(n - 1, i)
-        kept = q_binomial(n - 1, i - 1)
+        top = 0, (MultiPoly.monomial(1, q=i) * q_binomial(n - 1, i)).terms
+        kept = 0, q_binomial(n - 1, i - 1).terms
         cnt = shuf.shuffle_count(n, {i})
         for pi in _iter_low_support(n, i):
-            yield (
-                {"i": i, "pi": pi, "first": "new-block"},
-                shuf.shuffle_sum(pi, i, stat, shuf.FIRST_NEW_BLOCK),
-                top,
-                cnt,
-            )
-            yield (
-                {"i": i, "pi": pi, "first": "unchanged"},
-                shuf.shuffle_sum(pi, i, stat, shuf.FIRST_UNCHANGED),
-                kept,
-                0,
-            )
+            lhs = shuf._shuffle_hist(pi, i, stat, shuf.FIRST_NEW_BLOCK)
+            yield {"i": i, "pi": pi, "first": "new-block"}, (0, lhs), top, cnt
+            lhs = shuf._shuffle_hist(pi, i, stat, shuf.FIRST_UNCHANGED)
+            yield {"i": i, "pi": pi, "first": "unchanged"}, (0, lhs), kept, 0
 
 
 def _check_lemma93(n: int) -> Iterator[Checkpoint]:
@@ -471,22 +465,19 @@ def _check_lemma93(n: int) -> Iterator[Checkpoint]:
         rs = shuf.enumerate_b_shuffles(n, {i})
         for pi in _iter_low_support(n, i):
             eps_pi = epsilon_s(pi)
-            acc_ell: dict = {}
-            acc_rmaj: dict = {}
-            for r in rs:
-                prod = tuple(pi[x - 1] for x in r)
-                eps = epsilon_s(prod)
-                _bump(acc_ell, (length_s(prod), 0) + eps)
-                _bump(acc_rmaj, (rmaj_s(prod, n), 0) + eps)
-            rhs_ell = MultiPoly.monomial(1, q=length_s(pi), ts=eps_pi, arity=arity) * bracket
-            yield {"i": i, "pi": pi, "stat": "length"}, _poly(acc_ell, arity), rhs_ell, len(rs)
-            rhs_rmaj = MultiPoly.monomial(1, q=rmaj_s(pi, i), ts=eps_pi, arity=arity) * bracket
-            yield {"i": i, "pi": pi, "stat": "rmaj"}, _poly(acc_rmaj, arity), rhs_rmaj, 0
+            prods = [tuple(pi[x - 1] for x in r) for r in rs]
+            epss = [epsilon_s(prod) for prod in prods]
+            lhs = _tally((length_s(prod), 0) + eps for prod, eps in zip(prods, epss))
+            rhs = MultiPoly.monomial(1, q=length_s(pi), ts=eps_pi, arity=arity) * bracket
+            yield {"i": i, "pi": pi, "stat": "length"}, (arity, lhs), (arity, rhs.terms), len(rs)
+            lhs = _tally((rmaj_s(prod, n), 0) + eps for prod, eps in zip(prods, epss))
+            rhs = MultiPoly.monomial(1, q=rmaj_s(pi, i), ts=eps_pi, arity=arity) * bracket
+            yield {"i": i, "pi": pi, "stat": "rmaj"}, (arity, lhs), (arity, rhs.terms), 0
 
 
 def _check_garsia_gessel(n: int) -> Iterator[Checkpoint]:
     for k in range(1, n):
-        binom = q_binomial(n, k)
+        binom = 0, q_binomial(n, k).terms
         nu_k = nu(k, n)
         nu_k_inv = inverse(nu_k)
         rs = shuf.enumerate_b_shuffles(n, {k})
@@ -496,10 +487,8 @@ def _check_garsia_gessel(n: int) -> Iterator[Checkpoint]:
                 p2 = _embed_high(small, k, n)
                 m2 = maj_s(compose(compose(nu_k_inv, p2), nu_k))
                 base = compose(p1, p2)
-                acc: dict = {}
-                for r in rs:
-                    _bump(acc, (maj_s(tuple(base[x - 1] for x in r)) - m1 - m2, 0))
-                yield {"k": k, "pi1": p1, "pi2": p2}, _poly(acc), binom, len(rs)
+                lhs = _tally((maj_s(tuple(base[x - 1] for x in r)) - m1 - m2, 0) for r in rs)
+                yield {"k": k, "pi1": p1, "pi2": p2}, (0, lhs), binom, len(rs)
 
 
 def _check_main(group: str, n: int) -> Iterator[Checkpoint]:
@@ -511,21 +500,23 @@ def _check_main(group: str, n: int) -> Iterator[Checkpoint]:
             m = (_mask(des_set_s(pinv))
                  | _mask(ltr_minima(pinv, 0, EXCLUDE_FIRST_POSITIONS)) << n)
             return (m, rmaj_s(p, n)), (m, length_s(p))
-        d2_range = 1 << max(0, n - 1)
+        d2_count = n - 1
     else:
         def row(v, rec):
             vinv = inverse(v)
             m = (_mask(des_set_s(a_pull(vinv)[3]))
                  | _mask(ltr_minima(vinv, 1, EXCLUDE_FIRST_POSITIONS)) << n)
             return (m, rmaj_s(rec[3], n)), (m, rec[0])
-        d2_range = 1 << n
+        d2_count = n
     tallies, count = histograms(group, n, row)
-    fibres = _fibres(tallies)
-    for d1_bits in range(1 << max(0, n - 1)):
-        for d2_bits in range(d2_range):
-            lhs, rhs = _restricted(fibres, d1_bits << 1 | d2_bits << (n + 2))
+    # D1 restricts mask bits 1..n-1 and D2 the minima bits from n + 2 up.
+    bits = list(range(1, n)) + list(range(n + 2, n + 2 + d2_count))
+    sums = _subset_sums(_fibres(tallies), bits)
+    for d1_bits in range(1 << (n - 1)):
+        for d2_bits in range(1 << d2_count):
+            lhs, rhs = sums[d1_bits | d2_bits << (n - 1)]
             first = d1_bits == d2_bits == 0
-            yield {"D1": d1_bits, "D2": d2_bits}, lhs, rhs, count if first else 0
+            yield {"D1": d1_bits, "D2": d2_bits}, (0, lhs), (0, rhs), count if first else 0
 
 
 # Corollary 9.2 scans over q = p^{-1}, which runs over the whole group as p
@@ -538,7 +529,7 @@ def _check_cor92_s(n: int) -> Iterator[Checkpoint]:
         return (rmaj_s(p, n), d, dl), (length_s(p), d, dl)
 
     (lhs_acc, rhs_acc), count = histograms("S", n, row)
-    yield None, _poly(lhs_acc, 1), _poly(rhs_acc, 1), count
+    yield None, (1, lhs_acc), (1, rhs_acc), count
 
 
 def _check_cor92_a(n: int) -> Iterator[Checkpoint]:
@@ -548,7 +539,7 @@ def _check_cor92_a(n: int) -> Iterator[Checkpoint]:
         return (rmaj_s(proj, n), d, dl), (ell, d, dl)
 
     (lhs_acc, rhs_acc), count = histograms("A", n, row)
-    yield None, _poly(lhs_acc, 1), _poly(rhs_acc, 1), count
+    yield None, (1, lhs_acc), (1, rhs_acc), count
 
 
 def _check_fiber_size(n: int) -> Iterator[Checkpoint]:
@@ -561,10 +552,10 @@ def _check_fiber_size(n: int) -> Iterator[Checkpoint]:
             seen.add(v)
         total += size
         delent = len(ltr_minima(w, 0, EXCLUDE_FIRST_POSITIONS))
-        yield {"w": w}, MultiPoly.const(size), MultiPoly.const(2 ** delent), size
+        yield {"w": w}, _const(size), _const(2 ** delent), size
     order = math.factorial(n + 1) // 2
-    yield {"check": "partition-total"}, MultiPoly.const(total), MultiPoly.const(order), 0
-    yield {"check": "partition-distinct"}, MultiPoly.const(len(seen)), MultiPoly.const(order), 0
+    yield {"check": "partition-total"}, _const(total), _const(order), 0
+    yield {"check": "partition-distinct"}, _const(len(seen)), _const(order), 0
 
 
 def _check_appendix_hat(n: int, i: int | None = None) -> Iterator[Checkpoint]:
@@ -582,11 +573,11 @@ def _check_appendix_hat(n: int, i: int | None = None) -> Iterator[Checkpoint]:
         count += 1
         for j, (ell_acc, maj_acc) in accs.items():
             w = h_map(v, j)
-            _bump(ell_acc, (length_s(w), 0))
-            _bump(maj_acc, (maj_s(w), 0))
+            for acc, key in ((ell_acc, (length_s(w), 0)), (maj_acc, (maj_s(w), 0))):
+                acc[key] = acc.get(key, 0) + 1
     for j, (ell_acc, maj_acc) in accs.items():
-        yield {"i": j, "side": "length"}, _poly(ell_acc), closed, count
-        yield {"i": j, "side": "maj"}, _poly(maj_acc), closed, 0
+        yield {"i": j, "side": "length"}, (0, ell_acc), (0, closed.terms), count
+        yield {"i": j, "side": "maj"}, (0, maj_acc), (0, closed.terms), 0
 
 
 # -- registry -----------------------------------------------------------------
@@ -788,10 +779,9 @@ def verify(name: str, n: int | None = None, force: bool = False, **extra) -> Ide
         )
     start = time.perf_counter()
     scanned = 0
-    # Running sums of each side as plain dicts, built into polynomials once.
-    lhs_acc: dict = {}
-    rhs_acc: dict = {}
-    lhs_arity = rhs_arity = 0
+    # A passing checkpoint has equal sides, so one running sum is both totals.
+    total: dict = {}
+    arity = 0
     for subparams, lhs, rhs, cnt in entry.check(n, **extra):
         scanned += cnt
         if lhs != rhs:
@@ -799,18 +789,15 @@ def verify(name: str, n: int | None = None, force: bool = False, **extra) -> Ide
             params = {"n": n, **extra}
             if subparams:
                 params["failed_at"] = _json_safe(subparams)
-            return IdentityReport(name, params, lhs, rhs, False, scanned, elapsed)
-        lhs_arity = max(lhs_arity, lhs.arity)
-        rhs_arity = max(rhs_arity, rhs.arity)
-        for e, c in lhs.terms.items():
-            lhs_acc[e] = lhs_acc.get(e, 0) + c
-        for e, c in rhs.terms.items():
-            rhs_acc[e] = rhs_acc.get(e, 0) + c
+            return IdentityReport(
+                name, params, MultiPoly(*lhs), MultiPoly(*rhs), False, scanned, elapsed,
+            )
+        arity = max(arity, lhs[0])
+        for e, c in lhs[1].items():
+            total[e] = total.get(e, 0) + c
     elapsed = time.perf_counter() - start
-    return IdentityReport(
-        name, {"n": n, **extra}, _padded_sum(lhs_acc, lhs_arity),
-        _padded_sum(rhs_acc, rhs_arity), True, scanned, elapsed,
-    )
+    summed = _padded_sum(total, arity)
+    return IdentityReport(name, {"n": n, **extra}, summed, summed, True, scanned, elapsed)
 
 
 def _padded_sum(acc: dict, arity: int) -> MultiPoly:

@@ -144,6 +144,11 @@ def shuffle_sum(pi: Perm, i: int, stat: str = "length", first: str = FIRST_ANY) 
     shuffles where the product starts with i+1, or where it keeps pi's first
     letter; every shuffle falls in exactly one of those classes.
     """
+    return MultiPoly(0, _shuffle_hist(pi, i, stat, first))
+
+
+def _shuffle_hist(pi: Perm, i: int, stat: str, first: str) -> dict[tuple[int, int], int]:
+    """The terms of ``shuffle_sum(pi, i, stat, first)`` as a {(growth, 0): count} dict."""
     n = len(pi)
     if not support(pi) <= set(range(1, i + 1)):
         raise ValueError(f"support of {list(pi)} not inside 1..{i}")
@@ -167,4 +172,4 @@ def shuffle_sum(pi: Perm, i: int, stat: str = "length", first: str = FIRST_ANY) 
         prod = tuple(pi[x - 1] for x in r)
         key = (measure(prod) - base, 0)
         acc[key] = acc.get(key, 0) + 1
-    return MultiPoly(0, acc)
+    return acc

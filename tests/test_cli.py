@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import multiprocessing
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 
 from permstat.cli import _pool_size, main
 from permstat.identities import REGISTRY, IdentityEntry
-from permstat.qpoly import MultiPoly
 
 
 def run_cli(capsys, *argv):
@@ -200,7 +200,7 @@ def test_verify_errors(capsys):
 
 def test_verify_failure_exit_code(capsys):
     def bad_check(n):
-        yield None, MultiPoly.const(1), MultiPoly.const(2), 1
+        yield None, (0, {(0, 0): 1}), (0, {(0, 0): 2}), 1
 
     REGISTRY["test-cli-bogus"] = IdentityEntry(
         "test-cli-bogus", "always fails", {"n": "int"}, 1, 3, bad_check
@@ -240,6 +240,15 @@ def test_verify_jobs_matches_serial(capsys):
     pooled = run_cli(capsys, *argv, "--jobs", "2")
     assert serial[0] == pooled[0] == 0
     assert pooled[1] == serial[1]
+
+
+def test_verify_all_payload_is_pinned(capsys):
+    # The whole registry's payload at n <= 5, byte for byte.
+    code, out, _ = run_cli(capsys, "verify", "--all", "--n-max", "5", "--jobs", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "47842e5b9e47024b089ecdda194ac1324c753502af0c3d5faf8921d03bce2089"
+    )
 
 
 def _die_in_worker(task):

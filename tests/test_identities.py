@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from permstat import identities
 from permstat.identities import (
     CapExceeded,
     IdentityEntry,
@@ -74,7 +76,7 @@ def test_staircase_instance_symmetric():
     expected = mono(1) + mono(1, q=1) + mono(1, q=1, t=1) + mono(2, q=2, t=1) + mono(1, q=3, t=2)
     subparams, lhs, rhs, _ = next(iter(REGISTRY["thm61-s"].check(3)))
     assert subparams == {"side": "length"}
-    assert lhs == expected and rhs == expected
+    assert MultiPoly(*lhs) == expected and MultiPoly(*rhs) == expected
     report = verify("thm61-s", 3)
     assert report.passed
     assert report.lhs == expected + expected  # both sides aggregated
@@ -84,14 +86,14 @@ def test_staircase_instance_alternating():
     # the three even degree-3 elements: identity and the two 3-cycles
     expected = mono(1) + mono(2, q=1, t=1)
     _, lhs, rhs, _ = next(iter(REGISTRY["thm61-a"].check(2)))
-    assert lhs == expected and rhs == expected
+    assert MultiPoly(*lhs) == expected and MultiPoly(*rhs) == expected
     assert verify("thm61-a", 2).passed
 
 
 def test_folded_instance():
     expected = mono(1) + mono(1, q=1) + mono(1, q=2)
     _, lhs, rhs, _ = next(iter(REGISTRY["appendix-hat"].check(3, i=1)))
-    assert lhs == expected and rhs == expected
+    assert MultiPoly(*lhs) == expected and MultiPoly(*rhs) == expected
 
 
 def test_whole_registry_small():
@@ -106,24 +108,25 @@ def test_whole_registry_small():
 
 
 def test_checkpoint_sides_are_well_formed():
-    # Scan sides are wrapped without validation; check what validation would.
+    # Sides are plain (arity, terms) pairs; check what the constructor would.
+    # verify() keeps one running total, which needs both arities equal.
     for entry in list_identities():
         for n in range(entry.min_n, min(entry.min_n + 2, 4) + 1):
             for _sub, lhs, rhs, _cnt in entry.check(n):
-                for side in (lhs, rhs):
-                    assert side.terms == MultiPoly(side.arity, side.terms).terms, entry.name
+                assert lhs[0] == rhs[0], entry.name
+                for arity, terms in (lhs, rhs):
+                    assert terms == MultiPoly(arity, terms).terms, entry.name
                     assert all(
-                        len(e) == 2 + side.arity and min(e) >= 0 for e in side.terms
+                        len(e) == 2 + arity and min(e) >= 0 for e in terms
                     ), entry.name
-                    assert all(c != 0 for c in side.terms.values()), entry.name
+                    assert all(c != 0 for c in terms.values()), entry.name
 
 
 def test_totals_pad_mixed_arity():
     def mixed_check(n):
-        marked = MultiPoly.monomial(1, q=1, ts=(1,))
-        yield None, MultiPoly.const(1), MultiPoly.const(1), 1
-        yield None, marked, marked, 1
-        yield None, -MultiPoly.const(1), -MultiPoly.const(1), 0
+        yield None, (0, {(0, 0): 1}), (0, {(0, 0): 1}), 1
+        yield None, (1, {(1, 0, 1): 1}), (1, {(1, 0, 1): 1}), 1
+        yield None, (0, {(0, 0): -1}), (0, {(0, 0): -1}), 0
 
     REGISTRY["test-mixed"] = IdentityEntry("test-mixed", "", {"n": "int"}, 1, 3, mixed_check)
     try:
@@ -166,14 +169,15 @@ def test_default_runs_at_cap():
 
 def test_failing_entry_reports_first_point():
     def bad_check(n):
-        yield {"point": 1}, MultiPoly.const(1), MultiPoly.const(1), 5
-        yield {"point": 2, "pi": (2, 1)}, MultiPoly.const(1), MultiPoly.const(2), 7
+        yield {"point": 1}, (0, {(0, 0): 1}), (0, {(0, 0): 1}), 5
+        yield {"point": 2, "pi": (2, 1)}, (0, {(0, 0): 1}), (0, {(0, 0): 2}), 7
         raise AssertionError("must stop at the first failure")
 
     REGISTRY["test-bogus"] = IdentityEntry("test-bogus", "", {"n": "int"}, 1, 3, bad_check)
     try:
         report = verify("test-bogus", 2)
         assert not report.passed
+        assert isinstance(report.lhs, MultiPoly) and isinstance(report.rhs, MultiPoly)
         assert report.lhs == MultiPoly.const(1)
         assert report.rhs == MultiPoly.const(2)
         assert report.elements_scanned == 12
@@ -231,6 +235,7 @@ def test_restriction_masks_restrict(name, n):
     # mask keeps them equal; recount every side from position sets instead.
     classes = set()
     for sub, lhs, rhs, _ in REGISTRY[name].check(n):
+        lhs, rhs = MultiPoly(*lhs), MultiPoly(*rhs)
         if name == "fs-fixed-descent":
             d = _positions(sub["descent-class"], 0)
             classes.add(frozenset(d))
@@ -282,3 +287,48 @@ def test_delent_slices_reassemble():
     for k in range(n):
         rebuilt = rebuilt + bivariate.coefficient_of_t(k) * MultiPoly.monomial(1, t=k)
     assert rebuilt == bivariate
+
+
+@pytest.mark.parametrize("name", ["lemma63", "lemma64", "lemma65", "remark66"])
+def test_closed_form_run_off_by_one_fails(monkeypatch, name):
+    # The coset closed forms are geometric runs; start each one a power too
+    # high and the first point must fail with that point's own two sides.
+    run = identities._run
+    monkeypatch.setattr(identities, "_run", lambda start, *rest: run(start + 1, *rest))
+    sub, lhs, rhs, _ = next(iter(REGISTRY[name].check(3)))
+    assert lhs != rhs
+    report = verify(name, 3)
+    assert not report.passed
+    assert report.params["failed_at"] == identities._json_safe(sub)
+    assert isinstance(report.lhs, MultiPoly) and isinstance(report.rhs, MultiPoly)
+    assert report.lhs == MultiPoly(*lhs) and report.rhs == MultiPoly(*rhs)
+
+
+def _naive_subset_sums(fibres, bits):
+    tallies = len(next(iter(fibres.values())))
+    out = []
+    for s in range(1 << len(bits)):
+        allowed = sum(1 << b for j, b in enumerate(bits) if s >> j & 1)
+        sums = [{} for _ in range(tallies)]
+        for m, hists in fibres.items():
+            if not m & ~allowed:
+                for acc, hist in zip(sums, hists):
+                    for k, c in hist.items():
+                        acc[k] = acc.get(k, 0) + c
+        out.append(sums)
+    return out
+
+
+_hists = st.dictionaries(st.tuples(st.integers(0, 4), st.just(0)), st.integers(1, 3), max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(lambda t: st.dictionaries(
+        st.integers(0, 63), st.lists(_hists, min_size=t, max_size=t), min_size=1, max_size=8)),
+    st.lists(st.integers(0, 6), unique=True, max_size=4),
+)
+def test_subset_sums_match_naive_resum(fibres, bits):
+    before = {m: [dict(h) for h in hists] for m, hists in fibres.items()}
+    assert identities._subset_sums(fibres, bits) == _naive_subset_sums(fibres, bits)
+    assert fibres == before  # the fibre map is read, not changed
