@@ -38,6 +38,7 @@ from .perm import (
 from .qpoly import MultiPoly, geometric, q_binomial, q_factorial
 from .stats import (
     EXCLUDE_FIRST_POSITIONS,
+    _tally_rows,
     del_s,
     des_set_s,
     h_map,
@@ -153,13 +154,9 @@ def _unit_marker(j: int, n: int) -> tuple[int, ...]:
 # -- entry implementations ----------------------------------------------------
 
 def _check_macmahon(n: int) -> Iterator[Checkpoint]:
-    inv_acc: dict = {}
-    maj_acc: dict = {}
-    count = 0
-    for p in iter_symmetric(n):
-        count += 1
-        for acc, key in ((inv_acc, (length_s(p), 0)), (maj_acc, (maj_s(p), 0))):
-            acc[key] = acc.get(key, 0) + 1
+    (inv_acc, maj_acc), count = _tally_rows(
+        ((length_s(p), 0), (maj_s(p), 0)) for p in iter_symmetric(n)
+    )
     rhs = 0, q_factorial(n).terms
     yield {"side": "length"}, (0, inv_acc), rhs, count
     yield {"side": "maj"}, (0, maj_acc), rhs, 0
@@ -201,11 +198,11 @@ def _subset_sums(fibres: dict[int, list[dict]], bits: list[int]) -> list[list[di
 
 
 def _check_fs_fixed_descent(n: int) -> Iterator[Checkpoint]:
-    def row(p, rec):
+    def row(p):
         m = _mask(des_set_s(inverse(p)))
         return (m, length_s(p)), (m, maj_s(p))
 
-    tallies, count = histograms("S", n, row)
+    tallies, count = _tally_rows(map(row, iter_symmetric(n)))
     fibres = _fibres(tallies)
     for i, m in enumerate(sorted(fibres)):
         ell, maj = fibres[m]
@@ -213,11 +210,11 @@ def _check_fs_fixed_descent(n: int) -> Iterator[Checkpoint]:
 
 
 def _check_fs_rmaj(n: int) -> Iterator[Checkpoint]:
-    def row(p, rec):
+    def row(p):
         m = _mask(des_set_s(inverse(p)))
         return (m, maj_s(p)), (m, rmaj_s(p, n)), (m, length_s(p))
 
-    tallies, count = histograms("S", n, row)
+    tallies, count = _tally_rows(map(row, iter_symmetric(n)))
     sums = _subset_sums(_fibres(tallies), list(range(1, n)))
     for d1_bits, (maj, rmaj, ell) in enumerate(sums):
         yield {"D1": d1_bits, "side": "maj"}, (0, maj), (0, ell), count if d1_bits == 0 else 0
@@ -350,7 +347,12 @@ def _check_prop712(n: int, k: int | None = None) -> Iterator[Checkpoint]:
     for kk in ks:
         if not 1 <= kk <= n - 1:
             raise ValueError(f"generator index {kk} outside 1..{n - 1}")
-        (hist,), count = histograms("S", n, lambda p, rec: ((0, occurrences(rec[2], kk)),))
+    # One scan for every k; each k's report counts the whole group, as if
+    # it had scanned alone.
+    hists, count = histograms(
+        "S", n, lambda p, rec: tuple((0, occurrences(rec[2], kk)) for kk in ks)
+    )
+    for kk, hist in zip(ks, hists):
         rhs = MultiPoly.const(math.factorial(kk))
         for c in range(1, n - kk + 1):
             rhs = rhs * (MultiPoly.monomial(kk, t=1) + MultiPoly.const(c))
@@ -495,11 +497,12 @@ def _check_main(group: str, n: int) -> Iterator[Checkpoint]:
     # One mask per element: the inverse's descents in the low n bits, its
     # minima (level 0 in S, level 1 in A) shifted above them.
     if group == "S":
-        def row(p, rec):
+        def row(p):
             pinv = inverse(p)
             m = (_mask(des_set_s(pinv))
                  | _mask(ltr_minima(pinv, 0, EXCLUDE_FIRST_POSITIONS)) << n)
             return (m, rmaj_s(p, n)), (m, length_s(p))
+        tallies, count = _tally_rows(map(row, iter_symmetric(n)))
         d2_count = n - 1
     else:
         def row(v, rec):
@@ -507,8 +510,8 @@ def _check_main(group: str, n: int) -> Iterator[Checkpoint]:
             m = (_mask(des_set_s(a_pull(vinv)[3]))
                  | _mask(ltr_minima(vinv, 1, EXCLUDE_FIRST_POSITIONS)) << n)
             return (m, rmaj_s(rec[3], n)), (m, rec[0])
+        tallies, count = histograms(group, n, row)
         d2_count = n
-    tallies, count = histograms(group, n, row)
     # D1 restricts mask bits 1..n-1 and D2 the minima bits from n + 2 up.
     bits = list(range(1, n)) + list(range(n + 2, n + 2 + d2_count))
     sums = _subset_sums(_fibres(tallies), bits)
@@ -789,9 +792,12 @@ def verify(name: str, n: int | None = None, force: bool = False, **extra) -> Ide
             params = {"n": n, **extra}
             if subparams:
                 params["failed_at"] = _json_safe(subparams)
-            return IdentityReport(
-                name, params, MultiPoly(*lhs), MultiPoly(*rhs), False, scanned, elapsed,
-            )
+            # A failing side is reported as yielded: a key that is a
+            # difference, such as garsia-gessel's maj - m1 - m2, may be
+            # negative there.
+            lhs, rhs = (MultiPoly._trusted(a, {e: c for e, c in t.items() if c})
+                        for a, t in (lhs, rhs))
+            return IdentityReport(name, params, lhs, rhs, False, scanned, elapsed)
         arity = max(arity, lhs[0])
         for e, c in lhs[1].items():
             total[e] = total.get(e, 0) + c

@@ -190,16 +190,32 @@ def iter_symmetric(n: int) -> Iterator[Perm]:
     return itertools.permutations(range(1, n + 1))
 
 
+_LOW_DIGITS = 8  # iter_alternating's precomputed block holds 8! = 40,320 bytes
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
 def iter_alternating(n: int) -> Iterator[Perm]:
     """All even permutations of degree n, in lexicographic one-line order.
 
-    Lexicographic neighbours 2k and 2k+1 differ by a swap of the last two
-    entries, so exactly one of each pair is even: one sign call per pair.
+    The digits of the lexicographic index i of p in the factorial number
+    system are p's Lehmer code: digit k counts the smaller entries to the
+    right of position k.  Their sum is the inversion count, so p is even
+    exactly when the digit sum of i is even, and a byte selector of those
+    parities picks the even permutations out of ``itertools.permutations``
+    with no per-element sign call.  The last min(n, 8) digits run through a
+    whole block of parities for each setting of the higher digits, which
+    only flips the block when its own digit sum is odd; the selector chains
+    one precomputed block per high setting, so it never holds n! bytes.
     """
-    perms = itertools.permutations(range(1, n + 1))
-    if n < 2:
-        yield from perms
-        return
-    for p in perms:
-        q = next(perms)
-        yield p if sign(p) == 1 else q
+    low = min(n, _LOW_DIGITS)
+    # A new leading digit d of radix r repeats the block r times, flipped
+    # where d is odd.
+    even = b"\x01"
+    for radix in range(2, low + 1):
+        odd = even.translate(_FLIP)
+        even = b"".join(odd if d & 1 else even for d in range(radix))
+    odd = even.translate(_FLIP)
+    high = itertools.product(*map(range, range(n, low, -1)))
+    selector = itertools.chain.from_iterable(odd if sum(d) & 1 else even for d in high)
+    return itertools.compress(itertools.permutations(range(1, n + 1)), selector)
+

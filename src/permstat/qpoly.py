@@ -58,7 +58,9 @@ class MultiPoly:
 
         The caller guarantees that every key is a tuple of 2 + arity
         non-negative exponents and that no coefficient is zero, and hands
-        over ownership of the dict.
+        over ownership of the dict.  The one exception is a failing side in
+        a verify report, kept exactly as its entry yielded it, whose
+        exponents may be negative.
         """
         poly = object.__new__(cls)
         object.__setattr__(poly, "arity", arity)
@@ -69,7 +71,7 @@ class MultiPoly:
         raise AttributeError("MultiPoly is immutable")
 
     def __reduce__(self):
-        return (MultiPoly, (self.arity, self.terms))
+        return (MultiPoly._trusted, (self.arity, self.terms))
 
     # -- constructors --------------------------------------------------------
 
@@ -213,7 +215,7 @@ class MultiPoly:
         for exps, coeff in self.sorted_terms():
             vars_part = "*".join(
                 name if e == 1 else f"{name}^{e}"
-                for name, e in zip(names, exps) if e > 0
+                for name, e in zip(names, exps) if e
             )
             mag = abs(coeff)
             if not vars_part:

@@ -20,8 +20,11 @@ under both exclusion conventions.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import combinations, starmap, tee
+from operator import gt
+from typing import Callable, Iterable, Sequence
 
 from .perm import Perm, check_even, iter_alternating, iter_symmetric
 from .qpoly import MultiPoly
@@ -40,8 +43,7 @@ def length_s(p: Perm) -> int:
     >>> length_s((2, 5, 4, 1, 3))
     6
     """
-    n = len(p)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
+    return sum(starmap(gt, combinations(p, 2)))
 
 
 def des_set_s(p: Sequence[int]) -> set[int]:
@@ -158,9 +160,12 @@ def h_map(p: Perm, i: int) -> Perm:
     """
     if not 1 <= i <= len(p) - 1:
         raise ValueError(f"position {i} outside 1..{len(p) - 1}")
-    if p.index(i) > p.index(i + 1):
-        return tuple(i + 1 if x == i else i if x == i + 1 else x for x in p)
-    return p
+    a, b = p.index(i), p.index(i + 1)
+    if a < b:
+        return p
+    q = list(p)
+    q[a], q[b] = i + 1, i
+    return tuple(q)
 
 
 def hat_ell(p: Perm, i: int) -> int:
@@ -252,11 +257,19 @@ def histograms(group: str, n: int,
         elements, pull = iter_alternating(n + 1), a_pull
     else:
         raise ValueError(f"unknown group {group!r}; expected 'S' or 'A'")
-    joint: dict[tuple, int] = {}
-    for p in elements:
-        keys = row(p, pull(p))
-        joint[keys] = joint.get(keys, 0) + 1
-    # Rows repeat, so splitting the joint tally afterwards is the cheap way.
+    a, b = tee(elements)
+    return _tally_rows(map(row, a, map(pull, b)))
+
+
+def _tally_rows(rows: Iterable[tuple]) -> tuple[tuple[dict, ...], int]:
+    """One histogram per column of a stream of equal-width key rows.
+
+    Returns the histograms and the number of rows.  Rows repeat, so tallying
+    whole rows first and splitting the joint tally afterwards is the cheap way.
+    ``histograms`` ends here; a scan whose rows read nothing from a pull
+    record calls it directly on its rows and pulls nothing.
+    """
+    joint = Counter(rows)
     tallies = tuple({} for _ in next(iter(joint)))
     for keys, c in joint.items():
         for tally, key in zip(tallies, keys):

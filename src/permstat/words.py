@@ -28,11 +28,15 @@ projection, so the pull's parity rule lives in this module alone.
 
 Two-path rule: every registry scan enumerates group elements and factors
 each one; none enumerates factor tuples, Lehmer codes or inversion tables,
-which are the closed forms' own structure.  A scan reads from a record only
-what the paper defines through the word: delent, indicator vectors,
-occurrence counts, and the alternating length and descents.  Symmetric
-statistics that are defined on the one-line word stay there: length is an
-inversion count and descents compare neighbouring entries.
+which are the closed forms' own structure.  ``iter_alternating`` reads the
+parity of each element's Lehmer code off its lexicographic index, but that
+selector decides only membership: every scan still enumerates each element
+as a one-line word, and a scan that reads the record pulls that element
+itself.  A scan reads from a record only what the paper defines through the
+word: delent, indicator vectors, occurrence counts, and the alternating
+length and descents.  Symmetric statistics that are defined on the one-line
+word stay there: length is an inversion count and descents compare
+neighbouring entries.
 
 Words are stored structurally, one entry per factor, never as flat letter
 lists; occurrence counts and length are O(1) per factor.  Flat letter views
@@ -177,31 +181,32 @@ def a_pull(v: Perm) -> tuple[int, int, tuple[SFactor | None, ...], Perm, int]:
     """
     m = len(v)
     work = list(v)
-    ends: list[SFactor | None] = [None] * max(0, m - 2)
+    ends: list[SFactor | None] = [None] * (m - 2)  # empty below degree 3
     # The projection restricted to the values 1..j+1 holds j+1 at position
     # e_j, so each value takes the e_j-th slot still free, largest first.
-    proj = [1] * max(0, m - 1)
+    proj = [1] * (m - 1)
     free = list(range(m - 1))
     length = delent = inverted = 0
+    j = m - 2
     for top in range(m, 2, -1):
         r = work.index(top)
         del work[r]
         if r == top - 1:
             proj[free.pop()] = top - 1
-            continue
-        if (top - 1 - r) % 2:
-            work[0], work[1] = work[1], work[0]
-        # Pull position r + 1 fixes factor j: position 1 is the inverted
-        # tail, position r + 1 >= 2 the plain run down to a_r.
-        j = top - 2
-        if r == 0:
-            inverted |= 1 << j
-            r = 1
-        ends[j - 1] = r
-        proj[free.pop(r - 1)] = top - 1
-        length += j + 1 - r
-        if r == 1:
-            delent += 1
+        else:
+            if (top - 1 - r) & 1:
+                work[0], work[1] = work[1], work[0]
+            # Pull position r + 1 fixes factor j: position 1 is the inverted
+            # tail, position r + 1 >= 2 the plain run down to a_r.
+            if r < 2:
+                if not r:
+                    inverted |= 1 << j
+                    r = 1
+                delent += 1
+            ends[j - 1] = r
+            proj[free.pop(r - 1)] = top - 1
+            length += j + 1 - r
+        j -= 1
     return length, delent, tuple(ends), tuple(proj), inverted
 
 

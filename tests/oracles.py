@@ -79,6 +79,19 @@ def brute_fiber(w: Perm) -> set[Perm]:
     return {v for v in iter_alternating(len(w) + 1) if f_map(v) == w}
 
 
+def inversions_by_double_loop(p: Perm) -> int:
+    """Inversion count by comparing every pair of positions in a double loop."""
+    n = len(p)
+    return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
+
+
+def h_map_by_relabelling(p: Perm, i: int) -> Perm:
+    """Relabel i <-> i+1 throughout p when i+1 appears to the left of i; else p."""
+    if p.index(i) > p.index(i + 1):
+        return tuple(i + 1 if x == i else i if x == i + 1 else x for x in p)
+    return p
+
+
 def stirling_cycle_counts(n: int) -> list[int]:
     """counts[d] = permutations of degree n with d+1 cycles, by recurrence."""
     row = [1]

@@ -217,6 +217,28 @@ def test_verify_failure_exit_code(capsys):
         del REGISTRY["test-cli-bogus"]
 
 
+def test_verify_failure_with_negative_exponent_exits_1(capsys):
+    def bad_check(n):
+        yield {"point": 1}, (0, {(-1, 0): 1}), (0, {(0, 0): 1}), 1
+
+    REGISTRY["test-cli-negative"] = IdentityEntry(
+        "test-cli-negative", "fails with a negative key", {"n": "int"}, 1, 3, bad_check
+    )
+    try:
+        code, out, err = run_cli(capsys, "verify", "test-cli-negative", "--n", "2", "--jobs", "1")
+        assert code == 1 and "1 failed" in err
+        payload = json.loads(out)
+        assert payload["pass"] is False
+        assert payload["params"]["failed_at"] == {"point": 1}
+        assert payload["lhs"] == [{"coeff": 1, "exps": [-1, 0]}]
+        code, out, _ = run_cli(
+            capsys, "verify", "test-cli-negative", "--n", "2", "--jobs", "1", "--format", "pretty"
+        )
+        assert code == 1 and "  lhs: q^-1\n" in out
+    finally:
+        del REGISTRY["test-cli-negative"]
+
+
 def test_pool_size_clamps():
     assert _pool_size(0, 144, 2) == 2
     assert _pool_size(0, 144, None) == 1
@@ -248,6 +270,15 @@ def test_verify_all_payload_is_pinned(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "47842e5b9e47024b089ecdda194ac1324c753502af0c3d5faf8921d03bce2089"
+    )
+
+
+def test_verify_all_payload_is_pinned_to_n6(capsys):
+    # Reaches the alternating group of degree 7 and prop712 with four k's.
+    code, out, _ = run_cli(capsys, "verify", "--all", "--n-max", "6", "--jobs", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b5d93831efb77a03d1a806aad53b45666735bb2545ba4a521f8d9fb01b324007"
     )
 
 

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -188,6 +190,26 @@ def test_failing_entry_reports_first_point():
         assert "elapsed" in report.to_json(include_elapsed=True)
     finally:
         del REGISTRY["test-bogus"]
+
+
+def test_failing_side_with_negative_exponent_is_reported():
+    # A key that is a difference can go negative on a failing scan side.
+    def bad_check(n):
+        yield {"point": 1}, (0, {(-1, 0): 1}), (0, {(0, 0): 1}), 3
+
+    REGISTRY["test-negative"] = IdentityEntry("test-negative", "", {"n": "int"}, 1, 3, bad_check)
+    try:
+        report = verify("test-negative", 2)
+        assert not report.passed
+        assert report.params["failed_at"] == {"point": 1}
+        assert report.lhs.terms == {(-1, 0): 1}
+        assert report.rhs == MultiPoly.const(1)
+        assert report.elements_scanned == 3
+        # A pooled run sends the report back through pickle.
+        again = pickle.loads(pickle.dumps(report))
+        assert again.lhs.terms == report.lhs.terms and again.to_json() == report.to_json()
+    finally:
+        del REGISTRY["test-negative"]
 
 
 def test_report_json_shape():

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -133,6 +135,26 @@ def test_alternating_iteration():
         assert len(evens) == (1 if n == 1 else math.factorial(n) // 2)
         assert all(sign(p) == 1 for p in evens)
         assert evens == sorted(evens)
+    # Degree 9 runs past the precomputed block of the last eight digits, and
+    # degree 12 chains blocks under four high digits.  The reference filters
+    # by the cycle-count sign, which shares no code with the selector.
+    by_sign = lambda n: (p for p in itertools.permutations(range(1, n + 1)) if sign(p) == 1)
+    assert list(iter_alternating(9)) == list(by_sign(9))
+    prefix = 100_000
+    assert list(itertools.islice(iter_alternating(12), prefix)) == list(
+        itertools.islice(by_sign(12), prefix)
+    )
+
+
+def test_alternating_iteration_starts_small():
+    tracemalloc.start()
+    try:
+        first = next(iter_alternating(12))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == tuple(range(1, 13))
+    assert peak < 256 * 1024
 
 
 def test_nu_relabels_lower_block():

@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from oracles import des_set_a_by_comparison, des_set_s_by_comparison
+from oracles import (
+    des_set_a_by_comparison,
+    des_set_s_by_comparison,
+    h_map_by_relabelling,
+    inversions_by_double_loop,
+)
 from permstat.cover import f_map
 from permstat.perm import (
     adjacent_transposition,
@@ -50,6 +57,11 @@ def test_length_examples():
     assert length_s((2, 5, 4, 1, 3)) == 6
     for n in range(1, 7):
         assert length_s(tuple(range(n, 0, -1))) == n * (n - 1) // 2
+
+
+@given(st.integers(0, 10).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_length_matches_double_loop(p):
+    assert length_s(tuple(p)) == inversions_by_double_loop(tuple(p))
 
 
 def test_descent_examples():
@@ -171,6 +183,14 @@ def test_h_map_examples():
     assert hat_maj((2, 3, 1), 1) == maj_s((1, 3, 2))
     with pytest.raises(ValueError):
         h_map((2, 1), 2)
+
+
+@given(st.integers(2, 10).flatmap(
+    lambda n: st.tuples(st.permutations(range(1, n + 1)), st.integers(1, n - 1))
+))
+def test_h_map_matches_relabelling(case):
+    p, i = tuple(case[0]), case[1]
+    assert h_map(p, i) == h_map_by_relabelling(p, i)
 
 
 def test_h_map_is_two_to_one_onto_ascents():
