@@ -129,7 +129,7 @@ def _run_fiber(args) -> int:
     w = _parse_perm_arg(args.perm)
     lifts = fiber(w)
     if args.format == "json":
-        text = _dumps([list(v) for v in lifts])
+        text = _dumps(lifts)
     elif args.format == "csv":
         text = "\n".join(",".join(str(x) for x in v) for v in lifts)
     else:

@@ -38,6 +38,7 @@ from .perm import (
 from .qpoly import MultiPoly, geometric, q_binomial, q_factorial
 from .stats import (
     EXCLUDE_FIRST_POSITIONS,
+    _maj_rmaj,
     _tally_rows,
     del_s,
     des_set_s,
@@ -109,6 +110,14 @@ def _tally(keys) -> dict:
 def _run(start: int, length: int, t: int = 0) -> dict:
     """q^start t^t (1 + q + ... + q^(length-1)): one key per power of q."""
     return {(e, t): 1 for e in range(start, start + length)}
+
+
+class _Runs(dict):
+    """(start, length) -> the side of ``_run(start, length)``, built on first use."""
+
+    def __missing__(self, key):
+        side = self[key] = 0, _run(*key)
+        return side
 
 
 def _const(c: int) -> Side:
@@ -212,7 +221,8 @@ def _check_fs_fixed_descent(n: int) -> Iterator[Checkpoint]:
 def _check_fs_rmaj(n: int) -> Iterator[Checkpoint]:
     def row(p):
         m = _mask(des_set_s(inverse(p)))
-        return (m, maj_s(p)), (m, rmaj_s(p, n)), (m, length_s(p))
+        maj, rmaj = _maj_rmaj(p, n)
+        return (m, maj), (m, rmaj), (m, length_s(p))
 
     tallies, count = _tally_rows(map(row, iter_symmetric(n)))
     sums = _subset_sums(_fibres(tallies), list(range(1, n)))
@@ -370,21 +380,24 @@ def _check_prop712(n: int, k: int | None = None) -> Iterator[Checkpoint]:
             )
 
 
+# Descents of a sequence depend only on its weak-order pattern, so words over
+# 1..n with an inserted strictly-larger letter exhaust all cases.  Each inserted
+# word, and the base word u, reads maj and rmaj off its own descent set.  The
+# closed forms q^maj(u) [n+1]_q, q^(maj(u)+1) [n]_q, q^rmaj(u) [n+1]_q and
+# q^rmaj(u) [n]_q start at u's own statistics, and each run is built once per
+# (start, length) within one call; lemma64 works the same way.
 def _check_lemma63(n: int) -> Iterator[Checkpoint]:
-    # Descents of a sequence depend only on its weak-order pattern, so words
-    # over 1..n with an inserted strictly-larger letter exhaust all cases.
-    # The closed forms are q^maj(u) [n+1]_q, q^(maj(u)+1) [n]_q,
-    # q^rmaj(u) [n+1]_q and q^rmaj(u) [n]_q.
     y = n + 1
+    runs = _Runs()
     for u in itertools.product(range(1, n + 1), repeat=n):
-        inserts = [u[:i] + (y,) + u[i:] for i in range(n + 1)]
-        majs = [(maj_s(v), 0) for v in inserts]
-        rmajs = [(rmaj_s(v, y), 0) for v in inserts]
-        m, r = maj_s(u), rmaj_s(u, n)
-        yield {"word": u, "eq": "maj-all"}, (0, _tally(majs)), (0, _run(m, n + 1)), 1
-        yield {"word": u, "eq": "maj-proper"}, (0, _tally(majs[:-1])), (0, _run(m + 1, n)), 0
-        yield {"word": u, "eq": "rmaj-all"}, (0, _tally(rmajs)), (0, _run(r, n + 1)), 0
-        yield {"word": u, "eq": "rmaj-tail"}, (0, _tally(rmajs[1:])), (0, _run(r, n)), 0
+        sums = [_maj_rmaj(u[:i] + (y,) + u[i:], y) for i in range(n + 1)]
+        majs = [(maj, 0) for maj, _ in sums]
+        rmajs = [(rmaj, 0) for _, rmaj in sums]
+        m, r = _maj_rmaj(u, n)
+        yield {"word": u, "eq": "maj-all"}, (0, _tally(majs)), runs[m, n + 1], 1
+        yield {"word": u, "eq": "maj-proper"}, (0, _tally(majs[:-1])), runs[m + 1, n], 0
+        yield {"word": u, "eq": "rmaj-all"}, (0, _tally(rmajs)), runs[r, n + 1], 0
+        yield {"word": u, "eq": "rmaj-tail"}, (0, _tally(rmajs[1:])), runs[r, n], 0
 
 
 def _iter_right_coset_products(w: Perm, n: int):
@@ -399,12 +412,14 @@ def _iter_right_coset_products(w: Perm, n: int):
 
 
 def _check_lemma64(n: int) -> Iterator[Checkpoint]:
+    runs = _Runs()
     for w in iter_symmetric(n):
-        products = list(_iter_right_coset_products(w, n))
-        lhs_maj = _tally((maj_s(p), 0) for p in products)
-        yield {"w": w, "stat": "maj"}, (0, lhs_maj), (0, _run(maj_s(w), n + 1)), len(products)
-        lhs_rmaj = _tally((rmaj_s(p, n + 1), 0) for p in products)
-        yield {"w": w, "stat": "rmaj"}, (0, lhs_rmaj), (0, _run(rmaj_s(w, n), n + 1)), 0
+        sums = [_maj_rmaj(p, n + 1) for p in _iter_right_coset_products(w, n)]
+        m, r = _maj_rmaj(w, n)
+        lhs_maj = _tally((maj, 0) for maj, _ in sums)
+        yield {"w": w, "stat": "maj"}, (0, lhs_maj), runs[m, n + 1], len(sums)
+        lhs_rmaj = _tally((rmaj, 0) for _, rmaj in sums)
+        yield {"w": w, "stat": "rmaj"}, (0, lhs_rmaj), runs[r, n + 1], 0
 
 
 def _check_lemma65(n: int) -> Iterator[Checkpoint]:

@@ -65,6 +65,13 @@ def rmaj_s(p: Perm, n: int) -> int:
     return n * len(des) - sum(des)
 
 
+def _maj_rmaj(p: Sequence[int], n: int) -> tuple[int, int]:
+    """``(maj_s(p), rmaj_s(p, n))`` from one descent set; see ``rmaj_s``."""
+    des = des_set_s(p)
+    m = sum(des)
+    return m, n * len(des) - m
+
+
 # -- left-to-right minima ----------------------------------------------------
 
 def ltr_minima(p: Perm, level: int = 0, kind: str = EXCLUDE_FIRST_POSITIONS) -> set[int]:

@@ -261,7 +261,7 @@ def epsilon_a(v: Perm) -> tuple[int, ...]:
 
 def indicators(bottoms: tuple[SFactor | None, ...]) -> tuple[int, ...]:
     """1 for each factor whose run reaches the first generator, else 0."""
-    return tuple(1 if r == 1 else 0 for r in bottoms)
+    return tuple([1 if r == 1 else 0 for r in bottoms])
 
 
 def occurrences(bottoms: tuple[SFactor | None, ...], k: int) -> int:

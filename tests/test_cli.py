@@ -114,6 +114,23 @@ def test_fiber_output(capsys):
     assert out == "[2,3,1]\n[3,1,2]\n"
 
 
+def test_fiber_json_of_a_large_fibre_is_lean(capsys):
+    # The degree-16 reversal has 2^15 lifts; JSON is written from the tuples.
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "fiber", json.dumps(list(range(16, 0, -1))))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7f3e8d4ea2bfc50a1605e5e3842207ae494ebf252d3cbb1b3f1d65a29bb92d64"
+    )
+    assert peak < 12_000_000
+
+
 def test_shuffles_json_lines(capsys):
     code, out, _ = run_cli(capsys, "shuffles", "--n", "4", "--b", "2")
     assert code == 0
@@ -280,6 +297,17 @@ def test_verify_all_payload_is_pinned_to_n6(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "b5d93831efb77a03d1a806aad53b45666735bb2545ba4a521f8d9fb01b324007"
     )
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("lemma64", "98e7fed0dfc24aea9315dd83a9856d5b19d548fe486663b96252821ce26e112a"),
+    ("fs-rmaj", "a433c2ef4ad813f2708cb72905cfb43593d8fde37cc6cd5d154483657f528a98"),
+])
+def test_verify_payload_is_pinned_at_default_cap(capsys, name, digest):
+    # Both caps are 7, which the --n-max 6 pin does not reach.
+    code, out, _ = run_cli(capsys, "verify", name, "--n", "7", "--jobs", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def _die_in_worker(task):

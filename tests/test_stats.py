@@ -19,6 +19,7 @@ from permstat.perm import (
 )
 from permstat.stats import (
     EXCLUDE_FIRST_POSITIONS,
+    _maj_rmaj,
     EXCLUDE_SMALLEST_VALUES,
     StatProfile,
     del_a,
@@ -72,6 +73,14 @@ def test_descent_examples():
     assert maj_s(identity(4)) == 0 and rmaj_s(identity(4), 4) == 0
     assert maj_s((1, 3, 2)) == 2
     assert rmaj_s((1, 3, 2), 3) == 1
+
+
+@given(st.lists(st.integers(1, 5), max_size=9).flatmap(
+    lambda w: st.tuples(st.just(tuple(w)), st.integers(len(w), len(w) + 3))))
+def test_maj_rmaj_matches_the_two_sums(case):
+    # Words with repeated letters, like the weak-order words of lemma63.
+    w, n = case
+    assert _maj_rmaj(w, n) == (maj_s(w), rmaj_s(w, n))
 
 
 def test_descents_match_length_comparison():

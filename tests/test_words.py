@@ -7,6 +7,7 @@ from permstat.perm import identity, inverse, iter_alternating, iter_symmetric
 from permstat.words import (
     AWord,
     SWord,
+    a_pull,
     a_canonical,
     a_word_pretty,
     a_word_to_perm,
@@ -14,11 +15,13 @@ from permstat.words import (
     epsilon_s,
     eval_a_letters,
     eval_s_letters,
+    indicators,
     occurrences_a,
     occurrences_s,
     parse_a_letters,
     parse_s_letters,
     s_canonical,
+    s_pull,
     s_word_pretty,
     s_word_to_perm,
     t_vector,
@@ -122,6 +125,16 @@ def test_epsilon_examples():
     for n in range(2, 6):
         for p in iter_symmetric(n):
             assert sum(epsilon_s(p)) == occurrences_s(s_canonical(p), 1)
+
+
+def test_indicators_are_ints():
+    # A bool entry would merge with its int twin in a tally and print "true".
+    records = [s_pull(w)[2] for w in iter_symmetric(5)]
+    records += [a_pull(v)[2] for v in iter_alternating(6)]
+    for bottoms in records:
+        vec = indicators(bottoms)
+        assert vec == tuple(int(r == 1) for r in bottoms)
+        assert all(type(x) is int for x in vec)
 
 
 def test_t_vector_examples():
