@@ -7,6 +7,9 @@ stderr only, unless --timings explicitly opts it into the payload.
 
 Exit codes: 0 success, 1 at least one verification failed, 2 usage error
 (or a verify worker process that died).
+
+Each runner imports the modules it runs, so a cold start compiles only
+those: ``list`` reads the catalog and compiles no check.
 """
 from __future__ import annotations
 
@@ -15,22 +18,7 @@ import json
 import os
 import sys
 
-from .identities import CapExceeded, IdentityReport, REGISTRY, list_identities, verify
-from .perm import Perm, format_one_line, parse_one_line
-from .shuffles import enumerate_b_shuffles, shuffle_count
-from .stats import genfun, profile_to_json, stat_profile
-from .words import (
-    a_canonical,
-    a_word_pretty,
-    eval_a_letters,
-    eval_s_letters,
-    parse_a_letters,
-    parse_s_letters,
-    s_canonical,
-    s_word_pretty,
-    word_to_json,
-)
-from .cover import fiber
+from .catalog import REGISTRY, CapExceeded, list_identities
 
 DEGREE_CAP = 20
 GENFUN_CAP_S = 9
@@ -57,7 +45,9 @@ def _check_degree(n: int) -> None:
         raise ValueError(f"degree {n} exceeds the cap of {DEGREE_CAP}")
 
 
-def _parse_perm_arg(text: str) -> Perm:
+def _parse_perm_arg(text: str) -> tuple[int, ...]:
+    from .perm import parse_one_line
+
     p = parse_one_line(text)
     _check_degree(len(p))
     return p
@@ -66,6 +56,8 @@ def _parse_perm_arg(text: str) -> Perm:
 # -- per-subcommand runners ---------------------------------------------------
 
 def _run_stat(args) -> int:
+    from .stats import profile_to_json, stat_profile
+
     p = _parse_perm_arg(args.perm)
     profile = stat_profile(p, args.group)
     payload = profile_to_json(profile)
@@ -88,6 +80,11 @@ def _run_stat(args) -> int:
 
 
 def _run_canon(args) -> int:
+    from .words import (
+        a_canonical, a_word_pretty, eval_a_letters, eval_s_letters, parse_a_letters,
+        parse_s_letters, s_canonical, s_word_pretty, word_to_json,
+    )
+
     if args.from_word is not None:
         # Check the degree before evaluating: it sizes the permutation built,
         # and the evaluation rejects letters beyond it.
@@ -126,6 +123,9 @@ def _run_canon(args) -> int:
 
 
 def _run_fiber(args) -> int:
+    from .cover import fiber
+    from .perm import format_one_line
+
     w = _parse_perm_arg(args.perm)
     lifts = fiber(w)
     if args.format == "json":
@@ -139,6 +139,9 @@ def _run_fiber(args) -> int:
 
 
 def _run_shuffles(args) -> int:
+    from .perm import format_one_line
+    from .shuffles import enumerate_b_shuffles, shuffle_count
+
     # The count itself costs a factorial of --n, so bound --n first.
     if args.n < 1:
         raise ValueError(f"shuffles needs --n of at least 1 (got {args.n})")
@@ -167,6 +170,8 @@ def _run_shuffles(args) -> int:
 
 
 def _run_genfun(args) -> int:
+    from .stats import genfun
+
     n = args.n
     cap = GENFUN_CAP_S if args.group == "S" else GENFUN_CAP_A
     if n > cap and not args.force:
@@ -206,7 +211,9 @@ def _pool_size(jobs: int, tasks: int, cpus: int | None) -> int:
     return max(1, min(jobs or cpus, tasks, cpus))
 
 
-def _verify_task(task) -> IdentityReport:
+def _verify_task(task):
+    from .identities import verify
+
     name, n, force, extra = task
     return verify(name, n, force=force, **extra)
 
@@ -251,6 +258,9 @@ def _run_verify(args) -> int:
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
+
+        # Forked workers inherit the compiled checks instead of each compiling them.
+        from . import identities  # noqa: F401
 
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:

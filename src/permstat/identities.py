@@ -1,10 +1,11 @@
-"""Registry of equi-distribution identities with an exhaustive verifier.
+"""The checks behind the identity catalog, and the exhaustive verifier.
 
-Every entry states an exact polynomial (or count) identity over a symmetric
-or alternating group and verifies it by brute enumeration: the left side is
-always a statistic scan, the right side a closed form or an independent
-second scan, and the two sides never share a code path.  Verification is
-exact integer arithmetic; there are no tolerances.
+Every entry of ``permstat.catalog`` states an exact polynomial (or count)
+identity over a symmetric or alternating group, and its check here verifies
+it by brute enumeration: the left side is always a statistic scan, the
+right side a closed form or an independent second scan, and the two sides
+never share a code path.  Verification is exact integer arithmetic; there
+are no tolerances.
 
 An entry may quantify over internal parameters (cut sets, generator indices,
 base permutations); each parameter point is checked separately.  A passing
@@ -21,9 +22,9 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterator
+from typing import Iterator
 
+from .catalog import REGISTRY, CapExceeded, IdentityEntry, list_identities  # noqa: F401
 from .cover import iter_fiber
 from .perm import (
     Perm,
@@ -57,20 +58,6 @@ from . import shuffles as shuf
 # left side, right side, number of objects enumerated for this point).
 Side = tuple[int, dict]
 Checkpoint = tuple[dict | None, Side, Side, int]
-
-
-class CapExceeded(ValueError):
-    """Requested parameter is beyond the entry's enumeration cap."""
-
-
-@dataclass(frozen=True)
-class IdentityEntry:
-    name: str
-    description: str
-    params: dict[str, str]
-    min_n: int
-    default_cap: int
-    check: Callable[..., Iterator[Checkpoint]]
 
 
 @dataclass(frozen=True)
@@ -596,182 +583,6 @@ def _check_appendix_hat(n: int, i: int | None = None) -> Iterator[Checkpoint]:
     for j, (ell_acc, maj_acc) in accs.items():
         yield {"i": j, "side": "length"}, (0, ell_acc), (0, closed.terms), count
         yield {"i": j, "side": "maj"}, (0, maj_acc), (0, closed.terms), 0
-
-
-# -- registry -----------------------------------------------------------------
-
-REGISTRY: dict[str, IdentityEntry] = {}
-
-
-def _register(name, description, check, min_n=1, cap=7, params=None):
-    REGISTRY[name] = IdentityEntry(name, description, params or {"n": "int"}, min_n, cap, check)
-
-
-_register(
-    "macmahon",
-    "length and major index are equi-distributed over the symmetric group, "
-    "with the Gaussian factorial as closed form",
-    _check_macmahon, cap=8,
-)
-_register(
-    "fs-fixed-descent",
-    "length and major index are equi-distributed on every class with a fixed "
-    "inverse descent set",
-    _check_fs_fixed_descent, cap=7,
-)
-_register(
-    "fs-rmaj",
-    "maj, reverse maj and length agree on every inverse-descent-restricted set",
-    _check_fs_rmaj, cap=7,
-)
-_register(
-    "thm61-s",
-    "joint (length, delent) and (reverse maj, delent) distributions over the "
-    "symmetric group equal the staircase product",
-    partial(_check_thm61, "S"), cap=8,
-)
-_register(
-    "thm61-a",
-    "joint (length, delent) and (reverse maj, delent) distributions over the "
-    "alternating group equal the doubled staircase product",
-    partial(_check_thm61, "A"), cap=8,
-)
-_register(
-    "thm62-s",
-    "length and reverse maj agree on every fixed-delent slice of the symmetric group",
-    partial(_check_thm62, "S"), cap=8,
-)
-_register(
-    "thm62-a",
-    "length and reverse maj agree on every fixed-delent slice of the alternating group",
-    partial(_check_thm62, "A"), cap=8,
-)
-_register(
-    "prop56",
-    "staircase products assembled factor by factor from measured elements "
-    "match the closed forms, for both groups",
-    _check_prop56, cap=9,
-)
-_register(
-    "prop57-stirling-s",
-    "delent distribution over the symmetric group matches rising-factorial "
-    "coefficients, i.e. cycle-counting Stirling numbers",
-    partial(_check_prop57, "S"), cap=8,
-)
-_register(
-    "prop57-stirling-a",
-    "delent distribution over the alternating group is the doubled Stirling count",
-    partial(_check_prop57, "A"), cap=8,
-)
-_register(
-    "prop510-multivar-s",
-    "per-factor indicator refinement of the symmetric staircase product",
-    partial(_check_prop510, "S"), cap=7,
-)
-_register(
-    "prop510-multivar-a",
-    "per-factor indicator refinement of the alternating staircase product",
-    partial(_check_prop510, "A"), cap=7,
-)
-_register(
-    "prop511-multivar",
-    "indicator-vector counts factor into linear terms at q = 1, both groups",
-    _check_prop511, cap=8,
-)
-_register(
-    "prop712-sk-occurrences",
-    "occurrence counts of a fixed generator distribute as scaled Stirling numbers",
-    _check_prop712, cap=8, params={"n": "int", "k": "int, optional"},
-)
-_register(
-    "lemma63",
-    "inserting a maximal letter into a word spreads maj and reverse maj geometrically",
-    _check_lemma63, cap=6,
-)
-_register(
-    "lemma64",
-    "right staircase cosets spread maj and reverse maj geometrically",
-    _check_lemma64, cap=7,
-)
-_register(
-    "lemma65",
-    "right staircase cosets spread (reverse maj, delent) with one marked top term",
-    _check_lemma65, cap=7,
-)
-_register(
-    "remark66",
-    "dropping the full staircase tail truncates the coset spread by one term",
-    _check_remark66, cap=7,
-)
-_register(
-    "prop67",
-    "joint (reverse maj, delent) distribution equals the staircase product",
-    _check_prop67, cap=8,
-)
-_register(
-    "prop81",
-    "single-cut shuffles grow length and reverse maj by a Gaussian binomial",
-    _check_prop81, min_n=2, cap=6,
-)
-_register(
-    "lemma86",
-    "reverse-maj shuffle sums split by first letter into the two Gaussian parts",
-    partial(_check_first_letter, "rmaj"), min_n=2, cap=6,
-)
-_register(
-    "lemma87",
-    "length shuffle sums split by first letter into the two Gaussian parts",
-    partial(_check_first_letter, "length"), min_n=2, cap=6,
-)
-_register(
-    "lemma93",
-    "indicator-refined shuffle sums equal the bracket with one marked variable",
-    _check_lemma93, min_n=2, cap=6,
-)
-_register(
-    "garsia-gessel",
-    "shuffles of two fixed-support permutations grow maj by a Gaussian binomial, "
-    "after relabelling the upper block",
-    _check_garsia_gessel, min_n=2, cap=6,
-)
-_register(
-    "main-s",
-    "reverse maj and length agree under every double restriction of inverse "
-    "descents and inverse minima",
-    partial(_check_main, "S"), cap=6,
-)
-_register(
-    "main-a",
-    "the alternating analogue of the double-restriction equality",
-    partial(_check_main, "A"), cap=5,
-)
-_register(
-    "cor92-s",
-    "trivariate (reverse maj / inverse descents / inverse delent) equals the "
-    "length version",
-    _check_cor92_s, cap=7,
-)
-_register(
-    "cor92-a",
-    "the alternating trivariate equality",
-    _check_cor92_a, cap=7,
-)
-_register(
-    "fiber-size",
-    "projection fibres have size two to the delent and partition the "
-    "alternating group",
-    _check_fiber_size, cap=7,
-)
-_register(
-    "appendix-hat",
-    "folded length and maj are equi-distributed over even permutations with a "
-    "truncated factorial closed form",
-    _check_appendix_hat, min_n=2, cap=8, params={"n": "int", "i": "int, optional"},
-)
-
-
-def list_identities() -> list[IdentityEntry]:
-    return [REGISTRY[name] for name in sorted(REGISTRY)]
 
 
 def verify(name: str, n: int | None = None, force: bool = False, **extra) -> IdentityReport:

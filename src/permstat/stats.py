@@ -24,11 +24,13 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, starmap, tee
 from operator import gt
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .perm import Perm, check_even, iter_alternating, iter_symmetric
-from .qpoly import MultiPoly
 from .words import a_pull, indicators, s_pull
+
+if TYPE_CHECKING:  # genfun, its only user, imports it when it runs
+    from .qpoly import MultiPoly
 
 EXCLUDE_FIRST_POSITIONS = "exclude-first-positions"
 EXCLUDE_SMALLEST_VALUES = "exclude-smallest-values"
@@ -292,6 +294,8 @@ def genfun(group: str, n: int, q_stat: str = "length", t_stat: str = "del",
     or "none".  With multivar, t_j marks each factor whose run reaches the
     first generator, in place of t for the total delent.
     """
+    from .qpoly import MultiPoly
+
     if n < 1:
         raise ValueError("n must be at least 1")
     if multivar and t_stat == "none":

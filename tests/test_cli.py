@@ -158,7 +158,7 @@ def test_shuffles_degree_bounded_before_counting(capsys, monkeypatch, argv):
     def no_count(n, cuts):
         raise AssertionError(f"counted shuffles of degree {n}")
 
-    monkeypatch.setattr("permstat.cli.shuffle_count", no_count)
+    monkeypatch.setattr("permstat.shuffles.shuffle_count", no_count)
     code, out, err = run_cli(capsys, "shuffles", *argv)
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
