@@ -5,8 +5,9 @@ letter-collapsing projection from alternating onto symmetric groups, exact
 generating polynomials, block-shuffle machinery, and ships an exhaustive
 verifier for a registry of equi-distribution identities.
 
-Importing the package loads none of its modules: each public name is bound
-from its home module on first use (PEP 562).
+Importing the package loads none of its modules: each public name is read
+from its home module when it is used (PEP 562), so it always is the home
+module's current binding.
 """
 import importlib
 
@@ -22,8 +23,7 @@ _HOMES = {
     "cover": "f_map fiber",
     "qpoly": "MultiPoly q_binomial q_factorial q_multinomial",
     "shuffles": "decompose enumerate_b_shuffles g_map is_b_shuffle shuffle_sum",
-    "catalog": "list_identities",
-    "identities": "IdentityReport verify",
+    "identities": "IdentityReport list_identities verify",
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
 
@@ -35,8 +35,7 @@ def __getattr__(name: str):
     module = _HOME.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{module}"), name)
-    return value
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
 
 
 def __dir__() -> list[str]:

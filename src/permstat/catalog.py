@@ -204,7 +204,3 @@ _register(
     "truncated factorial closed form",
     "_check_appendix_hat", min_n=2, cap=8, params={"n": "int", "i": "int, optional"},
 )
-
-
-def list_identities() -> list[IdentityEntry]:
-    return [REGISTRY[name] for name in sorted(REGISTRY)]

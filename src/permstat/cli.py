@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from .catalog import REGISTRY, CapExceeded, list_identities
+from .catalog import REGISTRY, CapExceeded
 
 DEGREE_CAP = 20
 GENFUN_CAP_S = 9
@@ -259,7 +259,8 @@ def _run_verify(args) -> int:
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
-        # Forked workers inherit the compiled checks instead of each compiling them.
+        # With the fork start method, workers inherit the compiled checks
+        # instead of each compiling them.
         from . import identities  # noqa: F401
 
         try:
@@ -302,7 +303,7 @@ def _run_verify(args) -> int:
 
 
 def _run_list(args) -> int:
-    entries = list_identities()
+    entries = [REGISTRY[name] for name in sorted(REGISTRY)]
     if args.format == "json":
         text = "\n".join(
             _dumps({

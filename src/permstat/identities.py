@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator
 
-from .catalog import REGISTRY, CapExceeded, IdentityEntry, list_identities  # noqa: F401
+from .catalog import REGISTRY, CapExceeded, IdentityEntry  # noqa: F401
 from .cover import iter_fiber
 from .perm import (
     Perm,
@@ -583,6 +583,10 @@ def _check_appendix_hat(n: int, i: int | None = None) -> Iterator[Checkpoint]:
     for j, (ell_acc, maj_acc) in accs.items():
         yield {"i": j, "side": "length"}, (0, ell_acc), (0, closed.terms), count
         yield {"i": j, "side": "maj"}, (0, maj_acc), (0, closed.terms), 0
+
+
+def list_identities() -> list[IdentityEntry]:
+    return [REGISTRY[name] for name in sorted(REGISTRY)]
 
 
 def verify(name: str, n: int | None = None, force: bool = False, **extra) -> IdentityReport:

@@ -21,8 +21,7 @@ API = {
     "cover": "f_map fiber",
     "qpoly": "MultiPoly q_binomial q_factorial q_multinomial",
     "shuffles": "decompose enumerate_b_shuffles g_map is_b_shuffle shuffle_sum",
-    "catalog": "list_identities",
-    "identities": "IdentityReport verify",
+    "identities": "IdentityReport list_identities verify",
 }
 NAMES = sorted(name for names in API.values() for name in names.split())
 
@@ -109,3 +108,17 @@ def test_public_api_is_bound_from_home_modules():
     assert not hasattr(permstat, "no_such_name")
     with pytest.raises(AttributeError, match="no_such_name"):
         permstat.no_such_name
+
+
+def test_package_reads_the_home_modules_current_binding(monkeypatch):
+    # A tracer that patches and later restores a home module's function is
+    # seen through the package, and so is the restored original.
+    from permstat import stats
+
+    original = stats.stat_profile
+    assert permstat.stat_profile is original
+    monkeypatch.setattr(stats, "stat_profile", lambda *args: "patched")
+    assert permstat.stat_profile() == "patched"
+    monkeypatch.undo()
+    assert permstat.stat_profile is original
+    assert "stat_profile" not in vars(permstat)
