@@ -14,6 +14,7 @@ those: ``list`` reads the catalog and compiles no check.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -30,14 +31,16 @@ def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+def _output(out_path: str | None):
+    """A context giving the file --out names, opened for writing, or stdout."""
+    return open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout)
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(out_path) as fh:
+        fh.write(text)
 
 
 def _check_degree(n: int) -> None:
@@ -123,18 +126,21 @@ def _run_canon(args) -> int:
 
 
 def _run_fiber(args) -> int:
-    from .cover import fiber
-    from .perm import format_one_line
+    from .cover import iter_fiber
 
     w = _parse_perm_arg(args.perm)
-    lifts = fiber(w)
-    if args.format == "json":
-        text = _dumps(lifts)
-    elif args.format == "csv":
-        text = "\n".join(",".join(str(x) for x in v) for v in lifts)
-    else:
-        text = "\n".join(format_one_line(v) for v in lifts)
-    _emit(text, args.out)
+    # Each lift is written as it comes: its entries joined by commas, between
+    # the brackets and breaks that a dump of the whole list would put there.
+    # The entries are looked up as text rather than converted one by one.
+    digits = [str(x) for x in range(len(w) + 2)]
+    rows = (",".join([digits[x] for x in v]) for v in iter_fiber(w))
+    head, sep, end = {
+        "json": ("[[", "],[", "]]\n"), "csv": ("", "\n", "\n"), "pretty": ("[", "]\n[", "]\n"),
+    }[args.format]
+    with _output(args.out) as fh:
+        fh.write(head + next(rows))  # a fibre is never empty
+        fh.writelines(sep + row for row in rows)
+        fh.write(end)
     return 0
 
 

@@ -5,7 +5,8 @@ mapping each canonical letter a_k to s_k; the two letters a_1 and a_1^{-1}
 collapse together, so a permutation whose word uses d such letters has a
 fibre of exactly 2^d preimages.  ``f_map`` runs the A pull of ``words``; the
 fibre runs it backwards from the factor starts of w, the projected ends of
-every preimage.  Length, descent set, maj, reverse maj (ambient degree n)
+every preimage, and yields the preimages in lexicographic one-line order as
+it builds them.  Length, descent set, maj, reverse maj (ambient degree n)
 and delent of an even permutation equal those of its image.
 """
 from __future__ import annotations
@@ -28,8 +29,11 @@ def f_map(v: Perm) -> Perm:
 
 
 def iter_fiber(w: Perm) -> Iterator[Perm]:
-    """An iterator over the preimages of w, from a list built in one go."""
-    return iter(a_lifts(s_pull(check_perm(w))[2]))
+    """The preimages of w, lazily and in lexicographic one-line order.
+
+    w is checked on the call, before the first preimage is asked for.
+    """
+    return a_lifts(s_pull(check_perm(w))[2])
 
 
 def fiber(w: Perm) -> list[Perm]:
@@ -38,4 +42,4 @@ def fiber(w: Perm) -> list[Perm]:
     >>> fiber((2, 1))
     [(2, 3, 1), (3, 1, 2)]
     """
-    return sorted(iter_fiber(w))
+    return list(iter_fiber(w))

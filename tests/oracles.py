@@ -79,6 +79,17 @@ def brute_fiber(w: Perm) -> set[Perm]:
     return {v for v in iter_alternating(len(w) + 1) if f_map(v) == w}
 
 
+def brute_fibres(n: int) -> dict[Perm, list[Perm]]:
+    """Every fibre over degree n, each sorted, from one f_map pass over A_{n+1}."""
+    from permstat.cover import f_map
+    from permstat.perm import iter_alternating
+
+    fibres: dict[Perm, list[Perm]] = {}
+    for v in iter_alternating(n + 1):
+        fibres.setdefault(f_map(v), []).append(v)
+    return {w: sorted(lifts) for w, lifts in fibres.items()}
+
+
 def inversions_by_double_loop(p: Perm) -> int:
     """Inversion count by comparing every pair of positions in a double loop."""
     n = len(p)

@@ -131,6 +131,45 @@ def test_fiber_json_of_a_large_fibre_is_lean(capsys):
     assert peak < 12_000_000
 
 
+# SHA-256 of each format of the degree-16 reversal's fibre, as dumped whole
+# from the sorted list before the lifts were streamed.
+FIBER_16_DIGESTS = {
+    "json": "7f3e8d4ea2bfc50a1605e5e3842207ae494ebf252d3cbb1b3f1d65a29bb92d64",
+    "csv": "01f713c8214c34481ca9d00c8b8135ba792fa67f902eb955507f33a9113de2f1",
+    "pretty": "e28cbbc69e5d3e10f8e0ef95d58e5d92e45b58155a99ab548dae547a87fd66c1",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(FIBER_16_DIGESTS))
+def test_fiber_streams_the_bytes_of_a_whole_list_dump(capsys, tmp_path, fmt):
+    perm = json.dumps(list(range(16, 0, -1)))
+    code, out, _ = run_cli(capsys, "fiber", perm, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FIBER_16_DIGESTS[fmt]
+    path = tmp_path / f"fibre.{fmt}"
+    code, printed, _ = run_cli(capsys, "fiber", perm, "--format", fmt, "--out", str(path))
+    assert code == 0 and printed == ""
+    assert path.read_bytes() == out.encode()
+
+
+def test_fiber_of_a_huge_fibre_streams_in_small_memory(tmp_path):
+    # The degree-18 reversal has 2^17 lifts; held as a list they peak over
+    # 40 MB.  The file takes the output, so only the stream is traced.
+    import tracemalloc
+
+    path = tmp_path / "fibre.json"
+    tracemalloc.start()
+    try:
+        code = main(["fiber", json.dumps(list(range(18, 0, -1))), "--out", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1_000_000
+    lifts = json.loads(path.read_text())
+    assert len(lifts) == 2 ** 17 and lifts == sorted(lifts)
+
+
 def test_shuffles_json_lines(capsys):
     code, out, _ = run_cli(capsys, "shuffles", "--n", "4", "--b", "2")
     assert code == 0

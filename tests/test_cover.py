@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import brute_fiber
+from oracles import brute_fiber, brute_fibres
 from permstat.cover import f_map, fiber, iter_fiber
 from permstat.perm import identity, iter_alternating, iter_symmetric, sign
 from permstat.stats import (
@@ -59,6 +59,14 @@ def test_fiber_matches_brute_force():
             assert set(fiber(w)) == brute_fiber(w)
 
 
+def test_fibers_in_lexicographic_order():
+    for n in range(1, 8):
+        brute = brute_fibres(n)
+        assert len(brute) == math.factorial(n)
+        for w in iter_symmetric(n):
+            assert list(iter_fiber(w)) == fiber(w) == brute[w]
+
+
 def test_fiber_sizes_and_partition():
     for n in range(1, 6):
         seen = set()
@@ -91,6 +99,7 @@ def test_fibers_at_query_degrees():
             assert del_s(w) == d
             lifts = fiber(w)
             assert len(set(lifts)) == len(lifts) == 2 ** d
+            assert all(a < b for a, b in zip(lifts, lifts[1:])), w
             for v in lifts:
                 assert sign(v) == 1 and f_map(v) == w, (w, v)
 
@@ -99,11 +108,29 @@ def test_fiber_rejects_non_permutations():
     for bad in ((), (1, 1), (2, 2), (2, 3, 3)):
         with pytest.raises(ValueError):
             fiber(bad)
+        with pytest.raises(ValueError):
+            iter_fiber(bad)  # on the call, before any lift is asked for
 
 
 def test_iter_fiber_is_lazy_and_complete():
     w = (2, 5, 4, 1, 3)
     assert sorted(iter_fiber(w)) == fiber(w)
+    # The degree-20 reversal has 2^19 lifts, over 100 MB as a list of tuples;
+    # its first ten come from one block of at most 256.
+    import itertools
+    import tracemalloc
+
+    w = tuple(range(20, 0, -1))
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(iter_fiber(w), 10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert all(a < b for a, b in zip(first, first[1:]))
+    for v in first:
+        assert sign(v) == 1 and f_map(v) == w
 
 
 def test_known_pairs_hold():
