@@ -3,8 +3,10 @@
 An entry names an identity, describes it, gives its parameter schema, its
 smallest n and its default cap.  Its ``check`` is a ``_check_*`` function of
 ``permstat.identities``, looked up by name on every call, so listing the
-catalog compiles none of the checks and a patched check is still seen.
-``permstat.identities`` re-exports these names and holds the verifier.
+catalog compiles none of the checks and a patched check is still seen.  The
+whole-group entries all share ``_check_scan``, which reads their scan from
+``identities._SCANS``.  ``permstat.identities`` re-exports these names and
+holds the verifier; ``resolve`` checks a request before anything runs.
 """
 from __future__ import annotations
 
@@ -37,50 +39,80 @@ def _run_check(check: str, *args, **kwargs) -> Iterator[tuple]:
     return getattr(identities, check)(*args, **kwargs)
 
 
+def resolve(name: str, n: int | None, force: bool, extra: dict) -> tuple[int, dict]:
+    """Check a request against the catalog: the n it runs at and its parameters.
+
+    Drops the parameters given as None.  Raises ValueError for an unknown
+    name or parameter, or an n below the entry's smallest, and CapExceeded
+    for an n above its cap unless force is set.
+    """
+    if name not in REGISTRY:
+        raise ValueError(f"unknown identity {name!r}; see list_identities()")
+    entry = REGISTRY[name]
+    extra = {k: v for k, v in extra.items() if v is not None}
+    for key in extra:
+        if key not in entry.params:
+            raise ValueError(f"{name} does not take parameter {key!r}")
+    if n is None:
+        n = entry.default_cap
+    if n < entry.min_n:
+        raise ValueError(f"{name} needs n >= {entry.min_n}")
+    if n > entry.default_cap and not force:
+        raise CapExceeded(
+            f"{name} is capped at n = {entry.default_cap} (requested {n}); use force to override"
+        )
+    return n, extra
+
+
 def _register(name, description, check, *bound, min_n=1, cap=7, params=None):
     """Catalog ``identities.<check>``, called with `bound` before n."""
     REGISTRY[name] = IdentityEntry(name, description, params or {"n": "int"}, min_n, cap,
                                    partial(_run_check, check, *bound))
 
 
-_register(
+def _scan(name, description, **kwargs):
+    """Catalog a whole-group entry, checked by ``identities._check_scan``."""
+    _register(name, description, "_check_scan", name, **kwargs)
+
+
+_scan(
     "macmahon",
     "length and major index are equi-distributed over the symmetric group, "
     "with the Gaussian factorial as closed form",
-    "_check_macmahon", cap=8,
+    cap=8,
 )
-_register(
+_scan(
     "fs-fixed-descent",
     "length and major index are equi-distributed on every class with a fixed "
     "inverse descent set",
-    "_check_fs_fixed_descent", cap=7,
+    cap=7,
 )
-_register(
+_scan(
     "fs-rmaj",
     "maj, reverse maj and length agree on every inverse-descent-restricted set",
-    "_check_fs_rmaj", cap=7,
+    cap=7,
 )
-_register(
+_scan(
     "thm61-s",
     "joint (length, delent) and (reverse maj, delent) distributions over the "
     "symmetric group equal the staircase product",
-    "_check_thm61", "S", cap=8,
+    cap=8,
 )
-_register(
+_scan(
     "thm61-a",
     "joint (length, delent) and (reverse maj, delent) distributions over the "
     "alternating group equal the doubled staircase product",
-    "_check_thm61", "A", cap=8,
+    cap=8,
 )
-_register(
+_scan(
     "thm62-s",
     "length and reverse maj agree on every fixed-delent slice of the symmetric group",
-    "_check_thm62", "S", cap=8,
+    cap=8,
 )
-_register(
+_scan(
     "thm62-a",
     "length and reverse maj agree on every fixed-delent slice of the alternating group",
-    "_check_thm62", "A", cap=8,
+    cap=8,
 )
 _register(
     "prop56",
@@ -88,36 +120,36 @@ _register(
     "match the closed forms, for both groups",
     "_check_prop56", cap=9,
 )
-_register(
+_scan(
     "prop57-stirling-s",
     "delent distribution over the symmetric group matches rising-factorial "
     "coefficients, i.e. cycle-counting Stirling numbers",
-    "_check_prop57", "S", cap=8,
+    cap=8,
 )
-_register(
+_scan(
     "prop57-stirling-a",
     "delent distribution over the alternating group is the doubled Stirling count",
-    "_check_prop57", "A", cap=8,
+    cap=8,
 )
-_register(
+_scan(
     "prop510-multivar-s",
     "per-factor indicator refinement of the symmetric staircase product",
-    "_check_prop510", "S", cap=7,
+    cap=7,
 )
-_register(
+_scan(
     "prop510-multivar-a",
     "per-factor indicator refinement of the alternating staircase product",
-    "_check_prop510", "A", cap=7,
+    cap=7,
 )
-_register(
+_scan(
     "prop511-multivar",
     "indicator-vector counts factor into linear terms at q = 1, both groups",
-    "_check_prop511", cap=8,
+    cap=8,
 )
-_register(
+_scan(
     "prop712-sk-occurrences",
     "occurrence counts of a fixed generator distribute as scaled Stirling numbers",
-    "_check_prop712", cap=8, params={"n": "int", "k": "int, optional"},
+    cap=8, params={"n": "int", "k": "int, optional"},
 )
 _register(
     "lemma63",
@@ -139,10 +171,10 @@ _register(
     "dropping the full staircase tail truncates the coset spread by one term",
     "_check_remark66", cap=7,
 )
-_register(
+_scan(
     "prop67",
     "joint (reverse maj, delent) distribution equals the staircase product",
-    "_check_prop67", cap=8,
+    cap=8,
 )
 _register(
     "prop81",
@@ -170,27 +202,27 @@ _register(
     "after relabelling the upper block",
     "_check_garsia_gessel", min_n=2, cap=6,
 )
-_register(
+_scan(
     "main-s",
     "reverse maj and length agree under every double restriction of inverse "
     "descents and inverse minima",
-    "_check_main", "S", cap=6,
+    cap=6,
 )
-_register(
+_scan(
     "main-a",
     "the alternating analogue of the double-restriction equality",
-    "_check_main", "A", cap=5,
+    cap=5,
 )
-_register(
+_scan(
     "cor92-s",
     "trivariate (reverse maj / inverse descents / inverse delent) equals the "
     "length version",
-    "_check_cor92_s", cap=7,
+    cap=7,
 )
-_register(
+_scan(
     "cor92-a",
     "the alternating trivariate equality",
-    "_check_cor92_a", cap=7,
+    cap=7,
 )
 _register(
     "fiber-size",
@@ -198,9 +230,9 @@ _register(
     "alternating group",
     "_check_fiber_size", cap=7,
 )
-_register(
+_scan(
     "appendix-hat",
     "folded length and maj are equi-distributed over even permutations with a "
     "truncated factorial closed form",
-    "_check_appendix_hat", min_n=2, cap=8, params={"n": "int", "i": "int, optional"},
+    min_n=2, cap=8, params={"n": "int", "i": "int, optional"},
 )

@@ -19,7 +19,7 @@ import json
 import os
 import sys
 
-from .catalog import REGISTRY, CapExceeded
+from .catalog import REGISTRY, CapExceeded, resolve
 
 DEGREE_CAP = 20
 GENFUN_CAP_S = 9
@@ -207,7 +207,7 @@ def _run_genfun(args) -> int:
 
 
 def _pool_size(jobs: int, tasks: int, cpus: int | None) -> int:
-    """Worker processes for `tasks` checks: `jobs`, or every CPU when it is 0.
+    """Worker processes for `tasks` pieces of work: `jobs`, or every CPU when it is 0.
 
     Never more than there are tasks or CPUs; 1 means run serially.
     """
@@ -217,11 +217,79 @@ def _pool_size(jobs: int, tasks: int, cpus: int | None) -> int:
     return max(1, min(jobs or cpus, tasks, cpus))
 
 
-def _verify_task(task):
-    from .identities import verify
+def _pack(items: list[tuple[int, tuple]], bins: int) -> list[list[tuple]]:
+    """Pack (work, item) pairs into at most `bins` submissions, heaviest first.
 
-    name, n, force, extra = task
-    return verify(name, n, force=force, **extra)
+    Graham's longest-processing-time rule: each item, heaviest first, joins
+    the lightest submission so far.
+    """
+    loads = [[0, []] for _ in range(min(bins, len(items)))]
+    for cost, item in sorted(items, key=lambda pair: -pair[0]):
+        lightest = min(loads, key=lambda load: load[0])
+        lightest[0] += cost
+        lightest[1].append(item)
+    return [batch for _, batch in sorted(loads, key=lambda load: -load[0])]
+
+
+def _point_work(name: str, n: int) -> int:
+    """About how many elements a per-point entry enumerates at n: lemma63
+    inserts into n^n words, prop56 builds about n^2 elements and the other
+    entries see about (n + 1)!."""
+    import math
+
+    return {"lemma63": n ** n * (n + 1), "prop56": n * n}.get(name) or math.factorial(n + 1)
+
+
+def _batch_work(columns: set) -> int:
+    """About how many elements a batch enumerates: each column its group,
+    once for each index in its arguments."""
+    import math
+
+    return sum((math.factorial(n) if group == "S" else math.factorial(n + 1) // 2)
+               * (len(args[0]) if args else 1) for group, n, _, *args in columns)
+
+
+def _verify_reports(tasks: list[tuple[str, int]], force: bool, extra: dict, jobs: int) -> list:
+    """The reports of validated (name, n) tasks.
+
+    Whole-group tasks that read a common (group, degree) pass join one
+    batch, which tallies each of its passes once.  Each batch and each other
+    task is weighed by the elements it enumerates, and the pool gets them
+    packed into about four submissions per worker, heaviest first.
+    """
+    import functools
+
+    from . import identities
+
+    batches: list[tuple[set, list]] = []  # (columns, tasks) of whole-group tasks
+    items = []
+    for name, n in tasks:
+        columns = identities.scan_columns(name, n, **extra)
+        if columns is None:
+            items.append((_point_work(name, n), [(name, n)]))
+            continue
+        keys = {col[:2] for col in columns}
+        joined = [b for b in batches if keys & {col[:2] for col in b[0]}]
+        batches = [b for b in batches if b not in joined]
+        batches.append((set(columns).union(*(b[0] for b in joined)),
+                        [task for b in joined for task in b[1]] + [(name, n)]))
+    items += [(_batch_work(columns), joined) for columns, joined in batches]
+    run = functools.partial(identities.verify_batch, force=force, **extra)
+    workers = _pool_size(jobs, len(items), os.cpu_count())
+    if workers == 1:
+        return run([task for _, joined in items for task in joined])
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    submissions = [[task for joined in packed for task in joined]
+                   for packed in _pack(items, 4 * workers)]
+    # With the fork start method, workers inherit the compiled checks
+    # instead of each compiling them.
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return [r for reports in pool.map(run, submissions) for r in reports]
+    except BrokenProcessPool as exc:
+        raise ChildProcessError(f"a verify worker process died: {exc}") from None
 
 
 def _params_csv(params: dict) -> str:
@@ -259,24 +327,9 @@ def _run_verify(args) -> int:
         else:
             ns = [entry.default_cap]
         for n in ns:
-            tasks.append((name, n, args.force, extra))
-    workers = _pool_size(args.jobs, len(tasks), os.cpu_count())
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        # With the fork start method, workers inherit the compiled checks
-        # instead of each compiling them.
-        from . import identities  # noqa: F401
-
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(_verify_task, tasks))
-        except BrokenProcessPool as exc:
-            print(f"error: a verify worker process died: {exc}", file=sys.stderr)
-            return 2
-    else:
-        reports = [_verify_task(t) for t in tasks]
+            resolve(name, n, args.force, extra)  # every task is checked before any runs
+            tasks.append((name, n))
+    reports = _verify_reports(tasks, args.force, extra, args.jobs)
     reports.sort(key=lambda r: (r.identity, r.params.get("n", 0)))
 
     if args.format == "json":

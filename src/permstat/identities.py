@@ -15,16 +15,23 @@ failing report carries the first failing point and its two differing sides.
 Each side of a checkpoint is a plain histogram, an arity plus an
 ``{exponents: count}`` dict.  ``verify`` compares and sums these pairs
 directly and builds a ``MultiPoly`` only for its report.
+
+The whole-group entries are data: the columns they tally over a group and a
+finish that turns the tallies into checkpoints.  ``verify_batch`` verifies
+several entries with one pass per group and degree that they read.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
+from functools import partial, reduce
+from operator import mul
 from typing import Iterator
 
-from .catalog import REGISTRY, CapExceeded, IdentityEntry  # noqa: F401
+from .catalog import REGISTRY, CapExceeded, IdentityEntry, resolve  # noqa: F401
 from .cover import iter_fiber
 from .perm import (
     Perm,
@@ -32,7 +39,6 @@ from .perm import (
     cycle_count,
     identity,
     inverse,
-    iter_alternating,
     iter_symmetric,
     nu,
 )
@@ -40,15 +46,14 @@ from .qpoly import MultiPoly, geometric, q_binomial, q_factorial
 from .stats import (
     EXCLUDE_FIRST_POSITIONS,
     _maj_rmaj,
-    _tally_rows,
     del_s,
     des_set_s,
     h_map,
-    histograms,
     length_s,
     ltr_minima,
     maj_s,
     rmaj_s,
+    tally_passes,
 )
 from .words import a_pull, epsilon_s, eval_a_letters, indicators, occurrences
 from . import shuffles as shuf
@@ -134,12 +139,14 @@ def _mask(positions) -> int:
 _LIFTS = {"S": 1, "A": 2}
 
 
+def _product(factors, arity: int = 0, scale: int = 1) -> MultiPoly:
+    """scale times the product of the factors, multiplied in turn."""
+    return reduce(mul, factors, MultiPoly.const(scale, arity))
+
+
 def _staircase(n: int, lifts: int) -> MultiPoly:
     """Product over j < n of (1 + q + ... + q^(j-1) + lifts q^j t)."""
-    out = MultiPoly.const(1)
-    for j in range(1, n):
-        out = out * (geometric(j) + MultiPoly.monomial(lifts, q=j, t=1))
-    return out
+    return _product(geometric(j) + MultiPoly.monomial(lifts, q=j, t=1) for j in range(1, n))
 
 
 def _unit_marker(j: int, n: int) -> tuple[int, ...]:
@@ -147,16 +154,7 @@ def _unit_marker(j: int, n: int) -> tuple[int, ...]:
     return tuple(1 if i == j else 0 for i in range(1, n))
 
 
-# -- entry implementations ----------------------------------------------------
-
-def _check_macmahon(n: int) -> Iterator[Checkpoint]:
-    (inv_acc, maj_acc), count = _tally_rows(
-        ((length_s(p), 0), (maj_s(p), 0)) for p in iter_symmetric(n)
-    )
-    rhs = 0, q_factorial(n).terms
-    yield {"side": "length"}, (0, inv_acc), rhs, count
-    yield {"side": "maj"}, (0, maj_acc), rhs, 0
-
+# -- restricted sums ----------------------------------------------------------
 
 def _fibres(tallies) -> dict[int, list[dict]]:
     """Regroup (mask, stat) tallies into {mask: [histogram per tally]}."""
@@ -193,58 +191,280 @@ def _subset_sums(fibres: dict[int, list[dict]], bits: list[int]) -> list[list[di
     return sums
 
 
-def _check_fs_fixed_descent(n: int) -> Iterator[Checkpoint]:
-    def row(p):
-        m = _mask(des_set_s(inverse(p)))
-        return (m, length_s(p)), (m, maj_s(p))
+# -- whole-group entries, as data ----------------------------------------------
+#
+# A whole-group entry is the columns it reads (see ``stats.tally_passes``) and
+# a finish, which gets n, the first column's group order and every histogram
+# in column order.  Scan sides may share a pass; no closed form reads a tally.
 
-    tallies, count = _tally_rows(map(row, iter_symmetric(n)))
-    fibres = _fibres(tallies)
+def _descent_class(p, rec, n):
+    """Length, maj and reverse maj, each keyed by the inverse's descent mask."""
+    maj, rmaj = _maj_rmaj(p, n)
+    m = _mask(des_set_s(inverse(p)))
+    return (m, length_s(p)), (m, maj), (m, rmaj)
+
+
+# The main theorem's mask: the inverse's descents in the low n bits, its minima
+# (level 0 in S, level 1 in A) shifted above them.
+def _main_s(p, rec, n):
+    pinv = inverse(p)
+    m = _mask(des_set_s(pinv)) | _mask(ltr_minima(pinv, 0, EXCLUDE_FIRST_POSITIONS)) << n
+    return (m, rmaj_s(p, n)), (m, length_s(p))
+
+
+def _main_a(v, rec, n):
+    vinv = inverse(v)
+    m = (_mask(des_set_s(a_pull(vinv)[3]))
+         | _mask(ltr_minima(vinv, 1, EXCLUDE_FIRST_POSITIONS)) << n)
+    return (m, rmaj_s(rec[3], n)), (m, rec[0])
+
+
+# Corollary 9.2 scans over q = p^{-1}, which runs over the whole group as p
+# does: the inverse's statistics come from q's own record.
+def _cor92_s(q, rec, n):
+    p, d = inverse(q), len(des_set_s(q))
+    return (rmaj_s(p, n), d, rec[1]), (length_s(p), d, rec[1])
+
+
+def _cor92_a(w, rec, n):
+    ell, _, _, proj, _ = a_pull(inverse(w))
+    d = len(des_set_s(rec[3]))
+    return (rmaj_s(proj, n), d, rec[1]), (ell, d, rec[1])
+
+
+def _hat(v, rec, js):
+    """Length and maj of the fold h_map(v, j), for each position j in turn."""
+    keys = []
+    for j in js:
+        w = h_map(v, j)
+        keys += (length_s(w), 0), (maj_s(w), 0)
+    return tuple(keys)
+
+
+# (row, group) -> maker(degree, *args) of the row.  Symmetric lengths are
+# inversion counts and symmetric descents are read off the one-line word;
+# alternating ones come from the record and its projection.  The cycle
+# counts are a third path, apart from both the delent scan and closed forms.
+_ROWS = {
+    ("len-maj", "S"): lambda n: lambda p, rec: ((length_s(p), 0), (maj_s(p), 0)),
+    ("descent-class", "S"): lambda n: partial(_descent_class, n=n),
+    ("len-del", "S"): lambda n: lambda p, rec: ((length_s(p), rec[1]),),
+    ("len-del", "A"): lambda n: lambda v, rec: ((rec[0], rec[1]),),
+    ("rmaj-del", "S"): lambda n: lambda p, rec: ((rmaj_s(p, n), rec[1]),),
+    ("rmaj-del", "A"): lambda n: lambda v, rec: ((rmaj_s(rec[3], n), rec[1]),),
+    ("del", "S"): lambda n: lambda p, rec: ((0, rec[1]),),
+    ("del", "A"): lambda n: lambda v, rec: ((0, rec[1]),),
+    ("cycles", "S"): lambda n: lambda p, rec: (cycle_count(p),),
+    ("len-ind", "S"): lambda n: lambda p, rec: ((length_s(p), 0) + indicators(rec[2]),),
+    ("len-ind", "A"): lambda n: lambda v, rec: ((rec[0], 0) + indicators(rec[2]),),
+    ("ind", "S"): lambda n: lambda p, rec: ((0, 0) + indicators(rec[2]),),
+    ("ind", "A"): lambda n: lambda v, rec: ((0, 0) + indicators(rec[2]),),
+    ("occurrences", "S"):
+        lambda n, ks: lambda p, rec: tuple([(0, occurrences(rec[2], k)) for k in ks]),
+    ("main", "S"): lambda n: partial(_main_s, n=n),
+    ("main", "A"): lambda n: partial(_main_a, n=n),
+    ("cor92", "S"): lambda n: partial(_cor92_s, n=n),
+    ("cor92", "A"): lambda n: partial(_cor92_a, n=n),
+    ("hat", "A"): lambda n, js: partial(_hat, js=js),
+}
+# The rows that read nothing from the pull record.
+_NO_RECORD = {("len-maj", "S"), ("descent-class", "S"), ("cycles", "S"), ("main", "S"),
+              ("hat", "A")}
+
+
+def _sides(closed, *names):
+    """A finish that equates each histogram, named in turn, to closed(n)."""
+    def finish(n, count, *hists):
+        rhs = 0, closed(n).terms
+        for name, hist in zip(names, hists):
+            yield {"side": name}, (0, hist), rhs, count
+            count = 0
+    return finish
+
+
+def _fs_fixed_descent(n, count, ell, maj, rmaj):
+    fibres = _fibres((ell, maj))
     for i, m in enumerate(sorted(fibres)):
         ell, maj = fibres[m]
         yield {"descent-class": m}, (0, ell), (0, maj), count if i == 0 else 0
 
 
-def _check_fs_rmaj(n: int) -> Iterator[Checkpoint]:
-    def row(p):
-        m = _mask(des_set_s(inverse(p)))
-        maj, rmaj = _maj_rmaj(p, n)
-        return (m, maj), (m, rmaj), (m, length_s(p))
-
-    tallies, count = _tally_rows(map(row, iter_symmetric(n)))
-    sums = _subset_sums(_fibres(tallies), list(range(1, n)))
+def _fs_rmaj(n, count, ell, maj, rmaj):
+    sums = _subset_sums(_fibres((maj, rmaj, ell)), list(range(1, n)))
     for d1_bits, (maj, rmaj, ell) in enumerate(sums):
         yield {"D1": d1_bits, "side": "maj"}, (0, maj), (0, ell), count if d1_bits == 0 else 0
         yield {"D1": d1_bits, "side": "rmaj"}, (0, rmaj), (0, ell), 0
 
 
-def _length_rmaj_del(group: str, n: int):
-    """(length, delent) and (reverse maj, delent) histograms, and the group order.
-
-    Symmetric lengths are inversion counts and symmetric descents are read off
-    the one-line word; alternating ones come from the word and its projection.
-    """
-    if group == "S":
-        row = lambda p, rec: ((length_s(p), rec[1]), (rmaj_s(p, n), rec[1]))
-    else:
-        row = lambda v, rec: ((rec[0], rec[1]), (rmaj_s(rec[3], n), rec[1]))
-    return histograms(group, n, row)
-
-
-def _check_thm61(group: str, n: int) -> Iterator[Checkpoint]:
-    (ell_acc, rmaj_acc), count = _length_rmaj_del(group, n)
-    rhs = 0, _staircase(n, _LIFTS[group]).terms
-    yield {"side": "length"}, (0, ell_acc), rhs, count
-    yield {"side": "rmaj"}, (0, rmaj_acc), rhs, 0
-
-
-def _check_thm62(group: str, n: int) -> Iterator[Checkpoint]:
-    (ell_acc, rmaj_acc), count = _length_rmaj_del(group, n)
+def _thm62(n, count, ell, rmaj):
     for k in range(n):
-        lhs = 0, {(e, 0): c for (e, d), c in ell_acc.items() if d == k}
-        rhs = 0, {(e, 0): c for (e, d), c in rmaj_acc.items() if d == k}
+        lhs = 0, {(e, 0): c for (e, d), c in ell.items() if d == k}
+        rhs = 0, {(e, 0): c for (e, d), c in rmaj.items() if d == k}
         yield {"delent": k}, lhs, rhs, count if k == 0 else 0
 
+
+def _cycle_class_counts(n: int, cycles: dict | None = None) -> list[int]:
+    """counts[d] = permutations of degree n with exactly d+1 cycles.
+
+    Read off the tally of a cycles column over S_n, or off a pass of its own.
+    """
+    if cycles is None:
+        ((cycles,), _), = tally_passes([("S", n, "cycles")], _ROWS, _NO_RECORD)[0].values()
+    return [cycles.get(d + 1, 0) for d in range(n)]
+
+
+def _stirling(point, key, base, scale, m, count, hist, cycles):
+    """hist against scale prod_{0<c<m} (base t + c), and its coefficient of t^d
+    against scale base^d c(m, d+1), read off a cycle-count tally over S_m."""
+    rhs = _product((MultiPoly.monomial(base, t=1) + MultiPoly.const(c) for c in range(1, m)),
+                   scale=scale)
+    yield {**point, "form": "generating"}, (0, hist), (0, rhs.terms), count
+    for d, classes in enumerate(_cycle_class_counts(m, cycles)):
+        expect = _const(scale * base ** d * classes)
+        scan = math.factorial(m) if d == 0 else 0
+        yield {**point, key: d}, _const(hist.get((0, d), 0)), expect, scan
+
+
+def _within(n: int, given: int | None, default, what: str) -> tuple[int, ...]:
+    """(given,), or the default indices; each must lie in 1..n-1."""
+    indices = tuple(default) if given is None else (given,)
+    for j in indices:
+        if not 1 <= j <= n - 1:
+            raise ValueError(f"{what} {j} outside 1..{n - 1}")
+    return indices
+
+
+def _prop712_columns(n, k=None):
+    # One occurrence row for every k, and the cycle classes of each S_{n-k+1}.
+    ks = _within(n, k, range(1, min(4, n - 1) + 1), "generator index")
+    return [("S", n, "occurrences", ks)] + [("S", n - kk + 1, "cycles") for kk in ks]
+
+
+def _prop712(n, count, *hists, k=None):
+    # One occurrence scan for every k; each k's report counts the whole group.
+    ks = (k,) if k is not None else range(1, len(hists) // 2 + 1)
+    for kk, hist, cycles in zip(ks, hists, hists[len(ks):]):
+        yield from _stirling({"k": kk}, "occurrences", kk, math.factorial(kk), n - kk + 1,
+                             count, hist, cycles)
+
+
+def _prop67(n, count, rmaj):
+    yield None, (0, rmaj), (0, _staircase(n, 1).terms), count
+
+
+def _prop510(group, n, count, acc):
+    arity = n - 1
+    rhs = _product((geometric(j, arity) + MultiPoly.monomial(
+        _LIFTS[group], q=j, ts=_unit_marker(j, n), arity=arity) for j in range(1, n)), arity)
+    yield None, (arity, acc), (arity, rhs.terms), count
+
+
+def _prop511(n, count, *accs):
+    # The A scan's count is the order of A_{n+1}.
+    arity, orders = n - 1, (count, math.factorial(n + 1) // 2)
+    for (group, lifts), acc, order in zip(_LIFTS.items(), accs, orders):
+        rhs = _product((MultiPoly.monomial(lifts, ts=_unit_marker(j, n), arity=arity)
+                        + MultiPoly.const(j, arity) for j in range(1, n)), arity)
+        yield {"group": group}, (arity, acc), (arity, rhs.terms), order
+
+
+def _main(group, n, count, *tallies):
+    d2_count = n - 1 if group == "S" else n
+    # D1 restricts mask bits 1..n-1 and D2 the minima bits from n + 2 up.
+    bits = list(range(1, n)) + list(range(n + 2, n + 2 + d2_count))
+    sums = _subset_sums(_fibres(tallies), bits)
+    for d1_bits in range(1 << (n - 1)):
+        for d2_bits in range(1 << d2_count):
+            lhs, rhs = sums[d1_bits | d2_bits << (n - 1)]
+            first = d1_bits == d2_bits == 0
+            yield {"D1": d1_bits, "D2": d2_bits}, (0, lhs), (0, rhs), count if first else 0
+
+
+def _cor92(n, count, lhs, rhs):
+    yield None, (1, lhs), (1, rhs), count
+
+
+def _appendix_hat(n, count, *hists, i=None):
+    closed = 0, _product(geometric(m) for m in range(3, n + 1)).terms
+    for j, ell, maj in zip((i,) if i is not None else range(1, n), hists[::2], hists[1::2]):
+        yield {"i": j, "side": "length"}, (0, ell), closed, count
+        yield {"i": j, "side": "maj"}, (0, maj), closed, 0
+
+
+def _on(group, *rows):
+    """The columns of `rows` over `group`, at the entry's own n."""
+    return lambda n: [(group, n, row) for row in rows]
+
+
+# name -> (columns(n, **params), finish(n, order, *histograms, **params)).  The
+# finishes look their closed forms up when they run, so a patched one is seen.
+_SCANS = {
+    "macmahon": (_on("S", "len-maj"), _sides(lambda n: q_factorial(n), "length", "maj")),
+    "fs-fixed-descent": (_on("S", "descent-class"), _fs_fixed_descent),
+    "fs-rmaj": (_on("S", "descent-class"), _fs_rmaj),
+    "thm61-s": (_on("S", "len-del", "rmaj-del"),
+                _sides(lambda n: _staircase(n, 1), "length", "rmaj")),
+    "thm61-a": (_on("A", "len-del", "rmaj-del"),
+                _sides(lambda n: _staircase(n, 2), "length", "rmaj")),
+    "thm62-s": (_on("S", "len-del", "rmaj-del"), _thm62),
+    "thm62-a": (_on("A", "len-del", "rmaj-del"), _thm62),
+    "prop57-stirling-s": (_on("S", "del", "cycles"), partial(_stirling, {}, "delent", 1, 1)),
+    "prop57-stirling-a": (lambda n: [("A", n, "del"), ("S", n, "cycles")],
+                          partial(_stirling, {}, "delent", 2, 1)),
+    "prop510-multivar-s": (_on("S", "len-ind"), partial(_prop510, "S")),
+    "prop510-multivar-a": (_on("A", "len-ind"), partial(_prop510, "A")),
+    "prop511-multivar": (lambda n: [("S", n, "ind"), ("A", n, "ind")], _prop511),
+    "prop712-sk-occurrences": (_prop712_columns, _prop712),
+    "prop67": (_on("S", "rmaj-del"), _prop67),
+    "main-s": (_on("S", "main"), partial(_main, "S")),
+    "main-a": (_on("A", "main"), partial(_main, "A")),
+    "cor92-s": (_on("S", "cor92"), _cor92),
+    "cor92-a": (_on("A", "cor92"), _cor92),
+    # The folds run over the alternating group of degree n, that is A_{(n-1)+1}.
+    "appendix-hat": (lambda n, i=None: [
+        ("A", n - 1, "hat", _within(n, i, range(1, n), "position"))], _appendix_hat),
+}
+
+
+def scan_columns(name: str, n: int, **extra) -> list[tuple] | None:
+    """The columns a whole-group entry reads at n; None for any other entry."""
+    scan = _SCANS.get(name)
+    return None if scan is None else scan[0](n, **extra)
+
+
+def _check_scan(name: str, n: int, tallies: dict | None = None,
+                **extra) -> Iterator[Checkpoint]:
+    """A whole-group entry's checkpoints, its columns read from `tallies` or tallied here."""
+    columns, finish = _SCANS[name]
+    cols = columns(n, **extra)
+    tallies = tallies or tally_passes(cols, _ROWS, _NO_RECORD)[0]
+    hists = [h for col in cols for h in tallies[col][0]]
+    return finish(n, tallies[cols[0]][1], *hists, **extra)
+
+
+def verify_batch(tasks: list[tuple[str, int]], force: bool = False,
+                 **extra) -> list[IdentityReport]:
+    """Verify (name, n) tasks; the whole-group ones share one pass per (group, degree).
+
+    Each report equals that of ``verify(name, n)`` alone, except that the
+    elapsed time of a whole-group task is its own finish plus an equal share
+    of each pass it reads.
+    """
+    columns = {task: scan_columns(*task, **extra) for task in tasks}
+    tallies, seconds = tally_passes(
+        (col for cols in columns.values() if cols for col in cols), _ROWS, _NO_RECORD)
+    reads = {task: dict.fromkeys(col[:2] for col in cols)
+             for task, cols in columns.items() if cols}
+    readers = Counter(key for keys in reads.values() for key in keys)
+    reports = []
+    for task in tasks:
+        keys = reads.get(task)
+        scanned = None if keys is None else (tallies, sum(seconds[k] / readers[k] for k in keys))
+        reports.append(verify(*task, force, _scanned=scanned, **extra))
+    return reports
+
+
+# -- per-point entries -------------------------------------------------------
 
 def _check_prop56(n: int) -> Iterator[Checkpoint]:
     # Factor-by-factor products.  Each staircase element is materialised as a
@@ -282,89 +502,6 @@ def _check_prop56(n: int) -> Iterator[Checkpoint]:
             factor_sum = factor_sum + MultiPoly.monomial(1, q=ell_a, t=dl_a)
         lhs_a = lhs_a * factor_sum
     yield {"group": "A"}, (0, lhs_a.terms), (0, _staircase(n, 2).terms), count
-
-
-def _cycle_class_counts(n: int) -> list[int]:
-    """counts[d] = permutations of degree n with exactly d+1 cycles."""
-    counts = [0] * n
-    for p in iter_symmetric(n):
-        counts[cycle_count(p) - 1] += 1
-    return counts
-
-
-def _check_prop57(group: str, n: int) -> Iterator[Checkpoint]:
-    (hist,), count = histograms(group, n, lambda p, rec: ((0, rec[1]),))
-    lifts = _LIFTS[group]
-    rhs = MultiPoly.const(1)
-    for c in range(1, n):
-        rhs = rhs * (MultiPoly.monomial(lifts, t=1) + MultiPoly.const(c))
-    yield {"form": "generating"}, (0, hist), (0, rhs.terms), count
-    cycles = _cycle_class_counts(n)
-    scan = math.factorial(n)
-    for d in range(n):
-        yield (
-            {"delent": d},
-            _const(hist.get((0, d), 0)),
-            _const(lifts ** d * cycles[d]),
-            scan if d == 0 else 0,
-        )
-
-
-def _check_prop510(group: str, n: int) -> Iterator[Checkpoint]:
-    arity = n - 1
-    if group == "S":
-        row = lambda p, rec: ((length_s(p), 0) + indicators(rec[2]),)
-    else:
-        row = lambda v, rec: ((rec[0], 0) + indicators(rec[2]),)
-    (acc,), count = histograms(group, n, row)
-    rhs = MultiPoly.const(1, arity)
-    for j in range(1, n):
-        rhs = rhs * (
-            geometric(j, arity)
-            + MultiPoly.monomial(_LIFTS[group], q=j, ts=_unit_marker(j, n), arity=arity)
-        )
-    yield None, (arity, acc), (arity, rhs.terms), count
-
-
-def _check_prop511(n: int) -> Iterator[Checkpoint]:
-    arity = n - 1
-    for group, lifts in _LIFTS.items():
-        (acc,), count = histograms(group, n, lambda p, rec: ((0, 0) + indicators(rec[2]),))
-        rhs = MultiPoly.const(1, arity)
-        for j in range(1, n):
-            rhs = rhs * (
-                MultiPoly.monomial(lifts, ts=_unit_marker(j, n), arity=arity)
-                + MultiPoly.const(j, arity)
-            )
-        yield {"group": group}, (arity, acc), (arity, rhs.terms), count
-
-
-def _check_prop712(n: int, k: int | None = None) -> Iterator[Checkpoint]:
-    ks = [k] if k is not None else list(range(1, min(4, n - 1) + 1))
-    for kk in ks:
-        if not 1 <= kk <= n - 1:
-            raise ValueError(f"generator index {kk} outside 1..{n - 1}")
-    # One scan for every k; each k's report counts the whole group, as if
-    # it had scanned alone.
-    hists, count = histograms(
-        "S", n, lambda p, rec: tuple((0, occurrences(rec[2], kk)) for kk in ks)
-    )
-    for kk, hist in zip(ks, hists):
-        rhs = MultiPoly.const(math.factorial(kk))
-        for c in range(1, n - kk + 1):
-            rhs = rhs * (MultiPoly.monomial(kk, t=1) + MultiPoly.const(c))
-        yield {"k": kk, "form": "generating"}, (0, hist), (0, rhs.terms), count
-        # counts[d] = c(n-k+1, d+1) by an independent cycle scan
-        cycles = _cycle_class_counts(n - kk + 1)
-        scan = math.factorial(n - kk + 1)
-        for d in range(n - kk + 1):
-            expect = math.factorial(kk) * kk ** d * cycles[d]
-            yield (
-                {"k": kk, "occurrences": d},
-                _const(hist.get((0, d), 0)),
-                _const(expect),
-                scan if d == 0 else 0,
-            )
 
 
 # Descents of a sequence depend only on its weak-order pattern, so words over
@@ -425,11 +562,6 @@ def _check_remark66(n: int) -> Iterator[Checkpoint]:
         products = list(_iter_right_coset_products(w, n))[:-1]
         lhs = _tally((rmaj_s(p, n + 1), 0) for p in products)
         yield {"w": w}, (0, lhs), (0, _run(rmaj_s(w, n), n)), len(products)
-
-
-def _check_prop67(n: int) -> Iterator[Checkpoint]:
-    (acc,), count = histograms("S", n, lambda p, rec: ((rmaj_s(p, n), rec[1]),))
-    yield None, (0, acc), (0, _staircase(n, 1).terms), count
 
 
 def _iter_low_support(n: int, i: int):
@@ -495,58 +627,6 @@ def _check_garsia_gessel(n: int) -> Iterator[Checkpoint]:
                 yield {"k": k, "pi1": p1, "pi2": p2}, (0, lhs), binom, len(rs)
 
 
-def _check_main(group: str, n: int) -> Iterator[Checkpoint]:
-    # One mask per element: the inverse's descents in the low n bits, its
-    # minima (level 0 in S, level 1 in A) shifted above them.
-    if group == "S":
-        def row(p):
-            pinv = inverse(p)
-            m = (_mask(des_set_s(pinv))
-                 | _mask(ltr_minima(pinv, 0, EXCLUDE_FIRST_POSITIONS)) << n)
-            return (m, rmaj_s(p, n)), (m, length_s(p))
-        tallies, count = _tally_rows(map(row, iter_symmetric(n)))
-        d2_count = n - 1
-    else:
-        def row(v, rec):
-            vinv = inverse(v)
-            m = (_mask(des_set_s(a_pull(vinv)[3]))
-                 | _mask(ltr_minima(vinv, 1, EXCLUDE_FIRST_POSITIONS)) << n)
-            return (m, rmaj_s(rec[3], n)), (m, rec[0])
-        tallies, count = histograms(group, n, row)
-        d2_count = n
-    # D1 restricts mask bits 1..n-1 and D2 the minima bits from n + 2 up.
-    bits = list(range(1, n)) + list(range(n + 2, n + 2 + d2_count))
-    sums = _subset_sums(_fibres(tallies), bits)
-    for d1_bits in range(1 << (n - 1)):
-        for d2_bits in range(1 << d2_count):
-            lhs, rhs = sums[d1_bits | d2_bits << (n - 1)]
-            first = d1_bits == d2_bits == 0
-            yield {"D1": d1_bits, "D2": d2_bits}, (0, lhs), (0, rhs), count if first else 0
-
-
-# Corollary 9.2 scans over q = p^{-1}, which runs over the whole group as p
-# does: the inverse's statistics come from q's own record.
-
-def _check_cor92_s(n: int) -> Iterator[Checkpoint]:
-    def row(q, rec):
-        p = inverse(q)
-        d, dl = len(des_set_s(q)), rec[1]
-        return (rmaj_s(p, n), d, dl), (length_s(p), d, dl)
-
-    (lhs_acc, rhs_acc), count = histograms("S", n, row)
-    yield None, (1, lhs_acc), (1, rhs_acc), count
-
-
-def _check_cor92_a(n: int) -> Iterator[Checkpoint]:
-    def row(w, rec):
-        ell, _, _, proj, _ = a_pull(inverse(w))
-        d, dl = len(des_set_s(rec[3])), rec[1]
-        return (rmaj_s(proj, n), d, dl), (ell, d, dl)
-
-    (lhs_acc, rhs_acc), count = histograms("A", n, row)
-    yield None, (1, lhs_acc), (1, rhs_acc), count
-
-
 def _check_fiber_size(n: int) -> Iterator[Checkpoint]:
     seen: set[Perm] = set()
     total = 0
@@ -563,62 +643,33 @@ def _check_fiber_size(n: int) -> Iterator[Checkpoint]:
     yield {"check": "partition-distinct"}, _const(len(seen)), _const(order), 0
 
 
-def _check_appendix_hat(n: int, i: int | None = None) -> Iterator[Checkpoint]:
-    closed = MultiPoly.const(1)
-    for m in range(3, n + 1):
-        closed = closed * geometric(m)
-    js = [i] if i is not None else list(range(1, n))
-    for j in js:
-        if not 1 <= j <= n - 1:
-            raise ValueError(f"position {j} outside 1..{n - 1}")
-    # One pass over the group, folding each element once per position.
-    accs = {j: ({}, {}) for j in js}
-    count = 0
-    for v in iter_alternating(n):
-        count += 1
-        for j, (ell_acc, maj_acc) in accs.items():
-            w = h_map(v, j)
-            for acc, key in ((ell_acc, (length_s(w), 0)), (maj_acc, (maj_s(w), 0))):
-                acc[key] = acc.get(key, 0) + 1
-    for j, (ell_acc, maj_acc) in accs.items():
-        yield {"i": j, "side": "length"}, (0, ell_acc), (0, closed.terms), count
-        yield {"i": j, "side": "maj"}, (0, maj_acc), (0, closed.terms), 0
-
-
 def list_identities() -> list[IdentityEntry]:
     return [REGISTRY[name] for name in sorted(REGISTRY)]
 
 
-def verify(name: str, n: int | None = None, force: bool = False, **extra) -> IdentityReport:
+def verify(name: str, n: int | None = None, force: bool = False, *,
+           _scanned: tuple[dict, float] | None = None, **extra) -> IdentityReport:
     """Run one registry entry and aggregate its checkpoints into a report.
 
     With no explicit n the entry runs at its default cap.  Larger n's are
-    refused unless force is set; they stay exact but may be very slow.
+    refused unless force is set; they stay exact but may be very slow.  A
+    whole-group entry given `_scanned`, a pair of column tallies and seconds
+    from passes shared with other entries, reads its columns from the
+    tallies and counts those seconds in its elapsed time.
     """
-    if name not in REGISTRY:
-        raise ValueError(f"unknown identity {name!r}; see list_identities()")
-    entry = REGISTRY[name]
-    extra = {k: v for k, v in extra.items() if v is not None}
-    for key in extra:
-        if key not in entry.params:
-            raise ValueError(f"{name} does not take parameter {key!r}")
-    if n is None:
-        n = entry.default_cap
-    if n < entry.min_n:
-        raise ValueError(f"{name} needs n >= {entry.min_n}")
-    if n > entry.default_cap and not force:
-        raise CapExceeded(
-            f"{name} is capped at n = {entry.default_cap} (requested {n}); use force to override"
-        )
+    n, extra = resolve(name, n, force, extra)
+    tallies, shared = _scanned or (None, 0.0)
+    check = REGISTRY[name].check
     start = time.perf_counter()
     scanned = 0
     # A passing checkpoint has equal sides, so one running sum is both totals.
     total: dict = {}
     arity = 0
-    for subparams, lhs, rhs, cnt in entry.check(n, **extra):
+    checkpoints = check(n, **extra) if tallies is None else check(n, tallies=tallies, **extra)
+    for subparams, lhs, rhs, cnt in checkpoints:
         scanned += cnt
         if lhs != rhs:
-            elapsed = time.perf_counter() - start
+            elapsed = time.perf_counter() - start + shared
             params = {"n": n, **extra}
             if subparams:
                 params["failed_at"] = _json_safe(subparams)
@@ -631,7 +682,7 @@ def verify(name: str, n: int | None = None, force: bool = False, **extra) -> Ide
         arity = max(arity, lhs[0])
         for e, c in lhs[1].items():
             total[e] = total.get(e, 0) + c
-    elapsed = time.perf_counter() - start
+    elapsed = time.perf_counter() - start + shared
     summed = _padded_sum(total, arity)
     return IdentityReport(name, {"n": n, **extra}, summed, summed, True, scanned, elapsed)
 

@@ -20,11 +20,13 @@ under both exclusion conventions.
 """
 from __future__ import annotations
 
+import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, starmap, tee
+from functools import reduce
+from itertools import accumulate, chain, combinations, islice, repeat, starmap, tee
 from operator import gt
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .perm import Perm, check_even, iter_alternating, iter_symmetric
 from .words import a_pull, indicators, s_pull
@@ -249,41 +251,84 @@ def profile_to_json(profile: StatProfile) -> dict:
 
 # -- whole-group scans -----------------------------------------------------------
 
-def histograms(group: str, n: int,
-               row: Callable[[Perm, tuple], tuple]) -> tuple[tuple[dict, ...], int]:
-    """Tally a row of keys per element over a whole group, in one pass.
+# The joint tally is split into the histograms whenever it holds this many
+# keys, and at the end.  Rows that repeat, as most do, are split about once;
+# a batch whose rows are wide and nearly all distinct (the S_8 batch of
+# ``verify --all``) stays under 1 MB instead of 25 MB for one tally over the
+# group.  Elements are counted into it 256 at a time.
+_HELD_KEYS = 4096
+
+
+def histograms(group: str, n: int, *rows: Callable[[Perm, tuple | None], tuple],
+               pull: bool = True) -> tuple[tuple[tuple[dict, ...], ...], int]:
+    """Tally several rows of keys per element over a whole group, in one pass.
 
     Group "S" is the symmetric group of degree n and "A" the alternating
     group of degree n + 1, which projects onto it.  Each element is pulled
-    once, by ``s_pull`` or ``a_pull``, and ``row(element, record)`` returns
-    one key per histogram.  Both records start with the length, the delent
-    number and the factor starts or projected ends; an A record's fourth
-    field is the projection.  Returns the histograms and the group order.
+    once, by ``s_pull`` or ``a_pull``, and each ``row(element, record)``
+    returns a tuple of keys, one per histogram, of the same width for every
+    element.  Both records start with the length, the delent number and the
+    factor starts or projected ends; an A record's fourth field is the
+    projection.  With pull false no element is pulled and every row gets
+    None for the record.  Returns, per row, one histogram per key, and the
+    group order.
     """
     if group == "S":
-        elements, pull = iter_symmetric(n), s_pull
+        elements, puller = iter_symmetric(n), s_pull
     elif group == "A":
-        elements, pull = iter_alternating(n + 1), a_pull
+        elements, puller = iter_alternating(n + 1), a_pull
     else:
         raise ValueError(f"unknown group {group!r}; expected 'S' or 'A'")
-    a, b = tee(elements)
-    return _tally_rows(map(row, a, map(pull, b)))
+    first = next(elements)  # a group is never empty
+    widths = [len(row(first, puller(first) if pull else None)) for row in rows]
+    elements = chain([first], elements)
+    # One flat row of keys per element, tallied whole and split afterwards.
+    joint = reduce(lambda f, g: lambda p, rec: f(p, rec) + g(p, rec), rows)
+    if pull:
+        a, b = tee(elements)
+        keys = map(joint, a, map(puller, b))
+    else:
+        keys = map(joint, elements, repeat(None))
+    hists = [{} for _ in range(sum(widths))]
+    held_rows = _HELD_KEYS // max(1, len(hists))
+    tally, count = Counter(), 0
+
+    def split():
+        for row_keys, c in tally.items():
+            for hist, key in zip(hists, row_keys):
+                hist[key] = hist.get(key, 0) + c
+        tally.clear()
+
+    for chunk in iter(lambda: list(islice(keys, 256)), []):
+        count += len(chunk)
+        tally.update(chunk)
+        if len(tally) >= held_rows:
+            split()
+    split()
+    ends = list(accumulate(widths, initial=0))
+    return tuple(tuple(hists[i:j]) for i, j in zip(ends, ends[1:])), count
 
 
-def _tally_rows(rows: Iterable[tuple]) -> tuple[tuple[dict, ...], int]:
-    """One histogram per column of a stream of equal-width key rows.
+def tally_passes(columns, rows: dict, no_record) -> tuple[dict, dict]:
+    """Tally the distinct columns, one pass per (group, degree).
 
-    Returns the histograms and the number of rows.  Rows repeat, so tallying
-    whole rows first and splitting the joint tally afterwards is the cheap way.
-    ``histograms`` ends here; a scan whose rows read nothing from a pull
-    record calls it directly on its rows and pulls nothing.
+    A column is (group, degree, row, *args), and ``rows[row, group](degree,
+    *args)`` makes its row for ``histograms``.  A pass pulls its elements
+    only if one of its rows is missing from `no_record`.  Returns {column:
+    (histograms, group order)} and {(group, degree): seconds}.
     """
-    joint = Counter(rows)
-    tallies = tuple({} for _ in next(iter(joint)))
-    for keys, c in joint.items():
-        for tally, key in zip(tallies, keys):
-            tally[key] = tally.get(key, 0) + c
-    return tallies, sum(joint.values())
+    passes: dict = {}
+    for col in dict.fromkeys(columns):
+        passes.setdefault(col[:2], []).append(col)
+    tallies, seconds = {}, {}
+    for (group, n), cols in passes.items():
+        start = time.perf_counter()
+        pull = any((col[2], group) not in no_record for col in cols)
+        made = [rows[col[2], group](n, *col[3:]) for col in cols]
+        hists, count = histograms(group, n, *made, pull=pull)
+        tallies.update((col, (h, count)) for col, h in zip(cols, hists))
+        seconds[group, n] = time.perf_counter() - start
+    return tallies, seconds
 
 
 def genfun(group: str, n: int, q_stat: str = "length", t_stat: str = "del",
@@ -317,5 +362,5 @@ def genfun(group: str, n: int, q_stat: str = "length", t_stat: str = "del",
         row = lambda p, rec: ((q(p, rec), rec[1]),)
     else:
         row = lambda p, rec: ((q(p, rec), 0),)
-    (acc,), _ = histograms(group, n, row)
+    ((acc,),), _ = histograms(group, n, row)
     return MultiPoly(n - 1 if multivar else 0, acc)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permstat.cli import _pool_size, main
+from permstat.cli import _pack as cli_pack, _pool_size, main
 from permstat.identities import REGISTRY, IdentityEntry
 
 
@@ -312,12 +312,50 @@ def test_verify_negative_jobs_is_usage_error(capsys):
     assert err == "error: --jobs must be non-negative (got -3)\n"
 
 
-def test_verify_jobs_matches_serial(capsys):
+def test_verify_jobs_matches_serial(capsys, monkeypatch):
+    from permstat import cli
+
+    # Two CPUs on any machine, so that --jobs 2 really starts the pool.
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     argv = ["verify", "--all", "--n-max", "4"]
     serial = run_cli(capsys, *argv, "--jobs", "1")
     pooled = run_cli(capsys, *argv, "--jobs", "2")
     assert serial[0] == pooled[0] == 0
     assert pooled[1] == serial[1]
+
+
+def test_verify_pooled_payload_is_pinned_to_n6(capsys, monkeypatch):
+    from permstat import cli
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    code, out, _ = run_cli(capsys, "verify", "--all", "--n-max", "6", "--jobs", "2")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b5d93831efb77a03d1a806aad53b45666735bb2545ba4a521f8d9fb01b324007"
+    )
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_checks_every_task_before_any_runs(capsys, monkeypatch, jobs):
+    # cor92-a is capped at 7; the entries before it in the registry are not.
+    from permstat import cli, identities
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a check ran before every task was checked")
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(identities, "verify_batch", no_run)
+    monkeypatch.setattr(identities, "verify", no_run)
+    code, out, err = run_cli(capsys, "verify", "--all", "--n", "8", "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert err == "error: cor92-a is capped at n = 7 (requested 8); use force to override\n"
+
+
+def test_pack_is_longest_processing_time_first():
+    # Heaviest first, each to the lightest bin so far; the heaviest bin first.
+    items = [(w, f"t{w}") for w in (1, 7, 3, 5, 2, 2, 9)]
+    assert cli_pack(items, 3) == [["t9", "t1"], ["t5", "t3", "t2"], ["t7", "t2"]]
+    assert cli_pack(items[:2], 8) == [["t7"], ["t1"]]
 
 
 def test_verify_all_payload_is_pinned(capsys):
@@ -349,8 +387,8 @@ def test_verify_payload_is_pinned_at_default_cap(capsys, name, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def _die_in_worker(task):
-    """Stands in for the verify task: a pool worker ends without a result."""
+def _die_in_worker(*args, **kwargs):
+    """Stands in for verify: a pool worker ends without a result."""
     if multiprocessing.parent_process() is None:
         raise RuntimeError("meant to run in a pool worker only")
     os._exit(1)
@@ -359,9 +397,11 @@ def _die_in_worker(task):
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="the patched task reaches the workers only through fork")
 def test_verify_crashed_worker_exits_2(capsys, monkeypatch):
-    from permstat import cli
+    from permstat import cli, identities
 
-    monkeypatch.setattr(cli, "_verify_task", _die_in_worker)
+    # Each worker tallies its batch's pass, then dies as it finishes the
+    # batch's first entry.
+    monkeypatch.setattr(identities, "verify", _die_in_worker)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     code, out, err = run_cli(capsys, "verify", "macmahon", "--n-max", "2", "--jobs", "2")
     assert code == 2 and out == ""

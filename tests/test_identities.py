@@ -10,6 +10,7 @@ from permstat.identities import (
     REGISTRY,
     list_identities,
     verify,
+    verify_batch,
 )
 from permstat.perm import inverse, iter_alternating, iter_symmetric
 from permstat.qpoly import MultiPoly
@@ -354,3 +355,33 @@ def test_subset_sums_match_naive_resum(fibres, bits):
     before = {m: [dict(h) for h in hists] for m, hists in fibres.items()}
     assert identities._subset_sums(fibres, bits) == _naive_subset_sums(fibres, bits)
     assert fibres == before  # the fibre map is read, not changed
+
+
+def _whole_group_tasks(n_max):
+    return [(name, n) for name in sorted(identities._SCANS)
+            for n in range(REGISTRY[name].min_n, min(REGISTRY[name].default_cap, n_max) + 1)]
+
+
+def test_batched_reports_equal_single_runs():
+    # One batch shares its passes among every whole-group entry at n <= 6;
+    # each report must still be the one the entry gives alone.
+    tasks = _whole_group_tasks(6)
+    assert len({name for name, _ in tasks}) == 19
+    batched = verify_batch(tasks)
+    assert [(r.identity, r.params["n"]) for r in batched] == tasks
+    for (name, n), report in zip(tasks, batched):
+        assert report.passed, (name, n)
+        assert report.to_json() == verify(name, n).to_json(), (name, n)
+        assert report.elapsed > 0
+
+
+def test_a_failing_closed_form_fails_only_its_entry_in_a_batch(monkeypatch):
+    q_factorial = identities.q_factorial
+    monkeypatch.setattr(identities, "q_factorial", lambda n: q_factorial(n) + MultiPoly.const(1))
+    tasks = [(name, n) for name, n in _whole_group_tasks(4) if n == 4]
+    reports = {r.identity: r for r in verify_batch(tasks)}
+    assert len(reports) == len(tasks)
+    alone = verify("macmahon", 4)
+    assert not alone.passed and alone.params["failed_at"] == {"side": "length"}
+    assert reports["macmahon"].to_json() == alone.to_json()
+    assert all(r.passed for name, r in reports.items() if name != "macmahon")
