@@ -263,8 +263,9 @@ def _verify_reports(tasks: list[tuple[str, int]], force: bool, extra: dict, jobs
 
     batches: list[tuple[set, list]] = []  # (columns, tasks) of whole-group tasks
     items = []
+    plan = {}
     for name, n in tasks:
-        columns = identities.scan_columns(name, n, **extra)
+        columns = plan[name, n] = identities.scan_columns(name, n, **extra)
         if columns is None:
             items.append((_point_work(name, n), [(name, n)]))
             continue
@@ -274,7 +275,7 @@ def _verify_reports(tasks: list[tuple[str, int]], force: bool, extra: dict, jobs
         batches.append((set(columns).union(*(b[0] for b in joined)),
                         [task for b in joined for task in b[1]] + [(name, n)]))
     items += [(_batch_work(columns), joined) for columns, joined in batches]
-    run = functools.partial(identities.verify_batch, force=force, **extra)
+    run = functools.partial(identities.verify_batch, force=force, _columns=plan, **extra)
     workers = _pool_size(jobs, len(items), os.cpu_count())
     if workers == 1:
         return run([task for _, joined in items for task in joined])

@@ -442,15 +442,17 @@ def _check_scan(name: str, n: int, tallies: dict | None = None,
     return finish(n, tallies[cols[0]][1], *hists, **extra)
 
 
-def verify_batch(tasks: list[tuple[str, int]], force: bool = False,
-                 **extra) -> list[IdentityReport]:
+def verify_batch(tasks: list[tuple[str, int]], force: bool = False, *,
+                 _columns: dict | None = None, **extra) -> list[IdentityReport]:
     """Verify (name, n) tasks; the whole-group ones share one pass per (group, degree).
 
     Each report equals that of ``verify(name, n)`` alone, except that the
     elapsed time of a whole-group task is its own finish plus an equal share
-    of each pass it reads.
+    of each pass it reads.  `_columns` maps each task to its
+    ``scan_columns``, when the caller has them already.
     """
-    columns = {task: scan_columns(*task, **extra) for task in tasks}
+    columns = {task: scan_columns(*task, **extra) if _columns is None else _columns[task]
+               for task in tasks}
     tallies, seconds = tally_passes(
         (col for cols in columns.values() if cols for col in cols), _ROWS, _NO_RECORD)
     reads = {task: dict.fromkeys(col[:2] for col in cols)

@@ -25,6 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, chain, combinations, islice, repeat, starmap, tee
+from math import factorial
 from operator import gt
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -251,6 +252,8 @@ def profile_to_json(profile: StatProfile) -> dict:
 
 # -- whole-group scans -----------------------------------------------------------
 
+_HELD_RECORDS = 5_040  # the most records a pass's table holds: the order of S_7
+
 # The joint tally is split into the histograms whenever it holds this many
 # keys, and at the end.  Rows that repeat, as most do, are split about once;
 # a batch whose rows are wide and nearly all distinct (the S_8 batch of
@@ -272,13 +275,22 @@ def histograms(group: str, n: int, *rows: Callable[[Perm, tuple | None], tuple],
     projection.  With pull false no element is pulled and every row gets
     None for the record.  Returns, per row, one histogram per key, and the
     group order.
+
+    Each pull stops at the largest degree d below the group's whose words
+    (d! in S, d!/2 in A) fit in a table of ``_HELD_RECORDS`` records, and
+    reads the record of the word left from that table, which the kernel
+    fills on a miss.  The table lives for this pass only.
     """
     if group == "S":
-        elements, puller = iter_symmetric(n), s_pull
+        elements, puller, degree, halve = iter_symmetric(n), s_pull, n, 1
     elif group == "A":
-        elements, puller = iter_alternating(n + 1), a_pull
+        elements, puller, degree, halve = iter_alternating(n + 1), a_pull, n + 1, 2
     else:
         raise ValueError(f"unknown group {group!r}; expected 'S' or 'A'")
+    fits = [d for d in range(3, degree) if factorial(d) // halve <= _HELD_RECORDS]
+    if fits:
+        held, kernel = (fits[-1], {}), puller
+        puller = lambda p: kernel(p, _held=held)
     first = next(elements)  # a group is never empty
     widths = [len(row(first, puller(first) if pull else None)) for row in rows]
     elements = chain([first], elements)

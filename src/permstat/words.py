@@ -33,7 +33,13 @@ which are the closed forms' own structure.  ``iter_alternating`` reads the
 parity of each element's Lehmer code off its lexicographic index, but that
 selector decides only membership: every scan still enumerates each element
 as a one-line word, and a scan that reads the record pulls that element
-itself.  A scan reads from a record only what the paper defines through the
+itself.  A whole-group pass pulls each element's top values off its own
+word and reads the record of the word left, of a fixed lower degree, from
+a table that lives for that pass; on a miss the kernel fills it by pulling
+that word.  So the table caches a pure function of the word, keyed by the
+word: no record is built from another by choosing a slot for the top
+value, which would walk the staircase product that the closed forms are.
+A scan reads from a record only what the paper defines through the
 word: delent, indicator vectors, occurrence counts, and the alternating
 length and descents.  Symmetric statistics that are defined on the one-line
 word stay there: length is an inversion count and descents compare
@@ -132,28 +138,39 @@ class AWord:
         return out
 
 
-def s_pull(w: Perm) -> tuple[int, int, tuple[SFactor | None, ...]]:
+def s_pull(w: Perm, *, _held: tuple[int, dict] | None = None
+           ) -> tuple[int, int, tuple[SFactor | None, ...]]:
     """(length, delent, factor starts) of w, from one pull pass.
 
     The starts are the factors of ``s_canonical(w)``.  w is not validated.
+    With `_held`, a (degree, table) pair, it stops at the word left of that
+    degree and joins its record from the table, filled by a plain pull.
 
     >>> s_pull((2, 5, 4, 1, 3))
     (6, 1, (1, None, 2, 2))
     """
     work = list(w)
-    starts: list[SFactor | None] = [None] * (len(w) - 1)
+    pulled: list[SFactor | None] = []  # the starts of the factors pulled, top first
     length = delent = 0
-    for top in range(len(w), 1, -1):
+    for top in range(len(w), 1 if _held is None else _held[0], -1):
         # Pulling top to the end of the work list and dropping it there
         # leaves the values 1..top-1 in the order the next pull sees.
         r = work.index(top)
         del work[r]
-        if r < top - 1:
-            starts[top - 2] = r + 1
+        if r == top - 1:
+            r = None
+        else:
             length += top - 1 - r
             if r == 0:
                 delent += 1
-    return length, delent, tuple(starts)
+            r += 1
+        pulled.append(r)
+    pulled.reverse()
+    if _held is None:
+        return length, delent, tuple(pulled)
+    rest = tuple(work)
+    rec = _held[1].get(rest) or _held[1].setdefault(rest, s_pull(rest))
+    return length + rec[0], delent + rec[1], rec[2] + tuple(pulled)
 
 
 def s_canonical(w: Perm) -> SWord:
@@ -170,46 +187,52 @@ def s_word_to_perm(word: SWord) -> Perm:
     return eval_s_letters(word.n, word.letters())
 
 
-def a_pull(v: Perm) -> tuple[int, int, tuple[SFactor | None, ...], Perm, int]:
+def a_pull(v: Perm, *, _held: tuple[int, dict] | None = None
+           ) -> tuple[int, int, tuple[SFactor | None, ...], Perm, int]:
     """(length, delent, projected ends, projection, inverted) of an even v.
 
     One pull pass.  The ends are the factors of the projected word
     ``s_image(a_canonical(v))``, the projection is that word as a one-line
     permutation of degree m-1, and bit j of `inverted` is set when factor j
     ends in a_1^{-1}.  v is not validated: an odd v gives a meaningless
-    record.
+    record.  `_held` works as for ``s_pull``; the word left is even.
 
     >>> a_pull((3, 5, 4, 2, 1))
     (6, 3, (1, 1, 1), (4, 3, 2, 1), 4)
     """
     m = len(v)
     work = list(v)
-    ends: list[SFactor | None] = [None] * (m - 2)  # empty below degree 3
-    # The projection restricted to the values 1..j+1 holds j+1 at position
-    # e_j, so each value takes the e_j-th slot still free, largest first.
-    proj = [1] * (m - 1)
-    free = list(range(m - 1))
+    pulled: list[SFactor | None] = []  # the ends of the factors pulled, top first
     length = delent = inverted = 0
-    j = m - 2
-    for top in range(m, 2, -1):
+    for top in range(m, 2 if _held is None else _held[0], -1):
         r = work.index(top)
         del work[r]
         if r == top - 1:
-            proj[free.pop()] = top - 1
+            r = None
         else:
             if (top - 1 - r) & 1:
                 work[0], work[1] = work[1], work[0]
-            # Pull position r + 1 fixes factor j: position 1 is the inverted
-            # tail, position r + 1 >= 2 the plain run down to a_r.
+            # Pull position r + 1 fixes factor top - 2: position 1 is the
+            # inverted tail, position r + 1 >= 2 the plain run down to a_r.
             if r < 2:
                 if not r:
-                    inverted |= 1 << j
+                    inverted |= 1 << top - 2
                     r = 1
                 delent += 1
-            ends[j - 1] = r
-            proj[free.pop(r - 1)] = top - 1
-            length += j + 1 - r
-        j -= 1
+            length += top - 1 - r
+        pulled.append(r)
+    pulled.reverse()
+    if _held is None:
+        ends, proj = pulled, [1][:m - 1]  # no factors below degree 3
+    else:
+        rest = tuple(work)
+        rec = _held[1].get(rest) or _held[1].setdefault(rest, a_pull(rest))
+        length, delent, inverted = length + rec[0], delent + rec[1], inverted | rec[4]
+        ends, proj = rec[2] + tuple(pulled), list(rec[3])
+    # The projection restricted to the values 1..j+1 holds j+1 at position
+    # e_j, or last for an empty factor, so each value goes in in turn.
+    for j, e in enumerate(pulled, start=len(proj)):
+        proj.insert(j if e is None else e - 1, j + 1)
     return length, delent, tuple(ends), tuple(proj), inverted
 
 

@@ -351,6 +351,23 @@ def test_verify_checks_every_task_before_any_runs(capsys, monkeypatch, jobs):
     assert err == "error: cor92-a is capped at n = 7 (requested 8); use force to override\n"
 
 
+def test_verify_plans_each_tasks_columns_once(capsys, monkeypatch):
+    # The batches read the columns that the plan made for each task.
+    from permstat import identities
+
+    scan_columns, asked = identities.scan_columns, []
+
+    def counted(name, n, **extra):
+        asked.append((name, n))
+        return scan_columns(name, n, **extra)
+
+    monkeypatch.setattr(identities, "scan_columns", counted)
+    code, _, _ = run_cli(capsys, "verify", "--all", "--n-max", "4", "--jobs", "1")
+    assert code == 0
+    assert len(asked) == len(set(asked)) == sum(
+        len(range(e.min_n, min(4, e.default_cap) + 1) or [e.min_n]) for e in REGISTRY.values())
+
+
 def test_pack_is_longest_processing_time_first():
     # Heaviest first, each to the lightest bin so far; the heaviest bin first.
     items = [(w, f"t{w}") for w in (1, 7, 3, 5, 2, 2, 9)]

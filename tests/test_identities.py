@@ -385,3 +385,25 @@ def test_a_failing_closed_form_fails_only_its_entry_in_a_batch(monkeypatch):
     assert not alone.passed and alone.params["failed_at"] == {"side": "length"}
     assert reports["macmahon"].to_json() == alone.to_json()
     assert all(r.passed for name, r in reports.items() if name != "macmahon")
+
+
+def test_a_wrong_table_record_fails_the_delent_scans(monkeypatch):
+    # A pass over A_5 reads the record of each element's word of degree 4 from
+    # its table, which the kernel fills; one wrong record there reaches both
+    # delent scans.
+    from permstat import words
+
+    pull, wrong = words.a_pull, (2, 3, 1, 4)
+    seen = []
+
+    def wrong_pull(v, **held):
+        rec = pull(v, **held)
+        seen.append(v)
+        return rec[:1] + (rec[1] + 1,) + rec[2:] if v == wrong else rec
+
+    for name in ("thm61-a", "prop57-stirling-a"):
+        assert verify(name, 4).passed
+    monkeypatch.setattr(words, "a_pull", wrong_pull)
+    for name in ("thm61-a", "prop57-stirling-a"):
+        assert not verify(name, 4).passed, name
+    assert wrong in seen and {len(v) for v in seen} == {4}

@@ -12,6 +12,7 @@ import itertools
 import pytest
 
 from oracles import des_set_a_by_comparison
+from permstat import stats, words
 from permstat.perm import iter_alternating, sign
 from permstat.stats import (
     EXCLUDE_FIRST_POSITIONS,
@@ -19,6 +20,7 @@ from permstat.stats import (
     del_s,
     del_set_s,
     genfun,
+    histograms,
     length_a,
     length_s,
     ltr_minima,
@@ -77,6 +79,26 @@ def test_a_pull_projection_descents_match_comparison():
             proj = a_pull(v)[3]
             descents = {i for i in range(1, len(proj)) if proj[i - 1] > proj[i]}
             assert descents == des_set_a_by_comparison(v)
+
+
+@pytest.mark.parametrize("bound", [None, 12])
+def test_pass_records_equal_kernel_records(monkeypatch, bound):
+    # A pass pulls each element's top values and reads the record of the word
+    # left from its table.  Bounded at 12 records, the tables hold S_3 and A_4,
+    # so the larger groups pull several values before they look up.
+    if bound is not None:
+        monkeypatch.setattr(stats, "_HELD_RECORDS", bound)
+    filled = []
+    for group, kernel, name in (("S", s_pull, "s_pull"), ("A", a_pull, "a_pull")):
+        monkeypatch.setattr(words, name, lambda w, kernel=kernel: filled.append(w) or kernel(w))
+        for n in range(1, 9):  # S_n, and A_n as the group "A" of degree n - 1
+            ((records,),), order = histograms(group, n if group == "S" else n - 1,
+                                              lambda p, rec: ((p, rec),))
+            assert sum(records.values()) == order == len(records)
+            for p, rec in records:
+                assert rec == kernel(p), (group, p)
+    table_degrees = {len(w) for w in filled}
+    assert table_degrees == ({3, 4} if bound else {3, 4, 5, 6, 7})
 
 
 def test_iter_alternating_is_the_lexicographic_even_filter():
