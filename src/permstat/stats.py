@@ -24,7 +24,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, chain, combinations, islice, repeat, starmap, tee
+from itertools import accumulate, chain, combinations, islice, starmap
 from math import factorial
 from operator import gt
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -282,25 +282,22 @@ def histograms(group: str, n: int, *rows: Callable[[Perm, tuple | None], tuple],
     fills on a miss.  The table lives for this pass only.
     """
     if group == "S":
-        elements, puller, degree, halve = iter_symmetric(n), s_pull, n, 1
+        elements, kernel, degree, halve = iter_symmetric(n), s_pull, n, 1
     elif group == "A":
-        elements, puller, degree, halve = iter_alternating(n + 1), a_pull, n + 1, 2
+        elements, kernel, degree, halve = iter_alternating(n + 1), a_pull, n + 1, 2
     else:
         raise ValueError(f"unknown group {group!r}; expected 'S' or 'A'")
     fits = [d for d in range(3, degree) if factorial(d) // halve <= _HELD_RECORDS]
-    if fits:
-        held, kernel = (fits[-1], {}), puller
-        puller = lambda p: kernel(p, _held=held)
+    held = (fits[-1], {}) if fits else None
     first = next(elements)  # a group is never empty
-    widths = [len(row(first, puller(first) if pull else None)) for row in rows]
+    widths = [len(row(first, kernel(first, _held=held) if pull else None)) for row in rows]
     elements = chain([first], elements)
     # One flat row of keys per element, tallied whole and split afterwards.
     joint = reduce(lambda f, g: lambda p, rec: f(p, rec) + g(p, rec), rows)
     if pull:
-        a, b = tee(elements)
-        keys = map(joint, a, map(puller, b))
+        take = lambda: [joint(p, kernel(p, _held=held)) for p in islice(elements, 256)]
     else:
-        keys = map(joint, elements, repeat(None))
+        take = lambda: [joint(p, None) for p in islice(elements, 256)]
     hists = [{} for _ in range(sum(widths))]
     held_rows = _HELD_KEYS // max(1, len(hists))
     tally, count = Counter(), 0
@@ -311,7 +308,7 @@ def histograms(group: str, n: int, *rows: Callable[[Perm, tuple | None], tuple],
                 hist[key] = hist.get(key, 0) + c
         tally.clear()
 
-    for chunk in iter(lambda: list(islice(keys, 256)), []):
+    for chunk in iter(take, []):
         count += len(chunk)
         tally.update(chunk)
         if len(tally) >= held_rows:
