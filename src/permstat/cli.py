@@ -19,7 +19,7 @@ import json
 import os
 import sys
 
-from .catalog import REGISTRY, CapExceeded, resolve
+from .catalog import REGISTRY, CapExceeded
 
 DEGREE_CAP = 20
 GENFUN_CAP_S = 9
@@ -92,15 +92,17 @@ def _run_canon(args) -> int:
         # Check the degree before evaluating: it sizes the permutation built,
         # and the evaluation rejects letters beyond it.
         if args.group == "S":
-            letters = parse_s_letters(args.from_word)
-            n = args.n or max(letters, default=0) + 1
-            _check_degree(n)
-            p = eval_s_letters(max(n, 1), letters)
+            letters, evaluate = parse_s_letters(args.from_word), eval_s_letters
+            n = max(letters, default=0) + 1
         else:
-            letters = parse_a_letters(args.from_word)
-            n = args.n or (max((k for k, _ in letters), default=0) + 2)
-            _check_degree(n)
-            p = eval_a_letters(max(n, 2), letters)
+            letters, evaluate = parse_a_letters(args.from_word), eval_a_letters
+            n = max((k for k, _ in letters), default=0) + 2
+        if args.n is not None:
+            n = args.n
+            if n < 1:
+                raise ValueError(f"canon needs --n of at least 1 (got {n})")
+        _check_degree(n)
+        p = evaluate(n, letters)
     else:
         if args.perm is None:
             raise ValueError("canon needs a permutation or --from-word")
@@ -231,59 +233,27 @@ def _pack(items: list[tuple[int, tuple]], bins: int) -> list[list[tuple]]:
     return [batch for _, batch in sorted(loads, key=lambda load: -load[0])]
 
 
-def _point_work(name: str, n: int) -> int:
-    """About how many elements a per-point entry enumerates at n: lemma63
-    inserts into n^n words, prop56 builds about n^2 elements and the other
-    entries see about (n + 1)!."""
-    import math
-
-    return {"lemma63": n ** n * (n + 1), "prop56": n * n}.get(name) or math.factorial(n + 1)
-
-
-def _batch_work(columns: set) -> int:
-    """About how many elements a batch enumerates: each column its group,
-    once for each index in its arguments."""
-    import math
-
-    return sum((math.factorial(n) if group == "S" else math.factorial(n + 1) // 2)
-               * (len(args[0]) if args else 1) for group, n, _, *args in columns)
-
-
 def _verify_reports(tasks: list[tuple[str, int]], force: bool, extra: dict, jobs: int) -> list:
-    """The reports of validated (name, n) tasks.
+    """The reports of (name, n) tasks, in no fixed order.
 
-    Whole-group tasks that read a common (group, degree) pass join one
-    batch, which tallies each of its passes once.  Each batch and each other
-    task is weighed by the elements it enumerates, and the pool gets them
-    packed into about four submissions per worker, heaviest first.
+    ``identities.plan`` checks every task and splits them into weighed
+    pieces; the pool gets the pieces packed into about four submissions per
+    worker, heaviest first.
     """
     import functools
 
     from . import identities
 
-    batches: list[tuple[set, list]] = []  # (columns, tasks) of whole-group tasks
-    items = []
-    plan = {}
-    for name, n in tasks:
-        columns = plan[name, n] = identities.scan_columns(name, n, **extra)
-        if columns is None:
-            items.append((_point_work(name, n), [(name, n)]))
-            continue
-        keys = {col[:2] for col in columns}
-        joined = [b for b in batches if keys & {col[:2] for col in b[0]}]
-        batches = [b for b in batches if b not in joined]
-        batches.append((set(columns).union(*(b[0] for b in joined)),
-                        [task for b in joined for task in b[1]] + [(name, n)]))
-    items += [(_batch_work(columns), joined) for columns, joined in batches]
-    run = functools.partial(identities.verify_batch, force=force, _columns=plan, **extra)
-    workers = _pool_size(jobs, len(items), os.cpu_count())
+    pieces = identities.plan(tasks, force, **extra)
+    run = functools.partial(identities.run, force=force)
+    workers = _pool_size(jobs, len(pieces), os.cpu_count())
     if workers == 1:
-        return run([task for _, joined in items for task in joined])
+        return run([task for _, piece in pieces for task in piece])
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    submissions = [[task for joined in packed for task in joined]
-                   for packed in _pack(items, 4 * workers)]
+    submissions = [[task for piece in packed for task in piece]
+                   for packed in _pack(pieces, 4 * workers)]
     # With the fork start method, workers inherit the compiled checks
     # instead of each compiling them.
     try:
@@ -312,11 +282,7 @@ def _run_verify(args) -> int:
         names = [args.name]
     else:
         raise ValueError("verify needs an identity name or --all")
-    extra = {}
-    if args.k is not None:
-        extra["k"] = args.k
-    if args.i is not None:
-        extra["i"] = args.i
+    extra = {"k": args.k, "i": args.i}  # the catalog drops the ones not given
     tasks = []
     for name in names:
         entry = REGISTRY[name]
@@ -327,9 +293,7 @@ def _run_verify(args) -> int:
             ns = list(range(entry.min_n, hi + 1)) or [entry.min_n]
         else:
             ns = [entry.default_cap]
-        for n in ns:
-            resolve(name, n, args.force, extra)  # every task is checked before any runs
-            tasks.append((name, n))
+        tasks += [(name, n) for n in ns]
     reports = _verify_reports(tasks, args.force, extra, args.jobs)
     reports.sort(key=lambda r: (r.identity, r.params.get("n", 0)))
 
@@ -421,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", choices=["S", "A"], required=True)
     p.add_argument("perm", nargs="?", help="one-line form; omit when using --from-word")
     p.add_argument("--from-word", help='flat letters to multiply first, e.g. "s1 s2 s1"')
-    p.add_argument("--n", type=int, help="ambient degree for --from-word")
+    p.add_argument("--n", type=int, help="degree of the permutation --from-word builds")
     _add_common(p)
     p.set_defaults(run=_run_canon)
 

@@ -17,8 +17,10 @@ Each side of a checkpoint is a plain histogram, an arity plus an
 directly and builds a ``MultiPoly`` only for its report.
 
 The whole-group entries are data: the columns they tally over a group and a
-finish that turns the tallies into checkpoints.  ``verify_batch`` verifies
-several entries with one pass per group and degree that they read.
+finish that turns the tallies into checkpoints.  ``plan`` checks a list of
+(name, n) tasks and joins the whole-group ones that read a common group and
+degree into one piece of work; ``run`` verifies a piece, with one pass per
+group and degree, through ``verify``.
 """
 from __future__ import annotations
 
@@ -49,11 +51,11 @@ from .stats import (
     del_s,
     des_set_s,
     h_map,
+    histograms,
     length_s,
     ltr_minima,
     maj_s,
     rmaj_s,
-    tally_passes,
 )
 from .words import a_pull, epsilon_s, eval_a_letters, indicators, occurrences
 from . import shuffles as shuf
@@ -193,9 +195,9 @@ def _subset_sums(fibres: dict[int, list[dict]], bits: list[int]) -> list[list[di
 
 # -- whole-group entries, as data ----------------------------------------------
 #
-# A whole-group entry is the columns it reads (see ``stats.tally_passes``) and
-# a finish, which gets n, the first column's group order and every histogram
-# in column order.  Scan sides may share a pass; no closed form reads a tally.
+# A whole-group entry is the columns it reads (see ``_tally_passes``) and a
+# finish, which gets n, the first column's group order and every histogram in
+# column order.  Scan sides may share a pass; no closed form reads a tally.
 
 def _descent_class(p, rec, n):
     """Length, maj and reverse maj, each keyed by the inverse's descent mask."""
@@ -272,6 +274,28 @@ _NO_RECORD = {("len-maj", "S"), ("descent-class", "S"), ("cycles", "S"), ("main"
               ("hat", "A")}
 
 
+def _tally_passes(columns) -> tuple[dict, dict]:
+    """Tally the distinct columns, one ``histograms`` pass per (group, degree).
+
+    A column is (group, degree, row, *args), and ``_ROWS[row, group](degree,
+    *args)`` makes its row.  A pass pulls its elements only if one of its
+    rows is missing from ``_NO_RECORD``.  Returns {column: (histograms, group
+    order)} and {(group, degree): seconds}.
+    """
+    passes: dict = {}
+    for col in dict.fromkeys(columns):
+        passes.setdefault(col[:2], []).append(col)
+    tallies, seconds = {}, {}
+    for (group, n), cols in passes.items():
+        start = time.perf_counter()
+        pull = any((col[2], group) not in _NO_RECORD for col in cols)
+        made = [_ROWS[col[2], group](n, *col[3:]) for col in cols]
+        hists, count = histograms(group, n, *made, pull=pull)
+        tallies.update((col, (h, count)) for col, h in zip(cols, hists))
+        seconds[group, n] = time.perf_counter() - start
+    return tallies, seconds
+
+
 def _sides(closed, *names):
     """A finish that equates each histogram, named in turn, to closed(n)."""
     def finish(n, count, *hists):
@@ -303,24 +327,14 @@ def _thm62(n, count, ell, rmaj):
         yield {"delent": k}, lhs, rhs, count if k == 0 else 0
 
 
-def _cycle_class_counts(n: int, cycles: dict | None = None) -> list[int]:
-    """counts[d] = permutations of degree n with exactly d+1 cycles.
-
-    Read off the tally of a cycles column over S_n, or off a pass of its own.
-    """
-    if cycles is None:
-        ((cycles,), _), = tally_passes([("S", n, "cycles")], _ROWS, _NO_RECORD)[0].values()
-    return [cycles.get(d + 1, 0) for d in range(n)]
-
-
 def _stirling(point, key, base, scale, m, count, hist, cycles):
     """hist against scale prod_{0<c<m} (base t + c), and its coefficient of t^d
     against scale base^d c(m, d+1), read off a cycle-count tally over S_m."""
     rhs = _product((MultiPoly.monomial(base, t=1) + MultiPoly.const(c) for c in range(1, m)),
                    scale=scale)
     yield {**point, "form": "generating"}, (0, hist), (0, rhs.terms), count
-    for d, classes in enumerate(_cycle_class_counts(m, cycles)):
-        expect = _const(scale * base ** d * classes)
+    for d in range(m):
+        expect = _const(scale * base ** d * cycles.get(d + 1, 0))
         scan = math.factorial(m) if d == 0 else 0
         yield {**point, key: d}, _const(hist.get((0, d), 0)), expect, scan
 
@@ -437,33 +451,58 @@ def _check_scan(name: str, n: int, tallies: dict | None = None,
     """A whole-group entry's checkpoints, its columns read from `tallies` or tallied here."""
     columns, finish = _SCANS[name]
     cols = columns(n, **extra)
-    tallies = tallies or tally_passes(cols, _ROWS, _NO_RECORD)[0]
+    tallies = tallies or _tally_passes(cols)[0]
     hists = [h for col in cols for h in tallies[col][0]]
     return finish(n, tallies[cols[0]][1], *hists, **extra)
 
 
-def verify_batch(tasks: list[tuple[str, int]], force: bool = False, *,
-                 _columns: dict | None = None, **extra) -> list[IdentityReport]:
-    """Verify (name, n) tasks; the whole-group ones share one pass per (group, degree).
+def _batch_work(columns: set) -> int:
+    """About how many elements a batch enumerates: each column its group,
+    once for each index in its arguments."""
+    return sum((math.factorial(n) if group == "S" else math.factorial(n + 1) // 2)
+               * (len(args[0]) if args else 1) for group, n, _, *args in columns)
+
+
+def plan(tasks: list[tuple[str, int]], force: bool = False,
+         **extra) -> list[tuple[int, list[tuple]]]:
+    """Check every (name, n) task, then split them into (work, piece) pairs for ``run``.
+
+    A piece is a list of (name, n, parameters, columns) tasks; whole-group
+    tasks that read a common (group, degree) pass share one.  Its work is
+    about how many elements it enumerates.  Pieces may be joined into one.
+    """
+    checked = [(name, *resolve(name, n, force, extra)) for name, n in tasks]
+    pieces, batches = [], []  # batches: (columns, tasks) of whole-group tasks
+    for name, n, params in checked:
+        columns = scan_columns(name, n, **params)
+        task = name, n, params, columns
+        if columns is None:
+            # lemma63 inserts into n^n words, prop56 builds about n^2 elements
+            # and the other per-point entries see about (n + 1)!.
+            work = {"lemma63": n ** n * (n + 1), "prop56": n * n}.get(name)
+            pieces.append((work or math.factorial(n + 1), [task]))
+            continue
+        keys = {col[:2] for col in columns}
+        joined = [b for b in batches if keys & {col[:2] for col in b[0]}]
+        batches = [b for b in batches if b not in joined]
+        batches.append((set(columns).union(*(b[0] for b in joined)),
+                        [t for b in joined for t in b[1]] + [task]))
+    return pieces + [(_batch_work(columns), joined) for columns, joined in batches]
+
+
+def run(piece: list[tuple], force: bool = False) -> list[IdentityReport]:
+    """Verify the tasks of a ``plan`` piece, tallying each pass they read once.
 
     Each report equals that of ``verify(name, n)`` alone, except that the
     elapsed time of a whole-group task is its own finish plus an equal share
-    of each pass it reads.  `_columns` maps each task to its
-    ``scan_columns``, when the caller has them already.
+    of each pass it reads.
     """
-    columns = {task: scan_columns(*task, **extra) if _columns is None else _columns[task]
-               for task in tasks}
-    tallies, seconds = tally_passes(
-        (col for cols in columns.values() if cols for col in cols), _ROWS, _NO_RECORD)
-    reads = {task: dict.fromkeys(col[:2] for col in cols)
-             for task, cols in columns.items() if cols}
-    readers = Counter(key for keys in reads.values() for key in keys)
-    reports = []
-    for task in tasks:
-        keys = reads.get(task)
-        scanned = None if keys is None else (tallies, sum(seconds[k] / readers[k] for k in keys))
-        reports.append(verify(*task, force, _scanned=scanned, **extra))
-    return reports
+    tallies, seconds = _tally_passes(col for *_, cols in piece if cols for col in cols)
+    reads = [dict.fromkeys(col[:2] for col in cols or ()) for *_, cols in piece]
+    readers = Counter(key for keys in reads for key in keys)
+    shares = [sum(seconds[k] / readers[k] for k in keys) for keys in reads]
+    return [verify(name, n, force, _scanned=None if cols is None else (tallies, share), **params)
+            for (name, n, params, cols), share in zip(piece, shares)]
 
 
 # -- per-point entries -------------------------------------------------------

@@ -16,8 +16,9 @@ polynomials built here from known-good terms go through the private trusted
 constructor ``MultiPoly._trusted``, which skips those checks; their terms are
 valid by construction.
 
-Gaussian binomials are computed by exact polynomial division with a
-divisibility assertion; nothing here ever touches floating point.
+Gaussian binomials are built in the same sparse form, row by row by the
+q-Pascal rule, so no division is needed; nothing here ever touches floating
+point.
 """
 from __future__ import annotations
 
@@ -247,57 +248,6 @@ def geometric(j: int, arity: int = 0) -> MultiPoly:
 
 
 # -- Gaussian binomials ------------------------------------------------------
-# Dense coefficient lists in q keep the exact division trivial.
-
-def _dense_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _dense_exact_div(num: list[int], den: list[int]) -> list[int]:
-    """Exact univariate division; raises ArithmeticError on any remainder."""
-    num = list(num)
-    while num and num[-1] == 0:
-        num.pop()
-    den = list(den)
-    while den and den[-1] == 0:
-        den.pop()
-    if not den:
-        raise ZeroDivisionError("division by zero polynomial")
-    if not num:
-        return [0]
-    if len(num) < len(den):
-        raise ArithmeticError("non-exact polynomial division")
-    quot = [0] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for k in range(len(quot) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        if c % lead != 0:
-            raise ArithmeticError("non-exact polynomial division")
-        quot[k] = c // lead
-        if quot[k]:
-            for j, y in enumerate(den):
-                num[k + j] -= quot[k] * y
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("non-exact polynomial division")
-    return quot
-
-
-def _dense_q_factorial(n: int) -> list[int]:
-    out = [1]
-    for j in range(1, n + 1):
-        out = _dense_mul(out, [1] * j)
-    return out
-
-
-def _from_dense(coeffs: list[int], arity: int = 0) -> MultiPoly:
-    pad = (0,) * arity
-    return MultiPoly._trusted(arity, {(e, 0) + pad: c for e, c in enumerate(coeffs) if c})
-
 
 def q_factorial(n: int) -> MultiPoly:
     """Product of 1 + q + ... + q^(j-1) over j = 1..n.
@@ -307,28 +257,44 @@ def q_factorial(n: int) -> MultiPoly:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    return _from_dense(_dense_q_factorial(n))
+    out = MultiPoly.const(1)
+    for j in range(1, n + 1):
+        out = out * geometric(j)
+    return out
 
 
 def q_multinomial(n: int, parts: Iterable[int]) -> MultiPoly:
-    """Gaussian multinomial: the q-factorial of n over those of the parts."""
+    """Gaussian multinomial: the product of [p_1 + ... + p_i choose p_i] over the parts."""
     parts = list(parts)
     if any(p < 0 for p in parts):
         raise ValueError("parts must be non-negative")
     if sum(parts) != n:
         raise ValueError(f"parts {parts} do not sum to {n}")
-    num = _dense_q_factorial(n)
+    out, total = MultiPoly.const(1), 0
     for p in parts:
-        num = _dense_exact_div(num, _dense_q_factorial(p))
-    return _from_dense(num)
+        total += p
+        out = out * q_binomial(total, p)
+    return out
 
 
 def q_binomial(n: int, k: int) -> MultiPoly:
     """Gaussian binomial; zero when k is outside 0..n.
+
+    Built on the terms of the sparse form, row by row by the q-Pascal rule
+    [m, j] = [m-1, j-1] + q^j [m-1, j].  Row m keeps only the j that [n, k]
+    still needs, and is updated from its top j down, so that row[j - 1]
+    still holds [m-1, j-1] when [m, j] is made.
 
     >>> q_binomial(4, 2).pretty()
     '1 + q + 2*q^2 + q^3 + q^4'
     """
     if k < 0 or k > n:
         return MultiPoly.zero()
-    return q_multinomial(n, (k, n - k))
+    row = [{(0, 0): 1}] + [{} for _ in range(k)]
+    for m in range(1, n + 1):
+        for j in range(min(m, k), max(k - n + m, 1) - 1, -1):
+            terms = dict(row[j - 1])
+            for (e, _), c in row[j].items():
+                terms[e + j, 0] = terms.get((e + j, 0), 0) + c
+            row[j] = terms
+    return MultiPoly._trusted(0, row[k])

@@ -17,10 +17,13 @@ The delent statistics also have a purely positional description via
 left-to-right minima; ``ltr_minima`` implements the whole family of
 "value smaller than all but at most `level` earlier values" position sets
 under both exclusion conventions.
+
+``histograms`` tallies rows of keys over a whole group in one pass.  Which
+rows share a pass, and the rows themselves, are the registry's business: see
+``identities._tally_passes`` and ``identities.plan``.
 """
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
@@ -316,28 +319,6 @@ def histograms(group: str, n: int, *rows: Callable[[Perm, tuple | None], tuple],
     split()
     ends = list(accumulate(widths, initial=0))
     return tuple(tuple(hists[i:j]) for i, j in zip(ends, ends[1:])), count
-
-
-def tally_passes(columns, rows: dict, no_record) -> tuple[dict, dict]:
-    """Tally the distinct columns, one pass per (group, degree).
-
-    A column is (group, degree, row, *args), and ``rows[row, group](degree,
-    *args)`` makes its row for ``histograms``.  A pass pulls its elements
-    only if one of its rows is missing from `no_record`.  Returns {column:
-    (histograms, group order)} and {(group, degree): seconds}.
-    """
-    passes: dict = {}
-    for col in dict.fromkeys(columns):
-        passes.setdefault(col[:2], []).append(col)
-    tallies, seconds = {}, {}
-    for (group, n), cols in passes.items():
-        start = time.perf_counter()
-        pull = any((col[2], group) not in no_record for col in cols)
-        made = [rows[col[2], group](n, *col[3:]) for col in cols]
-        hists, count = histograms(group, n, *made, pull=pull)
-        tallies.update((col, (h, count)) for col, h in zip(cols, hists))
-        seconds[group, n] = time.perf_counter() - start
-    return tallies, seconds
 
 
 def genfun(group: str, n: int, q_stat: str = "length", t_stat: str = "del",

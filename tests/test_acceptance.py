@@ -153,10 +153,11 @@ def test_c09_stirling():
     registry_passes("prop57-stirling-a", range(1, 9))
     registry_passes("prop712-sk-occurrences", range(2, 9))
     # the cycle-count scan itself agrees with the triangular recurrence
-    from permstat.identities import _cycle_class_counts
+    from permstat.identities import _tally_passes
 
     for n in range(1, 9):
-        assert _cycle_class_counts(n) == stirling_cycle_counts(n)
+        ((cycles,), _), = _tally_passes([("S", n, "cycles")])[0].values()
+        assert [cycles.get(d + 1, 0) for d in range(n)] == stirling_cycle_counts(n)
 
 
 @criterion("criterion 10 minima characterisations of delent")

@@ -81,6 +81,10 @@ def test_canon_from_word(capsys):
             5, [(1, False), (2, False), (1, True)]
         )
     )
+    # --n is the degree of the permutation built, in both groups.
+    for word, n, perm in (("", "1", [1]), ("a1", "3", [2, 3, 1])):
+        code, out, _ = run_cli(capsys, "canon", "--group", "A", "--from-word", word, "--n", n)
+        assert code == 0 and json.loads(out)["perm"] == perm
     code, _, err = run_cli(capsys, "canon", "--group", "S")
     assert code == 2 and "needs a permutation" in err
 
@@ -252,6 +256,9 @@ def test_verify_errors(capsys):
     assert code == 2 and "capped" in err
     code, _, err = run_cli(capsys, "verify")
     assert code == 2 and "needs an identity" in err
+    # Every task is checked before appendix-hat's position range is read.
+    code, _, err = run_cli(capsys, "verify", "--all", "-i", "2", "--n-max", "3")
+    assert code == 2 and err == "error: cor92-a does not take parameter 'i'\n"
 
 
 def test_verify_failure_exit_code(capsys):
@@ -324,6 +331,20 @@ def test_verify_jobs_matches_serial(capsys, monkeypatch):
     assert pooled[1] == serial[1]
 
 
+def test_verify_pooled_runs_carry_entry_parameters(capsys, monkeypatch):
+    from permstat import cli, identities
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    argv = ["verify", "appendix-hat", "--n-max", "5", "-i", "1"]
+    assert len(identities.plan([("appendix-hat", n) for n in range(2, 6)], i=1)) == 4
+    serial = run_cli(capsys, *argv, "--jobs", "1")
+    pooled = run_cli(capsys, *argv, "--jobs", "2")
+    assert serial[0] == pooled[0] == 0
+    assert pooled[1] == serial[1]
+    assert [json.loads(line)["params"] for line in serial[1].splitlines()] == [
+        {"n": n, "i": 1} for n in range(2, 6)]
+
+
 def test_verify_pooled_payload_is_pinned_to_n6(capsys, monkeypatch):
     from permstat import cli
 
@@ -344,7 +365,7 @@ def test_verify_checks_every_task_before_any_runs(capsys, monkeypatch, jobs):
         raise AssertionError("a check ran before every task was checked")
 
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(identities, "verify_batch", no_run)
+    monkeypatch.setattr(identities, "run", no_run)
     monkeypatch.setattr(identities, "verify", no_run)
     code, out, err = run_cli(capsys, "verify", "--all", "--n", "8", "--jobs", jobs)
     assert code == 2 and out == ""
@@ -472,9 +493,13 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_usage_errors_exit_2(capsys):
-    # argparse's own rejections, including a permutation it reads as a flag
+    # argparse's own rejections, including a permutation it reads as a flag,
+    # and canon degrees below 1
     for argv in ([], ["stat", "--bogus-flag"], ["stat", "--group", "S", "-1,0"],
-                 ["verify", "--n", "x"], ["list", "extra"]):
+                 ["verify", "--n", "x"], ["list", "extra"],
+                 ["canon", "--group", "S", "--from-word", "s1", "--n", "0"],
+                 ["canon", "--group", "S", "--from-word", "", "--n", "-3"],
+                 ["canon", "--group", "A", "--from-word", "", "--n", "0"]):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
         lines = err.splitlines()

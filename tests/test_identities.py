@@ -9,8 +9,9 @@ from permstat.identities import (
     IdentityEntry,
     REGISTRY,
     list_identities,
+    plan,
+    run,
     verify,
-    verify_batch,
 )
 from permstat.perm import inverse, iter_alternating, iter_symmetric
 from permstat.qpoly import MultiPoly
@@ -362,14 +363,22 @@ def _whole_group_tasks(n_max):
             for n in range(REGISTRY[name].min_n, min(REGISTRY[name].default_cap, n_max) + 1)]
 
 
+def _run_plan(tasks, force=False):
+    """Every piece of the plan of `tasks` run as one, reports keyed by (name, n)."""
+    reports = run([task for _, piece in plan(tasks, force) for task in piece], force)
+    keyed = {(r.identity, r.params["n"]): r for r in reports}
+    assert len(keyed) == len(reports) == len(tasks)
+    return keyed
+
+
 def test_batched_reports_equal_single_runs():
     # One batch shares its passes among every whole-group entry at n <= 6;
     # each report must still be the one the entry gives alone.
     tasks = _whole_group_tasks(6)
     assert len({name for name, _ in tasks}) == 19
-    batched = verify_batch(tasks)
-    assert [(r.identity, r.params["n"]) for r in batched] == tasks
-    for (name, n), report in zip(tasks, batched):
+    batched = _run_plan(tasks)
+    assert sorted(batched) == sorted(tasks)
+    for (name, n), report in batched.items():
         assert report.passed, (name, n)
         assert report.to_json() == verify(name, n).to_json(), (name, n)
         assert report.elapsed > 0
@@ -379,12 +388,28 @@ def test_a_failing_closed_form_fails_only_its_entry_in_a_batch(monkeypatch):
     q_factorial = identities.q_factorial
     monkeypatch.setattr(identities, "q_factorial", lambda n: q_factorial(n) + MultiPoly.const(1))
     tasks = [(name, n) for name, n in _whole_group_tasks(4) if n == 4]
-    reports = {r.identity: r for r in verify_batch(tasks)}
+    reports = {name: r for (name, _), r in _run_plan(tasks).items()}
     assert len(reports) == len(tasks)
     alone = verify("macmahon", 4)
     assert not alone.passed and alone.params["failed_at"] == {"side": "length"}
     assert reports["macmahon"].to_json() == alone.to_json()
     assert all(r.passed for name, r in reports.items() if name != "macmahon")
+
+
+def test_plan_and_run_carry_force(monkeypatch):
+    # prop56 is capped at 9.  Every task is checked before any columns are made.
+    tasks = [("fiber-size", 3), ("prop56", 10)]
+
+    def no_columns(*args, **kwargs):
+        raise AssertionError("columns were made before every task was checked")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(identities, "scan_columns", no_columns)
+        with pytest.raises(CapExceeded, match="prop56 is capped at n = 9"):
+            plan(tasks)
+    reports = _run_plan(tasks, force=True)
+    assert sorted(reports) == sorted(tasks)
+    assert all(r.passed for r in reports.values())
 
 
 def test_a_wrong_table_record_fails_the_delent_scans(monkeypatch):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from permstat.qpoly import (
     MultiPoly,
-    _dense_exact_div,
     geometric,
     q_binomial,
     q_factorial,
@@ -96,12 +95,10 @@ def test_q_multinomial():
         q_multinomial(1, (2, -1))
 
 
-def test_exact_division_guard():
-    with pytest.raises(ArithmeticError, match="non-exact"):
-        _dense_exact_div([1, 1], [2])
-    with pytest.raises(ArithmeticError, match="non-exact"):
-        _dense_exact_div([1, 0, 1], [1, 1])
-    assert _dense_exact_div([1, 2, 1], [1, 1]) == [1, 1]
+def test_binomial_times_factorials_is_factorial():
+    for n in range(11):
+        for k in range(n + 1):
+            assert q_binomial(n, k) * q_factorial(k) * q_factorial(n - k) == q_factorial(n)
 
 
 @given(small_polys, small_polys, small_polys)
