@@ -127,28 +127,35 @@ def _run_canon(args) -> int:
     return 0
 
 
+def _write_perms(perms, degree: int, json_frame: tuple[str, str, str], args) -> None:
+    """Write a nonempty stream of permutations of `degree` as they come.
+
+    Each is its entries joined by commas, between the brackets and breaks that
+    a dump of the whole list would put there; `json_frame` is the (head,
+    separator, end) of the JSON format.  The entries are looked up as text
+    rather than converted one by one.
+    """
+    digits = [str(x) for x in range(degree + 1)]
+    rows = (",".join([digits[x] for x in p]) for p in perms)
+    head, sep, end = {
+        "json": json_frame, "csv": ("", "\n", "\n"), "pretty": ("[", "]\n[", "]\n"),
+    }[args.format]
+    with _output(args.out) as fh:
+        fh.write(head + next(rows))
+        fh.writelines(sep + row for row in rows)
+        fh.write(end)
+
+
 def _run_fiber(args) -> int:
     from .cover import iter_fiber
 
     w = _parse_perm_arg(args.perm)
-    # Each lift is written as it comes: its entries joined by commas, between
-    # the brackets and breaks that a dump of the whole list would put there.
-    # The entries are looked up as text rather than converted one by one.
-    digits = [str(x) for x in range(len(w) + 2)]
-    rows = (",".join([digits[x] for x in v]) for v in iter_fiber(w))
-    head, sep, end = {
-        "json": ("[[", "],[", "]]\n"), "csv": ("", "\n", "\n"), "pretty": ("[", "]\n[", "]\n"),
-    }[args.format]
-    with _output(args.out) as fh:
-        fh.write(head + next(rows))  # a fibre is never empty
-        fh.writelines(sep + row for row in rows)
-        fh.write(end)
+    _write_perms(iter_fiber(w), len(w) + 1, ("[[", "],[", "]]\n"), args)
     return 0
 
 
 def _run_shuffles(args) -> int:
-    from .perm import format_one_line
-    from .shuffles import enumerate_b_shuffles, shuffle_count
+    from .shuffles import _iter_b_shuffles, shuffle_count
 
     # The count itself costs a factorial of --n, so bound --n first.
     if args.n < 1:
@@ -166,14 +173,8 @@ def _run_shuffles(args) -> int:
         raise CapExceeded(
             f"{count} shuffles exceed the cap of {SHUFFLE_COUNT_CAP}; use --force to override"
         )
-    perms = enumerate_b_shuffles(args.n, cuts)
-    if args.format == "csv":
-        text = "\n".join(",".join(str(x) for x in p) for p in perms)
-    elif args.format == "pretty":
-        text = "\n".join(format_one_line(p) for p in perms)
-    else:
-        text = "\n".join(_dumps(list(p)) for p in perms)
-    _emit(text, args.out)
+    # Each shuffle is written as it is made: memory does not grow with the count.
+    _write_perms(_iter_b_shuffles(args.n, cuts), args.n, ("[", "]\n[", "]\n"), args)
     return 0
 
 
@@ -240,15 +241,12 @@ def _verify_reports(tasks: list[tuple[str, int]], force: bool, extra: dict, jobs
     pieces; the pool gets the pieces packed into about four submissions per
     worker, heaviest first.
     """
-    import functools
-
     from . import identities
 
     pieces = identities.plan(tasks, force, **extra)
-    run = functools.partial(identities.run, force=force)
     workers = _pool_size(jobs, len(pieces), os.cpu_count())
     if workers == 1:
-        return run([task for _, piece in pieces for task in piece])
+        return identities.run([task for _, piece in pieces for task in piece])
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
@@ -258,7 +256,7 @@ def _verify_reports(tasks: list[tuple[str, int]], force: bool, extra: dict, jobs
     # instead of each compiling them.
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return [r for reports in pool.map(run, submissions) for r in reports]
+            return [r for reports in pool.map(identities.run, submissions) for r in reports]
     except BrokenProcessPool as exc:
         raise ChildProcessError(f"a verify worker process died: {exc}") from None
 

@@ -446,14 +446,14 @@ def scan_columns(name: str, n: int, **extra) -> list[tuple] | None:
     return None if scan is None else scan[0](n, **extra)
 
 
-def _check_scan(name: str, n: int, tallies: dict | None = None,
-                **extra) -> Iterator[Checkpoint]:
-    """A whole-group entry's checkpoints, its columns read from `tallies` or tallied here."""
-    columns, finish = _SCANS[name]
-    cols = columns(n, **extra)
-    tallies = tallies or _tally_passes(cols)[0]
-    hists = [h for col in cols for h in tallies[col][0]]
-    return finish(n, tallies[cols[0]][1], *hists, **extra)
+def _check_scan(name: str, n: int, columns: list[tuple] | None = None,
+                tallies: dict | None = None, **extra) -> Iterator[Checkpoint]:
+    """A whole-group entry's checkpoints: `columns` read from `tallies`, or made and tallied."""
+    if columns is None:
+        columns = scan_columns(name, n, **extra)
+        tallies = _tally_passes(columns)[0]
+    hists = [h for col in columns for h in tallies[col][0]]
+    return _SCANS[name][1](n, tallies[columns[0]][1], *hists, **extra)
 
 
 def _batch_work(columns: set) -> int:
@@ -490,18 +490,19 @@ def plan(tasks: list[tuple[str, int]], force: bool = False,
     return pieces + [(_batch_work(columns), joined) for columns, joined in batches]
 
 
-def run(piece: list[tuple], force: bool = False) -> list[IdentityReport]:
+def run(piece: list[tuple]) -> list[IdentityReport]:
     """Verify the tasks of a ``plan`` piece, tallying each pass they read once.
 
-    Each report equals that of ``verify(name, n)`` alone, except that the
-    elapsed time of a whole-group task is its own finish plus an equal share
-    of each pass it reads.
+    ``plan`` has checked each task's cap.  Each report equals that of
+    ``verify(name, n)`` alone, except that the elapsed time of a whole-group
+    task is its own finish plus an equal share of each pass it reads.
     """
     tallies, seconds = _tally_passes(col for *_, cols in piece if cols for col in cols)
     reads = [dict.fromkeys(col[:2] for col in cols or ()) for *_, cols in piece]
     readers = Counter(key for keys in reads for key in keys)
     shares = [sum(seconds[k] / readers[k] for k in keys) for keys in reads]
-    return [verify(name, n, force, _scanned=None if cols is None else (tallies, share), **params)
+    return [verify(name, n, force=True, **params,
+                   _scanned=None if cols is None else (cols, tallies, share))
             for (name, n, params, cols), share in zip(piece, shares)]
 
 
@@ -689,24 +690,25 @@ def list_identities() -> list[IdentityEntry]:
 
 
 def verify(name: str, n: int | None = None, force: bool = False, *,
-           _scanned: tuple[dict, float] | None = None, **extra) -> IdentityReport:
+           _scanned: tuple[list, dict, float] | None = None, **extra) -> IdentityReport:
     """Run one registry entry and aggregate its checkpoints into a report.
 
     With no explicit n the entry runs at its default cap.  Larger n's are
     refused unless force is set; they stay exact but may be very slow.  A
-    whole-group entry given `_scanned`, a pair of column tallies and seconds
-    from passes shared with other entries, reads its columns from the
-    tallies and counts those seconds in its elapsed time.
+    whole-group entry given `_scanned`, its columns with their tallies and
+    seconds from passes shared with other entries, reads its columns from
+    the tallies and counts those seconds in its elapsed time.
     """
     n, extra = resolve(name, n, force, extra)
-    tallies, shared = _scanned or (None, 0.0)
+    columns, tallies, shared = _scanned or (None, None, 0.0)
     check = REGISTRY[name].check
     start = time.perf_counter()
     scanned = 0
     # A passing checkpoint has equal sides, so one running sum is both totals.
     total: dict = {}
     arity = 0
-    checkpoints = check(n, **extra) if tallies is None else check(n, tallies=tallies, **extra)
+    checkpoints = (check(n, **extra) if columns is None
+                   else check(n, columns=columns, tallies=tallies, **extra))
     for subparams, lhs, rhs, cnt in checkpoints:
         scanned += cnt
         if lhs != rhs:

@@ -5,15 +5,16 @@ blocks.  A B-shuffle is a permutation in which every block's values appear
 left to right in increasing order; equivalently (checked in the tests, not
 assumed here) the inverse has all its descents inside B.
 
-Enumeration works block by block, choosing the position set of each block and
-filling it in increasing order, so the cost is the multinomial count rather
-than n factorial.  Decomposition splits the canonical word at the cut points,
-peeling one single-cut shuffle per block boundary.
+Enumeration steps through the words of block labels in lexicographic order
+and fills each block's positions in increasing order, so the cost is the
+multinomial count rather than n factorial and nothing is sorted.
+Decomposition splits the canonical word at the cut points, peeling one
+single-cut shuffle per block boundary.
 """
 from __future__ import annotations
 
 import functools
-import itertools
+from typing import Iterator
 
 from .perm import Perm, support
 from .qpoly import MultiPoly
@@ -63,30 +64,40 @@ def shuffle_count(n: int, cuts: set[int]) -> int:
     return total
 
 
+def _iter_b_shuffles(n: int, cuts: set[int]) -> Iterator[Perm]:
+    """The B-shuffles in lexicographic one-line order, one at a time.
+
+    A shuffle is fixed by its word of block labels, the block that supplies
+    each position, and the blocks hold increasing value ranges, so shuffles
+    compare as their label words do.  Knuth's Algorithm L (TAOCP 7.2.1.2)
+    steps through those multiset permutations in order, in place.
+    """
+    ranges = [range(lo, hi + 1) for lo, hi in _blocks(n, frozenset(cuts))]
+    word = [b for b, r in enumerate(ranges) for _ in r]
+    while True:
+        nexts = [iter(r) for r in ranges]
+        yield tuple([next(nexts[b]) for b in word])
+        # The next word: swap the left letter of the last ascent with the last
+        # letter larger than it, then reverse the tail after it.
+        j = n - 2
+        while j >= 0 and word[j] >= word[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        k = n - 1
+        while word[j] >= word[k]:
+            k -= 1
+        word[j], word[k] = word[k], word[j]
+        word[j + 1:] = word[:j:-1]
+
+
 def enumerate_b_shuffles(n: int, cuts: set[int]) -> list[Perm]:
     """All B-shuffles in lexicographic one-line order.
 
     >>> enumerate_b_shuffles(4, {2})[:3]
     [(1, 2, 3, 4), (1, 3, 2, 4), (1, 3, 4, 2)]
     """
-    blocks = _blocks(n, frozenset(cuts))
-    out: list[Perm] = []
-
-    def place(block_idx: int, free: tuple[int, ...], filled: dict[int, int]):
-        if block_idx == len(blocks):
-            out.append(tuple(filled[i] for i in range(1, n + 1)))
-            return
-        lo, hi = blocks[block_idx]
-        size = hi - lo + 1
-        for positions in itertools.combinations(free, size):
-            for pos, val in zip(positions, range(lo, hi + 1)):
-                filled[pos] = val
-            rest = tuple(x for x in free if x not in positions)
-            place(block_idx + 1, rest, filled)
-
-    place(0, tuple(range(1, n + 1)), {})
-    out.sort()
-    return out
+    return list(_iter_b_shuffles(n, cuts))
 
 
 @functools.lru_cache(maxsize=16)

@@ -191,6 +191,53 @@ def test_shuffles_json_lines(capsys):
 
 
 
+# SHA-256 of each format of the 7,560 shuffles of --n 9 --b 2,5,7, as dumped
+# whole from the sorted list before the shuffles were streamed.
+SHUFFLES_9_DIGESTS = {
+    "json": "98881482c4bc8aa9365335e457ccbc65f8142c0cac5632a965d2c68f5fedd2b2",
+    "csv": "6a31c48774899c336a8528d8203f838547a83e4183f9cf48e92990030bc46495",
+    "pretty": "98881482c4bc8aa9365335e457ccbc65f8142c0cac5632a965d2c68f5fedd2b2",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(SHUFFLES_9_DIGESTS))
+def test_shuffles_stream_the_bytes_of_a_whole_list_dump(capsys, tmp_path, fmt):
+    argv = ["shuffles", "--n", "9", "--b", "2,5,7", "--format", fmt]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out.count("\n") == 7560
+    assert hashlib.sha256(out.encode()).hexdigest() == SHUFFLES_9_DIGESTS[fmt]
+    path = tmp_path / f"shuffles.{fmt}"
+    code, printed, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0 and printed == ""
+    assert path.read_bytes() == out.encode()
+
+
+def test_shuffles_near_the_count_cap_stream_in_small_memory(tmp_path):
+    # --n 11 --b 3,6,9 has 92,400 shuffles; held as a sorted list they peak
+    # over 20 MB.  The file takes the output, so only the stream is traced.
+    import tracemalloc
+
+    import permstat.shuffles  # noqa: F401  compiled before tracing starts
+
+    path = tmp_path / "shuffles.json"
+    tracemalloc.start()
+    try:
+        code = main(["shuffles", "--n", "11", "--b", "3,6,9", "--out", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1_000_000
+    shuffles = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(shuffles) == 92_400 and shuffles == sorted(shuffles)
+
+
+def test_shuffles_of_one_block_deeper_than_the_recursion_limit(capsys):
+    code, out, err = run_cli(capsys, "shuffles", "--n", "3000", "--force")
+    assert code == 0 and err == ""
+    assert len(out) == 13_895 and out == "[" + ",".join(map(str, range(1, 3001))) + "]\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["--n", "300000", "--b", "1,2"],
     ["--n", "21"],
@@ -373,20 +420,32 @@ def test_verify_checks_every_task_before_any_runs(capsys, monkeypatch, jobs):
 
 
 def test_verify_plans_each_tasks_columns_once(capsys, monkeypatch):
-    # The batches read the columns that the plan made for each task.
+    # The batches read the columns that the plan made for each task: every
+    # column maker runs once per whole-group task, in the plan.
     from permstat import identities
 
-    scan_columns, asked = identities.scan_columns, []
+    scan_columns, asked, made = identities.scan_columns, [], []
 
     def counted(name, n, **extra):
         asked.append((name, n))
         return scan_columns(name, n, **extra)
 
+    for name, (columns, finish) in list(identities._SCANS.items()):
+        def counted_maker(n, _name=name, _columns=columns, **extra):
+            made.append((_name, n))
+            return _columns(n, **extra)
+
+        monkeypatch.setitem(identities._SCANS, name, (counted_maker, finish))
     monkeypatch.setattr(identities, "scan_columns", counted)
     code, _, _ = run_cli(capsys, "verify", "--all", "--n-max", "4", "--jobs", "1")
     assert code == 0
-    assert len(asked) == len(set(asked)) == sum(
-        len(range(e.min_n, min(4, e.default_cap) + 1) or [e.min_n]) for e in REGISTRY.values())
+
+    def tasks(entries):
+        return sorted((e.name, n) for e in entries
+                      for n in range(e.min_n, min(4, e.default_cap) + 1) or [e.min_n])
+
+    assert sorted(asked) == tasks(REGISTRY.values())
+    assert sorted(made) == tasks(REGISTRY[name] for name in identities._SCANS)
 
 
 def test_pack_is_longest_processing_time_first():

@@ -365,7 +365,7 @@ def _whole_group_tasks(n_max):
 
 def _run_plan(tasks, force=False):
     """Every piece of the plan of `tasks` run as one, reports keyed by (name, n)."""
-    reports = run([task for _, piece in plan(tasks, force) for task in piece], force)
+    reports = run([task for _, piece in plan(tasks, force) for task in piece])
     keyed = {(r.identity, r.params["n"]): r for r in reports}
     assert len(keyed) == len(reports) == len(tasks)
     return keyed
@@ -397,7 +397,8 @@ def test_a_failing_closed_form_fails_only_its_entry_in_a_batch(monkeypatch):
 
 
 def test_plan_and_run_carry_force(monkeypatch):
-    # prop56 is capped at 9.  Every task is checked before any columns are made.
+    # prop56 is capped at 9.  Every task is checked before any columns are made,
+    # and the pieces of a forced plan run past the cap.
     tasks = [("fiber-size", 3), ("prop56", 10)]
 
     def no_columns(*args, **kwargs):
@@ -410,6 +411,24 @@ def test_plan_and_run_carry_force(monkeypatch):
     reports = _run_plan(tasks, force=True)
     assert sorted(reports) == sorted(tasks)
     assert all(r.passed for r in reports.values())
+
+
+def test_timings_share_each_pass_among_its_readers(monkeypatch):
+    # A whole-group report's elapsed is its own finish plus an equal share of
+    # each pass it reads, so the reports still sum to the work done.
+    tally_passes = identities._tally_passes
+
+    def slow_s4(columns):
+        tallies, seconds = tally_passes(columns)
+        assert set(seconds) == {("S", 4)}
+        return tallies, {("S", 4): 6.0}
+
+    monkeypatch.setattr(identities, "_tally_passes", slow_s4)
+    (_, piece), = plan([("thm61-s", 4), ("thm62-s", 4), ("prop67", 4)])
+    reports = run(piece)
+    assert len(reports) == 3 and all(r.passed for r in reports)
+    assert all(2.0 <= r.elapsed < 2.5 for r in reports)
+    assert sum(r.elapsed for r in reports) >= 6.0
 
 
 def test_a_wrong_table_record_fails_the_delent_scans(monkeypatch):

@@ -59,15 +59,17 @@ def test_enumerate_examples():
 
 
 def test_enumeration_is_exact_and_counted():
-    for n in range(1, 7):
-        for cuts in [{1}, {n - 1}, {1, n - 1}, set(range(1, n))]:
-            cuts = {c for c in cuts if 1 <= c <= n - 1}
-            got = enumerate_b_shuffles(n, cuts)
-            assert len(got) == shuffle_count(n, cuts)
-            assert got == sorted(got)
-            assert all(is_b_shuffle(p, cuts) for p in got)
-            expected = [p for p in iter_symmetric(n) if is_b_shuffle(p, cuts)]
-            assert got == expected
+    # Every cut set of degree at most 7.
+    for n in range(1, 8):
+        group = list(iter_symmetric(n))
+        for r in range(n):
+            for cuts in map(set, itertools.combinations(range(1, n), r)):
+                got = enumerate_b_shuffles(n, cuts)
+                assert len(got) == shuffle_count(n, cuts)
+                assert got == sorted(got)
+                assert all(is_b_shuffle(p, cuts) for p in got)
+                expected = [p for p in group if is_b_shuffle(p, cuts)]
+                assert got == expected
 
 
 def test_decompose_examples():
