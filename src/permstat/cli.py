@@ -89,6 +89,8 @@ def _run_canon(args) -> int:
     )
 
     if args.from_word is not None:
+        if args.perm is not None:
+            raise ValueError("canon takes a permutation or --from-word, not both")
         # Check the degree before evaluating: it sizes the permutation built,
         # and the evaluation rejects letters beyond it.
         if args.group == "S":

@@ -49,6 +49,7 @@ from .stats import (
     EXCLUDE_FIRST_POSITIONS,
     _maj_rmaj,
     del_s,
+    des_s,
     des_set_s,
     h_map,
     histograms,
@@ -224,13 +225,13 @@ def _main_a(v, rec, n):
 # Corollary 9.2 scans over q = p^{-1}, which runs over the whole group as p
 # does: the inverse's statistics come from q's own record.
 def _cor92_s(q, rec, n):
-    p, d = inverse(q), len(des_set_s(q))
+    p, d = inverse(q), des_s(q)
     return (rmaj_s(p, n), d, rec[1]), (length_s(p), d, rec[1])
 
 
 def _cor92_a(w, rec, n):
     ell, _, _, proj, _ = a_pull(inverse(w))
-    d = len(des_set_s(rec[3]))
+    d = des_s(rec[3])
     return (rmaj_s(proj, n), d, rec[1]), (ell, d, rec[1])
 
 
@@ -456,11 +457,30 @@ def _check_scan(name: str, n: int, columns: list[tuple] | None = None,
     return _SCANS[name][1](n, tallies[columns[0]][1], *hists, **extra)
 
 
+# A piece's work saturates here, so that weighing a forced huge n stays cheap.
+# No piece that heavy can finish, so how such pieces are ordered does not matter.
+_MOST_WORK = 1 << 62
+
+
+def _work(factors) -> int:
+    """The product of `factors`, or ``_MOST_WORK`` once it gets there."""
+    work = 1
+    for f in factors:
+        work *= f
+        if work >= _MOST_WORK:
+            return _MOST_WORK
+    return work
+
+
 def _batch_work(columns: set) -> int:
     """About how many elements a batch enumerates: each column its group,
     once for each index in its arguments."""
-    return sum((math.factorial(n) if group == "S" else math.factorial(n + 1) // 2)
-               * (len(args[0]) if args else 1) for group, n, _, *args in columns)
+    work = 0
+    for group, n, _, *args in columns:
+        # S_n has 2 * 3 * ... * n elements and A_{n+1} has 3 * 4 * ... * (n + 1).
+        first, last = (2, n) if group == "S" else (3, n + 1)
+        work += _work(itertools.chain(range(first, last + 1), [len(args[0]) if args else 1]))
+    return min(_MOST_WORK, work)
 
 
 def plan(tasks: list[tuple[str, int]], force: bool = False,
@@ -479,8 +499,9 @@ def plan(tasks: list[tuple[str, int]], force: bool = False,
         if columns is None:
             # lemma63 inserts into n^n words, prop56 builds about n^2 elements
             # and the other per-point entries see about (n + 1)!.
-            work = {"lemma63": n ** n * (n + 1), "prop56": n * n}.get(name)
-            pieces.append((work or math.factorial(n + 1), [task]))
+            factors = {"lemma63": itertools.chain(itertools.repeat(n, n), [n + 1]),
+                       "prop56": (n, n)}.get(name, range(2, n + 2))
+            pieces.append((_work(factors), [task]))
             continue
         keys = {col[:2] for col in columns}
         joined = [b for b in batches if keys & {col[:2] for col in b[0]}]

@@ -27,13 +27,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, chain, combinations, islice, starmap
+from itertools import accumulate, chain, combinations, compress, count, islice, starmap
 from math import factorial
 from operator import gt
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .perm import Perm, check_even, iter_alternating, iter_symmetric
-from .words import a_pull, indicators, s_pull
+from .words import _a_step, _s_step, a_pull, indicators, s_pull
 
 if TYPE_CHECKING:  # genfun, its only user, imports it when it runs
     from .qpoly import MultiPoly
@@ -59,22 +59,25 @@ def des_set_s(p: Sequence[int]) -> set[int]:
     return {i for i in range(1, len(p)) if p[i - 1] > p[i]}
 
 
+# des_s, maj_s and rmaj_s read the descents off one C-level pass,
+# ``map(gt, p, p[1:])``; the sums weigh them with ``compress``.
+
 def des_s(p: Perm) -> int:
-    return len(des_set_s(p))
+    return sum(map(gt, p, p[1:]))
 
 
 def maj_s(p: Sequence[int]) -> int:
-    return sum(des_set_s(p))
+    return sum(compress(count(1), map(gt, p, p[1:])))
 
 
 def rmaj_s(p: Perm, n: int) -> int:
     """Sum of n - i over descents i; n is the ambient degree, given explicitly."""
-    des = des_set_s(p)
-    return n * len(des) - sum(des)
+    return sum(compress(count(n - 1, -1), map(gt, p, p[1:])))
 
 
 def _maj_rmaj(p: Sequence[int], n: int) -> tuple[int, int]:
     """``(maj_s(p), rmaj_s(p, n))`` from one descent set; see ``rmaj_s``."""
+    # Both sums from the set are faster than a list of the compressed positions.
     des = des_set_s(p)
     m = sum(des)
     return m, n * len(des) - m
@@ -279,19 +282,28 @@ def histograms(group: str, n: int, *rows: Callable[[Perm, tuple | None], tuple],
     None for the record.  Returns, per row, one histogram per key, and the
     group order.
 
-    Each pull stops at the largest degree d below the group's whose words
-    (d! in S, d!/2 in A) fit in a table of ``_HELD_RECORDS`` records, and
-    reads the record of the word left from that table, which the kernel
-    fills on a miss.  The table lives for this pass only.
+    The pass keeps a chain of tables, one for each degree d from 3 up to
+    the largest below the group's whose words (d! in S, d!/2 in A) fit in
+    ``_HELD_RECORDS`` records: at most 3..7 in both groups, about 5,900
+    records in S and 3,000 in A.  A table maps a word to its record and
+    fills a miss by pulling the word's top value and joining the record of
+    the word left from the table below, the smallest by a plain pull.  An
+    element one value above the top table takes that same step, with its
+    top's slot read off its own word (``_s_step``, ``_a_step``); an element
+    further above pulls its top values in a loop and joins them to the top
+    table's record.  The tables live for this pass only.
     """
     if group == "S":
-        elements, kernel, degree, halve = iter_symmetric(n), s_pull, n, 1
+        elements, kernel, step, degree, halve = iter_symmetric(n), s_pull, _s_step, n, 1
     elif group == "A":
-        elements, kernel, degree, halve = iter_alternating(n + 1), a_pull, n + 1, 2
+        elements, kernel, step, degree, halve = iter_alternating(n + 1), a_pull, _a_step, n + 1, 2
     else:
         raise ValueError(f"unknown group {group!r}; expected 'S' or 'A'")
-    fits = [d for d in range(3, degree) if factorial(d) // halve <= _HELD_RECORDS]
-    held = (fits[-1], {}) if fits else None
+    held, d = None, 3  # held: the top (degree, table, link below) of the chain
+    while d < degree and factorial(d) // halve <= _HELD_RECORDS:
+        held, d = (d, {}, held), d + 1
+    if held is not None and d == degree:
+        kernel = step
     first = next(elements)  # a group is never empty
     widths = [len(row(first, kernel(first, _held=held) if pull else None)) for row in rows]
     elements = chain([first], elements)
@@ -303,7 +315,7 @@ def histograms(group: str, n: int, *rows: Callable[[Perm, tuple | None], tuple],
         take = lambda: [joint(p, None) for p in islice(elements, 256)]
     hists = [{} for _ in range(sum(widths))]
     held_rows = _HELD_KEYS // max(1, len(hists))
-    tally, count = Counter(), 0
+    tally, order = Counter(), 0
 
     def split():
         for row_keys, c in tally.items():
@@ -312,13 +324,13 @@ def histograms(group: str, n: int, *rows: Callable[[Perm, tuple | None], tuple],
         tally.clear()
 
     for chunk in iter(take, []):
-        count += len(chunk)
+        order += len(chunk)
         tally.update(chunk)
         if len(tally) >= held_rows:
             split()
     split()
     ends = list(accumulate(widths, initial=0))
-    return tuple(tuple(hists[i:j]) for i, j in zip(ends, ends[1:])), count
+    return tuple(tuple(hists[i:j]) for i, j in zip(ends, ends[1:])), order
 
 
 def genfun(group: str, n: int, q_stat: str = "length", t_stat: str = "del",

@@ -33,12 +33,16 @@ which are the closed forms' own structure.  ``iter_alternating`` reads the
 parity of each element's Lehmer code off its lexicographic index, but that
 selector decides only membership: every scan still enumerates each element
 as a one-line word, and a scan that reads the record pulls that element
-itself.  A whole-group pass pulls each element's top values off its own
-word and reads the record of the word left, of a fixed lower degree, from
-a table that lives for that pass; on a miss the kernel fills it by pulling
-that word.  So the table caches a pure function of the word, keyed by the
-word: no record is built from another by choosing a slot for the top
-value, which would walk the staircase product that the closed forms are.
+itself.  A whole-group pass keeps a chain of tables, one per degree up to
+a fixed top one, that live for that pass.  For an element one value above
+the top table, ``_s_step`` and ``_a_step`` read the top's slot off the
+element's own word, look up the word left (after the A parity swap) one
+degree down, and join that one value to its record; an element further
+above pulls its top values in a loop first.  A table fills a miss by the
+same pull from the table below it, and the smallest by a plain pull.  So
+each table caches a pure function of the word, keyed by the word: no
+record is built from another by choosing a slot for the top value, which
+would walk the staircase product that the closed forms are.
 A scan reads from a record only what the paper defines through the
 word: delent, indicator vectors, occurrence counts, and the alternating
 length and descents.  Symmetric statistics that are defined on the one-line
@@ -138,13 +142,14 @@ class AWord:
         return out
 
 
-def s_pull(w: Perm, *, _held: tuple[int, dict] | None = None
-           ) -> tuple[int, int, tuple[SFactor | None, ...]]:
+def s_pull(w: Perm, *, _held: tuple | None = None) -> tuple[int, int, tuple[SFactor | None, ...]]:
     """(length, delent, factor starts) of w, from one pull pass.
 
     The starts are the factors of ``s_canonical(w)``.  w is not validated.
-    With `_held`, a (degree, table) pair, it stops at the word left of that
-    degree and joins its record from the table, filled by a plain pull.
+    With `_held`, a (degree, table, chain below) link of a chain of tables,
+    it stops at the word left of that degree and joins its record from the
+    table, which fills a miss by this pull through the chain below it, or
+    by the plain pull at the end of the chain.
 
     >>> s_pull((2, 5, 4, 1, 3))
     (6, 1, (1, None, 2, 2))
@@ -169,8 +174,19 @@ def s_pull(w: Perm, *, _held: tuple[int, dict] | None = None
     if _held is None:
         return length, delent, tuple(pulled)
     rest = tuple(work)
-    rec = _held[1].get(rest) or _held[1].setdefault(rest, s_pull(rest))
+    rec = _held[1].get(rest) or _held[1].setdefault(rest, s_pull(rest, _held=_held[2]))
     return length + rec[0], delent + rec[1], rec[2] + tuple(pulled)
+
+
+def _s_step(w: Perm, *, _held: tuple) -> tuple[int, int, tuple[SFactor | None, ...]]:
+    """``s_pull(w, _held=_held)`` for a w one value above the table: the top's slot is its start."""
+    n = len(w)
+    r = w.index(n)
+    rest = w[:r] + w[r + 1:]
+    rec = _held[1].get(rest) or _held[1].setdefault(rest, s_pull(rest, _held=_held[2]))
+    if r == n - 1:
+        return rec[0], rec[1], rec[2] + (None,)
+    return rec[0] + n - 1 - r, rec[1] + (not r), rec[2] + (r + 1,)
 
 
 def s_canonical(w: Perm) -> SWord:
@@ -187,7 +203,7 @@ def s_word_to_perm(word: SWord) -> Perm:
     return eval_s_letters(word.n, word.letters())
 
 
-def a_pull(v: Perm, *, _held: tuple[int, dict] | None = None
+def a_pull(v: Perm, *, _held: tuple | None = None
            ) -> tuple[int, int, tuple[SFactor | None, ...], Perm, int]:
     """(length, delent, projected ends, projection, inverted) of an even v.
 
@@ -226,7 +242,7 @@ def a_pull(v: Perm, *, _held: tuple[int, dict] | None = None
         ends, proj = pulled, [1][:m - 1]  # no factors below degree 3
     else:
         rest = tuple(work)
-        rec = _held[1].get(rest) or _held[1].setdefault(rest, a_pull(rest))
+        rec = _held[1].get(rest) or _held[1].setdefault(rest, a_pull(rest, _held=_held[2]))
         length, delent, inverted = length + rec[0], delent + rec[1], inverted | rec[4]
         ends, proj = rec[2] + tuple(pulled), list(rec[3])
     # The projection restricted to the values 1..j+1 holds j+1 at position
@@ -234,6 +250,25 @@ def a_pull(v: Perm, *, _held: tuple[int, dict] | None = None
     for j, e in enumerate(pulled, start=len(proj)):
         proj.insert(j if e is None else e - 1, j + 1)
     return length, delent, tuple(ends), tuple(proj), inverted
+
+
+def _a_step(v: Perm, *, _held: tuple) -> tuple[int, int, tuple[SFactor | None, ...], Perm, int]:
+    """``a_pull(v, _held=_held)`` for a v one value above the table: one step of its loop."""
+    m = len(v)
+    r = v.index(m)
+    rest = v[:r] + v[r + 1:]
+    if (m - 1 - r) & 1:
+        rest = (rest[1], rest[0]) + rest[2:]
+    length, delent, ends, proj, inverted = (
+        _held[1].get(rest) or _held[1].setdefault(rest, a_pull(rest, _held=_held[2])))
+    if r == m - 1:
+        return length, delent, ends + (None,), proj + (m - 1,), inverted
+    if r < 2:
+        if not r:
+            inverted |= 1 << m - 2
+            r = 1
+        delent += 1
+    return length + m - 1 - r, delent, ends + (r,), proj[:r - 1] + (m - 1,) + proj[r - 1:], inverted
 
 
 def a_canonical(v: Perm) -> AWord:

@@ -553,12 +553,13 @@ def test_out_file(tmp_path, capsys):
 
 def test_usage_errors_exit_2(capsys):
     # argparse's own rejections, including a permutation it reads as a flag,
-    # and canon degrees below 1
+    # canon degrees below 1, and canon given both a permutation and a word
     for argv in ([], ["stat", "--bogus-flag"], ["stat", "--group", "S", "-1,0"],
                  ["verify", "--n", "x"], ["list", "extra"],
                  ["canon", "--group", "S", "--from-word", "s1", "--n", "0"],
                  ["canon", "--group", "S", "--from-word", "", "--n", "-3"],
-                 ["canon", "--group", "A", "--from-word", "", "--n", "0"]):
+                 ["canon", "--group", "A", "--from-word", "", "--n", "0"],
+                 ["canon", "--group", "A", "[1,2,3]", "--from-word", "a5"]):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
         lines = err.splitlines()

@@ -1,4 +1,6 @@
+import hashlib
 import pickle
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -413,6 +415,34 @@ def test_plan_and_run_carry_force(monkeypatch):
     assert all(r.passed for r in reports.values())
 
 
+def _verify_all_tasks(n_max):
+    """The (name, n) tasks of ``verify --all``, at the default caps or up to n_max."""
+    return [(name, n) for name, e in sorted(REGISTRY.items())
+            for n in ([e.default_cap] if n_max is None
+                      else range(e.min_n, min(n_max, e.default_cap) + 1) or [e.min_n])]
+
+
+@pytest.mark.parametrize("n_max, count, digest", [
+    (None, 14, "75ad9a1820eda30f95e6c5c5376baf8cc5f5cfee626d82a7fcf68d2eed7c5152"),
+    (5, 52, "494857ee9972fbb9492325d57c093048897a0ce1fe86a5c8f360e6027d447f3e"),
+])
+def test_plan_pieces_and_weights_are_pinned(n_max, count, digest):
+    # Recorded when every weight was an exact element count; saturating the
+    # weights for huge n must leave these unchanged.
+    pieces = sorted((work, sorted((name, n) for name, n, *_ in piece))
+                    for work, piece in plan(_verify_all_tasks(n_max)))
+    assert len(pieces) == count
+    assert hashlib.sha256(repr(pieces).encode()).hexdigest() == digest
+
+
+def test_plan_weighs_a_forced_huge_n_at_once():
+    # The exact weights, (2,000,000)! and (10^7)^(10^7), took over 30 s each.
+    start = time.perf_counter()
+    pieces = plan([("macmahon", 2_000_000), ("lemma63", 10 ** 7)], force=True)
+    assert time.perf_counter() - start < 1
+    assert sorted(work for work, _ in pieces) == [identities._MOST_WORK] * 2
+
+
 def test_timings_share_each_pass_among_its_readers(monkeypatch):
     # A whole-group report's elapsed is its own finish plus an equal share of
     # each pass it reads, so the reports still sum to the work done.
@@ -433,8 +463,8 @@ def test_timings_share_each_pass_among_its_readers(monkeypatch):
 
 def test_a_wrong_table_record_fails_the_delent_scans(monkeypatch):
     # A pass over A_5 reads the record of each element's word of degree 4 from
-    # its table, which the kernel fills; one wrong record there reaches both
-    # delent scans.
+    # its top table, which the kernel fills from the table of degree 3 below
+    # it; one wrong record there reaches both delent scans.
     from permstat import words
 
     pull, wrong = words.a_pull, (2, 3, 1, 4)
@@ -450,4 +480,4 @@ def test_a_wrong_table_record_fails_the_delent_scans(monkeypatch):
     monkeypatch.setattr(words, "a_pull", wrong_pull)
     for name in ("thm61-a", "prop57-stirling-a"):
         assert not verify(name, 4).passed, name
-    assert wrong in seen and {len(v) for v in seen} == {4}
+    assert wrong in seen and {len(v) for v in seen} == {3, 4}

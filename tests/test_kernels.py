@@ -8,6 +8,8 @@ so a fault in ``s_pull``, ``a_pull`` or ``iter_alternating`` cannot cancel.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 
 import pytest
 
@@ -83,22 +85,31 @@ def test_a_pull_projection_descents_match_comparison():
 
 @pytest.mark.parametrize("bound", [None, 12])
 def test_pass_records_equal_kernel_records(monkeypatch, bound):
-    # A pass pulls each element's top values and reads the record of the word
-    # left from its table.  Bounded at 12 records, the tables hold S_3 and A_4,
-    # so the larger groups pull several values before they look up.
+    # A pass keeps a chain of tables, one for each degree from 3 up to the
+    # largest whose words fit, and each table fills a miss from the one below
+    # it.  Unbounded, every group here is one value above its top table;
+    # bounded at 12 records, the chains stop at S_3 and A_4, so S_5..S_8 and
+    # A_6..A_8 pull several values before they look up.
     if bound is not None:
         monkeypatch.setattr(stats, "_HELD_RECORDS", bound)
-    filled = []
-    for group, kernel, name in (("S", s_pull, "s_pull"), ("A", a_pull, "a_pull")):
-        monkeypatch.setattr(words, name, lambda w, kernel=kernel: filled.append(w) or kernel(w))
+    for group, kernel, name, top, order in (
+            ("S", s_pull, "s_pull", 3 if bound else 7, math.factorial),
+            ("A", a_pull, "a_pull", 4 if bound else 7, lambda d: math.factorial(d) // 2)):
+        filled = []
+        monkeypatch.setattr(words, name, lambda w, kernel=kernel, **held:
+                            filled.append(w) or kernel(w, **held))
         for n in range(1, 9):  # S_n, and A_n as the group "A" of degree n - 1
-            ((records,),), order = histograms(group, n if group == "S" else n - 1,
+            filled.clear()
+            ((records,),), count = histograms(group, n if group == "S" else n - 1,
                                               lambda p, rec: ((p, rec),))
-            assert sum(records.values()) == order == len(records)
+            assert sum(records.values()) == count == len(records)
             for p, rec in records:
                 assert rec == kernel(p), (group, p)
-    table_degrees = {len(w) for w in filled}
-    assert table_degrees == ({3, 4} if bound else {3, 4, 5, 6, 7})
+            # Each table of the chain is filled with every word of its degree
+            # in the group, once.
+            chain = range(3, min(n, top + 1))
+            assert Counter(map(len, filled)) == {d: order(d) for d in chain}, (group, n)
+            assert len(set(filled)) == len(filled)
 
 
 def test_iter_alternating_is_the_lexicographic_even_filter():
