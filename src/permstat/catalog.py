@@ -6,9 +6,8 @@ smallest n and its default cap.  Its ``check`` is a ``_check_*`` function of
 catalog compiles none of the checks and a patched check is still seen.  The
 whole-group entries all share ``_check_scan``, which reads their scan from
 ``identities._SCANS``.  ``permstat.identities`` re-exports these names and
-holds the verifier and the plan of a ``verify`` run; ``resolve`` checks a
-request before anything runs, and ``identities.plan`` calls it on every task
-before it plans any.
+holds the verifier: ``plan`` calls ``resolve`` on every task before it plans
+any, ``run`` builds every report, and ``verify`` is a one-task plan.
 """
 from __future__ import annotations
 

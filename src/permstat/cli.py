@@ -43,6 +43,17 @@ def _emit(text: str, out_path: str | None) -> None:
         fh.write(text)
 
 
+def _csv(rows) -> str:
+    """Rows as CSV text: a field is quoted only where it needs it, and each row
+    ends in a newline."""
+    import csv
+    import io
+
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def _check_degree(n: int) -> None:
     if n > DEGREE_CAP:
         raise ValueError(f"degree {n} exceeds the cap of {DEGREE_CAP}")
@@ -64,20 +75,14 @@ def _run_stat(args) -> int:
     p = _parse_perm_arg(args.perm)
     profile = stat_profile(p, args.group)
     payload = profile_to_json(profile)
+    # csv and pretty write a set-valued field as its members joined by spaces.
+    flat = {k: " ".join(map(str, v)) if isinstance(v, list) else v for k, v in payload.items()}
     if args.format == "json":
         text = _dumps(payload)
     elif args.format == "csv":
-        header = ",".join(payload.keys())
-        row = ",".join(
-            " ".join(str(x) for x in v) if isinstance(v, list) else str(v)
-            for v in payload.values()
-        )
-        text = header + "\n" + row
+        text = _csv([flat.keys(), flat.values()])
     else:
-        text = "\n".join(
-            f"{k}: {' '.join(str(x) for x in v) if isinstance(v, list) else v}"
-            for k, v in payload.items()
-        )
+        text = "\n".join(f"{k}: {v}" for k, v in flat.items())
     _emit(text, args.out)
     return 0
 
@@ -119,10 +124,7 @@ def _run_canon(args) -> int:
     if args.format == "json":
         text = _dumps({"group": args.group, "perm": list(p), "factors": factors, "word": pretty})
     elif args.format == "csv":
-        lines = ["j,r,last"]
-        for f in factors:
-            lines.append(f"{f['j']},{f['r']},{f.get('last') or ''}")
-        text = "\n".join(lines)
+        text = _csv([("j", "r", "last")] + [(f["j"], f["r"], f.get("last")) for f in factors])
     else:
         text = pretty
     _emit(text, args.out)
@@ -166,10 +168,10 @@ def _run_shuffles(args) -> int:
         raise CapExceeded(
             f"degree {args.n} exceeds the cap of {DEGREE_CAP}; use --force to override"
         )
-    cuts = set()
-    if args.b.strip():
-        for part in args.b.split(","):
-            cuts.add(int(part))
+    try:
+        cuts = {int(part) for part in args.b.split(",")} if args.b.strip() else set()
+    except ValueError:
+        raise ValueError(f"--b takes comma-separated integers (got {args.b!r})") from None
     count = shuffle_count(args.n, cuts)
     if count > SHUFFLE_COUNT_CAP and not args.force:
         raise CapExceeded(
@@ -201,10 +203,8 @@ def _run_genfun(args) -> int:
             "terms": poly.to_json(),
         })
     elif args.format == "csv":
-        lines = ["coeff,exps"]
-        for term in poly.to_json():
-            lines.append(f"{term['coeff']},{' '.join(str(e) for e in term['exps'])}")
-        text = "\n".join(lines)
+        text = _csv([("coeff", "exps")] + [(term["coeff"], " ".join(map(str, term["exps"])))
+                                           for term in poly.to_json()])
     else:
         text = poly.pretty()
     _emit(text, args.out)
@@ -300,11 +300,9 @@ def _run_verify(args) -> int:
     if args.format == "json":
         text = "\n".join(_dumps(r.to_json(include_elapsed=args.timings)) for r in reports)
     elif args.format == "csv":
-        lines = ["name,params,pass,elapsed"]
-        for r in reports:
-            elapsed = f"{r.elapsed:.6f}" if args.timings else ""
-            lines.append(f"{r.identity},{_params_csv(r.params)},{str(r.passed).lower()},{elapsed}")
-        text = "\n".join(lines)
+        text = _csv([("name", "params", "pass", "elapsed")] + [
+            (r.identity, _params_csv(r.params), str(r.passed).lower(),
+             f"{r.elapsed:.6f}" if args.timings else "") for r in reports])
     else:
         lines = []
         for r in reports:
@@ -340,11 +338,9 @@ def _run_list(args) -> int:
             for e in entries
         )
     elif args.format == "csv":
-        lines = ["name,min_n,default_cap,params,description"]
-        for e in entries:
-            params = ";".join(f"{k}:{v}" for k, v in e.params.items())
-            lines.append(f"{e.name},{e.min_n},{e.default_cap},{params},{e.description}")
-        text = "\n".join(lines)
+        text = _csv([("name", "min_n", "default_cap", "params", "description")] + [
+            (e.name, e.min_n, e.default_cap, ";".join(f"{k}:{v}" for k, v in e.params.items()),
+             e.description) for e in entries])
     else:
         width = max(len(e.name) for e in entries)
         text = "\n".join(
@@ -416,8 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify", help="check identities from the registry")
     p.add_argument("name", nargs="?", help="registry name; see the list subcommand")
     p.add_argument("--all", action="store_true", help="run the whole registry")
-    p.add_argument("--n", type=int, help="run at exactly this n")
-    p.add_argument("--n-max", type=int, help="run every n up to this bound (and each cap)")
+    degrees = p.add_mutually_exclusive_group()
+    degrees.add_argument("--n", type=int, help="run at exactly this n")
+    degrees.add_argument("--n-max", type=int, help="run every n up to this bound (and each cap)")
     p.add_argument("--jobs", type=int, default=0,
                    help="parallel worker processes, at most one per CPU and per check; "
                         "default: one per CPU")

@@ -13,14 +13,15 @@ report carries the two aggregate polynomials (equal sums over all points); a
 failing report carries the first failing point and its two differing sides.
 
 Each side of a checkpoint is a plain histogram, an arity plus an
-``{exponents: count}`` dict.  ``verify`` compares and sums these pairs
+``{exponents: count}`` dict.  The reporter compares and sums these pairs
 directly and builds a ``MultiPoly`` only for its report.
 
 The whole-group entries are data: the columns they tally over a group and a
 finish that turns the tallies into checkpoints.  ``plan`` checks a list of
 (name, n) tasks and joins the whole-group ones that read a common group and
 degree into one piece of work; ``run`` verifies a piece, with one pass per
-group and degree, through ``verify``.
+group and degree, and its reporter builds every report.  ``verify`` runs a
+one-task plan.
 """
 from __future__ import annotations
 
@@ -441,17 +442,11 @@ _SCANS = {
 }
 
 
-def scan_columns(name: str, n: int, **extra) -> list[tuple] | None:
-    """The columns a whole-group entry reads at n; None for any other entry."""
-    scan = _SCANS.get(name)
-    return None if scan is None else scan[0](n, **extra)
-
-
 def _check_scan(name: str, n: int, columns: list[tuple] | None = None,
                 tallies: dict | None = None, **extra) -> Iterator[Checkpoint]:
     """A whole-group entry's checkpoints: `columns` read from `tallies`, or made and tallied."""
     if columns is None:
-        columns = scan_columns(name, n, **extra)
+        columns = _SCANS[name][0](n, **extra)
         tallies = _tally_passes(columns)[0]
     hists = [h for col in columns for h in tallies[col][0]]
     return _SCANS[name][1](n, tallies[columns[0]][1], *hists, **extra)
@@ -494,7 +489,7 @@ def plan(tasks: list[tuple[str, int]], force: bool = False,
     checked = [(name, *resolve(name, n, force, extra)) for name, n in tasks]
     pieces, batches = [], []  # batches: (columns, tasks) of whole-group tasks
     for name, n, params in checked:
-        columns = scan_columns(name, n, **params)
+        columns = _SCANS[name][0](n, **params) if name in _SCANS else None
         task = name, n, params, columns
         if columns is None:
             # lemma63 inserts into n^n words, prop56 builds about n^2 elements
@@ -514,17 +509,52 @@ def plan(tasks: list[tuple[str, int]], force: bool = False,
 def run(piece: list[tuple]) -> list[IdentityReport]:
     """Verify the tasks of a ``plan`` piece, tallying each pass they read once.
 
-    ``plan`` has checked each task's cap.  Each report equals that of
-    ``verify(name, n)`` alone, except that the elapsed time of a whole-group
-    task is its own finish plus an equal share of each pass it reads.
+    ``plan`` has checked each task's cap.  Every report comes from here, one
+    per task, and equals that of the task run alone, except that the
+    elapsed time of a whole-group task is its own finish plus an equal
+    share of each pass it reads.
     """
     tallies, seconds = _tally_passes(col for *_, cols in piece if cols for col in cols)
     reads = [dict.fromkeys(col[:2] for col in cols or ()) for *_, cols in piece]
     readers = Counter(key for keys in reads for key in keys)
     shares = [sum(seconds[k] / readers[k] for k in keys) for keys in reads]
-    return [verify(name, n, force=True, **params,
-                   _scanned=None if cols is None else (cols, tallies, share))
+    return [_report(name, n, params, cols, tallies, share)
             for (name, n, params, cols), share in zip(piece, shares)]
+
+
+def _report(name: str, n: int, params: dict, columns: list[tuple] | None, tallies: dict,
+            shared: float) -> IdentityReport:
+    """Compare and sum a task's checkpoints into its report, or report the first failure.
+
+    A whole-group task's check reads its `columns` from `tallies`; `shared`
+    is its share of the seconds of the passes it reads, counted in its
+    elapsed time.
+    """
+    scan = {} if columns is None else {"columns": columns, "tallies": tallies}
+    start = time.perf_counter()
+    count = 0
+    # A passing checkpoint has equal sides, so one running sum is both totals.
+    total: dict = {}
+    arity = 0
+    for subparams, lhs, rhs, cnt in REGISTRY[name].check(n, **scan, **params):
+        count += cnt
+        if lhs != rhs:
+            elapsed = time.perf_counter() - start + shared
+            failed = {"n": n, **params}
+            if subparams:
+                failed["failed_at"] = _json_safe(subparams)
+            # A failing side is reported as yielded: a key that is a
+            # difference, such as garsia-gessel's maj - m1 - m2, may be
+            # negative there.
+            lhs, rhs = (MultiPoly._trusted(a, {e: c for e, c in t.items() if c})
+                        for a, t in (lhs, rhs))
+            return IdentityReport(name, failed, lhs, rhs, False, count, elapsed)
+        arity = lhs[0]
+        for e, c in lhs[1].items():
+            total[e] = total.get(e, 0) + c
+    elapsed = time.perf_counter() - start + shared
+    summed = MultiPoly(arity, total)
+    return IdentityReport(name, {"n": n, **params}, summed, summed, True, count, elapsed)
 
 
 # -- per-point entries -------------------------------------------------------
@@ -710,55 +740,15 @@ def list_identities() -> list[IdentityEntry]:
     return [REGISTRY[name] for name in sorted(REGISTRY)]
 
 
-def verify(name: str, n: int | None = None, force: bool = False, *,
-           _scanned: tuple[list, dict, float] | None = None, **extra) -> IdentityReport:
+def verify(name: str, n: int | None = None, force: bool = False, **extra) -> IdentityReport:
     """Run one registry entry and aggregate its checkpoints into a report.
 
     With no explicit n the entry runs at its default cap.  Larger n's are
-    refused unless force is set; they stay exact but may be very slow.  A
-    whole-group entry given `_scanned`, its columns with their tallies and
-    seconds from passes shared with other entries, reads its columns from
-    the tallies and counts those seconds in its elapsed time.
+    refused unless force is set; they stay exact but may be very slow.  This
+    is a one-task ``plan``, verified by ``run``.
     """
-    n, extra = resolve(name, n, force, extra)
-    columns, tallies, shared = _scanned or (None, None, 0.0)
-    check = REGISTRY[name].check
-    start = time.perf_counter()
-    scanned = 0
-    # A passing checkpoint has equal sides, so one running sum is both totals.
-    total: dict = {}
-    arity = 0
-    checkpoints = (check(n, **extra) if columns is None
-                   else check(n, columns=columns, tallies=tallies, **extra))
-    for subparams, lhs, rhs, cnt in checkpoints:
-        scanned += cnt
-        if lhs != rhs:
-            elapsed = time.perf_counter() - start + shared
-            params = {"n": n, **extra}
-            if subparams:
-                params["failed_at"] = _json_safe(subparams)
-            # A failing side is reported as yielded: a key that is a
-            # difference, such as garsia-gessel's maj - m1 - m2, may be
-            # negative there.
-            lhs, rhs = (MultiPoly._trusted(a, {e: c for e, c in t.items() if c})
-                        for a, t in (lhs, rhs))
-            return IdentityReport(name, params, lhs, rhs, False, scanned, elapsed)
-        arity = max(arity, lhs[0])
-        for e, c in lhs[1].items():
-            total[e] = total.get(e, 0) + c
-    elapsed = time.perf_counter() - start + shared
-    summed = _padded_sum(total, arity)
-    return IdentityReport(name, {"n": n, **extra}, summed, summed, True, scanned, elapsed)
-
-
-def _padded_sum(acc: dict, arity: int) -> MultiPoly:
-    """Zero-pad summed terms of mixed arity to `arity`; cancelled terms drop out."""
-    width = 2 + arity
-    out: dict = {}
-    for e, c in acc.items():
-        key = e + (0,) * (width - len(e))
-        out[key] = out.get(key, 0) + c
-    return MultiPoly(arity, out)
+    (_, piece), = plan([(name, n)], force, **extra)
+    return run(piece)[0]
 
 
 def _json_safe(d: dict) -> dict:

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -421,14 +422,15 @@ def test_verify_checks_every_task_before_any_runs(capsys, monkeypatch, jobs):
 
 def test_verify_plans_each_tasks_columns_once(capsys, monkeypatch):
     # The batches read the columns that the plan made for each task: every
-    # column maker runs once per whole-group task, in the plan.
+    # column maker runs once per whole-group task, in the plan, and every
+    # task is checked against the catalog once.
     from permstat import identities
 
-    scan_columns, asked, made = identities.scan_columns, [], []
+    resolve, asked, made = identities.resolve, [], []
 
-    def counted(name, n, **extra):
+    def counted(name, n, force, extra):
         asked.append((name, n))
-        return scan_columns(name, n, **extra)
+        return resolve(name, n, force, extra)
 
     for name, (columns, finish) in list(identities._SCANS.items()):
         def counted_maker(n, _name=name, _columns=columns, **extra):
@@ -436,7 +438,7 @@ def test_verify_plans_each_tasks_columns_once(capsys, monkeypatch):
             return _columns(n, **extra)
 
         monkeypatch.setitem(identities._SCANS, name, (counted_maker, finish))
-    monkeypatch.setattr(identities, "scan_columns", counted)
+    monkeypatch.setattr(identities, "resolve", counted)
     code, _, _ = run_cli(capsys, "verify", "--all", "--n-max", "4", "--jobs", "1")
     assert code == 0
 
@@ -485,7 +487,7 @@ def test_verify_payload_is_pinned_at_default_cap(capsys, name, digest):
 
 
 def _die_in_worker(*args, **kwargs):
-    """Stands in for verify: a pool worker ends without a result."""
+    """Stands in for a registry check: a pool worker ends without a result."""
     if multiprocessing.parent_process() is None:
         raise RuntimeError("meant to run in a pool worker only")
     os._exit(1)
@@ -494,11 +496,13 @@ def _die_in_worker(*args, **kwargs):
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="the patched task reaches the workers only through fork")
 def test_verify_crashed_worker_exits_2(capsys, monkeypatch):
-    from permstat import cli, identities
+    from permstat import cli
 
-    # Each worker tallies its batch's pass, then dies as it finishes the
+    # Each worker tallies its batch's pass, then dies as it checks the
     # batch's first entry.
-    monkeypatch.setattr(identities, "verify", _die_in_worker)
+    e = REGISTRY["macmahon"]
+    monkeypatch.setitem(REGISTRY, "macmahon", IdentityEntry(
+        e.name, e.description, e.params, e.min_n, e.default_cap, _die_in_worker))
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     code, out, err = run_cli(capsys, "verify", "macmahon", "--n-max", "2", "--jobs", "2")
     assert code == 2 and out == ""
@@ -537,6 +541,31 @@ def test_verify_n_max_below_min_n_runs_min_n(capsys):
     assert [r.split(",")[1] for r in out.strip().splitlines()[1:]] == ["n=2"]
 
 
+def test_csv_payloads_parse_as_csv(capsys, monkeypatch):
+    # Descriptions, parameter schemas and failing points hold commas: each
+    # row still parses to the header's width, and its fields round-trip.
+    def failing_check(n):
+        yield {"w": (1, 2, 3), "stat": "maj"}, (0, {(0, 0): 1}), (0, {(0, 0): 2}), 6
+
+    monkeypatch.setitem(REGISTRY, "test-failing", IdentityEntry(
+        "test-failing", "fails, at once", {"n": "int"}, 1, 3, failing_check))
+    code, out, _ = run_cli(capsys, "list", "--format", "csv")
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert all(len(row) == len(header) == 5 for row in rows)
+    assert [(row[0], row[3], row[4]) for row in rows] == [
+        (name, ";".join(f"{k}:{v}" for k, v in e.params.items()), e.description)
+        for name, e in sorted(REGISTRY.items())]
+    code, out, _ = run_cli(
+        capsys, "verify", "test-failing", "--n", "2", "--jobs", "1", "--format", "csv"
+    )
+    assert code == 1
+    assert list(csv.reader(io.StringIO(out))) == [
+        ["name", "params", "pass", "elapsed"],
+        ["test-failing", "failed_at=w=[1, 2, 3]/stat=maj;n=2", "false", ""],
+    ]
+
+
 def test_list_catalog(capsys):
     code, out, _ = run_cli(capsys, "list")
     assert code == 0
@@ -553,17 +582,23 @@ def test_out_file(tmp_path, capsys):
 
 def test_usage_errors_exit_2(capsys):
     # argparse's own rejections, including a permutation it reads as a flag,
-    # canon degrees below 1, and canon given both a permutation and a word
+    # canon degrees below 1, canon given both a permutation and a word, verify
+    # given both --n and --n-max, and malformed shuffle cuts
     for argv in ([], ["stat", "--bogus-flag"], ["stat", "--group", "S", "-1,0"],
                  ["verify", "--n", "x"], ["list", "extra"],
                  ["canon", "--group", "S", "--from-word", "s1", "--n", "0"],
                  ["canon", "--group", "S", "--from-word", "", "--n", "-3"],
                  ["canon", "--group", "A", "--from-word", "", "--n", "0"],
-                 ["canon", "--group", "A", "[1,2,3]", "--from-word", "a5"]):
+                 ["canon", "--group", "A", "[1,2,3]", "--from-word", "a5"],
+                 ["verify", "macmahon", "--n", "3", "--n-max", "4"],
+                 ["shuffles", "--n", "4", "--b", "1,,2"], ["shuffles", "--n", "4", "--b", "x"]):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+    assert run_cli(capsys, "shuffles", "--n", "4", "--b", "1,,2")[2] == (
+        "error: --b takes comma-separated integers (got '1,,2')\n"
+    )
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0

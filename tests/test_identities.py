@@ -115,20 +115,27 @@ def test_whole_registry_small():
 
 def test_checkpoint_sides_are_well_formed():
     # Sides are plain (arity, terms) pairs; check what the constructor would.
-    # verify() keeps one running total, which needs both arities equal.
+    # A report keeps one running total, which needs one arity for both sides
+    # of every checkpoint of an entry (prop712 at n = 1 yields none).
     for entry in list_identities():
         for n in range(entry.min_n, min(entry.min_n + 2, 4) + 1):
+            arities = set()
             for _sub, lhs, rhs, _cnt in entry.check(n):
                 assert lhs[0] == rhs[0], entry.name
+                arities.add(lhs[0])
                 for arity, terms in (lhs, rhs):
                     assert terms == MultiPoly(arity, terms).terms, entry.name
                     assert all(
                         len(e) == 2 + arity and min(e) >= 0 for e in terms
                     ), entry.name
                     assert all(c != 0 for c in terms.values()), entry.name
+            assert len(arities) <= 1, (entry.name, n, arities)
 
 
-def test_totals_pad_mixed_arity():
+def test_totals_reject_mixed_arity():
+    # The passing total is built by the validating constructor, so an entry
+    # whose checkpoints change arity raises, even where the narrower terms
+    # cancel out.
     def mixed_check(n):
         yield None, (0, {(0, 0): 1}), (0, {(0, 0): 1}), 1
         yield None, (1, {(1, 0, 1): 1}), (1, {(1, 0, 1): 1}), 1
@@ -136,11 +143,8 @@ def test_totals_pad_mixed_arity():
 
     REGISTRY["test-mixed"] = IdentityEntry("test-mixed", "", {"n": "int"}, 1, 3, mixed_check)
     try:
-        report = verify("test-mixed", 1)
-        assert report.passed and report.elements_scanned == 2
-        assert report.lhs.arity == report.rhs.arity == 1
-        assert report.lhs.terms == {(1, 0, 1): 1}
-        assert report.rhs == MultiPoly.monomial(1, q=1, ts=(1,))
+        with pytest.raises(ValueError, match="exponent tuple"):
+            verify("test-mixed", 1)
     finally:
         del REGISTRY["test-mixed"]
 
@@ -401,13 +405,14 @@ def test_a_failing_closed_form_fails_only_its_entry_in_a_batch(monkeypatch):
 def test_plan_and_run_carry_force(monkeypatch):
     # prop56 is capped at 9.  Every task is checked before any columns are made,
     # and the pieces of a forced plan run past the cap.
-    tasks = [("fiber-size", 3), ("prop56", 10)]
+    tasks = [("fiber-size", 3), ("macmahon", 3), ("prop56", 10)]
 
     def no_columns(*args, **kwargs):
         raise AssertionError("columns were made before every task was checked")
 
     with monkeypatch.context() as patched:
-        patched.setattr(identities, "scan_columns", no_columns)
+        for name, (_, finish) in list(identities._SCANS.items()):
+            patched.setitem(identities._SCANS, name, (no_columns, finish))
         with pytest.raises(CapExceeded, match="prop56 is capped at n = 9"):
             plan(tasks)
     reports = _run_plan(tasks, force=True)
