@@ -14,7 +14,10 @@ failing report carries the first failing point and its two differing sides.
 
 Each side of a checkpoint is a plain histogram, an arity plus an
 ``{exponents: count}`` dict.  The reporter compares and sums these pairs
-directly and builds a ``MultiPoly`` only for its report.
+directly and builds a ``MultiPoly`` only for its report.  It counts the
+passing right sides by identity and adds each distinct one to the total
+once, times its count, so a check must never change a side after yielding
+it; none does.
 
 The whole-group entries are data: the columns they tally over a group and a
 finish that turns the tallies into checkpoints.  ``plan`` checks a list of
@@ -31,7 +34,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial, reduce
-from operator import mul
+from operator import add, gt, itemgetter, mul
 from typing import Iterator
 
 from .catalog import REGISTRY, CapExceeded, IdentityEntry, resolve  # noqa: F401
@@ -97,7 +100,11 @@ class IdentityReport:
 
 def _tally(keys) -> dict:
     """Histogram of a scan: {key: number of times it occurs}."""
-    acc: dict = {}
+    if type(keys) in (list, tuple):
+        acc = dict.fromkeys(keys, 1)
+        if len(acc) == len(keys):  # every key is distinct
+            return acc
+    acc = {}
     for key in keys:
         acc[key] = acc.get(key, 0) + 1
     return acc
@@ -522,6 +529,19 @@ def run(piece: list[tuple]) -> list[IdentityReport]:
             for (name, n, params, cols), share in zip(piece, shares)]
 
 
+# The reporter holds at most this many distinct passing sides before it
+# adds them to the total.
+_HELD_SIDES = 4096
+
+
+def _fold(total: dict, held: dict) -> None:
+    """Add each held side to `total`, times its count, and let go of them."""
+    for (_, terms), times in held.values():
+        for e, c in terms.items():
+            total[e] = total.get(e, 0) + c * times
+    held.clear()
+
+
 def _report(name: str, n: int, params: dict, columns: list[tuple] | None, tallies: dict,
             shared: float) -> IdentityReport:
     """Compare and sum a task's checkpoints into its report, or report the first failure.
@@ -533,8 +553,11 @@ def _report(name: str, n: int, params: dict, columns: list[tuple] | None, tallie
     scan = {} if columns is None else {"columns": columns, "tallies": tallies}
     start = time.perf_counter()
     count = 0
-    # A passing checkpoint has equal sides, so one running sum is both totals.
+    # A passing checkpoint has equal sides, so one sum is both totals.  Each
+    # passing right side is counted by identity, and every distinct one is
+    # added to the total once, times its count.
     total: dict = {}
+    held: dict = {}  # id(rhs) -> [rhs, times it passed]
     arity = 0
     for subparams, lhs, rhs, cnt in REGISTRY[name].check(n, **scan, **params):
         count += cnt
@@ -550,8 +573,14 @@ def _report(name: str, n: int, params: dict, columns: list[tuple] | None, tallie
                         for a, t in (lhs, rhs))
             return IdentityReport(name, failed, lhs, rhs, False, count, elapsed)
         arity = lhs[0]
-        for e, c in lhs[1].items():
-            total[e] = total.get(e, 0) + c
+        seen = held.get(id(rhs))
+        if seen is not None:
+            seen[1] += 1
+            continue
+        if len(held) == _HELD_SIDES:
+            _fold(total, held)
+        held[id(rhs)] = [rhs, 1]
+    _fold(total, held)
     elapsed = time.perf_counter() - start + shared
     summed = MultiPoly(arity, total)
     return IdentityReport(name, {"n": n, **params}, summed, summed, True, count, elapsed)
@@ -598,18 +627,41 @@ def _check_prop56(n: int) -> Iterator[Checkpoint]:
 
 
 # Descents of a sequence depend only on its weak-order pattern, so words over
-# 1..n with an inserted strictly-larger letter exhaust all cases.  Each inserted
-# word, and the base word u, reads maj and rmaj off its own descent set.  The
-# closed forms q^maj(u) [n+1]_q, q^(maj(u)+1) [n]_q, q^rmaj(u) [n+1]_q and
-# q^rmaj(u) [n]_q start at u's own statistics, and each run is built once per
-# (start, length) within one call; lemma64 works the same way.
+# 1..n with an inserted strictly-larger letter exhaust all cases.  For each
+# slot i, one itertools stream yields the words with the new top letter at
+# slot i, in the base words' order, and the n+1 streams are zipped with the
+# base words.  Each inserted word's (maj, rmaj) is read off its own neighbour
+# comparisons, the bytes of ``map(gt, w, w[1:])``, through a table of all
+# 2^n comparison patterns built once per call; it is never derived from the
+# base word's descents and the slot, which is the lemma's proof.  The closed
+# forms q^maj(u) [n+1]_q, q^(maj(u)+1) [n]_q, q^rmaj(u) [n+1]_q and
+# q^rmaj(u) [n]_q start at u's own statistics from ``_maj_rmaj``, which no
+# scan side calls, and each run is built once per (start, length) within one
+# call; lemma64 works the same way over the coset products.
+
+def _descent_table(length: int) -> dict[bytes, tuple]:
+    """Comparison bytes of a word of `length` letters -> ((maj, 0), (rmaj, 0))."""
+    table = {}
+    for bits in itertools.product((0, 1), repeat=length - 1):
+        des = [i for i, bit in enumerate(bits, 1) if bit]
+        table[bytes(bits)] = (sum(des), 0), (sum(length - i for i in des), 0)
+    return table
+
+
+def _descents(words, table: dict) -> Iterator[tuple]:
+    """The table value of each word of the stream, read at C level."""
+    now, ahead = itertools.tee(words)
+    comparisons = map(map, itertools.repeat(gt), now, map(itemgetter(slice(1, None)), ahead))
+    return map(table.__getitem__, map(bytes, comparisons))
+
+
 def _check_lemma63(n: int) -> Iterator[Checkpoint]:
-    y = n + 1
-    runs = _Runs()
-    for u in itertools.product(range(1, n + 1), repeat=n):
-        sums = [_maj_rmaj(u[:i] + (y,) + u[i:], y) for i in range(n + 1)]
-        majs = [(maj, 0) for maj, _ in sums]
-        rmajs = [(rmaj, 0) for _, rmaj in sums]
+    y, letters = n + 1, range(1, n + 1)
+    runs, table = _Runs(), _descent_table(n + 1)
+    slots = (itertools.product(*[letters] * i, (y,), *[letters] * (n - i)) for i in range(y))
+    for u, *row in zip(itertools.product(letters, repeat=n),
+                       *(_descents(words, table) for words in slots)):
+        majs, rmajs = zip(*row)
         m, r = _maj_rmaj(u, n)
         yield {"word": u, "eq": "maj-all"}, (0, _tally(majs)), runs[m, n + 1], 1
         yield {"word": u, "eq": "maj-proper"}, (0, _tally(majs[:-1])), runs[m + 1, n], 0
@@ -628,15 +680,21 @@ def _iter_right_coset_products(w: Perm, n: int):
         yield cur
 
 
+def _coset_slot(n: int, i: int) -> Iterator[Perm]:
+    """w tau with n+1 at slot i, for w over ``iter_symmetric(n)``, at C level."""
+    heads = map(itemgetter(slice(i)), iter_symmetric(n))
+    tails = map(itemgetter(slice(i, None)), iter_symmetric(n))
+    return map(add, map(add, heads, itertools.repeat((n + 1,))), tails)
+
+
 def _check_lemma64(n: int) -> Iterator[Checkpoint]:
-    runs = _Runs()
-    for w in iter_symmetric(n):
-        sums = [_maj_rmaj(p, n + 1) for p in _iter_right_coset_products(w, n)]
+    runs, table = _Runs(), _descent_table(n + 1)
+    for w, *row in zip(iter_symmetric(n), *(_descents(_coset_slot(n, i), table)
+                                             for i in range(n + 1))):
+        majs, rmajs = zip(*row)
         m, r = _maj_rmaj(w, n)
-        lhs_maj = _tally((maj, 0) for maj, _ in sums)
-        yield {"w": w, "stat": "maj"}, (0, lhs_maj), runs[m, n + 1], len(sums)
-        lhs_rmaj = _tally((rmaj, 0) for _, rmaj in sums)
-        yield {"w": w, "stat": "rmaj"}, (0, lhs_rmaj), runs[r, n + 1], 0
+        yield {"w": w, "stat": "maj"}, (0, _tally(majs)), runs[m, n + 1], n + 1
+        yield {"w": w, "stat": "rmaj"}, (0, _tally(rmajs)), runs[r, n + 1], 0
 
 
 def _check_lemma65(n: int) -> Iterator[Checkpoint]:

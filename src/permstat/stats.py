@@ -24,6 +24,7 @@ rows share a pass, and the rows themselves, are the registry's business: see
 """
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
@@ -101,15 +102,18 @@ def ltr_minima(p: Perm, level: int = 0, kind: str = EXCLUDE_FIRST_POSITIONS) -> 
         raise ValueError(f"unknown kind {kind!r}")
     if level < 0:
         raise ValueError("level must be non-negative")
+    # One pass keeps the level+1 smallest earlier values in order: a value
+    # beats all but at most `level` of them while fewer than level+1 came
+    # before it, or while it is below the largest one kept.
+    by_position = kind == EXCLUDE_FIRST_POSITIONS
     out = set()
-    for i in range(1, len(p) + 1):
-        if kind == EXCLUDE_FIRST_POSITIONS and i <= level + 1:
-            continue
-        if kind == EXCLUDE_SMALLEST_VALUES and p[i - 1] <= level + 1:
-            continue
-        smaller = sum(1 for j in range(1, i) if p[j - 1] < p[i - 1])
-        if smaller <= level:
-            out.add(i)
+    kept: list[int] = []
+    for i, x in enumerate(p, 1):
+        if len(kept) <= level or x < kept[-1]:
+            if (i if by_position else x) > level + 1:
+                out.add(i)
+            insort(kept, x)
+            del kept[level + 1:]
     return out
 
 

@@ -47,7 +47,9 @@ A scan reads from a record only what the paper defines through the
 word: delent, indicator vectors, occurrence counts, and the alternating
 length and descents.  Symmetric statistics that are defined on the one-line
 word stay there: length is an inversion count and descents compare
-neighbouring entries.
+neighbouring entries.  The per-point scans of words with a new top letter
+inserted read each inserted word's descents off its own neighbour
+comparisons, never off the base word's descents and the slot.
 
 Words are stored structurally, one entry per factor, never as flat letter
 lists; occurrence counts and length are O(1) per factor.  Flat letter views

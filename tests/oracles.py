@@ -6,8 +6,10 @@ substitution.  Oracles never call the production function they are checking.
 """
 from __future__ import annotations
 
-from permstat.perm import Perm, compose, sign
-from permstat.stats import EXCLUDE_FIRST_POSITIONS, length_s, ltr_minima
+from itertools import product
+
+from permstat.perm import Perm, compose, iter_symmetric, sign
+from permstat.stats import EXCLUDE_FIRST_POSITIONS, EXCLUDE_SMALLEST_VALUES, _maj_rmaj, length_s
 from permstat.words import eval_a_letters, s_canonical
 
 
@@ -16,9 +18,24 @@ def a_generator(m: int, i: int) -> Perm:
     return eval_a_letters(m, [(i, False)])
 
 
+def ltr_minima_by_counting(p: Perm, level: int = 0,
+                           kind: str = EXCLUDE_FIRST_POSITIONS) -> set[int]:
+    """Left-to-right minima by definition: count each position's smaller earlier values."""
+    out = set()
+    for i in range(1, len(p) + 1):
+        if kind == EXCLUDE_FIRST_POSITIONS and i <= level + 1:
+            continue
+        if kind == EXCLUDE_SMALLEST_VALUES and p[i - 1] <= level + 1:
+            continue
+        smaller = sum(1 for j in range(1, i) if p[j - 1] < p[i - 1])
+        if smaller <= level:
+            out.add(i)
+    return out
+
+
 def length_a_by_minima(v: Perm) -> int:
     """Alternating length as inversions minus left-to-right minima after the first."""
-    return length_s(v) - len(ltr_minima(v, 0, EXCLUDE_FIRST_POSITIONS))
+    return length_s(v) - len(ltr_minima_by_counting(v, 0, EXCLUDE_FIRST_POSITIONS))
 
 
 def des_set_a_by_comparison(v: Perm) -> set[int]:
@@ -112,3 +129,48 @@ def stirling_cycle_counts(n: int) -> list[int]:
             for d in range(m)
         ]
     return row
+
+
+def _histogram(keys) -> dict:
+    out: dict = {}
+    for key in keys:
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
+def _geometric_run(start: int, length: int) -> tuple[int, dict]:
+    return 0, {(e, 0): 1 for e in range(start, start + length)}
+
+
+def lemma63_by_slicing(n: int) -> list:
+    """lemma63's checkpoints, each inserted word built by slicing and measured
+    by its own ``_maj_rmaj`` call."""
+    y = n + 1
+    out = []
+    for u in product(range(1, n + 1), repeat=n):
+        sums = [_maj_rmaj(u[:i] + (y,) + u[i:], y) for i in range(n + 1)]
+        majs = [(maj, 0) for maj, _ in sums]
+        rmajs = [(rmaj, 0) for _, rmaj in sums]
+        m, r = _maj_rmaj(u, n)
+        out += [({"word": u, "eq": "maj-all"}, (0, _histogram(majs)), _geometric_run(m, y), 1),
+                ({"word": u, "eq": "maj-proper"}, (0, _histogram(majs[:-1])),
+                 _geometric_run(m + 1, n), 0),
+                ({"word": u, "eq": "rmaj-all"}, (0, _histogram(rmajs)), _geometric_run(r, y), 0),
+                ({"word": u, "eq": "rmaj-tail"}, (0, _histogram(rmajs[1:])),
+                 _geometric_run(r, n), 0)]
+    return out
+
+
+def lemma64_by_slicing(n: int) -> list:
+    """lemma64's checkpoints, each coset product w tau built by putting n+1 at
+    one slot of w and measured by its own ``_maj_rmaj`` call."""
+    y = n + 1
+    out = []
+    for w in iter_symmetric(n):
+        sums = [_maj_rmaj(w[:i] + (y,) + w[i:], y) for i in range(n + 1)]
+        m, r = _maj_rmaj(w, n)
+        out += [({"w": w, "stat": "maj"}, (0, _histogram((maj, 0) for maj, _ in sums)),
+                 _geometric_run(m, y), y),
+                ({"w": w, "stat": "rmaj"}, (0, _histogram((rmaj, 0) for _, rmaj in sums)),
+                 _geometric_run(r, y), 0)]
+    return out

@@ -1,10 +1,12 @@
 import hashlib
+import itertools
 import pickle
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import lemma63_by_slicing, lemma64_by_slicing
 from permstat import identities
 from permstat.identities import (
     CapExceeded,
@@ -332,6 +334,153 @@ def test_closed_form_run_off_by_one_fails(monkeypatch, name):
     assert report.params["failed_at"] == identities._json_safe(sub)
     assert isinstance(report.lhs, MultiPoly) and isinstance(report.rhs, MultiPoly)
     assert report.lhs == MultiPoly(*lhs) and report.rhs == MultiPoly(*rhs)
+
+
+def _words(n):
+    return itertools.product(range(1, n + 1), repeat=n)
+
+
+@pytest.mark.parametrize("name, oracle, n_max", [
+    ("lemma63", lemma63_by_slicing, 5),
+    ("lemma64", lemma64_by_slicing, 6),
+])
+def test_inserted_word_scans_match_slicing(name, oracle, n_max):
+    for n in range(1, n_max + 1):
+        assert list(REGISTRY[name].check(n)) == oracle(n), (name, n)
+
+
+@pytest.mark.parametrize("name, bases", [("lemma63", _words), ("lemma64", iter_symmetric)])
+def test_inserted_word_streams_align_with_base_words(monkeypatch, name, bases):
+    # Slot i's stream holds each base word with the top letter at slot i, in
+    # the base words' order.
+    descents, streams = identities._descents, []
+
+    def recorded(words, table):
+        streams.append(list(words))
+        return descents(iter(streams[-1]), table)
+
+    monkeypatch.setattr(identities, "_descents", recorded)
+    assert all(lhs == rhs for _, lhs, rhs, _ in REGISTRY[name].check(3))
+    base = list(bases(3))
+    assert len(streams) == 4
+    for i, words in enumerate(streams):
+        assert len(words) == len(base)
+        for w, u in zip(words, base):
+            assert w[i] == 4 and w[:i] + w[i + 1:] == u, (i, w, u)
+
+
+@pytest.mark.parametrize("name, bases, first", [
+    ("lemma63", _words, lambda u: {"word": u, "eq": "maj-all"}),
+    ("lemma64", iter_symmetric, lambda w: {"w": w, "stat": "maj"}),
+])
+def test_a_wrong_descent_pattern_fails_only_the_scan_side(monkeypatch, name, bases, first):
+    # One comparison pattern of the inserted words reads maj + 1.  The entry
+    # must fail at the first base word with an inserted word of that pattern,
+    # and that point's closed form must be the unpatched one: the patched
+    # table reached the scan side alone.  Every pattern of degree 4 occurs.
+    n = 3
+    clean = {tuple(sorted(sub.items())): rhs for sub, _, rhs, _ in REGISTRY[name].check(n)}
+    assert verify(name, n).passed
+    build = identities._descent_table
+    for pattern in map(bytes, itertools.product((0, 1), repeat=n)):
+        def wrong(length, pattern=pattern):
+            table = build(length)
+            (maj, t), rmaj = table[pattern]
+            table[pattern] = (maj + 1, t), rmaj
+            return table
+
+        hit = next(u for u in bases(n) for i in range(n + 1) if pattern == bytes(
+            int(a > b) for a, b in itertools.pairwise(u[:i] + (n + 1,) + u[i:])))
+        point = first(hit)
+        with monkeypatch.context() as patched:
+            patched.setattr(identities, "_descent_table", wrong)
+            report = verify(name, n)
+        assert not report.passed, pattern
+        assert report.params["failed_at"] == identities._json_safe(point), pattern
+        assert report.rhs == MultiPoly(*clean[tuple(sorted(point.items()))]), pattern
+        assert report.lhs != report.rhs
+
+
+def _fake_entry(monkeypatch, name, points):
+    """Register an entry whose check yields `points`, made fresh on each call."""
+    monkeypatch.setitem(REGISTRY, name, IdentityEntry(name, "", {"n": "int"}, 1, 3,
+                                                       lambda n: points()))
+
+
+def _summed_report(name, n, points):
+    """The expected ``to_json()`` of `points`: every passing side added term by
+    term, or the first failing point."""
+    total, count = {}, 0
+    for sub, lhs, rhs, cnt in points:
+        count += cnt
+        if lhs != rhs:
+            return {"identity": name, "params": {"n": n, "failed_at": sub}, "pass": False,
+                    "lhs": MultiPoly(*lhs).to_json(), "rhs": MultiPoly(*rhs).to_json(),
+                    "elements_scanned": count}
+        for e, c in lhs[1].items():
+            total[e] = total.get(e, 0) + c
+    summed = MultiPoly(0, total).to_json()
+    return {"identity": name, "params": {"n": n}, "pass": True, "lhs": summed, "rhs": summed,
+            "elements_scanned": count}
+
+
+def _spy_folds(monkeypatch):
+    """Record the counts of the held sides at each fold of the reporter."""
+    folds, fold = [], identities._fold
+
+    def spy(total, held):
+        folds.append(sorted(times for _, times in held.values()))
+        fold(total, held)
+
+    monkeypatch.setattr(identities, "_fold", spy)
+    return folds
+
+
+def _fresh(k):
+    """A new side object for each k; some k share their terms."""
+    return 0, {(k % 50, k % 3): 1 + k % 4, (k % 7 + 1, 0): 2}
+
+
+def test_reporter_adds_a_repeated_side_once_per_count(monkeypatch):
+    shared, other = (0, {(0, 0): 1, (1, 0): 2, (3, 0): 1}), (0, {(2, 1): 5})
+
+    def points():
+        for k in range(6000):
+            side = shared if k % 3 else other
+            yield {"k": k}, (0, dict(side[1])), side, 1 + k % 2
+
+    _fake_entry(monkeypatch, "test-repeated", points)
+    folds = _spy_folds(monkeypatch)
+    assert verify("test-repeated", 2).to_json() == _summed_report("test-repeated", 2, points())
+    assert folds == [[2000, 4000]]
+
+
+def test_reporter_folds_distinct_sides_as_it_goes(monkeypatch):
+    def points():
+        for k in range(3 * identities._HELD_SIDES // 2):
+            yield {"k": k}, _fresh(k), _fresh(k), 1
+
+    _fake_entry(monkeypatch, "test-fresh", points)
+    folds = _spy_folds(monkeypatch)
+    assert verify("test-fresh", 2).to_json() == _summed_report("test-fresh", 2, points())
+    held = identities._HELD_SIDES
+    assert folds == [[1] * held, [1] * (held // 2)]
+
+
+def test_reporter_fails_after_thousands_of_passing_points(monkeypatch):
+    shared = 0, {(1, 1): 3}
+
+    def points():
+        for k in range(5000):
+            side = _fresh(k) if k % 2 else shared
+            yield {"k": k}, (0, dict(side[1])), side, 1
+        yield {"k": 5000}, (0, {(0, 0): 1}), (0, {(0, 0): 2}), 7
+        raise AssertionError("must stop at the first failure")
+
+    _fake_entry(monkeypatch, "test-late", points)
+    expected = _summed_report("test-late", 2, points())
+    assert expected["params"]["failed_at"] == {"k": 5000}
+    assert verify("test-late", 2).to_json() == expected
 
 
 def _naive_subset_sums(fibres, bits):

@@ -7,6 +7,7 @@ from oracles import (
     des_set_s_by_comparison,
     h_map_by_relabelling,
     inversions_by_double_loop,
+    ltr_minima_by_counting,
 )
 from permstat.cover import f_map
 from permstat.perm import (
@@ -98,6 +99,21 @@ def test_ltr_minima_examples():
             assert ltr_minima(identity(6), level, kind) == set()
     with pytest.raises(ValueError):
         ltr_minima(w, 0, "bogus")
+
+
+def test_ltr_minima_match_counting_every_small_permutation():
+    for n in range(8):
+        for p in iter_symmetric(n):
+            for level in range(4):
+                for kind in BOTH_KINDS:
+                    assert ltr_minima(p, level, kind) == ltr_minima_by_counting(p, level, kind)
+
+
+@given(st.integers(0, 12).flatmap(lambda n: st.permutations(range(1, n + 1))),
+       st.integers(0, 13), st.sampled_from(BOTH_KINDS))
+def test_ltr_minima_match_counting(p, level, kind):
+    p = tuple(p)
+    assert ltr_minima(p, level, kind) == ltr_minima_by_counting(p, level, kind)
 
 
 def test_del_examples():
