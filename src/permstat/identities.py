@@ -17,7 +17,7 @@ Each side of a checkpoint is a plain histogram, an arity plus an
 directly and builds a ``MultiPoly`` only for its report.  It counts the
 passing right sides by identity and adds each distinct one to the total
 once, times its count, so a check must never change a side after yielding
-it; none does.
+it; none does, and the tests check every entry for it.
 
 The whole-group entries are data: the columns they tally over a group and a
 finish that turns the tallies into checkpoints.  ``plan`` checks a list of
@@ -100,11 +100,7 @@ class IdentityReport:
 
 def _tally(keys) -> dict:
     """Histogram of a scan: {key: number of times it occurs}."""
-    if type(keys) in (list, tuple):
-        acc = dict.fromkeys(keys, 1)
-        if len(acc) == len(keys):  # every key is distinct
-            return acc
-    acc = {}
+    acc: dict = {}
     for key in keys:
         acc[key] = acc.get(key, 0) + 1
     return acc
@@ -530,8 +526,10 @@ def run(piece: list[tuple]) -> list[IdentityReport]:
 
 
 # The reporter holds at most this many distinct passing sides before it
-# adds them to the total.
-_HELD_SIDES = 4096
+# adds them to the total.  An entry that repeats its sides yields at most 33
+# distinct ones at its default cap (lemma63 at n = 6); an entry that yields a
+# fresh side per point holds a side's memory until the fold.
+_HELD_SIDES = 256
 
 
 def _fold(total: dict, held: dict) -> None:
@@ -669,15 +667,12 @@ def _check_lemma63(n: int) -> Iterator[Checkpoint]:
         yield {"word": u, "eq": "rmaj-tail"}, (0, _tally(rmajs[1:])), runs[r, n], 0
 
 
+# The right coset products w tau, for tau over the degree-n staircase set
+# inside degree n+1, are w with n+1 put in at each slot.
+
 def _iter_right_coset_products(w: Perm, n: int):
-    """w tau for tau over the degree-n staircase set inside degree n+1."""
-    cur = w + (n + 1,)
-    yield cur
-    for r in range(n, 0, -1):
-        lst = list(cur)
-        lst[r - 1], lst[r] = lst[r], lst[r - 1]
-        cur = tuple(lst)
-        yield cur
+    """w tau with n+1 at slots n, n-1, ..., 0."""
+    return (w[:i] + (n + 1,) + w[i:] for i in range(n, -1, -1))
 
 
 def _coset_slot(n: int, i: int) -> Iterator[Perm]:

@@ -104,12 +104,13 @@ def ltr_minima(p: Perm, level: int = 0, kind: str = EXCLUDE_FIRST_POSITIONS) -> 
         raise ValueError("level must be non-negative")
     # One pass keeps the level+1 smallest earlier values in order: a value
     # beats all but at most `level` of them while fewer than level+1 came
-    # before it, or while it is below the largest one kept.
+    # before it, or while it is at most the largest one kept (so a repeated
+    # value counts as the definition counts it).
     by_position = kind == EXCLUDE_FIRST_POSITIONS
     out = set()
     kept: list[int] = []
     for i, x in enumerate(p, 1):
-        if len(kept) <= level or x < kept[-1]:
+        if len(kept) <= level or x <= kept[-1]:
             if (i if by_position else x) > level + 1:
                 out.add(i)
             insort(kept, x)

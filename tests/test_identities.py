@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import pickle
@@ -132,6 +133,17 @@ def test_checkpoint_sides_are_well_formed():
                     ), entry.name
                     assert all(c != 0 for c in terms.values()), entry.name
             assert len(arities) <= 1, (entry.name, n, arities)
+
+
+def test_checkpoint_sides_never_change_after_yield():
+    # The reporter adds a passing right side to its total once, times the
+    # number of times that same object passed, and reads it only when it
+    # folds its held sides: no check may change a side it has yielded.
+    for entry in list_identities():
+        for n in range(entry.min_n, min(entry.min_n + 2, 4) + 1):
+            seen = [(side, copy.deepcopy(side))
+                    for _sub, lhs, rhs, _cnt in entry.check(n) for side in (lhs, rhs)]
+            assert all(side == snapshot for side, snapshot in seen), (entry.name, n)
 
 
 def test_totals_reject_mixed_arity():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -107,6 +109,14 @@ def test_ltr_minima_match_counting_every_small_permutation():
             for level in range(4):
                 for kind in BOTH_KINDS:
                     assert ltr_minima(p, level, kind) == ltr_minima_by_counting(p, level, kind)
+    # Nothing checks that the input is a permutation: repeated values count
+    # as the definition counts them.
+    assert ltr_minima((2, 1, 1), 0) == ltr_minima_by_counting((2, 1, 1), 0) == {2, 3}
+    for n in range(7):
+        for word in itertools.product(range(1, 5), repeat=n):
+            for level in range(4):
+                for kind in BOTH_KINDS:
+                    assert ltr_minima(word, level, kind) == ltr_minima_by_counting(word, level, kind)
 
 
 @given(st.integers(0, 12).flatmap(lambda n: st.permutations(range(1, n + 1))),
