@@ -34,7 +34,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial, reduce
-from operator import add, gt, itemgetter, mul
+from operator import add, itemgetter, mul
 from typing import Iterator
 
 from .catalog import REGISTRY, CapExceeded, IdentityEntry, resolve  # noqa: F401
@@ -51,7 +51,12 @@ from .perm import (
 from .qpoly import MultiPoly, geometric, q_binomial, q_factorial
 from .stats import (
     EXCLUDE_FIRST_POSITIONS,
+    _descent_table,
+    _descents,
+    _indicator_columns,
+    _lengths,
     _maj_rmaj,
+    _projection_memo,
     del_s,
     des_s,
     des_set_s,
@@ -62,7 +67,7 @@ from .stats import (
     maj_s,
     rmaj_s,
 )
-from .words import a_pull, epsilon_s, eval_a_letters, indicators, occurrences
+from .words import _Memo, a_pull, epsilon_s, eval_a_letters, occurrences
 from . import shuffles as shuf
 
 # A side is (arity, {exponents: count}): keys of width 2 + arity, no zero
@@ -111,12 +116,9 @@ def _run(start: int, length: int, t: int = 0) -> dict:
     return {(e, t): 1 for e in range(start, start + length)}
 
 
-class _Runs(dict):
+def _runs() -> _Memo:
     """(start, length) -> the side of ``_run(start, length)``, built on first use."""
-
-    def __missing__(self, key):
-        side = self[key] = 0, _run(*key)
-        return side
+    return _Memo(lambda key: (0, _run(*key)))
 
 
 def _const(c: int) -> Side:
@@ -204,7 +206,7 @@ def _subset_sums(fibres: dict[int, list[dict]], bits: list[int]) -> list[list[di
 # finish, which gets n, the first column's group order and every histogram in
 # column order.  Scan sides may share a pass; no closed form reads a tally.
 
-def _descent_class(p, rec, n):
+def _descent_class(p, n):
     """Length, maj and reverse maj, each keyed by the inverse's descent mask."""
     maj, rmaj = _maj_rmaj(p, n)
     m = _mask(des_set_s(inverse(p)))
@@ -213,79 +215,117 @@ def _descent_class(p, rec, n):
 
 # The main theorem's mask: the inverse's descents in the low n bits, its minima
 # (level 0 in S, level 1 in A) shifted above them.
-def _main_s(p, rec, n):
+def _main_s(p, n):
     pinv = inverse(p)
     m = _mask(des_set_s(pinv)) | _mask(ltr_minima(pinv, 0, EXCLUDE_FIRST_POSITIONS)) << n
     return (m, rmaj_s(p, n)), (m, length_s(p))
 
 
-def _main_a(v, rec, n):
+def _main_a(v, proj, length, n):
     vinv = inverse(v)
     m = (_mask(des_set_s(a_pull(vinv)[3]))
          | _mask(ltr_minima(vinv, 1, EXCLUDE_FIRST_POSITIONS)) << n)
-    return (m, rmaj_s(rec[3], n)), (m, rec[0])
+    return (m, rmaj_s(proj, n)), (m, length)
 
 
 # Corollary 9.2 scans over q = p^{-1}, which runs over the whole group as p
 # does: the inverse's statistics come from q's own record.
-def _cor92_s(q, rec, n):
+def _cor92_s(q, delent, n):
     p, d = inverse(q), des_s(q)
-    return (rmaj_s(p, n), d, rec[1]), (length_s(p), d, rec[1])
+    return (rmaj_s(p, n), d, delent), (length_s(p), d, delent)
 
 
-def _cor92_a(w, rec, n):
-    ell, _, _, proj, _ = a_pull(inverse(w))
-    d = des_s(rec[3])
-    return (rmaj_s(proj, n), d, rec[1]), (ell, d, rec[1])
+def _cor92_a(w, proj, delent, n):
+    ell, _, _, inv_proj, _ = a_pull(inverse(w))
+    d = des_s(proj)
+    return (rmaj_s(inv_proj, n), d, delent), (ell, d, delent)
 
 
-def _hat(v, rec, js):
-    """Length and maj of the fold h_map(v, j), for each position j in turn."""
+def _hat(v, js):
+    """Length and maj of the fold h_map(v, j), for each position j in turn.
+
+    h_map(v, j) is v itself wherever v's inverse ascends at j, and there the
+    keys are v's own, computed once.
+    """
+    own = (length_s(v), 0), (maj_s(v), 0)
     keys = []
     for j in js:
         w = h_map(v, j)
-        keys += (length_s(w), 0), (maj_s(w), 0)
+        keys += own if w is v else ((length_s(w), 0), (maj_s(w), 0))
     return tuple(keys)
 
 
-# (row, group) -> maker(degree, *args) of the row.  Symmetric lengths are
-# inversion counts and symmetric descents are read off the one-line word;
-# alternating ones come from the record and its projection.  The cycle
-# counts are a third path, apart from both the delent scan and closed forms.
+def _each(key):
+    """A row that maps key(element, *fields) over the chunk: real per-element work."""
+    return lambda ps, *cols: list(zip(*map(key, ps, *cols)))
+
+
+def _zeros(ps):
+    return itertools.repeat(0, len(ps))
+
+
+def _rmaj_del_s(n):
+    table = _descent_table(lambda des: sum(n - i for i in des))
+    return lambda ps, delent: [zip(_descents(ps, table), delent)]
+
+
+def _rmaj_del_a(n):
+    memo = _projection_memo(partial(rmaj_s, n=n))
+    return lambda vs, proj, delent: [zip(map(memo.__getitem__, proj), delent)]
+
+
+def _len_maj(n):
+    table = _descent_table(lambda des: (sum(des), 0))
+    return lambda ps: [zip(_lengths(ps), _zeros(ps)), _descents(ps, table)]
+
+
+def _occurrences(n, ks):
+    return lambda ps, bottoms: [zip(_zeros(ps), map(occurrences, bottoms, itertools.repeat(k)))
+                                for k in ks]
+
+
+# (row, group) -> (the record fields the row reads, maker(degree, *args) of
+# the row).  A row maps a chunk of elements and those fields' columns, in the
+# order named, to one key column per histogram (see ``stats.histograms``).
+# Symmetric lengths are inversion counts and symmetric descents are read off
+# the one-line word; alternating ones come from the record and its
+# projection.  The cycle counts are a third path, apart from both the delent
+# scan and closed forms.
 _ROWS = {
-    ("len-maj", "S"): lambda n: lambda p, rec: ((length_s(p), 0), (maj_s(p), 0)),
-    ("descent-class", "S"): lambda n: partial(_descent_class, n=n),
-    ("len-del", "S"): lambda n: lambda p, rec: ((length_s(p), rec[1]),),
-    ("len-del", "A"): lambda n: lambda v, rec: ((rec[0], rec[1]),),
-    ("rmaj-del", "S"): lambda n: lambda p, rec: ((rmaj_s(p, n), rec[1]),),
-    ("rmaj-del", "A"): lambda n: lambda v, rec: ((rmaj_s(rec[3], n), rec[1]),),
-    ("del", "S"): lambda n: lambda p, rec: ((0, rec[1]),),
-    ("del", "A"): lambda n: lambda v, rec: ((0, rec[1]),),
-    ("cycles", "S"): lambda n: lambda p, rec: (cycle_count(p),),
-    ("len-ind", "S"): lambda n: lambda p, rec: ((length_s(p), 0) + indicators(rec[2]),),
-    ("len-ind", "A"): lambda n: lambda v, rec: ((rec[0], 0) + indicators(rec[2]),),
-    ("ind", "S"): lambda n: lambda p, rec: ((0, 0) + indicators(rec[2]),),
-    ("ind", "A"): lambda n: lambda v, rec: ((0, 0) + indicators(rec[2]),),
-    ("occurrences", "S"):
-        lambda n, ks: lambda p, rec: tuple([(0, occurrences(rec[2], k)) for k in ks]),
-    ("main", "S"): lambda n: partial(_main_s, n=n),
-    ("main", "A"): lambda n: partial(_main_a, n=n),
-    ("cor92", "S"): lambda n: partial(_cor92_s, n=n),
-    ("cor92", "A"): lambda n: partial(_cor92_a, n=n),
-    ("hat", "A"): lambda n, js: partial(_hat, js=js),
+    ("len-maj", "S"): ((), _len_maj),
+    ("descent-class", "S"): ((), lambda n: _each(partial(_descent_class, n=n))),
+    ("len-del", "S"): (("delent",), lambda n: lambda ps, delent: [zip(_lengths(ps), delent)]),
+    ("len-del", "A"): (("length", "delent"), lambda n: lambda vs, length, delent: [
+        zip(length, delent)]),
+    ("rmaj-del", "S"): (("delent",), _rmaj_del_s),
+    ("rmaj-del", "A"): (("proj", "delent"), _rmaj_del_a),
+    ("del", "S"): (("delent",), lambda n: lambda ps, delent: [zip(_zeros(ps), delent)]),
+    ("del", "A"): (("delent",), lambda n: lambda vs, delent: [zip(_zeros(vs), delent)]),
+    ("cycles", "S"): ((), lambda n: lambda ps: [map(cycle_count, ps)]),
+    ("len-ind", "S"): (("bottoms",), lambda n: lambda ps, bottoms: [
+        zip(_lengths(ps), _zeros(ps), *_indicator_columns(bottoms))]),
+    ("len-ind", "A"): (("length", "bottoms"), lambda n: lambda vs, length, bottoms: [
+        zip(length, _zeros(vs), *_indicator_columns(bottoms))]),
+    ("ind", "S"): (("bottoms",), lambda n: lambda ps, bottoms: [
+        zip(_zeros(ps), _zeros(ps), *_indicator_columns(bottoms))]),
+    ("ind", "A"): (("bottoms",), lambda n: lambda vs, bottoms: [
+        zip(_zeros(vs), _zeros(vs), *_indicator_columns(bottoms))]),
+    ("occurrences", "S"): (("bottoms",), _occurrences),
+    ("main", "S"): ((), lambda n: _each(partial(_main_s, n=n))),
+    ("main", "A"): (("proj", "length"), lambda n: _each(partial(_main_a, n=n))),
+    ("cor92", "S"): (("delent",), lambda n: _each(partial(_cor92_s, n=n))),
+    ("cor92", "A"): (("proj", "delent"), lambda n: _each(partial(_cor92_a, n=n))),
+    ("hat", "A"): ((), lambda n, js: _each(partial(_hat, js=js))),
 }
-# The rows that read nothing from the pull record.
-_NO_RECORD = {("len-maj", "S"), ("descent-class", "S"), ("cycles", "S"), ("main", "S"),
-              ("hat", "A")}
 
 
 def _tally_passes(columns) -> tuple[dict, dict]:
     """Tally the distinct columns, one ``histograms`` pass per (group, degree).
 
-    A column is (group, degree, row, *args), and ``_ROWS[row, group](degree,
-    *args)`` makes its row.  A pass pulls its elements only if one of its
-    rows is missing from ``_NO_RECORD``.  Returns {column: (histograms, group
-    order)} and {(group, degree): seconds}.
+    A column is (group, degree, row, *args), and ``_ROWS[row, group]`` names
+    the fields its row reads and makes the row from (degree, *args); a pass
+    computes the fields that its rows read.  Returns {column: (histograms,
+    group order)} and {(group, degree): seconds}.
     """
     passes: dict = {}
     for col in dict.fromkeys(columns):
@@ -293,9 +333,11 @@ def _tally_passes(columns) -> tuple[dict, dict]:
     tallies, seconds = {}, {}
     for (group, n), cols in passes.items():
         start = time.perf_counter()
-        pull = any((col[2], group) not in _NO_RECORD for col in cols)
-        made = [_ROWS[col[2], group](n, *col[3:]) for col in cols]
-        hists, count = histograms(group, n, *made, pull=pull)
+        made = []
+        for col in cols:
+            fields, maker = _ROWS[col[2], group]
+            made.append((fields, maker(n, *col[3:])))
+        hists, count = histograms(group, n, *made)
         tallies.update((col, (h, count)) for col, h in zip(cols, hists))
         seconds[group, n] = time.perf_counter() - start
     return tallies, seconds
@@ -629,33 +671,23 @@ def _check_prop56(n: int) -> Iterator[Checkpoint]:
 # slot i, one itertools stream yields the words with the new top letter at
 # slot i, in the base words' order, and the n+1 streams are zipped with the
 # base words.  Each inserted word's (maj, rmaj) is read off its own neighbour
-# comparisons, the bytes of ``map(gt, w, w[1:])``, through a table of all
-# 2^n comparison patterns built once per call; it is never derived from the
+# comparisons, the bytes of ``map(gt, w, w[1:])``, through a table of the
+# comparison patterns filled as they are first met in one call
+# (``stats._descents``); it is never derived from the
 # base word's descents and the slot, which is the lemma's proof.  The closed
 # forms q^maj(u) [n+1]_q, q^(maj(u)+1) [n]_q, q^rmaj(u) [n+1]_q and
 # q^rmaj(u) [n]_q start at u's own statistics from ``_maj_rmaj``, which no
 # scan side calls, and each run is built once per (start, length) within one
 # call; lemma64 works the same way over the coset products.
 
-def _descent_table(length: int) -> dict[bytes, tuple]:
-    """Comparison bytes of a word of `length` letters -> ((maj, 0), (rmaj, 0))."""
-    table = {}
-    for bits in itertools.product((0, 1), repeat=length - 1):
-        des = [i for i, bit in enumerate(bits, 1) if bit]
-        table[bytes(bits)] = (sum(des), 0), (sum(length - i for i in des), 0)
-    return table
-
-
-def _descents(words, table: dict) -> Iterator[tuple]:
-    """The table value of each word of the stream, read at C level."""
-    now, ahead = itertools.tee(words)
-    comparisons = map(map, itertools.repeat(gt), now, map(itemgetter(slice(1, None)), ahead))
-    return map(table.__getitem__, map(bytes, comparisons))
+def _keys_of(length: int):
+    """The descent positions of a word of `length` letters -> ((maj, 0), (rmaj, 0))."""
+    return lambda des: ((sum(des), 0), (sum(length - i for i in des), 0))
 
 
 def _check_lemma63(n: int) -> Iterator[Checkpoint]:
     y, letters = n + 1, range(1, n + 1)
-    runs, table = _Runs(), _descent_table(n + 1)
+    runs, table = _runs(), _descent_table(_keys_of(n + 1))
     slots = (itertools.product(*[letters] * i, (y,), *[letters] * (n - i)) for i in range(y))
     for u, *row in zip(itertools.product(letters, repeat=n),
                        *(_descents(words, table) for words in slots)):
@@ -683,7 +715,7 @@ def _coset_slot(n: int, i: int) -> Iterator[Perm]:
 
 
 def _check_lemma64(n: int) -> Iterator[Checkpoint]:
-    runs, table = _Runs(), _descent_table(n + 1)
+    runs, table = _runs(), _descent_table(_keys_of(n + 1))
     for w, *row in zip(iter_symmetric(n), *(_descents(_coset_slot(n, i), table)
                                              for i in range(n + 1))):
         majs, rmajs = zip(*row)

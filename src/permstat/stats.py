@@ -27,14 +27,14 @@ from __future__ import annotations
 from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
-from itertools import accumulate, chain, combinations, compress, count, islice, starmap
-from math import factorial
-from operator import gt
-from typing import TYPE_CHECKING, Callable, Sequence
+from functools import partial
+from itertools import (accumulate, chain, combinations, compress, count, islice, repeat, starmap,
+                       tee)
+from operator import gt, itemgetter
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .perm import Perm, check_even, iter_alternating, iter_symmetric
-from .words import _a_step, _s_step, a_pull, indicators, s_pull
+from .words import _chain, _columns, _Memo, a_pull, indicators, s_pull
 
 if TYPE_CHECKING:  # genfun, its only user, imports it when it runs
     from .qpoly import MultiPoly
@@ -269,58 +269,88 @@ _HELD_RECORDS = 5_040  # the most records a pass's table holds: the order of S_7
 # keys, and at the end.  Rows that repeat, as most do, are split about once;
 # a batch whose rows are wide and nearly all distinct (the S_8 batch of
 # ``verify --all``) stays under 1 MB instead of 25 MB for one tally over the
-# group.  Elements are counted into it 256 at a time.
+# group.
 _HELD_KEYS = 4096
+_CHUNK = 256  # elements per chunk of a pass
 
 
-def histograms(group: str, n: int, *rows: Callable[[Perm, tuple | None], tuple],
-               pull: bool = True) -> tuple[tuple[tuple[dict, ...], ...], int]:
+# Column forms of the statistics above, for the rows of a pass: each maps a
+# chunk of words, or of their record fields, to one value per word at C level.
+
+def _lengths(ps: list[Perm]) -> Iterator[int]:
+    """``length_s`` of each word: its inversion count."""
+    return map(sum, map(starmap, repeat(gt), map(combinations, ps, repeat(2))))
+
+
+def _descent_table(value: Callable[[list[int]], object]) -> _Memo:
+    """Comparison bytes of a word, as ``_descents`` reads them -> value(its descent positions).
+
+    Each entry is filled when it is first read.
+    """
+    return _Memo(lambda bits: value(list(compress(count(1), bits))))
+
+
+def _descents(words: Iterable[Sequence[int]], table: _Memo) -> Iterator:
+    """The table value of each word of the stream, read off its own neighbour comparisons.
+
+    The comparisons run at C level, as the bytes of ``map(gt, w, w[1:])``.
+    """
+    now, ahead = tee(words)
+    comparisons = map(map, repeat(gt), now, map(itemgetter(slice(1, None)), ahead))
+    return map(table.__getitem__, map(bytes, comparisons))
+
+
+def _projection_memo(stat: Callable[[Perm], int]) -> _Memo:
+    """projection -> stat(projection) for one pass; emptied when it holds ``_HELD_RECORDS``."""
+    return _Memo(stat, _HELD_RECORDS)
+
+
+_ONE = {1: 1}
+
+
+def _indicator_columns(bottoms: list[tuple]) -> list[Iterator[int]]:
+    """``indicators`` of each record's starts or ends, as one column per factor."""
+    return [map(_ONE.get, map(itemgetter(j), bottoms), repeat(0)) for j in range(len(bottoms[0]))]
+
+
+def histograms(group: str, n: int, *rows: tuple[tuple[str, ...], Callable]
+               ) -> tuple[tuple[tuple[dict, ...], ...], int]:
     """Tally several rows of keys per element over a whole group, in one pass.
 
     Group "S" is the symmetric group of degree n and "A" the alternating
-    group of degree n + 1, which projects onto it.  Each element is pulled
-    once, by ``s_pull`` or ``a_pull``, and each ``row(element, record)``
-    returns a tuple of keys, one per histogram, of the same width for every
-    element.  Both records start with the length, the delent number and the
-    factor starts or projected ends; an A record's fourth field is the
-    projection.  With pull false no element is pulled and every row gets
-    None for the record.  Returns, per row, one histogram per key, and the
+    group of degree n + 1, which projects onto it.  A row is a pair (fields,
+    row): the pull-record fields it reads, and ``row(chunk, *columns)``,
+    which gets a chunk of elements and one column per field, in the order
+    named, and returns one column of keys per histogram, of the same number
+    for every chunk.  The fields are "length", "delent", "bottoms" (the
+    factor starts in S, the projected ends in A) and, in A, "proj" (the
+    projection).  Returns, per row, one histogram per key column, and the
     group order.
 
-    The pass keeps a chain of tables, one for each degree d from 3 up to
-    the largest below the group's whose words (d! in S, d!/2 in A) fit in
-    ``_HELD_RECORDS`` records: at most 3..7 in both groups, about 5,900
-    records in S and 3,000 in A.  A table maps a word to its record and
-    fills a miss by pulling the word's top value and joining the record of
-    the word left from the table below, the smallest by a plain pull.  An
-    element one value above the top table takes that same step, with its
-    top's slot read off its own word (``_s_step``, ``_a_step``); an element
-    further above pulls its top values in a loop and joins them to the top
-    table's record.  The tables live for this pass only.
+    The pass runs ``_CHUNK`` elements at a time and computes, at C level
+    where it can, only the fields that some row reads: a pass whose rows
+    read none pulls nothing.  It keeps a chain of tables, one for each
+    degree d from 3 up to the largest below the group's whose words (d! in
+    S, d!/2 in A) fit in ``_HELD_RECORDS`` records: at most 3..7 in both
+    groups, about 5,900 records in S and 3,000 in A.  A table maps a word
+    to its record and fills a miss by pulling the word's top value and
+    joining the record of the word left from the table below, the smallest
+    by a plain pull; a group of degree 3 or less has one table of its own
+    degree instead.  An element above the top table takes that same step,
+    once per value above, with each top's slot read off its own word
+    (``words._columns``).  The tables live for this pass only.
     """
     if group == "S":
-        elements, kernel, step, degree, halve = iter_symmetric(n), s_pull, _s_step, n, 1
+        elements, degree = iter_symmetric(n), n
     elif group == "A":
-        elements, kernel, step, degree, halve = iter_alternating(n + 1), a_pull, _a_step, n + 1, 2
+        elements, degree = iter_alternating(n + 1), n + 1
     else:
         raise ValueError(f"unknown group {group!r}; expected 'S' or 'A'")
-    held, d = None, 3  # held: the top (degree, table, link below) of the chain
-    while d < degree and factorial(d) // halve <= _HELD_RECORDS:
-        held, d = (d, {}, held), d + 1
-    if held is not None and d == degree:
-        kernel = step
-    first = next(elements)  # a group is never empty
-    widths = [len(row(first, kernel(first, _held=held) if pull else None)) for row in rows]
-    elements = chain([first], elements)
-    # One flat row of keys per element, tallied whole and split afterwards.
-    joint = reduce(lambda f, g: lambda p, rec: f(p, rec) + g(p, rec), rows)
-    if pull:
-        take = lambda: [joint(p, kernel(p, _held=held)) for p in islice(elements, 256)]
-    else:
-        take = lambda: [joint(p, None) for p in islice(elements, 256)]
-    hists = [{} for _ in range(sum(widths))]
-    held_rows = _HELD_KEYS // max(1, len(hists))
-    tally, order = Counter(), 0
+    fields = list(dict.fromkeys(f for named, _ in rows for f in named))
+    held = _chain(group, degree, _HELD_RECORDS) if fields else None
+    widths: list[int] = []
+    hists: list[dict] = []
+    tally, order, held_rows = Counter(), 0, 0
 
     def split():
         for row_keys, c in tally.items():
@@ -328,9 +358,16 @@ def histograms(group: str, n: int, *rows: Callable[[Perm, tuple | None], tuple],
                 hist[key] = hist.get(key, 0) + c
         tally.clear()
 
-    for chunk in iter(take, []):
+    for chunk in iter(lambda: list(islice(elements, _CHUNK)), []):
+        cols = _columns(group, chunk, held, fields) if fields else {}
+        keys = [row(chunk, *map(cols.__getitem__, named)) for named, row in rows]
+        if not order:
+            widths = list(map(len, keys))
+            hists = [{} for _ in range(sum(widths))]
+            held_rows = _HELD_KEYS // max(1, len(hists))
         order += len(chunk)
-        tally.update(chunk)
+        # One flat row of keys per element, tallied whole and split afterwards.
+        tally.update(zip(*chain.from_iterable(keys)))
         if len(tally) >= held_rows:
             split()
     split()
@@ -355,19 +392,22 @@ def genfun(group: str, n: int, q_stat: str = "length", t_stat: str = "del",
     if q_stat not in ("length", "maj", "rmaj") or t_stat not in ("del", "none"):
         raise ValueError(f"unknown statistic pair ({q_stat!r}, {t_stat!r})")
     # The descents of an S element are its own; those of an A element are
-    # its projection's, the fourth field of its record.
-    word = (lambda p, rec: p) if group == "S" else (lambda v, rec: rec[3])
+    # its projection's.  q(chunk, *columns) is the q column.
     if q_stat == "length":
-        q = lambda p, rec: rec[0]
-    elif q_stat == "maj":
-        q = lambda p, rec: maj_s(word(p, rec))
+        fields, q = ("length",), lambda ps, length: length
+    elif group == "S":
+        table = _descent_table(sum if q_stat == "maj" else lambda des: sum(n - i for i in des))
+        fields, q = (), lambda ps: _descents(ps, table)
     else:
-        q = lambda p, rec: rmaj_s(word(p, rec), n)
+        memo = _projection_memo(maj_s if q_stat == "maj" else partial(rmaj_s, n=n))
+        fields, q = ("proj",), lambda ps, proj: map(memo.__getitem__, proj)
     if multivar:
-        row = lambda p, rec: ((q(p, rec), 0) + indicators(rec[2]),)
+        row = lambda ps, *cols: [zip(q(ps, *cols[:-1]), repeat(0), *_indicator_columns(cols[-1]))]
+        fields += ("bottoms",)
     elif t_stat == "del":
-        row = lambda p, rec: ((q(p, rec), rec[1]),)
+        row = lambda ps, *cols: [zip(q(ps, *cols[:-1]), cols[-1])]
+        fields += ("delent",)
     else:
-        row = lambda p, rec: ((q(p, rec), 0),)
-    ((acc,),), _ = histograms(group, n, row)
+        row = lambda ps, *cols: [zip(q(ps, *cols), repeat(0))]
+    ((acc,),), _ = histograms(group, n, (fields, row))
     return MultiPoly(n - 1 if multivar else 0, acc)

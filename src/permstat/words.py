@@ -20,9 +20,8 @@ the projected word (A), and for A also the projection one degree down as a
 one-line word, in which each value j+1 sits at position e_j among the values
 up to j+1, and the factors that end in a_1^{-1}.  The kernels do not
 validate their input.  ``s_canonical`` and ``a_canonical`` (which checks
-evenness) wrap them for single elements; whole-group scans call them
-directly on the elements that ``iter_symmetric`` and ``iter_alternating``
-yield.  ``a_lifts`` runs the A pull backwards: from the projected ends it
+evenness) wrap them for single elements; whole-group passes fill their
+tables with them (below).  ``a_lifts`` runs the A pull backwards: from the projected ends it
 rebuilds every even permutation with those ends, which is the fibre of the
 projection, so the pull's parity rule lives in this module alone.  It
 yields them in lexicographic order as it builds them, a block at a time.
@@ -34,15 +33,19 @@ parity of each element's Lehmer code off its lexicographic index, but that
 selector decides only membership: every scan still enumerates each element
 as a one-line word, and a scan that reads the record pulls that element
 itself.  A whole-group pass keeps a chain of tables, one per degree up to
-a fixed top one, that live for that pass.  For an element one value above
-the top table, ``_s_step`` and ``_a_step`` read the top's slot off the
-element's own word, look up the word left (after the A parity swap) one
-degree down, and join that one value to its record; an element further
-above pulls its top values in a loop first.  A table fills a miss by the
-same pull from the table below it, and the smallest by a plain pull.  So
-each table caches a pure function of the word, keyed by the word: no
-record is built from another by choosing a slot for the top value, which
-would walk the staircase product that the closed forms are.
+a fixed top one, that live for that pass, and reads the record fields that
+its rows need a chunk of elements at a time (``_columns``).  An element
+above the top table takes one step of the pull per value above: the slot
+of its top value d is read off its own word, the word left (after the A
+parity swap) comes off the word by that slot's getter, and each field
+joins that slot's constant to the word left's field, one degree down.  The
+per-slot getters and constants (``_PLANS``) are the pull's step written
+out once per slot; they depend on the group and degree only.  A table
+fills a miss by the same pull from the table below it, and the smallest by
+a plain pull.  So every field is a pure function of the element's own
+word, and each table caches one, keyed by the word: no record is built
+from another by choosing a slot for the top value, which would walk the
+staircase product that the closed forms are.
 A scan reads from a record only what the paper defines through the
 word: delent, indicator vectors, occurrence counts, and the alternating
 length and descents.  Symmetric statistics that are defined on the one-line
@@ -63,6 +66,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import repeat
+from math import factorial
+from operator import add, itemgetter
 from typing import Iterator
 
 from .perm import Perm, check_even
@@ -175,20 +180,8 @@ def s_pull(w: Perm, *, _held: tuple | None = None) -> tuple[int, int, tuple[SFac
     pulled.reverse()
     if _held is None:
         return length, delent, tuple(pulled)
-    rest = tuple(work)
-    rec = _held[1].get(rest) or _held[1].setdefault(rest, s_pull(rest, _held=_held[2]))
+    rec = _held[1][tuple(work)]
     return length + rec[0], delent + rec[1], rec[2] + tuple(pulled)
-
-
-def _s_step(w: Perm, *, _held: tuple) -> tuple[int, int, tuple[SFactor | None, ...]]:
-    """``s_pull(w, _held=_held)`` for a w one value above the table: the top's slot is its start."""
-    n = len(w)
-    r = w.index(n)
-    rest = w[:r] + w[r + 1:]
-    rec = _held[1].get(rest) or _held[1].setdefault(rest, s_pull(rest, _held=_held[2]))
-    if r == n - 1:
-        return rec[0], rec[1], rec[2] + (None,)
-    return rec[0] + n - 1 - r, rec[1] + (not r), rec[2] + (r + 1,)
 
 
 def s_canonical(w: Perm) -> SWord:
@@ -243,8 +236,7 @@ def a_pull(v: Perm, *, _held: tuple | None = None
     if _held is None:
         ends, proj = pulled, [1][:m - 1]  # no factors below degree 3
     else:
-        rest = tuple(work)
-        rec = _held[1].get(rest) or _held[1].setdefault(rest, a_pull(rest, _held=_held[2]))
+        rec = _held[1][tuple(work)]
         length, delent, inverted = length + rec[0], delent + rec[1], inverted | rec[4]
         ends, proj = rec[2] + tuple(pulled), list(rec[3])
     # The projection restricted to the values 1..j+1 holds j+1 at position
@@ -254,23 +246,108 @@ def a_pull(v: Perm, *, _held: tuple | None = None
     return length, delent, tuple(ends), tuple(proj), inverted
 
 
-def _a_step(v: Perm, *, _held: tuple) -> tuple[int, int, tuple[SFactor | None, ...], Perm, int]:
-    """``a_pull(v, _held=_held)`` for a v one value above the table: one step of its loop."""
-    m = len(v)
-    r = v.index(m)
-    rest = v[:r] + v[r + 1:]
-    if (m - 1 - r) & 1:
-        rest = (rest[1], rest[0]) + rest[2:]
-    length, delent, ends, proj, inverted = (
-        _held[1].get(rest) or _held[1].setdefault(rest, a_pull(rest, _held=_held[2])))
-    if r == m - 1:
-        return length, delent, ends + (None,), proj + (m - 1,), inverted
-    if r < 2:
-        if not r:
-            inverted |= 1 << m - 2
-            r = 1
-        delent += 1
-    return length + m - 1 - r, delent, ends + (r,), proj[:r - 1] + (m - 1,) + proj[r - 1:], inverted
+# -- whole-group passes ---------------------------------------------------------
+
+class _Memo(dict):
+    """key -> fill(key), computed on first use; with `most`, emptied before it
+    would hold more than that many keys."""
+
+    def __init__(self, fill, most: int | None = None):
+        super().__init__()
+        self.fill, self.most = fill, most
+
+    def __missing__(self, key):
+        if self.most is not None and len(self) >= self.most:
+            self.clear()
+        value = self[key] = self.fill(key)
+        return value
+
+
+# The record fields a pass can read, by their place in a pull record.
+_FIELDS = {"length": 0, "delent": 1, "bottoms": 2, "proj": 3}
+
+
+def _slot_plan(key: tuple[str, int]) -> dict[str, list]:
+    """One step of the pull of the top value d out of a word of degree d, per slot of d.
+
+    "left" gets the word left, after the A parity swap, off the word;
+    "length", "delent" and "bottoms" are what the step adds to the word
+    left's record; "proj" (A) puts d - 1 into the word left's projection,
+    given with d - 1 appended.
+    """
+    group, d = key
+    plan: dict[str, list] = {"left": [], "length": [], "delent": [], "bottoms": [], "proj": []}
+    for r in range(d):
+        rest = [i for i in range(d) if i != r]
+        if r == d - 1:
+            e, length, delent = None, 0, 0
+        elif group == "S":
+            e, length, delent = r + 1, d - 1 - r, int(r == 0)
+        else:
+            if (d - 1 - r) & 1:
+                rest[:2] = rest[1], rest[0]
+            e = max(r, 1)
+            length, delent = d - 1 - e, int(r < 2)
+        plan["left"].append(itemgetter(*rest))
+        plan["length"].append(length)
+        plan["delent"].append(delent)
+        plan["bottoms"].append((e,))
+        if group == "A":
+            order = list(range(d - 2))
+            order.insert(d - 2 if e is None else e - 1, d - 2)
+            plan["proj"].append(itemgetter(*order))
+    return plan
+
+
+_PLANS = _Memo(_slot_plan)  # (group, degree) -> its slot plan, kept for the process
+
+
+def _table(group: str, below: tuple | None) -> _Memo:
+    """A table of pull records that fills a miss by the pull through the link below."""
+    # The kernels are looked up when a table fills, so a patched one is seen.
+    if group == "S":
+        return _Memo(lambda w: s_pull(w, _held=below))
+    return _Memo(lambda v: a_pull(v, _held=below))
+
+
+def _chain(group: str, degree: int, most: int) -> tuple:
+    """The top (degree, table, link below) of the tables of one pass over words of `degree`.
+
+    One table per degree d from 3 up to the largest below `degree` whose
+    words (d! in S, d!/2 in A) fit in `most` records, each filling from the
+    one below it and the lowest by the plain pull; with no such degree, one
+    table of `degree` itself.
+    """
+    held, d = None, 3
+    while d < degree and factorial(d) // (1 if group == "S" else 2) <= most:
+        held, d = (d, _table(group, held), held), d + 1
+    return held or (degree, _table(group, None), None)
+
+
+def _columns(group: str, ws: list[Perm], held: tuple, fields: list[str]) -> dict[str, list]:
+    """The named record fields of the words ws, all of one degree, one column per field.
+
+    A word of the top table's degree reads its record there.  A word above
+    it takes one step of its pull: the slot of its top value d comes off the
+    word itself, the word left off that slot, and each field joins the slot's
+    constant to the word left's field, from the columns one degree down.
+    """
+    d = len(ws[0])
+    if d == held[0]:
+        recs = list(map(held[1].__getitem__, ws))
+        return {f: list(map(itemgetter(_FIELDS[f]), recs)) for f in fields}
+    plan = _PLANS[group, d]
+    slots = list(map(tuple.index, ws, repeat(d)))
+    left = plan["left"]
+    below = _columns(group, [left[r](w) for r, w in zip(slots, ws)], held, fields)
+    out = {}
+    for f in fields:
+        if f == "proj":
+            put, top = plan["proj"], (d - 1,)
+            out[f] = [put[r](p + top) for r, p in zip(slots, below[f])]
+        else:
+            out[f] = list(map(add, below[f], map(plan[f].__getitem__, slots)))
+    return out
 
 
 def a_canonical(v: Perm) -> AWord:

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import itertools
+import json
 import pickle
 import time
 
@@ -647,3 +648,50 @@ def test_a_wrong_table_record_fails_the_delent_scans(monkeypatch):
     for name in ("thm61-a", "prop57-stirling-a"):
         assert not verify(name, 4).passed, name
     assert wrong in seen and {len(v) for v in seen} == {3, 4}
+
+
+def test_a_wrong_slot_constant_fails_only_the_scan_side(monkeypatch):
+    # A pass over A_5 takes one step above its top table of degree 4: each
+    # element's slot of 5 picks the delent that the step adds.  Slot 2 adds
+    # none; a plan that adds one there reaches both delent scans, and only
+    # their scan side: each failing point's closed form is the unpatched one.
+    from permstat import words
+
+    plan = words._PLANS["A", 5]
+    assert plan["delent"][2] == 0
+    wrong = plan["delent"][:]
+    wrong[2] = 1
+    for name in ("thm61-a", "prop57-stirling-a"):
+        assert verify(name, 4).passed
+    expected = {name: {json.dumps(point, sort_keys=True): rhs
+                       for point, _, rhs, _ in REGISTRY[name].check(4)}
+                for name in ("thm61-a", "prop57-stirling-a")}
+    monkeypatch.setitem(plan, "delent", wrong)
+    for name in ("thm61-a", "prop57-stirling-a"):
+        report = verify(name, 4)
+        assert not report.passed and "failed_at" in report.params, name
+        arity, terms = expected[name][json.dumps(report.params["failed_at"], sort_keys=True)]
+        assert report.rhs == MultiPoly(arity, terms), name
+
+
+# SHA-256 of each report's ``to_json()``, recorded before the passes read
+# their record fields a chunk at a time.  n = 7 and 8 reach A_8 and A_9, one
+# and two values above the top table of degree 7.
+A8_A9_DIGESTS = {
+    ("prop511-multivar", 7): "1d6471953751ccdbd9fdb865e031de6e8fb6882343c950a428e7f27bc5522565",
+    ("prop511-multivar", 8): "468be7678b59b9ba50e5bc69b1e0fdbd24a7a0871e27712794b94cf39dec014c",
+    ("prop57-stirling-a", 7): "7b06d4ac5a76f07e9864fa95b605434f174ebffbddb954bde83cfebce388a0ec",
+    ("prop57-stirling-a", 8): "b990d33e9ba681b757ff42dbba1e0678859c3a5524af1ed35fe848d996b507e2",
+    ("thm61-a", 7): "68ab787ec564e7091280e3bffe122c69f0bf49e37c24873f88e620b16bdabafa",
+    ("thm61-a", 8): "89e99aae4bc56c1a948d8893c1b566d831216cd637736fff68f0ac47116b6632",
+    ("thm62-a", 7): "79c6e5d01175613931886d88ed5ad7b0fa7cd7fccec36afcb9f998a948228b3a",
+    ("thm62-a", 8): "027ea4f8c18a37399d060a0297372969ba49def62cf28f929ee283c95a592f37",
+}
+
+
+def test_a8_and_a9_reports_are_pinned():
+    reports = [r for _, piece in plan(sorted(A8_A9_DIGESTS)) for r in run(piece)]
+    digests = {(r.identity, r.params["n"]):
+               hashlib.sha256(json.dumps(r.to_json(), sort_keys=True).encode()).hexdigest()
+               for r in reports}
+    assert digests == A8_A9_DIGESTS

@@ -87,29 +87,51 @@ def test_a_pull_projection_descents_match_comparison():
 def test_pass_records_equal_kernel_records(monkeypatch, bound):
     # A pass keeps a chain of tables, one for each degree from 3 up to the
     # largest whose words fit, and each table fills a miss from the one below
-    # it.  Unbounded, every group here is one value above its top table;
-    # bounded at 12 records, the chains stop at S_3 and A_4, so S_5..S_8 and
-    # A_6..A_8 pull several values before they look up.
+    # it.  Unbounded, every group here is at most one value above its top
+    # table; bounded at 12 records, the chains stop at S_3 and A_4, so
+    # S_5..S_8 and A_6..A_8 take several steps before they look up.  A group
+    # with no chain has one table of its own degree.  A pass reads the fields
+    # its rows name, so every field is asked for here; it has no field for
+    # the inverted tails of an A record, which no row reads.
     if bound is not None:
         monkeypatch.setattr(stats, "_HELD_RECORDS", bound)
-    for group, kernel, name, top, order in (
-            ("S", s_pull, "s_pull", 3 if bound else 7, math.factorial),
-            ("A", a_pull, "a_pull", 4 if bound else 7, lambda d: math.factorial(d) // 2)):
+    for group, kernel, name, top, order, fields in (
+            ("S", s_pull, "s_pull", 3 if bound else 7, math.factorial,
+             ("length", "delent", "bottoms")),
+            ("A", a_pull, "a_pull", 4 if bound else 7, lambda d: math.factorial(d) // 2,
+             ("length", "delent", "bottoms", "proj"))):
         filled = []
         monkeypatch.setattr(words, name, lambda w, kernel=kernel, **held:
                             filled.append(w) or kernel(w, **held))
         for n in range(1, 9):  # S_n, and A_n as the group "A" of degree n - 1
             filled.clear()
             ((records,),), count = histograms(group, n if group == "S" else n - 1,
-                                              lambda p, rec: ((p, rec),))
+                                              (fields, lambda ps, *cols: [zip(ps, *cols)]))
             assert sum(records.values()) == count == len(records)
-            for p, rec in records:
-                assert rec == kernel(p), (group, p)
+            for p, *rec in records:
+                assert tuple(rec) == kernel(p)[:len(fields)], (group, p)
             # Each table of the chain is filled with every word of its degree
             # in the group, once.
             chain = range(3, min(n, top + 1))
-            assert Counter(map(len, filled)) == {d: order(d) for d in chain}, (group, n)
+            expected = {d: order(d) for d in chain} if chain else {n: count}
+            assert Counter(map(len, filled)) == expected, (group, n)
             assert len(set(filled)) == len(filled)
+
+
+def test_passes_that_read_no_field_pull_nothing(monkeypatch):
+    from permstat import identities
+
+    def no_pull(*args, **kwargs):
+        raise AssertionError("a pass that reads no record field pulled")
+
+    monkeypatch.setattr(words, "s_pull", no_pull)
+    monkeypatch.setattr(words, "a_pull", no_pull)
+    tallies, _ = identities._tally_passes(
+        [("S", 6, row) for row in ("cycles", "len-maj", "descent-class", "main")]
+        + [("A", 5, "hat", (1, 2, 3, 4, 5))])
+    assert all(count == (720 if col[0] == "S" else 360) for col, (_, count) in tallies.items())
+    with pytest.raises(AssertionError, match="pulled"):
+        identities._tally_passes([("S", 6, "del")])
 
 
 def test_iter_alternating_is_the_lexicographic_even_filter():
