@@ -54,7 +54,6 @@ from .stats import (
     _descent_table,
     _descents,
     _indicator_columns,
-    _lengths,
     _maj_rmaj,
     _projection_memo,
     del_s,
@@ -206,19 +205,19 @@ def _subset_sums(fibres: dict[int, list[dict]], bits: list[int]) -> list[list[di
 # finish, which gets n, the first column's group order and every histogram in
 # column order.  Scan sides may share a pass; no closed form reads a tally.
 
-def _descent_class(p, n):
+def _descent_class(p, ell, n):
     """Length, maj and reverse maj, each keyed by the inverse's descent mask."""
     maj, rmaj = _maj_rmaj(p, n)
     m = _mask(des_set_s(inverse(p)))
-    return (m, length_s(p)), (m, maj), (m, rmaj)
+    return (m, ell), (m, maj), (m, rmaj)
 
 
 # The main theorem's mask: the inverse's descents in the low n bits, its minima
 # (level 0 in S, level 1 in A) shifted above them.
-def _main_s(p, n):
+def _main_s(p, ell, n):
     pinv = inverse(p)
     m = _mask(des_set_s(pinv)) | _mask(ltr_minima(pinv, 0, EXCLUDE_FIRST_POSITIONS)) << n
-    return (m, rmaj_s(p, n)), (m, length_s(p))
+    return (m, rmaj_s(p, n)), (m, ell)
 
 
 def _main_a(v, proj, length, n):
@@ -276,7 +275,7 @@ def _rmaj_del_a(n):
 
 def _len_maj(n):
     table = _descent_table(lambda des: (sum(des), 0))
-    return lambda ps: [zip(_lengths(ps), _zeros(ps)), _descents(ps, table)]
+    return lambda ps, ell: [zip(ell, _zeros(ps)), _descents(ps, table)]
 
 
 def _occurrences(n, ks):
@@ -284,17 +283,18 @@ def _occurrences(n, ks):
                                 for k in ks]
 
 
-# (row, group) -> (the record fields the row reads, maker(degree, *args) of
-# the row).  A row maps a chunk of elements and those fields' columns, in the
+# (row, group) -> (the fields the row reads, maker(degree, *args) of the
+# row).  A row maps a chunk of elements and those fields' columns, in the
 # order named, to one key column per histogram (see ``stats.histograms``).
-# Symmetric lengths are inversion counts and symmetric descents are read off
-# the one-line word; alternating ones come from the record and its
-# projection.  The cycle counts are a third path, apart from both the delent
-# scan and closed forms.
+# Symmetric lengths are inversion counts (the pass's "inversions" column)
+# and symmetric descents are read off the one-line word; alternating ones
+# come from the record and its projection.  The cycle counts are a third
+# path, apart from both the delent scan and closed forms.
 _ROWS = {
-    ("len-maj", "S"): ((), _len_maj),
-    ("descent-class", "S"): ((), lambda n: _each(partial(_descent_class, n=n))),
-    ("len-del", "S"): (("delent",), lambda n: lambda ps, delent: [zip(_lengths(ps), delent)]),
+    ("len-maj", "S"): (("inversions",), _len_maj),
+    ("descent-class", "S"): (("inversions",), lambda n: _each(partial(_descent_class, n=n))),
+    ("len-del", "S"): (("inversions", "delent"), lambda n: lambda ps, ell, delent: [
+        zip(ell, delent)]),
     ("len-del", "A"): (("length", "delent"), lambda n: lambda vs, length, delent: [
         zip(length, delent)]),
     ("rmaj-del", "S"): (("delent",), _rmaj_del_s),
@@ -302,8 +302,8 @@ _ROWS = {
     ("del", "S"): (("delent",), lambda n: lambda ps, delent: [zip(_zeros(ps), delent)]),
     ("del", "A"): (("delent",), lambda n: lambda vs, delent: [zip(_zeros(vs), delent)]),
     ("cycles", "S"): ((), lambda n: lambda ps: [map(cycle_count, ps)]),
-    ("len-ind", "S"): (("bottoms",), lambda n: lambda ps, bottoms: [
-        zip(_lengths(ps), _zeros(ps), *_indicator_columns(bottoms))]),
+    ("len-ind", "S"): (("inversions", "bottoms"), lambda n: lambda ps, ell, bottoms: [
+        zip(ell, _zeros(ps), *_indicator_columns(bottoms))]),
     ("len-ind", "A"): (("length", "bottoms"), lambda n: lambda vs, length, bottoms: [
         zip(length, _zeros(vs), *_indicator_columns(bottoms))]),
     ("ind", "S"): (("bottoms",), lambda n: lambda ps, bottoms: [
@@ -311,7 +311,7 @@ _ROWS = {
     ("ind", "A"): (("bottoms",), lambda n: lambda vs, bottoms: [
         zip(_zeros(vs), _zeros(vs), *_indicator_columns(bottoms))]),
     ("occurrences", "S"): (("bottoms",), _occurrences),
-    ("main", "S"): ((), lambda n: _each(partial(_main_s, n=n))),
+    ("main", "S"): (("inversions",), lambda n: _each(partial(_main_s, n=n))),
     ("main", "A"): (("proj", "length"), lambda n: _each(partial(_main_a, n=n))),
     ("cor92", "S"): (("delent",), lambda n: _each(partial(_cor92_s, n=n))),
     ("cor92", "A"): (("proj", "delent"), lambda n: _each(partial(_cor92_a, n=n))),
@@ -678,7 +678,9 @@ def _check_prop56(n: int) -> Iterator[Checkpoint]:
 # forms q^maj(u) [n+1]_q, q^(maj(u)+1) [n]_q, q^rmaj(u) [n+1]_q and
 # q^rmaj(u) [n]_q start at u's own statistics from ``_maj_rmaj``, which no
 # scan side calls, and each run is built once per (start, length) within one
-# call; lemma64 works the same way over the coset products.
+# call.  lemma64 works the same way over the coset products, and lemma65 and
+# remark66 read those products' rmaj the same way, lemma65 with each one's
+# del from its own pull.
 
 def _keys_of(length: int):
     """The descent positions of a word of `length` letters -> ((maj, 0), (rmaj, 0))."""
@@ -702,11 +704,6 @@ def _check_lemma63(n: int) -> Iterator[Checkpoint]:
 # The right coset products w tau, for tau over the degree-n staircase set
 # inside degree n+1, are w with n+1 put in at each slot.
 
-def _iter_right_coset_products(w: Perm, n: int):
-    """w tau with n+1 at slots n, n-1, ..., 0."""
-    return (w[:i] + (n + 1,) + w[i:] for i in range(n, -1, -1))
-
-
 def _coset_slot(n: int, i: int) -> Iterator[Perm]:
     """w tau with n+1 at slot i, for w over ``iter_symmetric(n)``, at C level."""
     heads = map(itemgetter(slice(i)), iter_symmetric(n))
@@ -726,20 +723,22 @@ def _check_lemma64(n: int) -> Iterator[Checkpoint]:
 
 def _check_lemma65(n: int) -> Iterator[Checkpoint]:
     # The closed form is q^rmaj(w) t^del(w) ([n]_q + q^n t).
-    for w in iter_symmetric(n):
-        products = list(_iter_right_coset_products(w, n))
-        lhs = _tally((rmaj_s(p, n + 1), del_s(p)) for p in products)
+    table = _descent_table(lambda des: sum(n + 1 - i for i in des))
+    slots = (itertools.tee(_coset_slot(n, i)) for i in range(n, -1, -1))
+    for w, *row in zip(iter_symmetric(n), *(zip(_descents(ps, table), map(del_s, again))
+                                             for ps, again in slots)):
         r, d = rmaj_s(w, n), del_s(w)
         rhs = _run(r, n, d)
         rhs[(r + n, d + 1)] = 1
-        yield {"w": w}, (0, lhs), (0, rhs), len(products)
+        yield {"w": w}, (0, _tally(row)), (0, rhs), n + 1
 
 
 def _check_remark66(n: int) -> Iterator[Checkpoint]:
-    for w in iter_symmetric(n):
-        products = list(_iter_right_coset_products(w, n))[:-1]
-        lhs = _tally((rmaj_s(p, n + 1), 0) for p in products)
-        yield {"w": w}, (0, lhs), (0, _run(rmaj_s(w, n), n)), len(products)
+    # The products with n+1 at slots n, ..., 1: all but the one that puts it first.
+    runs, table = _runs(), _descent_table(lambda des: (sum(n + 1 - i for i in des), 0))
+    for w, *row in zip(iter_symmetric(n), *(_descents(_coset_slot(n, i), table)
+                                             for i in range(n, 0, -1))):
+        yield {"w": w}, (0, _tally(row)), runs[rmaj_s(w, n), n], n
 
 
 def _iter_low_support(n: int, i: int):

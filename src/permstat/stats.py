@@ -34,7 +34,7 @@ from operator import gt, itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .perm import Perm, check_even, iter_alternating, iter_symmetric
-from .words import _chain, _columns, _Memo, a_pull, indicators, s_pull
+from .words import _FIELDS, _columns, _Memo, _table, a_pull, indicators, s_pull
 
 if TYPE_CHECKING:  # genfun, its only user, imports it when it runs
     from .qpoly import MultiPoly
@@ -319,26 +319,24 @@ def histograms(group: str, n: int, *rows: tuple[tuple[str, ...], Callable]
 
     Group "S" is the symmetric group of degree n and "A" the alternating
     group of degree n + 1, which projects onto it.  A row is a pair (fields,
-    row): the pull-record fields it reads, and ``row(chunk, *columns)``,
-    which gets a chunk of elements and one column per field, in the order
-    named, and returns one column of keys per histogram, of the same number
-    for every chunk.  The fields are "length", "delent", "bottoms" (the
-    factor starts in S, the projected ends in A) and, in A, "proj" (the
-    projection).  Returns, per row, one histogram per key column, and the
-    group order.
+    row): the fields it reads, and ``row(chunk, *columns)``, which gets a
+    chunk of elements and one column per field, in the order named, and
+    returns one column of keys per histogram, of the same number for every
+    chunk.  The record fields are "length", "delent", "bottoms" (the factor
+    starts in S, the projected ends in A) and, in A, "proj" (the
+    projection); in S a row may also read "inversions", each element's
+    inversion count off its one-line word (``length_s``), never off the
+    record.  Returns, per row, one histogram per key column, and the group
+    order.
 
     The pass runs ``_CHUNK`` elements at a time and computes, at C level
-    where it can, only the fields that some row reads: a pass whose rows
-    read none pulls nothing.  It keeps a chain of tables, one for each
-    degree d from 3 up to the largest below the group's whose words (d! in
-    S, d!/2 in A) fit in ``_HELD_RECORDS`` records: at most 3..7 in both
-    groups, about 5,900 records in S and 3,000 in A.  A table maps a word
-    to its record and fills a miss by pulling the word's top value and
-    joining the record of the word left from the table below, the smallest
-    by a plain pull; a group of degree 3 or less has one table of its own
-    degree instead.  An element above the top table takes that same step,
-    once per value above, with each top's slot read off its own word
-    (``words._columns``).  The tables live for this pass only.
+    where it can, each field that some row reads once per chunk, and no
+    other: a pass whose rows read no record field pulls nothing.  Each
+    element takes one step of the pull per value above the pass's top
+    degree, the largest below the group's whose words (d! in S, d!/2 in A)
+    fit in ``_HELD_RECORDS``, and reads the rest from a table of the record
+    fields of every word of that degree, which the pass builds once
+    (``words._table``).
     """
     if group == "S":
         elements, degree = iter_symmetric(n), n
@@ -347,7 +345,8 @@ def histograms(group: str, n: int, *rows: tuple[tuple[str, ...], Callable]
     else:
         raise ValueError(f"unknown group {group!r}; expected 'S' or 'A'")
     fields = list(dict.fromkeys(f for named, _ in rows for f in named))
-    held = _chain(group, degree, _HELD_RECORDS) if fields else None
+    pulled = [f for f in fields if f in _FIELDS]
+    held = _table(group, degree, pulled, _HELD_RECORDS) if pulled else None
     widths: list[int] = []
     hists: list[dict] = []
     tally, order, held_rows = Counter(), 0, 0
@@ -359,7 +358,9 @@ def histograms(group: str, n: int, *rows: tuple[tuple[str, ...], Callable]
         tally.clear()
 
     for chunk in iter(lambda: list(islice(elements, _CHUNK)), []):
-        cols = _columns(group, chunk, held, fields) if fields else {}
+        cols = dict(zip(pulled, _columns(group, chunk, held, pulled))) if pulled else {}
+        if "inversions" in fields:
+            cols["inversions"] = list(_lengths(chunk))
         keys = [row(chunk, *map(cols.__getitem__, named)) for named, row in rows]
         if not order:
             widths = list(map(len, keys))

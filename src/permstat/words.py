@@ -20,11 +20,12 @@ the projected word (A), and for A also the projection one degree down as a
 one-line word, in which each value j+1 sits at position e_j among the values
 up to j+1, and the factors that end in a_1^{-1}.  The kernels do not
 validate their input.  ``s_canonical`` and ``a_canonical`` (which checks
-evenness) wrap them for single elements; whole-group passes fill their
-tables with them (below).  ``a_lifts`` runs the A pull backwards: from the projected ends it
-rebuilds every even permutation with those ends, which is the fibre of the
-projection, so the pull's parity rule lives in this module alone.  It
-yields them in lexicographic order as it builds them, a block at a time.
+evenness) wrap them for single elements; whole-group passes take the pull
+one step at a time instead (below).  ``a_lifts`` runs the A pull backwards:
+from the projected ends it rebuilds every even permutation with those ends,
+which is the fibre of the projection, so the pull's parity rule lives in
+this module alone.  It yields them in lexicographic order as it builds
+them, a block at a time.
 
 Two-path rule: every registry scan enumerates group elements and factors
 each one; none enumerates factor tuples, Lehmer codes or inversion tables,
@@ -32,20 +33,20 @@ which are the closed forms' own structure.  ``iter_alternating`` reads the
 parity of each element's Lehmer code off its lexicographic index, but that
 selector decides only membership: every scan still enumerates each element
 as a one-line word, and a scan that reads the record pulls that element
-itself.  A whole-group pass keeps a chain of tables, one per degree up to
-a fixed top one, that live for that pass, and reads the record fields that
-its rows need a chunk of elements at a time (``_columns``).  An element
-above the top table takes one step of the pull per value above: the slot
-of its top value d is read off its own word, the word left (after the A
+itself.  A whole-group pass reads the record fields that its rows need a
+chunk of elements at a time, by one step of the pull per value: the slot
+of the top value d is read off the word itself, the word left (after the A
 parity swap) comes off the word by that slot's getter, and each field
-joins that slot's constant to the word left's field, one degree down.  The
-per-slot getters and constants (``_PLANS``) are the pull's step written
-out once per slot; they depend on the group and degree only.  A table
-fills a miss by the same pull from the table below it, and the smallest by
-a plain pull.  So every field is a pure function of the element's own
-word, and each table caches one, keyed by the word: no record is built
-from another by choosing a slot for the top value, which would walk the
-staircase product that the closed forms are.
+joins that slot's constant to the word left's field, one degree down
+(``_columns``).  The per-slot getters and constants (``_PLANS``) are the
+pull's step written out once per slot; they depend on the group and degree
+only.  The steps stop at a table of the pass's top degree, which the pass
+builds once by the same step from the words of each degree in turn, up
+from the kernels' records at degree 3 (``_table``).  So every field is a
+pure function of the element's own word, and the table caches one, keyed
+by the word: no record is built from another by choosing a slot for the
+top value, which would walk the staircase product that the closed forms
+are.
 A scan reads from a record only what the paper defines through the
 word: delent, indicator vectors, occurrence counts, and the alternating
 length and descents.  Symmetric statistics that are defined on the one-line
@@ -70,7 +71,7 @@ from math import factorial
 from operator import add, itemgetter
 from typing import Iterator
 
-from .perm import Perm, check_even
+from .perm import Perm, check_even, iter_alternating, iter_symmetric
 
 # Factor encodings.
 #   S: factors[j-1] = r        for the run s_j s_{j-1} ... s_r  (1 <= r <= j)
@@ -149,14 +150,10 @@ class AWord:
         return out
 
 
-def s_pull(w: Perm, *, _held: tuple | None = None) -> tuple[int, int, tuple[SFactor | None, ...]]:
+def s_pull(w: Perm) -> tuple[int, int, tuple[SFactor | None, ...]]:
     """(length, delent, factor starts) of w, from one pull pass.
 
     The starts are the factors of ``s_canonical(w)``.  w is not validated.
-    With `_held`, a (degree, table, chain below) link of a chain of tables,
-    it stops at the word left of that degree and joins its record from the
-    table, which fills a miss by this pull through the chain below it, or
-    by the plain pull at the end of the chain.
 
     >>> s_pull((2, 5, 4, 1, 3))
     (6, 1, (1, None, 2, 2))
@@ -164,7 +161,7 @@ def s_pull(w: Perm, *, _held: tuple | None = None) -> tuple[int, int, tuple[SFac
     work = list(w)
     pulled: list[SFactor | None] = []  # the starts of the factors pulled, top first
     length = delent = 0
-    for top in range(len(w), 1 if _held is None else _held[0], -1):
+    for top in range(len(w), 1, -1):
         # Pulling top to the end of the work list and dropping it there
         # leaves the values 1..top-1 in the order the next pull sees.
         r = work.index(top)
@@ -178,10 +175,7 @@ def s_pull(w: Perm, *, _held: tuple | None = None) -> tuple[int, int, tuple[SFac
             r += 1
         pulled.append(r)
     pulled.reverse()
-    if _held is None:
-        return length, delent, tuple(pulled)
-    rec = _held[1][tuple(work)]
-    return length + rec[0], delent + rec[1], rec[2] + tuple(pulled)
+    return length, delent, tuple(pulled)
 
 
 def s_canonical(w: Perm) -> SWord:
@@ -198,15 +192,14 @@ def s_word_to_perm(word: SWord) -> Perm:
     return eval_s_letters(word.n, word.letters())
 
 
-def a_pull(v: Perm, *, _held: tuple | None = None
-           ) -> tuple[int, int, tuple[SFactor | None, ...], Perm, int]:
+def a_pull(v: Perm) -> tuple[int, int, tuple[SFactor | None, ...], Perm, int]:
     """(length, delent, projected ends, projection, inverted) of an even v.
 
     One pull pass.  The ends are the factors of the projected word
     ``s_image(a_canonical(v))``, the projection is that word as a one-line
     permutation of degree m-1, and bit j of `inverted` is set when factor j
     ends in a_1^{-1}.  v is not validated: an odd v gives a meaningless
-    record.  `_held` works as for ``s_pull``; the word left is even.
+    record.
 
     >>> a_pull((3, 5, 4, 2, 1))
     (6, 3, (1, 1, 1), (4, 3, 2, 1), 4)
@@ -215,7 +208,7 @@ def a_pull(v: Perm, *, _held: tuple | None = None
     work = list(v)
     pulled: list[SFactor | None] = []  # the ends of the factors pulled, top first
     length = delent = inverted = 0
-    for top in range(m, 2 if _held is None else _held[0], -1):
+    for top in range(m, 2, -1):
         r = work.index(top)
         del work[r]
         if r == top - 1:
@@ -233,17 +226,12 @@ def a_pull(v: Perm, *, _held: tuple | None = None
             length += top - 1 - r
         pulled.append(r)
     pulled.reverse()
-    if _held is None:
-        ends, proj = pulled, [1][:m - 1]  # no factors below degree 3
-    else:
-        rec = _held[1][tuple(work)]
-        length, delent, inverted = length + rec[0], delent + rec[1], inverted | rec[4]
-        ends, proj = rec[2] + tuple(pulled), list(rec[3])
     # The projection restricted to the values 1..j+1 holds j+1 at position
     # e_j, or last for an empty factor, so each value goes in in turn.
+    proj = [1][:m - 1]  # no factors below degree 3
     for j, e in enumerate(pulled, start=len(proj)):
         proj.insert(j if e is None else e - 1, j + 1)
-    return length, delent, tuple(ends), tuple(proj), inverted
+    return length, delent, tuple(pulled), tuple(proj), inverted
 
 
 # -- whole-group passes ---------------------------------------------------------
@@ -302,51 +290,55 @@ def _slot_plan(key: tuple[str, int]) -> dict[str, list]:
 _PLANS = _Memo(_slot_plan)  # (group, degree) -> its slot plan, kept for the process
 
 
-def _table(group: str, below: tuple | None) -> _Memo:
-    """A table of pull records that fills a miss by the pull through the link below."""
-    # The kernels are looked up when a table fills, so a patched one is seen.
-    if group == "S":
-        return _Memo(lambda w: s_pull(w, _held=below))
-    return _Memo(lambda v: a_pull(v, _held=below))
+def _table(group: str, degree: int, fields: list[str], most: int) -> tuple[int, dict]:
+    """A pass's top degree and table: each word of that degree -> the tuple of its named fields.
 
-
-def _chain(group: str, degree: int, most: int) -> tuple:
-    """The top (degree, table, link below) of the tables of one pass over words of `degree`.
-
-    One table per degree d from 3 up to the largest below `degree` whose
-    words (d! in S, d!/2 in A) fit in `most` records, each filling from the
-    one below it and the lowest by the plain pull; with no such degree, one
-    table of `degree` itself.
+    The pass is over words of `degree`.  Its top degree is the largest
+    below `degree` whose words (d! in S, d!/2 in A) fit in `most`, and never
+    below 3; a `degree` of 3 or less is its own.  The words of degree 3 or
+    less read their fields off the kernels, and the words of each degree
+    above, in turn, step down to the table of the degree below
+    (``_columns``).
     """
-    held, d = None, 3
-    while d < degree and factorial(d) // (1 if group == "S" else 2) <= most:
-        held, d = (d, _table(group, held), held), d + 1
-    return held or (degree, _table(group, None), None)
+    elements, size = ((iter_symmetric, factorial) if group == "S"
+                      else (iter_alternating, lambda d: factorial(d) // 2))
+    top = min(degree, 3)
+    while top + 1 < degree and size(top + 1) <= most:
+        top += 1
+    # The kernels are looked up when the table is built, so a patched one is seen.
+    kernel = s_pull if group == "S" else a_pull
+    places = [_FIELDS[f] for f in fields]
+    table = {w: tuple(map(kernel(w).__getitem__, places)) for w in elements(min(top, 3))}
+    for d in range(4, top + 1):
+        ws = list(elements(d))
+        table = dict(zip(ws, zip(*_columns(group, ws, (d - 1, table), fields))))
+    return top, table
 
 
-def _columns(group: str, ws: list[Perm], held: tuple, fields: list[str]) -> dict[str, list]:
-    """The named record fields of the words ws, all of one degree, one column per field.
+def _columns(group: str, ws: list[Perm], held: tuple[int, dict], fields: list[str]) -> list:
+    """The named record fields of the words ws, all of one degree, one column per field in turn.
 
-    A word of the top table's degree reads its record there.  A word above
+    `held` is a top degree and its table (``_table``), made for these
+    fields.  A word of the top degree reads its fields there.  A word above
     it takes one step of its pull: the slot of its top value d comes off the
-    word itself, the word left off that slot, and each field joins the slot's
-    constant to the word left's field, from the columns one degree down.
+    word itself, the word left off that slot, and each field joins the
+    slot's constant to the word left's field, from the columns one degree
+    down.
     """
     d = len(ws[0])
     if d == held[0]:
-        recs = list(map(held[1].__getitem__, ws))
-        return {f: list(map(itemgetter(_FIELDS[f]), recs)) for f in fields}
+        return list(zip(*map(held[1].__getitem__, ws)))
     plan = _PLANS[group, d]
     slots = list(map(tuple.index, ws, repeat(d)))
     left = plan["left"]
     below = _columns(group, [left[r](w) for r, w in zip(slots, ws)], held, fields)
-    out = {}
-    for f in fields:
+    out = []
+    for f, col in zip(fields, below):
         if f == "proj":
             put, top = plan["proj"], (d - 1,)
-            out[f] = [put[r](p + top) for r, p in zip(slots, below[f])]
+            out.append([put[r](p + top) for r, p in zip(slots, col)])
         else:
-            out[f] = list(map(add, below[f], map(plan[f].__getitem__, slots)))
+            out.append(list(map(add, col, map(plan[f].__getitem__, slots))))
     return out
 
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 from itertools import product
 
 from permstat.perm import Perm, compose, iter_symmetric, sign
-from permstat.stats import EXCLUDE_FIRST_POSITIONS, EXCLUDE_SMALLEST_VALUES, _maj_rmaj, length_s
+from permstat.stats import (EXCLUDE_FIRST_POSITIONS, EXCLUDE_SMALLEST_VALUES, _maj_rmaj, del_s,
+                            length_s, rmaj_s)
 from permstat.words import eval_a_letters, s_canonical
 
 
@@ -173,4 +174,30 @@ def lemma64_by_slicing(n: int) -> list:
                  _geometric_run(m, y), y),
                 ({"w": w, "stat": "rmaj"}, (0, _histogram((rmaj, 0) for _, rmaj in sums)),
                  _geometric_run(r, y), 0)]
+    return out
+
+
+def lemma65_by_slicing(n: int) -> list:
+    """lemma65's checkpoints, each coset product w tau built by putting n+1 at
+    one slot of w, from the last slot down, and measured by its own ``rmaj_s``
+    and ``del_s`` calls."""
+    out = []
+    for w in iter_symmetric(n):
+        products = [w[:i] + (n + 1,) + w[i:] for i in range(n, -1, -1)]
+        r, d = rmaj_s(w, n), del_s(w)
+        rhs = {(e, d): 1 for e in range(r, r + n)}
+        rhs[(r + n, d + 1)] = 1
+        out.append(({"w": w}, (0, _histogram((rmaj_s(p, n + 1), del_s(p)) for p in products)),
+                    (0, rhs), n + 1))
+    return out
+
+
+def remark66_by_slicing(n: int) -> list:
+    """remark66's checkpoints: lemma65's products but the one with n+1 first,
+    measured by their own ``rmaj_s`` calls."""
+    out = []
+    for w in iter_symmetric(n):
+        products = [w[:i] + (n + 1,) + w[i:] for i in range(n, 0, -1)]
+        out.append(({"w": w}, (0, _histogram((rmaj_s(p, n + 1), 0) for p in products)),
+                    _geometric_run(rmaj_s(w, n), n), n))
     return out

@@ -8,7 +8,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import lemma63_by_slicing, lemma64_by_slicing
+from oracles import (lemma63_by_slicing, lemma64_by_slicing, lemma65_by_slicing,
+                     remark66_by_slicing)
 from permstat import identities
 from permstat.identities import (
     CapExceeded,
@@ -356,6 +357,8 @@ def _words(n):
 @pytest.mark.parametrize("name, oracle, n_max", [
     ("lemma63", lemma63_by_slicing, 5),
     ("lemma64", lemma64_by_slicing, 6),
+    ("lemma65", lemma65_by_slicing, 6),
+    ("remark66", remark66_by_slicing, 6),
 ])
 def test_inserted_word_scans_match_slicing(name, oracle, n_max):
     for n in range(1, n_max + 1):
@@ -629,25 +632,27 @@ def test_timings_share_each_pass_among_its_readers(monkeypatch):
 
 
 def test_a_wrong_table_record_fails_the_delent_scans(monkeypatch):
-    # A pass over A_5 reads the record of each element's word of degree 4 from
-    # its top table, which the kernel fills from the table of degree 3 below
-    # it; one wrong record there reaches both delent scans.
-    from permstat import words
+    # A pass over A_5 reads the fields of each element's word of degree 4
+    # from its one table, which it builds from the kernel's records of degree
+    # 3; one wrong delent there reaches both delent scans.
+    from permstat import stats
 
-    pull, wrong = words.a_pull, (2, 3, 1, 4)
-    seen = []
+    table, wrong = stats._table, (2, 3, 1, 4)
+    tops = []
 
-    def wrong_pull(v, **held):
-        rec = pull(v, **held)
-        seen.append(v)
-        return rec[:1] + (rec[1] + 1,) + rec[2:] if v == wrong else rec
+    def wrong_table(group, degree, fields, most):
+        top, held = table(group, degree, fields, most)
+        tops.append(top)
+        i = fields.index("delent")
+        held[wrong] = held[wrong][:i] + (held[wrong][i] + 1,) + held[wrong][i + 1:]
+        return top, held
 
     for name in ("thm61-a", "prop57-stirling-a"):
         assert verify(name, 4).passed
-    monkeypatch.setattr(words, "a_pull", wrong_pull)
+    monkeypatch.setattr(stats, "_table", wrong_table)
     for name in ("thm61-a", "prop57-stirling-a"):
         assert not verify(name, 4).passed, name
-    assert wrong in seen and {len(v) for v in seen} == {3, 4}
+    assert tops == [4, 4]
 
 
 def test_a_wrong_slot_constant_fails_only_the_scan_side(monkeypatch):

@@ -8,8 +8,6 @@ so a fault in ``s_pull``, ``a_pull`` or ``iter_alternating`` cannot cancel.
 from __future__ import annotations
 
 import itertools
-import math
-from collections import Counter
 
 import pytest
 
@@ -85,37 +83,41 @@ def test_a_pull_projection_descents_match_comparison():
 
 @pytest.mark.parametrize("bound", [None, 12])
 def test_pass_records_equal_kernel_records(monkeypatch, bound):
-    # A pass keeps a chain of tables, one for each degree from 3 up to the
-    # largest whose words fit, and each table fills a miss from the one below
-    # it.  Unbounded, every group here is at most one value above its top
-    # table; bounded at 12 records, the chains stop at S_3 and A_4, so
-    # S_5..S_8 and A_6..A_8 take several steps before they look up.  A group
-    # with no chain has one table of its own degree.  A pass reads the fields
-    # its rows name, so every field is asked for here; it has no field for
-    # the inverted tails of an A record, which no row reads.
+    # A pass builds one table, of every word of its top degree: the largest
+    # below the group's whose words fit, and at least 3, or the group's own
+    # degree from 3 down.  It builds it up from the kernels' records of the
+    # words of degree 3 or less.  Unbounded, every group here is at most one
+    # value above its top table; bounded at 12 records, the tables are of
+    # degree 3 in S and 4 in A, so S_5..S_8 and A_6..A_8 take several steps
+    # before they look up.  A pass reads the fields its rows name, so every
+    # field is asked for here; it has no field for the inverted tails of an
+    # A record, which no row reads.
     if bound is not None:
         monkeypatch.setattr(stats, "_HELD_RECORDS", bound)
-    for group, kernel, name, top, order, fields in (
-            ("S", s_pull, "s_pull", 3 if bound else 7, math.factorial,
+    tables, table = [], words._table
+    monkeypatch.setattr(stats, "_table", lambda *args: tables.append(table(*args)) or tables[-1])
+    for group, kernel, name, most, words_of, fields in (
+            ("S", s_pull, "s_pull", 3 if bound else 7, _perms,
              ("length", "delent", "bottoms")),
-            ("A", a_pull, "a_pull", 4 if bound else 7, lambda d: math.factorial(d) // 2,
+            ("A", a_pull, "a_pull", 4 if bound else 7, _evens,
              ("length", "delent", "bottoms", "proj"))):
-        filled = []
-        monkeypatch.setattr(words, name, lambda w, kernel=kernel, **held:
-                            filled.append(w) or kernel(w, **held))
+        pulled = []
+        monkeypatch.setattr(words, name, lambda w, kernel=kernel: pulled.append(w) or kernel(w))
         for n in range(1, 9):  # S_n, and A_n as the group "A" of degree n - 1
-            filled.clear()
+            pulled.clear()
+            tables.clear()
             ((records,),), count = histograms(group, n if group == "S" else n - 1,
                                               (fields, lambda ps, *cols: [zip(ps, *cols)]))
             assert sum(records.values()) == count == len(records)
             for p, *rec in records:
                 assert tuple(rec) == kernel(p)[:len(fields)], (group, p)
-            # Each table of the chain is filled with every word of its degree
-            # in the group, once.
-            chain = range(3, min(n, top + 1))
-            expected = {d: order(d) for d in chain} if chain else {n: count}
-            assert Counter(map(len, filled)) == expected, (group, n)
-            assert len(set(filled)) == len(filled)
+            # One table, which holds every word of its degree once, each with
+            # its own fields; only words of degree 3 or less reach the kernels.
+            (top, held), = tables
+            assert top == (n if n <= 3 else min(n - 1, most)), (group, n)
+            assert sorted(held) == sorted(words_of(top)), (group, n)
+            assert all(rec == kernel(w)[:len(fields)] for w, rec in held.items()), (group, n)
+            assert sorted(pulled) == sorted(words_of(min(n, 3))), (group, n)
 
 
 def test_passes_that_read_no_field_pull_nothing(monkeypatch):
