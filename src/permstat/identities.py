@@ -53,9 +53,8 @@ from .stats import (
     EXCLUDE_FIRST_POSITIONS,
     _descent_table,
     _descents,
-    _indicator_columns,
     _maj_rmaj,
-    _projection_memo,
+    _qt_row,
     del_s,
     des_s,
     des_set_s,
@@ -259,73 +258,50 @@ def _each(key):
     return lambda ps, *cols: list(zip(*map(key, ps, *cols)))
 
 
-def _zeros(ps):
-    return itertools.repeat(0, len(ps))
-
-
-def _rmaj_del_s(n):
-    table = _descent_table(lambda des: sum(n - i for i in des))
-    return lambda ps, delent: [zip(_descents(ps, table), delent)]
-
-
-def _rmaj_del_a(n):
-    memo = _projection_memo(partial(rmaj_s, n=n))
-    return lambda vs, proj, delent: [zip(map(memo.__getitem__, proj), delent)]
-
-
-def _len_maj(n):
-    table = _descent_table(lambda des: (sum(des), 0))
-    return lambda ps, ell: [zip(ell, _zeros(ps)), _descents(ps, table)]
-
-
 def _occurrences(n, ks):
-    return lambda ps, bottoms: [zip(_zeros(ps), map(occurrences, bottoms, itertools.repeat(k)))
-                                for k in ks]
+    return ("bottoms",), lambda ps, bottoms: [
+        zip(itertools.repeat(0, len(ps)), map(occurrences, bottoms, itertools.repeat(k)))
+        for k in ks]
 
 
-# (row, group) -> (the fields the row reads, maker(degree, *args) of the
-# row).  A row maps a chunk of elements and those fields' columns, in the
-# order named, to one key column per histogram (see ``stats.histograms``).
-# Symmetric lengths are inversion counts (the pass's "inversions" column)
-# and symmetric descents are read off the one-line word; alternating ones
-# come from the record and its projection.  The cycle counts are a third
-# path, apart from both the delent scan and closed forms.
+# (row, group) -> maker(degree, *args) -> (the fields the row reads, the row).
+# A row maps a chunk of elements and those fields' columns, in the order
+# named, to one key column per histogram (see ``stats.histograms``); the
+# (q, t) rows come from ``stats._qt_row``.  Symmetric lengths are inversion
+# counts (the pass's "inversions" column) and symmetric descents are read
+# off the one-line word; alternating ones come from the record and its
+# projection.  The cycle counts are a third path, apart from both the delent
+# scan and closed forms.
 _ROWS = {
-    ("len-maj", "S"): (("inversions",), _len_maj),
-    ("descent-class", "S"): (("inversions",), lambda n: _each(partial(_descent_class, n=n))),
-    ("len-del", "S"): (("inversions", "delent"), lambda n: lambda ps, ell, delent: [
-        zip(ell, delent)]),
-    ("len-del", "A"): (("length", "delent"), lambda n: lambda vs, length, delent: [
-        zip(length, delent)]),
-    ("rmaj-del", "S"): (("delent",), _rmaj_del_s),
-    ("rmaj-del", "A"): (("proj", "delent"), _rmaj_del_a),
-    ("del", "S"): (("delent",), lambda n: lambda ps, delent: [zip(_zeros(ps), delent)]),
-    ("del", "A"): (("delent",), lambda n: lambda vs, delent: [zip(_zeros(vs), delent)]),
-    ("cycles", "S"): ((), lambda n: lambda ps: [map(cycle_count, ps)]),
-    ("len-ind", "S"): (("inversions", "bottoms"), lambda n: lambda ps, ell, bottoms: [
-        zip(ell, _zeros(ps), *_indicator_columns(bottoms))]),
-    ("len-ind", "A"): (("length", "bottoms"), lambda n: lambda vs, length, bottoms: [
-        zip(length, _zeros(vs), *_indicator_columns(bottoms))]),
-    ("ind", "S"): (("bottoms",), lambda n: lambda ps, bottoms: [
-        zip(_zeros(ps), _zeros(ps), *_indicator_columns(bottoms))]),
-    ("ind", "A"): (("bottoms",), lambda n: lambda vs, bottoms: [
-        zip(_zeros(vs), _zeros(vs), *_indicator_columns(bottoms))]),
-    ("occurrences", "S"): (("bottoms",), _occurrences),
-    ("main", "S"): (("inversions",), lambda n: _each(partial(_main_s, n=n))),
-    ("main", "A"): (("proj", "length"), lambda n: _each(partial(_main_a, n=n))),
-    ("cor92", "S"): (("delent",), lambda n: _each(partial(_cor92_s, n=n))),
-    ("cor92", "A"): (("proj", "delent"), lambda n: _each(partial(_cor92_a, n=n))),
-    ("hat", "A"): ((), lambda n, js: _each(partial(_hat, js=js))),
+    ("len-maj", "S"): partial(_qt_row, "S", sides=[("inversions", None), ("maj", None)]),
+    ("descent-class", "S"): lambda n: (("inversions",), _each(partial(_descent_class, n=n))),
+    ("len-del", "S"): partial(_qt_row, "S", sides=[("inversions", "del")]),
+    ("len-del", "A"): partial(_qt_row, "A", sides=[("length", "del")]),
+    ("rmaj-del", "S"): partial(_qt_row, "S", sides=[("rmaj", "del")]),
+    ("rmaj-del", "A"): partial(_qt_row, "A", sides=[("rmaj", "del")]),
+    ("del", "S"): partial(_qt_row, "S", sides=[(None, "del")]),
+    ("del", "A"): partial(_qt_row, "A", sides=[(None, "del")]),
+    ("cycles", "S"): lambda n: ((), lambda ps: [map(cycle_count, ps)]),
+    ("len-ind", "S"): partial(_qt_row, "S", sides=[("inversions", "ind")]),
+    ("len-ind", "A"): partial(_qt_row, "A", sides=[("length", "ind")]),
+    ("ind", "S"): partial(_qt_row, "S", sides=[(None, "ind")]),
+    ("ind", "A"): partial(_qt_row, "A", sides=[(None, "ind")]),
+    ("occurrences", "S"): _occurrences,
+    ("main", "S"): lambda n: (("inversions",), _each(partial(_main_s, n=n))),
+    ("main", "A"): lambda n: (("proj", "length"), _each(partial(_main_a, n=n))),
+    ("cor92", "S"): lambda n: (("delent",), _each(partial(_cor92_s, n=n))),
+    ("cor92", "A"): lambda n: (("proj", "delent"), _each(partial(_cor92_a, n=n))),
+    ("hat", "A"): lambda n, js: ((), _each(partial(_hat, js=js))),
 }
 
 
 def _tally_passes(columns) -> tuple[dict, dict]:
     """Tally the distinct columns, one ``histograms`` pass per (group, degree).
 
-    A column is (group, degree, row, *args), and ``_ROWS[row, group]`` names
-    the fields its row reads and makes the row from (degree, *args); a pass
-    computes the fields that its rows read.  Returns {column: (histograms,
-    group order)} and {(group, degree): seconds}.
+    A column is (group, degree, row, *args), and ``_ROWS[row, group]``
+    makes its (fields, row) pair from (degree, *args); a pass computes the
+    fields that its rows read.  Returns {column: (histograms, group order)}
+    and {(group, degree): seconds}.
     """
     passes: dict = {}
     for col in dict.fromkeys(columns):
@@ -333,11 +309,8 @@ def _tally_passes(columns) -> tuple[dict, dict]:
     tallies, seconds = {}, {}
     for (group, n), cols in passes.items():
         start = time.perf_counter()
-        made = []
-        for col in cols:
-            fields, maker = _ROWS[col[2], group]
-            made.append((fields, maker(n, *col[3:])))
-        hists, count = histograms(group, n, *made)
+        hists, count = histograms(group, n, *(_ROWS[col[2], group](n, *col[3:])
+                                              for col in cols))
         tallies.update((col, (h, count)) for col, h in zip(cols, hists))
         seconds[group, n] = time.perf_counter() - start
     return tallies, seconds
@@ -676,11 +649,12 @@ def _check_prop56(n: int) -> Iterator[Checkpoint]:
 # (``stats._descents``); it is never derived from the
 # base word's descents and the slot, which is the lemma's proof.  The closed
 # forms q^maj(u) [n+1]_q, q^(maj(u)+1) [n]_q, q^rmaj(u) [n+1]_q and
-# q^rmaj(u) [n]_q start at u's own statistics from ``_maj_rmaj``, which no
-# scan side calls, and each run is built once per (start, length) within one
-# call.  lemma64 works the same way over the coset products, and lemma65 and
-# remark66 read those products' rmaj the same way, lemma65 with each one's
-# del from its own pull.
+# q^rmaj(u) [n]_q start at u's own statistics from ``_maj_rmaj``, and each
+# run is built once per (start, length) within one call.  The whole-group
+# ``_descent_class`` rows call ``_maj_rmaj`` too, but within each identity
+# the two sides share no path.  lemma64 works the same way over the coset
+# products, and lemma65 and remark66 read those products' rmaj the same way,
+# lemma65 with each one's del from its own pull.
 
 def _keys_of(length: int):
     """The descent positions of a word of `length` letters -> ((maj, 0), (rmaj, 0))."""
@@ -722,12 +696,13 @@ def _check_lemma64(n: int) -> Iterator[Checkpoint]:
 
 
 def _check_lemma65(n: int) -> Iterator[Checkpoint]:
-    # The closed form is q^rmaj(w) t^del(w) ([n]_q + q^n t).
+    # The closed form is q^rmaj(w) t^del(w) ([n]_q + q^n t), with w's delent
+    # read off its left-to-right minima, never off its pull.
     table = _descent_table(lambda des: sum(n + 1 - i for i in des))
     slots = (itertools.tee(_coset_slot(n, i)) for i in range(n, -1, -1))
     for w, *row in zip(iter_symmetric(n), *(zip(_descents(ps, table), map(del_s, again))
                                              for ps, again in slots)):
-        r, d = rmaj_s(w, n), del_s(w)
+        r, d = rmaj_s(w, n), len(ltr_minima(w, 0, EXCLUDE_FIRST_POSITIONS))
         rhs = _run(r, n, d)
         rhs[(r + n, d + 1)] = 1
         yield {"w": w}, (0, _tally(row)), (0, rhs), n + 1

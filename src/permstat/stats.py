@@ -18,9 +18,11 @@ left-to-right minima; ``ltr_minima`` implements the whole family of
 "value smaller than all but at most `level` earlier values" position sets
 under both exclusion conventions.
 
-``histograms`` tallies rows of keys over a whole group in one pass.  Which
-rows share a pass, and the rows themselves, are the registry's business: see
-``identities._tally_passes`` and ``identities.plan``.
+``histograms`` tallies rows of keys over a whole group in one pass, each
+histogram by its own ``Counter``.  ``_qt_row`` makes the rows of (q, t)
+statistic pairs that ``genfun`` and the registry's polynomial rows read.
+Which rows share a pass, and the other rows, are the registry's business:
+see ``identities._tally_passes`` and ``identities.plan``.
 """
 from __future__ import annotations
 
@@ -28,8 +30,7 @@ from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import (accumulate, chain, combinations, compress, count, islice, repeat, starmap,
-                       tee)
+from itertools import combinations, compress, count, islice, repeat, starmap, tee
 from operator import gt, itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -264,13 +265,6 @@ def profile_to_json(profile: StatProfile) -> dict:
 # -- whole-group scans -----------------------------------------------------------
 
 _HELD_RECORDS = 5_040  # the most records a pass's table holds: the order of S_7
-
-# The joint tally is split into the histograms whenever it holds this many
-# keys, and at the end.  Rows that repeat, as most do, are split about once;
-# a batch whose rows are wide and nearly all distinct (the S_8 batch of
-# ``verify --all``) stays under 1 MB instead of 25 MB for one tally over the
-# group.
-_HELD_KEYS = 4096
 _CHUNK = 256  # elements per chunk of a pass
 
 
@@ -313,6 +307,50 @@ def _indicator_columns(bottoms: list[tuple]) -> list[Iterator[int]]:
     return [map(_ONE.get, map(itemgetter(j), bottoms), repeat(0)) for j in range(len(bottoms[0]))]
 
 
+def _qt_row(group: str, n: int, sides: list[tuple[str | None, str | None]]
+            ) -> tuple[tuple[str, ...], Callable]:
+    """A (fields, row) pair for ``histograms``, with one histogram of (q, t) keys per side.
+
+    q is "inversions" or "length" (the pass's fields of those names), "maj"
+    or "rmaj" (ambient degree n), or None for 0.  t is "del" (the delent),
+    "ind" or None for 0; with "ind" a key is (q, 0) followed by one
+    indicator per factor whose run reaches the first generator.  The
+    descents of an S element are read off its own one-line word; those of
+    an A element are its projection's.
+    """
+    named: list[str] = []
+
+    def q_column(q):
+        if q in ("inversions", "length"):
+            named.append(q)
+            return lambda ps, cols: cols[q]
+        if q is None:
+            return lambda ps, cols: repeat(0, len(ps))
+        if group == "S":
+            table = _descent_table(sum if q == "maj" else lambda des: sum(n - i for i in des))
+            return lambda ps, cols: _descents(ps, table)
+        memo = _projection_memo(maj_s if q == "maj" else partial(rmaj_s, n=n))
+        named.append("proj")
+        return lambda ps, cols: map(memo.__getitem__, cols["proj"])
+
+    def t_columns(t):
+        if t == "del":
+            named.append("delent")
+            return lambda ps, cols: (cols["delent"],)
+        if t == "ind":
+            named.append("bottoms")
+            return lambda ps, cols: (repeat(0, len(ps)), *_indicator_columns(cols["bottoms"]))
+        return lambda ps, cols: (repeat(0, len(ps)),)
+
+    keys = [(q_column(q), t_columns(t)) for q, t in sides]
+    fields = tuple(dict.fromkeys(named))
+
+    def row(ps, *columns):
+        cols = dict(zip(fields, columns))
+        return [zip(q(ps, cols), *t(ps, cols)) for q, t in keys]
+    return fields, row
+
+
 def histograms(group: str, n: int, *rows: tuple[tuple[str, ...], Callable]
                ) -> tuple[tuple[tuple[dict, ...], ...], int]:
     """Tally several rows of keys per element over a whole group, in one pass.
@@ -322,12 +360,13 @@ def histograms(group: str, n: int, *rows: tuple[tuple[str, ...], Callable]
     row): the fields it reads, and ``row(chunk, *columns)``, which gets a
     chunk of elements and one column per field, in the order named, and
     returns one column of keys per histogram, of the same number for every
-    chunk.  The record fields are "length", "delent", "bottoms" (the factor
-    starts in S, the projected ends in A) and, in A, "proj" (the
-    projection); in S a row may also read "inversions", each element's
-    inversion count off its one-line word (``length_s``), never off the
-    record.  Returns, per row, one histogram per key column, and the group
-    order.
+    chunk.  A row's key columns must be independent iterables: each is
+    tallied whole, by its own ``Counter``, before the next is read.  The
+    record fields are "length", "delent", "bottoms" (the factor starts in
+    S, the projected ends in A) and, in A, "proj" (the projection); in S a
+    row may also read "inversions", each element's inversion count off its
+    one-line word (``length_s``), never off the record.  Returns, per row,
+    one histogram (a plain dict) per key column, and the group order.
 
     The pass runs ``_CHUNK`` elements at a time and computes, at C level
     where it can, each field that some row reads once per chunk, and no
@@ -347,33 +386,20 @@ def histograms(group: str, n: int, *rows: tuple[tuple[str, ...], Callable]
     fields = list(dict.fromkeys(f for named, _ in rows for f in named))
     pulled = [f for f in fields if f in _FIELDS]
     held = _table(group, degree, pulled, _HELD_RECORDS) if pulled else None
-    widths: list[int] = []
-    hists: list[dict] = []
-    tally, order, held_rows = Counter(), 0, 0
-
-    def split():
-        for row_keys, c in tally.items():
-            for hist, key in zip(hists, row_keys):
-                hist[key] = hist.get(key, 0) + c
-        tally.clear()
-
+    tallies: list[list[Counter]] = []
+    order = 0
     for chunk in iter(lambda: list(islice(elements, _CHUNK)), []):
         cols = dict(zip(pulled, _columns(group, chunk, held, pulled))) if pulled else {}
         if "inversions" in fields:
             cols["inversions"] = list(_lengths(chunk))
         keys = [row(chunk, *map(cols.__getitem__, named)) for named, row in rows]
         if not order:
-            widths = list(map(len, keys))
-            hists = [{} for _ in range(sum(widths))]
-            held_rows = _HELD_KEYS // max(1, len(hists))
+            tallies = [[Counter() for _ in row_keys] for row_keys in keys]
         order += len(chunk)
-        # One flat row of keys per element, tallied whole and split afterwards.
-        tally.update(zip(*chain.from_iterable(keys)))
-        if len(tally) >= held_rows:
-            split()
-    split()
-    ends = list(accumulate(widths, initial=0))
-    return tuple(tuple(hists[i:j]) for i, j in zip(ends, ends[1:])), order
+        for counters, row_keys in zip(tallies, keys):
+            for counter, column in zip(counters, row_keys):
+                counter.update(column)
+    return tuple(tuple(map(dict, counters)) for counters in tallies), order
 
 
 def genfun(group: str, n: int, q_stat: str = "length", t_stat: str = "del",
@@ -392,23 +418,6 @@ def genfun(group: str, n: int, q_stat: str = "length", t_stat: str = "del",
         raise ValueError("--multivar refines the delent marking; it needs --t-stat del")
     if q_stat not in ("length", "maj", "rmaj") or t_stat not in ("del", "none"):
         raise ValueError(f"unknown statistic pair ({q_stat!r}, {t_stat!r})")
-    # The descents of an S element are its own; those of an A element are
-    # its projection's.  q(chunk, *columns) is the q column.
-    if q_stat == "length":
-        fields, q = ("length",), lambda ps, length: length
-    elif group == "S":
-        table = _descent_table(sum if q_stat == "maj" else lambda des: sum(n - i for i in des))
-        fields, q = (), lambda ps: _descents(ps, table)
-    else:
-        memo = _projection_memo(maj_s if q_stat == "maj" else partial(rmaj_s, n=n))
-        fields, q = ("proj",), lambda ps, proj: map(memo.__getitem__, proj)
-    if multivar:
-        row = lambda ps, *cols: [zip(q(ps, *cols[:-1]), repeat(0), *_indicator_columns(cols[-1]))]
-        fields += ("bottoms",)
-    elif t_stat == "del":
-        row = lambda ps, *cols: [zip(q(ps, *cols[:-1]), cols[-1])]
-        fields += ("delent",)
-    else:
-        row = lambda ps, *cols: [zip(q(ps, *cols), repeat(0))]
-    ((acc,),), _ = histograms(group, n, (fields, row))
+    t = "ind" if multivar else "del" if t_stat == "del" else None
+    ((acc,),), _ = histograms(group, n, _qt_row(group, n, [(q_stat, t)]))
     return MultiPoly(n - 1 if multivar else 0, acc)

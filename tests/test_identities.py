@@ -350,6 +350,30 @@ def test_closed_form_run_off_by_one_fails(monkeypatch, name):
     assert report.lhs == MultiPoly(*lhs) and report.rhs == MultiPoly(*rhs)
 
 
+def test_lemma65_fails_when_every_delent_shifts(monkeypatch):
+    # lemma65's scan side reads each coset product's delent off its pull and
+    # its closed form reads w's off the left-to-right minima, so a pull that
+    # counts one delent too many fails it, and only on the scan side: each
+    # failing point's closed form is the unpatched one.
+    from permstat import stats
+
+    clean = {n: {json.dumps(point, sort_keys=True): rhs
+                 for point, _, rhs, _ in REGISTRY["lemma65"].check(n)} for n in (3, 4, 5)}
+    pull = stats.s_pull
+
+    def shifted(p):
+        length, delent, starts = pull(p)
+        return length, delent + 1, starts
+
+    monkeypatch.setattr(stats, "s_pull", shifted)
+    for n in (3, 4, 5):
+        report = verify("lemma65", n)
+        assert not report.passed and "failed_at" in report.params, n
+        point = json.dumps(report.params["failed_at"], sort_keys=True)
+        assert report.rhs == MultiPoly(*clean[n][point]), n
+        assert report.lhs != report.rhs
+
+
 def _words(n):
     return itertools.product(range(1, n + 1), repeat=n)
 

@@ -7,7 +7,9 @@ so a fault in ``s_pull``, ``a_pull`` or ``iter_alternating`` cannot cancel.
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -169,6 +171,55 @@ def test_genfun_matches_public_statistics(group, q_stat, t_stat, multivar):
         poly = genfun(group, n, q_stat, t_stat, multivar)
         assert poly.arity == (n - 1 if multivar else 0)
         assert poly.terms == _recount(group, n, q_stat, t_stat, multivar)
+
+
+# SHA-256 of ``json.dumps(genfun(...).to_json(), sort_keys=True)``, recorded
+# before genfun and the registry shared one (q, t) row maker.  S_8 and A_8
+# take one step above the top table of degree 7.
+GENFUN_DIGESTS = {
+    ("S", 8, "length", "del", False):
+        "79706972cbfb023a62320989c6808b260f33604faa2ad7fb0ba1b34e84759651",
+    ("S", 8, "length", "none", False):
+        "645fa838ba66c598ed00cec3eb9cb8e4227ead64f556e80fb4070ba9e818c571",
+    ("S", 8, "length", "del", True):
+        "c28713e1b5f39ccdda9c4013fd8c6563043c8d039a03a08ae4c3d9a7a3c5ee5f",
+    ("S", 8, "maj", "del", False):
+        "f6183b04ba5e6a06f7a637bbabf7baaf4787c4ec09172f4c9ee4033d7a53f4dd",
+    ("S", 8, "maj", "none", False):
+        "645fa838ba66c598ed00cec3eb9cb8e4227ead64f556e80fb4070ba9e818c571",
+    ("S", 8, "maj", "del", True):
+        "48bc1176a5197cce0c120880bb9e8bc61d4ef3c228819df4efcced00022515b2",
+    ("S", 8, "rmaj", "del", False):
+        "79706972cbfb023a62320989c6808b260f33604faa2ad7fb0ba1b34e84759651",
+    ("S", 8, "rmaj", "none", False):
+        "645fa838ba66c598ed00cec3eb9cb8e4227ead64f556e80fb4070ba9e818c571",
+    ("S", 8, "rmaj", "del", True):
+        "c28713e1b5f39ccdda9c4013fd8c6563043c8d039a03a08ae4c3d9a7a3c5ee5f",
+    ("A", 7, "length", "del", False):
+        "d9faa93fa33816b88246266b8ff8b5a744728f61bf3815bcfe4b06d7e158222a",
+    ("A", 7, "length", "none", False):
+        "2f720eb7b1b1b87f24dd4459297d7b66621004d16b67a5d5131e8c137f586d35",
+    ("A", 7, "length", "del", True):
+        "e6f95f5fde9a0a4c0ef79afa84ecc80a15e642b4e1da647371a7d6dce8fa72ba",
+    ("A", 7, "maj", "del", False):
+        "9ec37cccb4ee3afd7261f6ae1a7521dd8b2307ef1122b4d46b0b32cbf9f293cf",
+    ("A", 7, "maj", "none", False):
+        "61c21ac87f9fa109d57204810a4c76d63df7abd117f438fe7aca6142e12ece6e",
+    ("A", 7, "maj", "del", True):
+        "e775fbfa9995164c636775f2e01ca60fa2138d56ad88ae1cc05359eec1d5582b",
+    ("A", 7, "rmaj", "del", False):
+        "d9faa93fa33816b88246266b8ff8b5a744728f61bf3815bcfe4b06d7e158222a",
+    ("A", 7, "rmaj", "none", False):
+        "2f720eb7b1b1b87f24dd4459297d7b66621004d16b67a5d5131e8c137f586d35",
+    ("A", 7, "rmaj", "del", True):
+        "e6f95f5fde9a0a4c0ef79afa84ecc80a15e642b4e1da647371a7d6dce8fa72ba",
+}
+
+
+def test_genfun_above_the_top_table_is_pinned():
+    digests = {args: hashlib.sha256(json.dumps(genfun(*args).to_json(), sort_keys=True)
+                                    .encode()).hexdigest() for args in GENFUN_DIGESTS}
+    assert digests == GENFUN_DIGESTS
 
 
 def test_genfun_rejects_bad_arguments():
