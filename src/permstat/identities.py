@@ -13,11 +13,12 @@ report carries the two aggregate polynomials (equal sums over all points); a
 failing report carries the first failing point and its two differing sides.
 
 Each side of a checkpoint is a plain histogram, an arity plus an
-``{exponents: count}`` dict.  The reporter compares and sums these pairs
-directly and builds a ``MultiPoly`` only for its report.  It counts the
-passing right sides by identity and adds each distinct one to the total
-once, times its count, so a check must never change a side after yielding
-it; none does, and the tests check every entry for it.
+``{exponents: count}`` dict.  The reporter compares each checkpoint's sides,
+adds them to one running sum and builds a ``MultiPoly`` only for its report.
+Lemmas 6.3-6.5 and remark 6.6 insert n+1 into every slot of a base word;
+their checks tally the base words by key (the closed form's start and the
+row measured on the inserted words), check each distinct key once, and still
+report the first failing base word (``_by_key``).
 
 The whole-group entries are data: the columns they tally over a group and a
 finish that turns the tallies into checkpoints.  ``plan`` checks a list of
@@ -65,7 +66,7 @@ from .stats import (
     maj_s,
     rmaj_s,
 )
-from .words import _Memo, a_pull, epsilon_s, eval_a_letters, occurrences
+from .words import a_pull, epsilon_s, eval_a_letters, occurrences
 from . import shuffles as shuf
 
 # A side is (arity, {exponents: count}): keys of width 2 + arity, no zero
@@ -101,22 +102,9 @@ class IdentityReport:
 
 # -- side helpers -------------------------------------------------------------
 
-def _tally(keys) -> dict:
-    """Histogram of a scan: {key: number of times it occurs}."""
-    acc: dict = {}
-    for key in keys:
-        acc[key] = acc.get(key, 0) + 1
-    return acc
-
-
 def _run(start: int, length: int, t: int = 0) -> dict:
     """q^start t^t (1 + q + ... + q^(length-1)): one key per power of q."""
     return {(e, t): 1 for e in range(start, start + length)}
-
-
-def _runs() -> _Memo:
-    """(start, length) -> the side of ``_run(start, length)``, built on first use."""
-    return _Memo(lambda key: (0, _run(*key)))
 
 
 def _const(c: int) -> Side:
@@ -540,21 +528,6 @@ def run(piece: list[tuple]) -> list[IdentityReport]:
             for (name, n, params, cols), share in zip(piece, shares)]
 
 
-# The reporter holds at most this many distinct passing sides before it
-# adds them to the total.  An entry that repeats its sides yields at most 33
-# distinct ones at its default cap (lemma63 at n = 6); an entry that yields a
-# fresh side per point holds a side's memory until the fold.
-_HELD_SIDES = 256
-
-
-def _fold(total: dict, held: dict) -> None:
-    """Add each held side to `total`, times its count, and let go of them."""
-    for (_, terms), times in held.values():
-        for e, c in terms.items():
-            total[e] = total.get(e, 0) + c * times
-    held.clear()
-
-
 def _report(name: str, n: int, params: dict, columns: list[tuple] | None, tallies: dict,
             shared: float) -> IdentityReport:
     """Compare and sum a task's checkpoints into its report, or report the first failure.
@@ -566,11 +539,8 @@ def _report(name: str, n: int, params: dict, columns: list[tuple] | None, tallie
     scan = {} if columns is None else {"columns": columns, "tallies": tallies}
     start = time.perf_counter()
     count = 0
-    # A passing checkpoint has equal sides, so one sum is both totals.  Each
-    # passing right side is counted by identity, and every distinct one is
-    # added to the total once, times its count.
+    # A passing checkpoint has equal sides, so one sum is both totals.
     total: dict = {}
-    held: dict = {}  # id(rhs) -> [rhs, times it passed]
     arity = 0
     for subparams, lhs, rhs, cnt in REGISTRY[name].check(n, **scan, **params):
         count += cnt
@@ -586,14 +556,8 @@ def _report(name: str, n: int, params: dict, columns: list[tuple] | None, tallie
                         for a, t in (lhs, rhs))
             return IdentityReport(name, failed, lhs, rhs, False, count, elapsed)
         arity = lhs[0]
-        seen = held.get(id(rhs))
-        if seen is not None:
-            seen[1] += 1
-            continue
-        if len(held) == _HELD_SIDES:
-            _fold(total, held)
-        held[id(rhs)] = [rhs, 1]
-    _fold(total, held)
+        for e, c in rhs[1].items():
+            total[e] = total.get(e, 0) + c
     elapsed = time.perf_counter() - start + shared
     summed = MultiPoly(arity, total)
     return IdentityReport(name, {"n": n, **params}, summed, summed, True, count, elapsed)
@@ -642,19 +606,45 @@ def _check_prop56(n: int) -> Iterator[Checkpoint]:
 # Descents of a sequence depend only on its weak-order pattern, so words over
 # 1..n with an inserted strictly-larger letter exhaust all cases.  For each
 # slot i, one itertools stream yields the words with the new top letter at
-# slot i, in the base words' order, and the n+1 streams are zipped with the
-# base words.  Each inserted word's (maj, rmaj) is read off its own neighbour
-# comparisons, the bytes of ``map(gt, w, w[1:])``, through a table of the
-# comparison patterns filled as they are first met in one call
-# (``stats._descents``); it is never derived from the
-# base word's descents and the slot, which is the lemma's proof.  The closed
-# forms q^maj(u) [n+1]_q, q^(maj(u)+1) [n]_q, q^rmaj(u) [n+1]_q and
-# q^rmaj(u) [n]_q start at u's own statistics from ``_maj_rmaj``, and each
-# run is built once per (start, length) within one call.  The whole-group
-# ``_descent_class`` rows call ``_maj_rmaj`` too, but within each identity
-# the two sides share no path.  lemma64 works the same way over the coset
-# products, and lemma65 and remark66 read those products' rmaj the same way,
-# lemma65 with each one's del from its own pull.
+# slot i, in the base words' order.  Each inserted word's (maj, rmaj) is read
+# off its own neighbour comparisons, the bytes of ``map(gt, w, w[1:])``,
+# through a table of the comparison patterns filled as they are first met in
+# one call (``stats._descents``), never derived from the base word's descents
+# and the slot, which is the lemma's proof.  A base word u's key pairs two
+# paths that never feed each other: the start of its closed forms q^maj(u)
+# [n+1]_q, q^(maj(u)+1) [n]_q, q^rmaj(u) [n+1]_q and q^rmaj(u) [n]_q, read off
+# u itself by ``_maj_rmaj``, and its inserted words' row of values, which
+# alone the scan sides read.  ``_by_key`` checks each distinct key once:
+# lemma63 has 32 for 46,656 words at n = 6.  lemma64 works the same way over
+# the coset products, and lemma65 and remark66 read those products' rmaj the
+# same way, lemma65 with each one's del from its own pull.
+
+def _by_key(base: str, bases, start, slots, sides, per: int) -> Iterator[Checkpoint]:
+    """A per-point entry's checkpoints, from one tally of its base elements' keys.
+
+    An element of ``bases()`` has the key (``start(element)``, its row of one
+    value from each stream of ``slots()``) and counts `per` elements.  Each
+    distinct key's (equation, lhs, rhs) triples, ``sides(*key)``, are checked
+    once.  If all pass, each yields once, scaled by the key's count; else the
+    base is replayed and only its first failing point is yielded, unscaled.
+    """
+    def keys():
+        return zip(map(start, bases()), zip(*slots()))
+
+    tally = Counter(keys())
+    checked = {key: sides(*key) for key in tally}
+    if all(lhs == rhs for eqs in checked.values() for _, lhs, rhs in eqs):
+        for key, times in tally.items():
+            for j, (eq, lhs, rhs) in enumerate(checked[key]):
+                lhs, rhs = ((0, {e: c * times for e, c in side.items()}) for side in (lhs, rhs))
+                yield eq, lhs, rhs, 0 if j else times * per
+        return
+    for i, (element, key) in enumerate(zip(bases(), keys()), 1):
+        for eq, lhs, rhs in checked[key]:
+            if lhs != rhs:
+                yield {base: element, **eq}, (0, lhs), (0, rhs), i * per
+                return
+
 
 def _keys_of(length: int):
     """The descent positions of a word of `length` letters -> ((maj, 0), (rmaj, 0))."""
@@ -663,16 +653,19 @@ def _keys_of(length: int):
 
 def _check_lemma63(n: int) -> Iterator[Checkpoint]:
     y, letters = n + 1, range(1, n + 1)
-    runs, table = _runs(), _descent_table(_keys_of(n + 1))
-    slots = (itertools.product(*[letters] * i, (y,), *[letters] * (n - i)) for i in range(y))
-    for u, *row in zip(itertools.product(letters, repeat=n),
-                       *(_descents(words, table) for words in slots)):
-        majs, rmajs = zip(*row)
-        m, r = _maj_rmaj(u, n)
-        yield {"word": u, "eq": "maj-all"}, (0, _tally(majs)), runs[m, n + 1], 1
-        yield {"word": u, "eq": "maj-proper"}, (0, _tally(majs[:-1])), runs[m + 1, n], 0
-        yield {"word": u, "eq": "rmaj-all"}, (0, _tally(rmajs)), runs[r, n + 1], 0
-        yield {"word": u, "eq": "rmaj-tail"}, (0, _tally(rmajs[1:])), runs[r, n], 0
+    table = _descent_table(_keys_of(y))
+
+    def sides(start, row):
+        (m, r), (majs, rmajs) = start, zip(*row)
+        return [({"eq": "maj-all"}, Counter(majs), _run(m, y)),
+                ({"eq": "maj-proper"}, Counter(majs[:-1]), _run(m + 1, n)),
+                ({"eq": "rmaj-all"}, Counter(rmajs), _run(r, y)),
+                ({"eq": "rmaj-tail"}, Counter(rmajs[1:]), _run(r, n))]
+
+    slots = [[letters] * i + [(y,)] + [letters] * (n - i) for i in range(y)]
+    return _by_key("word", partial(itertools.product, letters, repeat=n), partial(_maj_rmaj, n=n),
+                   lambda: (_descents(itertools.product(*slot), table) for slot in slots),
+                   sides, 1)
 
 
 # The right coset products w tau, for tau over the degree-n staircase set
@@ -686,34 +679,40 @@ def _coset_slot(n: int, i: int) -> Iterator[Perm]:
 
 
 def _check_lemma64(n: int) -> Iterator[Checkpoint]:
-    runs, table = _runs(), _descent_table(_keys_of(n + 1))
-    for w, *row in zip(iter_symmetric(n), *(_descents(_coset_slot(n, i), table)
-                                             for i in range(n + 1))):
-        majs, rmajs = zip(*row)
-        m, r = _maj_rmaj(w, n)
-        yield {"w": w, "stat": "maj"}, (0, _tally(majs)), runs[m, n + 1], n + 1
-        yield {"w": w, "stat": "rmaj"}, (0, _tally(rmajs)), runs[r, n + 1], 0
+    def sides(start, row):
+        (m, r), (majs, rmajs) = start, zip(*row)
+        return [({"stat": "maj"}, Counter(majs), _run(m, n + 1)),
+                ({"stat": "rmaj"}, Counter(rmajs), _run(r, n + 1))]
+
+    table = _descent_table(_keys_of(n + 1))
+    return _by_key("w", partial(iter_symmetric, n), partial(_maj_rmaj, n=n),
+                   lambda: (_descents(_coset_slot(n, i), table) for i in range(n + 1)),
+                   sides, n + 1)
 
 
 def _check_lemma65(n: int) -> Iterator[Checkpoint]:
     # The closed form is q^rmaj(w) t^del(w) ([n]_q + q^n t), with w's delent
     # read off its left-to-right minima, never off its pull.
+    def sides(start, row):
+        r, d = start
+        return [({}, Counter(row), {**_run(r, n, d), (r + n, d + 1): 1})]
+
+    def slots():
+        teed = (itertools.tee(_coset_slot(n, i)) for i in range(n, -1, -1))
+        return (zip(_descents(ps, table), map(del_s, again)) for ps, again in teed)
+
     table = _descent_table(lambda des: sum(n + 1 - i for i in des))
-    slots = (itertools.tee(_coset_slot(n, i)) for i in range(n, -1, -1))
-    for w, *row in zip(iter_symmetric(n), *(zip(_descents(ps, table), map(del_s, again))
-                                             for ps, again in slots)):
-        r, d = rmaj_s(w, n), len(ltr_minima(w, 0, EXCLUDE_FIRST_POSITIONS))
-        rhs = _run(r, n, d)
-        rhs[(r + n, d + 1)] = 1
-        yield {"w": w}, (0, _tally(row)), (0, rhs), n + 1
+    return _by_key("w", partial(iter_symmetric, n),
+                   lambda w: (rmaj_s(w, n), len(ltr_minima(w, 0, EXCLUDE_FIRST_POSITIONS))),
+                   slots, sides, n + 1)
 
 
 def _check_remark66(n: int) -> Iterator[Checkpoint]:
     # The products with n+1 at slots n, ..., 1: all but the one that puts it first.
-    runs, table = _runs(), _descent_table(lambda des: (sum(n + 1 - i for i in des), 0))
-    for w, *row in zip(iter_symmetric(n), *(_descents(_coset_slot(n, i), table)
-                                             for i in range(n, 0, -1))):
-        yield {"w": w}, (0, _tally(row)), runs[rmaj_s(w, n), n], n
+    table = _descent_table(lambda des: (sum(n + 1 - i for i in des), 0))
+    return _by_key("w", partial(iter_symmetric, n), partial(rmaj_s, n=n),
+                   lambda: (_descents(_coset_slot(n, i), table) for i in range(n, 0, -1)),
+                   lambda r, row: [({}, Counter(row), _run(r, n))], n)
 
 
 def _iter_low_support(n: int, i: int):
@@ -755,10 +754,10 @@ def _check_lemma93(n: int) -> Iterator[Checkpoint]:
             eps_pi = epsilon_s(pi)
             prods = [tuple(pi[x - 1] for x in r) for r in rs]
             epss = [epsilon_s(prod) for prod in prods]
-            lhs = _tally((length_s(prod), 0) + eps for prod, eps in zip(prods, epss))
+            lhs = Counter((length_s(prod), 0) + eps for prod, eps in zip(prods, epss))
             rhs = MultiPoly.monomial(1, q=length_s(pi), ts=eps_pi, arity=arity) * bracket
             yield {"i": i, "pi": pi, "stat": "length"}, (arity, lhs), (arity, rhs.terms), len(rs)
-            lhs = _tally((rmaj_s(prod, n), 0) + eps for prod, eps in zip(prods, epss))
+            lhs = Counter((rmaj_s(prod, n), 0) + eps for prod, eps in zip(prods, epss))
             rhs = MultiPoly.monomial(1, q=rmaj_s(pi, i), ts=eps_pi, arity=arity) * bracket
             yield {"i": i, "pi": pi, "stat": "rmaj"}, (arity, lhs), (arity, rhs.terms), 0
 
@@ -775,7 +774,7 @@ def _check_garsia_gessel(n: int) -> Iterator[Checkpoint]:
                 p2 = _embed_high(small, k, n)
                 m2 = maj_s(compose(compose(nu_k_inv, p2), nu_k))
                 base = compose(p1, p2)
-                lhs = _tally((maj_s(tuple(base[x - 1] for x in r)) - m1 - m2, 0) for r in rs)
+                lhs = Counter((maj_s(tuple(base[x - 1] for x in r)) - m1 - m2, 0) for r in rs)
                 yield {"k": k, "pi1": p1, "pi2": p2}, (0, lhs), binom, len(rs)
 
 

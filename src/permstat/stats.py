@@ -352,7 +352,7 @@ def _qt_row(group: str, n: int, sides: list[tuple[str | None, str | None]]
 
 
 def histograms(group: str, n: int, *rows: tuple[tuple[str, ...], Callable]
-               ) -> tuple[tuple[tuple[dict, ...], ...], int]:
+               ) -> tuple[tuple[tuple[Counter, ...], ...], int]:
     """Tally several rows of keys per element over a whole group, in one pass.
 
     Group "S" is the symmetric group of degree n and "A" the alternating
@@ -366,7 +366,7 @@ def histograms(group: str, n: int, *rows: tuple[tuple[str, ...], Callable]
     S, the projected ends in A) and, in A, "proj" (the projection); in S a
     row may also read "inversions", each element's inversion count off its
     one-line word (``length_s``), never off the record.  Returns, per row,
-    one histogram (a plain dict) per key column, and the group order.
+    one histogram (its ``Counter``) per key column, and the group order.
 
     The pass runs ``_CHUNK`` elements at a time and computes, at C level
     where it can, each field that some row reads once per chunk, and no
@@ -399,7 +399,7 @@ def histograms(group: str, n: int, *rows: tuple[tuple[str, ...], Callable]
         for counters, row_keys in zip(tallies, keys):
             for counter, column in zip(counters, row_keys):
                 counter.update(column)
-    return tuple(tuple(map(dict, counters)) for counters in tallies), order
+    return tuple(map(tuple, tallies)), order
 
 
 def genfun(group: str, n: int, q_stat: str = "length", t_stat: str = "del",

@@ -1,4 +1,3 @@
-import copy
 import hashlib
 import itertools
 import json
@@ -135,17 +134,6 @@ def test_checkpoint_sides_are_well_formed():
                     ), entry.name
                     assert all(c != 0 for c in terms.values()), entry.name
             assert len(arities) <= 1, (entry.name, n, arities)
-
-
-def test_checkpoint_sides_never_change_after_yield():
-    # The reporter adds a passing right side to its total once, times the
-    # number of times that same object passed, and reads it only when it
-    # folds its held sides: no check may change a side it has yielded.
-    for entry in list_identities():
-        for n in range(entry.min_n, min(entry.min_n + 2, 4) + 1):
-            seen = [(side, copy.deepcopy(side))
-                    for _sub, lhs, rhs, _cnt in entry.check(n) for side in (lhs, rhs)]
-            assert all(side == snapshot for side, snapshot in seen), (entry.name, n)
 
 
 def test_totals_reject_mixed_arity():
@@ -335,19 +323,46 @@ def test_delent_slices_reassemble():
     assert rebuilt == bivariate
 
 
+_ORACLES = {"lemma63": lemma63_by_slicing, "lemma64": lemma64_by_slicing,
+            "lemma65": lemma65_by_slicing, "remark66": remark66_by_slicing}
+
+
 @pytest.mark.parametrize("name", ["lemma63", "lemma64", "lemma65", "remark66"])
 def test_closed_form_run_off_by_one_fails(monkeypatch, name):
     # The coset closed forms are geometric runs; start each one a power too
-    # high and the first point must fail with that point's own two sides.
+    # high and the first point must fail, with the oracle's scan side.
+    sub, lhs, rhs, count = _ORACLES[name](3)[0]
     run = identities._run
     monkeypatch.setattr(identities, "_run", lambda start, *rest: run(start + 1, *rest))
-    sub, lhs, rhs, _ = next(iter(REGISTRY[name].check(3)))
-    assert lhs != rhs
     report = verify(name, 3)
     assert not report.passed
     assert report.params["failed_at"] == identities._json_safe(sub)
     assert isinstance(report.lhs, MultiPoly) and isinstance(report.rhs, MultiPoly)
-    assert report.lhs == MultiPoly(*lhs) and report.rhs == MultiPoly(*rhs)
+    assert report.lhs == MultiPoly(*lhs) and report.rhs != MultiPoly(*rhs)
+    assert report.elements_scanned == count
+
+
+def _bumped_at(start, terms):
+    """The terms with 1 more at their lowest power of q when that power is `start`."""
+    low = min(terms)
+    return {**terms, low: terms[low] + 1} if low[0] == start else terms
+
+
+@pytest.mark.parametrize("name", ["lemma63", "lemma64", "lemma65", "remark66"])
+def test_a_failing_start_reports_the_oracles_first_point(monkeypatch, name):
+    # Every closed form is a geometric run from its start, and lemma65's
+    # extra term lies above it.  Bump the runs from one start: the report
+    # must be the oracle's first point under the same bump, with its sides
+    # and the elements scanned up to it.
+    n, start = 4, 3
+    points = [(sub, lhs, (0, _bumped_at(start, rhs[1])), cnt)
+              for sub, lhs, rhs, cnt in _ORACLES[name](n)]
+    expected = _summed_report(name, n, points)
+    assert not expected["pass"] and expected["elements_scanned"] > points[0][3]
+    run = identities._run
+    monkeypatch.setattr(identities, "_run",
+                        lambda first, *rest: _bumped_at(start, run(first, *rest)))
+    assert verify(name, n).to_json() == expected
 
 
 def test_lemma65_fails_when_every_delent_shifts(monkeypatch):
@@ -357,8 +372,8 @@ def test_lemma65_fails_when_every_delent_shifts(monkeypatch):
     # failing point's closed form is the unpatched one.
     from permstat import stats
 
-    clean = {n: {json.dumps(point, sort_keys=True): rhs
-                 for point, _, rhs, _ in REGISTRY["lemma65"].check(n)} for n in (3, 4, 5)}
+    clean = {n: {json.dumps(identities._json_safe(point), sort_keys=True): rhs
+                 for point, _, rhs, _ in lemma65_by_slicing(n)} for n in (3, 4, 5)}
     pull = stats.s_pull
 
     def shifted(p):
@@ -386,7 +401,7 @@ def _words(n):
 ])
 def test_inserted_word_scans_match_slicing(name, oracle, n_max):
     for n in range(1, n_max + 1):
-        assert list(REGISTRY[name].check(n)) == oracle(n), (name, n)
+        assert verify(name, n).to_json() == _summed_report(name, n, oracle(n)), (name, n)
 
 
 @pytest.mark.parametrize("name, bases", [("lemma63", _words), ("lemma64", iter_symmetric)])
@@ -409,35 +424,49 @@ def test_inserted_word_streams_align_with_base_words(monkeypatch, name, bases):
             assert w[i] == 4 and w[:i] + w[i + 1:] == u, (i, w, u)
 
 
-@pytest.mark.parametrize("name, bases, first", [
-    ("lemma63", _words, lambda u: {"word": u, "eq": "maj-all"}),
-    ("lemma64", iter_symmetric, lambda w: {"w": w, "stat": "maj"}),
+def _maj_plus_one(value):
+    (maj, t), rmaj = value
+    return (maj + 1, t), rmaj
+
+
+@pytest.mark.parametrize("name, bases, first, slots, bump", [
+    ("lemma63", _words, lambda u: {"word": u, "eq": "maj-all"}, range(4), _maj_plus_one),
+    ("lemma64", iter_symmetric, lambda w: {"w": w, "stat": "maj"}, range(4), _maj_plus_one),
+    ("lemma65", iter_symmetric, lambda w: {"w": w}, range(4), lambda rmaj: rmaj + 1),
+    ("remark66", iter_symmetric, lambda w: {"w": w}, range(1, 4),
+     lambda value: (value[0] + 1, value[1])),
 ])
-def test_a_wrong_descent_pattern_fails_only_the_scan_side(monkeypatch, name, bases, first):
-    # One comparison pattern of the inserted words reads maj + 1.  The entry
-    # must fail at the first base word with an inserted word of that pattern,
-    # and that point's closed form must be the unpatched one: the patched
-    # table reached the scan side alone.  Every pattern of degree 4 occurs.
+def test_a_wrong_descent_pattern_fails_only_the_scan_side(monkeypatch, name, bases, first,
+                                                          slots, bump):
+    # One comparison pattern of the inserted words reads maj (or rmaj) + 1.
+    # The entry must fail at the first base word with an inserted word of
+    # that pattern, and that point's closed form must be the oracle's: the
+    # patched table reached the scan side alone.  Every pattern of degree 4
+    # occurs among the inserted words but one: remark66 never puts 4 first,
+    # so it never meets 4 3 2 1 and must still pass.
     n = 3
-    clean = {tuple(sorted(sub.items())): rhs for sub, _, rhs, _ in REGISTRY[name].check(n)}
+    clean = {json.dumps(identities._json_safe(sub), sort_keys=True): rhs
+             for sub, _, rhs, _ in _ORACLES[name](n)}
     assert verify(name, n).passed
     build = identities._descent_table
     for pattern in map(bytes, itertools.product((0, 1), repeat=n)):
-        def wrong(length, pattern=pattern):
-            table = build(length)
-            (maj, t), rmaj = table[pattern]
-            table[pattern] = (maj + 1, t), rmaj
+        def wrong(value, pattern=pattern):
+            table = build(value)
+            table[pattern] = bump(table[pattern])
             return table
 
-        hit = next(u for u in bases(n) for i in range(n + 1) if pattern == bytes(
-            int(a > b) for a, b in itertools.pairwise(u[:i] + (n + 1,) + u[i:])))
-        point = first(hit)
+        hit = next((u for u in bases(n) for i in slots if pattern == bytes(
+            int(a > b) for a, b in itertools.pairwise(u[:i] + (n + 1,) + u[i:]))), None)
         with monkeypatch.context() as patched:
             patched.setattr(identities, "_descent_table", wrong)
             report = verify(name, n)
+        if hit is None:
+            assert name == "remark66" and pattern == b"\x01\x01\x01" and report.passed
+            continue
+        point = identities._json_safe(first(hit))
         assert not report.passed, pattern
-        assert report.params["failed_at"] == identities._json_safe(point), pattern
-        assert report.rhs == MultiPoly(*clean[tuple(sorted(point.items()))]), pattern
+        assert report.params["failed_at"] == point, pattern
+        assert report.rhs == MultiPoly(*clean[json.dumps(point, sort_keys=True)]), pattern
         assert report.lhs != report.rhs
 
 
@@ -454,9 +483,9 @@ def _summed_report(name, n, points):
     for sub, lhs, rhs, cnt in points:
         count += cnt
         if lhs != rhs:
-            return {"identity": name, "params": {"n": n, "failed_at": sub}, "pass": False,
-                    "lhs": MultiPoly(*lhs).to_json(), "rhs": MultiPoly(*rhs).to_json(),
-                    "elements_scanned": count}
+            return {"identity": name, "params": {"n": n, "failed_at": identities._json_safe(sub)},
+                    "pass": False, "lhs": MultiPoly(*lhs).to_json(),
+                    "rhs": MultiPoly(*rhs).to_json(), "elements_scanned": count}
         for e, c in lhs[1].items():
             total[e] = total.get(e, 0) + c
     summed = MultiPoly(0, total).to_json()
@@ -464,47 +493,22 @@ def _summed_report(name, n, points):
             "elements_scanned": count}
 
 
-def _spy_folds(monkeypatch):
-    """Record the counts of the held sides at each fold of the reporter."""
-    folds, fold = [], identities._fold
-
-    def spy(total, held):
-        folds.append(sorted(times for _, times in held.values()))
-        fold(total, held)
-
-    monkeypatch.setattr(identities, "_fold", spy)
-    return folds
-
-
 def _fresh(k):
     """A new side object for each k; some k share their terms."""
     return 0, {(k % 50, k % 3): 1 + k % 4, (k % 7 + 1, 0): 2}
 
 
-def test_reporter_adds_a_repeated_side_once_per_count(monkeypatch):
-    shared, other = (0, {(0, 0): 1, (1, 0): 2, (3, 0): 1}), (0, {(2, 1): 5})
+def test_reporter_sums_repeated_and_fresh_sides(monkeypatch):
+    # One side object yielded again and again, beside a fresh one per point.
+    shared = 0, {(0, 0): 1, (1, 0): 2, (3, 0): 1}
 
     def points():
         for k in range(6000):
-            side = shared if k % 3 else other
+            side = shared if k % 3 else _fresh(k)
             yield {"k": k}, (0, dict(side[1])), side, 1 + k % 2
 
-    _fake_entry(monkeypatch, "test-repeated", points)
-    folds = _spy_folds(monkeypatch)
-    assert verify("test-repeated", 2).to_json() == _summed_report("test-repeated", 2, points())
-    assert folds == [[2000, 4000]]
-
-
-def test_reporter_folds_distinct_sides_as_it_goes(monkeypatch):
-    def points():
-        for k in range(3 * identities._HELD_SIDES // 2):
-            yield {"k": k}, _fresh(k), _fresh(k), 1
-
-    _fake_entry(monkeypatch, "test-fresh", points)
-    folds = _spy_folds(monkeypatch)
-    assert verify("test-fresh", 2).to_json() == _summed_report("test-fresh", 2, points())
-    held = identities._HELD_SIDES
-    assert folds == [[1] * held, [1] * (held // 2)]
+    _fake_entry(monkeypatch, "test-sum", points)
+    assert verify("test-sum", 2).to_json() == _summed_report("test-sum", 2, points())
 
 
 def test_reporter_fails_after_thousands_of_passing_points(monkeypatch):
