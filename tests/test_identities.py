@@ -498,8 +498,23 @@ def _fresh(k):
     return 0, {(k % 50, k % 3): 1 + k % 4, (k % 7 + 1, 0): 2}
 
 
-def test_reporter_sums_repeated_and_fresh_sides(monkeypatch):
-    # One side object yielded again and again, beside a fresh one per point.
+def test_reporter_adds_a_repeated_side_once_per_count(monkeypatch):
+    # Two side objects, each yielded again and again: every point adds its
+    # terms once and its count to the elements scanned.
+    shared, other = (0, {(0, 0): 1, (1, 0): 2, (3, 0): 1}), (0, {(2, 1): 5})
+
+    def points():
+        for k in range(6000):
+            side = shared if k % 3 else other
+            yield {"k": k}, (0, dict(side[1])), side, 1 + k % 2
+
+    _fake_entry(monkeypatch, "test-repeated", points)
+    assert verify("test-repeated", 2).to_json() == _summed_report("test-repeated", 2, points())
+
+
+def test_reporter_folds_distinct_sides_as_it_goes(monkeypatch):
+    # A fresh side object per point, beside one shared object yielded again
+    # and again: the sum is the same as adding every point's terms in turn.
     shared = 0, {(0, 0): 1, (1, 0): 2, (3, 0): 1}
 
     def points():
@@ -507,8 +522,8 @@ def test_reporter_sums_repeated_and_fresh_sides(monkeypatch):
             side = shared if k % 3 else _fresh(k)
             yield {"k": k}, (0, dict(side[1])), side, 1 + k % 2
 
-    _fake_entry(monkeypatch, "test-sum", points)
-    assert verify("test-sum", 2).to_json() == _summed_report("test-sum", 2, points())
+    _fake_entry(monkeypatch, "test-fresh", points)
+    assert verify("test-fresh", 2).to_json() == _summed_report("test-fresh", 2, points())
 
 
 def test_reporter_fails_after_thousands_of_passing_points(monkeypatch):
