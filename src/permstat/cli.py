@@ -9,12 +9,14 @@ Exit codes: 0 success, 1 at least one verification failed, 2 usage error
 (or a verify worker process that died).
 
 Each runner imports the modules it runs, so a cold start compiles only
-those: ``list`` reads the catalog and compiles no check.
+those: ``list`` reads the catalog and compiles no check.  ``main`` builds
+its parser once per process, on its first call.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -433,9 +435,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # main's parser, built on its first call
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.run(args)
     except BrokenPipeError:
         return 0

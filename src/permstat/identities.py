@@ -52,11 +52,12 @@ from .perm import (
 from .qpoly import MultiPoly, geometric, q_binomial, q_factorial
 from .stats import (
     EXCLUDE_FIRST_POSITIONS,
+    _CHUNK,
+    _HELD_RECORDS,
     _descent_table,
     _descents,
     _maj_rmaj,
     _qt_row,
-    del_s,
     des_s,
     des_set_s,
     h_map,
@@ -66,7 +67,7 @@ from .stats import (
     maj_s,
     rmaj_s,
 )
-from .words import a_pull, epsilon_s, eval_a_letters, occurrences
+from .words import _columns, _table, a_pull, epsilon_s, eval_a_letters, occurrences
 from . import shuffles as shuf
 
 # A side is (arity, {exponents: count}): keys of width 2 + arity, no zero
@@ -617,7 +618,8 @@ def _check_prop56(n: int) -> Iterator[Checkpoint]:
 # alone the scan sides read.  ``_by_key`` checks each distinct key once:
 # lemma63 has 32 for 46,656 words at n = 6.  lemma64 works the same way over
 # the coset products, and lemma65 and remark66 read those products' rmaj the
-# same way, lemma65 with each one's del from its own pull.
+# same way, lemma65 with each one's del through the pull table and the column
+# step, a pure function of the product's own word.
 
 def _by_key(base: str, bases, start, slots, sides, per: int) -> Iterator[Checkpoint]:
     """A per-point entry's checkpoints, from one tally of its base elements' keys.
@@ -697,14 +699,18 @@ def _check_lemma65(n: int) -> Iterator[Checkpoint]:
         r, d = start
         return [({}, Counter(row), {**_run(r, n, d), (r + n, d + 1): 1})]
 
-    def slots():
-        teed = (itertools.tee(_coset_slot(n, i)) for i in range(n, -1, -1))
-        return (zip(_descents(ps, table), map(del_s, again)) for ps, again in teed)
+    # Each product's delent comes through the pull table and the column step,
+    # a chunk at a time, beside the comparison bytes of the same chunk.
+    def slot(i):
+        ps = _coset_slot(n, i)
+        for chunk in iter(lambda: list(itertools.islice(ps, _CHUNK)), []):
+            yield from zip(_descents(chunk, table), *_columns("S", chunk, held, ["delent"]))
 
     table = _descent_table(lambda des: sum(n + 1 - i for i in des))
+    held = _table("S", n + 1, ["delent"], _HELD_RECORDS)
     return _by_key("w", partial(iter_symmetric, n),
                    lambda w: (rmaj_s(w, n), len(ltr_minima(w, 0, EXCLUDE_FIRST_POSITIONS))),
-                   slots, sides, n + 1)
+                   lambda: map(slot, range(n, -1, -1)), sides, n + 1)
 
 
 def _check_remark66(n: int) -> Iterator[Checkpoint]:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permstat.cli import _pack as cli_pack, _pool_size, main
+from permstat.cli import _pack as cli_pack, _pool_size, build_parser, main
 from permstat.identities import REGISTRY, IdentityEntry
 
 
@@ -619,6 +619,60 @@ def test_determinism_double_invocation(capsys):
         second = run_cli(capsys, *argv)
         assert first[0] == second[0] == 0
         assert first[1] == second[1]
+
+
+# main builds its parser once per process, on its first call; every call
+# after that must still parse as a fresh parser does.
+
+LEMMA65_N3 = ["verify", "lemma65", "--n", "3", "--jobs", "1"]
+
+
+def fresh_cli(capsys, *argv):
+    args = build_parser().parse_args(list(argv))
+    code = args.run(args)
+    return code, capsys.readouterr().out
+
+
+def test_repeated_calls_print_what_a_fresh_parser_prints(capsys):
+    first, second = run_cli(capsys, *LEMMA65_N3), run_cli(capsys, *LEMMA65_N3)
+    assert first[:2] == second[:2] == fresh_cli(capsys, *LEMMA65_N3)
+    assert first[0] == 0 and json.loads(first[1])["pass"] is True
+
+
+def test_a_usage_error_leaves_the_next_call_whole(capsys):
+    code, out, err = run_cli(capsys, "verify", "lemma65", "--n", "3", "--n-max", "4")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert run_cli(capsys, *LEMMA65_N3)[:2] == fresh_cli(capsys, *LEMMA65_N3)
+
+
+def test_options_do_not_leak_into_the_next_call(capsys):
+    from permstat import cli
+
+    code, out, _ = run_cli(capsys, *LEMMA65_N3, "--timings", "--format", "csv")
+    assert code == 0 and out.startswith("name,params,pass,elapsed\nlemma65,n=3,true,0.")
+    code, out, _ = run_cli(capsys, *LEMMA65_N3)
+    assert (code, out) == fresh_cli(capsys, *LEMMA65_N3)
+    assert "elapsed" not in out
+    assert vars(cli._parser().parse_args(LEMMA65_N3)) == vars(build_parser().parse_args(LEMMA65_N3))
+
+
+def test_a_second_call_builds_no_parser(capsys, monkeypatch):
+    import argparse
+
+    assert run_cli(capsys, "list")[0] == 0
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def spy(self, *args, **kwargs):
+        added.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+    assert run_cli(capsys, *LEMMA65_N3)[0] == 0
+    assert added == []
+    # The public builder still makes a new parser on every call.
+    assert build_parser() is not build_parser() and added
 
 
 def test_module_entry_point():

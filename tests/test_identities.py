@@ -366,27 +366,49 @@ def test_a_failing_start_reports_the_oracles_first_point(monkeypatch, name):
 
 
 def test_lemma65_fails_when_every_delent_shifts(monkeypatch):
-    # lemma65's scan side reads each coset product's delent off its pull and
-    # its closed form reads w's off the left-to-right minima, so a pull that
+    # lemma65's scan side reads each coset product's delent through the pull
+    # table, which ``words._table`` builds from the kernel's records, and its
+    # closed form reads w's off the left-to-right minima, so a kernel that
     # counts one delent too many fails it, and only on the scan side: each
     # failing point's closed form is the unpatched one.
-    from permstat import stats
+    from permstat import words
 
     clean = {n: {json.dumps(identities._json_safe(point), sort_keys=True): rhs
                  for point, _, rhs, _ in lemma65_by_slicing(n)} for n in (3, 4, 5)}
-    pull = stats.s_pull
+    pull = words.s_pull
 
     def shifted(p):
         length, delent, starts = pull(p)
         return length, delent + 1, starts
 
-    monkeypatch.setattr(stats, "s_pull", shifted)
+    monkeypatch.setattr(words, "s_pull", shifted)
     for n in (3, 4, 5):
         report = verify("lemma65", n)
         assert not report.passed and "failed_at" in report.params, n
         point = json.dumps(report.params["failed_at"], sort_keys=True)
         assert report.rhs == MultiPoly(*clean[n][point]), n
         assert report.lhs != report.rhs
+
+
+def test_lemma65_at_its_cap_stays_under_its_memory_ceiling():
+    # At n = 7, its default cap, lemma65 holds one S_7 delent table for the
+    # whole check beside a chunk of coset products per slot.  A full
+    # collection empties the free lists first, so every object the run makes
+    # is traced: it peaks at 1.83 MB on Pythons 3.10 to 3.13.  A table built
+    # per slot stream would hold n + 1 of them at once.
+    import gc
+    import tracemalloc
+
+    assert verify("lemma65", 7).passed  # builds the process's slot plans
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = verify("lemma65", 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.elements_scanned == 40_320
+    assert peak < 2_290_000
 
 
 def _words(n):
