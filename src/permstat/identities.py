@@ -56,6 +56,7 @@ from .stats import (
     _HELD_RECORDS,
     _descent_table,
     _descents,
+    _indicator_keys,
     _maj_rmaj,
     _qt_row,
     des_s,
@@ -67,7 +68,7 @@ from .stats import (
     maj_s,
     rmaj_s,
 )
-from .words import _columns, _table, a_pull, epsilon_s, eval_a_letters, occurrences
+from .words import _columns, _table, epsilon_s, eval_a_letters
 from . import shuffles as shuf
 
 # A side is (arity, {exponents: count}): keys of width 2 + arity, no zero
@@ -208,22 +209,19 @@ def _main_s(p, ell, n):
     return (m, rmaj_s(p, n)), (m, ell)
 
 
-def _main_a(v, proj, length, n):
-    vinv = inverse(v)
-    m = (_mask(des_set_s(a_pull(vinv)[3]))
-         | _mask(ltr_minima(vinv, 1, EXCLUDE_FIRST_POSITIONS)) << n)
+def _main_a(_, proj, length, vinv, inv_proj, n):
+    m = _mask(des_set_s(inv_proj)) | _mask(ltr_minima(vinv, 1, EXCLUDE_FIRST_POSITIONS)) << n
     return (m, rmaj_s(proj, n)), (m, length)
 
 
 # Corollary 9.2 scans over q = p^{-1}, which runs over the whole group as p
-# does: the inverse's statistics come from q's own record.
+# does: p's statistics are read off p itself, in A through its own record.
 def _cor92_s(q, delent, n):
     p, d = inverse(q), des_s(q)
     return (rmaj_s(p, n), d, delent), (length_s(p), d, delent)
 
 
-def _cor92_a(w, proj, delent, n):
-    ell, _, _, inv_proj, _ = a_pull(inverse(w))
+def _cor92_a(_, proj, delent, ell, inv_proj, n):
     d = des_s(proj)
     return (rmaj_s(inv_proj, n), d, delent), (ell, d, delent)
 
@@ -248,9 +246,8 @@ def _each(key):
 
 
 def _occurrences(n, ks):
-    return ("bottoms",), lambda ps, bottoms: [
-        zip(itertools.repeat(0, len(ps)), map(occurrences, bottoms, itertools.repeat(k)))
-        for k in ks]
+    return tuple(f"occ{k}" for k in ks), lambda ps, *counts: [
+        zip(itertools.repeat(0, len(ps)), col) for col in counts]
 
 
 # (row, group) -> maker(degree, *args) -> (the fields the row reads, the row).
@@ -277,9 +274,11 @@ _ROWS = {
     ("ind", "A"): partial(_qt_row, "A", sides=[(None, "ind")]),
     ("occurrences", "S"): _occurrences,
     ("main", "S"): lambda n: (("inversions",), _each(partial(_main_s, n=n))),
-    ("main", "A"): lambda n: (("proj", "length"), _each(partial(_main_a, n=n))),
+    ("main", "A"): lambda n: (("proj", "length", "inverse", "inverse-proj"),
+                              _each(partial(_main_a, n=n))),
     ("cor92", "S"): lambda n: (("delent",), _each(partial(_cor92_s, n=n))),
-    ("cor92", "A"): lambda n: (("proj", "delent"), _each(partial(_cor92_a, n=n))),
+    ("cor92", "A"): lambda n: (("proj", "delent", "inverse-length", "inverse-proj"),
+                               _each(partial(_cor92_a, n=n))),
     ("hat", "A"): lambda n, js: ((), _each(partial(_hat, js=js))),
 }
 
@@ -379,7 +378,7 @@ def _prop510(group, n, count, acc):
     arity = n - 1
     rhs = _product((geometric(j, arity) + MultiPoly.monomial(
         _LIFTS[group], q=j, ts=_unit_marker(j, n), arity=arity) for j in range(1, n)), arity)
-    yield None, (arity, acc), (arity, rhs.terms), count
+    yield None, (arity, _indicator_keys(acc, arity)), (arity, rhs.terms), count
 
 
 def _prop511(n, count, *accs):
@@ -388,7 +387,7 @@ def _prop511(n, count, *accs):
     for (group, lifts), acc, order in zip(_LIFTS.items(), accs, orders):
         rhs = _product((MultiPoly.monomial(lifts, ts=_unit_marker(j, n), arity=arity)
                         + MultiPoly.const(j, arity) for j in range(1, n)), arity)
-        yield {"group": group}, (arity, acc), (arity, rhs.terms), order
+        yield {"group": group}, (arity, _indicator_keys(acc, arity)), (arity, rhs.terms), order
 
 
 def _main(group, n, count, *tallies):

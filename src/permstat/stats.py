@@ -34,8 +34,8 @@ from itertools import combinations, compress, count, islice, repeat, starmap, te
 from operator import gt, itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .perm import Perm, check_even, iter_alternating, iter_symmetric
-from .words import _FIELDS, _columns, _Memo, _table, a_pull, indicators, s_pull
+from .perm import Perm, check_even, inverse, iter_alternating, iter_symmetric
+from .words import _columns, _Memo, _table, a_pull, indicators, s_pull
 
 if TYPE_CHECKING:  # genfun, its only user, imports it when it runs
     from .qpoly import MultiPoly
@@ -299,24 +299,15 @@ def _projection_memo(stat: Callable[[Perm], int]) -> _Memo:
     return _Memo(stat, _HELD_RECORDS)
 
 
-_ONE = {1: 1}
-
-
-def _indicator_columns(bottoms: list[tuple]) -> list[Iterator[int]]:
-    """``indicators`` of each record's starts or ends, as one column per factor."""
-    return [map(_ONE.get, map(itemgetter(j), bottoms), repeat(0)) for j in range(len(bottoms[0]))]
-
-
 def _qt_row(group: str, n: int, sides: list[tuple[str | None, str | None]]
             ) -> tuple[tuple[str, ...], Callable]:
     """A (fields, row) pair for ``histograms``, with one histogram of (q, t) keys per side.
 
     q is "inversions" or "length" (the pass's fields of those names), "maj"
     or "rmaj" (ambient degree n), or None for 0.  t is "del" (the delent),
-    "ind" or None for 0; with "ind" a key is (q, 0) followed by one
-    indicator per factor whose run reaches the first generator.  The
-    descents of an S element are read off its own one-line word; those of
-    an A element are its projection's.
+    "ind" (the indicator mask; ``_indicator_keys`` expands its tally) or
+    None for 0.  The descents of an S element are read off its own one-line
+    word; those of an A element are its projection's.
     """
     named: list[str] = []
 
@@ -338,8 +329,8 @@ def _qt_row(group: str, n: int, sides: list[tuple[str | None, str | None]]
             named.append("delent")
             return lambda ps, cols: (cols["delent"],)
         if t == "ind":
-            named.append("bottoms")
-            return lambda ps, cols: (repeat(0, len(ps)), *_indicator_columns(cols["bottoms"]))
+            named.append("ind")
+            return lambda ps, cols: (cols["ind"],)
         return lambda ps, cols: (repeat(0, len(ps)),)
 
     keys = [(q_column(q), t_columns(t)) for q, t in sides]
@@ -349,6 +340,12 @@ def _qt_row(group: str, n: int, sides: list[tuple[str | None, str | None]]
         cols = dict(zip(fields, columns))
         return [zip(q(ps, cols), *t(ps, cols)) for q, t in keys]
     return fields, row
+
+
+def _indicator_keys(hist: Counter, arity: int) -> dict:
+    """(q, indicator mask) keys as (q, 0, one indicator per factor), each mask expanded once."""
+    vectors = {m: tuple([m >> j & 1 for j in range(arity)]) for _, m in hist}
+    return {(q, 0, *vectors[m]): c for (q, m), c in hist.items()}
 
 
 def histograms(group: str, n: int, *rows: tuple[tuple[str, ...], Callable]
@@ -362,16 +359,20 @@ def histograms(group: str, n: int, *rows: tuple[tuple[str, ...], Callable]
     returns one column of keys per histogram, of the same number for every
     chunk.  A row's key columns must be independent iterables: each is
     tallied whole, by its own ``Counter``, before the next is read.  The
-    record fields are "length", "delent", "bottoms" (the factor starts in
-    S, the projected ends in A) and, in A, "proj" (the projection); in S a
-    row may also read "inversions", each element's inversion count off its
+    record fields are "length", "delent", "ind" (the indicator mask),
+    "occ<k>" (the occurrence count of the k-th generator) and, in A, "proj"
+    (the projection); see ``words._field``.  A row may also read "inverse",
+    each element's inverse, and "inverse-<field>", a record field of it.  In
+    S a row may read "inversions", each element's inversion count off its
     one-line word (``length_s``), never off the record.  Returns, per row,
     one histogram (its ``Counter``) per key column, and the group order.
 
     The pass runs ``_CHUNK`` elements at a time and computes, at C level
     where it can, each field that some row reads once per chunk, and no
-    other: a pass whose rows read no record field pulls nothing.  Each
-    element takes one step of the pull per value above the pass's top
+    other: a pass whose rows read no record field pulls nothing.  When a row
+    reads the inverses, the pass computes a chunk's inverses once, and the
+    same fields of them as of the chunk, through the same table and steps.
+    Each element takes one step of the pull per value above the pass's top
     degree, the largest below the group's whose words (d! in S, d!/2 in A)
     fit in ``_HELD_RECORDS``, and reads the rest from a table of the record
     fields of every word of that degree, which the pass builds once
@@ -384,7 +385,9 @@ def histograms(group: str, n: int, *rows: tuple[tuple[str, ...], Callable]
     else:
         raise ValueError(f"unknown group {group!r}; expected 'S' or 'A'")
     fields = list(dict.fromkeys(f for named, _ in rows for f in named))
-    pulled = [f for f in fields if f in _FIELDS]
+    theirs = any(f.startswith("inverse-") for f in fields)
+    pulled = list(dict.fromkeys(f.removeprefix("inverse-") for f in fields
+                                if f not in ("inversions", "inverse")))
     held = _table(group, degree, pulled, _HELD_RECORDS) if pulled else None
     tallies: list[list[Counter]] = []
     order = 0
@@ -392,6 +395,10 @@ def histograms(group: str, n: int, *rows: tuple[tuple[str, ...], Callable]
         cols = dict(zip(pulled, _columns(group, chunk, held, pulled))) if pulled else {}
         if "inversions" in fields:
             cols["inversions"] = list(_lengths(chunk))
+        if theirs or "inverse" in fields:
+            cols["inverse"] = inverses = list(map(inverse, chunk))
+        if theirs:
+            cols.update(zip(["inverse-" + f for f in pulled], _columns(group, inverses, held, pulled)))
         keys = [row(chunk, *map(cols.__getitem__, named)) for named, row in rows]
         if not order:
             tallies = [[Counter() for _ in row_keys] for row_keys in keys]
@@ -420,4 +427,4 @@ def genfun(group: str, n: int, q_stat: str = "length", t_stat: str = "del",
         raise ValueError(f"unknown statistic pair ({q_stat!r}, {t_stat!r})")
     t = "ind" if multivar else "del" if t_stat == "del" else None
     ((acc,),), _ = histograms(group, n, _qt_row(group, n, [(q_stat, t)]))
-    return MultiPoly(n - 1 if multivar else 0, acc)
+    return MultiPoly(n - 1, _indicator_keys(acc, n - 1)) if multivar else MultiPoly(0, acc)

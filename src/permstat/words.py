@@ -33,20 +33,21 @@ which are the closed forms' own structure.  ``iter_alternating`` reads the
 parity of each element's Lehmer code off its lexicographic index, but that
 selector decides only membership: every scan still enumerates each element
 as a one-line word, and a scan that reads the record pulls that element
-itself.  A whole-group pass reads the record fields that its rows need a
-chunk of elements at a time, by one step of the pull per value: the slot
-of the top value d is read off the word itself, the word left (after the A
-parity swap) comes off the word by that slot's getter, and each field
-joins that slot's constant to the word left's field, one degree down
-(``_columns``).  The per-slot getters and constants (``_PLANS``) are the
-pull's step written out once per slot; they depend on the group and degree
-only.  The steps stop at a table of the pass's top degree, which the pass
-builds once by the same step from the words of each degree in turn, up
-from the kernels' records at degree 3 (``_table``).  So every field is a
-pure function of the element's own word, and the table caches one, keyed
-by the word: no record is built from another by choosing a slot for the
-top value, which would walk the staircase product that the closed forms
-are.
+itself.  A whole-group pass reads the record fields that its rows need
+(length, delent, the indicator mask, the occurrence counts of the generators
+and, in A, the projection), of each element or of its inverse, a chunk of
+elements at a time, by one step of the pull per value: the slot of the top
+value d is read off the word itself, the word left (after the A parity swap)
+comes off the word by that slot's getter, and each field joins that slot's
+constant to the word left's field, one degree down (``_columns``).  The
+per-slot getters and constants (``_PLANS``) are the pull's step written out
+once per slot; they depend on the group and degree only.  The steps stop at
+a table of the pass's top degree, which the pass builds once by the same
+step from the words of each degree in turn, up from the kernels' records at
+degree 3 (``_table``).  So every field is a pure function of the word it is
+read for, and the table caches one, keyed by the word: no record is built
+from another by choosing a slot for the top value, which would walk the
+staircase product that the closed forms are.
 A scan reads from a record only what the paper defines through the
 word: delent, indicator vectors, occurrence counts, and the alternating
 length and descents.  Symmetric statistics that are defined on the one-line
@@ -251,20 +252,32 @@ class _Memo(dict):
         return value
 
 
-# The record fields a pass can read, by their place in a pull record.
-_FIELDS = {"length": 0, "delent": 1, "bottoms": 2, "proj": 3}
+# The places of the record fields that a kernel record holds as they are.
+_FIELDS = {"length": 0, "delent": 1, "proj": 3}
+
+
+def _field(record: tuple, f: str) -> int | Perm:
+    """Record field f off a kernel record: one of ``_FIELDS``, "ind", the indicator
+    mask, with bit j - 1 set when factor j's run reaches the first generator, or
+    "occ<k>", how many runs pass through the k-th generator."""
+    if f == "ind":
+        return sum(1 << j for j, r in enumerate(record[2]) if r == 1)
+    return occurrences(record[2], int(f[3:])) if f.startswith("occ") else record[_FIELDS[f]]
 
 
 def _slot_plan(key: tuple[str, int]) -> dict[str, list]:
     """One step of the pull of the top value d out of a word of degree d, per slot of d.
 
     "left" gets the word left, after the A parity swap, off the word;
-    "length", "delent" and "bottoms" are what the step adds to the word
-    left's record; "proj" (A) puts d - 1 into the word left's projection,
+    "length", "delent", "ind" and each "occ<k>" with k up to the step's
+    factor j are what the step adds to the word left's record fields (see
+    ``_field``); "proj" (A) puts d - 1 into the word left's projection,
     given with d - 1 appended.
     """
     group, d = key
-    plan: dict[str, list] = {"left": [], "length": [], "delent": [], "bottoms": [], "proj": []}
+    j = d - 1 if group == "S" else d - 2  # the factor that the step pulls
+    plan: dict[str, list] = {f: [] for f in ("left", "length", "delent", "ind", "proj")}
+    plan.update((f"occ{k}", []) for k in range(1, j + 1))
     for r in range(d):
         rest = [i for i in range(d) if i != r]
         if r == d - 1:
@@ -279,7 +292,9 @@ def _slot_plan(key: tuple[str, int]) -> dict[str, list]:
         plan["left"].append(itemgetter(*rest))
         plan["length"].append(length)
         plan["delent"].append(delent)
-        plan["bottoms"].append((e,))
+        plan["ind"].append(delent << j - 1)
+        for k in range(1, j + 1):
+            plan[f"occ{k}"].append(int(e is not None and e <= k))
         if group == "A":
             order = list(range(d - 2))
             order.insert(d - 2 if e is None else e - 1, d - 2)
@@ -307,8 +322,7 @@ def _table(group: str, degree: int, fields: list[str], most: int) -> tuple[int, 
         top += 1
     # The kernels are looked up when the table is built, so a patched one is seen.
     kernel = s_pull if group == "S" else a_pull
-    places = [_FIELDS[f] for f in fields]
-    table = {w: tuple(map(kernel(w).__getitem__, places)) for w in elements(min(top, 3))}
+    table = {w: tuple(map(_field, repeat(kernel(w)), fields)) for w in elements(min(top, 3))}
     for d in range(4, top + 1):
         ws = list(elements(d))
         table = dict(zip(ws, zip(*_columns(group, ws, (d - 1, table), fields))))
@@ -321,9 +335,9 @@ def _columns(group: str, ws: list[Perm], held: tuple[int, dict], fields: list[st
     `held` is a top degree and its table (``_table``), made for these
     fields.  A word of the top degree reads its fields there.  A word above
     it takes one step of its pull: the slot of its top value d comes off the
-    word itself, the word left off that slot, and each field joins the
-    slot's constant to the word left's field, from the columns one degree
-    down.
+    word itself and the word left off that slot.  From the columns one
+    degree down, length, delent, the indicator mask and each occurrence
+    count add the slot's constant, and "proj" puts d - 1 in at the slot.
     """
     d = len(ws[0])
     if d == held[0]:
@@ -337,8 +351,8 @@ def _columns(group: str, ws: list[Perm], held: tuple[int, dict], fields: list[st
         if f == "proj":
             put, top = plan["proj"], (d - 1,)
             out.append([put[r](p + top) for r, p in zip(slots, col)])
-        else:
-            out.append(list(map(add, col, map(plan[f].__getitem__, slots))))
+        else:  # a count of a generator above the step's factor passes it by
+            out.append(list(map(add, col, map(plan[f].__getitem__, slots))) if f in plan else col)
     return out
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -100,6 +101,7 @@ def test_canon_from_word(capsys):
 def test_canon_from_word_bounded_before_building(capsys, argv):
     import tracemalloc
 
+    gc.collect()  # an object reused from a free list is never traced
     tracemalloc.start()
     try:
         code, out, err = run_cli(capsys, "canon", *argv)
@@ -123,6 +125,7 @@ def test_fiber_json_of_a_large_fibre_is_lean(capsys):
     # The degree-16 reversal has 2^15 lifts; JSON is written from the tuples.
     import tracemalloc
 
+    gc.collect()  # an object reused from a free list is never traced
     tracemalloc.start()
     try:
         code, out, _ = run_cli(capsys, "fiber", json.dumps(list(range(16, 0, -1))))
@@ -163,6 +166,7 @@ def test_fiber_of_a_huge_fibre_streams_in_small_memory(tmp_path):
     import tracemalloc
 
     path = tmp_path / "fibre.json"
+    gc.collect()  # an object reused from a free list is never traced
     tracemalloc.start()
     try:
         code = main(["fiber", json.dumps(list(range(18, 0, -1))), "--out", str(path)])
@@ -221,6 +225,7 @@ def test_shuffles_near_the_count_cap_stream_in_small_memory(tmp_path):
     import permstat.shuffles  # noqa: F401  compiled before tracing starts
 
     path = tmp_path / "shuffles.json"
+    gc.collect()  # an object reused from a free list is never traced
     tracemalloc.start()
     try:
         code = main(["shuffles", "--n", "11", "--b", "3,6,9", "--out", str(path)])

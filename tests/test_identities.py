@@ -411,6 +411,33 @@ def test_lemma65_at_its_cap_stays_under_its_memory_ceiling():
     assert peak < 2_290_000
 
 
+@pytest.mark.parametrize("name, scanned, ceiling", [
+    ("prop712-sk-occurrences", 207_480, 2_220_000),
+    ("prop511-multivar", 221_760, 2_060_000),
+])
+def test_record_field_passes_at_their_caps_stay_under_their_memory_ceilings(name, scanned,
+                                                                           ceiling):
+    # prop712 at n = 8 reads four occurrence fields over S_8, and prop511
+    # the indicator masks over S_8 and A_9.  Each pass holds one table of
+    # degree 7 beside a chunk's columns; building that table from the one of
+    # degree 6 is what peaks.  Measured after a full collection, as for
+    # lemma65: 1.77 MB and 1.64 MB on Python 3.11.
+    import gc
+    import tracemalloc
+
+    (_, piece), = plan([(name, 8)])
+    run(piece)  # builds the process's slot plans
+    gc.collect()
+    tracemalloc.start()
+    try:
+        (report,) = run(piece)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.elements_scanned == scanned
+    assert peak < ceiling
+
+
 def _words(n):
     return itertools.product(range(1, n + 1), repeat=n)
 
@@ -742,6 +769,57 @@ def test_a_wrong_slot_constant_fails_only_the_scan_side(monkeypatch):
         assert not report.passed and "failed_at" in report.params, name
         arity, terms = expected[name][json.dumps(report.params["failed_at"], sort_keys=True)]
         assert report.rhs == MultiPoly(arity, terms), name
+
+
+def _fails_on_the_scan_side(monkeypatch, plan, field, slot, value, names):
+    """Each (name, n) passes, then fails once `field`'s constant at `slot` of
+    `plan` is `value`; each failing rhs is the closed form of the unpatched point."""
+    for name, n in names:
+        assert verify(name, n).passed, name
+    expected = {(name, n): {json.dumps(point, sort_keys=True): rhs
+                            for point, _, rhs, _ in REGISTRY[name].check(n)}
+                for name, n in names}
+    wrong = plan[field][:]
+    assert wrong[slot] != value
+    wrong[slot] = value
+    monkeypatch.setitem(plan, field, wrong)
+    for name, n in names:
+        report = verify(name, n)
+        assert not report.passed, name
+        point = json.dumps(report.params.get("failed_at"), sort_keys=True)
+        arity, terms = expected[name, n][point]
+        assert report.rhs == MultiPoly(arity, terms), name
+        # prop510 is one equation, with no point to name.
+        assert "failed_at" in report.params or name.startswith("prop510"), name
+
+
+def test_a_wrong_indicator_constant_fails_only_the_scan_side(monkeypatch):
+    # S_5 and A_5 each take one step above their top tables, of degree 4.
+    # The step marks the factor it pulls (4 in S_5, 3 in A_5) in the
+    # indicator mask when that factor's run reaches the first generator,
+    # which slot 2 never does; a plan that marks it there reaches every
+    # indicator scan over the group, and only its scan side.
+    from permstat import words
+
+    s_plan, a_plan = words._PLANS["S", 5], words._PLANS["A", 5]
+    assert s_plan["ind"] == [8, 0, 0, 0, 0] and a_plan["ind"] == [4, 4, 0, 0, 0]
+    _fails_on_the_scan_side(monkeypatch, s_plan, "ind", 2, 8,
+                            [("prop510-multivar-s", 5), ("prop511-multivar", 5)])
+    _fails_on_the_scan_side(monkeypatch, a_plan, "ind", 2, 4,
+                            [("prop510-multivar-a", 4), ("prop511-multivar", 4)])
+
+
+def test_a_wrong_occurrence_constant_fails_only_the_scan_side(monkeypatch):
+    # The step of S_5 pulls factor 4, the run s_4 ... s_{r+1} from slot r:
+    # it passes s_2 from slots 0 and 1 only.  A plan that counts s_2 at slot
+    # 2 fails the k = 2 occurrence scan, and only its scan side.
+    from permstat import words
+
+    plan = words._PLANS["S", 5]
+    assert plan["occ2"] == [1, 1, 0, 0, 0]
+    _fails_on_the_scan_side(monkeypatch, plan, "occ2", 2, 1, [("prop712-sk-occurrences", 5)])
+    report = verify("prop712-sk-occurrences", 5)
+    assert report.params["failed_at"] == {"k": 2, "form": "generating"}
 
 
 # SHA-256 of each report's ``to_json()``, recorded before the passes read

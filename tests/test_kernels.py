@@ -15,7 +15,7 @@ import pytest
 
 from oracles import des_set_a_by_comparison
 from permstat import stats, words
-from permstat.perm import iter_alternating, sign
+from permstat.perm import inverse, iter_alternating, sign
 from permstat.stats import (
     EXCLUDE_FIRST_POSITIONS,
     del_a,
@@ -38,6 +38,8 @@ from permstat.words import (
     a_word_to_perm,
     epsilon_a,
     epsilon_s,
+    indicators,
+    occurrences,
     s_pull,
     s_word_to_perm,
 )
@@ -83,6 +85,20 @@ def test_a_pull_projection_descents_match_comparison():
             assert descents == des_set_a_by_comparison(v)
 
 
+# Generators 1..7: every index of S_8 and A_8, and above a smaller group's,
+# where no run passes and every step leaves the count as it is.
+_OCCURRENCES = tuple(f"occ{k}" for k in range(1, 8))
+
+
+def _record_fields(record, fields):
+    """The named pass fields of a kernel record, read off the record itself."""
+    mask = sum(bit << j for j, bit in enumerate(indicators(record[2])))
+    values = {"length": record[0], "delent": record[1], "proj": record[3] if len(record) > 3 else None,
+              "ind": mask, **{f: occurrences(record[2], k)
+                              for k, f in enumerate(_OCCURRENCES, start=1)}}
+    return tuple(values[f] for f in fields)
+
+
 @pytest.mark.parametrize("bound", [None, 12])
 def test_pass_records_equal_kernel_records(monkeypatch, bound):
     # A pass builds one table, of every word of its top degree: the largest
@@ -92,7 +108,9 @@ def test_pass_records_equal_kernel_records(monkeypatch, bound):
     # value above its top table; bounded at 12 records, the tables are of
     # degree 3 in S and 4 in A, so S_5..S_8 and A_6..A_8 take several steps
     # before they look up.  A pass reads the fields its rows name, so every
-    # field is asked for here; it has no field for the inverted tails of an
+    # field is asked for here: the indicator mask, with bit j - 1 for factor
+    # j, and the occurrence count of each generator.  It has no field for
+    # the factor starts or ends themselves, nor for the inverted tails of an
     # A record, which no row reads.
     if bound is not None:
         monkeypatch.setattr(stats, "_HELD_RECORDS", bound)
@@ -100,9 +118,9 @@ def test_pass_records_equal_kernel_records(monkeypatch, bound):
     monkeypatch.setattr(stats, "_table", lambda *args: tables.append(table(*args)) or tables[-1])
     for group, kernel, name, most, words_of, fields in (
             ("S", s_pull, "s_pull", 3 if bound else 7, _perms,
-             ("length", "delent", "bottoms")),
+             ("length", "delent", "ind", *_OCCURRENCES)),
             ("A", a_pull, "a_pull", 4 if bound else 7, _evens,
-             ("length", "delent", "bottoms", "proj"))):
+             ("length", "delent", "ind", *_OCCURRENCES, "proj"))):
         pulled = []
         monkeypatch.setattr(words, name, lambda w, kernel=kernel: pulled.append(w) or kernel(w))
         for n in range(1, 9):  # S_n, and A_n as the group "A" of degree n - 1
@@ -112,14 +130,33 @@ def test_pass_records_equal_kernel_records(monkeypatch, bound):
                                               (fields, lambda ps, *cols: [zip(ps, *cols)]))
             assert sum(records.values()) == count == len(records)
             for p, *rec in records:
-                assert tuple(rec) == kernel(p)[:len(fields)], (group, p)
+                assert tuple(rec) == _record_fields(kernel(p), fields), (group, p)
             # One table, which holds every word of its degree once, each with
             # its own fields; only words of degree 3 or less reach the kernels.
             (top, held), = tables
             assert top == (n if n <= 3 else min(n - 1, most)), (group, n)
             assert sorted(held) == sorted(words_of(top)), (group, n)
-            assert all(rec == kernel(w)[:len(fields)] for w, rec in held.items()), (group, n)
+            assert all(rec == _record_fields(kernel(w), fields)
+                       for w, rec in held.items()), (group, n)
             assert sorted(pulled) == sorted(words_of(min(n, 3))), (group, n)
+
+
+@pytest.mark.parametrize("bound", [None, 12])
+def test_pass_reads_inverse_records_through_its_table(monkeypatch, bound):
+    # A row may name fields of each element's inverse.  The pass reads them
+    # through the same table and steps as the element's own, and they equal
+    # the kernel's record of the inverse.
+    if bound is not None:
+        monkeypatch.setattr(stats, "_HELD_RECORDS", bound)
+    fields = ("inverse", "delent", "inverse-length", "inverse-delent", "inverse-proj",
+              "inverse-ind", "inverse-occ1", "inverse-occ2")
+    for m in range(1, 8):
+        ((records,),), count = histograms("A", m - 1, (fields, lambda ps, *cols: [zip(ps, *cols)]))
+        assert sum(records.values()) == count == len(records) == len(_evens(m))
+        for v, vinv, delent, *theirs in records:
+            assert vinv == inverse(v) and delent == a_pull(v)[1], v
+            assert tuple(theirs) == _record_fields(a_pull(vinv), (
+                "length", "delent", "proj", "ind", "occ1", "occ2")), v
 
 
 def test_passes_that_read_no_field_pull_nothing(monkeypatch):
