@@ -194,17 +194,16 @@ def _subset_sums(fibres: dict[int, list[dict]], bits: list[int]) -> list[list[di
 # finish, which gets n, the first column's group order and every histogram in
 # column order.  Scan sides may share a pass; no closed form reads a tally.
 
-def _descent_class(p, ell, n):
+def _descent_class(p, ell, pinv, n):
     """Length, maj and reverse maj, each keyed by the inverse's descent mask."""
     maj, rmaj = _maj_rmaj(p, n)
-    m = _mask(des_set_s(inverse(p)))
+    m = _mask(des_set_s(pinv))
     return (m, ell), (m, maj), (m, rmaj)
 
 
 # The main theorem's mask: the inverse's descents in the low n bits, its minima
 # (level 0 in S, level 1 in A) shifted above them.
-def _main_s(p, ell, n):
-    pinv = inverse(p)
+def _main_s(p, ell, pinv, n):
     m = _mask(des_set_s(pinv)) | _mask(ltr_minima(pinv, 0, EXCLUDE_FIRST_POSITIONS)) << n
     return (m, rmaj_s(p, n)), (m, ell)
 
@@ -216,8 +215,8 @@ def _main_a(_, proj, length, vinv, inv_proj, n):
 
 # Corollary 9.2 scans over q = p^{-1}, which runs over the whole group as p
 # does: p's statistics are read off p itself, in A through its own record.
-def _cor92_s(q, delent, n):
-    p, d = inverse(q), des_s(q)
+def _cor92_s(q, delent, p, n):
+    d = des_s(q)
     return (rmaj_s(p, n), d, delent), (length_s(p), d, delent)
 
 
@@ -260,7 +259,8 @@ def _occurrences(n, ks):
 # scan and closed forms.
 _ROWS = {
     ("len-maj", "S"): partial(_qt_row, "S", sides=[("inversions", None), ("maj", None)]),
-    ("descent-class", "S"): lambda n: (("inversions",), _each(partial(_descent_class, n=n))),
+    ("descent-class", "S"): lambda n: (("inversions", "inverse"),
+                                       _each(partial(_descent_class, n=n))),
     ("len-del", "S"): partial(_qt_row, "S", sides=[("inversions", "del")]),
     ("len-del", "A"): partial(_qt_row, "A", sides=[("length", "del")]),
     ("rmaj-del", "S"): partial(_qt_row, "S", sides=[("rmaj", "del")]),
@@ -273,10 +273,10 @@ _ROWS = {
     ("ind", "S"): partial(_qt_row, "S", sides=[(None, "ind")]),
     ("ind", "A"): partial(_qt_row, "A", sides=[(None, "ind")]),
     ("occurrences", "S"): _occurrences,
-    ("main", "S"): lambda n: (("inversions",), _each(partial(_main_s, n=n))),
+    ("main", "S"): lambda n: (("inversions", "inverse"), _each(partial(_main_s, n=n))),
     ("main", "A"): lambda n: (("proj", "length", "inverse", "inverse-proj"),
                               _each(partial(_main_a, n=n))),
-    ("cor92", "S"): lambda n: (("delent",), _each(partial(_cor92_s, n=n))),
+    ("cor92", "S"): lambda n: (("delent", "inverse"), _each(partial(_cor92_s, n=n))),
     ("cor92", "A"): lambda n: (("proj", "delent", "inverse-length", "inverse-proj"),
                                _each(partial(_cor92_a, n=n))),
     ("hat", "A"): lambda n, js: ((), _each(partial(_hat, js=js))),
@@ -607,18 +607,19 @@ def _check_prop56(n: int) -> Iterator[Checkpoint]:
 # 1..n with an inserted strictly-larger letter exhaust all cases.  For each
 # slot i, one itertools stream yields the words with the new top letter at
 # slot i, in the base words' order.  Each inserted word's (maj, rmaj) is read
-# off its own neighbour comparisons, the bytes of ``map(gt, w, w[1:])``,
-# through a table of the comparison patterns filled as they are first met in
-# one call (``stats._descents``), never derived from the base word's descents
-# and the slot, which is the lemma's proof.  A base word u's key pairs two
-# paths that never feed each other: the start of its closed forms q^maj(u)
-# [n+1]_q, q^(maj(u)+1) [n]_q, q^rmaj(u) [n+1]_q and q^rmaj(u) [n]_q, read off
-# u itself by ``_maj_rmaj``, and its inserted words' row of values, which
-# alone the scan sides read.  ``_by_key`` checks each distinct key once:
-# lemma63 has 32 for 46,656 words at n = 6.  lemma64 works the same way over
-# the coset products, and lemma65 and remark66 read those products' rmaj the
-# same way, lemma65 with each one's del through the pull table and the column
-# step, a pure function of the product's own word.
+# off its own neighbour comparisons, one byte per pair as ``map(gt, w, w[1:])``
+# gives them, which ``stats._descents`` computes for a chunk of words at once
+# by one subtraction on their packed letters, through a table of the
+# comparison patterns filled as they are first met.  They are never derived
+# from the base word's descents and the slot, which is the lemma's proof.  A
+# base word u's key pairs two paths that never feed each other: the start of
+# its closed forms q^maj(u) [n+1]_q, q^(maj(u)+1) [n]_q, q^rmaj(u) [n+1]_q and
+# q^rmaj(u) [n]_q, read off u itself by ``_maj_rmaj``, and its inserted words'
+# row of values, which alone the scan sides read.  ``_by_key`` checks each
+# distinct key once: lemma63 has 32 for 46,656 words at n = 6.  lemma64 works
+# the same way over the coset products, and lemma65 and remark66 read those
+# products' rmaj the same way, lemma65 with each one's del through the pull
+# table and the column step, a pure function of the product's own word.
 
 def _by_key(base: str, bases, start, slots, sides, per: int) -> Iterator[Checkpoint]:
     """A per-point entry's checkpoints, from one tally of its base elements' keys.

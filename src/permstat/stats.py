@@ -21,17 +21,20 @@ under both exclusion conventions.
 ``histograms`` tallies rows of keys over a whole group in one pass, each
 histogram by its own ``Counter``.  ``_qt_row`` makes the rows of (q, t)
 statistic pairs that ``genfun`` and the registry's polynomial rows read.
-Which rows share a pass, and the other rows, are the registry's business:
-see ``identities._tally_passes`` and ``identities.plan``.
+Their maj and rmaj columns read the descents of an S element's word and of
+an A element's projection alike, by one comparison key per word, which
+``_descents`` computes for a chunk of words at once.  Which rows share a
+pass, and the other rows, are the registry's business: see
+``identities._tally_passes`` and ``identities.plan``.
 """
 from __future__ import annotations
 
 from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
-from itertools import combinations, compress, count, islice, repeat, starmap, tee
-from operator import gt, itemgetter
+from itertools import chain, combinations, compress, count, islice, repeat, starmap
+from operator import gt
+from struct import Struct, error as StructError, unpack
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .perm import Perm, check_even, inverse, iter_alternating, iter_symmetric
@@ -277,9 +280,10 @@ def _lengths(ps: list[Perm]) -> Iterator[int]:
 
 
 def _descent_table(value: Callable[[list[int]], object]) -> _Memo:
-    """Comparison bytes of a word, as ``_descents`` reads them -> value(its descent positions).
+    """A word's comparison key, as ``_descents`` reads it -> value(its descent positions).
 
-    Each entry is filled when it is first read.
+    The key is the bytes of ``map(gt, w, w[1:])``: one byte per neighbour
+    pair, 1 at a descent.  Each entry is filled when it is first read.
     """
     return _Memo(lambda bits: value(list(compress(count(1), bits))))
 
@@ -287,16 +291,29 @@ def _descent_table(value: Callable[[list[int]], object]) -> _Memo:
 def _descents(words: Iterable[Sequence[int]], table: _Memo) -> Iterator:
     """The table value of each word of the stream, read off its own neighbour comparisons.
 
-    The comparisons run at C level, as the bytes of ``map(gt, w, w[1:])``.
+    The words of a chunk, all of one length L with letters in 0..127, are
+    packed one byte per letter into one integer a.  With 0x80 in every lane
+    of h, lane i of ``(a >> 8 | h) - a`` is 0x80 + next - this: it never
+    borrows, and its top bit is clear exactly at a descent.  Each word's
+    key is its first L - 1 lanes; lane L - 1 compares it with the next word
+    and is skipped.  Raises ValueError for a chunk of mixed lengths or a
+    letter outside 0..127.
     """
-    now, ahead = tee(words)
-    comparisons = map(map, repeat(gt), now, map(itemgetter(slice(1, None)), ahead))
-    return map(table.__getitem__, map(bytes, comparisons))
-
-
-def _projection_memo(stat: Callable[[Perm], int]) -> _Memo:
-    """projection -> stat(projection) for one pass; emptied when it holds ``_HELD_RECORDS``."""
-    return _Memo(stat, _HELD_RECORDS)
+    words = iter(words)
+    for first in words:  # a chunk's words are freed as they are packed
+        length = len(first)
+        chunk = chain((first,), islice(words, _CHUNK - 1))
+        try:
+            packed = b"".join(starmap(Struct(f"{length}B").pack, chunk))
+        except StructError as e:
+            raise ValueError(f"words of {length} letters in 0..127 expected: {e}") from None
+        h = int.from_bytes(b"\x80" * len(packed), "little")
+        a = int.from_bytes(packed, "little")
+        if a & h:
+            raise ValueError(f"words of {length} letters in 0..127 expected")
+        lanes = ((((a >> 8) | h) - a) & h ^ h) >> 7
+        yield from map(table.__getitem__, unpack(f"{length - 1}sx" * (len(packed) // length),
+                                                 lanes.to_bytes(len(packed), "little")))
 
 
 def _qt_row(group: str, n: int, sides: list[tuple[str | None, str | None]]
@@ -307,7 +324,7 @@ def _qt_row(group: str, n: int, sides: list[tuple[str | None, str | None]]
     or "rmaj" (ambient degree n), or None for 0.  t is "del" (the delent),
     "ind" (the indicator mask; ``_indicator_keys`` expands its tally) or
     None for 0.  The descents of an S element are read off its own one-line
-    word; those of an A element are its projection's.
+    word, those of an A element off its projection, both by ``_descents``.
     """
     named: list[str] = []
 
@@ -317,12 +334,10 @@ def _qt_row(group: str, n: int, sides: list[tuple[str | None, str | None]]
             return lambda ps, cols: cols[q]
         if q is None:
             return lambda ps, cols: repeat(0, len(ps))
-        if group == "S":
-            table = _descent_table(sum if q == "maj" else lambda des: sum(n - i for i in des))
-            return lambda ps, cols: _descents(ps, table)
-        memo = _projection_memo(maj_s if q == "maj" else partial(rmaj_s, n=n))
-        named.append("proj")
-        return lambda ps, cols: map(memo.__getitem__, cols["proj"])
+        table = _descent_table(sum if q == "maj" else lambda des: sum(n - i for i in des))
+        if group == "A":
+            named.append("proj")
+        return lambda ps, cols: _descents(cols.get("proj", ps), table)
 
     def t_columns(t):
         if t == "del":

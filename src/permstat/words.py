@@ -70,7 +70,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from math import factorial
 from operator import add, itemgetter
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .perm import Perm, check_even, iter_alternating, iter_symmetric
 
@@ -238,16 +238,13 @@ def a_pull(v: Perm) -> tuple[int, int, tuple[SFactor | None, ...], Perm, int]:
 # -- whole-group passes ---------------------------------------------------------
 
 class _Memo(dict):
-    """key -> fill(key), computed on first use; with `most`, emptied before it
-    would hold more than that many keys."""
+    """key -> fill(key), computed on first use."""
 
-    def __init__(self, fill, most: int | None = None):
+    def __init__(self, fill):
         super().__init__()
-        self.fill, self.most = fill, most
+        self.fill = fill
 
     def __missing__(self, key):
-        if self.most is not None and len(self) >= self.most:
-            self.clear()
         value = self[key] = self.fill(key)
         return value
 
@@ -458,22 +455,20 @@ def s_image(word: AWord) -> SWord:
 # The latest choice is thus the most significant.  The rows of the slot-1
 # child come first for lead 0, so the order for lead 1 swaps the halves of
 # every column.  The first choices build one table of at most
-# 2^_BLOCK_CHOICES rows; every setting of the later choices extends a copy
-# of it into one block of lifts.  Small blocks keep the columns in cache: a
+# 2^_BLOCK_CHOICES rows, in both row orders.  Every setting of the later
+# choices puts the same top in each row at each later step, so one block of
+# lifts zips one of those orders with a constant entry per later step, and
+# no block copies the table.  Small blocks keep the columns in cache: a
 # fibre of 4,096 lifts builds faster, and with a lower memory peak, in 16
 # blocks than in one.
 _BLOCK_CHOICES = 8
 
 
 def _put_back(cols: list[tuple[int, ...]], top: int, r: int) -> None:
-    """Undo one step of the A pull on the columns: redo its parity swap, then put top at slot r < 2.
-
-    A slot r >= 2 puts the same top in every lift; the caller enters it in the work list.
-    """
+    """Undo one step of the A pull on the columns: redo its parity swap, put top at slot r < 2."""
     if (top - 1 - r) & 1:
         cols[0], cols[1] = cols[1], cols[0]
-    if r < 2:
-        cols.insert(r, (top,) * len(cols[0]))
+    cols.insert(r, (top,) * len(cols[0]))
 
 
 def _in_order(cols: list[tuple[int, ...]], lead: int, want: int) -> list[tuple[int, ...]]:
@@ -484,10 +479,10 @@ def _in_order(cols: list[tuple[int, ...]], lead: int, want: int) -> list[tuple[i
     return [c[h:] + c[:h] for c in cols]
 
 
-def _rows(work: list[int | None], cols: list[tuple[int, ...]]) -> Iterator[Perm]:
-    """The lifts that a work list and its columns describe, one per row."""
+def _entries(work: list[int | None], cols: list[tuple[int, ...]]) -> list[Iterable[int]]:
+    """Each position of the lifts that a work list and its columns describe, as an iterable."""
     varying = iter(cols)
-    return zip(*[next(varying) if x is None else repeat(x) for x in work])
+    return [next(varying) if x is None else repeat(x) for x in work]
 
 
 def a_lifts(ends: tuple[SFactor | None, ...]) -> Iterator[Perm]:
@@ -523,9 +518,10 @@ def a_lifts(ends: tuple[SFactor | None, ...]) -> Iterator[Perm]:
             cols, lead = [a + b for a, b in zip(one, zero)], 0
             work.insert(0, None)
     if not tail:
-        yield from _rows(work, _in_order(cols, lead, 0))
+        yield from zip(*_entries(work, _in_order(cols, lead, 0)))
         return
     later = ends.count(1) - _BLOCK_CHOICES
+    orders = [_in_order(cols, lead, 0), _in_order(cols, lead, 1)]
     for block in range(1 << later):
         # Bit k of the block, from the top, orders the k-th latest choice;
         # walk back from the end to set each slot and the lead at the table.
@@ -539,11 +535,13 @@ def a_lifts(ends: tuple[SFactor | None, ...]) -> Iterator[Perm]:
             else:
                 need ^= (top - 1 - r) & 1
             slots.append(r)
-        block_work, block_cols = work[:], _in_order(cols, lead, need)
+        # entries[0] and entries[1] stay columns, so a step's parity swap swaps them.
+        entries = _entries(work, orders[need])
         for (top, _), r in zip(tail, reversed(slots)):
-            _put_back(block_cols, top, r)
-            block_work.insert(r, None if r < 2 else top)
-        yield from _rows(block_work, block_cols)
+            if (top - 1 - r) & 1:
+                entries[0], entries[1] = entries[1], entries[0]
+            entries.insert(r, repeat(top))
+        yield from zip(*entries)
 
 
 # -- flat letter views ------------------------------------------------------

@@ -22,6 +22,8 @@ from permstat.perm import (
 )
 from permstat.stats import (
     EXCLUDE_FIRST_POSITIONS,
+    _descent_table,
+    _descents,
     _maj_rmaj,
     EXCLUDE_SMALLEST_VALUES,
     StatProfile,
@@ -90,6 +92,35 @@ def test_descents_match_length_comparison():
     for n in range(2, 6):
         for p in iter_symmetric(n):
             assert des_set_s(p) == des_set_s_by_comparison(p)
+
+
+def _packed_descents(words):
+    return list(_descents(words, _descent_table(set)))
+
+
+def test_packed_descents_match_des_set_s():
+    # Every pattern of S_n, and of [n]^n, where a repeated letter is no
+    # descent; streams that end in a full chunk, a short one or mid-chunk;
+    # words of one and two letters; the letters 0 and 127.
+    cases = [list(iter_symmetric(n)) for n in range(1, 9)]
+    cases += [list(itertools.product(range(1, n + 1), repeat=n)) for n in range(1, 6)]
+    cases += [cases[-1][:k] for k in (0, 1, 255, 256, 257, 513)]
+    cases += [[(1,)] * 300, [(2, 1), (1, 2), (1, 1)] * 100,
+              [(127, 0, 127, 126), (0, 127, 127, 0)] * 200]
+    for words in cases:
+        assert _packed_descents(iter(words)) == list(map(des_set_s, words))
+
+
+@pytest.mark.parametrize("words", [
+    [(1, 2, 3)] * 300 + [(1, 128, 2)],
+    [(1, 2, 256)],
+    [(0, -1)],
+    [(1, 2, 3)] * 255 + [(1, 2), (1, 2, 3)],
+    [(1, 2, 3), (1, 2), (1, 2, 3, 4)],  # as many letters as three words of 3
+])
+def test_packed_descents_reject_what_they_cannot_compare(words):
+    with pytest.raises(ValueError):
+        _packed_descents(words)
 
 
 def test_ltr_minima_examples():
