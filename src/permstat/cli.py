@@ -115,6 +115,8 @@ def _run_canon(args) -> int:
     else:
         if args.perm is None:
             raise ValueError("canon needs a permutation or --from-word")
+        if args.n is not None:
+            raise ValueError("canon takes --n only with --from-word")
         p = _parse_perm_arg(args.perm)
     if args.group == "S":
         word = s_canonical(p)

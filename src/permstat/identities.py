@@ -40,27 +40,15 @@ from typing import Iterator
 
 from .catalog import REGISTRY, CapExceeded, IdentityEntry, resolve  # noqa: F401
 from .cover import iter_fiber
-from .perm import (
-    Perm,
-    compose,
-    cycle_count,
-    identity,
-    inverse,
-    iter_symmetric,
-    nu,
-)
+from .perm import Perm, compose, cycle_count, inverse, iter_symmetric, nu
 from .qpoly import MultiPoly, geometric, q_binomial, q_factorial
 from .stats import (
     EXCLUDE_FIRST_POSITIONS,
     _CHUNK,
-    _HELD_RECORDS,
     _descent_table,
     _descents,
     _indicator_keys,
     _maj_rmaj,
-    _qt_row,
-    des_s,
-    des_set_s,
     h_map,
     histograms,
     length_s,
@@ -68,7 +56,7 @@ from .stats import (
     maj_s,
     rmaj_s,
 )
-from .words import _columns, _table, epsilon_s, eval_a_letters
+from .words import _columns, _table, epsilon_s, eval_a_letters, eval_s_letters
 from . import shuffles as shuf
 
 # A side is (arity, {exponents: count}): keys of width 2 + arity, no zero
@@ -194,35 +182,17 @@ def _subset_sums(fibres: dict[int, list[dict]], bits: list[int]) -> list[list[di
 # finish, which gets n, the first column's group order and every histogram in
 # column order.  Scan sides may share a pass; no closed form reads a tally.
 
-def _descent_class(p, ell, pinv, n):
-    """Length, maj and reverse maj, each keyed by the inverse's descent mask."""
-    maj, rmaj = _maj_rmaj(p, n)
-    m = _mask(des_set_s(pinv))
-    return (m, ell), (m, maj), (m, rmaj)
+def _main_row(group, n):
+    """The main theorem's row: rmaj and length, each keyed by the inverse's mask,
+    its descents in the low n bits and its minima (level 0 in S, level 1 in A)
+    shifted above them."""
+    level, length = (0, "inversions") if group == "S" else (1, "length")
 
-
-# The main theorem's mask: the inverse's descents in the low n bits, its minima
-# (level 0 in S, level 1 in A) shifted above them.
-def _main_s(p, ell, pinv, n):
-    m = _mask(des_set_s(pinv)) | _mask(ltr_minima(pinv, 0, EXCLUDE_FIRST_POSITIONS)) << n
-    return (m, rmaj_s(p, n)), (m, ell)
-
-
-def _main_a(_, proj, length, vinv, inv_proj, n):
-    m = _mask(des_set_s(inv_proj)) | _mask(ltr_minima(vinv, 1, EXCLUDE_FIRST_POSITIONS)) << n
-    return (m, rmaj_s(proj, n)), (m, length)
-
-
-# Corollary 9.2 scans over q = p^{-1}, which runs over the whole group as p
-# does: p's statistics are read off p itself, in A through its own record.
-def _cor92_s(q, delent, p, n):
-    d = des_s(q)
-    return (rmaj_s(p, n), d, delent), (length_s(p), d, delent)
-
-
-def _cor92_a(_, proj, delent, ell, inv_proj, n):
-    d = des_s(proj)
-    return (rmaj_s(inv_proj, n), d, delent), (ell, d, delent)
+    def row(ps, descents, inverses, rmaj, ell):
+        masks = [m | _mask(ltr_minima(q, level, EXCLUDE_FIRST_POSITIONS)) << n
+                 for m, q in zip(descents, inverses)]
+        return [zip(masks, rmaj), zip(masks, ell)]
+    return ("inverse-desmask", "inverse", "rmaj", length), row
 
 
 def _hat(v, js):
@@ -244,41 +214,42 @@ def _each(key):
     return lambda ps, *cols: list(zip(*map(key, ps, *cols)))
 
 
-def _occurrences(n, ks):
-    return tuple(f"occ{k}" for k in ks), lambda ps, *counts: [
-        zip(itertools.repeat(0, len(ps)), col) for col in counts]
+def _zip(*keys):
+    """A row maker for the row of these keys, at every degree."""
+    return lambda n: list(keys)
 
 
-# (row, group) -> maker(degree, *args) -> (the fields the row reads, the row).
-# A row maps a chunk of elements and those fields' columns, in the order
-# named, to one key column per histogram (see ``stats.histograms``); the
-# (q, t) rows come from ``stats._qt_row``.  Symmetric lengths are inversion
-# counts (the pass's "inversions" column) and symmetric descents are read
-# off the one-line word; alternating ones come from the record and its
-# projection.  The cycle counts are a third path, apart from both the delent
-# scan and closed forms.
+# (row, group) -> maker(degree, *args) -> the row: a list of keys, each a
+# tuple of column names whose zip one histogram tallies, or a (fields, row)
+# pair that maps a chunk of elements and those fields' columns to one key
+# column per histogram (see ``stats.histograms``).  Symmetric lengths are
+# inversion counts (the pass's "inversions" column), alternating ones come
+# from the record, and descents are read off the one-line word in S and the
+# projection in A.  Corollary 9.2 scans over q = p^{-1}, which runs over the
+# whole group as p does: p's statistics are the pass's "inverse-" columns.
+# Only the main theorem's minima, the folds and the cycle counts are computed
+# per element here; the cycle counts are a third path, apart from both the
+# delent scan and closed forms.
 _ROWS = {
-    ("len-maj", "S"): partial(_qt_row, "S", sides=[("inversions", None), ("maj", None)]),
-    ("descent-class", "S"): lambda n: (("inversions", "inverse"),
-                                       _each(partial(_descent_class, n=n))),
-    ("len-del", "S"): partial(_qt_row, "S", sides=[("inversions", "del")]),
-    ("len-del", "A"): partial(_qt_row, "A", sides=[("length", "del")]),
-    ("rmaj-del", "S"): partial(_qt_row, "S", sides=[("rmaj", "del")]),
-    ("rmaj-del", "A"): partial(_qt_row, "A", sides=[("rmaj", "del")]),
-    ("del", "S"): partial(_qt_row, "S", sides=[(None, "del")]),
-    ("del", "A"): partial(_qt_row, "A", sides=[(None, "del")]),
+    ("len-maj", "S"): _zip(("inversions", "zero"), ("maj", "zero")),
+    ("descent-class", "S"): _zip(*(("inverse-desmask", q) for q in ("inversions", "maj", "rmaj"))),
+    ("len-del", "S"): _zip(("inversions", "delent")),
+    ("len-del", "A"): _zip(("length", "delent")),
+    ("rmaj-del", "S"): _zip(("rmaj", "delent")),
+    ("rmaj-del", "A"): _zip(("rmaj", "delent")),
+    ("del", "S"): _zip(("zero", "delent")),
+    ("del", "A"): _zip(("zero", "delent")),
     ("cycles", "S"): lambda n: ((), lambda ps: [map(cycle_count, ps)]),
-    ("len-ind", "S"): partial(_qt_row, "S", sides=[("inversions", "ind")]),
-    ("len-ind", "A"): partial(_qt_row, "A", sides=[("length", "ind")]),
-    ("ind", "S"): partial(_qt_row, "S", sides=[(None, "ind")]),
-    ("ind", "A"): partial(_qt_row, "A", sides=[(None, "ind")]),
-    ("occurrences", "S"): _occurrences,
-    ("main", "S"): lambda n: (("inversions", "inverse"), _each(partial(_main_s, n=n))),
-    ("main", "A"): lambda n: (("proj", "length", "inverse", "inverse-proj"),
-                              _each(partial(_main_a, n=n))),
-    ("cor92", "S"): lambda n: (("delent", "inverse"), _each(partial(_cor92_s, n=n))),
-    ("cor92", "A"): lambda n: (("proj", "delent", "inverse-length", "inverse-proj"),
-                               _each(partial(_cor92_a, n=n))),
+    ("len-ind", "S"): _zip(("inversions", "ind")),
+    ("len-ind", "A"): _zip(("length", "ind")),
+    ("ind", "S"): _zip(("zero", "ind")),
+    ("ind", "A"): _zip(("zero", "ind")),
+    ("occurrences", "S"): lambda n, ks: [("zero", f"occ{k}") for k in ks],
+    ("main", "S"): partial(_main_row, "S"),
+    ("main", "A"): partial(_main_row, "A"),
+    ("cor92", "S"): _zip(("inverse-rmaj", "des", "delent"),
+                         ("inverse-inversions", "des", "delent")),
+    ("cor92", "A"): _zip(("inverse-rmaj", "des", "delent"), ("inverse-length", "des", "delent")),
     ("hat", "A"): lambda n, js: ((), _each(partial(_hat, js=js))),
 }
 
@@ -287,8 +258,8 @@ def _tally_passes(columns) -> tuple[dict, dict]:
     """Tally the distinct columns, one ``histograms`` pass per (group, degree).
 
     A column is (group, degree, row, *args), and ``_ROWS[row, group]``
-    makes its (fields, row) pair from (degree, *args); a pass computes the
-    fields that its rows read.  Returns {column: (histograms, group order)}
+    makes its row from (degree, *args); a pass computes the columns that
+    its rows read.  Returns {column: (histograms, group order)}
     and {(group, degree): seconds}.
     """
     passes: dict = {}
@@ -574,10 +545,7 @@ def _check_prop56(n: int) -> Iterator[Checkpoint]:
     for j in range(1, n):
         factor_sum = MultiPoly.zero()
         for r in range(j + 1, 0, -1):
-            work = list(identity(n))
-            for k in range(j, r - 1, -1):
-                work[k - 1], work[k] = work[k], work[k - 1]
-            elem = tuple(work)
+            elem = eval_s_letters(n, range(j, r - 1, -1))
             count += 1
             ell = length_s(elem)
             dl = len(ltr_minima(elem, 0, EXCLUDE_FIRST_POSITIONS))
@@ -707,7 +675,7 @@ def _check_lemma65(n: int) -> Iterator[Checkpoint]:
             yield from zip(_descents(chunk, table), *_columns("S", chunk, held, ["delent"]))
 
     table = _descent_table(lambda des: sum(n + 1 - i for i in des))
-    held = _table("S", n + 1, ["delent"], _HELD_RECORDS)
+    held = _table("S", n + 1, ["delent"])
     return _by_key("w", partial(iter_symmetric, n),
                    lambda w: (rmaj_s(w, n), len(ltr_minima(w, 0, EXCLUDE_FIRST_POSITIONS))),
                    lambda: map(slot, range(n, -1, -1)), sides, n + 1)

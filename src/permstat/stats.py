@@ -19,19 +19,20 @@ left-to-right minima; ``ltr_minima`` implements the whole family of
 under both exclusion conventions.
 
 ``histograms`` tallies rows of keys over a whole group in one pass, each
-histogram by its own ``Counter``.  ``_qt_row`` makes the rows of (q, t)
-statistic pairs that ``genfun`` and the registry's polynomial rows read.
-Their maj and rmaj columns read the descents of an S element's word and of
-an A element's projection alike, by one comparison key per word, which
-``_descents`` computes for a chunk of words at once.  Which rows share a
-pass, and the other rows, are the registry's business: see
-``identities._tally_passes`` and ``identities.plan``.
+histogram by its own ``Counter``.  A row zips named columns: the record
+fields, and the descent statistics maj, rmaj, des and the descent mask of
+each element and of its inverse.  Those read the descents of an S element's
+word and of an A element's projection alike, by one comparison key per
+word, which ``_descents`` computes for a chunk of words at once.  Which rows
+share a pass, and the rows themselves, are the registry's business: see
+``identities._ROWS``, ``identities._tally_passes`` and ``identities.plan``.
 """
 from __future__ import annotations
 
 from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, combinations, compress, count, islice, repeat, starmap
 from operator import gt
 from struct import Struct, error as StructError, unpack
@@ -267,16 +268,28 @@ def profile_to_json(profile: StatProfile) -> dict:
 
 # -- whole-group scans -----------------------------------------------------------
 
-_HELD_RECORDS = 5_040  # the most records a pass's table holds: the order of S_7
 _CHUNK = 256  # elements per chunk of a pass
+# The columns of a pass read off a word itself: in S its one-line word, in A
+# its projection.
+_WORD_STATS = ("inversions", "maj", "rmaj", "des", "desmask")
 
 
 # Column forms of the statistics above, for the rows of a pass: each maps a
-# chunk of words, or of their record fields, to one value per word at C level.
+# chunk of words to one value per word at C level.
 
 def _lengths(ps: list[Perm]) -> Iterator[int]:
     """``length_s`` of each word: its inversion count."""
     return map(sum, map(starmap, repeat(gt), map(combinations, ps, repeat(2))))
+
+
+def _descent_stat(stat: str, n: int, des: list[int]) -> int:
+    """A descent column's value off the descent positions: "maj", "rmaj" (ambient
+    degree n), "des", or "desmask", with bit i set for a descent at i."""
+    if stat == "maj":
+        return sum(des)
+    if stat == "rmaj":
+        return n * len(des) - sum(des)
+    return len(des) if stat == "des" else sum(1 << i for i in des)
 
 
 def _descent_table(value: Callable[[list[int]], object]) -> _Memo:
@@ -316,82 +329,48 @@ def _descents(words: Iterable[Sequence[int]], table: _Memo) -> Iterator:
                                                  lanes.to_bytes(len(packed), "little")))
 
 
-def _qt_row(group: str, n: int, sides: list[tuple[str | None, str | None]]
-            ) -> tuple[tuple[str, ...], Callable]:
-    """A (fields, row) pair for ``histograms``, with one histogram of (q, t) keys per side.
-
-    q is "inversions" or "length" (the pass's fields of those names), "maj"
-    or "rmaj" (ambient degree n), or None for 0.  t is "del" (the delent),
-    "ind" (the indicator mask; ``_indicator_keys`` expands its tally) or
-    None for 0.  The descents of an S element are read off its own one-line
-    word, those of an A element off its projection, both by ``_descents``.
-    """
-    named: list[str] = []
-
-    def q_column(q):
-        if q in ("inversions", "length"):
-            named.append(q)
-            return lambda ps, cols: cols[q]
-        if q is None:
-            return lambda ps, cols: repeat(0, len(ps))
-        table = _descent_table(sum if q == "maj" else lambda des: sum(n - i for i in des))
-        if group == "A":
-            named.append("proj")
-        return lambda ps, cols: _descents(cols.get("proj", ps), table)
-
-    def t_columns(t):
-        if t == "del":
-            named.append("delent")
-            return lambda ps, cols: (cols["delent"],)
-        if t == "ind":
-            named.append("ind")
-            return lambda ps, cols: (cols["ind"],)
-        return lambda ps, cols: (repeat(0, len(ps)),)
-
-    keys = [(q_column(q), t_columns(t)) for q, t in sides]
-    fields = tuple(dict.fromkeys(named))
-
-    def row(ps, *columns):
-        cols = dict(zip(fields, columns))
-        return [zip(q(ps, cols), *t(ps, cols)) for q, t in keys]
-    return fields, row
-
-
 def _indicator_keys(hist: Counter, arity: int) -> dict:
     """(q, indicator mask) keys as (q, 0, one indicator per factor), each mask expanded once."""
     vectors = {m: tuple([m >> j & 1 for j in range(arity)]) for _, m in hist}
     return {(q, 0, *vectors[m]): c for (q, m), c in hist.items()}
 
 
-def histograms(group: str, n: int, *rows: tuple[tuple[str, ...], Callable]
+def histograms(group: str, n: int,
+               *rows: list[tuple[str, ...]] | tuple[tuple[str, ...], Callable]
                ) -> tuple[tuple[tuple[Counter, ...], ...], int]:
     """Tally several rows of keys per element over a whole group, in one pass.
 
     Group "S" is the symmetric group of degree n and "A" the alternating
-    group of degree n + 1, which projects onto it.  A row is a pair (fields,
-    row): the fields it reads, and ``row(chunk, *columns)``, which gets a
-    chunk of elements and one column per field, in the order named, and
-    returns one column of keys per histogram, of the same number for every
-    chunk.  A row's key columns must be independent iterables: each is
-    tallied whole, by its own ``Counter``, before the next is read.  The
-    record fields are "length", "delent", "ind" (the indicator mask),
-    "occ<k>" (the occurrence count of the k-th generator) and, in A, "proj"
-    (the projection); see ``words._field``.  A row may also read "inverse",
-    each element's inverse, and "inverse-<field>", a record field of it.  In
-    S a row may read "inversions", each element's inversion count off its
-    one-line word (``length_s``), never off the record.  Returns, per row,
-    one histogram (its ``Counter``) per key column, and the group order.
+    group of degree n + 1, which projects onto it.  The pass computes named
+    columns, one value per element, and a row is a list of keys, each a
+    tuple of column names: one histogram tallies the zip of a key's columns.
+    A row may instead be a pair (fields, row) of the columns it reads and
+    ``row(chunk, *columns)``, which gets a chunk of elements and those
+    columns, in the order named, and returns one column of keys per
+    histogram, of the same number for every chunk; each is tallied whole,
+    by its own ``Counter``, before the next is read.  Returns, per row, one
+    histogram (its ``Counter``) per key, and the group order.
+
+    The columns are "zero", all zeros; the record fields "length",
+    "delent", "ind" (the indicator mask), "occ<k>" (the occurrence count of
+    the k-th generator) and, in A, "proj" (the projection), as
+    ``words._field`` reads them; the descent statistics "maj", "rmaj"
+    (ambient degree n), "des" and "desmask" (bit i set for a descent at i);
+    and "inversions", the inversion count (``length_s``).  These last five
+    are read off the element's one-line word in S and off its projection in
+    A, never off the record.  "inverse" is each element's inverse, and
+    "inverse-<column>" each column but "zero" of it.
 
     The pass runs ``_CHUNK`` elements at a time and computes, at C level
-    where it can, each field that some row reads once per chunk, and no
-    other: a pass whose rows read no record field pulls nothing.  When a row
-    reads the inverses, the pass computes a chunk's inverses once, and the
-    same fields of them as of the chunk, through the same table and steps.
-    Each element takes one step of the pull per value above the pass's top
-    degree, the largest below the group's whose words (d! in S, d!/2 in A)
-    fit in ``_HELD_RECORDS``, and reads the rest from a table of the record
-    fields of every word of that degree, which the pass builds once
-    (``words._table``).
+    where it can, each column that some row reads once per chunk, and no
+    other: a pass whose rows read no record field pulls nothing.  A chunk's
+    descent column is one ``_descents`` call, through one table per column
+    for the pass.  When a row reads the inverses, the pass computes a
+    chunk's inverses once, and the same fields of them as of the chunk,
+    through the same table and steps.  Each element takes one step of the
+    pull per value above the pass's top degree and reads the rest from a
+    table of the record fields of every word of that degree, which the pass
+    builds once (``words._table``).
     """
     if group == "S":
         elements, degree = iter_symmetric(n), n
@@ -399,22 +378,33 @@ def histograms(group: str, n: int, *rows: tuple[tuple[str, ...], Callable]
         elements, degree = iter_alternating(n + 1), n + 1
     else:
         raise ValueError(f"unknown group {group!r}; expected 'S' or 'A'")
-    fields = list(dict.fromkeys(f for named, _ in rows for f in named))
-    theirs = any(f.startswith("inverse-") for f in fields)
-    pulled = list(dict.fromkeys(f.removeprefix("inverse-") for f in fields
-                                if f not in ("inversions", "inverse")))
-    held = _table(group, degree, pulled, _HELD_RECORDS) if pulled else None
+    named = [list(chain.from_iterable(row)) if isinstance(row, list) else row[0] for row in rows]
+    fields = list(dict.fromkeys(chain.from_iterable(named)))
+    own = {f: f.removeprefix("inverse-") for f in fields}
+    pulled = [f for f in dict.fromkeys("proj" if group == "A" and s in _WORD_STATS else s
+                                       for s in own.values())
+              if f not in ("zero", "inverse", *_WORD_STATS)]
+    # Each column read off a word: its side's prefix, and its descent table.
+    worded = [(f, f.removesuffix(s), None if s == "inversions"
+               else _descent_table(partial(_descent_stat, s, n)))
+              for f, s in own.items() if s in _WORD_STATS]
+    theirs = any(f.startswith("inverse") for f in fields)
+    held = _table(group, degree, pulled) if pulled else None
     tallies: list[list[Counter]] = []
     order = 0
     for chunk in iter(lambda: list(islice(elements, _CHUNK)), []):
         cols = dict(zip(pulled, _columns(group, chunk, held, pulled))) if pulled else {}
-        if "inversions" in fields:
-            cols["inversions"] = list(_lengths(chunk))
-        if theirs or "inverse" in fields:
-            cols["inverse"] = inverses = list(map(inverse, chunk))
+        cols["zero"] = [0] * len(chunk)
         if theirs:
-            cols.update(zip(["inverse-" + f for f in pulled], _columns(group, inverses, held, pulled)))
-        keys = [row(chunk, *map(cols.__getitem__, named)) for named, row in rows]
+            cols["inverse"] = inverses = list(map(inverse, chunk))
+            if pulled:
+                cols.update(zip(["inverse-" + f for f in pulled],
+                                _columns(group, inverses, held, pulled)))
+        for f, side, table in worded:
+            ws = cols[side + "proj"] if group == "A" else cols["inverse"] if side else chunk
+            cols[f] = list(_lengths(ws) if table is None else _descents(ws, table))
+        keys = [[zip(*map(cols.__getitem__, key)) for key in row] if isinstance(row, list)
+                else row[1](chunk, *map(cols.__getitem__, row[0])) for row in rows]
         if not order:
             tallies = [[Counter() for _ in row_keys] for row_keys in keys]
         order += len(chunk)
@@ -440,6 +430,6 @@ def genfun(group: str, n: int, q_stat: str = "length", t_stat: str = "del",
         raise ValueError("--multivar refines the delent marking; it needs --t-stat del")
     if q_stat not in ("length", "maj", "rmaj") or t_stat not in ("del", "none"):
         raise ValueError(f"unknown statistic pair ({q_stat!r}, {t_stat!r})")
-    t = "ind" if multivar else "del" if t_stat == "del" else None
-    ((acc,),), _ = histograms(group, n, _qt_row(group, n, [(q_stat, t)]))
+    t = "ind" if multivar else "delent" if t_stat == "del" else "zero"
+    ((acc,),), _ = histograms(group, n, [(q_stat, t)])
     return MultiPoly(n - 1, _indicator_keys(acc, n - 1)) if multivar else MultiPoly(0, acc)

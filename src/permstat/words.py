@@ -300,22 +300,23 @@ def _slot_plan(key: tuple[str, int]) -> dict[str, list]:
 
 
 _PLANS = _Memo(_slot_plan)  # (group, degree) -> its slot plan, kept for the process
+_HELD_RECORDS = 5_040  # the most records a pass's table holds: the order of S_7
 
 
-def _table(group: str, degree: int, fields: list[str], most: int) -> tuple[int, dict]:
+def _table(group: str, degree: int, fields: list[str]) -> tuple[int, dict]:
     """A pass's top degree and table: each word of that degree -> the tuple of its named fields.
 
     The pass is over words of `degree`.  Its top degree is the largest
-    below `degree` whose words (d! in S, d!/2 in A) fit in `most`, and never
-    below 3; a `degree` of 3 or less is its own.  The words of degree 3 or
-    less read their fields off the kernels, and the words of each degree
-    above, in turn, step down to the table of the degree below
-    (``_columns``).
+    below `degree` whose words (d! in S, d!/2 in A) fit in
+    ``_HELD_RECORDS``, and never below 3; a `degree` of 3 or less is its
+    own.  The words of degree 3 or less read their fields off the kernels,
+    and the words of each degree above, in turn, step down to the table of
+    the degree below (``_columns``).
     """
     elements, size = ((iter_symmetric, factorial) if group == "S"
                       else (iter_alternating, lambda d: factorial(d) // 2))
     top = min(degree, 3)
-    while top + 1 < degree and size(top + 1) <= most:
+    while top + 1 < degree and size(top + 1) <= _HELD_RECORDS:
         top += 1
     # The kernels are looked up when the table is built, so a patched one is seen.
     kernel = s_pull if group == "S" else a_pull

@@ -91,6 +91,15 @@ def test_canon_from_word(capsys):
     assert code == 2 and "needs a permutation" in err
 
 
+@pytest.mark.parametrize("group, perm", [("S", "[2,1]"), ("A", "[3,5,4,2,1]")])
+def test_canon_of_a_permutation_rejects_n(capsys, group, perm):
+    # --n sizes only the permutation that --from-word builds; beside a
+    # permutation, which has its own degree, it is a usage error.
+    code, out, err = run_cli(capsys, "canon", "--group", group, perm, "--n", "5")
+    assert code == 2 and out == ""
+    assert err == "error: canon takes --n only with --from-word\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["--group", "S", "--from-word", "s9999999999"],
     ["--group", "A", "--from-word", "a9999999999"],

@@ -732,8 +732,8 @@ def test_a_wrong_table_record_fails_the_delent_scans(monkeypatch):
     table, wrong = stats._table, (2, 3, 1, 4)
     tops = []
 
-    def wrong_table(group, degree, fields, most):
-        top, held = table(group, degree, fields, most)
+    def wrong_table(group, degree, fields):
+        top, held = table(group, degree, fields)
         tops.append(top)
         i = fields.index("delent")
         held[wrong] = held[wrong][:i] + (held[wrong][i] + 1,) + held[wrong][i + 1:]
@@ -745,6 +745,33 @@ def test_a_wrong_table_record_fails_the_delent_scans(monkeypatch):
     for name in ("thm61-a", "prop57-stirling-a"):
         assert not verify(name, 4).passed, name
     assert tops == [4, 4]
+
+
+@pytest.mark.parametrize("name, side", [("macmahon", "maj"), ("thm61-s", "rmaj"),
+                                        ("thm61-a", "rmaj")])
+def test_a_wrong_pass_descent_pattern_fails_only_the_scan_side(monkeypatch, name, side):
+    # The pass reads maj and rmaj through one descent table per column, of
+    # the one-line word in S and of the projection in A.  Where one
+    # comparison key reads its statistic + 1, the entry must fail on that
+    # statistic's side, and the closed form of the failing point must be the
+    # clean run's: the patched table reached the scan side alone.
+    from permstat import stats
+
+    n, pattern = 4, b"\x00\x01\x00"  # a descent at 2 alone
+    clean = {json.dumps(point, sort_keys=True): rhs
+             for point, _, rhs, _ in REGISTRY[name].check(n)}
+    build = stats._descent_table
+
+    def wrong(value):
+        table = build(value)
+        table[pattern] = value([2]) + 1
+        return table
+
+    monkeypatch.setattr(stats, "_descent_table", wrong)
+    report = verify(name, n)
+    assert not report.passed and report.params["failed_at"] == {"side": side}
+    arity, terms = clean[json.dumps(report.params["failed_at"], sort_keys=True)]
+    assert report.rhs == MultiPoly(arity, terms) and report.lhs != report.rhs
 
 
 def test_a_wrong_slot_constant_fails_only_the_scan_side(monkeypatch):
@@ -843,3 +870,25 @@ def test_a8_and_a9_reports_are_pinned():
                hashlib.sha256(json.dumps(r.to_json(), sort_keys=True).encode()).hexdigest()
                for r in reports}
     assert digests == A8_A9_DIGESTS
+
+
+# SHA-256 of each report's ``to_json()``, recorded while these rows still
+# read their descents per element.  Each runs one above its entry's default
+# cap, forced: over S_8 and A_9 for cor92 and the fs entries, which step
+# above the top table of degree 7, and over S_7 and A_7 for main.
+FORCED_DIGESTS = {
+    ("cor92-a", 8): "850cda3b3363f87966128787eb389f59a4c8b952d388a2f3fbba53bf810afb98",
+    ("cor92-s", 8): "38b2c731912461ad4beea2c0f1246a880d6379755d0f0018f551e527b5d1f5c5",
+    ("fs-fixed-descent", 8): "fce713dbc7ee424f055960f11b950d13900b0c1d99ac0b37eb6c6fa98a3df37b",
+    ("fs-rmaj", 8): "39c46e1095fb8d08e23691931e54a31dc98657c667f28168137d17d4eefa7a6c",
+    ("main-a", 6): "27f827e618b465877aa1126ebd6dc22731416feb68abae0b1fc9a2805f8b26ae",
+    ("main-s", 7): "ada3a056fe4f5c55cc33e446672caa0ee39b7eb348731a8fce8a8a3a4a53d3da",
+}
+
+
+def test_descent_rows_above_their_caps_are_pinned():
+    reports = [r for _, piece in plan(sorted(FORCED_DIGESTS), force=True) for r in run(piece)]
+    digests = {(r.identity, r.params["n"]):
+               hashlib.sha256(json.dumps(r.to_json(), sort_keys=True).encode()).hexdigest()
+               for r in reports}
+    assert digests == FORCED_DIGESTS

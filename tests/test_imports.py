@@ -1,7 +1,10 @@
-"""What a cold start loads, and the public names the package binds lazily."""
+"""What a cold start loads, the public names the package binds lazily, and
+the names each module imports."""
+import ast
 import importlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -122,3 +125,27 @@ def test_package_reads_the_home_modules_current_binding(monkeypatch):
     monkeypatch.undo()
     assert permstat.stat_profile is original
     assert "stat_profile" not in vars(permstat)
+
+
+def _unused_imports(source: str, exempt: str | None = None) -> list[str]:
+    """The names a module imports and never reads, skipping `exempt`'s names."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name.partition(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module not in ("__future__", exempt):
+            imported.update((a.asname or a.name, node.lineno) for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in imported if name not in read)
+
+
+# identities re-exports the catalog's names, so that callers import the
+# registry and its errors from the module that verifies it.
+_REEXPORTS = {"identities": "catalog"}
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(permstat.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_each_module_reads_every_name_it_imports(path):
+    assert _unused_imports(path.read_text(), _REEXPORTS.get(path.stem)) == []

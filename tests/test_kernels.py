@@ -21,6 +21,10 @@ from permstat.stats import (
     del_a,
     del_s,
     del_set_s,
+    des_a,
+    des_s,
+    des_set_a,
+    des_set_s,
     genfun,
     histograms,
     length_a,
@@ -113,7 +117,7 @@ def test_pass_records_equal_kernel_records(monkeypatch, bound):
     # the factor starts or ends themselves, nor for the inverted tails of an
     # A record, which no row reads.
     if bound is not None:
-        monkeypatch.setattr(stats, "_HELD_RECORDS", bound)
+        monkeypatch.setattr(words, "_HELD_RECORDS", bound)
     tables, table = [], words._table
     monkeypatch.setattr(stats, "_table", lambda *args: tables.append(table(*args)) or tables[-1])
     for group, kernel, name, most, words_of, fields in (
@@ -147,7 +151,7 @@ def test_pass_reads_inverse_records_through_its_table(monkeypatch, bound):
     # through the same table and steps as the element's own, and they equal
     # the kernel's record of the inverse.
     if bound is not None:
-        monkeypatch.setattr(stats, "_HELD_RECORDS", bound)
+        monkeypatch.setattr(words, "_HELD_RECORDS", bound)
     fields = ("inverse", "delent", "inverse-length", "inverse-delent", "inverse-proj",
               "inverse-ind", "inverse-occ1", "inverse-occ2")
     for m in range(1, 8):
@@ -157,6 +161,36 @@ def test_pass_reads_inverse_records_through_its_table(monkeypatch, bound):
             assert vinv == inverse(v) and delent == a_pull(v)[1], v
             assert tuple(theirs) == _record_fields(a_pull(vinv), (
                 "length", "delent", "proj", "ind", "occ1", "occ2")), v
+
+
+_DESCENT_COLUMNS = ("maj", "rmaj", "des", "desmask")
+
+
+@pytest.mark.parametrize("bound", [None, 12])
+@pytest.mark.parametrize("group", ["S", "A"])
+def test_descent_columns_equal_public_statistics(monkeypatch, group, bound):
+    # The pass reads the descents of each element, and of its inverse, off
+    # its one-line word in S and off its projection in A, one comparison key
+    # per word.  Each column equals the public statistic of the element, or
+    # of its inverse for an "inverse-" column; "desmask" sets bit i for a
+    # descent at i.  Bounded at 12 records, the A projections come through a
+    # table of degree 4 and several steps.
+    if bound is not None:
+        monkeypatch.setattr(words, "_HELD_RECORDS", bound)
+    if group == "S":
+        n_max, stats_of = 7, (maj_s, rmaj_s, des_s, des_set_s)
+    else:
+        n_max, stats_of = 6, (maj_a, rmaj_a, des_a, des_set_a)
+    maj, rmaj, des, des_set = stats_of
+    columns = (*_DESCENT_COLUMNS, *("inverse-" + c for c in _DESCENT_COLUMNS))
+    for n in range(1, n_max + 1):
+        ((records,),), count = histograms(group, n, (("inverse", *columns),
+                                                     lambda ps, *cols: [zip(ps, *cols)]))
+        assert sum(records.values()) == count == len(records)
+        for p, pinv, *values in records:
+            assert pinv == inverse(p)
+            assert values == [f(w) for w in (p, pinv) for f in (
+                maj, lambda w: rmaj(w, n), des, lambda w: sum(1 << i for i in des_set(w)))], p
 
 
 def test_passes_that_read_no_field_pull_nothing(monkeypatch):
