@@ -35,7 +35,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial, reduce
-from operator import add, itemgetter, mul
+from operator import add, itemgetter, mul, not_
 from typing import Iterator
 
 from .catalog import REGISTRY, CapExceeded, IdentityEntry, resolve  # noqa: F401
@@ -47,16 +47,17 @@ from .stats import (
     _CHUNK,
     _descent_table,
     _descents,
+    _folds,
     _indicator_keys,
+    _lengths,
     _maj_rmaj,
-    h_map,
     histograms,
     length_s,
     ltr_minima,
     maj_s,
     rmaj_s,
 )
-from .words import _columns, _table, epsilon_s, eval_a_letters, eval_s_letters
+from .words import _columns, _table, epsilon_s, eval_a_letters, eval_s_letters, s_pull
 from . import shuffles as shuf
 
 # A side is (arity, {exponents: count}): keys of width 2 + arity, no zero
@@ -102,21 +103,13 @@ def _const(c: int) -> Side:
     return 0, ({(0, 0): c} if c else {})
 
 
-def _embed_low(p: Perm, n: int) -> Perm:
-    """View a permutation of smaller degree inside degree n, fixing the top."""
-    return p + tuple(range(len(p) + 1, n + 1))
-
-
 def _embed_high(p: Perm, k: int, n: int) -> Perm:
     """Place a permutation of degree n-k on the values k+1..n."""
     return tuple(range(1, k + 1)) + tuple(x + k for x in p)
 
 
-def _mask(positions) -> int:
-    m = 0
-    for i in positions:
-        m |= 1 << i
-    return m
+def _mask(positions: set[int] | list[int]) -> int:
+    return sum(1 << i for i in positions)  # bit i for each of the distinct positions i
 
 
 # Each factor reaching the first generator has this many lifts: s_1 lifts
@@ -195,23 +188,16 @@ def _main_row(group, n):
     return ("inverse-desmask", "inverse", "rmaj", length), row
 
 
-def _hat(v, js):
-    """Length and maj of the fold h_map(v, j), for each position j in turn.
+def _hat_row(n, js):
+    """The folds' row: length and maj of each h_map(v, j), j over `js` (``stats._folds``)."""
+    folds, measures = _folds(js), (_lengths, partial(_descents, table=_descent_table(sum)))
 
-    h_map(v, j) is v itself wherever v's inverse ascends at j, and there the
-    keys are v's own, computed once.
-    """
-    own = (length_s(v), 0), (maj_s(v), 0)
-    keys = []
-    for j in js:
-        w = h_map(v, j)
-        keys += own if w is v else ((length_s(w), 0), (maj_s(w), 0))
-    return tuple(keys)
-
-
-def _each(key):
-    """A row that maps key(element, *fields) over the chunk: real per-element work."""
-    return lambda ps, *cols: list(zip(*map(key, ps, *cols)))
+    def row(ps, inverses):  # each key a bare exponent, which tallies faster than a tuple
+        words = list(map(bytes, ps))
+        own = [list(measure(words)) for measure in measures]
+        return [itertools.chain(itertools.compress(keys, map(not_, at)), measure(folded))
+                for at, folded in folds(words, inverses) for keys, measure in zip(own, measures)]
+    return ("inverse",), row
 
 
 def _zip(*keys):
@@ -227,9 +213,9 @@ def _zip(*keys):
 # from the record, and descents are read off the one-line word in S and the
 # projection in A.  Corollary 9.2 scans over q = p^{-1}, which runs over the
 # whole group as p does: p's statistics are the pass's "inverse-" columns.
-# Only the main theorem's minima, the folds and the cycle counts are computed
-# per element here; the cycle counts are a third path, apart from both the
-# delent scan and closed forms.
+# The folds are built and measured a chunk at a time; only the main theorem's
+# minima and the cycle counts, a third path apart from both the delent scan
+# and closed forms, are computed per element here.
 _ROWS = {
     ("len-maj", "S"): _zip(("inversions", "zero"), ("maj", "zero")),
     ("descent-class", "S"): _zip(*(("inverse-desmask", q) for q in ("inversions", "maj", "rmaj"))),
@@ -250,7 +236,7 @@ _ROWS = {
     ("cor92", "S"): _zip(("inverse-rmaj", "des", "delent"),
                          ("inverse-inversions", "des", "delent")),
     ("cor92", "A"): _zip(("inverse-rmaj", "des", "delent"), ("inverse-length", "des", "delent")),
-    ("hat", "A"): lambda n, js: ((), _each(partial(_hat, js=js))),
+    ("hat", "A"): _hat_row,
 }
 
 
@@ -365,7 +351,12 @@ def _main(group, n, count, *tallies):
     d2_count = n - 1 if group == "S" else n
     # D1 restricts mask bits 1..n-1 and D2 the minima bits from n + 2 up.
     bits = list(range(1, n)) + list(range(n + 2, n + 2 + d2_count))
-    sums = _subset_sums(_fibres(tallies), bits)
+    fibres, outside = _fibres(tallies), ~_mask(bits)
+    stray = min((m for m in fibres if m & outside), default=None)
+    if stray is not None:  # such a fibre lies in no subset sum: it fails, named
+        yield {"mask": stray}, (0, fibres[stray][0]), _const(0), count
+        return
+    sums = _subset_sums(fibres, bits)
     for d1_bits in range(1 << (n - 1)):
         for d2_bits in range(1 << d2_count):
             lhs, rhs = sums[d1_bits | d2_bits << (n - 1)]
@@ -379,9 +370,10 @@ def _cor92(n, count, lhs, rhs):
 
 def _appendix_hat(n, count, *hists, i=None):
     closed = 0, _product(geometric(m) for m in range(3, n + 1)).terms
-    for j, ell, maj in zip((i,) if i is not None else range(1, n), hists[::2], hists[1::2]):
-        yield {"i": j, "side": "length"}, (0, ell), closed, count
-        yield {"i": j, "side": "maj"}, (0, maj), closed, 0
+    sides = [(0, {(e, 0): c for e, c in hist.items()}) for hist in hists]
+    for j, ell, maj in zip((i,) if i is not None else range(1, n), sides[::2], sides[1::2]):
+        yield {"i": j, "side": "length"}, ell, closed, count
+        yield {"i": j, "side": "maj"}, maj, closed, 0
 
 
 def _on(group, *rows):
@@ -690,8 +682,9 @@ def _check_remark66(n: int) -> Iterator[Checkpoint]:
 
 
 def _iter_low_support(n: int, i: int):
-    for small in iter_symmetric(i):
-        yield _embed_low(small, n)
+    """S_i inside degree n, fixing the values above i."""
+    top = tuple(range(i + 1, n + 1))
+    return (small + top for small in iter_symmetric(i))
 
 
 def _check_prop81(n: int) -> Iterator[Checkpoint]:
@@ -717,6 +710,7 @@ def _check_first_letter(stat: str, n: int) -> Iterator[Checkpoint]:
 
 
 def _check_lemma93(n: int) -> Iterator[Checkpoint]:
+    # pi's length and rmaj come off its pull record and descent set, apart from the scan.
     arity = n - 1
     for i in range(1, n):
         bracket = q_binomial(n - 1, i - 1).lift(arity) + (
@@ -729,10 +723,10 @@ def _check_lemma93(n: int) -> Iterator[Checkpoint]:
             prods = [tuple(pi[x - 1] for x in r) for r in rs]
             epss = [epsilon_s(prod) for prod in prods]
             lhs = Counter((length_s(prod), 0) + eps for prod, eps in zip(prods, epss))
-            rhs = MultiPoly.monomial(1, q=length_s(pi), ts=eps_pi, arity=arity) * bracket
+            rhs = MultiPoly.monomial(1, q=s_pull(pi)[0], ts=eps_pi, arity=arity) * bracket
             yield {"i": i, "pi": pi, "stat": "length"}, (arity, lhs), (arity, rhs.terms), len(rs)
             lhs = Counter((rmaj_s(prod, n), 0) + eps for prod, eps in zip(prods, epss))
-            rhs = MultiPoly.monomial(1, q=rmaj_s(pi, i), ts=eps_pi, arity=arity) * bracket
+            rhs = MultiPoly.monomial(1, q=_maj_rmaj(pi, i)[1], ts=eps_pi, arity=arity) * bracket
             yield {"i": i, "pi": pi, "stat": "rmaj"}, (arity, lhs), (arity, rhs.terms), 0
 
 

@@ -20,12 +20,13 @@ under both exclusion conventions.
 
 ``histograms`` tallies rows of keys over a whole group in one pass, each
 histogram by its own ``Counter``.  A row zips named columns: the record
-fields, and the descent statistics maj, rmaj, des and the descent mask of
-each element and of its inverse.  Those read the descents of an S element's
-word and of an A element's projection alike, by one comparison key per
-word, which ``_descents`` computes for a chunk of words at once.  Which rows
-share a pass, and the rows themselves, are the registry's business: see
-``identities._ROWS``, ``identities._tally_passes`` and ``identities.plan``.
+fields, the inversion count and the descent statistics maj, rmaj, des and
+descent mask, of each element and of its inverse.  The last five read an S
+element's word and an A element's projection alike, a chunk of words at
+once, packed a byte per letter into one integer (``_lengths``,
+``_descents``); ``_folds`` folds a chunk's words by ``bytes.translate``.
+Which rows share a pass, and the rows themselves, are the registry's
+business: see ``identities._ROWS``, ``_tally_passes`` and ``plan``.
 """
 from __future__ import annotations
 
@@ -277,11 +278,6 @@ _WORD_STATS = ("inversions", "maj", "rmaj", "des", "desmask")
 # Column forms of the statistics above, for the rows of a pass: each maps a
 # chunk of words to one value per word at C level.
 
-def _lengths(ps: list[Perm]) -> Iterator[int]:
-    """``length_s`` of each word: its inversion count."""
-    return map(sum, map(starmap, repeat(gt), map(combinations, ps, repeat(2))))
-
-
 def _descent_stat(stat: str, n: int, des: list[int]) -> int:
     """A descent column's value off the descent positions: "maj", "rmaj" (ambient
     degree n), "des", or "desmask", with bit i set for a descent at i."""
@@ -293,40 +289,73 @@ def _descent_stat(stat: str, n: int, des: list[int]) -> int:
 
 
 def _descent_table(value: Callable[[list[int]], object]) -> _Memo:
-    """A word's comparison key, as ``_descents`` reads it -> value(its descent positions).
-
-    The key is the bytes of ``map(gt, w, w[1:])``: one byte per neighbour
-    pair, 1 at a descent.  Each entry is filled when it is first read.
-    """
+    """A word's comparison key, the bytes of ``map(gt, w, w[1:])`` as ``_descents``
+    reads them, -> value(its descent positions); each entry filled when first read."""
     return _Memo(lambda bits: value(list(compress(count(1), bits))))
 
 
-def _descents(words: Iterable[Sequence[int]], table: _Memo) -> Iterator:
-    """The table value of each word of the stream, read off its own neighbour comparisons.
-
-    The words of a chunk, all of one length L with letters in 0..127, are
-    packed one byte per letter into one integer a.  With 0x80 in every lane
-    of h, lane i of ``(a >> 8 | h) - a`` is 0x80 + next - this: it never
-    borrows, and its top bit is clear exactly at a descent.  Each word's
-    key is its first L - 1 lanes; lane L - 1 compares it with the next word
-    and is skipped.  Raises ValueError for a chunk of mixed lengths or a
-    letter outside 0..127.
-    """
+def _packs(words: Iterable[Sequence[int]]) -> Iterator[tuple[int, int, int, int]]:
+    """(L, bytes, a, h) per chunk of the stream: its words, of one length L and letters
+    in 0..127 (else ValueError), a byte per letter in a; 0x80 in every lane of h."""
     words = iter(words)
-    for first in words:  # a chunk's words are freed as they are packed
+    for first in words:  # packed as they come, so a stream may reuse a freed tuple
         length = len(first)
         chunk = chain((first,), islice(words, _CHUNK - 1))
+        if isinstance(first, bytes):  # bytes of one length are joined as they are
+            chunk = list(chunk)
+        joined = isinstance(chunk, list) and set(map(len, chunk)) == {length}
         try:
-            packed = b"".join(starmap(Struct(f"{length}B").pack, chunk))
+            packed = b"".join(chunk if joined else starmap(Struct(f"{length}B").pack, chunk))
         except StructError as e:
             raise ValueError(f"words of {length} letters in 0..127 expected: {e}") from None
-        h = int.from_bytes(b"\x80" * len(packed), "little")
-        a = int.from_bytes(packed, "little")
+        h, a = int.from_bytes(b"\x80" * len(packed), "little"), int.from_bytes(packed, "little")
         if a & h:
             raise ValueError(f"words of {length} letters in 0..127 expected")
+        yield length, len(packed), a, h
+
+
+def _descents(words: Iterable[Sequence[int]], table: _Memo) -> Iterator:
+    """The table value of each word of the stream, read off its own neighbour comparisons:
+    lane i of ``(a >> 8 | h) - a`` (see ``_packs``) is 0x80 + next - this, its top bit
+    clear exactly at a descent.  A word's key is its first L - 1 lanes; lane L - 1, which
+    compares it with the next word, is skipped."""
+    for length, size, a, h in _packs(words):
         lanes = ((((a >> 8) | h) - a) & h ^ h) >> 7
-        yield from map(table.__getitem__, unpack(f"{length - 1}sx" * (len(packed) // length),
-                                                 lanes.to_bytes(len(packed), "little")))
+        yield from map(table.__getitem__, unpack(f"{length - 1}sx" * (size // length),
+                                                 lanes.to_bytes(size, "little")))
+
+
+# length -> per distance d, 0x80 in each lane of a chunk with a letter d places on in its word.
+_PAIRS = _Memo(lambda length: [int.from_bytes((b"\x80" * (length - d) + bytes(d)) * _CHUNK,
+                                              "little") for d in range(1, length)])
+
+
+def _lengths(words: Iterable[Sequence[int]]) -> Iterator[int]:
+    """``length_s`` of each word of the stream, its inversion count: lane i of
+    ``(a | h) - (h >> 7) - (a >> 8d)`` (see ``_packs``) is 0x7F + this - the letter d
+    places on, its top bit set exactly at an inversion.  Summed over d within a word,
+    lane i counts the inversions from i; times a run of L ones, lane L - 1 of a word sums
+    its L lanes, at most L(L - 1)/2, so nothing carries.  Over 23 letters, ValueError."""
+    for length, size, a, h in _packs(words):
+        if length > 23:
+            raise ValueError(f"words of at most 23 letters expected, not {length}")
+        b, lanes = (a | h) - (h >> 7), 0
+        for d, pairs in enumerate(_PAIRS[length], 1):
+            lanes += (b - (a >> 8 * d)) & pairs
+        ones = int.from_bytes(b"\x01" * length, "little")
+        sums = ((lanes >> 7) * ones).to_bytes(size + length - 1, "little")
+        yield from sums[length - 1::length]
+
+
+def _folds(js: Sequence[int]) -> Callable:
+    """``h_map`` at each j of `js`: (words as bytes, their inverses) of a chunk -> per j,
+    each word's flag, set where its inverse descends at j, and the flagged words
+    with the letters j and j + 1 swapped; an unflagged word is its own fold."""
+    flags = _descent_table(lambda des: tuple(j in des for j in js))
+    swaps = [bytes.maketrans(bytes((j, j + 1)), bytes((j + 1, j))) for j in js]
+    return lambda words, inverses: (
+        (at, list(map(bytes.translate, compress(words, at), repeat(swap))))
+        for swap, at in zip(swaps, zip(*_descents(inverses, flags))))
 
 
 def _indicator_keys(hist: Counter, arity: int) -> dict:
@@ -364,13 +393,14 @@ def histograms(group: str, n: int,
     The pass runs ``_CHUNK`` elements at a time and computes, at C level
     where it can, each column that some row reads once per chunk, and no
     other: a pass whose rows read no record field pulls nothing.  A chunk's
-    descent column is one ``_descents`` call, through one table per column
-    for the pass.  When a row reads the inverses, the pass computes a
-    chunk's inverses once, and the same fields of them as of the chunk,
-    through the same table and steps.  Each element takes one step of the
-    pull per value above the pass's top degree and reads the rest from a
-    table of the record fields of every word of that degree, which the pass
-    builds once (``words._table``).
+    inversion column is one ``_lengths`` call, and its descent column one
+    ``_descents`` call, through one table per column for the pass.  When a
+    row reads the inverses, the pass computes a chunk's inverses once, and
+    the same fields of them as of the chunk, through the same table and
+    steps.  Each element takes one step of the pull per value above the
+    pass's top degree and reads the rest from a table of the record fields
+    of every word of that degree, which the pass builds once
+    (``words._table``).
     """
     if group == "S":
         elements, degree = iter_symmetric(n), n

@@ -892,3 +892,102 @@ def test_descent_rows_above_their_caps_are_pinned():
                hashlib.sha256(json.dumps(r.to_json(), sort_keys=True).encode()).hexdigest()
                for r in reports}
     assert digests == FORCED_DIGESTS
+
+
+# SHA-256 of each report's ``to_json()``, recorded while inversion counts and
+# the folds of appendix-hat were measured one word at a time: the folds over
+# A_8, and the inversion counts over S_8.
+INVERSION_DIGESTS = {
+    ("appendix-hat", 8): "f011970f869831e349eda2801b761e4bccfc962c866352f7af9ba76a9a35ed88",
+    ("macmahon", 8): "1512665980632cd8d4141b7a3c146e66e6fc26ef1132f4bd2712ecf86e6a7bff",
+    ("thm61-s", 8): "2ec79bd4ee98083d848bc3b612261915fce5bc0db41a7d8e4b9b6f210cc8f18f",
+    ("thm62-s", 8): "9cf2a62e6436939612fca2a95becb968010743b8609af93ef78e1847c7edae30",
+}
+
+
+def test_inversion_and_fold_reports_are_pinned():
+    reports = [r for _, piece in plan(sorted(INVERSION_DIGESTS)) for r in run(piece)]
+    digests = {(r.identity, r.params["n"]):
+               hashlib.sha256(json.dumps(r.to_json(), sort_keys=True).encode()).hexdigest()
+               for r in reports}
+    assert digests == INVERSION_DIGESTS
+
+
+# A uniform fault for each function that entries read through the namespace of
+# ``identities``: +1 on an int, a stray position in a set, a flipped bit in a
+# vector.  ``_lengths`` measures the folds of appendix-hat.
+FAULTS = {
+    "length_s": lambda v: v + 1,
+    "rmaj_s": lambda v: v + 1,
+    "maj_s": lambda v: v + 1,
+    "cycle_count": lambda v: v + 1,
+    "ltr_minima": lambda v: v | {99},
+    "epsilon_s": lambda v: (1 - v[0],) + v[1:],
+    "_maj_rmaj": lambda v: (v[0] + 1, v[1] + 1),
+    "_lengths": lambda v: (x + 1 for x in v),
+}
+
+# (function, entry): every entry that calls the function at n = 4, found by
+# counting calls.  Each fault must fail each entry that reads the function.
+# lemma93 fails under the length_s and rmaj_s faults only because its closed
+# form reads pi by other paths, and main-s and main-a under the ltr_minima
+# fault only because main names a fibre whose mask lies outside its bits.
+FAULT_ROWS = [
+    ("_lengths", "appendix-hat"),
+    ("_maj_rmaj", "lemma63"),
+    ("_maj_rmaj", "lemma64"),
+    ("_maj_rmaj", "lemma93"),
+    ("cycle_count", "prop57-stirling-a"),
+    ("cycle_count", "prop57-stirling-s"),
+    ("cycle_count", "prop712-sk-occurrences"),
+    ("epsilon_s", "lemma93"),
+    ("length_s", "lemma93"),
+    ("length_s", "prop56"),
+    ("ltr_minima", "fiber-size"),
+    ("ltr_minima", "lemma65"),
+    ("ltr_minima", "main-a"),
+    ("ltr_minima", "main-s"),
+    ("ltr_minima", "prop56"),
+    ("maj_s", "garsia-gessel"),
+    ("rmaj_s", "lemma65"),
+    ("rmaj_s", "lemma93"),
+    ("rmaj_s", "remark66"),
+]
+
+
+def test_fault_rows_are_every_caller_at_n4(monkeypatch):
+    calls, entry = set(), None
+    for name in FAULTS:
+        def counted(*args, f=getattr(identities, name), name=name, **kwargs):
+            calls.add((name, entry))
+            return f(*args, **kwargs)
+        monkeypatch.setattr(identities, name, counted)
+    for entry in sorted(REGISTRY):
+        assert verify(entry, 4).passed, entry
+    assert sorted(calls) == FAULT_ROWS
+
+
+@pytest.mark.parametrize("function, entry", FAULT_ROWS)
+def test_a_fault_in_a_function_fails_each_entry_that_reads_it(monkeypatch, function, entry):
+    assert verify(entry, 4).passed
+    f, fault = getattr(identities, function), FAULTS[function]
+    monkeypatch.setattr(identities, function, lambda *args, **kwargs: fault(f(*args, **kwargs)))
+    report = verify(entry, 4)
+    assert not report.passed and "failed_at" in report.params
+
+
+@pytest.mark.parametrize("name", ["main-s", "main-a"])
+def test_main_names_a_fibre_outside_its_bits(monkeypatch, name):
+    # The minima positions lie above the inverse's descent mask, from bit n
+    # up.  A stray position 99 leaves every fibre outside the subset sums,
+    # and a stray one at the identity alone leaves its fibre: either fails,
+    # at the fibre's mask, where the sums would have dropped it.
+    n, minima = 4, identities.ltr_minima
+    monkeypatch.setattr(identities, "ltr_minima", lambda p, *args: minima(p, *args) | {99})
+    report = verify(name, n)
+    assert not report.passed and report.params["failed_at"]["mask"] >> (99 + n) & 1
+    monkeypatch.setattr(identities, "ltr_minima", lambda p, *args: minima(p, *args) | (
+        {99} if p == tuple(sorted(p)) else set()))
+    report = verify(name, n)
+    assert not report.passed and report.params["failed_at"] == {"mask": 1 << (99 + n)}
+    assert report.rhs == MultiPoly.zero() and report.lhs != report.rhs

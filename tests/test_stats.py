@@ -22,8 +22,11 @@ from permstat.perm import (
 )
 from permstat.stats import (
     EXCLUDE_FIRST_POSITIONS,
+    _CHUNK,
     _descent_table,
     _descents,
+    _folds,
+    _lengths,
     _maj_rmaj,
     EXCLUDE_SMALLEST_VALUES,
     StatProfile,
@@ -111,16 +114,68 @@ def test_packed_descents_match_des_set_s():
         assert _packed_descents(iter(words)) == list(map(des_set_s, words))
 
 
-@pytest.mark.parametrize("words", [
+# Streams that a packed kernel cannot compare: a letter of 128 in a later
+# chunk, letters outside a byte, mixed lengths, in words given as tuples and
+# as bytes.
+UNPACKABLE = [
     [(1, 2, 3)] * 300 + [(1, 128, 2)],
     [(1, 2, 256)],
     [(0, -1)],
     [(1, 2, 3)] * 255 + [(1, 2), (1, 2, 3)],
     [(1, 2, 3), (1, 2), (1, 2, 3, 4)],  # as many letters as three words of 3
-])
+    [b"\x01\x02\x03", b"\x01\x02", b"\x01\x02\x03\x04"],
+    [b"\x01\x02\x03"] * 300 + [b"\x01\x80\x02"],
+]
+
+
+@pytest.mark.parametrize("words", UNPACKABLE)
 def test_packed_descents_reject_what_they_cannot_compare(words):
     with pytest.raises(ValueError):
         _packed_descents(words)
+
+
+def test_packed_lengths_match_length_s():
+    # As the packed descents are checked: every word of S_n and of [n]^n,
+    # where a repeated letter is no inversion, on streams that end in a full
+    # chunk, a short one or mid-chunk; and words given as bytes.
+    cases = [list(iter_symmetric(n)) for n in range(1, 9)]
+    cases += [list(itertools.product(range(1, n + 1), repeat=n)) for n in range(1, 6)]
+    cases += [cases[-1][:k] for k in (0, 1, 255, 256, 257, 513)]
+    cases += [[(127, 0, 127, 126), (0, 127, 127, 0)] * 200, list(map(bytes, cases[7]))]
+    for words in cases:
+        assert list(_lengths(iter(words))) == list(map(length_s, words))
+
+
+@pytest.mark.parametrize("words", UNPACKABLE)
+def test_packed_lengths_reject_what_they_cannot_compare(words):
+    with pytest.raises(ValueError):
+        list(_lengths(words))
+
+
+def test_packed_lengths_of_long_words_count_or_refuse():
+    # A lane sums the counts of L lanes in a row, at most L(L - 1)/2: 231 for
+    # 22 letters and 253 for 23 fit in a byte, 276 for 24 would carry.
+    for size in (22, 23):
+        top = tuple(range(size, 0, -1))
+        words = [top, tuple(range(1, size + 1)), top[1:] + top[:1]] * 100
+        assert list(_lengths(words)) == list(map(length_s, words))
+    with pytest.raises(ValueError):
+        list(_lengths([tuple(range(24, 0, -1))]))
+
+
+def test_folds_match_h_map():
+    # The hat row's folds, a chunk at a time: each element's flag is whether
+    # h_map moves it, and the folded words are h_map's, in order.
+    for n in range(1, 9):
+        js = range(1, n)
+        folds, elements = _folds(js), list(iter_alternating(n))
+        for start in range(0, len(elements), _CHUNK):
+            chunk = elements[start:start + _CHUNK]
+            columns = folds(list(map(bytes, chunk)), list(map(inverse, chunk)))
+            for j, (at, folded) in itertools.zip_longest(js, columns):
+                images = [h_map(v, j) for v in chunk]
+                assert at == tuple(w != v for v, w in zip(chunk, images))
+                assert folded == [bytes(w) for v, w in zip(chunk, images) if w != v]
 
 
 def test_ltr_minima_examples():
