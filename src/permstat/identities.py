@@ -44,20 +44,20 @@ from .perm import Perm, compose, cycle_count, inverse, iter_symmetric, nu
 from .qpoly import MultiPoly, geometric, q_binomial, q_factorial
 from .stats import (
     EXCLUDE_FIRST_POSITIONS,
-    _CHUNK,
     _descent_table,
     _descents,
     _folds,
     _indicator_keys,
     _lengths,
     _maj_rmaj,
+    _pack_descents,
     histograms,
     length_s,
     ltr_minima,
     maj_s,
     rmaj_s,
 )
-from .words import _columns, _table, epsilon_s, eval_a_letters, eval_s_letters, s_pull
+from .words import _columns, _packs, _table, epsilon_s, eval_a_letters, eval_s_letters, s_pull
 from . import shuffles as shuf
 
 # A side is (arity, {exponents: count}): keys of width 2 + arity, no zero
@@ -660,11 +660,10 @@ def _check_lemma65(n: int) -> Iterator[Checkpoint]:
         return [({}, Counter(row), {**_run(r, n, d), (r + n, d + 1): 1})]
 
     # Each product's delent comes through the pull table and the column step,
-    # a chunk at a time, beside the comparison bytes of the same chunk.
+    # a chunk at a time, beside the comparison bytes of the same pack.
     def slot(i):
-        ps = _coset_slot(n, i)
-        for chunk in iter(lambda: list(itertools.islice(ps, _CHUNK)), []):
-            yield from zip(_descents(chunk, table), *_columns("S", chunk, held, ["delent"]))
+        for pack in _packs(_coset_slot(n, i)):
+            yield from zip(_pack_descents(pack, table), *_columns("S", pack, held, ["delent"]))
 
     table = _descent_table(lambda des: sum(n + 1 - i for i in des))
     held = _table("S", n + 1, ["delent"])

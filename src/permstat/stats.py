@@ -22,9 +22,9 @@ under both exclusion conventions.
 histogram by its own ``Counter``.  A row zips named columns: the record
 fields, the inversion count and the descent statistics maj, rmaj, des and
 descent mask, of each element and of its inverse.  The last five read an S
-element's word and an A element's projection alike, a chunk of words at
-once, packed a byte per letter into one integer (``_lengths``,
-``_descents``); ``_folds`` folds a chunk's words by ``bytes.translate``.
+element's word and an A element's projection alike, a pack of words at
+once, a byte per letter in one integer (``_pack_lengths``,
+``_pack_descents``); ``_folds`` folds a chunk's words by ``bytes.translate``.
 Which rows share a pass, and the rows themselves, are the registry's
 business: see ``identities._ROWS``, ``_tally_passes`` and ``plan``.
 """
@@ -36,11 +36,11 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations, compress, count, islice, repeat, starmap
 from operator import gt
-from struct import Struct, error as StructError, unpack
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .perm import Perm, check_even, inverse, iter_alternating, iter_symmetric
-from .words import _columns, _Memo, _table, a_pull, indicators, s_pull
+from .perm import Perm, check_even, iter_alternating, iter_symmetric
+from .words import (_CHUNK, _columns, _lanes, _Memo, _pack, _packs, _table, _words, a_pull,
+                    indicators, s_pull)
 
 if TYPE_CHECKING:  # genfun, its only user, imports it when it runs
     from .qpoly import MultiPoly
@@ -269,7 +269,6 @@ def profile_to_json(profile: StatProfile) -> dict:
 
 # -- whole-group scans -----------------------------------------------------------
 
-_CHUNK = 256  # elements per chunk of a pass
 # The columns of a pass read off a word itself: in S its one-line word, in A
 # its projection.
 _WORD_STATS = ("inversions", "maj", "rmaj", "des", "desmask")
@@ -294,57 +293,47 @@ def _descent_table(value: Callable[[list[int]], object]) -> _Memo:
     return _Memo(lambda bits: value(list(compress(count(1), bits))))
 
 
-def _packs(words: Iterable[Sequence[int]]) -> Iterator[tuple[int, int, int, int]]:
-    """(L, bytes, a, h) per chunk of the stream: its words, of one length L and letters
-    in 0..127 (else ValueError), a byte per letter in a; 0x80 in every lane of h."""
-    words = iter(words)
-    for first in words:  # packed as they come, so a stream may reuse a freed tuple
-        length = len(first)
-        chunk = chain((first,), islice(words, _CHUNK - 1))
-        if isinstance(first, bytes):  # bytes of one length are joined as they are
-            chunk = list(chunk)
-        joined = isinstance(chunk, list) and set(map(len, chunk)) == {length}
-        try:
-            packed = b"".join(chunk if joined else starmap(Struct(f"{length}B").pack, chunk))
-        except StructError as e:
-            raise ValueError(f"words of {length} letters in 0..127 expected: {e}") from None
-        h, a = int.from_bytes(b"\x80" * len(packed), "little"), int.from_bytes(packed, "little")
-        if a & h:
-            raise ValueError(f"words of {length} letters in 0..127 expected")
-        yield length, len(packed), a, h
-
-
 def _descents(words: Iterable[Sequence[int]], table: _Memo) -> Iterator:
-    """The table value of each word of the stream, read off its own neighbour comparisons:
-    lane i of ``(a >> 8 | h) - a`` (see ``_packs``) is 0x80 + next - this, its top bit
-    clear exactly at a descent.  A word's key is its first L - 1 lanes; lane L - 1, which
-    compares it with the next word, is skipped."""
-    for length, size, a, h in _packs(words):
-        lanes = ((((a >> 8) | h) - a) & h ^ h) >> 7
-        yield from map(table.__getitem__, unpack(f"{length - 1}sx" * (size // length),
-                                                 lanes.to_bytes(size, "little")))
+    """``_pack_descents`` of each chunk of the stream."""
+    return chain.from_iterable(_pack_descents(pack, table) for pack in _packs(words))
 
 
-# length -> per distance d, 0x80 in each lane of a chunk with a letter d places on in its word.
-_PAIRS = _Memo(lambda length: [int.from_bytes((b"\x80" * (length - d) + bytes(d)) * _CHUNK,
-                                              "little") for d in range(1, length)])
+def _pack_descents(pack: tuple[int, int, int, int], table: _Memo) -> Iterator:
+    """The table value of each word of a pack, keyed by its first L - 1 lanes of
+    ``(a >> 8 | h) - a`` (h: 0x80 in every lane): lane i is 0x80 + next - this, its top
+    bit clear exactly at a descent."""
+    length, stride, size, a = pack
+    h = _lanes(stride, length, size)[0] << 7
+    lanes = ((((a >> 8) | h) - a) & h ^ h) >> 7
+    return map(table.__getitem__, _words((length - 1, stride, size, lanes)))
+
+
+# (length, stride) -> per distance d, 0x80 in each lane of a chunk with a letter d places
+# on in its word.
+_PAIRS = _Memo(lambda key: [int.from_bytes((b"\x80" * (key[0] - d)).ljust(key[1], b"\0")
+                                           * _CHUNK, "little") for d in range(1, key[0])])
 
 
 def _lengths(words: Iterable[Sequence[int]]) -> Iterator[int]:
-    """``length_s`` of each word of the stream, its inversion count: lane i of
-    ``(a | h) - (h >> 7) - (a >> 8d)`` (see ``_packs``) is 0x7F + this - the letter d
-    places on, its top bit set exactly at an inversion.  Summed over d within a word,
-    lane i counts the inversions from i; times a run of L ones, lane L - 1 of a word sums
-    its L lanes, at most L(L - 1)/2, so nothing carries.  Over 23 letters, ValueError."""
-    for length, size, a, h in _packs(words):
-        if length > 23:
-            raise ValueError(f"words of at most 23 letters expected, not {length}")
-        b, lanes = (a | h) - (h >> 7), 0
-        for d, pairs in enumerate(_PAIRS[length], 1):
-            lanes += (b - (a >> 8 * d)) & pairs
-        ones = int.from_bytes(b"\x01" * length, "little")
-        sums = ((lanes >> 7) * ones).to_bytes(size + length - 1, "little")
-        yield from sums[length - 1::length]
+    """``_pack_lengths`` of each chunk of the stream."""
+    return chain.from_iterable(map(_pack_lengths, _packs(words)))
+
+
+def _pack_lengths(pack: tuple[int, int, int, int]) -> bytes:
+    """``length_s`` of each word of a pack: lane i of ``(a | h) - (h >> 7) - (a >> 8d)``
+    (h: 0x80 in every lane) is 0x7F + this - the letter d places on, its top bit set
+    exactly at an inversion.  Summed over d, lane i counts the inversions from i; times
+    a run of L ones, lane L - 1 sums a word's L lanes, at most L(L - 1)/2, so nothing
+    carries.  Over 23 letters, ValueError."""
+    length, stride, size, a = pack
+    if length > 23:
+        raise ValueError(f"words of at most 23 letters expected, not {length}")
+    h = _lanes(stride, length, size)[0] << 7
+    b, lanes = (a | h) - (h >> 7), 0
+    for d, pairs in enumerate(_PAIRS[length, stride], 1):
+        lanes += (b - (a >> 8 * d)) & pairs
+    ones = int.from_bytes(b"\x01" * length, "little")
+    return ((lanes >> 7) * ones).to_bytes(size + length - 1, "little")[length - 1::stride]
 
 
 def _folds(js: Sequence[int]) -> Callable:
@@ -362,6 +351,17 @@ def _indicator_keys(hist: Counter, arity: int) -> dict:
     """(q, indicator mask) keys as (q, 0, one indicator per factor), each mask expanded once."""
     vectors = {m: tuple([m >> j & 1 for j in range(arity)]) for _, m in hist}
     return {(q, 0, *vectors[m]): c for (q, m), c in hist.items()}
+
+
+def _with_zeros(key: tuple[str, ...], hist: Counter) -> Counter:
+    """A tally of a key's columns but "zero", bare values when one is left, as the key's."""
+    if "zero" not in key:
+        return hist
+    one = sum(f != "zero" for f in key) < 2
+
+    def spread(values):
+        return tuple(0 if f == "zero" else next(values) for f in key)
+    return Counter({spread(iter((v,) if one else v)): c for v, c in hist.items()})
 
 
 def histograms(group: str, n: int,
@@ -387,20 +387,20 @@ def histograms(group: str, n: int,
     (ambient degree n), "des" and "desmask" (bit i set for a descent at i);
     and "inversions", the inversion count (``length_s``).  These last five
     are read off the element's one-line word in S and off its projection in
-    A, never off the record.  "inverse" is each element's inverse, and
-    "inverse-<column>" each column but "zero" of it.
+    A, never off the record.  "inverse" is each element's inverse, as
+    bytes, and "inverse-<column>" each column but "zero" of it.
 
     The pass runs ``_CHUNK`` elements at a time and computes, at C level
     where it can, each column that some row reads once per chunk, and no
-    other: a pass whose rows read no record field pulls nothing.  A chunk's
-    inversion column is one ``_lengths`` call, and its descent column one
-    ``_descents`` call, through one table per column for the pass.  When a
-    row reads the inverses, the pass computes a chunk's inverses once, and
-    the same fields of them as of the chunk, through the same table and
-    steps.  Each element takes one step of the pull per value above the
-    pass's top degree and reads the rest from a table of the record fields
-    of every word of that degree, which the pass builds once
-    (``words._table``).
+    other: a pass whose rows read no record field pulls nothing.  It packs
+    each side's chunk once, the elements or their inverses, which
+    ``bytes.translate`` reads off the elements (``words._pack``).  The pull's
+    step (``words._columns``), ``_pack_lengths`` and ``_pack_descents`` read
+    that pack, and in A the step's packed projections.  Each element takes
+    one step of the pull per value above the pass's top degree and reads the
+    rest from a table of every word of that degree, which the pass builds
+    once (``words._table``).  A key with a "zero" column tallies its other
+    columns, bare when one is left, and gets its zeros back per distinct key.
     """
     if group == "S":
         elements, degree = iter_symmetric(n), n
@@ -419,29 +419,38 @@ def histograms(group: str, n: int,
                else _descent_table(partial(_descent_stat, s, n)))
               for f, s in own.items() if s in _WORD_STATS]
     theirs = any(f.startswith("inverse") for f in fields)
+    zips = [[([f for f in key if f != "zero"] or ["zero"], "zero" in key) for key in row]
+            if isinstance(row, list) else None for row in rows]
     held = _table(group, degree, pulled) if pulled else None
+    ident = bytes(range(1, degree + 1))
     tallies: list[list[Counter]] = []
     order = 0
     for chunk in iter(lambda: list(islice(elements, _CHUNK)), []):
-        cols = dict(zip(pulled, _columns(group, chunk, held, pulled))) if pulled else {}
-        cols["zero"] = [0] * len(chunk)
+        cols, packs = {"zero": [0] * len(chunk)}, {}
+        if pulled or worded or theirs:
+            packs[""] = _pack(chunk, degree)
         if theirs:
-            cols["inverse"] = inverses = list(map(inverse, chunk))
-            if pulled:
-                cols.update(zip(["inverse-" + f for f in pulled],
-                                _columns(group, inverses, held, pulled)))
+            cols["inverse"] = inverses = list(map(ident.translate, map(
+                bytes.maketrans, _words(packs[""]), repeat(ident))))
+            packs["inverse-"] = _pack(inverses, degree)
+        for side, pack in packs.items() if pulled else ():
+            cols.update(zip([side + f for f in pulled], _columns(group, pack, held, pulled)))
         for f, side, table in worded:
-            ws = cols[side + "proj"] if group == "A" else cols["inverse"] if side else chunk
-            cols[f] = list(_lengths(ws) if table is None else _descents(ws, table))
-        keys = [[zip(*map(cols.__getitem__, key)) for key in row] if isinstance(row, list)
-                else row[1](chunk, *map(cols.__getitem__, row[0])) for row in rows]
+            pack = cols[side + "proj"] if group == "A" else packs[side]
+            cols[f] = _pack_lengths(pack) if table is None else list(_pack_descents(pack, table))
+        cols.update((f, list(map(tuple, _words(cols[f])))) for f in fields if own[f] == "proj")
+        keys = [[cols[key[0]] if bare and len(key) == 1 else zip(*map(cols.__getitem__, key))
+                 for key, bare in row_zips] if row_zips is not None
+                else row[1](chunk, *map(cols.__getitem__, row[0]))
+                for row, row_zips in zip(rows, zips)]
         if not order:
             tallies = [[Counter() for _ in row_keys] for row_keys in keys]
         order += len(chunk)
         for counters, row_keys in zip(tallies, keys):
             for counter, column in zip(counters, row_keys):
                 counter.update(column)
-    return tuple(map(tuple, tallies)), order
+    return tuple(tuple(map(_with_zeros, row, counters)) if isinstance(row, list)
+                 else tuple(counters) for row, counters in zip(rows, tallies)), order
 
 
 def genfun(group: str, n: int, q_stat: str = "length", t_stat: str = "del",

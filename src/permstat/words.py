@@ -35,19 +35,19 @@ selector decides only membership: every scan still enumerates each element
 as a one-line word, and a scan that reads the record pulls that element
 itself.  A whole-group pass reads the record fields that its rows need
 (length, delent, the indicator mask, the occurrence counts of the generators
-and, in A, the projection), of each element or of its inverse, a chunk of
-elements at a time, by one step of the pull per value: the slot of the top
-value d is read off the word itself, the word left (after the A parity swap)
-comes off the word by that slot's getter, and each field joins that slot's
-constant to the word left's field, one degree down (``_columns``).  The
-per-slot getters and constants (``_PLANS``) are the pull's step written out
-once per slot; they depend on the group and degree only.  The steps stop at
-a table of the pass's top degree, which the pass builds once by the same
-step from the words of each degree in turn, up from the kernels' records at
-degree 3 (``_table``).  So every field is a pure function of the word it is
-read for, and the table caches one, keyed by the word: no record is built
-from another by choosing a slot for the top value, which would walk the
-staircase product that the closed forms are.
+and, in A, the projection), of each element or of its inverse, a pack of
+elements at a time, a byte per letter in one integer, by one step of the
+pull per value: the slot of the top value d is read off each word itself,
+the word left (after the A parity swap) comes off the word by shifting its
+lanes from that slot, and each field adds that slot's constant (``_PLANS``,
+the pull's step written out per slot) to the word left's field, one degree
+down (``_columns``).  The steps stop at a table of the pass's top degree,
+which the pass builds once by the same step from the words of each degree
+in turn, up from the kernels' records at degree 3 (``_table``).  So every
+field is a pure function of the word it is read for, and the table caches
+one, keyed by the word's bytes: no record is built from another by choosing
+a slot for the top value, which would walk the staircase product that the
+closed forms are.
 A scan reads from a record only what the paper defines through the
 word: delent, indicator vectors, occurrence counts, and the alternating
 length and descents.  Symmetric statistics that are defined on the one-line
@@ -67,10 +67,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, islice, repeat, starmap
 from math import factorial
-from operator import add, itemgetter
-from typing import Iterable, Iterator
+from operator import add
+from struct import Struct, error as StructError, unpack
+from typing import Iterable, Iterator, Sequence
 
 from .perm import Perm, check_even, iter_alternating, iter_symmetric
 
@@ -249,53 +250,86 @@ class _Memo(dict):
         return value
 
 
-# The places of the record fields that a kernel record holds as they are.
-_FIELDS = {"length": 0, "delent": 1, "proj": 3}
+_CHUNK = 256  # words per chunk of a pass
+# A pack is a chunk of words of one length, a byte per letter in one integer:
+# (length, stride, size in bytes, the integer).  Word i fills the lanes (bytes)
+# from i * stride, its first letter lowest, and zero lanes pad it to its stride.
 
 
-def _field(record: tuple, f: str) -> int | Perm:
-    """Record field f off a kernel record: one of ``_FIELDS``, "ind", the indicator
-    mask, with bit j - 1 set when factor j's run reaches the first generator, or
-    "occ<k>", how many runs pass through the k-th generator."""
+def _packs(words: Iterable[Sequence[int]]) -> Iterator[tuple[int, int, int, int]]:
+    """A pack per chunk of ``_CHUNK`` words of the stream (``_pack``)."""
+    words = iter(words)
+    for first in words:  # packed as they come, so a stream may reuse a freed tuple
+        chunk = chain((first,), islice(words, _CHUNK - 1))
+        yield _pack(list(chunk) if isinstance(first, bytes) else chunk, len(first))
+
+
+def _pack(chunk: Iterable[Sequence[int]], length: int) -> tuple[int, int, int, int]:
+    """At most ``_CHUNK`` words of `length` letters in 0..127 (else ValueError), packed
+    at stride `length`; a list of bytes of that length is joined as it is."""
+    joined = (isinstance(chunk, list) and isinstance(chunk[0], bytes)
+              and set(map(len, chunk)) == {length})
+    try:
+        packed = b"".join(chunk if joined else starmap(Struct(f"{length}B").pack, chunk))
+    except StructError as e:
+        raise ValueError(f"words of {length} letters in 0..127 expected: {e}") from None
+    size, a = len(packed), int.from_bytes(packed, "little")
+    if a & _lanes(length, length, size)[0] << 7:
+        raise ValueError(f"words of {length} letters in 0..127 expected")
+    return length, length, size, a
+
+
+def _words(pack: tuple[int, int, int, int]) -> tuple[bytes, ...]:
+    """The words of a pack, as bytes."""
+    length, stride, size, a = pack
+    return unpack(f"{length}s{stride - length}x" * (size // stride), a.to_bytes(size, "little"))
+
+
+# (stride, degree d) -> over a full chunk: 0x01 in every lane, in each word's lane 0
+# and in its lane d - 1; 0xFF in its lanes 0..d - 2; d in every lane.
+_MASKS = _Memo(lambda key: tuple(
+    int.from_bytes(word.ljust(key[0], b"\0") * _CHUNK, "little") for word in (
+        b"\x01" * key[0], b"\x01", bytes(key[1] - 1) + b"\x01", b"\xff" * (key[1] - 1),
+        bytes(key[1:]) * key[0])))
+
+
+def _lanes(stride: int, d: int, size: int) -> tuple[int, ...]:
+    """``_MASKS`` of (stride, d), cut to a chunk of `size` bytes."""
+    masks = _MASKS[stride, d]
+    return masks if size == _CHUNK * stride else tuple(m & (1 << 8 * size) - 1 for m in masks)
+
+
+def _constants(slots: list[int], counts: bytes) -> Iterable[int]:
+    """A slot plan list's constant per word, off its count d - 1 - slot (``_columns``)."""
+    by_count = slots[::-1]
+    return (counts.translate(bytes(by_count).ljust(256, b"\0")) if max(by_count) < 256
+            else map(by_count.__getitem__, counts))
+
+
+def _field(record: tuple, f: str) -> int | bytes:
+    """Record field f off a kernel record: "length", "delent", "proj" (A), the projection
+    as bytes, "ind", the indicator mask, with bit j - 1 set when factor j's run reaches
+    the first generator, or "occ<k>", how many runs pass through the k-th generator."""
+    if f in ("length", "delent", "proj"):
+        return bytes(record[3]) if f == "proj" else record[f == "delent"]
     if f == "ind":
         return sum(1 << j for j, r in enumerate(record[2]) if r == 1)
-    return occurrences(record[2], int(f[3:])) if f.startswith("occ") else record[_FIELDS[f]]
+    return occurrences(record[2], int(f[3:]))
 
 
 def _slot_plan(key: tuple[str, int]) -> dict[str, list]:
-    """One step of the pull of the top value d out of a word of degree d, per slot of d.
-
-    "left" gets the word left, after the A parity swap, off the word;
-    "length", "delent", "ind" and each "occ<k>" with k up to the step's
-    factor j are what the step adds to the word left's record fields (see
-    ``_field``); "proj" (A) puts d - 1 into the word left's projection,
-    given with d - 1 appended.
-    """
+    """What one step of the pull of the top value d out of a word of degree d adds to the
+    word left's record fields (see ``_field``), per slot of d: "length", "delent",
+    "ind" and each "occ<k>" with k up to the step's factor j."""
     group, d = key
     j = d - 1 if group == "S" else d - 2  # the factor that the step pulls
-    plan: dict[str, list] = {f: [] for f in ("left", "length", "delent", "ind", "proj")}
-    plan.update((f"occ{k}", []) for k in range(1, j + 1))
-    for r in range(d):
-        rest = [i for i in range(d) if i != r]
-        if r == d - 1:
-            e, length, delent = None, 0, 0
-        elif group == "S":
-            e, length, delent = r + 1, d - 1 - r, int(r == 0)
-        else:
-            if (d - 1 - r) & 1:
-                rest[:2] = rest[1], rest[0]
-            e = max(r, 1)
-            length, delent = d - 1 - e, int(r < 2)
-        plan["left"].append(itemgetter(*rest))
-        plan["length"].append(length)
-        plan["delent"].append(delent)
-        plan["ind"].append(delent << j - 1)
-        for k in range(1, j + 1):
-            plan[f"occ{k}"].append(int(e is not None and e <= k))
-        if group == "A":
-            order = list(range(d - 2))
-            order.insert(d - 2 if e is None else e - 1, d - 2)
-            plan["proj"].append(itemgetter(*order))
+    # Its run ends at e from each slot r < d - 1 (S: r + 1; A: r, or 1 for the
+    # inverted tail at r = 0), and is empty from the last.
+    ends = [r + 1 if group == "S" else max(r, 1) for r in range(d - 1)] + [None]
+    plan = {"length": [0 if e is None else j + 1 - e for e in ends],
+            "delent": [int(e == 1) for e in ends], "ind": [int(e == 1) << j - 1 for e in ends]}
+    plan.update((f"occ{k}", [int(e is not None and e <= k) for e in ends])
+                for k in range(1, j + 1))
     return plan
 
 
@@ -304,14 +338,13 @@ _HELD_RECORDS = 5_040  # the most records a pass's table holds: the order of S_7
 
 
 def _table(group: str, degree: int, fields: list[str]) -> tuple[int, dict]:
-    """A pass's top degree and table: each word of that degree -> the tuple of its named fields.
+    """A pass's top degree and table: each word of that degree, as bytes -> its fields.
 
-    The pass is over words of `degree`.  Its top degree is the largest
-    below `degree` whose words (d! in S, d!/2 in A) fit in
-    ``_HELD_RECORDS``, and never below 3; a `degree` of 3 or less is its
-    own.  The words of degree 3 or less read their fields off the kernels,
-    and the words of each degree above, in turn, step down to the table of
-    the degree below (``_columns``).
+    The pass is over words of `degree`.  Its top degree is the largest below
+    `degree` whose words (d! in S, d!/2 in A) fit in ``_HELD_RECORDS``, and
+    never below 3; a `degree` of 3 or less is its own.  The words of degree
+    3 or less read their fields off the kernels, and those of each degree
+    above, a pack at a time, step down to the table below (``_columns``).
     """
     elements, size = ((iter_symmetric, factorial) if group == "S"
                       else (iter_alternating, lambda d: factorial(d) // 2))
@@ -320,38 +353,50 @@ def _table(group: str, degree: int, fields: list[str]) -> tuple[int, dict]:
         top += 1
     # The kernels are looked up when the table is built, so a patched one is seen.
     kernel = s_pull if group == "S" else a_pull
-    table = {w: tuple(map(_field, repeat(kernel(w)), fields)) for w in elements(min(top, 3))}
+    table = {bytes(w): tuple(map(_field, repeat(kernel(w)), fields))
+             for w in elements(min(top, 3))}
     for d in range(4, top + 1):
-        ws = list(elements(d))
-        table = dict(zip(ws, zip(*_columns(group, ws, (d - 1, table), fields))))
+        held, table = (d - 1, table), {}
+        for pack in _packs(elements(d)):
+            cols = _columns(group, pack, held, fields)
+            table.update(zip(_words(pack), zip(*(_words(c) if f == "proj" else c
+                                                  for f, c in zip(fields, cols)))))
     return top, table
 
 
-def _columns(group: str, ws: list[Perm], held: tuple[int, dict], fields: list[str]) -> list:
-    """The named record fields of the words ws, all of one degree, one column per field in turn.
+def _columns(group: str, pack: tuple[int, int, int, int], held: tuple[int, dict],
+             fields: list[str]) -> list:
+    """The named record fields of a pack's words, all of degree d, one column per field.
 
     `held` is a top degree and its table (``_table``), made for these
-    fields.  A word of the top degree reads its fields there.  A word above
-    it takes one step of its pull: the slot of its top value d comes off the
-    word itself and the word left off that slot.  From the columns one
-    degree down, length, delent, the indicator mask and each occurrence
-    count add the slot's constant, and "proj" puts d - 1 in at the slot.
+    fields.  A word of the top degree reads its fields there; a word above
+    takes one step of its pull, a whole pack at once.  Each field adds the
+    slot plan's constant (``_PLANS``, read as the step runs) to the word
+    left's; "proj" comes out as a pack, d - 1 put in at max(slot - 1, 0).
     """
-    d = len(ws[0])
+    d, stride, size, a = pack
     if d == held[0]:
-        return list(zip(*map(held[1].__getitem__, ws)))
+        pad = bytes(stride - d + 1)
+        return [(d - 1, stride, size, int.from_bytes(pad.join(col) + pad, "little"))
+                if f == "proj" else col
+                for f, col in zip(fields, zip(*map(held[1].__getitem__, _words(pack))))]
+    ones, starts, ends, keep, ds = _lanes(stride, d, size)
+    h = ones << 7
+    slot = ((h - (a ^ ds)) & h) >> 7  # 0x01 at the slot of d: (h - x) & h is set where x is 0
+    rest = ends - slot  # 0xFF from the slot to lane d - 2, which take the letter one lane on
+    left = (a & (keep ^ rest)) | ((a >> 8) & rest)
+    sums = (rest & ones) * int.from_bytes(b"\x01" * stride, "little")  # in each last lane
+    if group == "A":  # sums count d - 1 - slot; where that is odd, the pull swaps lanes 0, 1
+        swap = (left ^ (left >> 8)) & ((sums >> 8 * stride - 8) & starts) * 0xFF
+        left ^= swap | (swap << 8)
+    counts = sums.to_bytes(size + stride - 1, "little")[stride - 1::stride]
+    at = ((slot >> 8) & keep) | (slot & starts) if "proj" in fields else 0  # max(slot - 1, 0)
     plan = _PLANS[group, d]
-    slots = list(map(tuple.index, ws, repeat(d)))
-    left = plan["left"]
-    below = _columns(group, [left[r](w) for r, w in zip(slots, ws)], held, fields)
-    out = []
-    for f, col in zip(fields, below):
-        if f == "proj":
-            put, top = plan["proj"], (d - 1,)
-            out.append([put[r](p + top) for r, p in zip(slots, col)])
-        else:  # a count of a generator above the step's factor passes it by
-            out.append(list(map(add, col, map(plan[f].__getitem__, slots))) if f in plan else col)
-    return out
+    return [(d - 1, stride, size, (col[3] & (at - starts)) | ((col[3] << 8) & (ends - (at << 8)))
+             | at * (d - 1)) if f == "proj"
+            # a count of a generator above the step's factor passes it by
+            else list(map(add, col, _constants(plan[f], counts))) if f in plan else col
+            for f, col in zip(fields, _columns(group, (d - 1, stride, size, left), held, fields))]
 
 
 def a_canonical(v: Perm) -> AWord:

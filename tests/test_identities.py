@@ -729,7 +729,7 @@ def test_a_wrong_table_record_fails_the_delent_scans(monkeypatch):
     # 3; one wrong delent there reaches both delent scans.
     from permstat import stats
 
-    table, wrong = stats._table, (2, 3, 1, 4)
+    table, wrong = stats._table, bytes((2, 3, 1, 4))
     tops = []
 
     def wrong_table(group, degree, fields):
@@ -987,7 +987,7 @@ def test_main_names_a_fibre_outside_its_bits(monkeypatch, name):
     report = verify(name, n)
     assert not report.passed and report.params["failed_at"]["mask"] >> (99 + n) & 1
     monkeypatch.setattr(identities, "ltr_minima", lambda p, *args: minima(p, *args) | (
-        {99} if p == tuple(sorted(p)) else set()))
+        {99} if tuple(p) == tuple(sorted(p)) else set()))
     report = verify(name, n)
     assert not report.passed and report.params["failed_at"] == {"mask": 1 << (99 + n)}
     assert report.rhs == MultiPoly.zero() and report.lhs != report.rhs

@@ -10,6 +10,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
+from collections import Counter
 
 import pytest
 
@@ -94,10 +96,12 @@ def test_a_pull_projection_descents_match_comparison():
 _OCCURRENCES = tuple(f"occ{k}" for k in range(1, 8))
 
 
-def _record_fields(record, fields):
-    """The named pass fields of a kernel record, read off the record itself."""
+def _record_fields(record, fields, proj=tuple):
+    """The named pass fields of a kernel record, read off the record itself; a table
+    holds the projection as bytes."""
     mask = sum(bit << j for j, bit in enumerate(indicators(record[2])))
-    values = {"length": record[0], "delent": record[1], "proj": record[3] if len(record) > 3 else None,
+    values = {"length": record[0], "delent": record[1],
+              "proj": proj(record[3]) if len(record) > 3 else None,
               "ind": mask, **{f: occurrences(record[2], k)
                               for k, f in enumerate(_OCCURRENCES, start=1)}}
     return tuple(values[f] for f in fields)
@@ -139,8 +143,8 @@ def test_pass_records_equal_kernel_records(monkeypatch, bound):
             # its own fields; only words of degree 3 or less reach the kernels.
             (top, held), = tables
             assert top == (n if n <= 3 else min(n - 1, most)), (group, n)
-            assert sorted(held) == sorted(words_of(top)), (group, n)
-            assert all(rec == _record_fields(kernel(w), fields)
+            assert sorted(held) == sorted(map(bytes, words_of(top))), (group, n)
+            assert all(rec == _record_fields(kernel(w), fields, bytes)
                        for w, rec in held.items()), (group, n)
             assert sorted(pulled) == sorted(words_of(min(n, 3))), (group, n)
 
@@ -158,9 +162,78 @@ def test_pass_reads_inverse_records_through_its_table(monkeypatch, bound):
         ((records,),), count = histograms("A", m - 1, (fields, lambda ps, *cols: [zip(ps, *cols)]))
         assert sum(records.values()) == count == len(records) == len(_evens(m))
         for v, vinv, delent, *theirs in records:
-            assert vinv == inverse(v) and delent == a_pull(v)[1], v
+            assert tuple(vinv) == inverse(v) and delent == a_pull(v)[1], v
             assert tuple(theirs) == _record_fields(a_pull(vinv), (
                 "length", "delent", "proj", "ind", "occ1", "occ2")), v
+
+
+def _stepped(group, ws, held, fields):
+    """The pass columns of the words ws, a pack of at most ``_CHUNK`` at a time; the
+    projections as tuples."""
+    out = [[] for _ in fields]
+    for pack in words._packs(ws):
+        for f, col, got in zip(fields, out, words._columns(group, pack, held, fields)):
+            col.extend(map(tuple, words._words(got)) if f == "proj" else got)
+    return out
+
+
+@pytest.mark.parametrize("group, n_max", [("S", 8), ("A", 9)])
+def test_packed_step_fields_equal_kernel_records(monkeypatch, group, n_max):
+    # The step pulls the top value out of a whole pack of words at once, and
+    # a word stays at its pack's stride through every step down to the table.
+    # Unbounded, every group here is at most two values above its top table;
+    # bounded at 12 and 24 records, the tables are of degree 3 or 4, so the
+    # words of degree 8 and 9 take four or five steps at a stride above their
+    # degree.  Every field of every word equals the kernel's record, on the
+    # whole group and on streams of 1, 255, 256 and 257 words (a pack of 256
+    # and one of 1) from its first, middle and last words, which hold the top
+    # value at slot d - 1 (first) and 0 (last), and at slots where the step's
+    # parity swap in A runs and where it does not.
+    kernel, words_of = (s_pull, _perms) if group == "S" else (a_pull, _evens)
+    unbounded = words._HELD_RECORDS
+    fields = ["length", "delent", "ind", *_OCCURRENCES] + (["proj"] if group == "A" else [])
+    for n in range(1, n_max + 1):
+        ws = list(words_of(n))
+        expected = [list(col) for col in zip(*(_record_fields(kernel(w), fields) for w in ws))]
+        streams = [(ws, expected)]
+        for k in (1, 255, 256, 257):
+            for start in {0, len(ws) // 2, max(0, len(ws) - k)}:
+                streams.append((ws[start:start + k], [col[start:start + k] for col in expected]))
+        slots = {w.index(n) for stream, _ in streams[1:] for w in stream}
+        assert n < 3 or {0, n - 1} <= slots and {(n - 1 - r) & 1 for r in slots} == {0, 1}
+        degree = n if group == "S" else n - 1
+        for bound in (None, 12, 24):
+            monkeypatch.setattr(words, "_HELD_RECORDS", bound or unbounded)
+            held = words._table(group, n, fields)
+            assert held[0] == (n if n <= 3 else min(n - 1, 7 if bound is None else
+                                                    3 + (group == "A" or bound == 24))), n
+            for stream, want in streams:
+                assert _stepped(group, stream, held, fields) == want, (group, n, bound)
+            if bound is None:  # the pass reads the same fields the same way
+                ((records,),), _ = histograms(group, degree, (
+                    fields, lambda ps, *cols: [zip(ps, *cols)]))
+                assert records == Counter(zip(ws, *expected)), (group, n)
+
+
+def test_table_builds_step_a_chunk_at_a_time(monkeypatch):
+    # The table of each degree is built from the one below, a pack of at most
+    # ``_CHUNK`` words at a time: no build steps more words at once.
+    columns, stepped = words._columns, []
+
+    def counted(group, pack, held, fields):
+        if pack[0] > held[0]:
+            stepped.append(pack[2] // pack[1])
+        return columns(group, pack, held, fields)
+
+    monkeypatch.setattr(words, "_columns", counted)
+    for group, degree in (("S", 8), ("A", 9)):
+        stepped.clear()
+        top, table = words._table(group, degree, ["length", "delent"])
+        assert top == 7 and len(table) == (5_040 if group == "S" else 2_520)
+        assert max(stepped) == words._CHUNK, group
+        # Every word of degree 4 to 7 took one step as its degree's table was built.
+        assert sum(stepped) == sum(math.factorial(d) // (1 if group == "S" else 2)
+                                   for d in range(4, 8)), group
 
 
 _DESCENT_COLUMNS = ("maj", "rmaj", "des", "desmask")
@@ -188,7 +261,7 @@ def test_descent_columns_equal_public_statistics(monkeypatch, group, bound):
                                                      lambda ps, *cols: [zip(ps, *cols)]))
         assert sum(records.values()) == count == len(records)
         for p, pinv, *values in records:
-            assert pinv == inverse(p)
+            assert tuple(pinv) == inverse(p)
             assert values == [f(w) for w in (p, pinv) for f in (
                 maj, lambda w: rmaj(w, n), des, lambda w: sum(1 << i for i in des_set(w)))], p
 
@@ -291,6 +364,21 @@ def test_genfun_above_the_top_table_is_pinned():
     digests = {args: hashlib.sha256(json.dumps(genfun(*args).to_json(), sort_keys=True)
                                     .encode()).hexdigest() for args in GENFUN_DIGESTS}
     assert digests == GENFUN_DIGESTS
+
+
+@pytest.mark.parametrize("group, n", [("S", 5), ("A", 4)])
+def test_keys_with_zero_columns_tally_as_their_zips(group, n):
+    # A zip key with "zero" columns tallies its other columns, bare when one
+    # is left, and gets its zeros back: each histogram equals the tally of
+    # the key's own zip, which a (fields, row) row makes here.
+    keys = [("inversions", "zero"), ("zero", "delent"), ("zero", "maj", "zero"),
+            ("delent", "zero", "rmaj"), ("zero", "zero"), ("maj",), ("length", "delent")]
+    fields = list(dict.fromkeys(f for key in keys for f in key))
+    (zipped, tallies), _ = histograms(group, n, keys, (fields, lambda ps, *cols: [
+        zip(*(cols[fields.index(f)] for f in key)) for key in keys]))
+    assert zipped == tallies and all(type(hist) is Counter for hist in zipped)
+    if group == "S":
+        assert zipped[0] == Counter((length_s(p), 0) for p in _perms(n))
 
 
 def test_genfun_rejects_bad_arguments():
