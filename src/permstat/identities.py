@@ -35,21 +35,20 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial, reduce
-from operator import add, itemgetter, mul, not_
+from operator import add, itemgetter, mul
 from typing import Iterator
 
 from .catalog import REGISTRY, CapExceeded, IdentityEntry, resolve  # noqa: F401
 from .cover import iter_fiber
-from .perm import Perm, compose, cycle_count, inverse, iter_symmetric, nu
+from .perm import Perm, compose, inverse, iter_symmetric, nu
 from .qpoly import MultiPoly, geometric, q_binomial, q_factorial
 from .stats import (
     EXCLUDE_FIRST_POSITIONS,
     _descent_table,
     _descents,
-    _folds,
     _indicator_keys,
-    _lengths,
     _maj_rmaj,
+    _mask,
     _pack_descents,
     histograms,
     length_s,
@@ -106,10 +105,6 @@ def _const(c: int) -> Side:
 def _embed_high(p: Perm, k: int, n: int) -> Perm:
     """Place a permutation of degree n-k on the values k+1..n."""
     return tuple(range(1, k + 1)) + tuple(x + k for x in p)
-
-
-def _mask(positions: set[int] | list[int]) -> int:
-    return sum(1 << i for i in positions)  # bit i for each of the distinct positions i
 
 
 # Each factor reaching the first generator has this many lifts: s_1 lifts
@@ -175,47 +170,20 @@ def _subset_sums(fibres: dict[int, list[dict]], bits: list[int]) -> list[list[di
 # finish, which gets n, the first column's group order and every histogram in
 # column order.  Scan sides may share a pass; no closed form reads a tally.
 
-def _main_row(group, n):
-    """The main theorem's row: rmaj and length, each keyed by the inverse's mask,
-    its descents in the low n bits and its minima (level 0 in S, level 1 in A)
-    shifted above them."""
-    level, length = (0, "inversions") if group == "S" else (1, "length")
-
-    def row(ps, descents, inverses, rmaj, ell):
-        masks = [m | _mask(ltr_minima(q, level, EXCLUDE_FIRST_POSITIONS)) << n
-                 for m, q in zip(descents, inverses)]
-        return [zip(masks, rmaj), zip(masks, ell)]
-    return ("inverse-desmask", "inverse", "rmaj", length), row
-
-
-def _hat_row(n, js):
-    """The folds' row: length and maj of each h_map(v, j), j over `js` (``stats._folds``)."""
-    folds, measures = _folds(js), (_lengths, partial(_descents, table=_descent_table(sum)))
-
-    def row(ps, inverses):  # each key a bare exponent, which tallies faster than a tuple
-        words = list(map(bytes, ps))
-        own = [list(measure(words)) for measure in measures]
-        return [itertools.chain(itertools.compress(keys, map(not_, at)), measure(folded))
-                for at, folded in folds(words, inverses) for keys, measure in zip(own, measures)]
-    return ("inverse",), row
-
-
 def _zip(*keys):
     """A row maker for the row of these keys, at every degree."""
     return lambda n: list(keys)
 
 
 # (row, group) -> maker(degree, *args) -> the row: a list of keys, each a
-# tuple of column names whose zip one histogram tallies, or a (fields, row)
-# pair that maps a chunk of elements and those fields' columns to one key
-# column per histogram (see ``stats.histograms``).  Symmetric lengths are
+# tuple of column names (see ``stats.histograms``).  Symmetric lengths are
 # inversion counts (the pass's "inversions" column), alternating ones come
 # from the record, and descents are read off the one-line word in S and the
 # projection in A.  Corollary 9.2 scans over q = p^{-1}, which runs over the
-# whole group as p does: p's statistics are the pass's "inverse-" columns.
-# The folds are built and measured a chunk at a time; only the main theorem's
-# minima and the cycle counts, a third path apart from both the delent scan
-# and closed forms, are computed per element here.
+# whole group as p does: p's statistics are the pass's "inverse-" columns,
+# as are the main theorem's masks.  The cycle counts are a third path, apart
+# from both the delent scan and the closed forms.
+_INVERSE_MASKS = ("inverse-desmask", "inverse-minmask")  # the main theorem's fibres
 _ROWS = {
     ("len-maj", "S"): _zip(("inversions", "zero"), ("maj", "zero")),
     ("descent-class", "S"): _zip(*(("inverse-desmask", q) for q in ("inversions", "maj", "rmaj"))),
@@ -225,18 +193,18 @@ _ROWS = {
     ("rmaj-del", "A"): _zip(("rmaj", "delent")),
     ("del", "S"): _zip(("zero", "delent")),
     ("del", "A"): _zip(("zero", "delent")),
-    ("cycles", "S"): lambda n: ((), lambda ps: [map(cycle_count, ps)]),
+    ("cycles", "S"): _zip(("cycles",)),
     ("len-ind", "S"): _zip(("inversions", "ind")),
     ("len-ind", "A"): _zip(("length", "ind")),
     ("ind", "S"): _zip(("zero", "ind")),
     ("ind", "A"): _zip(("zero", "ind")),
     ("occurrences", "S"): lambda n, ks: [("zero", f"occ{k}") for k in ks],
-    ("main", "S"): partial(_main_row, "S"),
-    ("main", "A"): partial(_main_row, "A"),
+    ("main", "S"): _zip((*_INVERSE_MASKS, "rmaj"), (*_INVERSE_MASKS, "inversions")),
+    ("main", "A"): _zip((*_INVERSE_MASKS, "rmaj"), (*_INVERSE_MASKS, "length")),
     ("cor92", "S"): _zip(("inverse-rmaj", "des", "delent"),
                          ("inverse-inversions", "des", "delent")),
     ("cor92", "A"): _zip(("inverse-rmaj", "des", "delent"), ("inverse-length", "des", "delent")),
-    ("hat", "A"): _hat_row,
+    ("hat", "A"): lambda n, js: [(f"hat-{s}{j}",) for j in js for s in ("length", "maj")],
 }
 
 
@@ -349,9 +317,10 @@ def _prop511(n, count, *accs):
 
 def _main(group, n, count, *tallies):
     d2_count = n - 1 if group == "S" else n
-    # D1 restricts mask bits 1..n-1 and D2 the minima bits from n + 2 up.
+    # D1 restricts the descent bits 1..n-1 and D2 the minima bits, shifted by n, from n + 2 up.
     bits = list(range(1, n)) + list(range(n + 2, n + 2 + d2_count))
-    fibres, outside = _fibres(tallies), ~_mask(bits)
+    fibres = _fibres([{(d | m << n, e): c for (d, m, e), c in t.items()} for t in tallies])
+    outside = ~_mask(bits)
     stray = min((m for m in fibres if m & outside), default=None)
     if stray is not None:  # such a fibre lies in no subset sum: it fails, named
         yield {"mask": stray}, (0, fibres[stray][0]), _const(0), count

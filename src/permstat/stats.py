@@ -19,14 +19,16 @@ left-to-right minima; ``ltr_minima`` implements the whole family of
 under both exclusion conventions.
 
 ``histograms`` tallies rows of keys over a whole group in one pass, each
-histogram by its own ``Counter``.  A row zips named columns: the record
-fields, the inversion count and the descent statistics maj, rmaj, des and
-descent mask, of each element and of its inverse.  The last five read an S
-element's word and an A element's projection alike, a pack of words at
-once, a byte per letter in one integer (``_pack_lengths``,
-``_pack_descents``); ``_folds`` folds a chunk's words by ``bytes.translate``.
-Which rows share a pass, and the rows themselves, are the registry's
-business: see ``identities._ROWS``, ``_tally_passes`` and ``plan``.
+histogram by its own ``Counter``: a one-column key's bare values, a longer
+key's zip.  The columns are the record fields, the inversion count, the
+descent statistics, the cycle count and the minima mask, of each element
+and of its inverse, and the length and maj of each fold ``h_map(v, j)``.
+Inversions and descents read an S element's word, an A element's
+projection and a folded word alike, a pack of words at once, a byte per
+letter in one integer (``_pack_lengths``, ``_pack_descents``); ``_folds``
+folds a chunk's words by ``bytes.translate``.  Which rows share a pass, and
+the rows themselves, are the registry's business: see ``identities._ROWS``,
+``_tally_passes`` and ``plan``.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ from itertools import chain, combinations, compress, count, islice, repeat, star
 from operator import gt
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .perm import Perm, check_even, iter_alternating, iter_symmetric
+from .perm import Perm, check_even, cycle_count, iter_alternating, iter_symmetric
 from .words import (_CHUNK, _columns, _lanes, _Memo, _pack, _packs, _table, _words, a_pull,
                     indicators, s_pull)
 
@@ -122,6 +124,10 @@ def ltr_minima(p: Perm, level: int = 0, kind: str = EXCLUDE_FIRST_POSITIONS) -> 
             insort(kept, x)
             del kept[level + 1:]
     return out
+
+
+def _mask(positions: Iterable[int]) -> int:
+    return sum(1 << i for i in positions)  # bit i for each of the distinct positions i
 
 
 def del_s(p: Perm) -> int:
@@ -284,7 +290,7 @@ def _descent_stat(stat: str, n: int, des: list[int]) -> int:
         return sum(des)
     if stat == "rmaj":
         return n * len(des) - sum(des)
-    return len(des) if stat == "des" else sum(1 << i for i in des)
+    return len(des) if stat == "des" else _mask(des)
 
 
 def _descent_table(value: Callable[[list[int]], object]) -> _Memo:
@@ -314,11 +320,6 @@ _PAIRS = _Memo(lambda key: [int.from_bytes((b"\x80" * (key[0] - d)).ljust(key[1]
                                            * _CHUNK, "little") for d in range(1, key[0])])
 
 
-def _lengths(words: Iterable[Sequence[int]]) -> Iterator[int]:
-    """``_pack_lengths`` of each chunk of the stream."""
-    return chain.from_iterable(map(_pack_lengths, _packs(words)))
-
-
 def _pack_lengths(pack: tuple[int, int, int, int]) -> bytes:
     """``length_s`` of each word of a pack: lane i of ``(a | h) - (h >> 7) - (a >> 8d)``
     (h: 0x80 in every lane) is 0x7F + this - the letter d places on, its top bit set
@@ -337,14 +338,14 @@ def _pack_lengths(pack: tuple[int, int, int, int]) -> bytes:
 
 
 def _folds(js: Sequence[int]) -> Callable:
-    """``h_map`` at each j of `js`: (words as bytes, their inverses) of a chunk -> per j,
-    each word's flag, set where its inverse descends at j, and the flagged words
-    with the letters j and j + 1 swapped; an unflagged word is its own fold."""
-    flags = _descent_table(lambda des: tuple(j in des for j in js))
+    """``h_map`` at each j of `js`: (a chunk's words as bytes, the pack of their inverses)
+    -> per j, every word folded, in order: its letters j and j + 1 swapped by
+    ``bytes.translate`` where its inverse descends at j, and kept elsewhere."""
+    same = bytes(range(256))
     swaps = [bytes.maketrans(bytes((j, j + 1)), bytes((j + 1, j))) for j in js]
-    return lambda words, inverses: (
-        (at, list(map(bytes.translate, compress(words, at), repeat(swap))))
-        for swap, at in zip(swaps, zip(*_descents(inverses, flags))))
+    tables = _descent_table(lambda des: [swap if j in des else same for j, swap in zip(js, swaps)])
+    return lambda words, inverses: (list(map(bytes.translate, words, at))
+                                    for at in zip(*_pack_descents(inverses, tables)))
 
 
 def _indicator_keys(hist: Counter, arity: int) -> dict:
@@ -354,8 +355,8 @@ def _indicator_keys(hist: Counter, arity: int) -> dict:
 
 
 def _with_zeros(key: tuple[str, ...], hist: Counter) -> Counter:
-    """A tally of a key's columns but "zero", bare values when one is left, as the key's."""
-    if "zero" not in key:
+    """A tally of a key's columns but "zero", bare when one is left, as the key's."""
+    if len(key) == 1 or "zero" not in key:
         return hist
     one = sum(f != "zero" for f in key) < 2
 
@@ -364,21 +365,16 @@ def _with_zeros(key: tuple[str, ...], hist: Counter) -> Counter:
     return Counter({spread(iter((v,) if one else v)): c for v, c in hist.items()})
 
 
-def histograms(group: str, n: int,
-               *rows: list[tuple[str, ...]] | tuple[tuple[str, ...], Callable]
+def histograms(group: str, n: int, *rows: list[tuple[str, ...]]
                ) -> tuple[tuple[tuple[Counter, ...], ...], int]:
     """Tally several rows of keys per element over a whole group, in one pass.
 
     Group "S" is the symmetric group of degree n and "A" the alternating
     group of degree n + 1, which projects onto it.  The pass computes named
     columns, one value per element, and a row is a list of keys, each a
-    tuple of column names: one histogram tallies the zip of a key's columns.
-    A row may instead be a pair (fields, row) of the columns it reads and
-    ``row(chunk, *columns)``, which gets a chunk of elements and those
-    columns, in the order named, and returns one column of keys per
-    histogram, of the same number for every chunk; each is tallied whole,
-    by its own ``Counter``, before the next is read.  Returns, per row, one
-    histogram (its ``Counter``) per key, and the group order.
+    tuple of column names.  One histogram tallies a key: the bare values of
+    its column when it names one, else the zip of its columns.  Returns, per
+    row, one histogram (its ``Counter``) per key, and the group order.
 
     The columns are "zero", all zeros; the record fields "length",
     "delent", "ind" (the indicator mask), "occ<k>" (the occurrence count of
@@ -387,8 +383,14 @@ def histograms(group: str, n: int,
     (ambient degree n), "des" and "desmask" (bit i set for a descent at i);
     and "inversions", the inversion count (``length_s``).  These last five
     are read off the element's one-line word in S and off its projection in
-    A, never off the record.  "inverse" is each element's inverse, as
-    bytes, and "inverse-<column>" each column but "zero" of it.
+    A, never off the record.  "cycles" (``cycle_count``) and "minmask" (bit
+    i set for each position of ``ltr_minima``, level 0 in S and 1 in A) are
+    computed per element off its one-line word, by the functions this
+    module holds when the pass runs.  "inverse" is each element's inverse,
+    as bytes, and "inverse-<column>" each column above but "zero" of it.
+    "hat-length<j>" and "hat-maj<j>" are ``length_s`` and ``maj_s`` of
+    ``h_map(element, j)``, both measured on one pack of the chunk's words
+    folded at j (``_folds``).
 
     The pass runs ``_CHUNK`` elements at a time and computes, at C level
     where it can, each column that some row reads once per chunk, and no
@@ -403,54 +405,60 @@ def histograms(group: str, n: int,
     columns, bare when one is left, and gets its zeros back per distinct key.
     """
     if group == "S":
-        elements, degree = iter_symmetric(n), n
+        elements, degree, level = iter_symmetric(n), n, 0
     elif group == "A":
-        elements, degree = iter_alternating(n + 1), n + 1
+        elements, degree, level = iter_alternating(n + 1), n + 1, 1
     else:
         raise ValueError(f"unknown group {group!r}; expected 'S' or 'A'")
-    named = [list(chain.from_iterable(row)) if isinstance(row, list) else row[0] for row in rows]
-    fields = list(dict.fromkeys(chain.from_iterable(named)))
-    own = {f: f.removeprefix("inverse-") for f in fields}
+    keys = [key for row in rows for key in row]
+    fields = list(dict.fromkeys(chain.from_iterable(keys)))
+    js = sorted({int(f.removeprefix("hat-length").removeprefix("hat-maj"))
+                 for f in fields if f.startswith("hat-")})
+    own = {f: f.removeprefix("inverse-") for f in fields if not f.startswith("hat-")}
     pulled = [f for f in dict.fromkeys("proj" if group == "A" and s in _WORD_STATS else s
                                        for s in own.values())
-              if f not in ("zero", "inverse", *_WORD_STATS)]
+              if f not in ("zero", "inverse", "cycles", "minmask", *_WORD_STATS)]
     # Each column read off a word: its side's prefix, and its descent table.
     worded = [(f, f.removesuffix(s), None if s == "inversions"
                else _descent_table(partial(_descent_stat, s, n)))
               for f, s in own.items() if s in _WORD_STATS]
-    theirs = any(f.startswith("inverse") for f in fields)
-    zips = [[([f for f in key if f != "zero"] or ["zero"], "zero" in key) for key in row]
-            if isinstance(row, list) else None for row in rows]
+    # Each column computed per element off a one-line word: its side's prefix, and how.
+    counted = [(f, f.removesuffix(s), cycle_count if s == "cycles" else
+                lambda w: _mask(ltr_minima(w, level, EXCLUDE_FIRST_POSITIONS)))
+               for f, s in own.items() if s in ("cycles", "minmask")]
+    theirs = js or any(f.startswith("inverse") for f in fields)
+    zips = [[f for f in key if f != "zero"] or ["zero"] for key in keys]
+    counters = [Counter() for _ in keys]
     held = _table(group, degree, pulled) if pulled else None
     ident = bytes(range(1, degree + 1))
-    tallies: list[list[Counter]] = []
+    folds, sums = (_folds(js), _descent_table(sum)) if js else (None, None)
     order = 0
     for chunk in iter(lambda: list(islice(elements, _CHUNK)), []):
         cols, packs = {"zero": [0] * len(chunk)}, {}
         if pulled or worded or theirs:
             packs[""] = _pack(chunk, degree)
         if theirs:
+            words = _words(packs[""])
             cols["inverse"] = inverses = list(map(ident.translate, map(
-                bytes.maketrans, _words(packs[""]), repeat(ident))))
+                bytes.maketrans, words, repeat(ident))))
             packs["inverse-"] = _pack(inverses, degree)
         for side, pack in packs.items() if pulled else ():
             cols.update(zip([side + f for f in pulled], _columns(group, pack, held, pulled)))
         for f, side, table in worded:
             pack = cols[side + "proj"] if group == "A" else packs[side]
             cols[f] = _pack_lengths(pack) if table is None else list(_pack_descents(pack, table))
-        cols.update((f, list(map(tuple, _words(cols[f])))) for f in fields if own[f] == "proj")
-        keys = [[cols[key[0]] if bare and len(key) == 1 else zip(*map(cols.__getitem__, key))
-                 for key, bare in row_zips] if row_zips is not None
-                else row[1](chunk, *map(cols.__getitem__, row[0]))
-                for row, row_zips in zip(rows, zips)]
-        if not order:
-            tallies = [[Counter() for _ in row_keys] for row_keys in keys]
+        for f, side, measure in counted:
+            cols[f] = list(map(measure, cols["inverse"] if side else chunk))
+        for j, folded in zip(js, folds(words, packs["inverse-"]) if js else ()):
+            pack = _pack(folded, degree)
+            cols[f"hat-length{j}"] = _pack_lengths(pack)
+            cols[f"hat-maj{j}"] = list(_pack_descents(pack, sums))
+        cols.update((f, list(map(tuple, _words(cols[f])))) for f in own if own[f] == "proj")
         order += len(chunk)
-        for counters, row_keys in zip(tallies, keys):
-            for counter, column in zip(counters, row_keys):
-                counter.update(column)
-    return tuple(tuple(map(_with_zeros, row, counters)) if isinstance(row, list)
-                 else tuple(counters) for row, counters in zip(rows, tallies)), order
+        for counter, key in zip(counters, zips):
+            counter.update(cols[key[0]] if len(key) == 1 else zip(*map(cols.__getitem__, key)))
+    hists = iter(map(_with_zeros, keys, counters))
+    return tuple(tuple(islice(hists, len(row))) for row in rows), order
 
 
 def genfun(group: str, n: int, q_stat: str = "length", t_stat: str = "del",

@@ -17,7 +17,7 @@ import pytest
 
 from oracles import des_set_a_by_comparison
 from permstat import stats, words
-from permstat.perm import inverse, iter_alternating, sign
+from permstat.perm import cycle_count, inverse, iter_alternating, sign
 from permstat.stats import (
     EXCLUDE_FIRST_POSITIONS,
     del_a,
@@ -28,6 +28,8 @@ from permstat.stats import (
     des_set_a,
     des_set_s,
     genfun,
+    hat_ell,
+    hat_maj,
     histograms,
     length_a,
     length_s,
@@ -119,7 +121,8 @@ def test_pass_records_equal_kernel_records(monkeypatch, bound):
     # field is asked for here: the indicator mask, with bit j - 1 for factor
     # j, and the occurrence count of each generator.  It has no field for
     # the factor starts or ends themselves, nor for the inverted tails of an
-    # A record, which no row reads.
+    # A record, which no row reads.  Each key is led by the element's
+    # inverse, from which the element is recovered.
     if bound is not None:
         monkeypatch.setattr(words, "_HELD_RECORDS", bound)
     tables, table = [], words._table
@@ -135,9 +138,10 @@ def test_pass_records_equal_kernel_records(monkeypatch, bound):
             pulled.clear()
             tables.clear()
             ((records,),), count = histograms(group, n if group == "S" else n - 1,
-                                              (fields, lambda ps, *cols: [zip(ps, *cols)]))
+                                              [("inverse", *fields)])
             assert sum(records.values()) == count == len(records)
-            for p, *rec in records:
+            for pinv, *rec in records:
+                p = inverse(tuple(pinv))
                 assert tuple(rec) == _record_fields(kernel(p), fields), (group, p)
             # One table, which holds every word of its degree once, each with
             # its own fields; only words of degree 3 or less reach the kernels.
@@ -153,15 +157,19 @@ def test_pass_records_equal_kernel_records(monkeypatch, bound):
 def test_pass_reads_inverse_records_through_its_table(monkeypatch, bound):
     # A row may name fields of each element's inverse.  The pass reads them
     # through the same table and steps as the element's own, and they equal
-    # the kernel's record of the inverse.
+    # the kernel's record of the inverse.  The element is the inverse of its
+    # inverse, and the elements so recovered are the whole group.
     if bound is not None:
         monkeypatch.setattr(words, "_HELD_RECORDS", bound)
     fields = ("inverse", "delent", "inverse-length", "inverse-delent", "inverse-proj",
               "inverse-ind", "inverse-occ1", "inverse-occ2")
     for m in range(1, 8):
-        ((records,),), count = histograms("A", m - 1, (fields, lambda ps, *cols: [zip(ps, *cols)]))
+        ((records,),), count = histograms("A", m - 1, [fields])
         assert sum(records.values()) == count == len(records) == len(_evens(m))
-        for v, vinv, delent, *theirs in records:
+        elements = {vinv: inverse(tuple(vinv)) for vinv, *_ in records}
+        assert sorted(elements.values()) == sorted(_evens(m))
+        for vinv, delent, *theirs in records:
+            v = elements[vinv]
             assert tuple(vinv) == inverse(v) and delent == a_pull(v)[1], v
             assert tuple(theirs) == _record_fields(a_pull(vinv), (
                 "length", "delent", "proj", "ind", "occ1", "occ2")), v
@@ -210,9 +218,9 @@ def test_packed_step_fields_equal_kernel_records(monkeypatch, group, n_max):
             for stream, want in streams:
                 assert _stepped(group, stream, held, fields) == want, (group, n, bound)
             if bound is None:  # the pass reads the same fields the same way
-                ((records,),), _ = histograms(group, degree, (
-                    fields, lambda ps, *cols: [zip(ps, *cols)]))
-                assert records == Counter(zip(ws, *expected)), (group, n)
+                ((records,),), _ = histograms(group, degree, [("inverse", *fields)])
+                assert Counter({(inverse(tuple(winv)), *rec): c for (winv, *rec), c in
+                                records.items()}) == Counter(zip(ws, *expected)), (group, n)
 
 
 def test_table_builds_step_a_chunk_at_a_time(monkeypatch):
@@ -247,7 +255,8 @@ def test_descent_columns_equal_public_statistics(monkeypatch, group, bound):
     # per word.  Each column equals the public statistic of the element, or
     # of its inverse for an "inverse-" column; "desmask" sets bit i for a
     # descent at i.  Bounded at 12 records, the A projections come through a
-    # table of degree 4 and several steps.
+    # table of degree 4 and several steps.  The element is the inverse of its
+    # inverse, and the elements so recovered are the whole group.
     if bound is not None:
         monkeypatch.setattr(words, "_HELD_RECORDS", bound)
     if group == "S":
@@ -257,13 +266,45 @@ def test_descent_columns_equal_public_statistics(monkeypatch, group, bound):
     maj, rmaj, des, des_set = stats_of
     columns = (*_DESCENT_COLUMNS, *("inverse-" + c for c in _DESCENT_COLUMNS))
     for n in range(1, n_max + 1):
-        ((records,),), count = histograms(group, n, (("inverse", *columns),
-                                                     lambda ps, *cols: [zip(ps, *cols)]))
+        ((records,),), count = histograms(group, n, [("inverse", *columns)])
         assert sum(records.values()) == count == len(records)
-        for p, pinv, *values in records:
+        elements = {pinv: inverse(tuple(pinv)) for pinv, *_ in records}
+        assert sorted(elements.values()) == sorted(_perms(n) if group == "S" else _evens(n + 1))
+        for pinv, *values in records:
+            p = elements[pinv]
             assert tuple(pinv) == inverse(p)
             assert values == [f(w) for w in (p, pinv) for f in (
                 maj, lambda w: rmaj(w, n), des, lambda w: sum(1 << i for i in des_set(w)))], p
+
+
+@pytest.mark.parametrize("bound", [None, 12])
+@pytest.mark.parametrize("group", ["S", "A"])
+def test_element_and_fold_columns_equal_public_functions(monkeypatch, group, bound):
+    # "cycles" and "minmask" are computed per element off its one-line word,
+    # and their "inverse-" forms off its inverse's: cycle_count, and bit i
+    # for each position of ltr_minima at level 0 in S and 1 in A, first
+    # positions excluded.  "hat-length<j>" and "hat-maj<j>" are hat_ell and
+    # hat_maj of the element at j, for every j of its degree.  "delent" comes
+    # through the table, of degree 4 in A when bounded at 12 records.
+    if bound is not None:
+        monkeypatch.setattr(words, "_HELD_RECORDS", bound)
+    level, n_max = (0, 7) if group == "S" else (1, 5)
+
+    def minmask(w):
+        return sum(1 << i for i in ltr_minima(w, level, EXCLUDE_FIRST_POSITIONS))
+    for n in range(1, n_max + 1):
+        js = range(1, n if group == "S" else n + 1)
+        columns = ("cycles", "minmask", "inverse-cycles", "inverse-minmask", "delent",
+                   *(f"hat-{s}{j}" for j in js for s in ("length", "maj")))
+        ((records,),), count = histograms(group, n, [("inverse", *columns)])
+        assert sum(records.values()) == count == len(records)
+        elements = {pinv: inverse(tuple(pinv)) for pinv, *_ in records}
+        assert sorted(elements.values()) == sorted(_perms(n) if group == "S" else _evens(n + 1))
+        delent = del_s if group == "S" else del_a
+        for pinv, *values in records:
+            p = elements[pinv]
+            assert values == [f(w) for w in (p, tuple(pinv)) for f in (cycle_count, minmask)] + [
+                delent(p), *(h(p, j) for j in js for h in (hat_ell, hat_maj))], p
 
 
 def test_passes_that_read_no_field_pull_nothing(monkeypatch):
@@ -370,12 +411,16 @@ def test_genfun_above_the_top_table_is_pinned():
 def test_keys_with_zero_columns_tally_as_their_zips(group, n):
     # A zip key with "zero" columns tallies its other columns, bare when one
     # is left, and gets its zeros back: each histogram equals the tally of
-    # the key's own zip, which a (fields, row) row makes here.
+    # the key's own zip, or of its bare column when it names one, recounted
+    # here from one key of every column, led by the element's inverse.
     keys = [("inversions", "zero"), ("zero", "delent"), ("zero", "maj", "zero"),
-            ("delent", "zero", "rmaj"), ("zero", "zero"), ("maj",), ("length", "delent")]
+            ("delent", "zero", "rmaj"), ("zero", "zero"), ("maj",), ("zero",),
+            ("length", "delent")]
     fields = list(dict.fromkeys(f for key in keys for f in key))
-    (zipped, tallies), _ = histograms(group, n, keys, (fields, lambda ps, *cols: [
-        zip(*(cols[fields.index(f)] for f in key)) for key in keys]))
+    (zipped, (records,)), _ = histograms(group, n, keys, [("inverse", *fields)])
+    elements = [dict(zip(fields, values)) for _, *values in records.elements()]
+    tallies = tuple(Counter(e[key[0]] if len(key) == 1 else tuple(map(e.get, key))
+                            for e in elements) for key in keys)
     assert zipped == tallies and all(type(hist) is Counter for hist in zipped)
     if group == "S":
         assert zipped[0] == Counter((length_s(p), 0) for p in _perms(n))

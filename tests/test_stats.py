@@ -26,8 +26,8 @@ from permstat.stats import (
     _descent_table,
     _descents,
     _folds,
-    _lengths,
     _maj_rmaj,
+    _pack_lengths,
     EXCLUDE_SMALLEST_VALUES,
     StatProfile,
     del_a,
@@ -49,6 +49,8 @@ from permstat.stats import (
     stat_profile,
 )
 from permstat.words import (
+    _pack,
+    _packs,
     epsilon_s,
     eval_a_letters,
     eval_s_letters,
@@ -101,6 +103,10 @@ def _packed_descents(words):
     return list(_descents(words, _descent_table(set)))
 
 
+def _packed_lengths(words):
+    return list(itertools.chain.from_iterable(map(_pack_lengths, _packs(words))))
+
+
 def test_packed_descents_match_des_set_s():
     # Every pattern of S_n, and of [n]^n, where a repeated letter is no
     # descent; streams that end in a full chunk, a short one or mid-chunk;
@@ -143,13 +149,13 @@ def test_packed_lengths_match_length_s():
     cases += [cases[-1][:k] for k in (0, 1, 255, 256, 257, 513)]
     cases += [[(127, 0, 127, 126), (0, 127, 127, 0)] * 200, list(map(bytes, cases[7]))]
     for words in cases:
-        assert list(_lengths(iter(words))) == list(map(length_s, words))
+        assert _packed_lengths(iter(words)) == list(map(length_s, words))
 
 
 @pytest.mark.parametrize("words", UNPACKABLE)
 def test_packed_lengths_reject_what_they_cannot_compare(words):
     with pytest.raises(ValueError):
-        list(_lengths(words))
+        _packed_lengths(words)
 
 
 def test_packed_lengths_of_long_words_count_or_refuse():
@@ -158,24 +164,24 @@ def test_packed_lengths_of_long_words_count_or_refuse():
     for size in (22, 23):
         top = tuple(range(size, 0, -1))
         words = [top, tuple(range(1, size + 1)), top[1:] + top[:1]] * 100
-        assert list(_lengths(words)) == list(map(length_s, words))
+        assert _packed_lengths(words) == list(map(length_s, words))
     with pytest.raises(ValueError):
-        list(_lengths([tuple(range(24, 0, -1))]))
+        _packed_lengths([tuple(range(24, 0, -1))])
 
 
 def test_folds_match_h_map():
-    # The hat row's folds, a chunk at a time: each element's flag is whether
-    # h_map moves it, and the folded words are h_map's, in order.
+    # The hat columns' folds, a chunk at a time: per j, every word of the
+    # chunk is folded, in order, and each fold is h_map's, which moves the
+    # words whose inverse descends at j and keeps the rest.
     for n in range(1, 9):
         js = range(1, n)
         folds, elements = _folds(js), list(iter_alternating(n))
         for start in range(0, len(elements), _CHUNK):
             chunk = elements[start:start + _CHUNK]
-            columns = folds(list(map(bytes, chunk)), list(map(inverse, chunk)))
-            for j, (at, folded) in itertools.zip_longest(js, columns):
-                images = [h_map(v, j) for v in chunk]
-                assert at == tuple(w != v for v, w in zip(chunk, images))
-                assert folded == [bytes(w) for v, w in zip(chunk, images) if w != v]
+            inverses = _pack(list(map(bytes, map(inverse, chunk))), n)
+            columns = folds(list(map(bytes, chunk)), inverses)
+            for j, folded in itertools.zip_longest(js, columns):
+                assert folded == [bytes(h_map(v, j)) for v in chunk]
 
 
 def test_ltr_minima_examples():
