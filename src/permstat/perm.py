@@ -210,12 +210,19 @@ def iter_alternating(n: int) -> Iterator[Perm]:
     low = min(n, _LOW_DIGITS)
     # A new leading digit d of radix r repeats the block r times, flipped
     # where d is odd.
-    even = b"\x01"
+    blocks = (b"\x01", b"\x00")
     for radix in range(2, low + 1):
-        odd = even.translate(_FLIP)
-        even = b"".join(odd if d & 1 else even for d in range(radix))
-    odd = even.translate(_FLIP)
-    high = itertools.product(*map(range, range(n, low, -1)))
-    selector = itertools.chain.from_iterable(odd if sum(d) & 1 else even for d in high)
+        even = b"".join(map(blocks.__getitem__, _parities(radix, radix - 1)))
+        blocks = (even, even.translate(_FLIP))
+    selector = itertools.chain.from_iterable(map(blocks.__getitem__, _parities(n, low)))
     return itertools.compress(itertools.permutations(range(1, n + 1)), selector)
+
+
+def _parities(n: int, low: int) -> Iterator[int]:
+    """For each setting of the first n - low letters of the words of degree n, in
+    lexicographic order, the parity of its Lehmer digits: a word is even exactly when
+    this equals the parity of its last `low` letters' own digits.  ``iter_alternating``
+    and the passes' blocks (``words._blocks``, ``words._element_packs``) pick the even
+    words by it, which decides membership only."""
+    return (sum(d) & 1 for d in itertools.product(*map(range, range(n, low, -1))))
 

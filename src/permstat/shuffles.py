@@ -18,8 +18,8 @@ from typing import Iterator
 
 from .perm import Perm, support
 from .qpoly import MultiPoly
-from .stats import length_s, rmaj_s
-from .words import SWord, s_canonical, s_word_to_perm
+from .stats import _maj_rmaj, length_s, rmaj_s
+from .words import SWord, s_canonical, s_pull, s_word_to_perm
 
 FIRST_ANY = "any"
 FIRST_NEW_BLOCK = "equals-i-plus-1"
@@ -163,11 +163,14 @@ def _shuffle_hist(pi: Perm, i: int, stat: str, first: str) -> dict[tuple[int, in
     n = len(pi)
     if not support(pi) <= set(range(1, i + 1)):
         raise ValueError(f"support of {list(pi)} not inside 1..{i}")
+    # The base is read by another path than the products, so that a fault in
+    # the measure cannot cancel in the growth: pi's length off its pull record,
+    # and its rmaj off its descent set (``_maj_rmaj``), as lemma93 reads them.
     if stat == "length":
-        base = length_s(pi)
+        base = s_pull(pi)[0]
         measure = length_s
     elif stat == "rmaj":
-        base = rmaj_s(pi, i)
+        base = _maj_rmaj(pi, i)[1]
         measure = lambda p: rmaj_s(p, n)
     else:
         raise ValueError(f"unknown statistic {stat!r}")

@@ -40,9 +40,9 @@ from itertools import chain, combinations, compress, count, islice, repeat, star
 from operator import gt
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .perm import Perm, check_even, cycle_count, iter_alternating, iter_symmetric
-from .words import (_CHUNK, _columns, _lanes, _Memo, _pack, _packs, _table, _words, a_pull,
-                    indicators, s_pull)
+from .perm import Perm, check_even, cycle_count
+from .words import (_CHUNK, _columns, _element_packs, _lanes, _Memo, _pack, _packs, _table,
+                    _words, a_pull, indicators, s_pull)
 
 if TYPE_CHECKING:  # genfun, its only user, imports it when it runs
     from .qpoly import MultiPoly
@@ -385,29 +385,32 @@ def histograms(group: str, n: int, *rows: list[tuple[str, ...]]
     are read off the element's one-line word in S and off its projection in
     A, never off the record.  "cycles" (``cycle_count``) and "minmask" (bit
     i set for each position of ``ltr_minima``, level 0 in S and 1 in A) are
-    computed per element off its one-line word, by the functions this
-    module holds when the pass runs.  "inverse" is each element's inverse,
-    as bytes, and "inverse-<column>" each column above but "zero" of it.
+    computed per element off its one-line word, as bytes off the pack, by
+    the functions this module holds when the pass runs.  "inverse" is each
+    element's inverse, as bytes, and "inverse-<column>" each column above
+    but "zero" of it.
     "hat-length<j>" and "hat-maj<j>" are ``length_s`` and ``maj_s`` of
     ``h_map(element, j)``, both measured on one pack of the chunk's words
     folded at j (``_folds``).
 
     The pass runs ``_CHUNK`` elements at a time and computes, at C level
     where it can, each column that some row reads once per chunk, and no
-    other: a pass whose rows read no record field pulls nothing.  It packs
-    each side's chunk once, the elements or their inverses, which
-    ``bytes.translate`` reads off the elements (``words._pack``).  The pull's
-    step (``words._columns``), ``_pack_lengths`` and ``_pack_descents`` read
-    that pack, and in A the step's packed projections.  Each element takes
-    one step of the pull per value above the pass's top degree and reads the
-    rest from a table of every word of that degree, which the pass builds
-    once (``words._table``).  A key with a "zero" column tallies its other
-    columns, bare when one is left, and gets its zeros back per distinct key.
+    other: a pass whose rows read no record field pulls nothing.  It reads
+    the elements as packs, in lexicographic order, relabelled a block at a
+    time with no tuple per element (``words._element_packs``), and packs
+    their inverses once, which ``bytes.translate`` reads off the elements
+    (``words._pack``).  The pull's step (``words._columns``),
+    ``_pack_lengths`` and ``_pack_descents`` read each side's pack, and in A
+    the step's packed projections.  Each element takes one step of the pull
+    per value above the pass's top degree and reads the rest from a table of
+    every word of that degree, which the pass builds once (``words._table``).
+    A key with a "zero" column tallies its other columns, bare when one is
+    left, and gets its zeros back per distinct key.
     """
     if group == "S":
-        elements, degree, level = iter_symmetric(n), n, 0
+        degree, level = n, 0
     elif group == "A":
-        elements, degree, level = iter_alternating(n + 1), n + 1, 1
+        degree, level = n + 1, 1
     else:
         raise ValueError(f"unknown group {group!r}; expected 'S' or 'A'")
     keys = [key for row in rows for key in row]
@@ -433,12 +436,11 @@ def histograms(group: str, n: int, *rows: list[tuple[str, ...]]
     ident = bytes(range(1, degree + 1))
     folds, sums = (_folds(js), _descent_table(sum)) if js else (None, None)
     order = 0
-    for chunk in iter(lambda: list(islice(elements, _CHUNK)), []):
-        cols, packs = {"zero": [0] * len(chunk)}, {}
-        if pulled or worded or theirs:
-            packs[""] = _pack(chunk, degree)
+    for pack in _element_packs(group, degree):
+        size = pack[2] // degree
+        cols, packs = {"zero": [0] * size}, {"": pack}
+        words = _words(pack) if theirs or counted else ()
         if theirs:
-            words = _words(packs[""])
             cols["inverse"] = inverses = list(map(ident.translate, map(
                 bytes.maketrans, words, repeat(ident))))
             packs["inverse-"] = _pack(inverses, degree)
@@ -448,13 +450,13 @@ def histograms(group: str, n: int, *rows: list[tuple[str, ...]]
             pack = cols[side + "proj"] if group == "A" else packs[side]
             cols[f] = _pack_lengths(pack) if table is None else list(_pack_descents(pack, table))
         for f, side, measure in counted:
-            cols[f] = list(map(measure, cols["inverse"] if side else chunk))
+            cols[f] = list(map(measure, cols["inverse"] if side else words))
         for j, folded in zip(js, folds(words, packs["inverse-"]) if js else ()):
             pack = _pack(folded, degree)
             cols[f"hat-length{j}"] = _pack_lengths(pack)
             cols[f"hat-maj{j}"] = list(_pack_descents(pack, sums))
         cols.update((f, list(map(tuple, _words(cols[f])))) for f in own if own[f] == "proj")
-        order += len(chunk)
+        order += size
         for counter, key in zip(counters, zips):
             counter.update(cols[key[0]] if len(key) == 1 else zip(*map(cols.__getitem__, key)))
     hists = iter(map(_with_zeros, keys, counters))

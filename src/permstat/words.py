@@ -30,24 +30,29 @@ them, a block at a time.
 Two-path rule: every registry scan enumerates group elements and factors
 each one; none enumerates factor tuples, Lehmer codes or inversion tables,
 which are the closed forms' own structure.  ``iter_alternating`` reads the
-parity of each element's Lehmer code off its lexicographic index, but that
-selector decides only membership: every scan still enumerates each element
-as a one-line word, and a scan that reads the record pulls that element
-itself.  A whole-group pass reads the record fields that its rows need
-(length, delent, the indicator mask, the occurrence counts of the generators
-and, in A, the projection), of each element or of its inverse, a pack of
-elements at a time, a byte per letter in one integer, by one step of the
-pull per value: the slot of the top value d is read off each word itself,
-the word left (after the A parity swap) comes off the word by shifting its
-lanes from that slot, and each field adds that slot's constant (``_PLANS``,
-the pull's step written out per slot) to the word left's field, one degree
-down (``_columns``).  The steps stop at a table of the pass's top degree,
-which the pass builds once by the same step from the words of each degree
-in turn, up from the kernels' records at degree 3 (``_table``).  So every
-field is a pure function of the word it is read for, and the table caches
-one, keyed by the word's bytes: no record is built from another by choosing
-a slot for the top value, which would walk the staircase product that the
-closed forms are.
+parity of each element's Lehmer code off its lexicographic index.  A
+whole-group pass enumerates its group as packs cut from one block of the
+words of its last min(degree, 6) letters, relabelled by ``bytes.translate``
+for each prefix of its first letters in turn (``_element_packs``); in A,
+the prefix's Lehmer-digit parity picks the block of even or of odd words,
+by ``iter_alternating``'s rule.  Both parities decide only membership:
+every scan still enumerates each element as a one-line word, and a scan
+that reads the record pulls that element itself.  A pass reads the record
+fields that its rows need (length, delent, the indicator mask, the
+occurrence counts of the generators and, in A, the projection), of each
+element or of its inverse, a pack of elements at a time, a byte per letter
+in one integer, by one step of the pull per value: the slot of the top
+value d is read off each word itself, the word left (after the A parity
+swap) comes off the word by shifting its lanes from that slot, and each
+field adds that slot's constant (``_PLANS``, the pull's step written out
+per slot) to the word left's field, one degree down (``_columns``).  The
+steps stop at a table of the pass's top degree, which the pass builds once
+by the same step from the words of each degree in turn, up from the
+kernels' records at degree 3 (``_table``).  So every field is a pure
+function of the word it is read for, and the table caches one, keyed by the
+word's bytes: no record is built from another by choosing a slot for the
+top value, which would walk the staircase product that the closed forms
+are.
 A scan reads from a record only what the paper defines through the
 word: delent, indicator vectors, occurrence counts, and the alternating
 length and descents.  Symmetric statistics that are defined on the one-line
@@ -67,13 +72,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain, islice, repeat, starmap
+from itertools import chain, islice, permutations, repeat, starmap
 from math import factorial
 from operator import add
 from struct import Struct, error as StructError, unpack
 from typing import Iterable, Iterator, Sequence
 
-from .perm import Perm, check_even, iter_alternating, iter_symmetric
+from .perm import Perm, _parities, check_even, iter_alternating, iter_symmetric
 
 # Factor encodings.
 #   S: factors[j-1] = r        for the run s_j s_{j-1} ... s_r  (1 <= r <= j)
@@ -264,6 +269,63 @@ def _packs(words: Iterable[Sequence[int]]) -> Iterator[tuple[int, int, int, int]
         yield _pack(list(chunk) if isinstance(first, bytes) else chunk, len(first))
 
 
+_SUFFIX = 6  # the letters that a block of ``_element_packs`` runs through: 720 words at most
+
+
+def _blocks(key: tuple[str, int]) -> list[bytes]:
+    """(group, degree) -> the words of `degree` letters whose first degree - k letters are
+    the markers k + 1, ..., degree and whose last k = min(degree, ``_SUFFIX``) are the
+    ranks 1..k, in lexicographic order, joined: for "S" one block of them all, for "A"
+    one of the even words and one of the odd.
+
+    The ranks go in from the last lane back, over a marker 128 + lane: each value v of
+    the new leading rank relabels the block so far, the ranks from v up by one, and in A
+    moves its words to the other parity where v - 1 is odd (``perm._parities``).
+    """
+    group, degree = key
+    k = min(degree, _SUFFIX)
+    start = bytes(range(k + 1, degree + 1)) + bytes(range(128 + degree - k, 128 + degree))
+    blocks = [start] if group == "S" else [start, b""]
+    for j in range(k):  # the last j lanes hold ranks; lane degree - 1 - j is next
+        source = bytes((128 + degree - 1 - j, *range(1, j + 1)))
+        parts = [[] for _ in blocks]
+        for v, flip in zip(range(1, j + 2), _parities(j + 1, j)):
+            table = bytes.maketrans(source, bytes((v, *range(1, v), *range(v + 1, j + 2))))
+            for parity, block in enumerate(blocks):
+                parts[parity ^ flip if group == "A" else 0].append(block.translate(table))
+        blocks = list(map(b"".join, parts))
+    return blocks
+
+
+_BLOCKS = _Memo(_blocks)  # (group, degree) -> its blocks, kept for the process
+
+
+def _element_packs(group: str, degree: int) -> Iterator[tuple[int, int, int, int]]:
+    """Every element of the symmetric ("S") or alternating ("A") group of `degree`, in
+    lexicographic order, a pack (``_pack``) of ``_CHUNK`` words at a time.
+
+    Each setting of the first degree - k letters, in lexicographic order,
+    relabels one block (``_BLOCKS``) by ``bytes.translate``: its markers to
+    that prefix, and its ranks to the values left, in order.  In A the
+    prefix's Lehmer-digit parity picks the even block or the odd one, as
+    ``iter_alternating``'s selector does: it decides membership only.
+    """
+    blocks = _BLOCKS[group, degree]
+    k = min(degree, _SUFFIX)
+    ident = bytes(range(1, degree + 1))
+    parities = repeat(0) if group == "S" else _parities(degree, k)
+    size, rest = _CHUNK * degree, b""
+    for prefix, parity in zip(map(bytes, permutations(ident, degree - k)), parities):
+        rest += blocks[parity].translate(bytes.maketrans(
+            ident, ident.translate(None, prefix) + prefix))
+        cut = len(rest) - len(rest) % size
+        for start in range(0, cut, size):
+            yield degree, degree, size, int.from_bytes(rest[start:start + size], "little")
+        rest = rest[cut:]
+    if rest:
+        yield degree, degree, len(rest), int.from_bytes(rest, "little")
+
+
 def _pack(chunk: Iterable[Sequence[int]], length: int) -> tuple[int, int, int, int]:
     """At most ``_CHUNK`` words of `length` letters in 0..127 (else ValueError), packed
     at stride `length`; a list of bytes of that length is joined as it is."""
@@ -344,7 +406,8 @@ def _table(group: str, degree: int, fields: list[str]) -> tuple[int, dict]:
     `degree` whose words (d! in S, d!/2 in A) fit in ``_HELD_RECORDS``, and
     never below 3; a `degree` of 3 or less is its own.  The words of degree
     3 or less read their fields off the kernels, and those of each degree
-    above, a pack at a time, step down to the table below (``_columns``).
+    above, a pack at a time as the passes read them (``_element_packs``),
+    step down to the table below (``_columns``).
     """
     elements, size = ((iter_symmetric, factorial) if group == "S"
                       else (iter_alternating, lambda d: factorial(d) // 2))
@@ -357,7 +420,7 @@ def _table(group: str, degree: int, fields: list[str]) -> tuple[int, dict]:
              for w in elements(min(top, 3))}
     for d in range(4, top + 1):
         held, table = (d - 1, table), {}
-        for pack in _packs(elements(d)):
+        for pack in _element_packs(group, d):
             cols = _columns(group, pack, held, fields)
             table.update(zip(_words(pack), zip(*(_words(c) if f == "proj" else c
                                                   for f, c in zip(fields, cols)))))

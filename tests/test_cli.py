@@ -418,6 +418,30 @@ def test_verify_pooled_payload_is_pinned_to_n6(capsys, monkeypatch):
     )
 
 
+# A pool of two workers under a start method that shares nothing with the
+# parent: each worker imports permstat afresh, compiles its own checks and
+# builds its own enumeration blocks.
+_POOLED_UNDER = """\
+import multiprocessing, os, sys
+multiprocessing.set_start_method(sys.argv[1])
+os.cpu_count = lambda: 2
+from permstat.cli import main
+sys.exit(main(["verify", "--all", "--n-max", "4", "--jobs", "2"]))
+"""
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_verify_pooled_under_each_start_method_matches_serial(capsys, method):
+    # Python 3.14 makes forkserver the default on Linux.
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    serial = run_cli(capsys, "verify", "--all", "--n-max", "4", "--jobs", "1")
+    proc = subprocess.run([sys.executable, "-c", _POOLED_UNDER, method],
+                          capture_output=True, text=True)
+    assert serial[0] == proc.returncode == 0, proc.stderr
+    assert proc.stdout == serial[1]
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_verify_checks_every_task_before_any_runs(capsys, monkeypatch, jobs):
     # cor92-a is capped at 7; the entries before it in the registry are not.
