@@ -23,9 +23,12 @@ histogram by its own ``Counter``: a one-column key's bare values, a longer
 key's zip.  The columns are the record fields, the inversion count, the
 descent statistics, the cycle count and the minima mask, of each element
 and of its inverse, and the length and maj of each fold ``h_map(v, j)``.
-Inversions and descents read an S element's word, an A element's
-projection and a folded word alike, a pack of words at once, a byte per
-letter in one integer (``_pack_lengths``, ``_pack_descents``); ``_folds``
+The record fields come off the pull's step as byte planes
+(``words._columns``).  Inversions and descents read an S element's word,
+an A element's projection and a folded word alike, a pack of words at
+once, a byte per letter in one integer (``_pack_lengths``,
+``_pack_descents``); so do the cycle counts, by a lane step of their own
+that deletes the top value from its cycle (``_pack_cycles``).  ``_folds``
 folds a chunk's words by ``bytes.translate``.  Which rows share a pass, and
 the rows themselves, are the registry's business: see ``identities._ROWS``,
 ``_tally_passes`` and ``plan``.
@@ -40,7 +43,7 @@ from itertools import chain, combinations, compress, count, islice, repeat, star
 from operator import gt
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .perm import Perm, check_even, cycle_count
+from .perm import Perm, check_even
 from .words import (_CHUNK, _columns, _element_packs, _lanes, _Memo, _pack, _packs, _table,
                     _words, a_pull, indicators, s_pull)
 
@@ -337,6 +340,21 @@ def _pack_lengths(pack: tuple[int, int, int, int]) -> bytes:
     return ((lanes >> 7) * ones).to_bytes(size + length - 1, "little")[length - 1::stride]
 
 
+def _pack_cycles(pack: tuple[int, int, int, int]) -> bytes:
+    """``cycle_count`` of each word of a pack, one value deleted from its cycle at a time,
+    from the top d down: the lane test finds d's slot, whose letter takes the word's last
+    letter (d's image), spread over the word by one multiplication; lane d - 1 is
+    dropped, and a slot of d - 1, where d is fixed, adds one to the word's lane 0."""
+    length, stride, size, a = pack
+    spread, cycles = int.from_bytes(b"\x01" * stride, "little"), 0
+    for d in range(length, 0, -1):
+        ones, starts, ends, keep, ds = _lanes(stride, d, size)
+        at = ((((ones << 7) - (a ^ ds)) & ones << 7) >> 7) * 0xFF  # 0xFF at the slot of d
+        a = (a & ~at | ((a >> 8 * d - 8) & starts * 0xFF) * spread & at) & keep
+        cycles += (at & ends) >> 8 * d - 8
+    return cycles.to_bytes(size, "little")[::stride]
+
+
 def _folds(js: Sequence[int]) -> Callable:
     """``h_map`` at each j of `js`: (a chunk's words as bytes, the pack of their inverses)
     -> per j, every word folded, in order: its letters j and j + 1 swapped by
@@ -383,10 +401,11 @@ def histograms(group: str, n: int, *rows: list[tuple[str, ...]]
     (ambient degree n), "des" and "desmask" (bit i set for a descent at i);
     and "inversions", the inversion count (``length_s``).  These last five
     are read off the element's one-line word in S and off its projection in
-    A, never off the record.  "cycles" (``cycle_count``) and "minmask" (bit
-    i set for each position of ``ltr_minima``, level 0 in S and 1 in A) are
-    computed per element off its one-line word, as bytes off the pack, by
-    the functions this module holds when the pass runs.  "inverse" is each
+    A, never off the record.  "cycles" (``cycle_count``) is read off the
+    one-line word's pack by ``_pack_cycles``, and "minmask" (bit i set for
+    each position of ``ltr_minima``, level 0 in S and 1 in A) is computed
+    per element off its one-line word, as bytes off the pack, by the
+    ``ltr_minima`` this module holds when the pass runs.  "inverse" is each
     element's inverse, as bytes, and "inverse-<column>" each column above
     but "zero" of it.
     "hat-length<j>" and "hat-maj<j>" are ``length_s`` and ``maj_s`` of
@@ -400,10 +419,13 @@ def histograms(group: str, n: int, *rows: list[tuple[str, ...]]
     time with no tuple per element (``words._element_packs``), and packs
     their inverses once, which ``bytes.translate`` reads off the elements
     (``words._pack``).  The pull's step (``words._columns``),
-    ``_pack_lengths`` and ``_pack_descents`` read each side's pack, and in A
-    the step's packed projections.  Each element takes one step of the pull
-    per value above the pass's top degree and reads the rest from a table of
-    every word of that degree, which the pass builds once (``words._table``).
+    ``_pack_lengths``, ``_pack_descents`` and ``_pack_cycles`` read each
+    side's pack, and in A the step's packed projections.  Each element
+    takes one step of the pull per value above the pass's top degree and
+    reads the rest from a table of every word of that degree, which the
+    pass builds once (``words._table``); the fields come out as ``bytes``
+    planes, cut from the joined records of a pack's words, and each step
+    adds its constants to a plane by one integer addition.
     A key with a "zero" column tallies its other columns, bare when one is
     left, and gets its zeros back per distinct key.
     """
@@ -425,10 +447,8 @@ def histograms(group: str, n: int, *rows: list[tuple[str, ...]]
     worded = [(f, f.removesuffix(s), None if s == "inversions"
                else _descent_table(partial(_descent_stat, s, n)))
               for f, s in own.items() if s in _WORD_STATS]
-    # Each column computed per element off a one-line word: its side's prefix, and how.
-    counted = [(f, f.removesuffix(s), cycle_count if s == "cycles" else
-                lambda w: _mask(ltr_minima(w, level, EXCLUDE_FIRST_POSITIONS)))
-               for f, s in own.items() if s in ("cycles", "minmask")]
+    # Each column read off a one-line word's pack or per element: its side's prefix, and which.
+    counted = [(f, f.removesuffix(s), s) for f, s in own.items() if s in ("cycles", "minmask")]
     theirs = js or any(f.startswith("inverse") for f in fields)
     zips = [[f for f in key if f != "zero"] or ["zero"] for key in keys]
     counters = [Counter() for _ in keys]
@@ -439,7 +459,7 @@ def histograms(group: str, n: int, *rows: list[tuple[str, ...]]
     for pack in _element_packs(group, degree):
         size = pack[2] // degree
         cols, packs = {"zero": [0] * size}, {"": pack}
-        words = _words(pack) if theirs or counted else ()
+        words = _words(pack) if theirs or "minmask" in own.values() else ()
         if theirs:
             cols["inverse"] = inverses = list(map(ident.translate, map(
                 bytes.maketrans, words, repeat(ident))))
@@ -449,8 +469,10 @@ def histograms(group: str, n: int, *rows: list[tuple[str, ...]]
         for f, side, table in worded:
             pack = cols[side + "proj"] if group == "A" else packs[side]
             cols[f] = _pack_lengths(pack) if table is None else list(_pack_descents(pack, table))
-        for f, side, measure in counted:
-            cols[f] = list(map(measure, cols["inverse"] if side else words))
+        for f, side, s in counted:
+            cols[f] = _pack_cycles(packs[side]) if s == "cycles" else [
+                _mask(ltr_minima(w, level, EXCLUDE_FIRST_POSITIONS))
+                for w in (cols["inverse"] if side else words)]
         for j, folded in zip(js, folds(words, packs["inverse-"]) if js else ()):
             pack = _pack(folded, degree)
             cols[f"hat-length{j}"] = _pack_lengths(pack)

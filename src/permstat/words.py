@@ -45,14 +45,17 @@ in one integer, by one step of the pull per value: the slot of the top
 value d is read off each word itself, the word left (after the A parity
 swap) comes off the word by shifting its lanes from that slot, and each
 field adds that slot's constant (``_PLANS``, the pull's step written out
-per slot) to the word left's field, one degree down (``_columns``).  The
-steps stop at a table of the pass's top degree, which the pass builds once
-by the same step from the words of each degree in turn, up from the
-kernels' records at degree 3 (``_table``).  So every field is a pure
-function of the word it is read for, and the table caches one, keyed by the
-word's bytes: no record is built from another by choosing a slot for the
-top value, which would walk the staircase product that the closed forms
-are.
+per slot) to the word left's plane of that field, one degree down, by one
+integer addition (``_columns``).  The steps stop at a table of the pass's
+top degree, which the pass builds once by the same step from the words of
+each degree in turn, up from the kernels' records at degree 3
+(``_table``).  So every field is a pure function of the word it is read
+for, and the table caches them, one ``bytes`` record per word with each
+field at a fixed offset, keyed by the word's bytes; a pack joins its
+words' records and cuts each field out as a plane, a byte per word (a
+lane of 2 or 4 for a wide indicator mask).  No record is built from
+another by choosing a slot for the top value, which would walk the
+staircase product that the closed forms are.
 A scan reads from a record only what the paper defines through the
 word: delent, indicator vectors, occurrence counts, and the alternating
 length and descents.  Symmetric statistics that are defined on the one-line
@@ -72,9 +75,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain, islice, permutations, repeat, starmap
+from itertools import accumulate, chain, islice, permutations, repeat, starmap
 from math import factorial
-from operator import add
 from struct import Struct, error as StructError, unpack
 from typing import Iterable, Iterator, Sequence
 
@@ -361,22 +363,36 @@ def _lanes(stride: int, d: int, size: int) -> tuple[int, ...]:
     return masks if size == _CHUNK * stride else tuple(m & (1 << 8 * size) - 1 for m in masks)
 
 
-def _constants(slots: list[int], counts: bytes) -> Iterable[int]:
-    """A slot plan list's constant per word, off its count d - 1 - slot (``_columns``)."""
-    by_count = slots[::-1]
-    return (counts.translate(bytes(by_count).ljust(256, b"\0")) if max(by_count) < 256
-            else map(by_count.__getitem__, counts))
+def _plus(plane: bytes | memoryview, slots: list[int], counts: bytes) -> bytes | memoryview:
+    """A plane of lanes, one per word, plus a slot plan list's constant, off each word's
+    count d - 1 - slot (``_columns``).  The plan's values (one power of two for "ind")
+    land in the byte of the lane that holds the largest, and no lane carries."""
+    lanes, at = memoryview(plane), (max(slots) | 1).bit_length() - 1 >> 3
+    constants = bytearray(lanes.nbytes)
+    constants[at::lanes.itemsize] = counts.translate(
+        bytes([v >> 8 * at for v in reversed(slots)]).ljust(256, b"\0"))
+    total = (int.from_bytes(plane, "little") + int.from_bytes(constants, "little")).to_bytes(
+        lanes.nbytes, "little")
+    return total if lanes.itemsize == 1 else memoryview(total).cast(lanes.format)
 
 
-def _field(record: tuple, f: str) -> int | bytes:
-    """Record field f off a kernel record: "length", "delent", "proj" (A), the projection
-    as bytes, "ind", the indicator mask, with bit j - 1 set when factor j's run reaches
-    the first generator, or "occ<k>", how many runs pass through the k-th generator."""
+def _layout(fields: list[str], proj: int, ind: int) -> list[tuple[int, int]]:
+    """Each field's (offset, width) in a record (``_table``): "proj" on `proj` letters,
+    "ind" on `ind` little-endian bytes and every other field on one, in field order."""
+    widths = [proj if f == "proj" else ind if f == "ind" else 1 for f in fields]
+    return list(zip(accumulate(widths, initial=0), widths))
+
+
+def _field(record: tuple, f: str, ind: int) -> bytes:
+    """Record field f off a kernel record, as a table's record holds it (``_layout``):
+    "length", "delent", "proj" (A), the projection, "ind", the indicator mask on `ind`
+    bytes, with bit j - 1 set when factor j's run reaches the first generator, or
+    "occ<k>", how many runs pass through the k-th generator."""
     if f in ("length", "delent", "proj"):
-        return bytes(record[3]) if f == "proj" else record[f == "delent"]
+        return bytes(record[3]) if f == "proj" else bytes((record[f == "delent"],))
     if f == "ind":
-        return sum(1 << j for j, r in enumerate(record[2]) if r == 1)
-    return occurrences(record[2], int(f[3:]))
+        return sum(1 << j for j, r in enumerate(record[2]) if r == 1).to_bytes(ind, "little")
+    return bytes((occurrences(record[2], int(f[3:])),))
 
 
 def _slot_plan(key: tuple[str, int]) -> dict[str, list]:
@@ -400,30 +416,40 @@ _HELD_RECORDS = 5_040  # the most records a pass's table holds: the order of S_7
 
 
 def _table(group: str, degree: int, fields: list[str]) -> tuple[int, dict]:
-    """A pass's top degree and table: each word of that degree, as bytes -> its fields.
+    """A pass's top degree and table: each word of that degree, as bytes -> its record.
 
     The pass is over words of `degree`.  Its top degree is the largest below
     `degree` whose words (d! in S, d!/2 in A) fit in ``_HELD_RECORDS``, and
-    never below 3; a `degree` of 3 or less is its own.  The words of degree
-    3 or less read their fields off the kernels, and those of each degree
-    above, a pack at a time as the passes read them (``_element_packs``),
-    step down to the table below (``_columns``).
+    never below 3; a `degree` of 3 or less is its own.  A record is one
+    ``bytes`` value with each field at a fixed offset (``_layout``): a byte
+    for "length", "delent" and each "occ<k>", the smallest of 1, 2 or 4
+    little-endian bytes that holds "ind" at `degree` (bits 0 to degree - 2),
+    and the projection's d - 1 letters for "proj".  The words of degree 3 or
+    less read their fields off the kernels, and those of each degree above,
+    a pack at a time as the passes read them (``_element_packs``), step down
+    to the table below (``_columns``).
     """
     elements, size = ((iter_symmetric, factorial) if group == "S"
                       else (iter_alternating, lambda d: factorial(d) // 2))
     top = min(degree, 3)
     while top + 1 < degree and size(top + 1) <= _HELD_RECORDS:
         top += 1
+    ind = 1 if degree <= 9 else 2 if degree <= 17 else 4
     # The kernels are looked up when the table is built, so a patched one is seen.
     kernel = s_pull if group == "S" else a_pull
-    table = {bytes(w): tuple(map(_field, repeat(kernel(w)), fields))
+    table = {bytes(w): b"".join(map(_field, repeat(kernel(w)), fields, repeat(ind)))
              for w in elements(min(top, 3))}
     for d in range(4, top + 1):
         held, table = (d - 1, table), {}
+        layout = _layout(fields, d - 1, ind)
+        width = sum(n for _, n in layout)
         for pack in _element_packs(group, d):
-            cols = _columns(group, pack, held, fields)
-            table.update(zip(_words(pack), zip(*(_words(c) if f == "proj" else c
-                                                  for f, c in zip(fields, cols)))))
+            records = bytearray(pack[2] // d * width)
+            for f, (at, n), col in zip(fields, layout, _columns(group, pack, held, fields)):
+                raw, lane = (col[3].to_bytes(pack[2], "little"), d) if f == "proj" else (col, n)
+                for k in range(n):
+                    records[at + k::width] = memoryview(raw).cast("B")[k::lane]
+            table.update(zip(_words(pack), unpack(f"{width}s" * (pack[2] // d), records)))
     return top, table
 
 
@@ -432,17 +458,31 @@ def _columns(group: str, pack: tuple[int, int, int, int], held: tuple[int, dict]
     """The named record fields of a pack's words, all of degree d, one column per field.
 
     `held` is a top degree and its table (``_table``), made for these
-    fields.  A word of the top degree reads its fields there; a word above
-    takes one step of its pull, a whole pack at once.  Each field adds the
-    slot plan's constant (``_PLANS``, read as the step runs) to the word
-    left's; "proj" comes out as a pack, d - 1 put in at max(slot - 1, 0).
+    fields.  The words of the top degree join their records, and each field
+    is cut out of the join as a plane: a byte per word, or for a wide "ind"
+    its lanes, read through a ``memoryview`` cast to "H" or "I", in the
+    host's byte order, which this takes to be little-endian; "proj" comes
+    out as a pack.  A word above takes one step of its pull, a whole pack
+    at once, and each field adds the slot plan's constants (``_PLANS``, read
+    as the step runs) to the word left's plane by one integer addition (no
+    lane carries); "proj" puts d - 1 in at max(slot - 1, 0).  Over 23
+    letters, ValueError: a length could overflow its byte.
     """
     d, stride, size, a = pack
+    if d > 23:
+        raise ValueError(f"words of at most 23 letters expected, not {d}")
     if d == held[0]:
-        pad = bytes(stride - d + 1)
-        return [(d - 1, stride, size, int.from_bytes(pad.join(col) + pad, "little"))
-                if f == "proj" else col
-                for f, col in zip(fields, zip(*map(held[1].__getitem__, _words(pack))))]
+        count, records = size // stride, b"".join(map(held[1].__getitem__, _words(pack)))
+        width = len(records) // count  # "ind" has the bytes that the other fields leave
+        ind = width - len(fields) + 1 - (d - 2) * ("proj" in fields)
+        cols = []
+        for f, (at, n) in zip(fields, _layout(fields, d - 1, ind)):
+            plane = bytearray(count * (stride if f == "proj" else n))
+            for k in range(n):
+                plane[k::len(plane) // count] = records[at + k::width]
+            cols.append((d - 1, stride, size, int.from_bytes(plane, "little")) if f == "proj"
+                        else plane if n == 1 else memoryview(plane).cast("H" if n == 2 else "I"))
+        return cols
     ones, starts, ends, keep, ds = _lanes(stride, d, size)
     h = ones << 7
     slot = ((h - (a ^ ds)) & h) >> 7  # 0x01 at the slot of d: (h - x) & h is set where x is 0
@@ -458,7 +498,7 @@ def _columns(group: str, pack: tuple[int, int, int, int], held: tuple[int, dict]
     return [(d - 1, stride, size, (col[3] & (at - starts)) | ((col[3] << 8) & (ends - (at << 8)))
              | at * (d - 1)) if f == "proj"
             # a count of a generator above the step's factor passes it by
-            else list(map(add, col, _constants(plan[f], counts))) if f in plan else col
+            else _plus(col, plan[f], counts) if f in plan else col
             for f, col in zip(fields, _columns(group, (d - 1, stride, size, left), held, fields))]
 
 

@@ -420,6 +420,8 @@ def test_lemma65_at_its_cap_stays_under_its_memory_ceiling():
     ("prop57-stirling-s", 8, 80_640, 920_000),
     ("main-s", 6, 720, 1_700_000),
     ("thm61-a", 8, 181_440, 1_000_000),
+    ("prop57-stirling-a", 8, 221_760, 480_000),
+    ("thm61-s", 8, 40_320, 900_000),
 ])
 def test_record_field_passes_at_their_caps_stay_under_their_memory_ceilings(name, n, scanned,
                                                                            ceiling):
@@ -430,13 +432,16 @@ def test_record_field_passes_at_their_caps_stay_under_their_memory_ceilings(name
     # prop57-stirling-s, which reads delent and the cycle counts over S_8.
     # The hat columns over A_8 pull nothing, and the main theorem's subset
     # sums over S_6 hold 2^10 fibre sums.  thm61-a reads length, delent and
-    # the projection over A_9, through a table of degree 7.  Measured after a
-    # full collection, as for lemma65, on Python 3.11: 0.86, 0.71, 0.18,
-    # 0.71, 1.36 and 0.66 MB; each ceiling is about 1.25 times the peak
-    # before the minima, cycle and fold columns (0.88, 0.74, 0.95, 0.74 and
-    # 1.36 MB), the hat pass's about 1.25 times its peak after them (0.31
-    # MB), and thm61-a's about 1.25 times its peak before the passes cut
-    # their packs from relabelled blocks (0.80 MB).
+    # the projection over A_9, through a table of degree 7; prop57-stirling-a
+    # delent over A_9 and the cycle counts of S_8; thm61-s length and delent
+    # over S_8.  Measured after a full collection, as for lemma65, on Python
+    # 3.11, since the records are bytes: 0.66, 0.45, 0.18, 0.45, 1.36, 0.47,
+    # 0.25 and 0.45 MB.  Each ceiling is about 1.25 times the peak before
+    # the minima, cycle and fold columns (0.88, 0.74, 0.95, 0.74 and 1.36
+    # MB), the hat pass's about 1.25 times its peak after them (0.31 MB),
+    # thm61-a's about 1.25 times its peak before the passes cut their packs
+    # from relabelled blocks (0.80 MB), and the last two about 1.25 times
+    # their peaks while records were tuples (0.39 and 0.72 MB).
     import gc
     import tracemalloc
 
@@ -741,7 +746,8 @@ def test_timings_share_each_pass_among_its_readers(monkeypatch):
 def test_a_wrong_table_record_fails_the_delent_scans(monkeypatch):
     # A pass over A_5 reads the fields of each element's word of degree 4
     # from its one table, which it builds from the kernel's records of degree
-    # 3; one wrong delent there reaches both delent scans.
+    # 3; one wrong delent there reaches both delent scans.  A record is one
+    # bytes value, and each field named before "delent" takes one byte.
     from permstat import stats
 
     table, wrong = stats._table, bytes((2, 3, 1, 4))
@@ -751,7 +757,8 @@ def test_a_wrong_table_record_fails_the_delent_scans(monkeypatch):
         top, held = table(group, degree, fields)
         tops.append(top)
         i = fields.index("delent")
-        held[wrong] = held[wrong][:i] + (held[wrong][i] + 1,) + held[wrong][i + 1:]
+        assert set(fields[:i]) <= {"length"}, fields
+        held[wrong] = held[wrong][:i] + bytes((held[wrong][i] + 1,)) + held[wrong][i + 1:]
         return top, held
 
     for name in ("thm61-a", "prop57-stirling-a"):
@@ -932,8 +939,8 @@ def test_inversion_and_fold_reports_are_pinned():
 # a permstat module: +1 on an int or on each byte, a stray position
 # in a set, a flipped bit in a vector.  ``_pack_lengths`` counts the
 # inversions of the pass's "inversions" columns and measures the folds of
-# appendix-hat; ``cycle_count`` and ``ltr_minima`` feed the pass's "cycles"
-# and "minmask" columns.
+# appendix-hat; ``_pack_cycles`` and ``ltr_minima`` feed the pass's "cycles"
+# and "minmask" columns.  ``cycle_count`` reaches no entry at n = 4.
 FAULTS = {
     "length_s": lambda v: v + 1,
     "rmaj_s": lambda v: v + 1,
@@ -943,6 +950,7 @@ FAULTS = {
     "epsilon_s": lambda v: (1 - v[0],) + v[1:],
     "_maj_rmaj": lambda v: (v[0] + 1, v[1] + 1),
     "_pack_lengths": lambda v: bytes(x + 1 for x in v),
+    "_pack_cycles": lambda v: bytes(x + 1 for x in v),
 }
 
 
@@ -969,6 +977,9 @@ FAULT_ROWS = [
     ("_maj_rmaj", "lemma86"),
     ("_maj_rmaj", "lemma93"),
     ("_maj_rmaj", "prop81"),
+    ("_pack_cycles", "prop57-stirling-a"),
+    ("_pack_cycles", "prop57-stirling-s"),
+    ("_pack_cycles", "prop712-sk-occurrences"),
     ("_pack_lengths", "appendix-hat"),
     ("_pack_lengths", "cor92-s"),
     ("_pack_lengths", "fs-fixed-descent"),
@@ -978,9 +989,6 @@ FAULT_ROWS = [
     ("_pack_lengths", "prop510-multivar-s"),
     ("_pack_lengths", "thm61-s"),
     ("_pack_lengths", "thm62-s"),
-    ("cycle_count", "prop57-stirling-a"),
-    ("cycle_count", "prop57-stirling-s"),
-    ("cycle_count", "prop712-sk-occurrences"),
     ("epsilon_s", "lemma93"),
     ("length_s", "lemma87"),
     ("length_s", "lemma93"),

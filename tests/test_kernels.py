@@ -11,6 +11,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 from collections import Counter, deque
 
 import pytest
@@ -104,8 +105,8 @@ def _record_fields(record, fields, proj=tuple):
     mask = sum(bit << j for j, bit in enumerate(indicators(record[2])))
     values = {"length": record[0], "delent": record[1],
               "proj": proj(record[3]) if len(record) > 3 else None,
-              "ind": mask, **{f: occurrences(record[2], k)
-                              for k, f in enumerate(_OCCURRENCES, start=1)}}
+              "ind": mask, **{f: occurrences(record[2], int(f[3:]))
+                              for f in fields if f.startswith("occ")}}
     return tuple(values[f] for f in fields)
 
 
@@ -145,11 +146,14 @@ def test_pass_records_equal_kernel_records(monkeypatch, bound):
                 assert tuple(rec) == _record_fields(kernel(p), fields), (group, p)
             # One table, which holds every word of its degree once, each with
             # its own fields; only words of degree 3 or less reach the kernels.
+            # A record is one bytes value: below degree 10 each field is one
+            # byte at its offset, in the order named, and "proj" its letters.
             (top, held), = tables
             assert top == (n if n <= 3 else min(n - 1, most)), (group, n)
             assert sorted(held) == sorted(map(bytes, words_of(top))), (group, n)
-            assert all(rec == _record_fields(kernel(w), fields, bytes)
-                       for w, rec in held.items()), (group, n)
+            assert all(rec == b"".join(v if f == "proj" else bytes((v,)) for f, v in zip(
+                fields, _record_fields(kernel(w), fields, bytes))) for w, rec in held.items()
+                       ), (group, n)
             assert sorted(pulled) == sorted(words_of(min(n, 3))), (group, n)
 
 
@@ -221,6 +225,42 @@ def test_packed_step_fields_equal_kernel_records(monkeypatch, group, n_max):
                 ((records,),), _ = histograms(group, degree, [("inverse", *fields)])
                 assert Counter({(inverse(tuple(winv)), *rec): c for (winv, *rec), c in
                                 records.items()}) == Counter(zip(ws, *expected)), (group, n)
+
+
+@pytest.mark.parametrize("group", ["S", "A"])
+def test_wide_fields_step_through_the_default_table(group):
+    # A record's indicator mask takes the bytes that hold bits 0 to degree - 2:
+    # one up to degree 9, two from 10 to 17 and four from 18, read as one lane
+    # per word.  An S length reaches 190 at degree 20, in the reversal.
+    # Streams of 257 words (a pack of 256 and one of 1) of degrees 12 and 20,
+    # and at each width's ends, the identity and the reversal first, step
+    # through the default table of degree 7, and every field equals the
+    # kernel's record.  At 24 letters a length could overflow its byte, so
+    # the step refuses.
+    kernel = s_pull if group == "S" else a_pull
+    rng = random.Random(1220)
+    for n, ind in ((9, 1), (10, 2), (12, 2), (17, 2), (18, 4), (20, 4)):
+        fields = ["length", "delent", "ind", *(f"occ{k}" for k in range(1, n))]
+        fields += ["proj"] if group == "A" else []
+        stream = [list(range(1, n + 1)), list(range(n, 0, -1))]
+        stream += [rng.sample(range(1, n + 1), n) for _ in range(255)]
+        for w in stream:  # in A, an odd word swaps its first two letters
+            if group == "A" and sign(w) < 0:
+                w[0], w[1] = w[1], w[0]
+        stream = list(map(tuple, stream))
+        held = words._table(group, n, fields)
+        assert held[0] == 7
+        assert {len(rec) for rec in held[1].values()} == {
+            len(fields) - 1 + ind + (5 if group == "A" else 0)}, (group, n)
+        cols = words._columns(group, next(words._packs(stream)), held, fields)
+        assert memoryview(cols[fields.index("ind")]).itemsize == ind, (group, n)
+        got = _stepped(group, stream, held, fields)
+        assert got == [list(col) for col in zip(*(_record_fields(kernel(w), fields)
+                                                  for w in stream))], (group, n)
+        # The second word is longest: 66 and 190 in S, 55 and 171 in A.
+        assert max(got[0]) == got[0][1] == (n - (group == "A")) * (n - 1 - (group == "A")) // 2
+    with pytest.raises(ValueError):
+        _stepped(group, [tuple(range(24, 0, -1))], words._table(group, 24, fields), fields)
 
 
 def test_table_builds_step_a_chunk_at_a_time(monkeypatch):
@@ -340,7 +380,7 @@ def test_descent_columns_equal_public_statistics(monkeypatch, group, bound):
 @pytest.mark.parametrize("bound", [None, 12])
 @pytest.mark.parametrize("group", ["S", "A"])
 def test_element_and_fold_columns_equal_public_functions(monkeypatch, group, bound):
-    # "cycles" and "minmask" are computed per element off its one-line word,
+    # "cycles" and "minmask" are computed off each element's one-line word,
     # and their "inverse-" forms off its inverse's: cycle_count, and bit i
     # for each position of ltr_minima at level 0 in S and 1 in A, first
     # positions excluded.  "hat-length<j>" and "hat-maj<j>" are hat_ell and
@@ -381,6 +421,20 @@ def test_passes_that_read_no_field_pull_nothing(monkeypatch):
     assert all(count == (720 if col[0] == "S" else 360) for col, (_, count) in tallies.items())
     with pytest.raises(AssertionError, match="pulled"):
         identities._tally_passes([("S", 6, "del")])
+
+
+def test_cycle_column_reads_no_record(monkeypatch):
+    # The cycle counts are a third path: each word's own letters, stepped
+    # down a value at a time, with no record, table, pull step or slot plan.
+    def broken(*args, **kwargs):
+        raise AssertionError("the cycle column read the pull")
+
+    for module in (words, stats):
+        monkeypatch.setattr(module, "_columns", broken)
+        monkeypatch.setattr(module, "_table", broken)
+    monkeypatch.setattr(words, "_PLANS", None)
+    ((cycles, theirs),), count = histograms("S", 6, [("cycles",), ("inverse-cycles",)])
+    assert count == 720 and cycles == theirs == Counter(map(cycle_count, _perms(6)))
 
 
 def test_iter_alternating_is_the_lexicographic_even_filter():

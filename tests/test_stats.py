@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -15,6 +16,7 @@ from permstat.cover import f_map
 from permstat.perm import (
     adjacent_transposition,
     compose,
+    cycle_count,
     identity,
     inverse,
     iter_alternating,
@@ -27,6 +29,7 @@ from permstat.stats import (
     _descents,
     _folds,
     _maj_rmaj,
+    _pack_cycles,
     _pack_lengths,
     EXCLUDE_SMALLEST_VALUES,
     StatProfile,
@@ -49,8 +52,10 @@ from permstat.stats import (
     stat_profile,
 )
 from permstat.words import (
+    _element_packs,
     _pack,
     _packs,
+    _words,
     epsilon_s,
     eval_a_letters,
     eval_s_letters,
@@ -167,6 +172,29 @@ def test_packed_lengths_of_long_words_count_or_refuse():
         assert _packed_lengths(words) == list(map(length_s, words))
     with pytest.raises(ValueError):
         _packed_lengths([tuple(range(24, 0, -1))])
+
+
+def _packed_cycles(words):
+    return list(itertools.chain.from_iterable(map(_pack_cycles, _packs(words))))
+
+
+def test_packed_cycles_match_cycle_count():
+    # Every word of S_n (n <= 8); streams that end in a full pack, a short
+    # one or one of a single word; 257 words of degree 20, the identity (20
+    # cycles) and a 20-cycle first; and every inverse pack of A_n (n <= 9),
+    # packed from the inverses as a pass packs them.
+    cases = [list(iter_symmetric(n)) for n in range(1, 9)]
+    cases += [cases[6][-k:] for k in (1, 255, 256, 257)]
+    rng = random.Random(2020)
+    cases += [[tuple(range(1, 21)), tuple(range(2, 21)) + (1,)]
+              + [tuple(rng.sample(range(1, 21), 20)) for _ in range(255)]]
+    for words in cases:
+        assert _packed_cycles(words) == list(map(cycle_count, words))
+    for n in range(1, 10):
+        for pack in _element_packs("A", n):
+            inverses = [inverse(tuple(w)) for w in _words(pack)]
+            assert list(_pack_cycles(_pack(list(map(bytes, inverses)), n))) == list(
+                map(cycle_count, inverses)), n
 
 
 def test_folds_match_h_map():
