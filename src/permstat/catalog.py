@@ -225,11 +225,11 @@ _scan(
     "the alternating trivariate equality",
     cap=7,
 )
-_register(
+_scan(
     "fiber-size",
     "projection fibres have size two to the delent and partition the "
     "alternating group",
-    "_check_fiber_size", cap=7,
+    cap=7,
 )
 _scan(
     "appendix-hat",

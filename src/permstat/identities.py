@@ -21,7 +21,9 @@ row measured on the inserted words), check each distinct key once, and still
 report the first failing base word (``_by_key``).
 
 The whole-group entries are data: the columns they tally over a group and a
-finish that turns the tallies into checkpoints.  ``plan`` checks a list of
+finish that turns the tallies into checkpoints.  ``fiber-size`` is one: it
+tallies the alternating pass's projection column alone, so the count of a
+permutation w is the size of its fibre.  ``plan`` checks a list of
 (name, n) tasks and joins the whole-group ones that read a common group and
 degree into one piece of work; ``run`` verifies a piece, with one pass per
 group and degree, and its reporter builds every report.  ``verify`` runs a
@@ -39,7 +41,6 @@ from operator import add, itemgetter, mul
 from typing import Iterator
 
 from .catalog import REGISTRY, CapExceeded, IdentityEntry, resolve  # noqa: F401
-from .cover import iter_fiber
 from .perm import Perm, compose, inverse, iter_symmetric, nu
 from .qpoly import MultiPoly, geometric, q_binomial, q_factorial
 from .stats import (
@@ -205,6 +206,7 @@ _ROWS = {
                          ("inverse-inversions", "des", "delent")),
     ("cor92", "A"): _zip(("inverse-rmaj", "des", "delent"), ("inverse-length", "des", "delent")),
     ("hat", "A"): lambda n, js: [(f"hat-{s}{j}",) for j in js for s in ("length", "maj")],
+    ("proj", "A"): _zip(("proj",)),
 }
 
 
@@ -254,10 +256,15 @@ def _fs_rmaj(n, count, ell, maj, rmaj):
 
 
 def _thm62(n, count, ell, rmaj):
+    def slice_at(tally, k):
+        return 0, {(e, 0): c for (e, d), c in tally.items() if d == k}
+
     for k in range(n):
-        lhs = 0, {(e, 0): c for (e, d), c in ell.items() if d == k}
-        rhs = 0, {(e, 0): c for (e, d), c in rmaj.items() if d == k}
-        yield {"delent": k}, lhs, rhs, count if k == 0 else 0
+        yield {"delent": k}, slice_at(ell, k), slice_at(rmaj, k), count if k == 0 else 0
+    stray = min((d for _, d in itertools.chain(ell, rmaj) if d >= n), default=None)
+    if stray is not None:  # a slice above every one compared: it fails, named
+        held = slice_at(ell, stray)
+        yield {"delent": stray}, held if held[1] else slice_at(rmaj, stray), _const(0), 0
 
 
 def _stirling(point, key, base, scale, m, count, hist, cycles):
@@ -345,6 +352,16 @@ def _appendix_hat(n, count, *hists, i=None):
         yield {"i": j, "side": "maj"}, maj, closed, 0
 
 
+def _fiber_size(n, count, sizes):
+    # The total counts every projection tallied, so one outside S_n fails there.
+    for w in iter_symmetric(n):
+        size, delent = sizes.get(w, 0), len(ltr_minima(w, 0, EXCLUDE_FIRST_POSITIONS))
+        yield {"w": w}, _const(size), _const(2 ** delent), size
+    order = math.factorial(n + 1) // 2
+    yield {"check": "partition-total"}, _const(sum(sizes.values())), _const(order), 0
+    yield {"check": "partition-distinct"}, _const(count), _const(order), 0
+
+
 def _on(group, *rows):
     """The columns of `rows` over `group`, at the entry's own n."""
     return lambda n: [(group, n, row) for row in rows]
@@ -352,6 +369,8 @@ def _on(group, *rows):
 
 # name -> (columns(n, **params), finish(n, order, *histograms, **params)).  The
 # finishes look their closed forms up when they run, so a patched one is seen.
+# fiber-size's scan is the "proj" column over A_{n+1} tallied alone: the
+# elements that project onto w are its fibre.
 _SCANS = {
     "macmahon": (_on("S", "len-maj"), _sides(lambda n: q_factorial(n), "length", "maj")),
     "fs-fixed-descent": (_on("S", "descent-class"), _fs_fixed_descent),
@@ -374,6 +393,7 @@ _SCANS = {
     "main-a": (_on("A", "main"), partial(_main, "A")),
     "cor92-s": (_on("S", "cor92"), _cor92),
     "cor92-a": (_on("A", "cor92"), _cor92),
+    "fiber-size": (_on("A", "proj"), _fiber_size),
     # The folds run over the alternating group of degree n, that is A_{(n-1)+1}.
     "appendix-hat": (lambda n, i=None: [
         ("A", n - 1, "hat", _within(n, i, range(1, n), "position"))], _appendix_hat),
@@ -712,22 +732,6 @@ def _check_garsia_gessel(n: int) -> Iterator[Checkpoint]:
                 base = compose(p1, p2)
                 lhs = Counter((maj_s(tuple(base[x - 1] for x in r)) - m1 - m2, 0) for r in rs)
                 yield {"k": k, "pi1": p1, "pi2": p2}, (0, lhs), binom, len(rs)
-
-
-def _check_fiber_size(n: int) -> Iterator[Checkpoint]:
-    seen: set[Perm] = set()
-    total = 0
-    for w in iter_symmetric(n):
-        size = 0
-        for v in iter_fiber(w):
-            size += 1
-            seen.add(v)
-        total += size
-        delent = len(ltr_minima(w, 0, EXCLUDE_FIRST_POSITIONS))
-        yield {"w": w}, _const(size), _const(2 ** delent), size
-    order = math.factorial(n + 1) // 2
-    yield {"check": "partition-total"}, _const(total), _const(order), 0
-    yield {"check": "partition-distinct"}, _const(len(seen)), _const(order), 0
 
 
 def list_identities() -> list[IdentityEntry]:

@@ -5,12 +5,13 @@ import pytest
 
 from oracles import brute_fiber, brute_fibres
 from permstat.cover import f_map, fiber, iter_fiber
-from permstat.perm import identity, iter_alternating, iter_symmetric, sign
+from permstat.perm import identity, inverse, iter_alternating, iter_symmetric, sign
 from permstat.stats import (
     del_a,
     del_s,
     des_a,
     des_s,
+    histograms,
     length_a,
     length_s,
     maj_a,
@@ -148,6 +149,19 @@ def test_known_pairs_hold():
             w = f_map(v)
             for name, (a_stat, s_stat) in pairs.items():
                 assert a_stat(v) == s_stat(w), (name, v)
+
+
+def test_pass_projections_regroup_into_the_fibres():
+    # The alternating pass's "proj" column is f: the elements it projects onto
+    # w, each read back from its inverse, are w's fibre, each counted once.
+    for n in range(1, 7):
+        ((tally,),), order = histograms("A", n, [("proj", "inverse")])
+        fibres = {}
+        for (w, inv), count in tally.items():
+            assert count == 1
+            fibres.setdefault(w, set()).add(inverse(tuple(inv)))
+        assert sum(map(len, fibres.values())) == order == math.factorial(n + 1) // 2
+        assert fibres == {w: set(fiber(w)) for w in iter_symmetric(n)}
 
 
 def test_fiber_size_sum_matches_group_order():

@@ -422,6 +422,7 @@ def test_lemma65_at_its_cap_stays_under_its_memory_ceiling():
     ("thm61-a", 8, 181_440, 1_000_000),
     ("prop57-stirling-a", 8, 221_760, 480_000),
     ("thm61-s", 8, 40_320, 900_000),
+    ("fiber-size", 7, 20_160, 1_240_000),
 ])
 def test_record_field_passes_at_their_caps_stay_under_their_memory_ceilings(name, n, scanned,
                                                                            ceiling):
@@ -441,7 +442,10 @@ def test_record_field_passes_at_their_caps_stay_under_their_memory_ceilings(name
     # MB), the hat pass's about 1.25 times its peak after them (0.31 MB),
     # thm61-a's about 1.25 times its peak before the passes cut their packs
     # from relabelled blocks (0.80 MB), and the last two about 1.25 times
-    # their peaks while records were tuples (0.39 and 0.72 MB).
+    # their peaks while records were tuples (0.39 and 0.72 MB).  fiber-size
+    # tallies the projection over A_8 alone: 0.99 MB, against 4.68 MB when it
+    # walked the lifts of each w and held them all in a set; its ceiling is
+    # about 1.25 times 0.99 MB.
     import gc
     import tracemalloc
 
@@ -658,7 +662,7 @@ def test_batched_reports_equal_single_runs():
     # One batch shares its passes among every whole-group entry at n <= 6;
     # each report must still be the one the entry gives alone.
     tasks = _whole_group_tasks(6)
-    assert len({name for name, _ in tasks}) == 19
+    assert len({name for name, _ in tasks}) == 20
     batched = _run_plan(tasks)
     assert sorted(batched) == sorted(tasks)
     for (name, n), report in batched.items():
@@ -705,12 +709,13 @@ def _verify_all_tasks(n_max):
 
 
 @pytest.mark.parametrize("n_max, count, digest", [
-    (None, 14, "75ad9a1820eda30f95e6c5c5376baf8cc5f5cfee626d82a7fcf68d2eed7c5152"),
-    (5, 52, "494857ee9972fbb9492325d57c093048897a0ce1fe86a5c8f360e6027d447f3e"),
+    (None, 13, "4398257ea85559798106af654d20ef695821b7591680b49becfbce6844a20730"),
+    (5, 47, "a8e68056b4f49a5a865d843dd385ff9adb0cb25d50969dc838062501454ad1ed"),
 ])
 def test_plan_pieces_and_weights_are_pinned(n_max, count, digest):
     # Recorded when every weight was an exact element count; saturating the
-    # weights for huge n must leave these unchanged.
+    # weights for huge n must leave these unchanged.  Re-recorded when
+    # fiber-size joined the alternating batches.
     pieces = sorted((work, sorted((name, n) for name, n, *_ in piece))
                     for work, piece in plan(_verify_all_tasks(n_max)))
     assert len(pieces) == count
@@ -1050,3 +1055,57 @@ def test_main_names_a_fibre_outside_its_bits(monkeypatch, name):
     report = verify(name, n)
     assert not report.passed and report.params["failed_at"] == {"mask": 1 << (99 + n)}
     assert report.rhs == MultiPoly.zero() and report.lhs != report.rhs
+
+
+def test_thm62_names_a_delent_slice_above_every_compared_one(monkeypatch):
+    # thm62 compares the slices k < n.  With every one-byte plane of the pull
+    # step one higher, each delent of S_4 rises by one on both sides, and the
+    # elements of delent 3 land in slice 4, which no compared slice holds:
+    # the entry fails there, against an empty side.  thm62-a's length comes
+    # off the record too, so its slices differ below n.
+    from permstat import words
+
+    plus = words._plus
+
+    def one_higher(*args):
+        plane = plus(*args)
+        return bytes(x + 1 for x in plane) if isinstance(plane, bytes) else plane
+
+    monkeypatch.setattr(words, "_plus", one_higher)
+    report = verify("thm62-s", 4)
+    assert not report.passed and report.params["failed_at"] == {"delent": 4}
+    assert report.rhs == MultiPoly.zero() and report.lhs != report.rhs
+    assert not verify("thm62-a", 4).passed
+
+
+def test_fiber_size_fails_on_a_projection_outside_the_symmetric_group(monkeypatch):
+    # The total counts every projection that the pass tallied, so a key that
+    # is no permutation of degree n fails there, after every fibre passed.
+    histograms = identities.histograms
+
+    def stray(group, n, *rows):
+        hists, count = histograms(group, n, *rows)
+        for row, row_hists in zip(rows, hists):
+            for key, hist in zip(row, row_hists):
+                if key == ("proj",):
+                    hist[(1,) * n] += 1
+        return hists, count
+
+    monkeypatch.setattr(identities, "histograms", stray)
+    report = verify("fiber-size", 4)
+    assert not report.passed and report.params["failed_at"] == {"check": "partition-total"}
+    assert report.lhs == MultiPoly.const(61) and report.rhs == MultiPoly.const(60)
+
+
+def test_fiber_size_reads_no_lift(monkeypatch):
+    # Its scan side is the alternating pass's projection column, so the lift
+    # walk behind ``cover.fiber`` can be gone.
+    from permstat import cover, words
+
+    def no_lifts(ends):
+        raise AssertionError("fiber-size walked the lifts")
+
+    monkeypatch.setattr(words, "a_lifts", no_lifts)
+    monkeypatch.setattr(cover, "a_lifts", no_lifts)
+    report = verify("fiber-size", 5)
+    assert report.passed and report.elements_scanned == 360
