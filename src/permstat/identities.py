@@ -37,7 +37,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial, reduce
-from operator import add, itemgetter, mul
+from operator import mul
 from typing import Iterator
 
 from .catalog import REGISTRY, CapExceeded, IdentityEntry, resolve  # noqa: F401
@@ -46,7 +46,6 @@ from .qpoly import MultiPoly, geometric, q_binomial, q_factorial
 from .stats import (
     EXCLUDE_FIRST_POSITIONS,
     _descent_table,
-    _descents,
     _indicator_keys,
     _maj_rmaj,
     _mask,
@@ -57,7 +56,8 @@ from .stats import (
     maj_s,
     rmaj_s,
 )
-from .words import _columns, _packs, _table, epsilon_s, eval_a_letters, eval_s_letters, s_pull
+from .words import (_columns, _element_packs, _inserted, _packs, _table, epsilon_s,
+                    eval_a_letters, eval_s_letters, s_pull)
 from . import shuffles as shuf
 
 # A side is (arity, {exponents: count}): keys of width 2 + arity, no zero
@@ -553,34 +553,38 @@ def _check_prop56(n: int) -> Iterator[Checkpoint]:
 
 
 # Descents of a sequence depend only on its weak-order pattern, so words over
-# 1..n with an inserted strictly-larger letter exhaust all cases.  For each
-# slot i, one itertools stream yields the words with the new top letter at
-# slot i, in the base words' order.  Each inserted word's (maj, rmaj) is read
-# off its own neighbour comparisons, one byte per pair as ``map(gt, w, w[1:])``
-# gives them, which ``stats._descents`` computes for a chunk of words at once
-# by one subtraction on their packed letters, through a table of the
-# comparison patterns filled as they are first met.  They are never derived
-# from the base word's descents and the slot, which is the lemma's proof.  A
-# base word u's key pairs two paths that never feed each other: the start of
-# its closed forms q^maj(u) [n+1]_q, q^(maj(u)+1) [n]_q, q^rmaj(u) [n+1]_q and
-# q^rmaj(u) [n]_q, read off u itself by ``_maj_rmaj``, and its inserted words'
-# row of values, which alone the scan sides read.  ``_by_key`` checks each
-# distinct key once: lemma63 has 32 for 46,656 words at n = 6.  lemma64 works
-# the same way over the coset products, and lemma65 and remark66 read those
-# products' rmaj the same way, lemma65 with each one's del through the pull
-# table and the column step, a pure function of the product's own word.
+# 1..n with an inserted strictly-larger letter exhaust all cases.  The base
+# words are packed once, a chunk at a time, and ``_inserted`` lays out a chunk
+# of inserted words with the new top letter at slot i from the base pack's
+# bytes, for each slot in turn.  Each inserted word's (maj, rmaj) is read off
+# its own neighbour comparisons by ``stats._pack_descents``, one subtraction on
+# the packed letters, through a table of the comparison patterns filled as
+# they are first met.  They are never derived from the base word's descents
+# and the slot, which is the lemma's proof.  A base word u's key pairs two
+# paths that never feed each other: the start of its closed forms
+# q^maj(u) [n+1]_q, q^(maj(u)+1) [n]_q, q^rmaj(u) [n+1]_q and q^rmaj(u) [n]_q,
+# read off u itself by ``_maj_rmaj``, and its inserted words' row of values,
+# which alone the scan sides read.  ``_by_key`` checks each distinct key once:
+# lemma63 has 32 for 46,656 words at n = 6.  lemma64 works the same way over
+# the right coset products w tau, for tau over the degree-n staircase set
+# inside degree n+1, which are w with n+1 put in at each slot; lemma65 and
+# remark66 read those products' rmaj the same way, lemma65 with each one's del
+# through the pull table and the column step, a pure function of the product's
+# own word.  Their scan sides read S_n off ``_element_packs`` and their closed
+# forms off ``iter_symmetric``, so the two enumerations check each other.
 
-def _by_key(base: str, bases, start, slots, sides, per: int) -> Iterator[Checkpoint]:
+def _by_key(base: str, bases, start, rows, sides, per: int) -> Iterator[Checkpoint]:
     """A per-point entry's checkpoints, from one tally of its base elements' keys.
 
-    An element of ``bases()`` has the key (``start(element)``, its row of one
-    value from each stream of ``slots()``) and counts `per` elements.  Each
-    distinct key's (equation, lhs, rhs) triples, ``sides(*key)``, are checked
-    once.  If all pass, each yields once, scaled by the key's count; else the
-    base is replayed and only its first failing point is yielded, unscaled.
+    An element of ``bases()`` has the key (``start(element)``, its row of
+    ``rows()``, which holds one row per base element, in order: any other
+    count raises ValueError) and counts `per` elements.  Each distinct key's
+    (equation, lhs, rhs) triples, ``sides(*key)``, are checked once.  If all
+    pass, each yields once, scaled by the key's count; else the base is
+    replayed and only its first failing point is yielded, unscaled.
     """
     def keys():
-        return zip(map(start, bases()), zip(*slots()))
+        return zip(map(start, bases()), rows(), strict=True)
 
     tally = Counter(keys())
     checked = {key: sides(*key) for key in tally}
@@ -597,6 +601,13 @@ def _by_key(base: str, bases, start, slots, sides, per: int) -> Iterator[Checkpo
                 return
 
 
+def _inserted_rows(packs, slots, read) -> Iterator[tuple]:
+    """Each base word's row, in the order of `packs`: `read`'s value of each of its
+    words with the top letter put in at each of `slots`, a pack at a time."""
+    for pack in packs:
+        yield from zip(*(read(_inserted(pack, i)) for i in slots))
+
+
 def _keys_of(length: int):
     """The descent positions of a word of `length` letters -> ((maj, 0), (rmaj, 0))."""
     return lambda des: ((sum(des), 0), (sum(length - i for i in des), 0))
@@ -604,7 +615,7 @@ def _keys_of(length: int):
 
 def _check_lemma63(n: int) -> Iterator[Checkpoint]:
     y, letters = n + 1, range(1, n + 1)
-    table = _descent_table(_keys_of(y))
+    read = partial(_pack_descents, table=_descent_table(_keys_of(y)))
 
     def sides(start, row):
         (m, r), (majs, rmajs) = start, zip(*row)
@@ -613,20 +624,9 @@ def _check_lemma63(n: int) -> Iterator[Checkpoint]:
                 ({"eq": "rmaj-all"}, Counter(rmajs), _run(r, y)),
                 ({"eq": "rmaj-tail"}, Counter(rmajs[1:]), _run(r, n))]
 
-    slots = [[letters] * i + [(y,)] + [letters] * (n - i) for i in range(y)]
-    return _by_key("word", partial(itertools.product, letters, repeat=n), partial(_maj_rmaj, n=n),
-                   lambda: (_descents(itertools.product(*slot), table) for slot in slots),
-                   sides, 1)
-
-
-# The right coset products w tau, for tau over the degree-n staircase set
-# inside degree n+1, are w with n+1 put in at each slot.
-
-def _coset_slot(n: int, i: int) -> Iterator[Perm]:
-    """w tau with n+1 at slot i, for w over ``iter_symmetric(n)``, at C level."""
-    heads = map(itemgetter(slice(i)), iter_symmetric(n))
-    tails = map(itemgetter(slice(i, None)), iter_symmetric(n))
-    return map(add, map(add, heads, itertools.repeat((n + 1,))), tails)
+    bases = partial(itertools.product, letters, repeat=n)
+    return _by_key("word", bases, partial(_maj_rmaj, n=n),
+                   lambda: _inserted_rows(_packs(bases()), range(y), read), sides, 1)
 
 
 def _check_lemma64(n: int) -> Iterator[Checkpoint]:
@@ -635,9 +635,9 @@ def _check_lemma64(n: int) -> Iterator[Checkpoint]:
         return [({"stat": "maj"}, Counter(majs), _run(m, n + 1)),
                 ({"stat": "rmaj"}, Counter(rmajs), _run(r, n + 1))]
 
-    table = _descent_table(_keys_of(n + 1))
+    read = partial(_pack_descents, table=_descent_table(_keys_of(n + 1)))
     return _by_key("w", partial(iter_symmetric, n), partial(_maj_rmaj, n=n),
-                   lambda: (_descents(_coset_slot(n, i), table) for i in range(n + 1)),
+                   lambda: _inserted_rows(_element_packs("S", n), range(n + 1), read),
                    sides, n + 1)
 
 
@@ -649,23 +649,24 @@ def _check_lemma65(n: int) -> Iterator[Checkpoint]:
         return [({}, Counter(row), {**_run(r, n, d), (r + n, d + 1): 1})]
 
     # Each product's delent comes through the pull table and the column step,
-    # a chunk at a time, beside the comparison bytes of the same pack.
-    def slot(i):
-        for pack in _packs(_coset_slot(n, i)):
-            yield from zip(_pack_descents(pack, table), *_columns("S", pack, held, ["delent"]))
+    # beside the comparison bytes of the same pack.
+    def read(pack):
+        return zip(_pack_descents(pack, table), *_columns("S", pack, held, ["delent"]))
 
     table = _descent_table(lambda des: sum(n + 1 - i for i in des))
     held = _table("S", n + 1, ["delent"])
     return _by_key("w", partial(iter_symmetric, n),
                    lambda w: (rmaj_s(w, n), len(ltr_minima(w, 0, EXCLUDE_FIRST_POSITIONS))),
-                   lambda: map(slot, range(n, -1, -1)), sides, n + 1)
+                   lambda: _inserted_rows(_element_packs("S", n), range(n, -1, -1), read),
+                   sides, n + 1)
 
 
 def _check_remark66(n: int) -> Iterator[Checkpoint]:
     # The products with n+1 at slots n, ..., 1: all but the one that puts it first.
     table = _descent_table(lambda des: (sum(n + 1 - i for i in des), 0))
+    read = partial(_pack_descents, table=table)
     return _by_key("w", partial(iter_symmetric, n), partial(rmaj_s, n=n),
-                   lambda: (_descents(_coset_slot(n, i), table) for i in range(n, 0, -1)),
+                   lambda: _inserted_rows(_element_packs("S", n), range(n, 0, -1), read),
                    lambda r, row: [({}, Counter(row), _run(r, n))], n)
 
 

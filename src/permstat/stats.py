@@ -44,8 +44,8 @@ from operator import gt
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .perm import Perm, check_even
-from .words import (_CHUNK, _columns, _element_packs, _lanes, _Memo, _pack, _packs, _table,
-                    _words, a_pull, indicators, s_pull)
+from .words import (_CHUNK, _columns, _element_packs, _lanes, _Memo, _pack, _table, _words,
+                    a_pull, indicators, s_pull)
 
 if TYPE_CHECKING:  # genfun, its only user, imports it when it runs
     from .qpoly import MultiPoly
@@ -297,14 +297,9 @@ def _descent_stat(stat: str, n: int, des: list[int]) -> int:
 
 
 def _descent_table(value: Callable[[list[int]], object]) -> _Memo:
-    """A word's comparison key, the bytes of ``map(gt, w, w[1:])`` as ``_descents``
+    """A word's comparison key, the bytes of ``map(gt, w, w[1:])`` as ``_pack_descents``
     reads them, -> value(its descent positions); each entry filled when first read."""
     return _Memo(lambda bits: value(list(compress(count(1), bits))))
-
-
-def _descents(words: Iterable[Sequence[int]], table: _Memo) -> Iterator:
-    """``_pack_descents`` of each chunk of the stream."""
-    return chain.from_iterable(_pack_descents(pack, table) for pack in _packs(words))
 
 
 def _pack_descents(pack: tuple[int, int, int, int], table: _Memo) -> Iterator:
@@ -396,8 +391,8 @@ def histograms(group: str, n: int, *rows: list[tuple[str, ...]]
 
     The columns are "zero", all zeros; the record fields "length",
     "delent", "ind" (the indicator mask), "occ<k>" (the occurrence count of
-    the k-th generator) and, in A, "proj" (the projection), as
-    ``words._field`` reads them; the descent statistics "maj", "rmaj"
+    the k-th generator) and, in A, "proj" (the projection), as the pull's
+    step reads them (``words._columns``); the descent statistics "maj", "rmaj"
     (ambient degree n), "des" and "desmask" (bit i set for a descent at i);
     and "inversions", the inversion count (``length_s``).  These last five
     are read off the element's one-line word in S and off its projection in

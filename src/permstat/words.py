@@ -48,21 +48,24 @@ field adds that slot's constant (``_PLANS``, the pull's step written out
 per slot) to the word left's plane of that field, one degree down, by one
 integer addition (``_columns``).  The steps stop at a table of the pass's
 top degree, which the pass builds once by the same step from the words of
-each degree in turn, up from the kernels' records at degree 3
-(``_table``).  So every field is a pure function of the word it is read
-for, and the table caches them, one ``bytes`` record per word with each
-field at a fixed offset, keyed by the word's bytes; a pack joins its
-words' records and cuts each field out as a plane, a byte per word (a
-lane of 2 or 4 for a wide indicator mask).  No record is built from
-another by choosing a slot for the top value, which would walk the
-staircase product that the closed forms are.
+each degree in turn, up from the one word of degree 1 in S or 2 in A,
+whose fields are all zero (``_table``).  So every field is a pure function
+of the word it is read for, and the table caches them, one ``bytes``
+record per word with each field at a fixed offset, keyed by the word's
+bytes; a pack joins its words' records and cuts each field out as a plane,
+a byte per word (a lane of 2 or 4 for a wide indicator mask).  No pass
+calls a kernel, so the kernels are a reference apart from every record a
+pass reads.  No record is built from another by choosing a slot for the
+top value, which would walk the staircase product that the closed forms
+are.
 A scan reads from a record only what the paper defines through the
 word: delent, indicator vectors, occurrence counts, and the alternating
 length and descents.  Symmetric statistics that are defined on the one-line
 word stay there: length is an inversion count and descents compare
 neighbouring entries.  The per-point scans of words with a new top letter
-inserted read each inserted word's descents off its own neighbour
-comparisons, never off the base word's descents and the slot.
+inserted lay each pack of inserted words out from its base pack's bytes
+(``_inserted``), and read each inserted word's descents off its own
+neighbour comparisons, never off the base word's descents and the slot.
 
 Words are stored structurally, one entry per factor, never as flat letter
 lists; occurrence counts and length are O(1) per factor.  Flat letter views
@@ -80,7 +83,7 @@ from math import factorial
 from struct import Struct, error as StructError, unpack
 from typing import Iterable, Iterator, Sequence
 
-from .perm import Perm, _parities, check_even, iter_alternating, iter_symmetric
+from .perm import Perm, _parities, check_even
 
 # Factor encodings.
 #   S: factors[j-1] = r        for the run s_j s_{j-1} ... s_r  (1 <= r <= j)
@@ -349,6 +352,17 @@ def _words(pack: tuple[int, int, int, int]) -> tuple[bytes, ...]:
     return unpack(f"{length}s{stride - length}x" * (size // stride), a.to_bytes(size, "little"))
 
 
+def _inserted(pack: tuple[int, int, int, int], i: int) -> tuple[int, int, int, int]:
+    """A pack of words of d letters at stride d, each with the letter d + 1 put in at
+    slot i, packed at stride d + 1: every lane moved by one slice of the pack's bytes."""
+    d, _, size, a = pack
+    raw, out = a.to_bytes(size, "little"), bytearray(size // d * (d + 1))
+    out[i::d + 1] = bytes((d + 1,)) * (size // d)
+    for k in range(d):
+        out[k + (k >= i)::d + 1] = raw[k::d]
+    return d + 1, d + 1, len(out), int.from_bytes(out, "little")
+
+
 # (stride, degree d) -> over a full chunk: 0x01 in every lane, in each word's lane 0
 # and in its lane d - 1; 0xFF in its lanes 0..d - 2; d in every lane.
 _MASKS = _Memo(lambda key: tuple(
@@ -383,22 +397,12 @@ def _layout(fields: list[str], proj: int, ind: int) -> list[tuple[int, int]]:
     return list(zip(accumulate(widths, initial=0), widths))
 
 
-def _field(record: tuple, f: str, ind: int) -> bytes:
-    """Record field f off a kernel record, as a table's record holds it (``_layout``):
-    "length", "delent", "proj" (A), the projection, "ind", the indicator mask on `ind`
-    bytes, with bit j - 1 set when factor j's run reaches the first generator, or
-    "occ<k>", how many runs pass through the k-th generator."""
-    if f in ("length", "delent", "proj"):
-        return bytes(record[3]) if f == "proj" else bytes((record[f == "delent"],))
-    if f == "ind":
-        return sum(1 << j for j, r in enumerate(record[2]) if r == 1).to_bytes(ind, "little")
-    return bytes((occurrences(record[2], int(f[3:])),))
-
-
 def _slot_plan(key: tuple[str, int]) -> dict[str, list]:
     """What one step of the pull of the top value d out of a word of degree d adds to the
-    word left's record fields (see ``_field``), per slot of d: "length", "delent",
-    "ind" and each "occ<k>" with k up to the step's factor j."""
+    word left's record fields (``_table``), per slot of d: "length", "delent", "ind",
+    the indicator mask, with bit j - 1 set when factor j's run reaches the first
+    generator, and each "occ<k>", how many runs pass through the k-th generator, with k
+    up to the step's factor j."""
     group, d = key
     j = d - 1 if group == "S" else d - 2  # the factor that the step pulls
     # Its run ends at e from each slot r < d - 1 (S: r + 1; A: r, or 1 for the
@@ -424,22 +428,22 @@ def _table(group: str, degree: int, fields: list[str]) -> tuple[int, dict]:
     ``bytes`` value with each field at a fixed offset (``_layout``): a byte
     for "length", "delent" and each "occ<k>", the smallest of 1, 2 or 4
     little-endian bytes that holds "ind" at `degree` (bits 0 to degree - 2),
-    and the projection's d - 1 letters for "proj".  The words of degree 3 or
-    less read their fields off the kernels, and those of each degree above,
-    a pack at a time as the passes read them (``_element_packs``), step down
-    to the table below (``_columns``).
+    and the projection's d - 1 letters for "proj".  The one word of degree
+    low, 1 in S and 2 in A, has every field zero, its projection the
+    letters 1..low - 1; the words of each degree above, a pack at a time as
+    the passes read them (``_element_packs``), step down to the table below
+    (``_columns``).
     """
-    elements, size = ((iter_symmetric, factorial) if group == "S"
-                      else (iter_alternating, lambda d: factorial(d) // 2))
+    size = factorial if group == "S" else lambda d: factorial(d) // 2
     top = min(degree, 3)
     while top + 1 < degree and size(top + 1) <= _HELD_RECORDS:
         top += 1
     ind = 1 if degree <= 9 else 2 if degree <= 17 else 4
-    # The kernels are looked up when the table is built, so a patched one is seen.
-    kernel = s_pull if group == "S" else a_pull
-    table = {bytes(w): b"".join(map(_field, repeat(kernel(w)), fields, repeat(ind)))
-             for w in elements(min(top, 3))}
-    for d in range(4, top + 1):
+    low = min(top, 1 if group == "S" else 2)  # A of degree 1 is its own low
+    table = {bytes(range(1, low + 1)): b"".join(
+        bytes(range(1, low)) if f == "proj" else bytes(n)
+        for f, (_, n) in zip(fields, _layout(fields, low - 1, ind)))}
+    for d in range(low + 1, top + 1):
         held, table = (d - 1, table), {}
         layout = _layout(fields, d - 1, ind)
         width = sum(n for _, n in layout)

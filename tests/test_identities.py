@@ -368,23 +368,20 @@ def test_a_failing_start_reports_the_oracles_first_point(monkeypatch, name):
 
 def test_lemma65_fails_when_every_delent_shifts(monkeypatch):
     # lemma65's scan side reads each coset product's delent through the pull
-    # table, which ``words._table`` builds from the kernel's records, and its
-    # closed form reads w's off the left-to-right minima, so a kernel that
-    # counts one delent too many fails it, and only on the scan side: each
-    # failing point's closed form is the unpatched one.
+    # table and one step of the pull, and its closed form reads w's off the
+    # left-to-right minima, so a step that counts one delent too many at
+    # every slot fails it, and only on the scan side: each failing point's
+    # closed form is the unpatched one.
     from permstat import words
 
     clean = {n: {json.dumps(identities._json_safe(point), sort_keys=True): rhs
                  for point, _, rhs, _ in lemma65_by_slicing(n)} for n in (3, 4, 5)}
-    pull = words.s_pull
-
-    def shifted(p):
-        length, delent, starts = pull(p)
-        return length, delent + 1, starts
-
-    monkeypatch.setattr(words, "s_pull", shifted)
     for n in (3, 4, 5):
-        report = verify("lemma65", n)
+        plan = words._PLANS["S", n + 1]
+        with monkeypatch.context() as patched:  # the step onto the products alone
+            patched.setitem(words._PLANS, ("S", n + 1),
+                            {**plan, "delent": [v + 1 for v in plan["delent"]]})
+            report = verify("lemma65", n)
         assert not report.passed and "failed_at" in report.params, n
         point = json.dumps(report.params["failed_at"], sort_keys=True)
         assert report.rhs == MultiPoly(*clean[n][point]), n
@@ -393,11 +390,12 @@ def test_lemma65_fails_when_every_delent_shifts(monkeypatch):
 
 def test_lemma65_at_its_cap_stays_under_its_memory_ceiling():
     # At n = 7, its default cap, lemma65 holds one S_7 delent table for the
-    # whole check beside a chunk of coset products per slot.  A full
+    # whole check beside a pack of coset products per slot.  A full
     # collection empties the free lists first, so every object the run makes
-    # is traced: it peaks at 1.07 MB on Python 3.11, and the ceiling is
-    # about 1.25 times that.  A table built per slot stream would hold n + 1
-    # of them at once.
+    # is traced: it peaks at 793,192 B on Python 3.11 when each slot packed
+    # its own stream of tuples, and at 787,480 B since the products are laid
+    # out from their base pack; the ceiling is about 1.25 times the larger.
+    # A table built per slot stream would hold n + 1 of them at once.
     import gc
     import tracemalloc
 
@@ -410,7 +408,34 @@ def test_lemma65_at_its_cap_stays_under_its_memory_ceiling():
     finally:
         tracemalloc.stop()
     assert report.passed and report.elements_scanned == 40_320
-    assert peak < 1_340_000
+    assert peak < 990_000
+
+
+@pytest.mark.parametrize("name, n, scanned, ceiling", [
+    ("lemma63", 6, 46_656, 286_000),
+    ("lemma64", 7, 40_320, 320_000),
+    ("remark66", 7, 35_280, 241_000),
+])
+def test_insertion_entries_at_their_caps_stay_under_their_memory_ceilings(name, n, scanned,
+                                                                         ceiling):
+    # Each holds one key tally and a pack of inserted words per slot, laid out
+    # from one pack of base words.  Measured as lemma65 is, on Python 3.11:
+    # 220,976, 256,016 and 193,012 B when each inserted word was packed from
+    # its own tuple, and 228,600, 250,192 and 157,725 B since; each ceiling
+    # is about 1.25 times the larger.
+    import gc
+    import tracemalloc
+
+    assert verify(name, n).passed
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = verify(name, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.elements_scanned == scanned
+    assert peak < ceiling
 
 
 @pytest.mark.parametrize("name, n, scanned, ceiling", [
@@ -480,21 +505,73 @@ def test_inserted_word_scans_match_slicing(name, oracle, n_max):
 @pytest.mark.parametrize("name, bases", [("lemma63", _words), ("lemma64", iter_symmetric)])
 def test_inserted_word_streams_align_with_base_words(monkeypatch, name, bases):
     # Slot i's stream holds each base word with the top letter at slot i, in
-    # the base words' order.
-    descents, streams = identities._descents, []
+    # the base words' order, laid out a pack at a time from the base pack.
+    from permstat import words as packed
 
-    def recorded(words, table):
-        streams.append(list(words))
-        return descents(iter(streams[-1]), table)
+    inserted, streams = identities._inserted, {}
 
-    monkeypatch.setattr(identities, "_descents", recorded)
+    def recorded(pack, i):
+        out = inserted(pack, i)
+        streams.setdefault(i, []).extend(map(tuple, packed._words(out)))
+        return out
+
+    monkeypatch.setattr(identities, "_inserted", recorded)
     assert all(lhs == rhs for _, lhs, rhs, _ in REGISTRY[name].check(3))
     base = list(bases(3))
-    assert len(streams) == 4
-    for i, words in enumerate(streams):
+    assert sorted(streams) == [0, 1, 2, 3]
+    for i, words in streams.items():
         assert len(words) == len(base)
         for w, u in zip(words, base):
             assert w[i] == 4 and w[:i] + w[i + 1:] == u, (i, w, u)
+
+
+@pytest.mark.parametrize("name", ["lemma64", "lemma65", "remark66"])
+def test_scan_and_closed_form_enumerations_check_each_other(monkeypatch, name):
+    # The scan side reads S_n off ``_element_packs`` and the closed form off
+    # ``iter_symmetric``.  With the first two words of S_3's first pack
+    # swapped, the first two base words trade rows, so the entry fails at
+    # the first w, and that point's closed form is the unpatched oracle's.
+    n = 3
+    clean = {json.dumps(identities._json_safe(sub), sort_keys=True): rhs
+             for sub, _, rhs, _ in _ORACLES[name](n)}
+    element_packs = identities._element_packs
+
+    def swapped(group, degree):
+        packs = element_packs(group, degree)
+        d, stride, size, a = next(packs)
+        raw = a.to_bytes(size, "little")
+        yield d, stride, size, int.from_bytes(raw[d:2 * d] + raw[:d] + raw[2 * d:], "little")
+        yield from packs
+
+    assert verify(name, n).passed
+    monkeypatch.setattr(identities, "_element_packs", swapped)
+    report = verify(name, n)
+    assert not report.passed and report.params["failed_at"]["w"] == [1, 2, 3]
+    point = json.dumps(report.params["failed_at"], sort_keys=True)
+    assert report.rhs == MultiPoly(*clean[point]) and report.lhs != report.rhs
+
+
+@pytest.mark.parametrize("name, source", [
+    ("lemma63", "_packs"),
+    ("lemma64", "_element_packs"),
+    ("lemma65", "_element_packs"),
+    ("remark66", "_element_packs"),
+])
+def test_an_inserted_stream_one_base_word_short_raises(monkeypatch, name, source):
+    # The rows are zipped with the base words strictly, so base packs that
+    # drop the last word raise, where a plain zip would pass with one base
+    # word fewer in elements_scanned.
+    packs = getattr(identities, source)
+
+    def short(*args):
+        *head, (d, stride, size, a) = packs(*args)
+        yield from head
+        if size > d:
+            yield d, stride, size - d, a & (1 << 8 * (size - d)) - 1
+
+    monkeypatch.setattr(identities, source, short)
+    with pytest.raises(ValueError):
+        verify(name, 3)
 
 
 def _maj_plus_one(value):

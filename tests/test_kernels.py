@@ -114,8 +114,10 @@ def _record_fields(record, fields, proj=tuple):
 def test_pass_records_equal_kernel_records(monkeypatch, bound):
     # A pass builds one table, of every word of its top degree: the largest
     # below the group's whose words fit, and at least 3, or the group's own
-    # degree from 3 down.  It builds it up from the kernels' records of the
-    # words of degree 3 or less.  Unbounded, every group here is at most one
+    # degree from 3 down.  It builds it up by the pull's step from the one
+    # word of degree 1 in S or 2 in A, and calls no kernel at any degree, so
+    # every record here is checked against a path apart from the pass's.
+    # Unbounded, every group here is at most one
     # value above its top table; bounded at 12 records, the tables are of
     # degree 3 in S and 4 in A, so S_5..S_8 and A_6..A_8 take several steps
     # before they look up.  A pass reads the fields its rows name, so every
@@ -145,7 +147,7 @@ def test_pass_records_equal_kernel_records(monkeypatch, bound):
                 p = inverse(tuple(pinv))
                 assert tuple(rec) == _record_fields(kernel(p), fields), (group, p)
             # One table, which holds every word of its degree once, each with
-            # its own fields; only words of degree 3 or less reach the kernels.
+            # its own fields; no word reaches the kernels.
             # A record is one bytes value: below degree 10 each field is one
             # byte at its offset, in the order named, and "proj" its letters.
             (top, held), = tables
@@ -154,7 +156,7 @@ def test_pass_records_equal_kernel_records(monkeypatch, bound):
             assert all(rec == b"".join(v if f == "proj" else bytes((v,)) for f, v in zip(
                 fields, _record_fields(kernel(w), fields, bytes))) for w, rec in held.items()
                        ), (group, n)
-            assert sorted(pulled) == sorted(words_of(min(n, 3))), (group, n)
+            assert pulled == [], (group, n)
 
 
 @pytest.mark.parametrize("bound", [None, 12])
@@ -279,13 +281,35 @@ def test_table_builds_step_a_chunk_at_a_time(monkeypatch):
         top, table = words._table(group, degree, ["length", "delent"])
         assert top == 7 and len(table) == (5_040 if group == "S" else 2_520)
         assert max(stepped) == words._CHUNK, group
-        # Every word of degree 4 to 7 took one step as its degree's table was built.
+        # Every word of degree 2 (S) or 3 (A) to 7 took one step as its degree's
+        # table was built, up from the one word of degree 1 or 2.
         assert sum(stepped) == sum(math.factorial(d) // (1 if group == "S" else 2)
-                                   for d in range(4, 8)), group
+                                   for d in range(2 if group == "S" else 3, 8)), group
 
 
 def _pack_words(pack):
     return list(map(tuple, words._words(pack)))
+
+
+def test_inserted_packs_equal_tuple_insertion():
+    # ``_inserted`` lays out each word of a pack with d + 1 put in at slot i,
+    # at stride d + 1, from the pack's bytes alone.  At every slot it equals
+    # tuple insertion, on streams of 1, 255, 256 and 257 words (a pack of 256
+    # and one of 1) of [n]^n for n <= 5, where letters repeat, and of S_n for
+    # n <= 7, each stream running through its words again where it has fewer.
+    cases = [list(itertools.product(range(1, n + 1), repeat=n)) for n in range(1, 6)]
+    cases += [list(_perms(n)) for n in range(1, 8)]
+    for ws in cases:
+        d = len(ws[0])
+        for k in (1, 255, 256, 257):
+            stream = list(itertools.islice(itertools.cycle(ws), k))
+            for i in range(d + 1):
+                packs = [words._inserted(pack, i) for pack in words._packs(stream)]
+                assert [pack[:3] for pack in packs] == [
+                    (d + 1, d + 1, (d + 1) * len(chunk)) for chunk in (stream[:256], stream[256:])
+                    if chunk], (d, k, i)
+                assert [w for pack in packs for w in _pack_words(pack)] == [
+                    w[:i] + (d + 1,) + w[i:] for w in stream], (d, k, i)
 
 
 @pytest.mark.parametrize("group", ["S", "A"])
@@ -410,11 +434,12 @@ def test_element_and_fold_columns_equal_public_functions(monkeypatch, group, bou
 def test_passes_that_read_no_field_pull_nothing(monkeypatch):
     from permstat import identities
 
+    # A pass that reads a record field builds its pull table first.
     def no_pull(*args, **kwargs):
         raise AssertionError("a pass that reads no record field pulled")
 
-    monkeypatch.setattr(words, "s_pull", no_pull)
-    monkeypatch.setattr(words, "a_pull", no_pull)
+    monkeypatch.setattr(words, "_table", no_pull)
+    monkeypatch.setattr(stats, "_table", no_pull)
     tallies, _ = identities._tally_passes(
         [("S", 6, row) for row in ("cycles", "len-maj", "descent-class", "main")]
         + [("A", 5, "hat", (1, 2, 3, 4, 5))])

@@ -26,10 +26,10 @@ from permstat.stats import (
     EXCLUDE_FIRST_POSITIONS,
     _CHUNK,
     _descent_table,
-    _descents,
     _folds,
     _maj_rmaj,
     _pack_cycles,
+    _pack_descents,
     _pack_lengths,
     EXCLUDE_SMALLEST_VALUES,
     StatProfile,
@@ -105,7 +105,8 @@ def test_descents_match_length_comparison():
 
 
 def _packed_descents(words):
-    return list(_descents(words, _descent_table(set)))
+    table = _descent_table(set)
+    return [des for pack in _packs(words) for des in _pack_descents(pack, table)]
 
 
 def _packed_lengths(words):
