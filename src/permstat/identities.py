@@ -16,9 +16,9 @@ Each side of a checkpoint is a plain histogram, an arity plus an
 ``{exponents: count}`` dict.  The reporter compares each checkpoint's sides,
 adds them to one running sum and builds a ``MultiPoly`` only for its report.
 Lemmas 6.3-6.5 and remark 6.6 insert n+1 into every slot of a base word;
-their checks tally the base words by key (the closed form's start and the
-row measured on the inserted words), check each distinct key once, and still
-report the first failing base word (``_by_key``).
+their checks tally the base words by key, one bytes record of the closed
+form's start and the row measured on the inserted words, check each distinct
+key once, and still report the first failing base word (``_by_key``).
 
 The whole-group entries are data: the columns they tally over a group and a
 finish that turns the tallies into checkpoints.  ``fiber-size`` is one: it
@@ -38,6 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial, reduce
 from operator import mul
+from struct import unpack
 from typing import Iterator
 
 from .catalog import REGISTRY, CapExceeded, IdentityEntry, resolve  # noqa: F401
@@ -50,13 +51,14 @@ from .stats import (
     _maj_rmaj,
     _mask,
     _pack_descents,
+    _word_majs,
     histograms,
     length_s,
     ltr_minima,
     maj_s,
     rmaj_s,
 )
-from .words import (_columns, _element_packs, _inserted, _packs, _table, epsilon_s,
+from .words import (_CHUNK, _columns, _element_packs, _inserted, _packs, _table, epsilon_s,
                     eval_a_letters, eval_s_letters, s_pull)
 from . import shuffles as shuf
 
@@ -556,118 +558,166 @@ def _check_prop56(n: int) -> Iterator[Checkpoint]:
 # 1..n with an inserted strictly-larger letter exhaust all cases.  The base
 # words are packed once, a chunk at a time, and ``_inserted`` lays out a chunk
 # of inserted words with the new top letter at slot i from the base pack's
-# bytes, for each slot in turn.  Each inserted word's (maj, rmaj) is read off
-# its own neighbour comparisons by ``stats._pack_descents``, one subtraction on
-# the packed letters, through a table of the comparison patterns filled as
-# they are first met.  They are never derived from the base word's descents
-# and the slot, which is the lemma's proof.  A base word u's key pairs two
-# paths that never feed each other: the start of its closed forms
-# q^maj(u) [n+1]_q, q^(maj(u)+1) [n]_q, q^rmaj(u) [n+1]_q and q^rmaj(u) [n]_q,
-# read off u itself by ``_maj_rmaj``, and its inserted words' row of values,
-# which alone the scan sides read.  ``_by_key`` checks each distinct key once:
-# lemma63 has 32 for 46,656 words at n = 6.  lemma64 works the same way over
-# the right coset products w tau, for tau over the degree-n staircase set
-# inside degree n+1, which are w with n+1 put in at each slot; lemma65 and
-# remark66 read those products' rmaj the same way, lemma65 with each one's del
-# through the pull table and the column step, a pure function of the product's
-# own word.  Their scan sides read S_n off ``_element_packs`` and their closed
-# forms off ``iter_symmetric``, so the two enumerations check each other.
+# bytes, for each slot in turn.  Each inserted word's values are read off its
+# own neighbour comparisons by ``stats._pack_descents``, one subtraction on the
+# packed letters, through a table of the comparison patterns filled as they
+# are first met: bytes((maj, rmaj)), or bytes((rmaj,)).  They are never derived
+# from the base word's descents and the slot, which is the lemma's proof.  A
+# base word u's key is one bytes record (``_keys``) that joins two paths that
+# never feed each other: the start of its closed forms, q^maj(u) [n+1]_q,
+# q^(maj(u)+1) [n]_q, q^rmaj(u) [n+1]_q and q^rmaj(u) [n]_q, and its inserted
+# words' row of values, which alone the scan sides read.  lemma63's starts come
+# from ``stats._word_majs``, a prefix recurrence over the product order: a
+# letter x put after a last letter l adds its position to maj exactly when
+# l > x, which a fixed table of l > x decides for a whole plane of words at
+# once, so no word's letters are compared.  The rows come from the base words
+# themselves, packed from ``itertools.product``.  A fault in the comparisons of
+# ``_pack_descents`` therefore reaches the scan sides alone, one in the
+# recurrence the closed forms alone, and a word that the recurrence drops or
+# puts out of order fails where the two enumerations part.
+# ``_by_key`` checks each distinct key once: lemma63 has 32 for 46,656 words at
+# n = 6.  lemma64 works the same way over the right coset products w tau, for
+# tau over the degree-n staircase set inside degree n+1, which are w with n+1
+# put in at each slot; lemma65 and remark66 read those products' rmaj the same
+# way, lemma65 with each one's del through the pull table and the column step,
+# a pure function of the product's own word.  Their starts are read off each w
+# of ``iter_symmetric``, by ``_maj_rmaj``, ``rmaj_s`` and ``ltr_minima``, and
+# their rows off S_n from ``_element_packs``, so the two enumerations check
+# each other.
 
-def _by_key(base: str, bases, start, rows, sides, per: int) -> Iterator[Checkpoint]:
+def _by_key(base: str, bases, keys, sides, per: int) -> Iterator[Checkpoint]:
     """A per-point entry's checkpoints, from one tally of its base elements' keys.
 
-    An element of ``bases()`` has the key (``start(element)``, its row of
-    ``rows()``, which holds one row per base element, in order: any other
-    count raises ValueError) and counts `per` elements.  Each distinct key's
-    (equation, lhs, rhs) triples, ``sides(*key)``, are checked once.  If all
+    ``keys()`` holds one bytes record per element of ``bases()``, in order
+    (``_keys``), and each element counts `per` elements.  Each distinct key's
+    (equation, lhs, rhs) triples, ``sides(key)``, are checked once.  If all
     pass, each yields once, scaled by the key's count; else the base is
-    replayed and only its first failing point is yielded, unscaled.
+    replayed beside its keys, strictly (a count apart raises ValueError),
+    and only its first failing point is yielded, unscaled.
     """
-    def keys():
-        return zip(map(start, bases()), rows(), strict=True)
-
     tally = Counter(keys())
-    checked = {key: sides(*key) for key in tally}
+    checked = {key: sides(key) for key in tally}
     if all(lhs == rhs for eqs in checked.values() for _, lhs, rhs in eqs):
         for key, times in tally.items():
             for j, (eq, lhs, rhs) in enumerate(checked[key]):
                 lhs, rhs = ((0, {e: c * times for e, c in side.items()}) for side in (lhs, rhs))
                 yield eq, lhs, rhs, 0 if j else times * per
         return
-    for i, (element, key) in enumerate(zip(bases(), keys()), 1):
+    for i, (element, key) in enumerate(zip(bases(), keys(), strict=True), 1):
         for eq, lhs, rhs in checked[key]:
             if lhs != rhs:
                 yield {base: element, **eq}, (0, lhs), (0, rhs), i * per
                 return
 
 
-def _inserted_rows(packs, slots, read) -> Iterator[tuple]:
-    """Each base word's row, in the order of `packs`: `read`'s value of each of its
-    words with the top letter put in at each of `slots`, a pack at a time."""
-    for pack in packs:
-        yield from zip(*(read(_inserted(pack, i)) for i in slots))
+def _keys(starts, packs, slots, read) -> Iterator[bytes]:
+    """Each base word's key, one pack of base words at a time: its start, then
+    `read`'s values of its words with the top letter put in at each of `slots`.
+
+    `starts` holds a plane per pack, and `read` maps a pack of inserted words
+    to a list of planes; a plane holds a fixed number of bytes per word.  Each
+    goes into the records at stride width, as ``words._table`` lays out
+    records.  Start planes more or fewer than the packs, or a plane of another
+    length, raise ValueError.
+    """
+    def records(start, pack):
+        count = pack[2] // pack[1]
+        planes = [start, *(plane for i in slots for plane in read(_inserted(pack, i)))]
+        widths = [len(plane) // count for plane in planes]
+        if any(not w or len(plane) != w * count for w, plane in zip(widths, planes)):
+            raise ValueError(f"planes of whole values for {count} words expected")
+        width = sum(widths)
+        out = bytearray(count * width)
+        for at, w, plane in zip(itertools.accumulate(widths, initial=0), widths, planes):
+            for k in range(w):
+                out[at + k::width] = plane[k::w]
+        return unpack(f"{width}s" * count, out)
+
+    return itertools.chain.from_iterable(
+        itertools.starmap(records, zip(starts, packs, strict=True)))
 
 
-def _keys_of(length: int):
-    """The descent positions of a word of `length` letters -> ((maj, 0), (rmaj, 0))."""
-    return lambda des: ((sum(des), 0), (sum(length - i for i in des), 0))
+def _joined(starts: Iterator[bytes]) -> Iterator[bytes]:
+    """The starts, ``_CHUNK`` at a time, joined into one plane: as ``_element_packs``
+    cuts the words."""
+    while plane := b"".join(itertools.islice(starts, _CHUNK)):
+        yield plane
+
+
+def _pairs_of(length: int):
+    """The descent positions of a word of `length` letters -> bytes((maj, rmaj))."""
+    return lambda des: bytes((sum(des), length * len(des) - sum(des)))
+
+
+def _values(table):
+    """A pack of words -> [its words' values in `table`, joined] (``_pack_descents``)."""
+    return lambda pack: [b"".join(_pack_descents(pack, table))]
 
 
 def _check_lemma63(n: int) -> Iterator[Checkpoint]:
-    y, letters = n + 1, range(1, n + 1)
-    read = partial(_pack_descents, table=_descent_table(_keys_of(y)))
+    y, zeros = n + 1, bytes(n + 1)
+    table = _descent_table(_pairs_of(y))
 
-    def sides(start, row):
-        (m, r), (majs, rmajs) = start, zip(*row)
-        return [({"eq": "maj-all"}, Counter(majs), _run(m, y)),
-                ({"eq": "maj-proper"}, Counter(majs[:-1]), _run(m + 1, n)),
-                ({"eq": "rmaj-all"}, Counter(rmajs), _run(r, y)),
-                ({"eq": "rmaj-tail"}, Counter(rmajs[1:]), _run(r, n))]
+    def sides(key):
+        m, r, majs, rmajs = key[0], key[1], key[2::2], key[3::2]
+        return [({"eq": "maj-all"}, Counter(zip(majs, zeros)), _run(m, y)),
+                ({"eq": "maj-proper"}, Counter(zip(majs[:-1], zeros)), _run(m + 1, n)),
+                ({"eq": "rmaj-all"}, Counter(zip(rmajs, zeros)), _run(r, y)),
+                ({"eq": "rmaj-tail"}, Counter(zip(rmajs[1:], zeros)), _run(r, n))]
 
-    bases = partial(itertools.product, letters, repeat=n)
-    return _by_key("word", bases, partial(_maj_rmaj, n=n),
-                   lambda: _inserted_rows(_packs(bases()), range(y), read), sides, 1)
+    bases = partial(itertools.product, range(1, n + 1), repeat=n)
+    return _by_key("word", bases, lambda: _keys(
+        _word_majs(n), _packs(bases()), range(y), _values(table)), sides, 1)
 
 
 def _check_lemma64(n: int) -> Iterator[Checkpoint]:
-    def sides(start, row):
-        (m, r), (majs, rmajs) = start, zip(*row)
-        return [({"stat": "maj"}, Counter(majs), _run(m, n + 1)),
-                ({"stat": "rmaj"}, Counter(rmajs), _run(r, n + 1))]
+    zeros, table = bytes(n + 1), _descent_table(_pairs_of(n + 1))
 
-    read = partial(_pack_descents, table=_descent_table(_keys_of(n + 1)))
-    return _by_key("w", partial(iter_symmetric, n), partial(_maj_rmaj, n=n),
-                   lambda: _inserted_rows(_element_packs("S", n), range(n + 1), read),
-                   sides, n + 1)
+    def sides(key):
+        m, r, majs, rmajs = key[0], key[1], key[2::2], key[3::2]
+        return [({"stat": "maj"}, Counter(zip(majs, zeros)), _run(m, n + 1)),
+                ({"stat": "rmaj"}, Counter(zip(rmajs, zeros)), _run(r, n + 1))]
+
+    bases = partial(iter_symmetric, n)
+    return _by_key("w", bases, lambda: _keys(
+        _joined(bytes(_maj_rmaj(w, n)) for w in bases()), _element_packs("S", n),
+        range(n + 1), _values(table)), sides, n + 1)
 
 
 def _check_lemma65(n: int) -> Iterator[Checkpoint]:
     # The closed form is q^rmaj(w) t^del(w) ([n]_q + q^n t), with w's delent
     # read off its left-to-right minima, never off its pull.
-    def sides(start, row):
-        r, d = start
-        return [({}, Counter(row), {**_run(r, n, d), (r + n, d + 1): 1})]
+    def sides(key):
+        r, d = key[0], key[1]
+        return [({}, Counter(zip(key[2::2], key[3::2])), {**_run(r, n, d), (r + n, d + 1): 1})]
+
+    def start(w):
+        return bytes((rmaj_s(w, n), len(ltr_minima(w, 0, EXCLUDE_FIRST_POSITIONS))))
 
     # Each product's delent comes through the pull table and the column step,
     # beside the comparison bytes of the same pack.
     def read(pack):
-        return zip(_pack_descents(pack, table), *_columns("S", pack, held, ["delent"]))
+        return [*values(pack), *_columns("S", pack, held, ["delent"])]
 
-    table = _descent_table(lambda des: sum(n + 1 - i for i in des))
+    values = _values(_descent_table(lambda des: bytes((sum(n + 1 - i for i in des),))))
     held = _table("S", n + 1, ["delent"])
-    return _by_key("w", partial(iter_symmetric, n),
-                   lambda w: (rmaj_s(w, n), len(ltr_minima(w, 0, EXCLUDE_FIRST_POSITIONS))),
-                   lambda: _inserted_rows(_element_packs("S", n), range(n, -1, -1), read),
-                   sides, n + 1)
+    bases = partial(iter_symmetric, n)
+    return _by_key("w", bases, lambda: _keys(
+        _joined(map(start, bases())), _element_packs("S", n), range(n, -1, -1), read),
+        sides, n + 1)
 
 
 def _check_remark66(n: int) -> Iterator[Checkpoint]:
     # The products with n+1 at slots n, ..., 1: all but the one that puts it first.
-    table = _descent_table(lambda des: (sum(n + 1 - i for i in des), 0))
-    read = partial(_pack_descents, table=table)
-    return _by_key("w", partial(iter_symmetric, n), partial(rmaj_s, n=n),
-                   lambda: _inserted_rows(_element_packs("S", n), range(n, 0, -1), read),
-                   lambda r, row: [({}, Counter(row), _run(r, n))], n)
+    zeros, table = bytes(n), _descent_table(lambda des: bytes((sum(n + 1 - i for i in des),)))
+
+    def sides(key):
+        return [({}, Counter(zip(key[1:], zeros)), _run(key[0], n))]
+
+    bases = partial(iter_symmetric, n)
+    return _by_key("w", bases, lambda: _keys(
+        _joined(bytes((rmaj_s(w, n),)) for w in bases()), _element_packs("S", n),
+        range(n, 0, -1), _values(table)), sides, n)
 
 
 def _iter_low_support(n: int, i: int):

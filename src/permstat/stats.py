@@ -95,6 +95,71 @@ def _maj_rmaj(p: Sequence[int], n: int) -> tuple[int, int]:
     return m, n * len(des) - m
 
 
+def _product_planes(n: int, length: int, first: int) -> bytes:
+    """(maj, rmaj) of every word of [n]^length, two bytes a word in
+    ``itertools.product`` order, over the descents inside the word, which starts
+    at position `first` of a word of n letters.
+
+    Put a letter x after the last letter l of a word of j letters (l = i % n + 1
+    for the word of index i): exactly when l > x, maj gains first + j - 1 and
+    rmaj n - first - j + 1.  So each word's pair repeats n times, by 2n slice
+    assignments, and an n-by-n table of l > x, tiled, adds both gains by one
+    integer addition; no word's letters are compared.  No lane carries while
+    n(n - 1)/2 < 256."""
+    greater = bytes(v for last in range(n) for x in range(n) for v in (last > x, 0))
+    plane = bytes(2 * n)
+    for j in range(1, length):
+        out = bytearray(len(plane) * n)
+        for lane in range(2 * n):
+            out[lane::2 * n] = plane[lane % 2::2]
+        at = first + j - 1
+        plane = (int.from_bytes(out, "little") + (at + 256 * (n - at)) * int.from_bytes(
+            greater * (len(out) // len(greater)), "little")).to_bytes(len(out), "little")
+    return plane
+
+
+_BLOCK_WORDS = 1 << 15  # the most words, over every letter before it, of a block
+
+
+def _block_letters(n: int) -> int:
+    """The letters k < n of ``_word_majs``' block: the most with n^(k + 1) words
+    at most ``_BLOCK_WORDS``, or none."""
+    k = n - 1
+    while k and n ** (k + 1) > _BLOCK_WORDS:
+        k -= 1
+    return k
+
+
+def _word_majs(n: int) -> Iterator[bytes]:
+    """``bytes(_maj_rmaj(u, n))`` of every word u of [n]^n, in ``itertools.product``
+    order, joined, ``_CHUNK`` words a plane.
+
+    A word is a prefix of n - k letters and a block of the last k
+    (``_block_letters``).  The block's planes are built once, over the words of
+    the letter before it and the block (``_product_planes``), so the descent
+    between the two is counted; each prefix adds its own pair, from the prefix
+    words' planes, to the block of its last letter by one integer addition.  Over
+    23 letters, ValueError: a maj or rmaj, up to n(n - 1)/2, could pass 255 and
+    carry into the next lane."""
+    if n * (n - 1) // 2 > 255:
+        raise ValueError(f"words of at most 23 letters expected, not {n}")
+    k = _block_letters(n)
+    size = 2 * n ** k
+    blocks = _product_planes(n, k + 1, n - k)
+    lasts = [int.from_bytes(blocks[at:at + size], "little") for at in range(0, len(blocks), size)]
+    ones, prefixes = int.from_bytes(b"\x01\x00" * n ** k, "little"), _product_planes(n, n - k, 1)
+    rest, chunk = b"", 2 * _CHUNK
+    for i in range(0, len(prefixes), 2):
+        pair = prefixes[i] + 256 * prefixes[i + 1]
+        rest += (lasts[i // 2 % n] + pair * ones).to_bytes(size, "little")
+        cut = len(rest) - len(rest) % chunk
+        for at in range(0, cut, chunk):
+            yield rest[at:at + chunk]
+        rest = rest[cut:]
+    if rest:
+        yield rest
+
+
 # -- left-to-right minima ----------------------------------------------------
 
 def ltr_minima(p: Perm, level: int = 0, kind: str = EXCLUDE_FIRST_POSITIONS) -> set[int]:

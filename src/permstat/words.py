@@ -377,14 +377,20 @@ def _lanes(stride: int, d: int, size: int) -> tuple[int, ...]:
     return masks if size == _CHUNK * stride else tuple(m & (1 << 8 * size) - 1 for m in masks)
 
 
+# (a slot plan list's values, as a tuple, and a byte index) -> the translation of
+# a count d - 1 - slot to that byte of the slot's value.  Keyed by the values, so
+# a patched plan list finds its own.
+_TRANSLATIONS = _Memo(lambda key: bytes([v >> 8 * key[1] for v in reversed(key[0])]).ljust(
+    256, b"\0"))
+
+
 def _plus(plane: bytes | memoryview, slots: list[int], counts: bytes) -> bytes | memoryview:
     """A plane of lanes, one per word, plus a slot plan list's constant, off each word's
     count d - 1 - slot (``_columns``).  The plan's values (one power of two for "ind")
     land in the byte of the lane that holds the largest, and no lane carries."""
     lanes, at = memoryview(plane), (max(slots) | 1).bit_length() - 1 >> 3
     constants = bytearray(lanes.nbytes)
-    constants[at::lanes.itemsize] = counts.translate(
-        bytes([v >> 8 * at for v in reversed(slots)]).ljust(256, b"\0"))
+    constants[at::lanes.itemsize] = counts.translate(_TRANSLATIONS[tuple(slots), at])
     total = (int.from_bytes(plane, "little") + int.from_bytes(constants, "little")).to_bytes(
         lanes.nbytes, "little")
     return total if lanes.itemsize == 1 else memoryview(total).cast(lanes.format)

@@ -393,8 +393,9 @@ def test_lemma65_at_its_cap_stays_under_its_memory_ceiling():
     # whole check beside a pack of coset products per slot.  A full
     # collection empties the free lists first, so every object the run makes
     # is traced: it peaks at 793,192 B on Python 3.11 when each slot packed
-    # its own stream of tuples, and at 787,480 B since the products are laid
-    # out from their base pack; the ceiling is about 1.25 times the larger.
+    # its own stream of tuples, at 787,480 B since the products are laid out
+    # from their base pack, and at 759,475 B since each w's key is one bytes
+    # record; the ceiling is about 1.25 times the largest.
     # A table built per slot stream would hold n + 1 of them at once.
     import gc
     import tracemalloc
@@ -422,7 +423,9 @@ def test_insertion_entries_at_their_caps_stay_under_their_memory_ceilings(name, 
     # from one pack of base words.  Measured as lemma65 is, on Python 3.11:
     # 220,976, 256,016 and 193,012 B when each inserted word was packed from
     # its own tuple, and 228,600, 250,192 and 157,725 B since; each ceiling
-    # is about 1.25 times the larger.
+    # is about 1.25 times the larger.  With one bytes record per base word,
+    # and lemma63's starts from its prefix recurrence, they read 244,896,
+    # 278,089 and 141,542 B: a pack's records are unpacked at once.
     import gc
     import tracemalloc
 
@@ -574,17 +577,37 @@ def test_an_inserted_stream_one_base_word_short_raises(monkeypatch, name, source
         verify(name, 3)
 
 
-def _maj_plus_one(value):
-    (maj, t), rmaj = value
-    return (maj + 1, t), rmaj
+@pytest.mark.parametrize("tail", [
+    lambda last: [last[:-2]],  # a word short
+    lambda last: [last + last[-2:]],  # a word long
+    lambda last: [last, last[-2:]],  # a plane more than the packs
+])
+def test_lemma63_start_planes_apart_from_its_base_packs_raise(monkeypatch, tail):
+    # lemma63's starts come from a recurrence, apart from its base packs, and
+    # the two are zipped strictly: start planes that differ from the packs in
+    # length raise.
+    starts = identities._word_majs
+
+    def changed(n):
+        *head, last = starts(n)
+        yield from head
+        yield from tail(last)
+
+    monkeypatch.setattr(identities, "_word_majs", changed)
+    with pytest.raises(ValueError):
+        verify("lemma63", 3)
+
+
+def _first_plus_one(value):
+    """A table value, bytes((maj, rmaj)) or bytes((rmaj,)), with its first byte one higher."""
+    return bytes((value[0] + 1, *value[1:]))
 
 
 @pytest.mark.parametrize("name, bases, first, slots, bump", [
-    ("lemma63", _words, lambda u: {"word": u, "eq": "maj-all"}, range(4), _maj_plus_one),
-    ("lemma64", iter_symmetric, lambda w: {"w": w, "stat": "maj"}, range(4), _maj_plus_one),
-    ("lemma65", iter_symmetric, lambda w: {"w": w}, range(4), lambda rmaj: rmaj + 1),
-    ("remark66", iter_symmetric, lambda w: {"w": w}, range(1, 4),
-     lambda value: (value[0] + 1, value[1])),
+    ("lemma63", _words, lambda u: {"word": u, "eq": "maj-all"}, range(4), _first_plus_one),
+    ("lemma64", iter_symmetric, lambda w: {"w": w, "stat": "maj"}, range(4), _first_plus_one),
+    ("lemma65", iter_symmetric, lambda w: {"w": w}, range(4), _first_plus_one),
+    ("remark66", iter_symmetric, lambda w: {"w": w}, range(1, 4), _first_plus_one),
 ])
 def test_a_wrong_descent_pattern_fails_only_the_scan_side(monkeypatch, name, bases, first,
                                                           slots, bump):
@@ -1022,7 +1045,8 @@ def test_inversion_and_fold_reports_are_pinned():
 # in a set, a flipped bit in a vector.  ``_pack_lengths`` counts the
 # inversions of the pass's "inversions" columns and measures the folds of
 # appendix-hat; ``_pack_cycles`` and ``ltr_minima`` feed the pass's "cycles"
-# and "minmask" columns.  ``cycle_count`` reaches no entry at n = 4.
+# and "minmask" columns; ``_word_majs`` yields lemma63's starts, a plane
+# of bytes at a time.  ``cycle_count`` reaches no entry at n = 4.
 FAULTS = {
     "length_s": lambda v: v + 1,
     "rmaj_s": lambda v: v + 1,
@@ -1033,6 +1057,7 @@ FAULTS = {
     "_maj_rmaj": lambda v: (v[0] + 1, v[1] + 1),
     "_pack_lengths": lambda v: bytes(x + 1 for x in v),
     "_pack_cycles": lambda v: bytes(x + 1 for x in v),
+    "_word_majs": lambda v: (bytes(x + 1 for x in plane) for plane in v),
 }
 
 
@@ -1054,7 +1079,6 @@ def _patch_everywhere(monkeypatch, name, wrap):
 # ``s_pull`` and ``_maj_rmaj``; main-s and main-a fail under the ltr_minima
 # fault only because main names a fibre whose mask lies outside its bits.
 FAULT_ROWS = [
-    ("_maj_rmaj", "lemma63"),
     ("_maj_rmaj", "lemma64"),
     ("_maj_rmaj", "lemma86"),
     ("_maj_rmaj", "lemma93"),
@@ -1071,6 +1095,7 @@ FAULT_ROWS = [
     ("_pack_lengths", "prop510-multivar-s"),
     ("_pack_lengths", "thm61-s"),
     ("_pack_lengths", "thm62-s"),
+    ("_word_majs", "lemma63"),
     ("epsilon_s", "lemma93"),
     ("length_s", "lemma87"),
     ("length_s", "lemma93"),
@@ -1113,6 +1138,20 @@ def test_a_fault_in_a_function_fails_each_entry_that_reads_it(monkeypatch, funct
                       lambda f: lambda *args, **kwargs: fault(f(*args, **kwargs)))
     report = verify(entry, 4)
     assert not report.passed and ("failed_at" in report.params) == (points != [None])
+
+
+def test_a_start_fault_fails_lemma63_on_its_closed_form_side_alone(monkeypatch):
+    # Under the ``_word_majs`` fault, every start one higher, lemma63 at
+    # n = 4 fails at its first base word, and that point's scan side is the
+    # oracle's: the fault reached the closed form alone.
+    n = 4
+    first, lhs, rhs, _ = lemma63_by_slicing(n)[0]
+    fault = FAULTS["_word_majs"]
+    _patch_everywhere(monkeypatch, "_word_majs", lambda f: lambda n: fault(f(n)))
+    report = verify("lemma63", n)
+    assert not report.passed and report.elements_scanned == 1
+    assert report.params["failed_at"] == identities._json_safe(first)
+    assert report.lhs == MultiPoly(*lhs) and report.rhs != MultiPoly(*rhs)
 
 
 @pytest.mark.parametrize("name", ["main-s", "main-a"])

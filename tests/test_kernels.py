@@ -462,6 +462,23 @@ def test_cycle_column_reads_no_record(monkeypatch):
     assert count == 720 and cycles == theirs == Counter(map(cycle_count, _perms(6)))
 
 
+def test_plus_keeps_each_slot_lists_own_translation():
+    # ``_plus`` keeps the translation of each slot list that it has read, keyed
+    # by the list's values: after a call with the plan's list, a different
+    # list for the same field gives that list's plane, and the plan's list
+    # gives its own again.  A test that patches a plan list sees its patch.
+    plan = words._PLANS["S", 5]["delent"]
+    other = [v + 1 for v in plan]
+    counts = bytes([4, 3, 2, 1, 0, 0, 4])  # d - 1 - slot, for d = 5
+    plane = bytes(range(10, 17))
+    for slots in (plan, other, plan):
+        assert words._plus(plane, slots, counts) == bytes(
+            x + slots[4 - c] for x, c in zip(plane, counts)), slots
+    ind = words._PLANS["S", 10]["ind"]  # 1 << 8 at slot 0, in each lane's second byte
+    wide = memoryview(bytearray(6)).cast("H")
+    assert list(words._plus(wide, ind, bytes([9, 0, 5]))) == [256, 0, 0]
+
+
 def test_iter_alternating_is_the_lexicographic_even_filter():
     for n in range(0, 9):
         assert list(iter_alternating(n)) == [p for p in _perms(n) if sign(p) == 1]

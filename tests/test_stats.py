@@ -31,6 +31,8 @@ from permstat.stats import (
     _pack_cycles,
     _pack_descents,
     _pack_lengths,
+    _block_letters,
+    _word_majs,
     EXCLUDE_SMALLEST_VALUES,
     StatProfile,
     del_a,
@@ -96,6 +98,34 @@ def test_maj_rmaj_matches_the_two_sums(case):
     # Words with repeated letters, like the weak-order words of lemma63.
     w, n = case
     assert _maj_rmaj(w, n) == (maj_s(w), rmaj_s(w, n))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_word_majs_are_maj_rmaj_of_every_word(n):
+    # The prefix recurrence compares no letters, yet each word of [n]^n gets
+    # its own ``_maj_rmaj`` pair, in ``itertools.product`` order, in planes of
+    # ``_CHUNK`` words: 3,125 words at n = 5 end in a plane of 53.
+    words = list(itertools.product(range(1, n + 1), repeat=n))
+    planes = list(_word_majs(n))
+    assert [len(p) for p in planes] == [2 * len(words[at:at + _CHUNK])
+                                       for at in range(0, len(words), _CHUNK)]
+    assert b"".join(planes) == b"".join(bytes(_maj_rmaj(u, n)) for u in words)
+
+
+def test_word_majs_hold_across_every_block_boundary():
+    # At n = 7 a word is a prefix and a block of the last k letters, built
+    # apart: the words on each side of every block boundary, and the first
+    # and the last, get their own pairs.
+    n = 7
+    k = _block_letters(n)
+    starts = b"".join(_word_majs(n))
+    assert 0 < k < n and len(starts) == 2 * n ** n
+    edges = [0, n ** n - 1] + [i for b in range(n ** k, n ** n, n ** k) for i in (b - 1, b)]
+    for i in edges:
+        u = tuple(i // n ** j % n + 1 for j in reversed(range(n)))
+        assert starts[2 * i:2 * i + 2] == bytes(_maj_rmaj(u, n)), u
+    with pytest.raises(ValueError):
+        next(_word_majs(24))  # maj reaches 276, above a byte
 
 
 def test_descents_match_length_comparison():
