@@ -46,6 +46,7 @@ from .perm import Perm, compose, inverse, iter_symmetric, nu
 from .qpoly import MultiPoly, geometric, q_binomial, q_factorial
 from .stats import (
     EXCLUDE_FIRST_POSITIONS,
+    _descent_stat,
     _descent_table,
     _indicator_keys,
     _maj_rmaj,
@@ -167,6 +168,14 @@ def _subset_sums(fibres: dict[int, list[dict]], bits: list[int]) -> list[list[di
     return sums
 
 
+def _stray(fibres: dict[int, list[dict]], bits: list[int], count: int) -> Checkpoint | None:
+    """A fibre whose mask has a bit outside `bits` lies in no subset sum: the smallest
+    such mask fails, its first tally's fibre against an empty side.  None if none does."""
+    outside = ~_mask(bits)
+    stray = min((m for m in fibres if m & outside), default=None)
+    return None if stray is None else ({"mask": stray}, (0, fibres[stray][0]), _const(0), count)
+
+
 # -- whole-group entries, as data ----------------------------------------------
 #
 # A whole-group entry is the columns it reads (see ``_tally_passes``) and a
@@ -251,7 +260,11 @@ def _fs_fixed_descent(n, count, ell, maj, rmaj):
 
 
 def _fs_rmaj(n, count, ell, maj, rmaj):
-    sums = _subset_sums(_fibres((maj, rmaj, ell)), list(range(1, n)))
+    fibres, bits = _fibres((maj, rmaj, ell)), list(range(1, n))
+    if stray := _stray(fibres, bits, count):
+        yield stray
+        return
+    sums = _subset_sums(fibres, bits)
     for d1_bits, (maj, rmaj, ell) in enumerate(sums):
         yield {"D1": d1_bits, "side": "maj"}, (0, maj), (0, ell), count if d1_bits == 0 else 0
         yield {"D1": d1_bits, "side": "rmaj"}, (0, rmaj), (0, ell), 0
@@ -329,10 +342,8 @@ def _main(group, n, count, *tallies):
     # D1 restricts the descent bits 1..n-1 and D2 the minima bits, shifted by n, from n + 2 up.
     bits = list(range(1, n)) + list(range(n + 2, n + 2 + d2_count))
     fibres = _fibres([{(d | m << n, e): c for (d, m, e), c in t.items()} for t in tallies])
-    outside = ~_mask(bits)
-    stray = min((m for m in fibres if m & outside), default=None)
-    if stray is not None:  # such a fibre lies in no subset sum: it fails, named
-        yield {"mask": stray}, (0, fibres[stray][0]), _const(0), count
+    if stray := _stray(fibres, bits, count):
+        yield stray
         return
     sums = _subset_sums(fibres, bits)
     for d1_bits in range(1 << (n - 1)):
@@ -357,7 +368,7 @@ def _appendix_hat(n, count, *hists, i=None):
 def _fiber_size(n, count, sizes):
     # The total counts every projection tallied, so one outside S_n fails there.
     for w in iter_symmetric(n):
-        size, delent = sizes.get(w, 0), len(ltr_minima(w, 0, EXCLUDE_FIRST_POSITIONS))
+        size, delent = sizes.get(bytes(w), 0), len(ltr_minima(w, 0, EXCLUDE_FIRST_POSITIONS))
         yield {"w": w}, _const(size), _const(2 ** delent), size
     order = math.factorial(n + 1) // 2
     yield {"check": "partition-total"}, _const(sum(sizes.values())), _const(order), 0
@@ -520,38 +531,28 @@ def _report(name: str, n: int, params: dict, columns: list[tuple] | None, tallie
 # -- per-point entries -------------------------------------------------------
 
 def _check_prop56(n: int) -> Iterator[Checkpoint]:
-    # Factor-by-factor products.  Each staircase element is materialised as a
-    # permutation and measured through inversions and left-to-right minima,
-    # never by reading its own word back.
-    count = 0
-    lhs_s = MultiPoly.const(1)
-    for j in range(1, n):
-        factor_sum = MultiPoly.zero()
-        for r in range(j + 1, 0, -1):
-            elem = eval_s_letters(n, range(j, r - 1, -1))
-            count += 1
-            ell = length_s(elem)
-            dl = len(ltr_minima(elem, 0, EXCLUDE_FIRST_POSITIONS))
-            factor_sum = factor_sum + MultiPoly.monomial(1, q=ell, t=dl)
-        lhs_s = lhs_s * factor_sum
-    yield {"group": "S"}, (0, lhs_s.terms), (0, _staircase(n, 1).terms), count
+    # Factor-by-factor products, one loop over both groups.  Each staircase
+    # element is materialised as a permutation and measured through inversions
+    # and left-to-right minima, never by reading its own word back.
+    def minima(elem, level):
+        return len(ltr_minima(elem, level, EXCLUDE_FIRST_POSITIONS))
 
-    count = 0
-    lhs_a = MultiPoly.const(1)
-    for j in range(1, n):
-        tails: list[list[tuple[int, bool]]] = [[]]
-        for e in range(j, 0, -1):
-            tails.append([(k, False) for k in range(j, e - 1, -1)])
-        tails.append([(k, False) for k in range(j, 1, -1)] + [(1, True)])
-        factor_sum = MultiPoly.zero()
-        for letters in tails:
-            elem = eval_a_letters(n + 1, letters)
-            count += 1
-            ell_a = length_s(elem) - len(ltr_minima(elem, 0, EXCLUDE_FIRST_POSITIONS))
-            dl_a = len(ltr_minima(elem, 1, EXCLUDE_FIRST_POSITIONS))
-            factor_sum = factor_sum + MultiPoly.monomial(1, q=ell_a, t=dl_a)
-        lhs_a = lhs_a * factor_sum
-    yield {"group": "A"}, (0, lhs_a.terms), (0, _staircase(n, 2).terms), count
+    def runs(j):  # s_j s_(j-1) ... s_r, from the empty run (r = j + 1) down to r = 1
+        return [range(j, r - 1, -1) for r in range(j + 1, 0, -1)]
+
+    def tails(j):  # the same runs in A, and a_j ... a_2 a_1^(-1)
+        return [[(k, False) for k in run] for run in runs(j)] + [
+            [(k, False) for k in range(j, 1, -1)] + [(1, True)]]
+
+    walks = [("S", n, runs, eval_s_letters, lambda p: (length_s(p), minima(p, 0))),
+             ("A", n + 1, tails, eval_a_letters,
+              lambda p: (length_s(p) - minima(p, 0), minima(p, 1)))]
+    for group, degree, letters, evaluate, measure in walks:
+        factors = [[evaluate(degree, word) for word in letters(j)] for j in range(1, n)]
+        # Kept as measured: an exponent driven negative fails the check, not raises.
+        lhs = _product(MultiPoly._trusted(0, Counter(map(measure, elems))) for elems in factors)
+        rhs = _staircase(n, _LIFTS[group])
+        yield {"group": group}, (0, lhs.terms), (0, rhs.terms), sum(map(len, factors))
 
 
 # Descents of a sequence depend only on its weak-order pattern, so words over
@@ -560,30 +561,24 @@ def _check_prop56(n: int) -> Iterator[Checkpoint]:
 # of inserted words with the new top letter at slot i from the base pack's
 # bytes, for each slot in turn.  Each inserted word's values are read off its
 # own neighbour comparisons by ``stats._pack_descents``, one subtraction on the
-# packed letters, through a table of the comparison patterns filled as they
-# are first met: bytes((maj, rmaj)), or bytes((rmaj,)).  They are never derived
-# from the base word's descents and the slot, which is the lemma's proof.  A
-# base word u's key is one bytes record (``_keys``) that joins two paths that
-# never feed each other: the start of its closed forms, q^maj(u) [n+1]_q,
-# q^(maj(u)+1) [n]_q, q^rmaj(u) [n+1]_q and q^rmaj(u) [n]_q, and its inserted
-# words' row of values, which alone the scan sides read.  lemma63's starts come
-# from ``stats._word_majs``, a prefix recurrence over the product order: a
-# letter x put after a last letter l adds its position to maj exactly when
-# l > x, which a fixed table of l > x decides for a whole plane of words at
-# once, so no word's letters are compared.  The rows come from the base words
-# themselves, packed from ``itertools.product``.  A fault in the comparisons of
-# ``_pack_descents`` therefore reaches the scan sides alone, one in the
-# recurrence the closed forms alone, and a word that the recurrence drops or
-# puts out of order fails where the two enumerations part.
+# packed letters, through a table of the comparison patterns filled as they are
+# first met (``_values``): bytes((maj, rmaj)), or bytes((rmaj,)), each by
+# ``stats._descent_stat``, as the passes' "maj" and "rmaj" columns.  They are
+# never derived from the base word's descents and the slot, which is the
+# lemma's proof.  A base word u's key is one bytes record (``_keys``) that
+# joins two paths that never feed each other: the start of its closed forms,
+# q^maj(u) [n+1]_q, q^(maj(u)+1) [n]_q, q^rmaj(u) [n+1]_q and q^rmaj(u) [n]_q,
+# and its inserted words' row of values, which alone the scan sides read.
+# lemma63's starts come from ``stats._word_majs``, a prefix recurrence over the
+# product order: a letter x put after a last letter l adds its position to maj
+# exactly when l > x, which a fixed table of l > x decides for a whole plane of
+# words at once, so no word's letters are compared.  The rows come from the
+# base words themselves, packed from ``itertools.product``.  A fault in the
+# comparisons of ``_pack_descents`` therefore reaches the scan sides alone, one
+# in the recurrence the closed forms alone, and a word that the recurrence
+# drops or puts out of order fails where the two enumerations part.
 # ``_by_key`` checks each distinct key once: lemma63 has 32 for 46,656 words at
-# n = 6.  lemma64 works the same way over the right coset products w tau, for
-# tau over the degree-n staircase set inside degree n+1, which are w with n+1
-# put in at each slot; lemma65 and remark66 read those products' rmaj the same
-# way, lemma65 with each one's del through the pull table and the column step,
-# a pure function of the product's own word.  Their starts are read off each w
-# of ``iter_symmetric``, by ``_maj_rmaj``, ``rmaj_s`` and ``ltr_minima``, and
-# their rows off S_n from ``_element_packs``, so the two enumerations check
-# each other.
+# n = 6.  lemma64, lemma65 and remark66 insert into S_n instead (``_coset``).
 
 def _by_key(base: str, bases, keys, sides, per: int) -> Iterator[Checkpoint]:
     """A per-point entry's checkpoints, from one tally of its base elements' keys.
@@ -644,19 +639,15 @@ def _joined(starts: Iterator[bytes]) -> Iterator[bytes]:
         yield plane
 
 
-def _pairs_of(length: int):
-    """The descent positions of a word of `length` letters -> bytes((maj, rmaj))."""
-    return lambda des: bytes((sum(des), length * len(des) - sum(des)))
-
-
-def _values(table):
-    """A pack of words -> [its words' values in `table`, joined] (``_pack_descents``)."""
+def _values(length: int, *stats: str):
+    """A pack of words of `length` letters -> [its words' `stats`, one byte each, joined]:
+    ``_pack_descents`` through a table of ``stats._descent_stat``'s values."""
+    table = _descent_table(lambda des: bytes(_descent_stat(s, length, des) for s in stats))
     return lambda pack: [b"".join(_pack_descents(pack, table))]
 
 
 def _check_lemma63(n: int) -> Iterator[Checkpoint]:
     y, zeros = n + 1, bytes(n + 1)
-    table = _descent_table(_pairs_of(y))
 
     def sides(key):
         m, r, majs, rmajs = key[0], key[1], key[2::2], key[3::2]
@@ -667,21 +658,34 @@ def _check_lemma63(n: int) -> Iterator[Checkpoint]:
 
     bases = partial(itertools.product, range(1, n + 1), repeat=n)
     return _by_key("word", bases, lambda: _keys(
-        _word_majs(n), _packs(bases()), range(y), _values(table)), sides, 1)
+        _word_majs(n), _packs(bases()), range(y), _values(y, "maj", "rmaj")), sides, 1)
+
+
+def _coset(n: int, start, slots, read, sides) -> Iterator[Checkpoint]:
+    """``_by_key`` over the right coset products w tau of each w in S_n, for tau
+    over the degree-n staircase set inside degree n + 1: w with n + 1 put in at
+    each of `slots`.
+
+    Each w's key is ``start(w)``, read off each w of ``iter_symmetric``, then
+    `read`'s planes of its products, laid out from the packs of S_n that
+    ``_element_packs`` cuts, so the two enumerations check each other.  Each w
+    counts one element per slot.
+    """
+    bases = partial(iter_symmetric, n)
+    return _by_key("w", bases, lambda: _keys(
+        _joined(map(start, bases())), _element_packs("S", n), slots, read), sides, len(slots))
 
 
 def _check_lemma64(n: int) -> Iterator[Checkpoint]:
-    zeros, table = bytes(n + 1), _descent_table(_pairs_of(n + 1))
+    zeros = bytes(n + 1)
 
     def sides(key):
         m, r, majs, rmajs = key[0], key[1], key[2::2], key[3::2]
         return [({"stat": "maj"}, Counter(zip(majs, zeros)), _run(m, n + 1)),
                 ({"stat": "rmaj"}, Counter(zip(rmajs, zeros)), _run(r, n + 1))]
 
-    bases = partial(iter_symmetric, n)
-    return _by_key("w", bases, lambda: _keys(
-        _joined(bytes(_maj_rmaj(w, n)) for w in bases()), _element_packs("S", n),
-        range(n + 1), _values(table)), sides, n + 1)
+    return _coset(n, lambda w: bytes(_maj_rmaj(w, n)), range(n + 1),
+                  _values(n + 1, "maj", "rmaj"), sides)
 
 
 def _check_lemma65(n: int) -> Iterator[Checkpoint]:
@@ -695,29 +699,24 @@ def _check_lemma65(n: int) -> Iterator[Checkpoint]:
         return bytes((rmaj_s(w, n), len(ltr_minima(w, 0, EXCLUDE_FIRST_POSITIONS))))
 
     # Each product's delent comes through the pull table and the column step,
-    # beside the comparison bytes of the same pack.
+    # a pure function of its own word, beside the comparison bytes of the
+    # same pack.
     def read(pack):
         return [*values(pack), *_columns("S", pack, held, ["delent"])]
 
-    values = _values(_descent_table(lambda des: bytes((sum(n + 1 - i for i in des),))))
-    held = _table("S", n + 1, ["delent"])
-    bases = partial(iter_symmetric, n)
-    return _by_key("w", bases, lambda: _keys(
-        _joined(map(start, bases())), _element_packs("S", n), range(n, -1, -1), read),
-        sides, n + 1)
+    values, held = _values(n + 1, "rmaj"), _table("S", n + 1, ["delent"])
+    return _coset(n, start, range(n, -1, -1), read, sides)
 
 
 def _check_remark66(n: int) -> Iterator[Checkpoint]:
     # The products with n+1 at slots n, ..., 1: all but the one that puts it first.
-    zeros, table = bytes(n), _descent_table(lambda des: bytes((sum(n + 1 - i for i in des),)))
+    zeros = bytes(n)
 
     def sides(key):
         return [({}, Counter(zip(key[1:], zeros)), _run(key[0], n))]
 
-    bases = partial(iter_symmetric, n)
-    return _by_key("w", bases, lambda: _keys(
-        _joined(bytes((rmaj_s(w, n),)) for w in bases()), _element_packs("S", n),
-        range(n, 0, -1), _values(table)), sides, n)
+    return _coset(n, lambda w: bytes((rmaj_s(w, n),)), range(n, 0, -1),
+                  _values(n + 1, "rmaj"), sides)
 
 
 def _iter_low_support(n: int, i: int):

@@ -466,8 +466,8 @@ def histograms(group: str, n: int, *rows: list[tuple[str, ...]]
     each position of ``ltr_minima``, level 0 in S and 1 in A) is computed
     per element off its one-line word, as bytes off the pack, by the
     ``ltr_minima`` this module holds when the pass runs.  "inverse" is each
-    element's inverse, as bytes, and "inverse-<column>" each column above
-    but "zero" of it.
+    element's inverse, as bytes, as "proj" is, and "inverse-<column>" each
+    column above but "zero" of it.
     "hat-length<j>" and "hat-maj<j>" are ``length_s`` and ``maj_s`` of
     ``h_map(element, j)``, both measured on one pack of the chunk's words
     folded at j (``_folds``).
@@ -537,7 +537,7 @@ def histograms(group: str, n: int, *rows: list[tuple[str, ...]]
             pack = _pack(folded, degree)
             cols[f"hat-length{j}"] = _pack_lengths(pack)
             cols[f"hat-maj{j}"] = list(_pack_descents(pack, sums))
-        cols.update((f, list(map(tuple, _words(cols[f])))) for f in own if own[f] == "proj")
+        cols.update((f, _words(cols[f])) for f in own if own[f] == "proj")
         order += size
         for counter, key in zip(counters, zips):
             counter.update(cols[key[0]] if len(key) == 1 else zip(*map(cols.__getitem__, key)))

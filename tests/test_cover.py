@@ -152,8 +152,9 @@ def test_known_pairs_hold():
 
 
 def test_pass_projections_regroup_into_the_fibres():
-    # The alternating pass's "proj" column is f: the elements it projects onto
-    # w, each read back from its inverse, are w's fibre, each counted once.
+    # The alternating pass's "proj" column is f, as bytes: the elements it
+    # projects onto w, each read back from its inverse, are w's fibre, each
+    # counted once.
     for n in range(1, 7):
         ((tally,),), order = histograms("A", n, [("proj", "inverse")])
         fibres = {}
@@ -161,7 +162,7 @@ def test_pass_projections_regroup_into_the_fibres():
             assert count == 1
             fibres.setdefault(w, set()).add(inverse(tuple(inv)))
         assert sum(map(len, fibres.values())) == order == math.factorial(n + 1) // 2
-        assert fibres == {w: set(fiber(w)) for w in iter_symmetric(n)}
+        assert fibres == {bytes(w): set(fiber(w)) for w in iter_symmetric(n)}
 
 
 def test_fiber_size_sum_matches_group_order():

@@ -450,7 +450,7 @@ def test_insertion_entries_at_their_caps_stay_under_their_memory_ceilings(name, 
     ("thm61-a", 8, 181_440, 1_000_000),
     ("prop57-stirling-a", 8, 221_760, 480_000),
     ("thm61-s", 8, 40_320, 900_000),
-    ("fiber-size", 7, 20_160, 1_240_000),
+    ("fiber-size", 7, 20_160, 860_000),
 ])
 def test_record_field_passes_at_their_caps_stay_under_their_memory_ceilings(name, n, scanned,
                                                                            ceiling):
@@ -472,8 +472,9 @@ def test_record_field_passes_at_their_caps_stay_under_their_memory_ceilings(name
     # from relabelled blocks (0.80 MB), and the last two about 1.25 times
     # their peaks while records were tuples (0.39 and 0.72 MB).  fiber-size
     # tallies the projection over A_8 alone: 0.99 MB, against 4.68 MB when it
-    # walked the lifts of each w and held them all in a set; its ceiling is
-    # about 1.25 times 0.99 MB.
+    # walked the lifts of each w and held them all in a set, and 0.68 MB since
+    # the projections are tallied as bytes; its ceiling is about 1.25 times
+    # 0.68 MB.
     import gc
     import tracemalloc
 
@@ -641,6 +642,20 @@ def test_a_wrong_descent_pattern_fails_only_the_scan_side(monkeypatch, name, bas
         assert report.params["failed_at"] == point, pattern
         assert report.rhs == MultiPoly(*clean[json.dumps(point, sort_keys=True)]), pattern
         assert report.lhs != report.rhs
+
+
+@pytest.mark.parametrize("name", ["lemma63", "lemma64", "lemma65", "remark66"])
+def test_a_descent_stat_fault_fails_only_the_scan_side(monkeypatch, name):
+    # The inserted words' values come from ``_descent_stat``, as the passes'
+    # descent columns do, and no closed-form start calls it.  With every value
+    # one higher, each entry fails at its first point, and that point's
+    # closed form is the oracle's.
+    sub, _, rhs, _ = _ORACLES[name](3)[0]
+    fault = FAULTS["_descent_stat"]
+    _patch_everywhere(monkeypatch, "_descent_stat", lambda f: lambda *args: fault(f(*args)))
+    report = verify(name, 3)
+    assert not report.passed and report.params["failed_at"] == identities._json_safe(sub)
+    assert report.rhs == MultiPoly(*rhs) and report.lhs != report.rhs
 
 
 def _fake_entry(monkeypatch, name, points):
@@ -1046,7 +1061,9 @@ def test_inversion_and_fold_reports_are_pinned():
 # inversions of the pass's "inversions" columns and measures the folds of
 # appendix-hat; ``_pack_cycles`` and ``ltr_minima`` feed the pass's "cycles"
 # and "minmask" columns; ``_word_majs`` yields lemma63's starts, a plane
-# of bytes at a time.  ``cycle_count`` reaches no entry at n = 4.
+# of bytes at a time; ``_descent_stat`` gives the passes' descent columns and
+# the insertion entries' inserted-word values, each through its descent table.
+# ``cycle_count`` reaches no entry at n = 4.
 FAULTS = {
     "length_s": lambda v: v + 1,
     "rmaj_s": lambda v: v + 1,
@@ -1058,6 +1075,7 @@ FAULTS = {
     "_pack_lengths": lambda v: bytes(x + 1 for x in v),
     "_pack_cycles": lambda v: bytes(x + 1 for x in v),
     "_word_majs": lambda v: (bytes(x + 1 for x in plane) for plane in v),
+    "_descent_stat": lambda v: v + 1,
 }
 
 
@@ -1077,8 +1095,25 @@ def _patch_everywhere(monkeypatch, name, wrap):
 # faults only because its closed form reads pi by other paths, and so do
 # prop81, lemma86 and lemma87 because the shuffle growth reads pi's base by
 # ``s_pull`` and ``_maj_rmaj``; main-s and main-a fail under the ltr_minima
-# fault only because main names a fibre whose mask lies outside its bits.
+# fault only because main names a fibre whose mask lies outside its bits, and
+# fs-rmaj fails under the _descent_stat fault first for the same reason.
 FAULT_ROWS = [
+    ("_descent_stat", "cor92-a"),
+    ("_descent_stat", "cor92-s"),
+    ("_descent_stat", "fs-fixed-descent"),
+    ("_descent_stat", "fs-rmaj"),
+    ("_descent_stat", "lemma63"),
+    ("_descent_stat", "lemma64"),
+    ("_descent_stat", "lemma65"),
+    ("_descent_stat", "macmahon"),
+    ("_descent_stat", "main-a"),
+    ("_descent_stat", "main-s"),
+    ("_descent_stat", "prop67"),
+    ("_descent_stat", "remark66"),
+    ("_descent_stat", "thm61-a"),
+    ("_descent_stat", "thm61-s"),
+    ("_descent_stat", "thm62-a"),
+    ("_descent_stat", "thm62-s"),
     ("_maj_rmaj", "lemma64"),
     ("_maj_rmaj", "lemma86"),
     ("_maj_rmaj", "lemma93"),
@@ -1171,6 +1206,72 @@ def test_main_names_a_fibre_outside_its_bits(monkeypatch, name):
     report = verify(name, n)
     assert not report.passed and report.params["failed_at"] == {"mask": 1 << (99 + n)}
     assert report.rhs == MultiPoly.zero() and report.lhs != report.rhs
+
+
+def test_fs_rmaj_names_a_descent_mask_outside_its_bits(monkeypatch):
+    # With every descent mask one higher, each sets bit 0, which lies in no
+    # subset of the positions 1..n-1, so the subset sums would drop every
+    # fibre and both sides would read empty.  fs-rmaj fails instead at the
+    # smallest such mask, the identity's, against an empty side, as main does.
+    _patch_everywhere(monkeypatch, "_descent_stat", lambda f: lambda stat, n, des: (
+        f(stat, n, des) + (stat == "desmask")))
+    for name in ("fs-rmaj", "main-s", "main-a"):
+        report = verify(name, 4)
+        assert not report.passed and report.params["failed_at"] == {"mask": 1}, name
+        assert report.lhs == MultiPoly.const(1) and report.rhs == MultiPoly.zero(), name
+
+
+def _prop56_sides(n):
+    """prop56's unpatched checkpoints at n: {group: (lhs, rhs)}."""
+    return {point["group"]: (MultiPoly(*lhs), MultiPoly(*rhs))
+            for point, lhs, rhs, _ in REGISTRY["prop56"].check(n)}
+
+
+@pytest.mark.parametrize("function, hit, group", [
+    ("eval_a_letters", [(2, False), (1, True)], "A"),
+    ("eval_s_letters", [2, 1], "S"),
+])
+def test_a_staircase_element_read_as_the_identity_fails_prop56_on_its_scan(
+        monkeypatch, function, hit, group):
+    # One staircase element, s_2 s_1 in S or a_2 a_1^{-1} in A, evaluated as
+    # the identity: prop56 fails at that group, and the failing point's closed
+    # form is the unpatched one, the staircase product.
+    n = 4
+    clean = _prop56_sides(n)
+    assert clean[group][1] == identities._staircase(n, identities._LIFTS[group])
+    evaluate = getattr(identities, function)
+    monkeypatch.setattr(identities, function, lambda degree, letters: tuple(
+        range(1, degree + 1)) if list(letters) == hit else evaluate(degree, letters))
+    report = verify("prop56", n)
+    assert not report.passed and report.params["failed_at"] == {"group": group}
+    assert report.rhs == clean[group][1] and report.lhs != report.rhs
+
+
+def test_a_negative_staircase_exponent_fails_prop56(monkeypatch):
+    # A stray minimum on every alternating element drives the identity's
+    # q exponent, its length less its minima, to -1: prop56 fails at "A",
+    # with the clean closed form, rather than raising.
+    n = 4
+    clean = _prop56_sides(n)
+    minima = identities.ltr_minima
+    monkeypatch.setattr(identities, "ltr_minima", lambda p, *args: minima(p, *args) | (
+        {99} if len(p) == n + 1 else set()))
+    report = verify("prop56", n)
+    assert not report.passed and report.params["failed_at"] == {"group": "A"}
+    assert report.rhs == clean["A"][1] and report.lhs != report.rhs
+
+
+def test_a_staircase_product_one_term_off_fails_prop56_on_its_closed_form(monkeypatch):
+    # The closed form one term off: prop56 fails at its first group, and the
+    # failing point's scan side is the unpatched one.
+    n = 4
+    clean = _prop56_sides(n)
+    staircase = identities._staircase
+    monkeypatch.setattr(identities, "_staircase",
+                        lambda n, lifts: staircase(n, lifts) + MultiPoly.monomial(1, q=1))
+    report = verify("prop56", n)
+    assert not report.passed and report.params["failed_at"] == {"group": "S"}
+    assert report.lhs == clean["S"][0] and report.lhs != report.rhs
 
 
 def test_thm62_names_a_delent_slice_above_every_compared_one(monkeypatch):

@@ -99,12 +99,12 @@ def test_a_pull_projection_descents_match_comparison():
 _OCCURRENCES = tuple(f"occ{k}" for k in range(1, 8))
 
 
-def _record_fields(record, fields, proj=tuple):
-    """The named pass fields of a kernel record, read off the record itself; a table
-    holds the projection as bytes."""
+def _record_fields(record, fields):
+    """The named pass fields of a kernel record, read off the record itself; the
+    projection as bytes, as a pass and a table hold it."""
     mask = sum(bit << j for j, bit in enumerate(indicators(record[2])))
     values = {"length": record[0], "delent": record[1],
-              "proj": proj(record[3]) if len(record) > 3 else None,
+              "proj": bytes(record[3]) if len(record) > 3 else None,
               "ind": mask, **{f: occurrences(record[2], int(f[3:]))
                               for f in fields if f.startswith("occ")}}
     return tuple(values[f] for f in fields)
@@ -154,7 +154,7 @@ def test_pass_records_equal_kernel_records(monkeypatch, bound):
             assert top == (n if n <= 3 else min(n - 1, most)), (group, n)
             assert sorted(held) == sorted(map(bytes, words_of(top))), (group, n)
             assert all(rec == b"".join(v if f == "proj" else bytes((v,)) for f, v in zip(
-                fields, _record_fields(kernel(w), fields, bytes))) for w, rec in held.items()
+                fields, _record_fields(kernel(w), fields))) for w, rec in held.items()
                        ), (group, n)
             assert pulled == [], (group, n)
 
@@ -183,11 +183,11 @@ def test_pass_reads_inverse_records_through_its_table(monkeypatch, bound):
 
 def _stepped(group, ws, held, fields):
     """The pass columns of the words ws, a pack of at most ``_CHUNK`` at a time; the
-    projections as tuples."""
+    projections as bytes."""
     out = [[] for _ in fields]
     for pack in words._packs(ws):
         for f, col, got in zip(fields, out, words._columns(group, pack, held, fields)):
-            col.extend(map(tuple, words._words(got)) if f == "proj" else got)
+            col.extend(words._words(got) if f == "proj" else got)
     return out
 
 
