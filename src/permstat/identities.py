@@ -23,7 +23,8 @@ key once, and still report the first failing base word (``_by_key``).
 The whole-group entries are data: the columns they tally over a group and a
 finish that turns the tallies into checkpoints.  ``fiber-size`` is one: it
 tallies the alternating pass's projection column alone, so the count of a
-permutation w is the size of its fibre.  ``plan`` checks a list of
+permutation w is the size of its fibre, and its closed form 2^del(w) reads
+w's minima count off ``stats._lex_starts``.  ``plan`` checks a list of
 (name, n) tasks and joins the whole-group ones that read a common group and
 degree into one piece of work; ``run`` verifies a piece, with one pass per
 group and degree, and its reporter builds every report.  ``verify`` runs a
@@ -49,6 +50,7 @@ from .stats import (
     _descent_stat,
     _descent_table,
     _indicator_keys,
+    _lex_starts,
     _maj_rmaj,
     _mask,
     _pack_descents,
@@ -59,7 +61,7 @@ from .stats import (
     maj_s,
     rmaj_s,
 )
-from .words import (_CHUNK, _columns, _element_packs, _inserted, _packs, _table, epsilon_s,
+from .words import (_columns, _element_packs, _inserted, _packs, _table, epsilon_s,
                     eval_a_letters, eval_s_letters, s_pull)
 from . import shuffles as shuf
 
@@ -366,9 +368,12 @@ def _appendix_hat(n, count, *hists, i=None):
 
 
 def _fiber_size(n, count, sizes):
-    # The total counts every projection tallied, so one outside S_n fails there.
-    for w in iter_symmetric(n):
-        size, delent = sizes.get(bytes(w), 0), len(ltr_minima(w, 0, EXCLUDE_FIRST_POSITIONS))
+    # Each w of iter_symmetric is named beside its minima count off the
+    # recurrence, strictly.  The total counts every projection tallied, so one
+    # outside S_n fails there.
+    minima = itertools.chain.from_iterable(minima for *_, minima in _lex_starts(n))
+    for w, delent in zip(iter_symmetric(n), minima, strict=True):
+        size = sizes.get(bytes(w), 0)
         yield {"w": w}, _const(size), _const(2 ** delent), size
     order = math.factorial(n + 1) // 2
     yield {"check": "partition-total"}, _const(sum(sizes.values())), _const(order), 0
@@ -578,7 +583,11 @@ def _check_prop56(n: int) -> Iterator[Checkpoint]:
 # in the recurrence the closed forms alone, and a word that the recurrence
 # drops or puts out of order fails where the two enumerations part.
 # ``_by_key`` checks each distinct key once: lemma63 has 32 for 46,656 words at
-# n = 6.  lemma64, lemma65 and remark66 insert into S_n instead (``_coset``).
+# n = 6.  lemma64, lemma65 and remark66 insert into S_n instead (``_coset``),
+# and their starts, maj, rmaj and the minima count of each w, come from
+# ``stats._lex_starts``, a prefix recurrence over the lexicographic order of
+# S_n that relabels a block of the last letters and compares no letters of the
+# packs of S_n that the rows are laid out from.
 
 def _by_key(base: str, bases, keys, sides, per: int) -> Iterator[Checkpoint]:
     """A per-point entry's checkpoints, from one tally of its base elements' keys.
@@ -609,15 +618,15 @@ def _keys(starts, packs, slots, read) -> Iterator[bytes]:
     """Each base word's key, one pack of base words at a time: its start, then
     `read`'s values of its words with the top letter put in at each of `slots`.
 
-    `starts` holds a plane per pack, and `read` maps a pack of inserted words
-    to a list of planes; a plane holds a fixed number of bytes per word.  Each
-    goes into the records at stride width, as ``words._table`` lays out
-    records.  Start planes more or fewer than the packs, or a plane of another
-    length, raise ValueError.
+    `starts` holds a tuple of planes per pack, and `read` maps a pack of
+    inserted words to a list of planes; a plane holds a fixed number of bytes
+    per word.  Each goes into the records at stride width, as ``words._table``
+    lays out records.  Start tuples more or fewer than the packs, or a plane
+    of another length, raise ValueError.
     """
     def records(start, pack):
         count = pack[2] // pack[1]
-        planes = [start, *(plane for i in slots for plane in read(_inserted(pack, i)))]
+        planes = [*start, *(plane for i in slots for plane in read(_inserted(pack, i)))]
         widths = [len(plane) // count for plane in planes]
         if any(not w or len(plane) != w * count for w, plane in zip(widths, planes)):
             raise ValueError(f"planes of whole values for {count} words expected")
@@ -630,13 +639,6 @@ def _keys(starts, packs, slots, read) -> Iterator[bytes]:
 
     return itertools.chain.from_iterable(
         itertools.starmap(records, zip(starts, packs, strict=True)))
-
-
-def _joined(starts: Iterator[bytes]) -> Iterator[bytes]:
-    """The starts, ``_CHUNK`` at a time, joined into one plane: as ``_element_packs``
-    cuts the words."""
-    while plane := b"".join(itertools.islice(starts, _CHUNK)):
-        yield plane
 
 
 def _values(length: int, *stats: str):
@@ -657,8 +659,8 @@ def _check_lemma63(n: int) -> Iterator[Checkpoint]:
                 ({"eq": "rmaj-tail"}, Counter(zip(rmajs[1:], zeros)), _run(r, n))]
 
     bases = partial(itertools.product, range(1, n + 1), repeat=n)
-    return _by_key("word", bases, lambda: _keys(
-        _word_majs(n), _packs(bases()), range(y), _values(y, "maj", "rmaj")), sides, 1)
+    return _by_key("word", bases, lambda: _keys(  # one start plane a pack
+        zip(_word_majs(n)), _packs(bases()), range(y), _values(y, "maj", "rmaj")), sides, 1)
 
 
 def _coset(n: int, start, slots, read, sides) -> Iterator[Checkpoint]:
@@ -666,14 +668,15 @@ def _coset(n: int, start, slots, read, sides) -> Iterator[Checkpoint]:
     over the degree-n staircase set inside degree n + 1: w with n + 1 put in at
     each of `slots`.
 
-    Each w's key is ``start(w)``, read off each w of ``iter_symmetric``, then
-    `read`'s planes of its products, laid out from the packs of S_n that
-    ``_element_packs`` cuts, so the two enumerations check each other.  Each w
-    counts one element per slot.
+    Each w's key is its start, the planes that ``start(maj, rmaj, minima)``
+    picks from ``stats._lex_starts``, then `read`'s planes of its products, laid
+    out from the packs of S_n that ``_element_packs`` cuts, and a failing w is
+    named off ``iter_symmetric``: the three enumerations check each other.  Each
+    w counts one element per slot.
     """
-    bases = partial(iter_symmetric, n)
-    return _by_key("w", bases, lambda: _keys(
-        _joined(map(start, bases())), _element_packs("S", n), slots, read), sides, len(slots))
+    return _by_key("w", partial(iter_symmetric, n), lambda: _keys(
+        itertools.starmap(start, _lex_starts(n)), _element_packs("S", n), slots, read),
+        sides, len(slots))
 
 
 def _check_lemma64(n: int) -> Iterator[Checkpoint]:
@@ -684,7 +687,7 @@ def _check_lemma64(n: int) -> Iterator[Checkpoint]:
         return [({"stat": "maj"}, Counter(zip(majs, zeros)), _run(m, n + 1)),
                 ({"stat": "rmaj"}, Counter(zip(rmajs, zeros)), _run(r, n + 1))]
 
-    return _coset(n, lambda w: bytes(_maj_rmaj(w, n)), range(n + 1),
+    return _coset(n, lambda maj, rmaj, minima: (maj, rmaj), range(n + 1),
                   _values(n + 1, "maj", "rmaj"), sides)
 
 
@@ -695,9 +698,6 @@ def _check_lemma65(n: int) -> Iterator[Checkpoint]:
         r, d = key[0], key[1]
         return [({}, Counter(zip(key[2::2], key[3::2])), {**_run(r, n, d), (r + n, d + 1): 1})]
 
-    def start(w):
-        return bytes((rmaj_s(w, n), len(ltr_minima(w, 0, EXCLUDE_FIRST_POSITIONS))))
-
     # Each product's delent comes through the pull table and the column step,
     # a pure function of its own word, beside the comparison bytes of the
     # same pack.
@@ -705,7 +705,7 @@ def _check_lemma65(n: int) -> Iterator[Checkpoint]:
         return [*values(pack), *_columns("S", pack, held, ["delent"])]
 
     values, held = _values(n + 1, "rmaj"), _table("S", n + 1, ["delent"])
-    return _coset(n, start, range(n, -1, -1), read, sides)
+    return _coset(n, lambda maj, rmaj, minima: (rmaj, minima), range(n, -1, -1), read, sides)
 
 
 def _check_remark66(n: int) -> Iterator[Checkpoint]:
@@ -715,7 +715,7 @@ def _check_remark66(n: int) -> Iterator[Checkpoint]:
     def sides(key):
         return [({}, Counter(zip(key[1:], zeros)), _run(key[0], n))]
 
-    return _coset(n, lambda w: bytes((rmaj_s(w, n),)), range(n, 0, -1),
+    return _coset(n, lambda maj, rmaj, minima: (rmaj,), range(n, 0, -1),
                   _values(n + 1, "rmaj"), sides)
 
 

@@ -18,6 +18,14 @@ left-to-right minima; ``ltr_minima`` implements the whole family of
 "value smaller than all but at most `level` earlier values" position sets
 under both exclusion conventions.
 
+The closed forms of the insertion entries and of ``fiber-size`` start from
+statistics of their base words that come from prefix recurrences, never
+from the words that the scan sides read: ``_word_majs`` gives maj and rmaj
+of every word of [n]^n in product order, and ``_lex_starts`` maj, rmaj and
+the left-to-right minima count of every permutation of S_n in
+lexicographic order, from a block of S_6 relabelled under each prefix,
+both as byte planes a chunk at a time.
+
 ``histograms`` tallies rows of keys over a whole group in one pass, each
 histogram by its own ``Counter``: a one-column key's bare values, a longer
 key's zip.  The columns are the record fields, the inversion count, the
@@ -39,7 +47,8 @@ from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, combinations, compress, count, islice, repeat, starmap
+from itertools import (accumulate, chain, combinations, compress, count, islice, permutations,
+                       repeat, starmap)
 from operator import gt
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -157,6 +166,72 @@ def _word_majs(n: int) -> Iterator[bytes]:
             yield rest[at:at + chunk]
         rest = rest[cut:]
     if rest:
+        yield rest
+
+
+_LEX_LETTERS = 6  # the letters of ``_lex_starts``' block: 720 words, a minima mask per byte
+_AT_MOST = [b"\x01" * (c + 1) + bytes(255 - c) for c in range(_LEX_LETTERS + 1)]  # x -> [x <= c]
+# v - 1 -> x -> the values of mask x below v, and v: bit v - 1 stands for the value v.
+_TOPPED = [bytes(range(1 << b, 2 << b)) * (256 >> b) for b in range(_LEX_LETTERS)]
+# t -> x -> the count of the values of mask x up to t
+_UP_TO = [bytes(bin(x).count("1") for x in range(1 << t)) * (256 >> t)
+          for t in range(_LEX_LETTERS + 1)]
+
+
+def _lex_block(k: int) -> tuple[bytes, bytes, int, int]:
+    """S_k in lexicographic order, a lane per word: the first letters and the masks of
+    left-to-right minimum values as bytes, maj and des as integers.
+
+    S_m is each first letter v before S_(m - 1) relabelled, which keeps descents and
+    order: with d = [u_1 < v] for the rest u, des gains d, maj des(u) + d, and the
+    mask keeps u's values below v and takes v."""
+    firsts, masks, majs, dess = b"\x01", b"\x01", 0, 0
+    for m in range(2, k + 1):
+        size = len(firsts)
+        copies = int.from_bytes(b"\x01".ljust(size, b"\x00") * m, "little")  # m planes of S_(m-1)
+        d = int.from_bytes(b"".join(firsts.translate(_AT_MOST[v - 1]) for v in range(1, m + 1)),
+                           "little")
+        majs, dess = (majs + dess) * copies + d, dess * copies + d
+        firsts = b"".join(bytes((v,)) * size for v in range(1, m + 1))
+        masks = b"".join(masks.translate(_TOPPED[v - 1]) for v in range(1, m + 1))
+    return firsts, masks, majs, dess
+
+
+def _lex_starts(n: int) -> Iterator[tuple[bytes, bytes, bytes]]:
+    """maj, rmaj (ambient degree n) and ``len(ltr_minima(w, 0, EXCLUDE_FIRST_POSITIONS))``
+    of every w of S_n, in lexicographic order, as three planes of a byte per word,
+    ``_CHUNK`` words a plane.
+
+    A word is a prefix p of n - k letters and S_k (``_lex_block``, k = min(n, 6))
+    relabelled to the k values R left.  p's own descents and minima are read off its
+    letters, and the block's lanes give the rest: the descent after p is [u_1 <= c],
+    c the values of R below p's last letter, and the block's minima that count are
+    those up to t, the values of R below min p.  Each is one translate and one integer
+    addition, and rmaj = n des - maj per lane.  The generator holds one block and one
+    chunk.  Over 23 letters, ValueError: a maj could pass 255."""
+    if n * (n - 1) // 2 > 255:
+        raise ValueError(f"words of at most 23 letters expected, not {n}")
+    k = min(n, _LEX_LETTERS)
+    firsts, masks, majs, dess = _lex_block(k)
+    size = len(firsts)
+    ones = int.from_bytes(b"\x01" * size, "little")
+    rest = (b"", b"", b"")
+    for p in permutations(range(1, n + 1), n - k):
+        descents, lows = list(map(gt, p, p[1:])), list(accumulate(p, min))
+        c = p[-1] - 1 - sum(map(gt, repeat(p[-1]), p)) if p else 0
+        t = lows[-1] - 1 if p else k
+        junction = int.from_bytes(firsts.translate(_AT_MOST[c]), "little")
+        des = dess + junction + sum(descents) * ones
+        maj = majs + (n - k) * (dess + junction) + sum(compress(count(1), descents)) * ones
+        # With no prefix the block's first letter is the first position's, not counted.
+        minima = int.from_bytes(masks.translate(_UP_TO[t]), "little") + (
+            len(set(lows)) - 1) * ones
+        rest = tuple(r + lane.to_bytes(size, "little")
+                     for r, lane in zip(rest, (maj, n * des - maj, minima)))
+        while len(rest[0]) >= _CHUNK:
+            yield tuple(r[:_CHUNK] for r in rest)
+            rest = tuple(r[_CHUNK:] for r in rest)
+    if rest[0]:
         yield rest
 
 

@@ -192,6 +192,15 @@ def lemma65_by_slicing(n: int) -> list:
     return out
 
 
+def fiber_size_by_lifts(n: int) -> list:
+    """fiber-size's checkpoint for each w of degree n, in lexicographic order: its
+    fibre found by one f_map pass over A_{n+1}, against 2^del(w) counted by definition."""
+    fibres = brute_fibres(n)
+    return [({"w": w}, (0, {(0, 0): len(fibres[w])}),
+             (0, {(0, 0): 2 ** len(ltr_minima_by_counting(w))}), len(fibres[w]))
+            for w in iter_symmetric(n)]
+
+
 def remark66_by_slicing(n: int) -> list:
     """remark66's checkpoints: lemma65's products but the one with n+1 first,
     measured by their own ``rmaj_s`` calls."""

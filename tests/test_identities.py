@@ -8,8 +8,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (lemma63_by_slicing, lemma64_by_slicing, lemma65_by_slicing,
-                     remark66_by_slicing)
+from oracles import (fiber_size_by_lifts, lemma63_by_slicing, lemma64_by_slicing,
+                     lemma65_by_slicing, remark66_by_slicing)
 from permstat import identities
 from permstat.identities import (
     CapExceeded,
@@ -529,30 +529,57 @@ def test_inserted_word_streams_align_with_base_words(monkeypatch, name, bases):
             assert w[i] == 4 and w[:i] + w[i + 1:] == u, (i, w, u)
 
 
-@pytest.mark.parametrize("name", ["lemma64", "lemma65", "remark66"])
-def test_scan_and_closed_form_enumerations_check_each_other(monkeypatch, name):
-    # The scan side reads S_n off ``_element_packs`` and the closed form off
-    # ``iter_symmetric``.  With the first two words of S_3's first pack
-    # swapped, the first two base words trade rows, so the entry fails at
-    # the first w, and that point's closed form is the unpatched oracle's.
-    n = 3
-    clean = {json.dumps(identities._json_safe(sub), sort_keys=True): rhs
-             for sub, _, rhs, _ in _ORACLES[name](n)}
-    element_packs = identities._element_packs
-
+def _first_packed_words_swapped(element_packs):
+    """``_element_packs`` with the first two words of its first pack swapped."""
     def swapped(group, degree):
         packs = element_packs(group, degree)
         d, stride, size, a = next(packs)
         raw = a.to_bytes(size, "little")
         yield d, stride, size, int.from_bytes(raw[d:2 * d] + raw[:d] + raw[2 * d:], "little")
         yield from packs
+    return swapped
 
+
+def _first_minima_swapped(lex_starts):
+    """``_lex_starts`` with its first word swapped, in every plane, with the first
+    word of another minima count."""
+    def swapped(n):
+        planes = lex_starts(n)
+        first = next(planes)
+        j = next(j for j, m in enumerate(first[2]) if m != first[2][0])
+        yield tuple(bytes((p[j], *p[1:j], p[0], *p[j + 1:])) for p in first)
+        yield from planes
+    return swapped
+
+
+@pytest.mark.parametrize("name, source, swap, kept", [
+    ("lemma64", "_element_packs", _first_packed_words_swapped, 2),
+    ("lemma65", "_element_packs", _first_packed_words_swapped, 2),
+    ("remark66", "_element_packs", _first_packed_words_swapped, 2),
+    ("fiber-size", "_lex_starts", _first_minima_swapped, 1),
+], ids=["lemma64", "lemma65", "remark66", "fiber-size"])
+def test_scan_and_closed_form_enumerations_check_each_other(monkeypatch, name, source, swap,
+                                                           kept):
+    # The trio's scan side reads S_n off ``_element_packs``, its closed form
+    # off ``_lex_starts``, and a failing w is named off ``iter_symmetric``.
+    # With the first two words of S_3's first pack swapped, the first two
+    # base words trade rows, so the entry fails at the first w, and that
+    # point's closed form is the unpatched oracle's.  fiber-size names each w
+    # off ``iter_symmetric`` beside its tallied fibre and its minima count off
+    # ``_lex_starts``: with the first word's starts swapped with those of the
+    # first word of another minima count, it fails at the first w, and that
+    # point's tallied size is the unpatched one.
+    n = 3
+    oracle = fiber_size_by_lifts if name == "fiber-size" else _ORACLES[name]
+    clean = {json.dumps(identities._json_safe(point[0]), sort_keys=True): point[kept]
+             for point in oracle(n)}
     assert verify(name, n).passed
-    monkeypatch.setattr(identities, "_element_packs", swapped)
+    monkeypatch.setattr(identities, source, swap(getattr(identities, source)))
     report = verify(name, n)
     assert not report.passed and report.params["failed_at"]["w"] == [1, 2, 3]
     point = json.dumps(report.params["failed_at"], sort_keys=True)
-    assert report.rhs == MultiPoly(*clean[point]) and report.lhs != report.rhs
+    assert (report.lhs, report.rhs)[kept - 1] == MultiPoly(*clean[point])
+    assert report.lhs != report.rhs
 
 
 @pytest.mark.parametrize("name, source", [
@@ -579,24 +606,32 @@ def test_an_inserted_stream_one_base_word_short_raises(monkeypatch, name, source
 
 
 @pytest.mark.parametrize("tail", [
-    lambda last: [last[:-2]],  # a word short
-    lambda last: [last + last[-2:]],  # a word long
-    lambda last: [last, last[-2:]],  # a plane more than the packs
+    lambda last, width: [last[:-width]],  # a word short
+    lambda last, width: [last + last[-width:]],  # a word long
+    lambda last, width: [last, last[-width:]],  # a plane more than the packs
 ])
-def test_lemma63_start_planes_apart_from_its_base_packs_raise(monkeypatch, tail):
-    # lemma63's starts come from a recurrence, apart from its base packs, and
-    # the two are zipped strictly: start planes that differ from the packs in
-    # length raise.
-    starts = identities._word_majs
+@pytest.mark.parametrize("name", ["lemma63", "lemma64", "lemma65", "remark66", "fiber-size"])
+def test_start_planes_apart_from_their_base_words_raise(monkeypatch, name, tail):
+    # The starts come from a recurrence, apart from the base words: lemma63's
+    # two bytes a word from ``_word_majs``, zipped strictly with its base
+    # packs; the trio's three planes of a byte a word from ``_lex_starts``,
+    # zipped strictly with the packs of S_n; and fiber-size's minima plane,
+    # zipped strictly with ``iter_symmetric``.  Start planes that differ from
+    # the base words in length raise.
+    source = "_word_majs" if name == "lemma63" else "_lex_starts"
+    starts = getattr(identities, source)
 
     def changed(n):
         *head, last = starts(n)
         yield from head
-        yield from tail(last)
+        if source == "_word_majs":
+            yield from tail(last, 2)
+        else:
+            yield from zip(*(tail(plane, 1) for plane in last))
 
-    monkeypatch.setattr(identities, "_word_majs", changed)
+    monkeypatch.setattr(identities, source, changed)
     with pytest.raises(ValueError):
-        verify("lemma63", 3)
+        verify(name, 3)
 
 
 def _first_plus_one(value):
@@ -1061,8 +1096,10 @@ def test_inversion_and_fold_reports_are_pinned():
 # inversions of the pass's "inversions" columns and measures the folds of
 # appendix-hat; ``_pack_cycles`` and ``ltr_minima`` feed the pass's "cycles"
 # and "minmask" columns; ``_word_majs`` yields lemma63's starts, a plane
-# of bytes at a time; ``_descent_stat`` gives the passes' descent columns and
-# the insertion entries' inserted-word values, each through its descent table.
+# of bytes at a time, and ``_lex_starts`` those of lemma64, lemma65,
+# remark66 and fiber-size, three planes at a time; ``_descent_stat`` gives
+# the passes' descent columns and the insertion entries' inserted-word
+# values, each through its descent table.
 # ``cycle_count`` reaches no entry at n = 4.
 FAULTS = {
     "length_s": lambda v: v + 1,
@@ -1075,6 +1112,8 @@ FAULTS = {
     "_pack_lengths": lambda v: bytes(x + 1 for x in v),
     "_pack_cycles": lambda v: bytes(x + 1 for x in v),
     "_word_majs": lambda v: (bytes(x + 1 for x in plane) for plane in v),
+    "_lex_starts": lambda v: (tuple(bytes(x + 1 for x in plane) for plane in planes)
+                              for planes in v),
     "_descent_stat": lambda v: v + 1,
 }
 
@@ -1114,7 +1153,6 @@ FAULT_ROWS = [
     ("_descent_stat", "thm61-s"),
     ("_descent_stat", "thm62-a"),
     ("_descent_stat", "thm62-s"),
-    ("_maj_rmaj", "lemma64"),
     ("_maj_rmaj", "lemma86"),
     ("_maj_rmaj", "lemma93"),
     ("_maj_rmaj", "prop81"),
@@ -1130,23 +1168,23 @@ FAULT_ROWS = [
     ("_pack_lengths", "prop510-multivar-s"),
     ("_pack_lengths", "thm61-s"),
     ("_pack_lengths", "thm62-s"),
+    ("_lex_starts", "fiber-size"),
+    ("_lex_starts", "lemma64"),
+    ("_lex_starts", "lemma65"),
+    ("_lex_starts", "remark66"),
     ("_word_majs", "lemma63"),
     ("epsilon_s", "lemma93"),
     ("length_s", "lemma87"),
     ("length_s", "lemma93"),
     ("length_s", "prop56"),
     ("length_s", "prop81"),
-    ("ltr_minima", "fiber-size"),
-    ("ltr_minima", "lemma65"),
     ("ltr_minima", "main-a"),
     ("ltr_minima", "main-s"),
     ("ltr_minima", "prop56"),
     ("maj_s", "garsia-gessel"),
-    ("rmaj_s", "lemma65"),
     ("rmaj_s", "lemma86"),
     ("rmaj_s", "lemma93"),
     ("rmaj_s", "prop81"),
-    ("rmaj_s", "remark66"),
 ]
 
 
@@ -1175,16 +1213,20 @@ def test_a_fault_in_a_function_fails_each_entry_that_reads_it(monkeypatch, funct
     assert not report.passed and ("failed_at" in report.params) == (points != [None])
 
 
-def test_a_start_fault_fails_lemma63_on_its_closed_form_side_alone(monkeypatch):
-    # Under the ``_word_majs`` fault, every start one higher, lemma63 at
-    # n = 4 fails at its first base word, and that point's scan side is the
-    # oracle's: the fault reached the closed form alone.
+@pytest.mark.parametrize("name", ["lemma63", "lemma64", "lemma65", "remark66", "fiber-size"])
+def test_a_start_fault_fails_on_the_closed_form_side_alone(monkeypatch, name):
+    # Under the fault of the recurrence that gives an entry's starts, every
+    # start one higher, the entry at n = 4 fails at its first base word, and
+    # that point's scan side is the oracle's: the fault reached the closed
+    # form alone.
     n = 4
-    first, lhs, rhs, _ = lemma63_by_slicing(n)[0]
-    fault = FAULTS["_word_majs"]
-    _patch_everywhere(monkeypatch, "_word_majs", lambda f: lambda n: fault(f(n)))
-    report = verify("lemma63", n)
-    assert not report.passed and report.elements_scanned == 1
+    oracle = fiber_size_by_lifts if name == "fiber-size" else _ORACLES[name]
+    first, lhs, rhs, scanned = oracle(n)[0]
+    source = "_word_majs" if name == "lemma63" else "_lex_starts"
+    fault = FAULTS[source]
+    _patch_everywhere(monkeypatch, source, lambda f: lambda n: fault(f(n)))
+    report = verify(name, n)
+    assert not report.passed and report.elements_scanned == scanned
     assert report.params["failed_at"] == identities._json_safe(first)
     assert report.lhs == MultiPoly(*lhs) and report.rhs != MultiPoly(*rhs)
 

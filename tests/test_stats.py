@@ -32,6 +32,7 @@ from permstat.stats import (
     _pack_descents,
     _pack_lengths,
     _block_letters,
+    _lex_starts,
     _word_majs,
     EXCLUDE_SMALLEST_VALUES,
     StatProfile,
@@ -126,6 +127,49 @@ def test_word_majs_hold_across_every_block_boundary():
         assert starts[2 * i:2 * i + 2] == bytes(_maj_rmaj(u, n)), u
     with pytest.raises(ValueError):
         next(_word_majs(24))  # maj reaches 276, above a byte
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lex_starts_are_maj_rmaj_and_minima_of_every_permutation(n):
+    # Each w of S_n, in lexicographic order, gets its own ``_maj_rmaj`` pair
+    # and minima count, three planes of ``_CHUNK`` words but the last; at n = 7
+    # and 8 a word is a prefix and the block of the last six letters.
+    perms = list(iter_symmetric(n))
+    planes = list(_lex_starts(n))
+    assert [tuple(map(len, p)) for p in planes] == [
+        (len(perms[at:at + _CHUNK]),) * 3 for at in range(0, len(perms), _CHUNK)]
+    assert list(zip(*map(b"".join, zip(*planes)))) == [
+        (*_maj_rmaj(w, n), len(ltr_minima(w, 0, EXCLUDE_FIRST_POSITIONS))) for w in perms]
+
+
+def test_lex_starts_refuse_24_letters_before_any_plane(monkeypatch):
+    # maj reaches 276 at 24 letters, above a byte: the refusal comes before the
+    # block is built.
+    from permstat import stats
+
+    def built(k):
+        raise AssertionError("a plane was built")
+
+    monkeypatch.setattr(stats, "_lex_block", built)
+    with pytest.raises(ValueError):
+        next(_lex_starts(24))
+
+
+def test_lex_starts_read_no_scan_side_kernel(monkeypatch):
+    # The starts are the closed forms' side: with every kernel that a scan
+    # side reads patched to raise, the recurrence still gives every plane.
+    from permstat import stats, words
+
+    expected = list(_lex_starts(8))
+
+    def scanned(*args):
+        raise AssertionError("the recurrence read a scan side kernel")
+
+    for module in (stats, words):
+        for name in ("_pack_descents", "_descent_stat", "_element_packs", "_columns", "_table"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, scanned)
+    assert list(_lex_starts(8)) == expected
 
 
 def test_descents_match_length_comparison():
