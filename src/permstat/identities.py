@@ -47,13 +47,11 @@ from .perm import Perm, compose, inverse, iter_symmetric, nu
 from .qpoly import MultiPoly, geometric, q_binomial, q_factorial
 from .stats import (
     EXCLUDE_FIRST_POSITIONS,
-    _descent_stat,
-    _descent_table,
     _indicator_keys,
     _lex_starts,
     _maj_rmaj,
     _mask,
-    _pack_descents,
+    _pack_descent_sums,
     _word_majs,
     histograms,
     length_s,
@@ -170,12 +168,12 @@ def _subset_sums(fibres: dict[int, list[dict]], bits: list[int]) -> list[list[di
     return sums
 
 
-def _stray(fibres: dict[int, list[dict]], bits: list[int], count: int) -> Checkpoint | None:
+def _stray(fibres: dict[int, list[dict]], bits: list[int], count: int) -> list[Checkpoint]:
     """A fibre whose mask has a bit outside `bits` lies in no subset sum: the smallest
-    such mask fails, its first tally's fibre against an empty side.  None if none does."""
+    such mask fails, its first tally's fibre against an empty side.  [] if none does."""
     outside = ~_mask(bits)
     stray = min((m for m in fibres if m & outside), default=None)
-    return None if stray is None else ({"mask": stray}, (0, fibres[stray][0]), _const(0), count)
+    return [] if stray is None else [({"mask": stray}, (0, fibres[stray][0]), _const(0), count)]
 
 
 # -- whole-group entries, as data ----------------------------------------------
@@ -256,15 +254,15 @@ def _sides(closed, *names):
 
 def _fs_fixed_descent(n, count, ell, maj, rmaj):
     fibres = _fibres((ell, maj))
-    for i, m in enumerate(sorted(fibres)):
-        ell, maj = fibres[m]
-        yield {"descent-class": m}, (0, ell), (0, maj), count if i == 0 else 0
+    return _stray(fibres, list(range(1, n)), count) or [
+        ({"descent-class": m}, (0, fibres[m][0]), (0, fibres[m][1]), count if i == 0 else 0)
+        for i, m in enumerate(sorted(fibres))]
 
 
 def _fs_rmaj(n, count, ell, maj, rmaj):
     fibres, bits = _fibres((maj, rmaj, ell)), list(range(1, n))
     if stray := _stray(fibres, bits, count):
-        yield stray
+        yield from stray
         return
     sums = _subset_sums(fibres, bits)
     for d1_bits, (maj, rmaj, ell) in enumerate(sums):
@@ -345,7 +343,7 @@ def _main(group, n, count, *tallies):
     bits = list(range(1, n)) + list(range(n + 2, n + 2 + d2_count))
     fibres = _fibres([{(d | m << n, e): c for (d, m, e), c in t.items()} for t in tallies])
     if stray := _stray(fibres, bits, count):
-        yield stray
+        yield from stray
         return
     sums = _subset_sums(fibres, bits)
     for d1_bits in range(1 << (n - 1)):
@@ -368,13 +366,17 @@ def _appendix_hat(n, count, *hists, i=None):
 
 
 def _fiber_size(n, count, sizes):
-    # Each w of iter_symmetric is named beside its minima count off the
-    # recurrence, strictly.  The total counts every projection tallied, so one
-    # outside S_n fails there.
-    minima = itertools.chain.from_iterable(minima for *_, minima in _lex_starts(n))
-    for w, delent in zip(iter_symmetric(n), minima, strict=True):
-        size = sizes.get(bytes(w), 0)
-        yield {"w": w}, _const(size), _const(2 ** delent), size
+    # Each w of iter_symmetric is keyed by its tallied fibre size and its
+    # minima count off the recurrence, strictly, and each distinct key is
+    # checked once (``_by_key``); a w counts its fibre's elements, and a w
+    # that no element projects onto reads 0 off the tally's Counter.  The
+    # total counts every projection tallied, so one outside S_n fails there.
+    def keys():
+        minima = itertools.chain.from_iterable(minima for *_, minima in _lex_starts(n))
+        return zip(map(sizes.__getitem__, map(bytes, iter_symmetric(n))), minima, strict=True)
+
+    yield from _by_key("w", partial(iter_symmetric, n), keys, lambda key: [
+        ({}, {(0, 0): key[0]}, {(0, 0): 2 ** key[1]})], lambda key: key[0])
     order = math.factorial(n + 1) // 2
     yield {"check": "partition-total"}, _const(sum(sizes.values())), _const(order), 0
     yield {"check": "partition-distinct"}, _const(count), _const(order), 0
@@ -565,35 +567,34 @@ def _check_prop56(n: int) -> Iterator[Checkpoint]:
 # words are packed once, a chunk at a time, and ``_inserted`` lays out a chunk
 # of inserted words with the new top letter at slot i from the base pack's
 # bytes, for each slot in turn.  Each inserted word's values are read off its
-# own neighbour comparisons by ``stats._pack_descents``, one subtraction on the
-# packed letters, through a table of the comparison patterns filled as they are
-# first met (``_values``): bytes((maj, rmaj)), or bytes((rmaj,)), each by
-# ``stats._descent_stat``, as the passes' "maj" and "rmaj" columns.  They are
-# never derived from the base word's descents and the slot, which is the
-# lemma's proof.  A base word u's key is one bytes record (``_keys``) that
-# joins two paths that never feed each other: the start of its closed forms,
-# q^maj(u) [n+1]_q, q^(maj(u)+1) [n]_q, q^rmaj(u) [n+1]_q and q^rmaj(u) [n]_q,
-# and its inserted words' row of values, which alone the scan sides read.
-# lemma63's starts come from ``stats._word_majs``, a prefix recurrence over the
-# product order: a letter x put after a last letter l adds its position to maj
-# exactly when l > x, which a fixed table of l > x decides for a whole plane of
-# words at once, so no word's letters are compared.  The rows come from the
-# base words themselves, packed from ``itertools.product``.  A fault in the
-# comparisons of ``_pack_descents`` therefore reaches the scan sides alone, one
-# in the recurrence the closed forms alone, and a word that the recurrence
-# drops or puts out of order fails where the two enumerations part.
-# ``_by_key`` checks each distinct key once: lemma63 has 32 for 46,656 words at
-# n = 6.  lemma64, lemma65 and remark66 insert into S_n instead (``_coset``),
-# and their starts, maj, rmaj and the minima count of each w, come from
-# ``stats._lex_starts``, a prefix recurrence over the lexicographic order of
-# S_n that relabels a block of the last letters and compares no letters of the
-# packs of S_n that the rows are laid out from.
+# own neighbour comparisons by ``stats._pack_descent_sums``, one subtraction
+# and one multiplication on the packed letters, a plane of maj and one of rmaj
+# (or rmaj alone) a pack (``_values``), as the passes' "maj" and "rmaj" columns
+# are.  They are never derived from the base word's descents and the slot,
+# which is the lemma's proof.  A base word u's key is one bytes record
+# (``_keys``) that joins two paths that never feed each other: the start of its
+# closed forms, q^maj(u) [n+1]_q, q^(maj(u)+1) [n]_q, q^rmaj(u) [n+1]_q and
+# q^rmaj(u) [n]_q, and its inserted words' row of values, which alone the scan
+# sides read.  lemma63's starts come from ``stats._word_majs``, a prefix
+# recurrence over the product order: a letter x put after a last letter l adds
+# its position to maj exactly when l > x, which a fixed table of l > x decides
+# for a whole plane of words at once, so no word's letters are compared.  The
+# rows come from the base words themselves, packed from ``itertools.product``.
+# A fault in the comparisons of ``_pack_descent_sums`` therefore reaches the
+# scan sides alone, one in the recurrence the closed forms alone, and a word
+# that the recurrence drops or puts out of order fails where the two
+# enumerations part.  ``_by_key`` checks each distinct key once: lemma63 has 32
+# for 46,656 words at n = 6.  lemma64, lemma65 and remark66 insert into S_n
+# instead (``_coset``), and their starts, maj, rmaj and the minima count of
+# each w, come from ``stats._lex_starts``, a prefix recurrence over the
+# lexicographic order of S_n that relabels a block of the last letters and
+# compares no letters of the packs of S_n that the rows are laid out from.
 
-def _by_key(base: str, bases, keys, sides, per: int) -> Iterator[Checkpoint]:
+def _by_key(base: str, bases, keys, sides, per) -> Iterator[Checkpoint]:
     """A per-point entry's checkpoints, from one tally of its base elements' keys.
 
-    ``keys()`` holds one bytes record per element of ``bases()``, in order
-    (``_keys``), and each element counts `per` elements.  Each distinct key's
+    ``keys()`` holds one key per element of ``bases()``, in order (``_keys``),
+    and an element of key k counts ``per(k)`` elements.  Each distinct key's
     (equation, lhs, rhs) triples, ``sides(key)``, are checked once.  If all
     pass, each yields once, scaled by the key's count; else the base is
     replayed beside its keys, strictly (a count apart raises ValueError),
@@ -605,12 +606,14 @@ def _by_key(base: str, bases, keys, sides, per: int) -> Iterator[Checkpoint]:
         for key, times in tally.items():
             for j, (eq, lhs, rhs) in enumerate(checked[key]):
                 lhs, rhs = ((0, {e: c * times for e, c in side.items()}) for side in (lhs, rhs))
-                yield eq, lhs, rhs, 0 if j else times * per
+                yield eq, lhs, rhs, 0 if j else times * per(key)
         return
-    for i, (element, key) in enumerate(zip(bases(), keys(), strict=True), 1):
+    scanned = 0
+    for element, key in zip(bases(), keys(), strict=True):
+        scanned += per(key)
         for eq, lhs, rhs in checked[key]:
             if lhs != rhs:
-                yield {base: element, **eq}, (0, lhs), (0, rhs), i * per
+                yield {base: element, **eq}, (0, lhs), (0, rhs), scanned
                 return
 
 
@@ -641,11 +644,10 @@ def _keys(starts, packs, slots, read) -> Iterator[bytes]:
         itertools.starmap(records, zip(starts, packs, strict=True)))
 
 
-def _values(length: int, *stats: str):
-    """A pack of words of `length` letters -> [its words' `stats`, one byte each, joined]:
-    ``_pack_descents`` through a table of ``stats._descent_stat``'s values."""
-    table = _descent_table(lambda des: bytes(_descent_stat(s, length, des) for s in stats))
-    return lambda pack: [b"".join(_pack_descents(pack, table))]
+def _values(*stats: str):
+    """A pack of inserted words -> a plane of a byte a word per statistic of `stats`, each
+    by ``stats._pack_descent_sums``, with rmaj at the inserted words' own degree."""
+    return lambda pack: [_pack_descent_sums(pack, s) for s in stats]
 
 
 def _check_lemma63(n: int) -> Iterator[Checkpoint]:
@@ -659,8 +661,9 @@ def _check_lemma63(n: int) -> Iterator[Checkpoint]:
                 ({"eq": "rmaj-tail"}, Counter(zip(rmajs[1:], zeros)), _run(r, n))]
 
     bases = partial(itertools.product, range(1, n + 1), repeat=n)
-    return _by_key("word", bases, lambda: _keys(  # one start plane a pack
-        zip(_word_majs(n)), _packs(bases()), range(y), _values(y, "maj", "rmaj")), sides, 1)
+    # One start plane a pack.
+    return _by_key("word", bases, lambda: _keys(zip(_word_majs(n)), _packs(bases()), range(y),
+                                                _values("maj", "rmaj")), sides, lambda key: 1)
 
 
 def _coset(n: int, start, slots, read, sides) -> Iterator[Checkpoint]:
@@ -676,7 +679,7 @@ def _coset(n: int, start, slots, read, sides) -> Iterator[Checkpoint]:
     """
     return _by_key("w", partial(iter_symmetric, n), lambda: _keys(
         itertools.starmap(start, _lex_starts(n)), _element_packs("S", n), slots, read),
-        sides, len(slots))
+        sides, lambda key: len(slots))
 
 
 def _check_lemma64(n: int) -> Iterator[Checkpoint]:
@@ -688,7 +691,7 @@ def _check_lemma64(n: int) -> Iterator[Checkpoint]:
                 ({"stat": "rmaj"}, Counter(zip(rmajs, zeros)), _run(r, n + 1))]
 
     return _coset(n, lambda maj, rmaj, minima: (maj, rmaj), range(n + 1),
-                  _values(n + 1, "maj", "rmaj"), sides)
+                  _values("maj", "rmaj"), sides)
 
 
 def _check_lemma65(n: int) -> Iterator[Checkpoint]:
@@ -704,7 +707,7 @@ def _check_lemma65(n: int) -> Iterator[Checkpoint]:
     def read(pack):
         return [*values(pack), *_columns("S", pack, held, ["delent"])]
 
-    values, held = _values(n + 1, "rmaj"), _table("S", n + 1, ["delent"])
+    values, held = _values("rmaj"), _table("S", n + 1, ["delent"])
     return _coset(n, lambda maj, rmaj, minima: (rmaj, minima), range(n, -1, -1), read, sides)
 
 
@@ -716,7 +719,7 @@ def _check_remark66(n: int) -> Iterator[Checkpoint]:
         return [({}, Counter(zip(key[1:], zeros)), _run(key[0], n))]
 
     return _coset(n, lambda maj, rmaj, minima: (rmaj,), range(n, 0, -1),
-                  _values(n + 1, "rmaj"), sides)
+                  _values("rmaj"), sides)
 
 
 def _iter_low_support(n: int, i: int):

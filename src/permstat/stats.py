@@ -34,10 +34,13 @@ and of its inverse, and the length and maj of each fold ``h_map(v, j)``.
 The record fields come off the pull's step as byte planes
 (``words._columns``).  Inversions and descents read an S element's word,
 an A element's projection and a folded word alike, a pack of words at
-once, a byte per letter in one integer (``_pack_lengths``,
-``_pack_descents``); so do the cycle counts, by a lane step of their own
-that deletes the top value from its cycle (``_pack_cycles``).  ``_folds``
-folds a chunk's words by ``bytes.translate``.  Which rows share a pass, and
+once, a byte per letter in one integer: one subtraction per distance for
+the inversions (``_pack_lengths``), and one multiplication of the descent
+lanes for maj, rmaj and des (``_pack_descent_sums``); the descent mask
+alone goes through a table of comparison patterns (``_pack_descents``).
+The cycle counts read the pack too, by a lane step of their own that
+deletes the top value from its cycle (``_pack_cycles``).  ``_folds`` folds
+a chunk's words by ``bytes.translate``.  Which rows share a pass, and
 the rows themselves, are the registry's business: see ``identities._ROWS``,
 ``_tally_passes`` and ``plan``.
 """
@@ -46,7 +49,6 @@ from __future__ import annotations
 from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from itertools import (accumulate, chain, combinations, compress, count, islice, permutations,
                        repeat, starmap)
 from operator import gt
@@ -426,30 +428,39 @@ _WORD_STATS = ("inversions", "maj", "rmaj", "des", "desmask")
 # Column forms of the statistics above, for the rows of a pass: each maps a
 # chunk of words to one value per word at C level.
 
-def _descent_stat(stat: str, n: int, des: list[int]) -> int:
-    """A descent column's value off the descent positions: "maj", "rmaj" (ambient
-    degree n), "des", or "desmask", with bit i set for a descent at i."""
-    if stat == "maj":
-        return sum(des)
-    if stat == "rmaj":
-        return n * len(des) - sum(des)
-    return len(des) if stat == "des" else _mask(des)
-
-
 def _descent_table(value: Callable[[list[int]], object]) -> _Memo:
     """A word's comparison key, the bytes of ``map(gt, w, w[1:])`` as ``_pack_descents``
     reads them, -> value(its descent positions); each entry filled when first read."""
     return _Memo(lambda bits: value(list(compress(count(1), bits))))
 
 
-def _pack_descents(pack: tuple[int, int, int, int], table: _Memo) -> Iterator:
-    """The table value of each word of a pack, keyed by its first L - 1 lanes of
-    ``(a >> 8 | h) - a`` (h: 0x80 in every lane): lane i is 0x80 + next - this, its top
-    bit clear exactly at a descent."""
+def _descent_lanes(pack: tuple[int, int, int, int]) -> int:
+    """0x01 in each lane i of a pack where ``(a >> 8 | h) - a`` (h: 0x80 in every lane),
+    0x80 + next - this, has its top bit clear: exactly at a descent."""
     length, stride, size, a = pack
     h = _lanes(stride, length, size)[0] << 7
-    lanes = ((((a >> 8) | h) - a) & h ^ h) >> 7
-    return map(table.__getitem__, _words((length - 1, stride, size, lanes)))
+    return ((((a >> 8) | h) - a) & h ^ h) >> 7
+
+
+def _pack_descents(pack: tuple[int, int, int, int], table: _Memo) -> Iterator:
+    """The table value of each word of a pack, keyed by its first L - 1 descent lanes."""
+    return map(table.__getitem__, _words((pack[0] - 1, *pack[1:3], _descent_lanes(pack))))
+
+
+def _pack_descent_sums(pack: tuple[int, int, int, int], stat: str) -> bytes:
+    """maj, rmaj (ambient degree L) or des, by `stat`, of each word of L letters of a
+    pack, by one multiplication: its descent lanes b times W, one integer whose byte k
+    weighs a descent at position L - 1 - k.  Lane L - 2 of a word then sums
+    W_k b_(L - 2 - k) over its own lanes 0..L - 2, so the comparison across its end
+    never enters, and no lane of the product passes the sum of W, L(L - 1)/2, so nothing
+    carries; a word of one letter reads 0.  Over 23 letters, ValueError."""
+    length, stride, size, _ = pack
+    if length > 23:
+        raise ValueError(f"words of at most 23 letters expected, not {length}")
+    weights = {"maj": range(length - 1, 0, -1), "rmaj": range(1, length),
+               "des": [1] * (length - 1)}[stat]
+    sums = _descent_lanes(pack) * int.from_bytes(bytes(weights), "little")
+    return sums.to_bytes(size + length, "little")[max(length - 2, 0):size:stride]
 
 
 # (length, stride) -> per distance d, 0x80 in each lane of a chunk with a letter d places
@@ -554,13 +565,15 @@ def histograms(group: str, n: int, *rows: list[tuple[str, ...]]
     time with no tuple per element (``words._element_packs``), and packs
     their inverses once, which ``bytes.translate`` reads off the elements
     (``words._pack``).  The pull's step (``words._columns``),
-    ``_pack_lengths``, ``_pack_descents`` and ``_pack_cycles`` read each
-    side's pack, and in A the step's packed projections.  Each element
-    takes one step of the pull per value above the pass's top degree and
-    reads the rest from a table of every word of that degree, which the
-    pass builds once (``words._table``); the fields come out as ``bytes``
-    planes, cut from the joined records of a pack's words, and each step
-    adds its constants to a plane by one integer addition.
+    ``_pack_lengths``, ``_pack_descent_sums``, ``_pack_descents`` (for
+    "desmask" alone) and ``_pack_cycles`` read each side's pack, and in A
+    the step's packed projections; "hat-maj<j>" is ``_pack_descent_sums``
+    of the folded pack.  Each element takes one step of the pull per value
+    above the pass's top degree and reads the rest from a table of every
+    word of that degree, which the pass builds once (``words._table``);
+    the fields come out as ``bytes`` planes, cut from the joined records of
+    a pack's words, and each step adds its constants to a plane by one
+    integer addition.
     A key with a "zero" column tallies its other columns, bare when one is
     left, and gets its zeros back per distinct key.
     """
@@ -578,10 +591,8 @@ def histograms(group: str, n: int, *rows: list[tuple[str, ...]]
     pulled = [f for f in dict.fromkeys("proj" if group == "A" and s in _WORD_STATS else s
                                        for s in own.values())
               if f not in ("zero", "inverse", "cycles", "minmask", *_WORD_STATS)]
-    # Each column read off a word: its side's prefix, and its descent table.
-    worded = [(f, f.removesuffix(s), None if s == "inversions"
-               else _descent_table(partial(_descent_stat, s, n)))
-              for f, s in own.items() if s in _WORD_STATS]
+    # Each column read off a word: its side's prefix, and its statistic.
+    worded = [(f, f.removesuffix(s), s) for f, s in own.items() if s in _WORD_STATS]
     # Each column read off a one-line word's pack or per element: its side's prefix, and which.
     counted = [(f, f.removesuffix(s), s) for f, s in own.items() if s in ("cycles", "minmask")]
     theirs = js or any(f.startswith("inverse") for f in fields)
@@ -589,7 +600,7 @@ def histograms(group: str, n: int, *rows: list[tuple[str, ...]]
     counters = [Counter() for _ in keys]
     held = _table(group, degree, pulled) if pulled else None
     ident = bytes(range(1, degree + 1))
-    folds, sums = (_folds(js), _descent_table(sum)) if js else (None, None)
+    folds, masks = _folds(js), _descent_table(_mask)
     order = 0
     for pack in _element_packs(group, degree):
         size = pack[2] // degree
@@ -601,9 +612,10 @@ def histograms(group: str, n: int, *rows: list[tuple[str, ...]]
             packs["inverse-"] = _pack(inverses, degree)
         for side, pack in packs.items() if pulled else ():
             cols.update(zip([side + f for f in pulled], _columns(group, pack, held, pulled)))
-        for f, side, table in worded:
+        for f, side, s in worded:
             pack = cols[side + "proj"] if group == "A" else packs[side]
-            cols[f] = _pack_lengths(pack) if table is None else list(_pack_descents(pack, table))
+            cols[f] = (_pack_lengths(pack) if s == "inversions" else list(_pack_descents(
+                pack, masks)) if s == "desmask" else _pack_descent_sums(pack, s))
         for f, side, s in counted:
             cols[f] = _pack_cycles(packs[side]) if s == "cycles" else [
                 _mask(ltr_minima(w, level, EXCLUDE_FIRST_POSITIONS))
@@ -611,7 +623,7 @@ def histograms(group: str, n: int, *rows: list[tuple[str, ...]]
         for j, folded in zip(js, folds(words, packs["inverse-"]) if js else ()):
             pack = _pack(folded, degree)
             cols[f"hat-length{j}"] = _pack_lengths(pack)
-            cols[f"hat-maj{j}"] = list(_pack_descents(pack, sums))
+            cols[f"hat-maj{j}"] = _pack_descent_sums(pack, "maj")
         cols.update((f, _words(cols[f])) for f in own if own[f] == "proj")
         order += size
         for counter, key in zip(counters, zips):

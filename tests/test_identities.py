@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import operator
 import pickle
 import sys
 import time
@@ -634,40 +635,41 @@ def test_start_planes_apart_from_their_base_words_raise(monkeypatch, name, tail)
         verify(name, 3)
 
 
-def _first_plus_one(value):
-    """A table value, bytes((maj, rmaj)) or bytes((rmaj,)), with its first byte one higher."""
-    return bytes((value[0] + 1, *value[1:]))
+def _pattern_plus_one(kernel, pattern):
+    """``_pack_descent_sums`` with every plane one higher at each word whose
+    comparison bytes, ``map(gt, w, w[1:])``, are `pattern`."""
+    from permstat.words import _words
+
+    def wrong(pack, stat):
+        hits = (bytes(map(operator.gt, w, w[1:])) == pattern for w in _words(pack))
+        return bytes(map(operator.add, kernel(pack, stat), hits))
+    return wrong
 
 
-@pytest.mark.parametrize("name, bases, first, slots, bump", [
-    ("lemma63", _words, lambda u: {"word": u, "eq": "maj-all"}, range(4), _first_plus_one),
-    ("lemma64", iter_symmetric, lambda w: {"w": w, "stat": "maj"}, range(4), _first_plus_one),
-    ("lemma65", iter_symmetric, lambda w: {"w": w}, range(4), _first_plus_one),
-    ("remark66", iter_symmetric, lambda w: {"w": w}, range(1, 4), _first_plus_one),
+@pytest.mark.parametrize("name, bases, first, slots", [
+    ("lemma63", _words, lambda u: {"word": u, "eq": "maj-all"}, range(4)),
+    ("lemma64", iter_symmetric, lambda w: {"w": w, "stat": "maj"}, range(4)),
+    ("lemma65", iter_symmetric, lambda w: {"w": w}, range(4)),
+    ("remark66", iter_symmetric, lambda w: {"w": w}, range(1, 4)),
 ])
 def test_a_wrong_descent_pattern_fails_only_the_scan_side(monkeypatch, name, bases, first,
-                                                          slots, bump):
-    # One comparison pattern of the inserted words reads maj (or rmaj) + 1.
+                                                          slots):
+    # The inserted words of one comparison pattern read maj and rmaj + 1.
     # The entry must fail at the first base word with an inserted word of
     # that pattern, and that point's closed form must be the oracle's: the
-    # patched table reached the scan side alone.  Every pattern of degree 4
+    # patched kernel reached the scan side alone.  Every pattern of degree 4
     # occurs among the inserted words but one: remark66 never puts 4 first,
     # so it never meets 4 3 2 1 and must still pass.
     n = 3
     clean = {json.dumps(identities._json_safe(sub), sort_keys=True): rhs
              for sub, _, rhs, _ in _ORACLES[name](n)}
     assert verify(name, n).passed
-    build = identities._descent_table
+    kernel = identities._pack_descent_sums
     for pattern in map(bytes, itertools.product((0, 1), repeat=n)):
-        def wrong(value, pattern=pattern):
-            table = build(value)
-            table[pattern] = bump(table[pattern])
-            return table
-
         hit = next((u for u in bases(n) for i in slots if pattern == bytes(
             int(a > b) for a, b in itertools.pairwise(u[:i] + (n + 1,) + u[i:]))), None)
         with monkeypatch.context() as patched:
-            patched.setattr(identities, "_descent_table", wrong)
+            patched.setattr(identities, "_pack_descent_sums", _pattern_plus_one(kernel, pattern))
             report = verify(name, n)
         if hit is None:
             assert name == "remark66" and pattern == b"\x01\x01\x01" and report.passed
@@ -681,13 +683,13 @@ def test_a_wrong_descent_pattern_fails_only_the_scan_side(monkeypatch, name, bas
 
 @pytest.mark.parametrize("name", ["lemma63", "lemma64", "lemma65", "remark66"])
 def test_a_descent_stat_fault_fails_only_the_scan_side(monkeypatch, name):
-    # The inserted words' values come from ``_descent_stat``, as the passes'
-    # descent columns do, and no closed-form start calls it.  With every value
-    # one higher, each entry fails at its first point, and that point's
-    # closed form is the oracle's.
+    # The inserted words' values come from ``_pack_descent_sums``, as the
+    # passes' descent columns do, and no closed-form start calls it.  With
+    # every value one higher, each entry fails at its first point, and that
+    # point's closed form is the oracle's.
     sub, _, rhs, _ = _ORACLES[name](3)[0]
-    fault = FAULTS["_descent_stat"]
-    _patch_everywhere(monkeypatch, "_descent_stat", lambda f: lambda *args: fault(f(*args)))
+    fault = FAULTS["_pack_descent_sums"]
+    _patch_everywhere(monkeypatch, "_pack_descent_sums", lambda f: lambda *args: fault(f(*args)))
     report = verify(name, 3)
     assert not report.passed and report.params["failed_at"] == identities._json_safe(sub)
     assert report.rhs == MultiPoly(*rhs) and report.lhs != report.rhs
@@ -927,24 +929,19 @@ def test_a_wrong_table_record_fails_the_delent_scans(monkeypatch):
 @pytest.mark.parametrize("name, side", [("macmahon", "maj"), ("thm61-s", "rmaj"),
                                         ("thm61-a", "rmaj")])
 def test_a_wrong_pass_descent_pattern_fails_only_the_scan_side(monkeypatch, name, side):
-    # The pass reads maj and rmaj through one descent table per column, of
-    # the one-line word in S and of the projection in A.  Where one
-    # comparison key reads its statistic + 1, the entry must fail on that
-    # statistic's side, and the closed form of the failing point must be the
-    # clean run's: the patched table reached the scan side alone.
+    # The pass reads maj and rmaj by one multiplication per column
+    # (``_pack_descent_sums``), of the one-line word in S and of the
+    # projection in A.  Where the words of one comparison pattern read their
+    # statistic + 1, the entry must fail on that statistic's side, and the
+    # closed form of the failing point must be the clean run's: the patched
+    # kernel reached the scan side alone.
     from permstat import stats
 
     n, pattern = 4, b"\x00\x01\x00"  # a descent at 2 alone
     clean = {json.dumps(point, sort_keys=True): rhs
              for point, _, rhs, _ in REGISTRY[name].check(n)}
-    build = stats._descent_table
-
-    def wrong(value):
-        table = build(value)
-        table[pattern] = value([2]) + 1
-        return table
-
-    monkeypatch.setattr(stats, "_descent_table", wrong)
+    monkeypatch.setattr(stats, "_pack_descent_sums",
+                        _pattern_plus_one(stats._pack_descent_sums, pattern))
     report = verify(name, n)
     assert not report.passed and report.params["failed_at"] == {"side": side}
     arity, terms = clean[json.dumps(report.params["failed_at"], sort_keys=True)]
@@ -1097,9 +1094,9 @@ def test_inversion_and_fold_reports_are_pinned():
 # appendix-hat; ``_pack_cycles`` and ``ltr_minima`` feed the pass's "cycles"
 # and "minmask" columns; ``_word_majs`` yields lemma63's starts, a plane
 # of bytes at a time, and ``_lex_starts`` those of lemma64, lemma65,
-# remark66 and fiber-size, three planes at a time; ``_descent_stat`` gives
-# the passes' descent columns and the insertion entries' inserted-word
-# values, each through its descent table.
+# remark66 and fiber-size, three planes at a time; ``_pack_descent_sums``
+# gives the passes' maj, rmaj and des columns, appendix-hat's folded maj and
+# the insertion entries' inserted-word values, a plane at a time.
 # ``cycle_count`` reaches no entry at n = 4.
 FAULTS = {
     "length_s": lambda v: v + 1,
@@ -1114,7 +1111,7 @@ FAULTS = {
     "_word_majs": lambda v: (bytes(x + 1 for x in plane) for plane in v),
     "_lex_starts": lambda v: (tuple(bytes(x + 1 for x in plane) for plane in planes)
                               for planes in v),
-    "_descent_stat": lambda v: v + 1,
+    "_pack_descent_sums": lambda v: bytes(x + 1 for x in v),
 }
 
 
@@ -1134,31 +1131,33 @@ def _patch_everywhere(monkeypatch, name, wrap):
 # faults only because its closed form reads pi by other paths, and so do
 # prop81, lemma86 and lemma87 because the shuffle growth reads pi's base by
 # ``s_pull`` and ``_maj_rmaj``; main-s and main-a fail under the ltr_minima
-# fault only because main names a fibre whose mask lies outside its bits, and
-# fs-rmaj fails under the _descent_stat fault first for the same reason.
+# fault only because main names a fibre whose mask lies outside its bits.
+# cor92-s reads "des" on both sides, where a uniform fault cancels, and
+# fails under the _pack_descent_sums fault by "inverse-rmaj", on one side.
 FAULT_ROWS = [
-    ("_descent_stat", "cor92-a"),
-    ("_descent_stat", "cor92-s"),
-    ("_descent_stat", "fs-fixed-descent"),
-    ("_descent_stat", "fs-rmaj"),
-    ("_descent_stat", "lemma63"),
-    ("_descent_stat", "lemma64"),
-    ("_descent_stat", "lemma65"),
-    ("_descent_stat", "macmahon"),
-    ("_descent_stat", "main-a"),
-    ("_descent_stat", "main-s"),
-    ("_descent_stat", "prop67"),
-    ("_descent_stat", "remark66"),
-    ("_descent_stat", "thm61-a"),
-    ("_descent_stat", "thm61-s"),
-    ("_descent_stat", "thm62-a"),
-    ("_descent_stat", "thm62-s"),
     ("_maj_rmaj", "lemma86"),
     ("_maj_rmaj", "lemma93"),
     ("_maj_rmaj", "prop81"),
     ("_pack_cycles", "prop57-stirling-a"),
     ("_pack_cycles", "prop57-stirling-s"),
     ("_pack_cycles", "prop712-sk-occurrences"),
+    ("_pack_descent_sums", "appendix-hat"),
+    ("_pack_descent_sums", "cor92-a"),
+    ("_pack_descent_sums", "cor92-s"),
+    ("_pack_descent_sums", "fs-fixed-descent"),
+    ("_pack_descent_sums", "fs-rmaj"),
+    ("_pack_descent_sums", "lemma63"),
+    ("_pack_descent_sums", "lemma64"),
+    ("_pack_descent_sums", "lemma65"),
+    ("_pack_descent_sums", "macmahon"),
+    ("_pack_descent_sums", "main-a"),
+    ("_pack_descent_sums", "main-s"),
+    ("_pack_descent_sums", "prop67"),
+    ("_pack_descent_sums", "remark66"),
+    ("_pack_descent_sums", "thm61-a"),
+    ("_pack_descent_sums", "thm61-s"),
+    ("_pack_descent_sums", "thm62-a"),
+    ("_pack_descent_sums", "thm62-s"),
     ("_pack_lengths", "appendix-hat"),
     ("_pack_lengths", "cor92-s"),
     ("_pack_lengths", "fs-fixed-descent"),
@@ -1251,13 +1250,18 @@ def test_main_names_a_fibre_outside_its_bits(monkeypatch, name):
 
 
 def test_fs_rmaj_names_a_descent_mask_outside_its_bits(monkeypatch):
-    # With every descent mask one higher, each sets bit 0, which lies in no
-    # subset of the positions 1..n-1, so the subset sums would drop every
-    # fibre and both sides would read empty.  fs-rmaj fails instead at the
-    # smallest such mask, the identity's, against an empty side, as main does.
-    _patch_everywhere(monkeypatch, "_descent_stat", lambda f: lambda stat, n, des: (
-        f(stat, n, des) + (stat == "desmask")))
-    for name in ("fs-rmaj", "main-s", "main-a"):
+    # With every descent mask one higher (the pass's table of ``_mask``
+    # values), each sets bit 0, which lies in no subset of the positions
+    # 1..n-1, so the subset sums would drop every fibre and both sides would
+    # read empty; fs-fixed-descent's sides, keyed by one mask, would agree.
+    # Each fails instead at the smallest such mask, the identity's, against
+    # an empty side, as main does.
+    from permstat import stats
+
+    build = stats._descent_table
+    monkeypatch.setattr(stats, "_descent_table", lambda value: build(
+        (lambda des: value(des) + 1) if value is stats._mask else value))
+    for name in ("fs-rmaj", "fs-fixed-descent", "main-s", "main-a"):
         report = verify(name, 4)
         assert not report.passed and report.params["failed_at"] == {"mask": 1}, name
         assert report.lhs == MultiPoly.const(1) and report.rhs == MultiPoly.zero(), name

@@ -29,6 +29,7 @@ from permstat.stats import (
     _folds,
     _maj_rmaj,
     _pack_cycles,
+    _pack_descent_sums,
     _pack_descents,
     _pack_lengths,
     _block_letters,
@@ -40,6 +41,7 @@ from permstat.stats import (
     del_s,
     del_set_a,
     del_set_s,
+    des_s,
     des_set_a,
     des_set_s,
     h_map,
@@ -56,6 +58,7 @@ from permstat.stats import (
 )
 from permstat.words import (
     _element_packs,
+    _inserted,
     _pack,
     _packs,
     _words,
@@ -155,21 +158,30 @@ def test_lex_starts_refuse_24_letters_before_any_plane(monkeypatch):
         next(_lex_starts(24))
 
 
-def test_lex_starts_read_no_scan_side_kernel(monkeypatch):
+# Every kernel that reads a scan side's words or packs: the closed forms'
+# recurrences must call none of them.
+SCAN_SIDE_KERNELS = ("_pack_descent_sums", "_pack_descents", "_descent_lanes", "_pack_lengths",
+                     "_pack_cycles", "_inserted", "_pack", "_words", "_element_packs",
+                     "_columns", "_table")
+
+
+@pytest.mark.parametrize("starts, n", [(_lex_starts, 8), (_word_majs, 6)],
+                         ids=["_lex_starts-8", "_word_majs-6"])
+def test_lex_starts_read_no_scan_side_kernel(monkeypatch, starts, n):
     # The starts are the closed forms' side: with every kernel that a scan
-    # side reads patched to raise, the recurrence still gives every plane.
+    # side reads patched to raise, each recurrence still gives every plane.
     from permstat import stats, words
 
-    expected = list(_lex_starts(8))
+    expected = list(starts(n))
 
     def scanned(*args):
         raise AssertionError("the recurrence read a scan side kernel")
 
     for module in (stats, words):
-        for name in ("_pack_descents", "_descent_stat", "_element_packs", "_columns", "_table"):
+        for name in SCAN_SIDE_KERNELS:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, scanned)
-    assert list(_lex_starts(8)) == expected
+    assert list(starts(n)) == expected
 
 
 def test_descents_match_length_comparison():
@@ -181,6 +193,67 @@ def test_descents_match_length_comparison():
 def _packed_descents(words):
     table = _descent_table(set)
     return [des for pack in _packs(words) for des in _pack_descents(pack, table)]
+
+
+def _descent_sums(packs):
+    """Per statistic, ``_pack_descent_sums`` of every word of the packs, in order."""
+    packs = list(packs)
+    return {stat: list(itertools.chain.from_iterable(_pack_descent_sums(pack, stat)
+                                                     for pack in packs))
+            for stat in ("maj", "rmaj", "des")}
+
+
+def _expected_sums(words):
+    """maj, rmaj (ambient degree the word's length) and des of each word, by definition."""
+    pairs = [_maj_rmaj(w, len(w)) for w in words]
+    return {"maj": [m for m, _ in pairs], "rmaj": [r for _, r in pairs],
+            "des": list(map(des_s, words))}
+
+
+def _padded(words, length):
+    """The words packed at stride length + 1, a zero lane after each, as projections are."""
+    raw = b"".join(bytes(w) + b"\0" for w in words)
+    return length, length + 1, len(raw), int.from_bytes(raw, "little")
+
+
+def test_packed_descent_sums_match_maj_rmaj_and_des():
+    # Every word of S_n (n <= 8) and of [n]^n (n <= 6), where a repeated
+    # letter is no descent; streams that end in a full pack, a short one or
+    # a single word; words of 1, 2 and 23 letters; the letters 0 and 127;
+    # and the same words packed at a wider stride, as a projection is.
+    cases = [list(iter_symmetric(n)) for n in range(1, 9)]
+    cases += [list(itertools.product(range(1, n + 1), repeat=n)) for n in range(1, 7)]
+    cases += [cases[7][:k] for k in (1, 255, 256, 257, 513)]
+    rng = random.Random(2023)
+    top = tuple(range(23, 0, -1))
+    cases += [[(1,)] * 300, [(2, 1), (1, 2), (1, 1)] * 100,
+              [(127, 0, 127, 126), (0, 127, 127, 0)] * 200,
+              [top, top[::-1], top[1:] + top[:1]] + [tuple(rng.sample(range(1, 24), 23))
+                                                      for _ in range(300)]]
+    for words in cases:
+        expected = _expected_sums(words)
+        assert _descent_sums(_packs(words)) == expected, len(words[0])
+        length = len(words[0])
+        strided = (_padded(words[at:at + _CHUNK], length) for at in range(0, len(words), _CHUNK))
+        assert _descent_sums(strided) == expected, length
+
+
+def test_packed_descent_sums_of_inserted_words():
+    # The insertion entries' packs: every word of [n]^n (n <= 5) with n + 1
+    # put in at each slot, laid out from the base pack.
+    for n in range(1, 6):
+        bases = list(itertools.product(range(1, n + 1), repeat=n))
+        for i in range(n + 1):
+            words = [u[:i] + (n + 1,) + u[i:] for u in bases]
+            packs = (_inserted(pack, i) for pack in _packs(bases))
+            assert _descent_sums(packs) == _expected_sums(words), (n, i)
+
+
+def test_packed_descent_sums_refuse_24_letters():
+    # A maj of 24 letters reaches 276 and would carry into the next lane.
+    for stat in ("maj", "rmaj", "des"):
+        with pytest.raises(ValueError):
+            _pack_descent_sums(_pack([tuple(range(24, 0, -1))], 24), stat)
 
 
 def _packed_lengths(words):
