@@ -446,7 +446,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except BrokenPipeError:
         return 0
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:  # a forced n past a C size overflows
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,7 +24,7 @@ The whole-group entries are data: the columns they tally over a group and a
 finish that turns the tallies into checkpoints.  ``fiber-size`` is one: it
 tallies the alternating pass's projection column alone, so the count of a
 permutation w is the size of its fibre, and its closed form 2^del(w) reads
-w's minima count off ``stats._lex_starts``.  ``plan`` checks a list of
+w's minima count off ``_starts._prefix_starts``.  ``plan`` checks a list of
 (name, n) tasks and joins the whole-group ones that read a common group and
 degree into one piece of work; ``run`` verifies a piece, with one pass per
 group and degree, and its reporter builds every report.  ``verify`` runs a
@@ -42,17 +42,16 @@ from operator import mul
 from struct import unpack
 from typing import Iterator
 
+from ._starts import _prefix_starts
 from .catalog import REGISTRY, CapExceeded, IdentityEntry, resolve  # noqa: F401
 from .perm import Perm, compose, inverse, iter_symmetric, nu
 from .qpoly import MultiPoly, geometric, q_binomial, q_factorial
 from .stats import (
     EXCLUDE_FIRST_POSITIONS,
     _indicator_keys,
-    _lex_starts,
     _maj_rmaj,
     _mask,
     _pack_descent_sums,
-    _word_majs,
     histograms,
     length_s,
     ltr_minima,
@@ -372,7 +371,7 @@ def _fiber_size(n, count, sizes):
     # that no element projects onto reads 0 off the tally's Counter.  The
     # total counts every projection tallied, so one outside S_n fails there.
     def keys():
-        minima = itertools.chain.from_iterable(minima for *_, minima in _lex_starts(n))
+        minima = itertools.chain.from_iterable(minima for *_, minima in _prefix_starts(n))
         return zip(map(sizes.__getitem__, map(bytes, iter_symmetric(n))), minima, strict=True)
 
     yield from _by_key("w", partial(iter_symmetric, n), keys, lambda key: [
@@ -567,28 +566,22 @@ def _check_prop56(n: int) -> Iterator[Checkpoint]:
 # words are packed once, a chunk at a time, and ``_inserted`` lays out a chunk
 # of inserted words with the new top letter at slot i from the base pack's
 # bytes, for each slot in turn.  Each inserted word's values are read off its
-# own neighbour comparisons by ``stats._pack_descent_sums``, one subtraction
-# and one multiplication on the packed letters, a plane of maj and one of rmaj
-# (or rmaj alone) a pack (``_values``), as the passes' "maj" and "rmaj" columns
-# are.  They are never derived from the base word's descents and the slot,
-# which is the lemma's proof.  A base word u's key is one bytes record
-# (``_keys``) that joins two paths that never feed each other: the start of its
-# closed forms, q^maj(u) [n+1]_q, q^(maj(u)+1) [n]_q, q^rmaj(u) [n+1]_q and
-# q^rmaj(u) [n]_q, and its inserted words' row of values, which alone the scan
-# sides read.  lemma63's starts come from ``stats._word_majs``, a prefix
-# recurrence over the product order: a letter x put after a last letter l adds
-# its position to maj exactly when l > x, which a fixed table of l > x decides
-# for a whole plane of words at once, so no word's letters are compared.  The
-# rows come from the base words themselves, packed from ``itertools.product``.
-# A fault in the comparisons of ``_pack_descent_sums`` therefore reaches the
-# scan sides alone, one in the recurrence the closed forms alone, and a word
-# that the recurrence drops or puts out of order fails where the two
-# enumerations part.  ``_by_key`` checks each distinct key once: lemma63 has 32
-# for 46,656 words at n = 6.  lemma64, lemma65 and remark66 insert into S_n
-# instead (``_coset``), and their starts, maj, rmaj and the minima count of
-# each w, come from ``stats._lex_starts``, a prefix recurrence over the
-# lexicographic order of S_n that relabels a block of the last letters and
-# compares no letters of the packs of S_n that the rows are laid out from.
+# own neighbour comparisons by ``stats._pack_descent_sums``, one read of the
+# descent lanes and one multiplication per statistic, with rmaj at the
+# inserted words' own degree, as the passes' "maj" and "rmaj" columns are.
+# They are never derived from the base word's descents and the slot, which is
+# the lemma's proof.  A base word u's key is one bytes record (``_keys``) that
+# joins two paths that never feed each other: the start of its closed forms,
+# q^maj(u) [n+1]_q, q^(maj(u)+1) [n]_q, q^rmaj(u) [n+1]_q and q^rmaj(u) [n]_q,
+# and its inserted words' row of values, which alone the scan sides read.  The
+# starts come from ``_starts._prefix_starts``, one prefix recurrence over the
+# product order of [n]^n for lemma63 and over the lexicographic order of S_n
+# for lemma64, lemma65 and remark66 (``_coset``); it compares no letters of the
+# packs that the rows are laid out from.  A fault in the comparisons of
+# ``_pack_descent_sums`` therefore reaches the scan sides alone, one in the
+# recurrence the closed forms alone, and a word that the recurrence drops or
+# puts out of order fails where the two enumerations part.  ``_by_key`` checks
+# each distinct key once: lemma63 has 32 for 46,656 words at n = 6.
 
 def _by_key(base: str, bases, keys, sides, per) -> Iterator[Checkpoint]:
     """A per-point entry's checkpoints, from one tally of its base elements' keys.
@@ -644,12 +637,6 @@ def _keys(starts, packs, slots, read) -> Iterator[bytes]:
         itertools.starmap(records, zip(starts, packs, strict=True)))
 
 
-def _values(*stats: str):
-    """A pack of inserted words -> a plane of a byte a word per statistic of `stats`, each
-    by ``stats._pack_descent_sums``, with rmaj at the inserted words' own degree."""
-    return lambda pack: [_pack_descent_sums(pack, s) for s in stats]
-
-
 def _check_lemma63(n: int) -> Iterator[Checkpoint]:
     y, zeros = n + 1, bytes(n + 1)
 
@@ -661,9 +648,9 @@ def _check_lemma63(n: int) -> Iterator[Checkpoint]:
                 ({"eq": "rmaj-tail"}, Counter(zip(rmajs[1:], zeros)), _run(r, n))]
 
     bases = partial(itertools.product, range(1, n + 1), repeat=n)
-    # One start plane a pack.
-    return _by_key("word", bases, lambda: _keys(zip(_word_majs(n)), _packs(bases()), range(y),
-                                                _values("maj", "rmaj")), sides, lambda key: 1)
+    return _by_key("word", bases, lambda: _keys(
+        _prefix_starts(n, product=True), _packs(bases()), range(y),
+        lambda pack: _pack_descent_sums(pack, "maj", "rmaj")), sides, lambda key: 1)
 
 
 def _coset(n: int, start, slots, read, sides) -> Iterator[Checkpoint]:
@@ -672,13 +659,13 @@ def _coset(n: int, start, slots, read, sides) -> Iterator[Checkpoint]:
     each of `slots`.
 
     Each w's key is its start, the planes that ``start(maj, rmaj, minima)``
-    picks from ``stats._lex_starts``, then `read`'s planes of its products, laid
+    picks from ``_starts._prefix_starts``, then `read`'s planes of its products, laid
     out from the packs of S_n that ``_element_packs`` cuts, and a failing w is
     named off ``iter_symmetric``: the three enumerations check each other.  Each
     w counts one element per slot.
     """
     return _by_key("w", partial(iter_symmetric, n), lambda: _keys(
-        itertools.starmap(start, _lex_starts(n)), _element_packs("S", n), slots, read),
+        itertools.starmap(start, _prefix_starts(n)), _element_packs("S", n), slots, read),
         sides, lambda key: len(slots))
 
 
@@ -691,7 +678,7 @@ def _check_lemma64(n: int) -> Iterator[Checkpoint]:
                 ({"stat": "rmaj"}, Counter(zip(rmajs, zeros)), _run(r, n + 1))]
 
     return _coset(n, lambda maj, rmaj, minima: (maj, rmaj), range(n + 1),
-                  _values("maj", "rmaj"), sides)
+                  lambda pack: _pack_descent_sums(pack, "maj", "rmaj"), sides)
 
 
 def _check_lemma65(n: int) -> Iterator[Checkpoint]:
@@ -705,9 +692,9 @@ def _check_lemma65(n: int) -> Iterator[Checkpoint]:
     # a pure function of its own word, beside the comparison bytes of the
     # same pack.
     def read(pack):
-        return [*values(pack), *_columns("S", pack, held, ["delent"])]
+        return [*_pack_descent_sums(pack, "rmaj"), *_columns("S", pack, held, ["delent"])]
 
-    values, held = _values("rmaj"), _table("S", n + 1, ["delent"])
+    held = _table("S", n + 1, ["delent"])
     return _coset(n, lambda maj, rmaj, minima: (rmaj, minima), range(n, -1, -1), read, sides)
 
 
@@ -719,7 +706,7 @@ def _check_remark66(n: int) -> Iterator[Checkpoint]:
         return [({}, Counter(zip(key[1:], zeros)), _run(key[0], n))]
 
     return _coset(n, lambda maj, rmaj, minima: (rmaj,), range(n, 0, -1),
-                  _values("rmaj"), sides)
+                  lambda pack: _pack_descent_sums(pack, "rmaj"), sides)
 
 
 def _iter_low_support(n: int, i: int):

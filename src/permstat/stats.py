@@ -18,14 +18,6 @@ left-to-right minima; ``ltr_minima`` implements the whole family of
 "value smaller than all but at most `level` earlier values" position sets
 under both exclusion conventions.
 
-The closed forms of the insertion entries and of ``fiber-size`` start from
-statistics of their base words that come from prefix recurrences, never
-from the words that the scan sides read: ``_word_majs`` gives maj and rmaj
-of every word of [n]^n in product order, and ``_lex_starts`` maj, rmaj and
-the left-to-right minima count of every permutation of S_n in
-lexicographic order, from a block of S_6 relabelled under each prefix,
-both as byte planes a chunk at a time.
-
 ``histograms`` tallies rows of keys over a whole group in one pass, each
 histogram by its own ``Counter``: a one-column key's bare values, a longer
 key's zip.  The columns are the record fields, the inversion count, the
@@ -49,8 +41,7 @@ from __future__ import annotations
 from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
-from itertools import (accumulate, chain, combinations, compress, count, islice, permutations,
-                       repeat, starmap)
+from itertools import chain, combinations, compress, count, islice, repeat, starmap
 from operator import gt
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -104,137 +95,6 @@ def _maj_rmaj(p: Sequence[int], n: int) -> tuple[int, int]:
     des = des_set_s(p)
     m = sum(des)
     return m, n * len(des) - m
-
-
-def _product_planes(n: int, length: int, first: int) -> bytes:
-    """(maj, rmaj) of every word of [n]^length, two bytes a word in
-    ``itertools.product`` order, over the descents inside the word, which starts
-    at position `first` of a word of n letters.
-
-    Put a letter x after the last letter l of a word of j letters (l = i % n + 1
-    for the word of index i): exactly when l > x, maj gains first + j - 1 and
-    rmaj n - first - j + 1.  So each word's pair repeats n times, by 2n slice
-    assignments, and an n-by-n table of l > x, tiled, adds both gains by one
-    integer addition; no word's letters are compared.  No lane carries while
-    n(n - 1)/2 < 256."""
-    greater = bytes(v for last in range(n) for x in range(n) for v in (last > x, 0))
-    plane = bytes(2 * n)
-    for j in range(1, length):
-        out = bytearray(len(plane) * n)
-        for lane in range(2 * n):
-            out[lane::2 * n] = plane[lane % 2::2]
-        at = first + j - 1
-        plane = (int.from_bytes(out, "little") + (at + 256 * (n - at)) * int.from_bytes(
-            greater * (len(out) // len(greater)), "little")).to_bytes(len(out), "little")
-    return plane
-
-
-_BLOCK_WORDS = 1 << 15  # the most words, over every letter before it, of a block
-
-
-def _block_letters(n: int) -> int:
-    """The letters k < n of ``_word_majs``' block: the most with n^(k + 1) words
-    at most ``_BLOCK_WORDS``, or none."""
-    k = n - 1
-    while k and n ** (k + 1) > _BLOCK_WORDS:
-        k -= 1
-    return k
-
-
-def _word_majs(n: int) -> Iterator[bytes]:
-    """``bytes(_maj_rmaj(u, n))`` of every word u of [n]^n, in ``itertools.product``
-    order, joined, ``_CHUNK`` words a plane.
-
-    A word is a prefix of n - k letters and a block of the last k
-    (``_block_letters``).  The block's planes are built once, over the words of
-    the letter before it and the block (``_product_planes``), so the descent
-    between the two is counted; each prefix adds its own pair, from the prefix
-    words' planes, to the block of its last letter by one integer addition.  Over
-    23 letters, ValueError: a maj or rmaj, up to n(n - 1)/2, could pass 255 and
-    carry into the next lane."""
-    if n * (n - 1) // 2 > 255:
-        raise ValueError(f"words of at most 23 letters expected, not {n}")
-    k = _block_letters(n)
-    size = 2 * n ** k
-    blocks = _product_planes(n, k + 1, n - k)
-    lasts = [int.from_bytes(blocks[at:at + size], "little") for at in range(0, len(blocks), size)]
-    ones, prefixes = int.from_bytes(b"\x01\x00" * n ** k, "little"), _product_planes(n, n - k, 1)
-    rest, chunk = b"", 2 * _CHUNK
-    for i in range(0, len(prefixes), 2):
-        pair = prefixes[i] + 256 * prefixes[i + 1]
-        rest += (lasts[i // 2 % n] + pair * ones).to_bytes(size, "little")
-        cut = len(rest) - len(rest) % chunk
-        for at in range(0, cut, chunk):
-            yield rest[at:at + chunk]
-        rest = rest[cut:]
-    if rest:
-        yield rest
-
-
-_LEX_LETTERS = 6  # the letters of ``_lex_starts``' block: 720 words, a minima mask per byte
-_AT_MOST = [b"\x01" * (c + 1) + bytes(255 - c) for c in range(_LEX_LETTERS + 1)]  # x -> [x <= c]
-# v - 1 -> x -> the values of mask x below v, and v: bit v - 1 stands for the value v.
-_TOPPED = [bytes(range(1 << b, 2 << b)) * (256 >> b) for b in range(_LEX_LETTERS)]
-# t -> x -> the count of the values of mask x up to t
-_UP_TO = [bytes(bin(x).count("1") for x in range(1 << t)) * (256 >> t)
-          for t in range(_LEX_LETTERS + 1)]
-
-
-def _lex_block(k: int) -> tuple[bytes, bytes, int, int]:
-    """S_k in lexicographic order, a lane per word: the first letters and the masks of
-    left-to-right minimum values as bytes, maj and des as integers.
-
-    S_m is each first letter v before S_(m - 1) relabelled, which keeps descents and
-    order: with d = [u_1 < v] for the rest u, des gains d, maj des(u) + d, and the
-    mask keeps u's values below v and takes v."""
-    firsts, masks, majs, dess = b"\x01", b"\x01", 0, 0
-    for m in range(2, k + 1):
-        size = len(firsts)
-        copies = int.from_bytes(b"\x01".ljust(size, b"\x00") * m, "little")  # m planes of S_(m-1)
-        d = int.from_bytes(b"".join(firsts.translate(_AT_MOST[v - 1]) for v in range(1, m + 1)),
-                           "little")
-        majs, dess = (majs + dess) * copies + d, dess * copies + d
-        firsts = b"".join(bytes((v,)) * size for v in range(1, m + 1))
-        masks = b"".join(masks.translate(_TOPPED[v - 1]) for v in range(1, m + 1))
-    return firsts, masks, majs, dess
-
-
-def _lex_starts(n: int) -> Iterator[tuple[bytes, bytes, bytes]]:
-    """maj, rmaj (ambient degree n) and ``len(ltr_minima(w, 0, EXCLUDE_FIRST_POSITIONS))``
-    of every w of S_n, in lexicographic order, as three planes of a byte per word,
-    ``_CHUNK`` words a plane.
-
-    A word is a prefix p of n - k letters and S_k (``_lex_block``, k = min(n, 6))
-    relabelled to the k values R left.  p's own descents and minima are read off its
-    letters, and the block's lanes give the rest: the descent after p is [u_1 <= c],
-    c the values of R below p's last letter, and the block's minima that count are
-    those up to t, the values of R below min p.  Each is one translate and one integer
-    addition, and rmaj = n des - maj per lane.  The generator holds one block and one
-    chunk.  Over 23 letters, ValueError: a maj could pass 255."""
-    if n * (n - 1) // 2 > 255:
-        raise ValueError(f"words of at most 23 letters expected, not {n}")
-    k = min(n, _LEX_LETTERS)
-    firsts, masks, majs, dess = _lex_block(k)
-    size = len(firsts)
-    ones = int.from_bytes(b"\x01" * size, "little")
-    rest = (b"", b"", b"")
-    for p in permutations(range(1, n + 1), n - k):
-        descents, lows = list(map(gt, p, p[1:])), list(accumulate(p, min))
-        c = p[-1] - 1 - sum(map(gt, repeat(p[-1]), p)) if p else 0
-        t = lows[-1] - 1 if p else k
-        junction = int.from_bytes(firsts.translate(_AT_MOST[c]), "little")
-        des = dess + junction + sum(descents) * ones
-        maj = majs + (n - k) * (dess + junction) + sum(compress(count(1), descents)) * ones
-        # With no prefix the block's first letter is the first position's, not counted.
-        minima = int.from_bytes(masks.translate(_UP_TO[t]), "little") + (
-            len(set(lows)) - 1) * ones
-        rest = tuple(r + lane.to_bytes(size, "little")
-                     for r, lane in zip(rest, (maj, n * des - maj, minima)))
-        while len(rest[0]) >= _CHUNK:
-            yield tuple(r[:_CHUNK] for r in rest)
-            rest = tuple(r[_CHUNK:] for r in rest)
-    if rest[0]:
-        yield rest
 
 
 # -- left-to-right minima ----------------------------------------------------
@@ -447,20 +307,22 @@ def _pack_descents(pack: tuple[int, int, int, int], table: _Memo) -> Iterator:
     return map(table.__getitem__, _words((pack[0] - 1, *pack[1:3], _descent_lanes(pack))))
 
 
-def _pack_descent_sums(pack: tuple[int, int, int, int], stat: str) -> bytes:
-    """maj, rmaj (ambient degree L) or des, by `stat`, of each word of L letters of a
-    pack, by one multiplication: its descent lanes b times W, one integer whose byte k
-    weighs a descent at position L - 1 - k.  Lane L - 2 of a word then sums
-    W_k b_(L - 2 - k) over its own lanes 0..L - 2, so the comparison across its end
-    never enters, and no lane of the product passes the sum of W, L(L - 1)/2, so nothing
-    carries; a word of one letter reads 0.  Over 23 letters, ValueError."""
+def _pack_descent_sums(pack: tuple[int, int, int, int], *stats: str) -> list[bytes]:
+    """A plane per statistic of `stats`, maj, rmaj (ambient degree L) or des, of each
+    word of L letters of a pack, from one read of its descent lanes b: each by one
+    multiplication, b times W, one integer whose byte k weighs a descent at position
+    L - 1 - k.  Lane L - 2 of a word then sums W_k b_(L - 2 - k) over its own lanes
+    0..L - 2, so the comparison across its end never enters, and no lane of the product
+    passes the sum of W, L(L - 1)/2, so nothing carries; a word of one letter reads 0.
+    Over 23 letters, ValueError."""
     length, stride, size, _ = pack
     if length > 23:
         raise ValueError(f"words of at most 23 letters expected, not {length}")
+    lanes = _descent_lanes(pack)
     weights = {"maj": range(length - 1, 0, -1), "rmaj": range(1, length),
-               "des": [1] * (length - 1)}[stat]
-    sums = _descent_lanes(pack) * int.from_bytes(bytes(weights), "little")
-    return sums.to_bytes(size + length, "little")[max(length - 2, 0):size:stride]
+               "des": [1] * (length - 1)}
+    return [(lanes * int.from_bytes(bytes(weights[s]), "little")).to_bytes(
+        size + length, "little")[max(length - 2, 0):size:stride] for s in stats]
 
 
 # (length, stride) -> per distance d, 0x80 in each lane of a chunk with a letter d places
@@ -615,7 +477,7 @@ def histograms(group: str, n: int, *rows: list[tuple[str, ...]]
         for f, side, s in worded:
             pack = cols[side + "proj"] if group == "A" else packs[side]
             cols[f] = (_pack_lengths(pack) if s == "inversions" else list(_pack_descents(
-                pack, masks)) if s == "desmask" else _pack_descent_sums(pack, s))
+                pack, masks)) if s == "desmask" else _pack_descent_sums(pack, s)[0])
         for f, side, s in counted:
             cols[f] = _pack_cycles(packs[side]) if s == "cycles" else [
                 _mask(ltr_minima(w, level, EXCLUDE_FIRST_POSITIONS))
@@ -623,7 +485,7 @@ def histograms(group: str, n: int, *rows: list[tuple[str, ...]]
         for j, folded in zip(js, folds(words, packs["inverse-"]) if js else ()):
             pack = _pack(folded, degree)
             cols[f"hat-length{j}"] = _pack_lengths(pack)
-            cols[f"hat-maj{j}"] = _pack_descent_sums(pack, "maj")
+            cols[f"hat-maj{j}"] = _pack_descent_sums(pack, "maj")[0]
         cols.update((f, _words(cols[f])) for f in own if own[f] == "proj")
         order += size
         for counter, key in zip(counters, zips):

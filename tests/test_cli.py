@@ -642,6 +642,26 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 0
 
 
+_HUGE = "99999999999999999999"  # past 2^63, so no C size holds it
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "macmahon", "--n", _HUGE, "--force"],
+    ["verify", "prop56", "--n", _HUGE, "--force"],
+    ["verify", "--all", "--n", _HUGE, "--force", "--jobs", "1"],
+    ["genfun", "--group", "S", "--n", _HUGE, "--force"],
+    ["shuffles", "--n", _HUGE, "--force"],
+], ids=["macmahon", "prop56", "all", "genfun", "shuffles"])
+def test_a_forced_n_past_a_c_size_exits_2(capsys, argv):
+    # Python raises OverflowError where such an n reaches a C size (a
+    # ``bytes(range(n))`` or ``math.factorial``): that is a usage error, not a
+    # failed verification.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
 def test_determinism_double_invocation(capsys):
     fixtures = [
         ["stat", "--group", "S", "[2,5,4,1,3]"],

@@ -541,43 +541,48 @@ def _first_packed_words_swapped(element_packs):
     return swapped
 
 
-def _first_minima_swapped(lex_starts):
-    """``_lex_starts`` with its first word swapped, in every plane, with the first
-    word of another minima count."""
-    def swapped(n):
-        planes = lex_starts(n)
-        first = next(planes)
-        j = next(j for j, m in enumerate(first[2]) if m != first[2][0])
-        yield tuple(bytes((p[j], *p[1:j], p[0], *p[j + 1:])) for p in first)
-        yield from planes
-    return swapped
+def _first_starts_swapped(plane):
+    """A wrap of ``_prefix_starts`` that swaps its first word, in every plane, with
+    the first word of another start in the plane of index `plane`."""
+    def wrap(prefix_starts):
+        def swapped(*args, **kwargs):
+            planes = prefix_starts(*args, **kwargs)
+            first = next(planes)
+            j = next(j for j, m in enumerate(first[plane]) if m != first[plane][0])
+            yield [bytes((p[j], *p[1:j], p[0], *p[j + 1:])) for p in first]
+            yield from planes
+        return swapped
+    return wrap
 
 
 @pytest.mark.parametrize("name, source, swap, kept", [
+    ("lemma63", "_prefix_starts", _first_starts_swapped(0), 1),
     ("lemma64", "_element_packs", _first_packed_words_swapped, 2),
     ("lemma65", "_element_packs", _first_packed_words_swapped, 2),
     ("remark66", "_element_packs", _first_packed_words_swapped, 2),
-    ("fiber-size", "_lex_starts", _first_minima_swapped, 1),
-], ids=["lemma64", "lemma65", "remark66", "fiber-size"])
+    ("fiber-size", "_prefix_starts", _first_starts_swapped(2), 1),
+], ids=["lemma63", "lemma64", "lemma65", "remark66", "fiber-size"])
 def test_scan_and_closed_form_enumerations_check_each_other(monkeypatch, name, source, swap,
                                                            kept):
     # The trio's scan side reads S_n off ``_element_packs``, its closed form
-    # off ``_lex_starts``, and a failing w is named off ``iter_symmetric``.
+    # off ``_prefix_starts``, and a failing w is named off ``iter_symmetric``.
     # With the first two words of S_3's first pack swapped, the first two
     # base words trade rows, so the entry fails at the first w, and that
-    # point's closed form is the unpatched oracle's.  fiber-size names each w
-    # off ``iter_symmetric`` beside its tallied fibre and its minima count off
-    # ``_lex_starts``: with the first word's starts swapped with those of the
-    # first word of another minima count, it fails at the first w, and that
-    # point's tallied size is the unpatched one.
+    # point's closed form is the unpatched oracle's.  lemma63 reads its rows
+    # off packs of ``itertools.product`` and fiber-size its fibres off the
+    # pass, each beside its starts off ``_prefix_starts``: with the first
+    # word's starts swapped with those of the first word of another maj, or
+    # of another minima count, each fails at the first base word, and that
+    # point's scan side is the unpatched one.
     n = 3
+    first = {"word": [1, 1, 1]} if name == "lemma63" else {"w": [1, 2, 3]}
     oracle = fiber_size_by_lifts if name == "fiber-size" else _ORACLES[name]
     clean = {json.dumps(identities._json_safe(point[0]), sort_keys=True): point[kept]
              for point in oracle(n)}
     assert verify(name, n).passed
     monkeypatch.setattr(identities, source, swap(getattr(identities, source)))
     report = verify(name, n)
-    assert not report.passed and report.params["failed_at"]["w"] == [1, 2, 3]
+    assert not report.passed and report.params["failed_at"].items() >= first.items()
     point = json.dumps(report.params["failed_at"], sort_keys=True)
     assert (report.lhs, report.rhs)[kept - 1] == MultiPoly(*clean[point])
     assert report.lhs != report.rhs
@@ -613,24 +618,20 @@ def test_an_inserted_stream_one_base_word_short_raises(monkeypatch, name, source
 ])
 @pytest.mark.parametrize("name", ["lemma63", "lemma64", "lemma65", "remark66", "fiber-size"])
 def test_start_planes_apart_from_their_base_words_raise(monkeypatch, name, tail):
-    # The starts come from a recurrence, apart from the base words: lemma63's
-    # two bytes a word from ``_word_majs``, zipped strictly with its base
-    # packs; the trio's three planes of a byte a word from ``_lex_starts``,
-    # zipped strictly with the packs of S_n; and fiber-size's minima plane,
-    # zipped strictly with ``iter_symmetric``.  Start planes that differ from
-    # the base words in length raise.
-    source = "_word_majs" if name == "lemma63" else "_lex_starts"
-    starts = getattr(identities, source)
+    # The starts come from a recurrence, apart from the base words, as
+    # planes of a byte a word from ``_prefix_starts``: lemma63's two, zipped
+    # strictly with its base packs; the trio's three, zipped strictly with
+    # the packs of S_n; and fiber-size's minima plane, zipped strictly with
+    # ``iter_symmetric``.  Start planes that differ from the base words in
+    # length raise.
+    starts = identities._prefix_starts
 
-    def changed(n):
-        *head, last = starts(n)
+    def changed(*args, **kwargs):
+        *head, last = starts(*args, **kwargs)
         yield from head
-        if source == "_word_majs":
-            yield from tail(last, 2)
-        else:
-            yield from zip(*(tail(plane, 1) for plane in last))
+        yield from zip(*(tail(plane, 1) for plane in last))
 
-    monkeypatch.setattr(identities, source, changed)
+    monkeypatch.setattr(identities, "_prefix_starts", changed)
     with pytest.raises(ValueError):
         verify(name, 3)
 
@@ -640,9 +641,9 @@ def _pattern_plus_one(kernel, pattern):
     comparison bytes, ``map(gt, w, w[1:])``, are `pattern`."""
     from permstat.words import _words
 
-    def wrong(pack, stat):
-        hits = (bytes(map(operator.gt, w, w[1:])) == pattern for w in _words(pack))
-        return bytes(map(operator.add, kernel(pack, stat), hits))
+    def wrong(pack, *stats):
+        hits = [bytes(map(operator.gt, w, w[1:])) == pattern for w in _words(pack)]
+        return [bytes(map(operator.add, plane, hits)) for plane in kernel(pack, *stats)]
     return wrong
 
 
@@ -1092,11 +1093,11 @@ def test_inversion_and_fold_reports_are_pinned():
 # in a set, a flipped bit in a vector.  ``_pack_lengths`` counts the
 # inversions of the pass's "inversions" columns and measures the folds of
 # appendix-hat; ``_pack_cycles`` and ``ltr_minima`` feed the pass's "cycles"
-# and "minmask" columns; ``_word_majs`` yields lemma63's starts, a plane
-# of bytes at a time, and ``_lex_starts`` those of lemma64, lemma65,
-# remark66 and fiber-size, three planes at a time; ``_pack_descent_sums``
-# gives the passes' maj, rmaj and des columns, appendix-hat's folded maj and
-# the insertion entries' inserted-word values, a plane at a time.
+# and "minmask" columns; ``_prefix_starts`` yields the starts of lemma63,
+# two planes at a time, and of lemma64, lemma65, remark66 and fiber-size,
+# three at a time; ``_pack_descent_sums`` gives the passes' maj, rmaj and
+# des columns, appendix-hat's folded maj and the insertion entries'
+# inserted-word values, a list of planes a pack.
 # ``cycle_count`` reaches no entry at n = 4.
 FAULTS = {
     "length_s": lambda v: v + 1,
@@ -1108,10 +1109,9 @@ FAULTS = {
     "_maj_rmaj": lambda v: (v[0] + 1, v[1] + 1),
     "_pack_lengths": lambda v: bytes(x + 1 for x in v),
     "_pack_cycles": lambda v: bytes(x + 1 for x in v),
-    "_word_majs": lambda v: (bytes(x + 1 for x in plane) for plane in v),
-    "_lex_starts": lambda v: (tuple(bytes(x + 1 for x in plane) for plane in planes)
-                              for planes in v),
-    "_pack_descent_sums": lambda v: bytes(x + 1 for x in v),
+    "_prefix_starts": lambda v: ([bytes(x + 1 for x in plane) for plane in planes]
+                                 for planes in v),
+    "_pack_descent_sums": lambda v: [bytes(x + 1 for x in plane) for plane in v],
 }
 
 
@@ -1167,11 +1167,11 @@ FAULT_ROWS = [
     ("_pack_lengths", "prop510-multivar-s"),
     ("_pack_lengths", "thm61-s"),
     ("_pack_lengths", "thm62-s"),
-    ("_lex_starts", "fiber-size"),
-    ("_lex_starts", "lemma64"),
-    ("_lex_starts", "lemma65"),
-    ("_lex_starts", "remark66"),
-    ("_word_majs", "lemma63"),
+    ("_prefix_starts", "fiber-size"),
+    ("_prefix_starts", "lemma63"),
+    ("_prefix_starts", "lemma64"),
+    ("_prefix_starts", "lemma65"),
+    ("_prefix_starts", "remark66"),
     ("epsilon_s", "lemma93"),
     ("length_s", "lemma87"),
     ("length_s", "lemma93"),
@@ -1221,9 +1221,9 @@ def test_a_start_fault_fails_on_the_closed_form_side_alone(monkeypatch, name):
     n = 4
     oracle = fiber_size_by_lifts if name == "fiber-size" else _ORACLES[name]
     first, lhs, rhs, scanned = oracle(n)[0]
-    source = "_word_majs" if name == "lemma63" else "_lex_starts"
-    fault = FAULTS[source]
-    _patch_everywhere(monkeypatch, source, lambda f: lambda n: fault(f(n)))
+    fault = FAULTS["_prefix_starts"]
+    _patch_everywhere(monkeypatch, "_prefix_starts",
+                      lambda f: lambda *args, **kwargs: fault(f(*args, **kwargs)))
     report = verify(name, n)
     assert not report.passed and report.elements_scanned == scanned
     assert report.params["failed_at"] == identities._json_safe(first)

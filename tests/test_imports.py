@@ -149,3 +149,38 @@ _REEXPORTS = {"identities": "catalog"}
                          ids=lambda path: path.stem)
 def test_each_module_reads_every_name_it_imports(path):
     assert _unused_imports(path.read_text(), _REEXPORTS.get(path.stem)) == []
+
+
+def _imports(path: pathlib.Path) -> list[tuple[str, str]]:
+    """(module, name) for each name a module imports; a package-relative module gets
+    its leading dots, and a plain import has the name ""."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found += [(a.name, "") for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            found += [(module, a.name) for a in node.names]
+    return found
+
+
+_PACKAGE = pathlib.Path(permstat.__file__).parent
+
+
+def test_the_starts_import_only_the_standard_library_and_the_chunk_size():
+    # The closed forms' recurrence reads no kernel of the package, by
+    # construction: past the standard library it imports ``words._CHUNK``.
+    imports = _imports(_PACKAGE / "_starts.py")
+    assert (".words", "_CHUNK") in imports
+    for module, name in imports:
+        assert (module, name) == (".words", "_CHUNK") or (
+            not module.startswith(".") and module.partition(".")[0] in sys.stdlib_module_names
+        ), (module, name)
+
+
+def test_identities_alone_imports_the_starts():
+    readers = {path.stem for path in _PACKAGE.glob("*.py")
+               for module, name in _imports(path)
+               if module in ("._starts", "permstat._starts") or (module, name) in (
+                   (".", "_starts"), ("permstat", "_starts"))}
+    assert readers == {"identities"}

@@ -13,6 +13,7 @@ from oracles import (
     ltr_minima_by_counting,
 )
 from permstat.cover import f_map
+from permstat._starts import _block, _prefix_starts
 from permstat.perm import (
     adjacent_transposition,
     compose,
@@ -32,9 +33,6 @@ from permstat.stats import (
     _pack_descent_sums,
     _pack_descents,
     _pack_lengths,
-    _block_letters,
-    _lex_starts,
-    _word_majs,
     EXCLUDE_SMALLEST_VALUES,
     StatProfile,
     del_a,
@@ -105,57 +103,57 @@ def test_maj_rmaj_matches_the_two_sums(case):
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_word_majs_are_maj_rmaj_of_every_word(n):
-    # The prefix recurrence compares no letters, yet each word of [n]^n gets
-    # its own ``_maj_rmaj`` pair, in ``itertools.product`` order, in planes of
-    # ``_CHUNK`` words: 3,125 words at n = 5 end in a plane of 53.
+def test_prefix_starts_are_maj_rmaj_of_every_word(n):
+    # The prefix recurrence compares no letters of the words, yet each word
+    # of [n]^n gets its own ``_maj_rmaj`` pair, in ``itertools.product``
+    # order, as two planes of ``_CHUNK`` words but the last: 3,125 words at
+    # n = 5 end in planes of 53.
     words = list(itertools.product(range(1, n + 1), repeat=n))
-    planes = list(_word_majs(n))
-    assert [len(p) for p in planes] == [2 * len(words[at:at + _CHUNK])
-                                       for at in range(0, len(words), _CHUNK)]
-    assert b"".join(planes) == b"".join(bytes(_maj_rmaj(u, n)) for u in words)
+    planes = list(_prefix_starts(n, product=True))
+    assert [tuple(map(len, p)) for p in planes] == [
+        (len(words[at:at + _CHUNK]),) * 2 for at in range(0, len(words), _CHUNK)]
+    assert list(zip(*map(b"".join, zip(*planes)))) == [_maj_rmaj(u, n) for u in words]
 
 
-def test_word_majs_hold_across_every_block_boundary():
-    # At n = 7 a word is a prefix and a block of the last k letters, built
-    # apart: the words on each side of every block boundary, and the first
-    # and the last, get their own pairs.
+def test_prefix_starts_hold_across_every_block_boundary():
+    # At n = 7 a word of [7]^7 is a prefix and a block of the last k letters,
+    # built apart: the words on each side of every block boundary, and the
+    # first and the last, get their own pairs.
     n = 7
-    k = _block_letters(n)
-    starts = b"".join(_word_majs(n))
-    assert 0 < k < n and len(starts) == 2 * n ** n
+    k = _block(n, True)[0]
+    maj, rmaj = map(b"".join, zip(*_prefix_starts(n, product=True)))
+    assert 0 < k < n and len(maj) == len(rmaj) == n ** n
     edges = [0, n ** n - 1] + [i for b in range(n ** k, n ** n, n ** k) for i in (b - 1, b)]
     for i in edges:
         u = tuple(i // n ** j % n + 1 for j in reversed(range(n)))
-        assert starts[2 * i:2 * i + 2] == bytes(_maj_rmaj(u, n)), u
-    with pytest.raises(ValueError):
-        next(_word_majs(24))  # maj reaches 276, above a byte
+        assert (maj[i], rmaj[i]) == _maj_rmaj(u, n), u
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_lex_starts_are_maj_rmaj_and_minima_of_every_permutation(n):
+def test_prefix_starts_are_maj_rmaj_and_minima_of_every_permutation(n):
     # Each w of S_n, in lexicographic order, gets its own ``_maj_rmaj`` pair
     # and minima count, three planes of ``_CHUNK`` words but the last; at n = 7
     # and 8 a word is a prefix and the block of the last six letters.
     perms = list(iter_symmetric(n))
-    planes = list(_lex_starts(n))
+    planes = list(_prefix_starts(n))
     assert [tuple(map(len, p)) for p in planes] == [
         (len(perms[at:at + _CHUNK]),) * 3 for at in range(0, len(perms), _CHUNK)]
     assert list(zip(*map(b"".join, zip(*planes)))) == [
         (*_maj_rmaj(w, n), len(ltr_minima(w, 0, EXCLUDE_FIRST_POSITIONS))) for w in perms]
 
 
-def test_lex_starts_refuse_24_letters_before_any_plane(monkeypatch):
+@pytest.mark.parametrize("product", [False, True], ids=["S", "product"])
+def test_prefix_starts_refuse_24_letters_before_any_plane(monkeypatch, product):
     # maj reaches 276 at 24 letters, above a byte: the refusal comes before the
     # block is built.
-    from permstat import stats
+    from permstat import _starts
 
-    def built(k):
+    def built(*args):
         raise AssertionError("a plane was built")
 
-    monkeypatch.setattr(stats, "_lex_block", built)
+    monkeypatch.setattr(_starts, "_block", built)
     with pytest.raises(ValueError):
-        next(_lex_starts(24))
+        next(_prefix_starts(24, product))
 
 
 # Every kernel that reads a scan side's words or packs: the closed forms'
@@ -165,14 +163,14 @@ SCAN_SIDE_KERNELS = ("_pack_descent_sums", "_pack_descents", "_descent_lanes", "
                      "_columns", "_table")
 
 
-@pytest.mark.parametrize("starts, n", [(_lex_starts, 8), (_word_majs, 6)],
-                         ids=["_lex_starts-8", "_word_majs-6"])
-def test_lex_starts_read_no_scan_side_kernel(monkeypatch, starts, n):
+@pytest.mark.parametrize("n, product", [(8, False), (6, True)], ids=["S-8", "product-6"])
+def test_prefix_starts_read_no_scan_side_kernel(monkeypatch, n, product):
     # The starts are the closed forms' side: with every kernel that a scan
-    # side reads patched to raise, each recurrence still gives every plane.
+    # side reads patched to raise, the recurrence still gives every plane
+    # over either alphabet.
     from permstat import stats, words
 
-    expected = list(starts(n))
+    expected = list(_prefix_starts(n, product))
 
     def scanned(*args):
         raise AssertionError("the recurrence read a scan side kernel")
@@ -181,7 +179,7 @@ def test_lex_starts_read_no_scan_side_kernel(monkeypatch, starts, n):
         for name in SCAN_SIDE_KERNELS:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, scanned)
-    assert list(starts(n)) == expected
+    assert list(_prefix_starts(n, product)) == expected
 
 
 def test_descents_match_length_comparison():
@@ -196,11 +194,15 @@ def _packed_descents(words):
 
 
 def _descent_sums(packs):
-    """Per statistic, ``_pack_descent_sums`` of every word of the packs, in order."""
+    """Per statistic, ``_pack_descent_sums`` of every word of the packs, in order, all
+    three from one call a pack, and each from a call of its own."""
+    stats = ("maj", "rmaj", "des")
     packs = list(packs)
-    return {stat: list(itertools.chain.from_iterable(_pack_descent_sums(pack, stat)
-                                                     for pack in packs))
-            for stat in ("maj", "rmaj", "des")}
+    together = [_pack_descent_sums(pack, *stats) for pack in packs]
+    for stat, planes in zip(stats, zip(*together)):
+        assert list(planes) == [_pack_descent_sums(pack, stat)[0] for pack in packs]
+    return {stat: list(itertools.chain.from_iterable(planes))
+            for stat, planes in zip(stats, zip(*together))}
 
 
 def _expected_sums(words):
