@@ -39,7 +39,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial, reduce
 from operator import mul
-from struct import unpack
 from typing import Iterator
 
 from ._starts import _prefix_starts
@@ -58,7 +57,7 @@ from .stats import (
     maj_s,
     rmaj_s,
 )
-from .words import (_columns, _element_packs, _inserted, _packs, _table, epsilon_s,
+from .words import (_columns, _element_packs, _inserted, _packs, _records, _table, epsilon_s,
                     eval_a_letters, eval_s_letters, s_pull)
 from . import shuffles as shuf
 
@@ -177,66 +176,34 @@ def _stray(fibres: dict[int, list[dict]], bits: list[int], count: int) -> list[C
 
 # -- whole-group entries, as data ----------------------------------------------
 #
-# A whole-group entry is the columns it reads (see ``_tally_passes``) and a
-# finish, which gets n, the first column's group order and every histogram in
-# column order.  Scan sides may share a pass; no closed form reads a tally.
+# A whole-group entry is the columns it reads and a finish, which gets n, the
+# first column's group order and every histogram in column order.  A column
+# is (group, degree, key): one key of ``stats.histograms``, a tuple of column
+# names, tallied over that group.  Scan sides may share a pass; no closed
+# form reads a tally.
 
-def _zip(*keys):
-    """A row maker for the row of these keys, at every degree."""
-    return lambda n: list(keys)
-
-
-# (row, group) -> maker(degree, *args) -> the row: a list of keys, each a
-# tuple of column names (see ``stats.histograms``).  Symmetric lengths are
-# inversion counts (the pass's "inversions" column), alternating ones come
-# from the record, and descents are read off the one-line word in S and the
-# projection in A.  Corollary 9.2 scans over q = p^{-1}, which runs over the
-# whole group as p does: p's statistics are the pass's "inverse-" columns,
-# as are the main theorem's masks.  The cycle counts are a third path, apart
-# from both the delent scan and the closed forms.
 _INVERSE_MASKS = ("inverse-desmask", "inverse-minmask")  # the main theorem's fibres
-_ROWS = {
-    ("len-maj", "S"): _zip(("inversions", "zero"), ("maj", "zero")),
-    ("descent-class", "S"): _zip(*(("inverse-desmask", q) for q in ("inversions", "maj", "rmaj"))),
-    ("len-del", "S"): _zip(("inversions", "delent")),
-    ("len-del", "A"): _zip(("length", "delent")),
-    ("rmaj-del", "S"): _zip(("rmaj", "delent")),
-    ("rmaj-del", "A"): _zip(("rmaj", "delent")),
-    ("del", "S"): _zip(("zero", "delent")),
-    ("del", "A"): _zip(("zero", "delent")),
-    ("cycles", "S"): _zip(("cycles",)),
-    ("len-ind", "S"): _zip(("inversions", "ind")),
-    ("len-ind", "A"): _zip(("length", "ind")),
-    ("ind", "S"): _zip(("zero", "ind")),
-    ("ind", "A"): _zip(("zero", "ind")),
-    ("occurrences", "S"): lambda n, ks: [("zero", f"occ{k}") for k in ks],
-    ("main", "S"): _zip((*_INVERSE_MASKS, "rmaj"), (*_INVERSE_MASKS, "inversions")),
-    ("main", "A"): _zip((*_INVERSE_MASKS, "rmaj"), (*_INVERSE_MASKS, "length")),
-    ("cor92", "S"): _zip(("inverse-rmaj", "des", "delent"),
-                         ("inverse-inversions", "des", "delent")),
-    ("cor92", "A"): _zip(("inverse-rmaj", "des", "delent"), ("inverse-length", "des", "delent")),
-    ("hat", "A"): lambda n, js: [(f"hat-{s}{j}",) for j in js for s in ("length", "maj")],
-    ("proj", "A"): _zip(("proj",)),
-}
+# The descent-class keys of the Foata-Schuetzenberger entries, and the
+# length/rmaj-delent keys of theorems 6.1 and 6.2 per group.
+_DESCENT_CLASS = tuple(("inverse-desmask", q) for q in ("inversions", "maj", "rmaj"))
+_LEN_RMAJ_DEL = {"S": (("inversions", "delent"), ("rmaj", "delent")),
+                 "A": (("length", "delent"), ("rmaj", "delent"))}
 
 
 def _tally_passes(columns) -> tuple[dict, dict]:
     """Tally the distinct columns, one ``histograms`` pass per (group, degree).
 
-    A column is (group, degree, row, *args), and ``_ROWS[row, group]``
-    makes its row from (degree, *args); a pass computes the columns that
-    its rows read.  Returns {column: (histograms, group order)}
-    and {(group, degree): seconds}.
+    A pass tallies the distinct keys of its columns.  Returns {column:
+    (histogram, group order)} and {(group, degree): seconds}.
     """
     passes: dict = {}
-    for col in dict.fromkeys(columns):
-        passes.setdefault(col[:2], []).append(col)
+    for group, n, key in dict.fromkeys(columns):
+        passes.setdefault((group, n), []).append(key)
     tallies, seconds = {}, {}
-    for (group, n), cols in passes.items():
+    for (group, n), keys in passes.items():
         start = time.perf_counter()
-        hists, count = histograms(group, n, *(_ROWS[col[2], group](n, *col[3:])
-                                              for col in cols))
-        tallies.update((col, (h, count)) for col, h in zip(cols, hists))
+        hists, count = histograms(group, n, keys)
+        tallies.update(((group, n, key), (h, count)) for key, h in zip(keys, hists))
         seconds[group, n] = time.perf_counter() - start
     return tallies, seconds
 
@@ -303,9 +270,10 @@ def _within(n: int, given: int | None, default, what: str) -> tuple[int, ...]:
 
 
 def _prop712_columns(n, k=None):
-    # One occurrence row for every k, and the cycle classes of each S_{n-k+1}.
+    # One occurrence count for every k, and the cycle classes of each S_{n-k+1}.
     ks = _within(n, k, range(1, min(4, n - 1) + 1), "generator index")
-    return [("S", n, "occurrences", ks)] + [("S", n - kk + 1, "cycles") for kk in ks]
+    return [("S", n, ("zero", f"occ{kk}")) for kk in ks] + [
+        ("S", n - kk + 1, ("cycles",)) for kk in ks]
 
 
 def _prop712(n, count, *hists, k=None):
@@ -381,52 +349,67 @@ def _fiber_size(n, count, sizes):
     yield {"check": "partition-distinct"}, _const(count), _const(order), 0
 
 
-def _on(group, *rows):
-    """The columns of `rows` over `group`, at the entry's own n."""
-    return lambda n: [(group, n, row) for row in rows]
+def _on(group, *keys):
+    """The columns of `keys` over `group`, at the entry's own n."""
+    return lambda n: [(group, n, key) for key in keys]
 
 
 # name -> (columns(n, **params), finish(n, order, *histograms, **params)).  The
 # finishes look their closed forms up when they run, so a patched one is seen.
-# fiber-size's scan is the "proj" column over A_{n+1} tallied alone: the
-# elements that project onto w are its fibre.
+# Symmetric lengths are inversion counts (the pass's "inversions" column),
+# alternating ones come from the record ("length"), and descents are read off
+# the one-line word in S and the projection in A.  Corollary 9.2 scans over
+# q = p^{-1}, which runs over the whole group as p does: p's statistics are
+# the pass's "inverse-" columns, as are the main theorem's masks.  The cycle
+# counts are a third path, apart from both the delent scan and the closed
+# forms.  fiber-size's scan is the "proj" column over A_{n+1} tallied alone:
+# the elements that project onto w are its fibre.
 _SCANS = {
-    "macmahon": (_on("S", "len-maj"), _sides(lambda n: q_factorial(n), "length", "maj")),
-    "fs-fixed-descent": (_on("S", "descent-class"), _fs_fixed_descent),
-    "fs-rmaj": (_on("S", "descent-class"), _fs_rmaj),
-    "thm61-s": (_on("S", "len-del", "rmaj-del"),
+    "macmahon": (_on("S", ("inversions", "zero"), ("maj", "zero")),
+                 _sides(lambda n: q_factorial(n), "length", "maj")),
+    "fs-fixed-descent": (_on("S", *_DESCENT_CLASS), _fs_fixed_descent),
+    "fs-rmaj": (_on("S", *_DESCENT_CLASS), _fs_rmaj),
+    "thm61-s": (_on("S", *_LEN_RMAJ_DEL["S"]),
                 _sides(lambda n: _staircase(n, 1), "length", "rmaj")),
-    "thm61-a": (_on("A", "len-del", "rmaj-del"),
+    "thm61-a": (_on("A", *_LEN_RMAJ_DEL["A"]),
                 _sides(lambda n: _staircase(n, 2), "length", "rmaj")),
-    "thm62-s": (_on("S", "len-del", "rmaj-del"), _thm62),
-    "thm62-a": (_on("A", "len-del", "rmaj-del"), _thm62),
-    "prop57-stirling-s": (_on("S", "del", "cycles"), partial(_stirling, {}, "delent", 1, 1)),
-    "prop57-stirling-a": (lambda n: [("A", n, "del"), ("S", n, "cycles")],
+    "thm62-s": (_on("S", *_LEN_RMAJ_DEL["S"]), _thm62),
+    "thm62-a": (_on("A", *_LEN_RMAJ_DEL["A"]), _thm62),
+    "prop57-stirling-s": (_on("S", ("zero", "delent"), ("cycles",)),
+                          partial(_stirling, {}, "delent", 1, 1)),
+    "prop57-stirling-a": (lambda n: [("A", n, ("zero", "delent")), ("S", n, ("cycles",))],
                           partial(_stirling, {}, "delent", 2, 1)),
-    "prop510-multivar-s": (_on("S", "len-ind"), partial(_prop510, "S")),
-    "prop510-multivar-a": (_on("A", "len-ind"), partial(_prop510, "A")),
-    "prop511-multivar": (lambda n: [("S", n, "ind"), ("A", n, "ind")], _prop511),
+    "prop510-multivar-s": (_on("S", ("inversions", "ind")), partial(_prop510, "S")),
+    "prop510-multivar-a": (_on("A", ("length", "ind")), partial(_prop510, "A")),
+    "prop511-multivar": (lambda n: [("S", n, ("zero", "ind")), ("A", n, ("zero", "ind"))],
+                         _prop511),
     "prop712-sk-occurrences": (_prop712_columns, _prop712),
-    "prop67": (_on("S", "rmaj-del"), _prop67),
-    "main-s": (_on("S", "main"), partial(_main, "S")),
-    "main-a": (_on("A", "main"), partial(_main, "A")),
-    "cor92-s": (_on("S", "cor92"), _cor92),
-    "cor92-a": (_on("A", "cor92"), _cor92),
-    "fiber-size": (_on("A", "proj"), _fiber_size),
+    "prop67": (_on("S", ("rmaj", "delent")), _prop67),
+    "main-s": (_on("S", (*_INVERSE_MASKS, "rmaj"), (*_INVERSE_MASKS, "inversions")),
+               partial(_main, "S")),
+    "main-a": (_on("A", (*_INVERSE_MASKS, "rmaj"), (*_INVERSE_MASKS, "length")),
+               partial(_main, "A")),
+    "cor92-s": (_on("S", ("inverse-rmaj", "des", "delent"),
+                    ("inverse-inversions", "des", "delent")), _cor92),
+    "cor92-a": (_on("A", ("inverse-rmaj", "des", "delent"),
+                    ("inverse-length", "des", "delent")), _cor92),
+    "fiber-size": (_on("A", ("proj",)), _fiber_size),
     # The folds run over the alternating group of degree n, that is A_{(n-1)+1}.
     "appendix-hat": (lambda n, i=None: [
-        ("A", n - 1, "hat", _within(n, i, range(1, n), "position"))], _appendix_hat),
+        ("A", n - 1, (f"hat-{s}{j}",)) for j in _within(n, i, range(1, n), "position")
+        for s in ("length", "maj")], _appendix_hat),
 }
 
 
 def _check_scan(name: str, n: int, columns: list[tuple] | None = None,
                 tallies: dict | None = None, **extra) -> Iterator[Checkpoint]:
-    """A whole-group entry's checkpoints: `columns` read from `tallies`, or made and tallied."""
+    """A whole-group entry's checkpoints: `columns` read from `tallies`, or made and
+    tallied.  An entry with no columns gets 0 as its order."""
     if columns is None:
         columns = _SCANS[name][0](n, **extra)
         tallies = _tally_passes(columns)[0]
-    hists = [h for col in columns for h in tallies[col][0]]
-    return _SCANS[name][1](n, tallies[columns[0]][1], *hists, **extra)
+    order = tallies[columns[0]][1] if columns else 0
+    return _SCANS[name][1](n, order, *(tallies[col][0] for col in columns), **extra)
 
 
 # A piece's work saturates here, so that weighing a forced huge n stays cheap.
@@ -445,13 +428,11 @@ def _work(factors) -> int:
 
 
 def _batch_work(columns: set) -> int:
-    """About how many elements a batch enumerates: each column its group,
-    once for each index in its arguments."""
+    """About how many elements a batch enumerates: each column its group's order."""
     work = 0
-    for group, n, _, *args in columns:
+    for group, n, _ in columns:
         # S_n has 2 * 3 * ... * n elements and A_{n+1} has 3 * 4 * ... * (n + 1).
-        first, last = (2, n) if group == "S" else (3, n + 1)
-        work += _work(itertools.chain(range(first, last + 1), [len(args[0]) if args else 1]))
+        work += _work(range(2, n + 1) if group == "S" else range(3, n + 2))
     return min(_MOST_WORK, work)
 
 
@@ -615,26 +596,13 @@ def _keys(starts, packs, slots, read) -> Iterator[bytes]:
     `read`'s values of its words with the top letter put in at each of `slots`.
 
     `starts` holds a tuple of planes per pack, and `read` maps a pack of
-    inserted words to a list of planes; a plane holds a fixed number of bytes
-    per word.  Each goes into the records at stride width, as ``words._table``
-    lays out records.  Start tuples more or fewer than the packs, or a plane
-    of another length, raise ValueError.
+    inserted words to a list of planes; ``words._records`` lays each pack's
+    planes side by side.  Start tuples more or fewer than the packs, or a
+    plane of another length, raise ValueError.
     """
-    def records(start, pack):
-        count = pack[2] // pack[1]
-        planes = [*start, *(plane for i in slots for plane in read(_inserted(pack, i)))]
-        widths = [len(plane) // count for plane in planes]
-        if any(not w or len(plane) != w * count for w, plane in zip(widths, planes)):
-            raise ValueError(f"planes of whole values for {count} words expected")
-        width = sum(widths)
-        out = bytearray(count * width)
-        for at, w, plane in zip(itertools.accumulate(widths, initial=0), widths, planes):
-            for k in range(w):
-                out[at + k::width] = plane[k::w]
-        return unpack(f"{width}s" * count, out)
-
-    return itertools.chain.from_iterable(
-        itertools.starmap(records, zip(starts, packs, strict=True)))
+    return itertools.chain.from_iterable(_records(
+        [*start, *(plane for i in slots for plane in read(_inserted(pack, i)))],
+        pack[2] // pack[1]) for start, pack in zip(starts, packs, strict=True))
 
 
 def _check_lemma63(n: int) -> Iterator[Checkpoint]:

@@ -18,7 +18,7 @@ left-to-right minima; ``ltr_minima`` implements the whole family of
 "value smaller than all but at most `level` earlier values" position sets
 under both exclusion conventions.
 
-``histograms`` tallies rows of keys over a whole group in one pass, each
+``histograms`` tallies a list of keys over a whole group in one pass, each
 histogram by its own ``Counter``: a one-column key's bare values, a longer
 key's zip.  The columns are the record fields, the inversion count, the
 descent statistics, the cycle count and the minima mask, of each element
@@ -32,8 +32,8 @@ lanes for maj, rmaj and des (``_pack_descent_sums``); the descent mask
 alone goes through a table of comparison patterns (``_pack_descents``).
 The cycle counts read the pack too, by a lane step of their own that
 deletes the top value from its cycle (``_pack_cycles``).  ``_folds`` folds
-a chunk's words by ``bytes.translate``.  Which rows share a pass, and
-the rows themselves, are the registry's business: see ``identities._ROWS``,
+a chunk's words by ``bytes.translate``.  Which keys share a pass, and the
+keys themselves, are the registry's business: see ``identities._SCANS``,
 ``_tally_passes`` and ``plan``.
 """
 from __future__ import annotations
@@ -41,7 +41,7 @@ from __future__ import annotations
 from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, compress, count, islice, repeat, starmap
+from itertools import chain, combinations, compress, count, repeat, starmap
 from operator import gt
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -285,7 +285,7 @@ def profile_to_json(profile: StatProfile) -> dict:
 _WORD_STATS = ("inversions", "maj", "rmaj", "des", "desmask")
 
 
-# Column forms of the statistics above, for the rows of a pass: each maps a
+# Column forms of the statistics above, for the keys of a pass: each maps a
 # chunk of words to one value per word at C level.
 
 def _descent_table(value: Callable[[list[int]], object]) -> _Memo:
@@ -391,16 +391,16 @@ def _with_zeros(key: tuple[str, ...], hist: Counter) -> Counter:
     return Counter({spread(iter((v,) if one else v)): c for v, c in hist.items()})
 
 
-def histograms(group: str, n: int, *rows: list[tuple[str, ...]]
-               ) -> tuple[tuple[tuple[Counter, ...], ...], int]:
-    """Tally several rows of keys per element over a whole group, in one pass.
+def histograms(group: str, n: int, keys: list[tuple[str, ...]]
+               ) -> tuple[tuple[Counter, ...], int]:
+    """Tally a list of keys per element over a whole group, in one pass.
 
     Group "S" is the symmetric group of degree n and "A" the alternating
     group of degree n + 1, which projects onto it.  The pass computes named
-    columns, one value per element, and a row is a list of keys, each a
-    tuple of column names.  One histogram tallies a key: the bare values of
-    its column when it names one, else the zip of its columns.  Returns, per
-    row, one histogram (its ``Counter``) per key, and the group order.
+    columns, one value per element, and a key is a tuple of column names.
+    One histogram tallies a key: the bare values of its column when it names
+    one, else the zip of its columns.  Returns one histogram (its
+    ``Counter``) per key, in order, and the group order.
 
     The columns are "zero", all zeros; the record fields "length",
     "delent", "ind" (the indicator mask), "occ<k>" (the occurrence count of
@@ -421,8 +421,8 @@ def histograms(group: str, n: int, *rows: list[tuple[str, ...]]
     folded at j (``_folds``).
 
     The pass runs ``_CHUNK`` elements at a time and computes, at C level
-    where it can, each column that some row reads once per chunk, and no
-    other: a pass whose rows read no record field pulls nothing.  It reads
+    where it can, each column that some key reads once per chunk, and no
+    other: a pass whose keys read no record field pulls nothing.  It reads
     the elements as packs, in lexicographic order, relabelled a block at a
     time with no tuple per element (``words._element_packs``), and packs
     their inverses once, which ``bytes.translate`` reads off the elements
@@ -445,7 +445,6 @@ def histograms(group: str, n: int, *rows: list[tuple[str, ...]]
         degree, level = n + 1, 1
     else:
         raise ValueError(f"unknown group {group!r}; expected 'S' or 'A'")
-    keys = [key for row in rows for key in row]
     fields = list(dict.fromkeys(chain.from_iterable(keys)))
     js = sorted({int(f.removeprefix("hat-length").removeprefix("hat-maj"))
                  for f in fields if f.startswith("hat-")})
@@ -490,8 +489,7 @@ def histograms(group: str, n: int, *rows: list[tuple[str, ...]]
         order += size
         for counter, key in zip(counters, zips):
             counter.update(cols[key[0]] if len(key) == 1 else zip(*map(cols.__getitem__, key)))
-    hists = iter(map(_with_zeros, keys, counters))
-    return tuple(tuple(islice(hists, len(row))) for row in rows), order
+    return tuple(map(_with_zeros, keys, counters)), order
 
 
 def genfun(group: str, n: int, q_stat: str = "length", t_stat: str = "del",
@@ -511,5 +509,5 @@ def genfun(group: str, n: int, q_stat: str = "length", t_stat: str = "del",
     if q_stat not in ("length", "maj", "rmaj") or t_stat not in ("del", "none"):
         raise ValueError(f"unknown statistic pair ({q_stat!r}, {t_stat!r})")
     t = "ind" if multivar else "delent" if t_stat == "del" else "zero"
-    ((acc,),), _ = histograms(group, n, [(q_stat, t)])
+    (acc,), _ = histograms(group, n, [(q_stat, t)])
     return MultiPoly(n - 1, _indicator_keys(acc, n - 1)) if multivar else MultiPoly(0, acc)

@@ -38,7 +38,7 @@ the prefix's Lehmer-digit parity picks the block of even or of odd words,
 by ``iter_alternating``'s rule.  Both parities decide only membership:
 every scan still enumerates each element as a one-line word, and a scan
 that reads the record pulls that element itself.  A pass reads the record
-fields that its rows need (length, delent, the indicator mask, the
+fields that its keys need (length, delent, the indicator mask, the
 occurrence counts of the generators and, in A, the projection), of each
 element or of its inverse, a pack of elements at a time, a byte per letter
 in one integer, by one step of the pull per value: the slot of the top
@@ -352,6 +352,21 @@ def _words(pack: tuple[int, int, int, int]) -> tuple[bytes, ...]:
     return unpack(f"{length}s{stride - length}x" * (size // stride), a.to_bytes(size, "little"))
 
 
+def _records(planes: list[bytes | bytearray], count: int) -> tuple[bytes, ...]:
+    """One ``bytes`` record per word of `count`: each plane's bytes of the word, the
+    planes side by side in order.  A plane must hold a whole number of bytes, at
+    least one, per word, else ValueError."""
+    widths = [len(plane) // count for plane in planes]
+    if any(not w or len(plane) != w * count for w, plane in zip(widths, planes)):
+        raise ValueError(f"planes of whole values for {count} words expected")
+    width = sum(widths)
+    out = bytearray(count * width)
+    for at, w, plane in zip(accumulate(widths, initial=0), widths, planes):
+        for k in range(w):
+            out[at + k::width] = plane[k::w]
+    return unpack(f"{width}s" * count, out)
+
+
 def _inserted(pack: tuple[int, int, int, int], i: int) -> tuple[int, int, int, int]:
     """A pack of words of d letters at stride d, each with the letter d + 1 put in at
     slot i, packed at stride d + 1: every lane moved by one slice of the pack's bytes."""
@@ -451,15 +466,11 @@ def _table(group: str, degree: int, fields: list[str]) -> tuple[int, dict]:
         for f, (_, n) in zip(fields, _layout(fields, low - 1, ind)))}
     for d in range(low + 1, top + 1):
         held, table = (d - 1, table), {}
-        layout = _layout(fields, d - 1, ind)
-        width = sum(n for _, n in layout)
         for pack in _element_packs(group, d):
-            records = bytearray(pack[2] // d * width)
-            for f, (at, n), col in zip(fields, layout, _columns(group, pack, held, fields)):
-                raw, lane = (col[3].to_bytes(pack[2], "little"), d) if f == "proj" else (col, n)
-                for k in range(n):
-                    records[at + k::width] = memoryview(raw).cast("B")[k::lane]
-            table.update(zip(_words(pack), unpack(f"{width}s" * (pack[2] // d), records)))
+            # A wide "ind" plane is a cast memoryview: bytes() gives its bytes.
+            planes = [b"".join(_words(col)) if f == "proj" else bytes(col)
+                      for f, col in zip(fields, _columns(group, pack, held, fields))]
+            table.update(zip(_words(pack), _records(planes, pack[2] // d)))
     return top, table
 
 
@@ -705,8 +716,9 @@ def a_lifts(ends: tuple[SFactor | None, ...]) -> Iterator[Perm]:
 
 # -- flat letter views ------------------------------------------------------
 
-_S_TOKEN = re.compile(r"s(\d+)$")
-_A_TOKEN = re.compile(r"a(\d+)(\^-1)?$")
+# An index is at least 1: s0, a00 and every other spelling of zero is a bad letter.
+_S_TOKEN = re.compile(r"s(0*[1-9]\d*)$")
+_A_TOKEN = re.compile(r"a(0*[1-9]\d*)(\^-1)?$")
 
 
 def s_word_pretty(word: SWord) -> str:
@@ -769,7 +781,8 @@ def eval_s_letters(n: int, letters: list[int]) -> Perm:
     work = list(range(1, n + 1))
     for k in letters:
         if not 1 <= k <= n - 1:
-            raise ValueError(f"letter s{k} needs degree at least {k + 1}")
+            raise ValueError(f"letter s{k} needs degree at least {k + 1}" if k > 0
+                             else f"letter s{k} has an index below 1")
         work[k - 1], work[k] = work[k], work[k - 1]
     return tuple(work)
 
@@ -779,7 +792,8 @@ def eval_a_letters(m: int, letters: list[tuple[int, bool]]) -> Perm:
     work = list(range(1, m + 1))
     for k, inv in letters:
         if not 1 <= k <= m - 2:
-            raise ValueError(f"letter a{k} needs degree at least {k + 2}")
+            raise ValueError(f"letter a{k} needs degree at least {k + 2}" if k > 0
+                             else f"letter a{k} has an index below 1")
         if inv:
             work[1], work[2] = work[2], work[1]
             work[0], work[1] = work[1], work[0]

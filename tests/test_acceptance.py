@@ -156,7 +156,7 @@ def test_c09_stirling():
     from permstat.identities import _tally_passes
 
     for n in range(1, 9):
-        ((cycles,), _), = _tally_passes([("S", n, "cycles")])[0].values()
+        (cycles, _), = _tally_passes([("S", n, ("cycles",))])[0].values()
         assert [cycles.get(d + 1, 0) for d in range(n)] == stirling_cycle_counts(n)
 
 

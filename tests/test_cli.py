@@ -91,6 +91,21 @@ def test_canon_from_word(capsys):
     assert code == 2 and "needs a permutation" in err
 
 
+@pytest.mark.parametrize("n", [[], ["--n", "4"]])
+@pytest.mark.parametrize("group, word, expected", [
+    ("S", "s0", "s<k>"), ("S", "s1 s00", "s<k>"),
+    ("A", "a0", "a<k> or a1^-1"), ("A", "a000", "a<k> or a1^-1"),
+    ("A", "a0^-1", "a<k> or a1^-1"),
+])
+def test_canon_from_word_with_index_zero_is_a_bad_letter(capsys, group, word, expected, n):
+    # Letters are indexed from 1, so a zero index in any spelling is a bad
+    # letter, with or without a degree given.
+    code, out, err = run_cli(capsys, "canon", "--group", group, "--from-word", word, *n)
+    bad = word.split()[-1]
+    assert code == 2 and out == ""
+    assert err == f"error: bad letter {bad!r}; expected {expected}\n"
+
+
 @pytest.mark.parametrize("group, perm", [("S", "[2,1]"), ("A", "[3,5,4,2,1]")])
 def test_canon_of_a_permutation_rejects_n(capsys, group, perm):
     # --n sizes only the permutation that --from-word builds; beside a
@@ -495,9 +510,14 @@ def test_pack_is_longest_processing_time_first():
     assert cli_pack(items[:2], 8) == [["t7"], ["t1"]]
 
 
-def test_verify_all_payload_is_pinned(capsys):
-    # The whole registry's payload at n <= 5, byte for byte.
-    code, out, _ = run_cli(capsys, "verify", "--all", "--n-max", "5", "--jobs", "1")
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_all_payload_is_pinned(capsys, monkeypatch, jobs):
+    # The whole registry's payload at n <= 5, byte for byte, serial and
+    # through a pool of two workers.
+    from permstat import cli
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    code, out, _ = run_cli(capsys, "verify", "--all", "--n-max", "5", "--jobs", jobs)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "47842e5b9e47024b089ecdda194ac1324c753502af0c3d5faf8921d03bce2089"

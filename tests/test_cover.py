@@ -156,7 +156,7 @@ def test_pass_projections_regroup_into_the_fibres():
     # projects onto w, each read back from its inverse, are w's fibre, each
     # counted once.
     for n in range(1, 7):
-        ((tally,),), order = histograms("A", n, [("proj", "inverse")])
+        (tally,), order = histograms("A", n, [("proj", "inverse")])
         fibres = {}
         for (w, inv), count in tally.items():
             assert count == 1

@@ -862,17 +862,25 @@ def _verify_all_tasks(n_max):
 
 
 @pytest.mark.parametrize("n_max, count, digest", [
-    (None, 13, "4398257ea85559798106af654d20ef695821b7591680b49becfbce6844a20730"),
-    (5, 47, "a8e68056b4f49a5a865d843dd385ff9adb0cb25d50969dc838062501454ad1ed"),
+    (None, 13, "7d0fb8372a1b71b64765035d71f30b5bf5f4cc12a85395653cf3b6c94c1e7b98"),
+    (5, 48, "3860b891a7b803f3e983dbff062d8050dffce8277f600a731cbfc2f2251ce9ab"),
 ])
 def test_plan_pieces_and_weights_are_pinned(n_max, count, digest):
     # Recorded when every weight was an exact element count; saturating the
     # weights for huge n must leave these unchanged.  Re-recorded when
-    # fiber-size joined the alternating batches.
+    # fiber-size joined the alternating batches, and when each column became
+    # one key weighed by its group's order: prop712-sk-occurrences at n = 1
+    # reads no column, so it is a piece of its own, of weight 0.
     pieces = sorted((work, sorted((name, n) for name, n, *_ in piece))
                     for work, piece in plan(_verify_all_tasks(n_max)))
     assert len(pieces) == count
     assert hashlib.sha256(repr(pieces).encode()).hexdigest() == digest
+
+
+def test_plan_weighs_each_column_by_its_group_order():
+    # macmahon tallies two keys over S_4, so its one piece weighs 2 * 4!.
+    (work, piece), = plan([("macmahon", 4)])
+    assert work == 48 and [name for name, *_ in piece] == ["macmahon"]
 
 
 def test_plan_weighs_a_forced_huge_n_at_once():
@@ -1346,12 +1354,11 @@ def test_fiber_size_fails_on_a_projection_outside_the_symmetric_group(monkeypatc
     # is no permutation of degree n fails there, after every fibre passed.
     histograms = identities.histograms
 
-    def stray(group, n, *rows):
-        hists, count = histograms(group, n, *rows)
-        for row, row_hists in zip(rows, hists):
-            for key, hist in zip(row, row_hists):
-                if key == ("proj",):
-                    hist[(1,) * n] += 1
+    def stray(group, n, keys):
+        hists, count = histograms(group, n, keys)
+        for key, hist in zip(keys, hists):
+            if key == ("proj",):
+                hist[(1,) * n] += 1
         return hists, count
 
     monkeypatch.setattr(identities, "histograms", stray)

@@ -140,7 +140,7 @@ def test_pass_records_equal_kernel_records(monkeypatch, bound):
         for n in range(1, 9):  # S_n, and A_n as the group "A" of degree n - 1
             pulled.clear()
             tables.clear()
-            ((records,),), count = histograms(group, n if group == "S" else n - 1,
+            (records,), count = histograms(group, n if group == "S" else n - 1,
                                               [("inverse", *fields)])
             assert sum(records.values()) == count == len(records)
             for pinv, *rec in records:
@@ -170,7 +170,7 @@ def test_pass_reads_inverse_records_through_its_table(monkeypatch, bound):
     fields = ("inverse", "delent", "inverse-length", "inverse-delent", "inverse-proj",
               "inverse-ind", "inverse-occ1", "inverse-occ2")
     for m in range(1, 8):
-        ((records,),), count = histograms("A", m - 1, [fields])
+        (records,), count = histograms("A", m - 1, [fields])
         assert sum(records.values()) == count == len(records) == len(_evens(m))
         elements = {vinv: inverse(tuple(vinv)) for vinv, *_ in records}
         assert sorted(elements.values()) == sorted(_evens(m))
@@ -224,7 +224,7 @@ def test_packed_step_fields_equal_kernel_records(monkeypatch, group, n_max):
             for stream, want in streams:
                 assert _stepped(group, stream, held, fields) == want, (group, n, bound)
             if bound is None:  # the pass reads the same fields the same way
-                ((records,),), _ = histograms(group, degree, [("inverse", *fields)])
+                (records,), _ = histograms(group, degree, [("inverse", *fields)])
                 assert Counter({(inverse(tuple(winv)), *rec): c for (winv, *rec), c in
                                 records.items()}) == Counter(zip(ws, *expected)), (group, n)
 
@@ -390,7 +390,7 @@ def test_descent_columns_equal_public_statistics(monkeypatch, group, bound):
     maj, rmaj, des, des_set = stats_of
     columns = (*_DESCENT_COLUMNS, *("inverse-" + c for c in _DESCENT_COLUMNS))
     for n in range(1, n_max + 1):
-        ((records,),), count = histograms(group, n, [("inverse", *columns)])
+        (records,), count = histograms(group, n, [("inverse", *columns)])
         assert sum(records.values()) == count == len(records)
         elements = {pinv: inverse(tuple(pinv)) for pinv, *_ in records}
         assert sorted(elements.values()) == sorted(_perms(n) if group == "S" else _evens(n + 1))
@@ -420,7 +420,7 @@ def test_element_and_fold_columns_equal_public_functions(monkeypatch, group, bou
         js = range(1, n if group == "S" else n + 1)
         columns = ("cycles", "minmask", "inverse-cycles", "inverse-minmask", "delent",
                    *(f"hat-{s}{j}" for j in js for s in ("length", "maj")))
-        ((records,),), count = histograms(group, n, [("inverse", *columns)])
+        (records,), count = histograms(group, n, [("inverse", *columns)])
         assert sum(records.values()) == count == len(records)
         elements = {pinv: inverse(tuple(pinv)) for pinv, *_ in records}
         assert sorted(elements.values()) == sorted(_perms(n) if group == "S" else _evens(n + 1))
@@ -441,11 +441,14 @@ def test_passes_that_read_no_field_pull_nothing(monkeypatch):
     monkeypatch.setattr(words, "_table", no_pull)
     monkeypatch.setattr(stats, "_table", no_pull)
     tallies, _ = identities._tally_passes(
-        [("S", 6, row) for row in ("cycles", "len-maj", "descent-class", "main")]
-        + [("A", 5, "hat", (1, 2, 3, 4, 5))])
+        [("S", 6, key) for key in (("cycles",), ("inversions", "zero"), ("maj", "zero"),
+                                   *identities._DESCENT_CLASS,
+                                   (*identities._INVERSE_MASKS, "rmaj"),
+                                   (*identities._INVERSE_MASKS, "inversions"))]
+        + [("A", 5, (f"hat-{s}{j}",)) for j in (1, 2, 3, 4, 5) for s in ("length", "maj")])
     assert all(count == (720 if col[0] == "S" else 360) for col, (_, count) in tallies.items())
     with pytest.raises(AssertionError, match="pulled"):
-        identities._tally_passes([("S", 6, "del")])
+        identities._tally_passes([("S", 6, ("zero", "delent"))])
 
 
 def test_cycle_column_reads_no_record(monkeypatch):
@@ -458,8 +461,18 @@ def test_cycle_column_reads_no_record(monkeypatch):
         monkeypatch.setattr(module, "_columns", broken)
         monkeypatch.setattr(module, "_table", broken)
     monkeypatch.setattr(words, "_PLANS", None)
-    ((cycles, theirs),), count = histograms("S", 6, [("cycles",), ("inverse-cycles",)])
+    (cycles, theirs), count = histograms("S", 6, [("cycles",), ("inverse-cycles",)])
     assert count == 720 and cycles == theirs == Counter(map(cycle_count, _perms(6)))
+
+
+def test_records_lay_planes_side_by_side():
+    # Each word's record is its bytes of each plane in turn, a plane of two
+    # bytes a word, such as a wide "ind", giving both.
+    planes = [b"ab", bytearray(b"\x01\x02\x03\x04"), b"wxyz"]
+    assert words._records(planes, 2) == (b"a\x01\x02wx", b"b\x03\x04yz")
+    for planes in ([b"abc"], [b"ab", b""], [b"abcd", b"a"]):
+        with pytest.raises(ValueError, match="whole values for 2 words"):
+            words._records(planes, 2)
 
 
 def test_plus_keeps_each_slot_lists_own_translation():
@@ -573,7 +586,8 @@ def test_keys_with_zero_columns_tally_as_their_zips(group, n):
             ("delent", "zero", "rmaj"), ("zero", "zero"), ("maj",), ("zero",),
             ("length", "delent")]
     fields = list(dict.fromkeys(f for key in keys for f in key))
-    (zipped, (records,)), _ = histograms(group, n, keys, [("inverse", *fields)])
+    hists, _ = histograms(group, n, [*keys, ("inverse", *fields)])
+    zipped, records = hists[:-1], hists[-1]
     elements = [dict(zip(fields, values)) for _, *values in records.elements()]
     tallies = tuple(Counter(e[key[0]] if len(key) == 1 else tuple(map(e.get, key))
                             for e in elements) for key in keys)

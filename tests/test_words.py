@@ -183,6 +183,22 @@ def test_letter_parsing_round_trip():
         parse_a_letters("a2^-1")
 
 
+def test_letters_with_index_zero_raise():
+    for word in ("s0", "s00"):
+        with pytest.raises(ValueError, match="bad letter"):
+            parse_s_letters(word)
+    for word in ("a0", "a00", "a0^-1"):
+        with pytest.raises(ValueError, match="bad letter"):
+            parse_a_letters(word)
+    assert parse_s_letters("s01") == [1] and parse_a_letters("a01") == [(1, False)]
+    with pytest.raises(ValueError, match=r"^letter s0 has an index below 1$"):
+        eval_s_letters(3, [0])
+    with pytest.raises(ValueError, match=r"^letter a0 has an index below 1$"):
+        eval_a_letters(4, [(0, False)])
+    with pytest.raises(ValueError, match=r"^letter s3 needs degree at least 4$"):
+        eval_s_letters(3, [3])
+
+
 def test_word_json_shapes():
     assert word_to_json(s_canonical((2, 5, 4, 1, 3))) == [
         {"j": 1, "r": 1},
